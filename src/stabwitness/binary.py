@@ -6,6 +6,11 @@ the public API, matching the text format where qubit 1 is the leftmost
 character; internally qubit ``k`` occupies bit ``k - 1``.  All phases are
 discarded: products are componentwise XOR and every operator is its own
 inverse.
+
+All GF(2) elimination goes through one forward-elimination helper:
+``rows_rank`` is the length of its basis, ``rows_rref`` adds
+back-substitution, and ``invert_mod2`` and ``solve_mod2`` reduce augmented
+rows with ``rows_rref``.
 """
 
 from __future__ import annotations
@@ -245,27 +250,30 @@ class BitMatrix:
         return self.n_rows == self.n_cols and self.row_bits == self.transpose().row_bits
 
 
+def _echelon(rows: Iterable[int]) -> list[int]:
+    """Forward elimination: a basis of the row span in which every row has
+    its own leading bit, its pivot.  Rows are in no particular order."""
+    by_pivot: dict[int, int] = {}
+    for row in rows:
+        # Clearing the leading bit with the row that owns it lowers the
+        # leading bit, until the row is zero or claims a free pivot.
+        while row:
+            lead = row.bit_length()
+            if lead not in by_pivot:
+                by_pivot[lead] = row
+                break
+            row ^= by_pivot[lead]
+    return list(by_pivot.values())
+
+
 def rows_rank(rows: Iterable[int]) -> int:
     """Rank of a collection of bit-packed rows over GF(2)."""
-    basis: list[int] = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    return len(basis)
+    return len(_echelon(rows))
 
 
 def rows_rref(rows: Iterable[int]) -> list[int]:
     """Reduced row-echelon basis (as ints, sorted descending) of the row span."""
-    basis: list[int] = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
+    basis = _echelon(rows)
     # Back-substitute so each pivot appears in exactly one row.
     for i in range(len(basis)):
         pivot = 1 << (basis[i].bit_length() - 1)
@@ -276,40 +284,26 @@ def rows_rref(rows: Iterable[int]) -> list[int]:
     return basis
 
 
-def row_in_span(row: int, basis: Sequence[int]) -> bool:
-    """True iff ``row`` lies in the GF(2) span of an echelonized basis."""
-    for b in basis:
-        row = min(row, row ^ b)
-    return row == 0
-
-
 def rank_mod2(m: BitMatrix) -> int:
     """Row-echelon rank over GF(2); the input is not mutated."""
     return rows_rank(m.row_bits)
 
 
 def invert_mod2(m: BitMatrix) -> BitMatrix:
-    """Inverse of a square binary matrix; raises ValueError if singular."""
+    """Inverse of a square binary matrix; raises ValueError if singular.
+
+    Reduces the augmented rows [A_i | e_i].  For invertible A the reduced
+    row with high half e_k carries row k of the inverse in its low half; a
+    reduced row with a zero high half is a dependency among the rows of A.
+    """
     if m.n_rows != m.n_cols:
         raise ValueError("only square matrices can be inverted")
     n = m.n_rows
-    work = list(m.row_bits)
-    aug = [1 << i for i in range(n)]
-    row_idx = 0
-    for col in range(n):
-        pivot = next(
-            (r for r in range(row_idx, n) if (work[r] >> col) & 1), None
-        )
-        if pivot is None:
-            raise ValueError("matrix is singular over GF(2)")
-        work[row_idx], work[pivot] = work[pivot], work[row_idx]
-        aug[row_idx], aug[pivot] = aug[pivot], aug[row_idx]
-        for r in range(n):
-            if r != row_idx and (work[r] >> col) & 1:
-                work[r] ^= work[row_idx]
-                aug[r] ^= aug[row_idx]
-        row_idx += 1
-    return BitMatrix(n, n, tuple(aug))
+    reduced = rows_rref((row << n) | (1 << i) for i, row in enumerate(m.row_bits))
+    if any(r >> n == 0 for r in reduced):
+        raise ValueError("matrix is singular over GF(2)")
+    low = (1 << n) - 1
+    return BitMatrix(n, n, tuple(r & low for r in reversed(reduced)))
 
 
 def solve_mod2(a: BitMatrix, b: int) -> tuple[Optional[int], list[int]]:
@@ -322,39 +316,25 @@ def solve_mod2(a: BitMatrix, b: int) -> tuple[Optional[int], list[int]]:
     """
     if b >> a.n_rows:
         raise ValueError("right-hand side longer than the row count")
-    work = list(a.row_bits)
-    rhs = [(b >> i) & 1 for i in range(a.n_rows)]
-    pivot_cols: list[int] = []
-    row_idx = 0
-    for col in range(a.n_cols):
-        pivot = next(
-            (r for r in range(row_idx, a.n_rows) if (work[r] >> col) & 1), None
-        )
-        if pivot is None:
-            continue
-        work[row_idx], work[pivot] = work[pivot], work[row_idx]
-        rhs[row_idx], rhs[pivot] = rhs[pivot], rhs[row_idx]
-        for r in range(a.n_rows):
-            if r != row_idx and (work[r] >> col) & 1:
-                work[r] ^= work[row_idx]
-                rhs[r] ^= rhs[row_idx]
-        pivot_cols.append(col)
-        row_idx += 1
-    if any(rhs[r] for r in range(row_idx, a.n_rows)):
-        solution = None
-    else:
+    # Augmented rows [a_i | b_i] with the right-hand side in bit 0; each
+    # reduced row's pivot is its leading bit, so column c sits in bit c + 1.
+    # The reduced row 1 reads 0 = 1: the system is inconsistent.
+    reduced = rows_rref(
+        (row << 1) | ((b >> i) & 1) for i, row in enumerate(a.row_bits)
+    )
+    pivots = [r.bit_length() - 2 for r in reduced]
+    solution = None
+    if 1 not in reduced:
         solution = 0
-        for r, col in enumerate(pivot_cols):
-            if rhs[r]:
-                solution |= 1 << col
-    pivot_set = set(pivot_cols)
+        for r, col in zip(reduced, pivots):
+            solution |= (r & 1) << col
     nullspace: list[int] = []
     for free in range(a.n_cols):
-        if free in pivot_set:
+        if free in pivots:
             continue
         vec = 1 << free
-        for r, col in enumerate(pivot_cols):
-            if (work[r] >> free) & 1:
+        for r, col in zip(reduced, pivots):
+            if (r >> (free + 1)) & 1:
                 vec |= 1 << col
         nullspace.append(vec)
     return solution, nullspace

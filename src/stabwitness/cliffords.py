@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .binary import BitMatrix, PauliOperator, invert_mod2
+from .binary import BitMatrix, PauliOperator, invert_mod2, rows_rank
 from .groups import GeneratorSet, RecombinationMatrix, recombine, span_group
 from .graphs import CapacityError, Graph, graph_generators
 
@@ -222,15 +222,10 @@ def find_graph_equivalence(
                 x_rows[mu] |= 1 << i
 
     # Greedy row basis of the X-block; qubits outside it get the letter swap.
-    basis: list[int] = []
     basis_rows: list[int] = []
     for mu in range(n):
-        reduced = x_rows[mu]
-        for b in basis:
-            reduced = min(reduced, reduced ^ b)
-        if reduced:
-            basis.append(reduced)
-            basis.sort(reverse=True)
+        candidate = [x_rows[nu] for nu in basis_rows] + [x_rows[mu]]
+        if rows_rank(candidate) > len(basis_rows):
             basis_rows.append(mu)
     swap_qubits = [mu for mu in range(n) if mu not in set(basis_rows)]
     for mu in swap_qubits:

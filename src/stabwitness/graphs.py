@@ -139,17 +139,17 @@ def incidence_matrix(g: Graph) -> BitMatrix:
 
 
 def reduced_incidence_matrix(g: Graph, omega: Sequence[int]) -> BitMatrix:
-    """Incidence matrix of the reduced graph on a 1-based vertex subset."""
+    """Incidence matrix of the reduced graph on a 1-based vertex subset:
+    the induced subgraph, its vertices relabeled 1..n in sorted order."""
     verts = sorted(set(omega))
     for v in verts:
         g._check_vertex(v)
-    n = len(verts)
-    rows = [0] * n
-    for col, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-        if g.has_edge(verts[i], verts[j]):
-            rows[i] |= 1 << col
-            rows[j] |= 1 << col
-    return BitMatrix(n, n * (n - 1) // 2, tuple(rows))
+    edges = [
+        (i + 1, j + 1)
+        for (i, mu), (j, nu) in itertools.combinations(enumerate(verts), 2)
+        if g.has_edge(mu, nu)
+    ]
+    return incidence_matrix(Graph.from_edges(len(verts), edges))
 
 
 def connected_components(g: Graph) -> int:

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from .groups import basis_key
 from .evaluation import (
     DataSource,
+    MeasurementDataset,
     WitnessValue,
     detection_confidence,
     evaluate,
@@ -366,7 +367,15 @@ def build_evaluation_report(
     genuine_set=None,
 ) -> EvaluationReport:
     """Evaluate the census witnesses (and optionally the genuine witnesses
-    of each requested kind) against a data source."""
+    of each requested kind) against a data source.
+
+    Raises ValueError when a measurement dataset is on a different number
+    of qubits than the census.
+    """
+    if isinstance(data, MeasurementDataset) and data.n_qubits != census.n_qubits:
+        raise ValueError(
+            f"dataset is on {data.n_qubits} qubits, the code on {census.n_qubits}"
+        )
     kinds = tuple(kinds)
     rows: list[EvalRow] = []
     specs: list[WitnessSpec] = []

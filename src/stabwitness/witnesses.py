@@ -8,6 +8,9 @@ candidate subset; the graph-based method harvests candidates from the
 local-complementation orbit of an equivalent graph plus the local symmetries
 of the state.  Witnesses are identified with the subgroup their seed spans,
 so enumeration deduplicates by a canonical subgroup key.
+
+``check_direct`` and the subspace scan behind the direct enumerators share
+one predicate on packed 2N-bit rows, which yields the violated conditions.
 """
 
 from __future__ import annotations
@@ -15,12 +18,11 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .binary import (
     BitMatrix,
     PauliOperator,
-    anticommutation_mask,
     pauli_from_row,
     pauli_row,
     rows_rank,
@@ -142,11 +144,12 @@ class WitnessSpec:
 # ---------------------------------------------------------------------------
 
 
-def _pair_masks(stabilizers: Sequence[PauliOperator]) -> list[int]:
-    """Per-pair anticommutation masks, lexicographic over pairs (i, j), i<j."""
+def _pair_masks(rows: Sequence[int], n_qubits: int) -> list[int]:
+    """Per-pair anticommutation masks of packed 2N-bit rows, lexicographic
+    over pairs (i, j), i < j."""
     return [
-        anticommutation_mask(a, b)
-        for a, b in itertools.combinations(stabilizers, 2)
+        ((a >> n_qubits) & b) ^ (a & (b >> n_qubits))
+        for a, b in itertools.combinations(rows, 2)
     ]
 
 
@@ -156,21 +159,33 @@ def pseudo_incidence(w: GeneratorSubset) -> BitMatrix:
     Column l = {i, j} (lexicographic, i < j) has a 1 in row mu exactly when
     the letters of stabilizers i and j anticommute on qubit mu.
     """
-    n_qubits = w.n_qubits
-    masks = _pair_masks(w.stabilizers)
-    rows = [0] * n_qubits
-    for col, mask in enumerate(masks):
-        for mu in range(n_qubits):
-            if (mask >> mu) & 1:
-                rows[mu] |= 1 << col
-    return BitMatrix(n_qubits, len(masks), tuple(rows))
+    masks = _pair_masks([pauli_row(p) for p in w.stabilizers], w.n_qubits)
+    return BitMatrix(len(masks), w.n_qubits, tuple(masks)).transpose()
 
 
-class _Condition(enum.Enum):
-    INDEPENDENT_COMMUTING = "i"
-    REDUCED_INDEPENDENT_COMMUTING = "ii"
-    LOCAL_OUTSIDE = "iii"
-    PSEUDO_RANK = "iv"
+def _failed_conditions(
+    rows: Sequence[int], omega_mask: int, n_qubits: int
+) -> Iterator[str]:
+    """Lazily yield each violated direct condition, "i".."iv" in order, for
+    n packed 2N-bit stabilizer rows and a qubit bit mask omega."""
+    n = len(rows)
+    masks = _pair_masks(rows, n_qubits)
+    # (i) independent and mutually commuting
+    if any(bin(m).count("1") % 2 for m in masks) or rows_rank(rows) != n:
+        yield "i"
+    # (ii) the restrictions to omega are independent and mutually commuting
+    omega_rows = (omega_mask << n_qubits) | omega_mask
+    if rows_rank([r & omega_rows for r in rows]) != n or any(
+        bin(m & omega_mask).count("1") % 2 for m in masks
+    ):
+        yield "ii"
+    # (iii) letterwise commutation outside omega
+    if any(m & ~omega_mask for m in masks):
+        yield "iii"
+    # (iv) the pseudo-incidence matrix, whose columns are the masks, has
+    # rank n - 1
+    if rows_rank(masks) != n - 1:
+        yield "iv"
 
 
 @dataclass(frozen=True)
@@ -207,32 +222,9 @@ def check_direct(w: GeneratorSubset) -> DirectCheckResult:
         raise MalformedSubsetError(
             f"witness subsets need 2 <= n <= {n_qubits - 1}, got n={n}"
         )
-    stabs = w.stabilizers
-    masks = _pair_masks(stabs)
-    omega_mask = w.omega_mask
-    failed = []
-
-    if any(bin(m).count("1") % 2 for m in masks) or rows_rank(
-        pauli_row(p) for p in stabs
-    ) != n:
-        failed.append(_Condition.INDEPENDENT_COMMUTING.value)
-
-    reduced_rows = [
-        ((p.z_bits & omega_mask) << n_qubits) | (p.x_bits & omega_mask)
-        for p in stabs
-    ]
-    if rows_rank(reduced_rows) != n or any(
-        bin(m & omega_mask).count("1") % 2 for m in masks
-    ):
-        failed.append(_Condition.REDUCED_INDEPENDENT_COMMUTING.value)
-
-    if any(m & ~omega_mask for m in masks):
-        failed.append(_Condition.LOCAL_OUTSIDE.value)
-
-    if rows_rank(masks) != n - 1:
-        failed.append(_Condition.PSEUDO_RANK.value)
-
-    return DirectCheckResult(not failed, tuple(failed))
+    rows = [pauli_row(p) for p in w.stabilizers]
+    failed = tuple(_failed_conditions(rows, w.omega_mask, n_qubits))
+    return DirectCheckResult(not failed, failed)
 
 
 def _rref_bases(n_cols: int, rank: int) -> Iterable[tuple[int, ...]]:
@@ -277,27 +269,20 @@ def _direct_subgroups(group: StabilizerGroup, rank: int):
     """Yield (omega, canonical basis) for every rank-``rank`` subgroup of the
     stabilizer group that seeds a local witness for its active region."""
     n_qubits = group.n_qubits
-    elements = group.elements
+    element_rows = [pauli_row(e) for e in group.elements]
     for exp_rows in _rref_bases(len(group.generator_set.generators), rank):
-        basis = [elements[e] for e in exp_rows]
-        masks = _pair_masks(basis)
+        rows = [element_rows[e] for e in exp_rows]
         active = 0
-        for m in masks:
+        for m in _pair_masks(rows, n_qubits):
             active |= m
+        # Pair masks have even weight, so the pseudo-incidence rank is at
+        # most |active| - 1, and (iii) needs active inside omega: only
+        # omega = active with |active| = rank can pass.
         if bin(active).count("1") != rank:
             continue
-        reduced_rows = [
-            ((p.z_bits & active) << n_qubits) | (p.x_bits & active)
-            for p in basis
-        ]
-        if rows_rank(reduced_rows) != rank:
-            continue
-        if rows_rank(masks) != rank - 1:
-            continue
-        canonical = [
-            pauli_from_row(r, n_qubits) for r in rows_rref(pauli_row(p) for p in basis)
-        ]
-        yield _mask_to_omega(active), canonical
+        if next(_failed_conditions(rows, active, n_qubits), None) is None:
+            canonical = [pauli_from_row(r, n_qubits) for r in rows_rref(rows)]
+            yield _mask_to_omega(active), canonical
 
 
 def enumerate_direct(
@@ -488,11 +473,17 @@ def enumerate_two_measurement(
 ) -> list[WitnessSpec]:
     """All two-measurement local witnesses for one subsystem, deduplicated
     by the (X-span, Z-span) pair."""
+    return _two_measurement_variants(enumerate_direct(group, omega))
+
+
+def _two_measurement_variants(specs: Iterable[WitnessSpec]) -> list[WitnessSpec]:
+    """Two-measurement variants of standard witnesses, deduplicated by the
+    (X-span, Z-span) pair and sorted by it."""
     seen = {}
-    for spec in enumerate_direct(group, omega):
-        twomeas = two_measurement_from_standard(spec)
-        if twomeas is not None:
-            seen[twomeas.identity_key] = twomeas
+    for spec in specs:
+        variant = two_measurement_from_standard(spec)
+        if variant is not None:
+            seen[variant.identity_key] = variant
     return [seen[k] for k in sorted(seen)]
 
 
@@ -621,14 +612,9 @@ def run_census(
         full = direct_census(group)
         direct = {omega: full[omega] for omega in wanted}
         if "twomeas" in methods:
-            twomeas = {}
-            for omega in wanted:
-                seen = {}
-                for spec in direct[omega]:
-                    variant = two_measurement_from_standard(spec)
-                    if variant is not None:
-                        seen[variant.identity_key] = variant
-                twomeas[omega] = [seen[k] for k in sorted(seen)]
+            twomeas = {
+                omega: _two_measurement_variants(direct[omega]) for omega in wanted
+            }
         if "direct" not in methods:
             direct = None
 

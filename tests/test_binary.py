@@ -213,21 +213,44 @@ class TestSolve:
 
     def test_random_instances_verify_by_multiplication(self):
         rng = random.Random(3)
-        for _ in range(50):
-            a = BitMatrix(10, 10, tuple(rng.getrandbits(10) for _ in range(10)))
-            x_true = rng.getrandbits(10)
-            # b = a @ x computed by the independent multiplication oracle
-            b = 0
-            for i in range(10):
-                if bin(a.row_bits[i] & x_true).count("1") % 2:
-                    b |= 1 << i
-            sol, null = solve_mod2(a, b)
-            assert sol is not None
-            for candidate in [sol] + [sol ^ v for v in null]:
-                for i in range(10):
-                    parity = bin(a.row_bits[i] & candidate).count("1") % 2
-                    assert parity == (b >> i) & 1
-            assert len(null) == 10 - rank_mod2(a)
+        inconsistent = 0
+        # square, wide and tall systems; every other right-hand side is
+        # random, which leaves many of them outside the column space
+        for n_rows, n_cols in [(10, 10), (6, 10), (10, 6)]:
+            for trial in range(50):
+                a = BitMatrix(
+                    n_rows, n_cols,
+                    tuple(rng.getrandbits(n_cols) for _ in range(n_rows)),
+                )
+                if trial % 2:
+                    b = rng.getrandbits(n_rows)
+                else:
+                    # b = a @ x computed by the independent multiplication oracle
+                    x_true = rng.getrandbits(n_cols)
+                    b = 0
+                    for i in range(n_rows):
+                        if bin(a.row_bits[i] & x_true).count("1") % 2:
+                            b |= 1 << i
+                augmented = [
+                    row + [(b >> i) & 1] for i, row in enumerate(a.to_lists())
+                ]
+                rank_a = naive_rank(a.to_lists(), n_cols)
+                consistent = naive_rank(augmented, n_cols + 1) == rank_a
+                sol, null = solve_mod2(a, b)
+                assert (sol is not None) == consistent
+                inconsistent += not consistent
+                assert len(null) == n_cols - rank_a
+                assert rows_rank(null) == len(null)
+                for v in null:
+                    for i in range(n_rows):
+                        assert bin(a.row_bits[i] & v).count("1") % 2 == 0
+                if sol is None:
+                    continue
+                for candidate in [sol] + [sol ^ v for v in null]:
+                    for i in range(n_rows):
+                        parity = bin(a.row_bits[i] & candidate).count("1") % 2
+                        assert parity == (b >> i) & 1
+        assert inconsistent >= 20
 
 
 class TestRref:

@@ -158,6 +158,17 @@ class TestEval:
         assert code == 1
         assert "missing stabilizer records" in err
 
+    def test_dataset_on_other_qubit_count(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("pauli,expectation,shots\nZZIII,0.9,100\n")
+        code, _, err = run_cli(
+            capsys,
+            "eval", "color_code_7", "--data", str(path), "--omega", "5,6",
+            "--kinds", "standard",
+        )
+        assert code == 1
+        assert err == "error: dataset is on 5 qubits, the code on 7\n"
+
     def test_needs_exactly_one_source(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["eval", "color_code_7", "--kinds", "standard"])
@@ -194,9 +205,10 @@ class TestOtherCommands:
     def test_equivalence(self, capsys):
         code, out, _ = run_cli(capsys, "equivalence", "color_code_7")
         assert code == 0
-        lines = out.splitlines()
-        assert lines[0].startswith("local_clifford: ")
-        assert lines[1].startswith("graph: ")
-        letters = lines[0].split(": ")[1].split(",")
-        assert len(letters) == 7
-        assert set(letters) <= {"I", "H", "S", "HS", "SH", "HSH"}
+        assert out == (
+            "local_clifford: I,I,I,H,I,H,H\n"
+            'graph: {"n": 7, "edges": [[1, 4], [1, 7], [2, 4], [2, 6], '
+            "[3, 4], [3, 6], [3, 7], [5, 6], [5, 7]]}\n"
+            "recombination_rows: 0000101 0001111 0000010 1000000 0001001 "
+            "0100000 1110000\n"
+        )

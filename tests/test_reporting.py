@@ -154,3 +154,15 @@ class TestEvaluationReport:
                 small_census, data, genuine_set=color_code_module
             )
         assert len(err.value.missing) >= 1
+
+    def test_dataset_on_other_qubit_count_is_rejected(
+        self, small_census, color_code_module
+    ):
+        from stabwitness.evaluation import IncompleteDataError
+
+        data = MeasurementDataset(5, {"ZZIII": (0.9, 100)})
+        with pytest.raises(ValueError, match="5 qubits.* 7") as err:
+            build_evaluation_report(
+                small_census, data, genuine_set=color_code_module
+            )
+        assert not isinstance(err.value, IncompleteDataError)

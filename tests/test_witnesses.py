@@ -3,12 +3,18 @@ import random
 
 import pytest
 
-from stabwitness.binary import parse_pauli, rank_mod2
+from stabwitness.binary import (
+    anticommutation_mask,
+    parse_pauli,
+    pauli_from_row,
+    rank_mod2,
+)
 from stabwitness.cliffords import apply
 from stabwitness.graphs import is_connected_within, reduced_generator_subset
 from stabwitness.groups import (
     GeneratorSet,
     GeneratorSubset,
+    basis_key,
     span_group,
     span_paulis,
 )
@@ -19,6 +25,7 @@ from stabwitness.witnesses import (
     all_subsystems,
     check_direct,
     classify_subsystem,
+    direct_census,
     enumerate_direct,
     enumerate_graph_based,
     enumerate_two_measurement,
@@ -28,7 +35,7 @@ from stabwitness.witnesses import (
 )
 
 from conftest import random_graph, random_local_clifford, random_stabilizer_set
-from test_binary import naive_rank
+from test_binary import naive_rank, random_pauli
 from test_groups import random_nonsingular
 
 FIG6_SUBSET = GeneratorSubset(
@@ -174,6 +181,59 @@ class TestCheckDirect:
             subset = reduced_generator_subset(g, omega)
             assert bool(check_direct(subset)) == is_connected_within(g, omega)
 
+    def test_random_candidates_match_naive_oracle(self):
+        rng = random.Random(89)
+        verdicts = set()
+        for _ in range(400):
+            n_qubits = rng.randint(4, 6)
+            group = span_group(random_stabilizer_set(rng, n_qubits))
+            n = rng.randint(2, n_qubits - 1)
+            omega = tuple(sorted(rng.sample(range(1, n_qubits + 1), n)))
+            picks = rng.sample(group.elements[1:], n)
+            roll = rng.random()
+            if roll < 0.2:
+                # dependent: one pick is the product of two others
+                picks[-1] = picks[0] * picks[1]
+            elif roll < 0.4:
+                # usually anticommutes with, or leaves, the group
+                picks[-1] = random_pauli(rng, n_qubits)
+            result = check_direct(GeneratorSubset(omega, tuple(picks)))
+            expected = naive_failed(picks, omega, n_qubits)
+            assert list(result.failed_conditions) == expected
+            assert bool(result) == naive_check(picks, omega, n_qubits)
+            verdicts.add(result.failed_condition)
+        assert verdicts == {None, "i", "ii", "iii", "iv"}
+
+    def test_scan_accepts_exactly_the_passing_subspaces(self):
+        rng = random.Random(97)
+        group = span_group(random_stabilizer_set(rng, 5))
+        census = direct_census(group)
+        found = {
+            (omega, spec.identity_key)
+            for omega, specs in census.items()
+            for spec in specs
+        }
+        passing = set()
+        for k in range(2, 5):
+            keys = {
+                basis_key(combo)
+                for combo in itertools.combinations(group.elements[1:], k)
+            }
+            for key in keys:
+                if len(key) != k:
+                    continue
+                basis = tuple(pauli_from_row(r, 5) for r in key)
+                active = 0
+                for a, b in itertools.combinations(basis, 2):
+                    active |= anticommutation_mask(a, b)
+                if bin(active).count("1") != k:
+                    continue
+                omega = tuple(q for q in range(1, 6) if (active >> (q - 1)) & 1)
+                if check_direct(GeneratorSubset(omega, basis)):
+                    passing.add((omega, key))
+        assert passing
+        assert passing == found
+
 
 class TestEnumerateDirect:
     def test_color_code_counts(self, color_group):
@@ -226,36 +286,39 @@ def naive_letters_commute(a, b):
     return a == "I" or b == "I" or a == b
 
 
-def naive_check(paulis, omega, n_qubits):
+def naive_pairs_commute(texts):
+    return all(
+        sum(0 if naive_letters_commute(a, b) else 1 for a, b in zip(s, t)) % 2 == 0
+        for s, t in itertools.combinations(texts, 2)
+    )
+
+
+def naive_failed(paulis, omega, n_qubits):
+    """Every violated direct condition, "i".."iv", by letter counting."""
     texts = [p.to_text() for p in paulis]
     n = len(texts)
+    failed = []
     # (i) pairwise commutation by letter counting, independence by span size
-    for s, t in itertools.combinations(texts, 2):
-        anti = sum(
-            0 if naive_letters_commute(a, b) else 1 for a, b in zip(s, t)
-        )
-        if anti % 2:
-            return False
-    if len(naive_span_texts(paulis, n_qubits)) != 1 << n:
-        return False
+    if not naive_pairs_commute(texts) or len(
+        naive_span_texts(paulis, n_qubits)
+    ) != 1 << n:
+        failed.append("i")
     # (ii) reduced operators: restrict, re-check commutation and independence
     positions = [q - 1 for q in omega]
     reduced = ["".join(t[i] for i in positions) for t in texts]
-    for s, t in itertools.combinations(reduced, 2):
-        anti = sum(
-            0 if naive_letters_commute(a, b) else 1 for a, b in zip(s, t)
-        )
-        if anti % 2:
-            return False
     reduced_paulis = [parse_pauli(t) for t in reduced]
-    if len(naive_span_texts(reduced_paulis, n)) != 1 << n:
-        return False
+    if not naive_pairs_commute(reduced) or len(
+        naive_span_texts(reduced_paulis, len(omega))
+    ) != 1 << n:
+        failed.append("ii")
     # (iii) letterwise commutation outside omega
     outside = [i for i in range(n_qubits) if i not in positions]
-    for s, t in itertools.combinations(texts, 2):
-        for i in outside:
-            if not naive_letters_commute(s[i], t[i]):
-                return False
+    if any(
+        not naive_letters_commute(s[i], t[i])
+        for s, t in itertools.combinations(texts, 2)
+        for i in outside
+    ):
+        failed.append("iii")
     # (iv) pseudo-incidence rank n-1, built as explicit lists
     columns = []
     for s, t in itertools.combinations(texts, 2):
@@ -263,7 +326,13 @@ def naive_check(paulis, omega, n_qubits):
             [0 if naive_letters_commute(a, b) else 1 for a, b in zip(s, t)]
         )
     rows = [[col[mu] for col in columns] for mu in range(n_qubits)]
-    return naive_rank(rows, len(columns)) == n - 1
+    if naive_rank(rows, len(columns)) != n - 1:
+        failed.append("iv")
+    return failed
+
+
+def naive_check(paulis, omega, n_qubits):
+    return not naive_failed(paulis, omega, n_qubits)
 
 
 class TestMicroOracle:
@@ -394,6 +463,14 @@ class TestTwoMeasurement:
                     assert set(p.to_text()) <= {"I", "X"}
                 for p in spec.z_basis:
                     assert set(p.to_text()) <= {"I", "Z"}
+
+    def test_census_matches_per_subsystem_enumeration(
+        self, full_census, color_group
+    ):
+        for omega in full_census.subsystems():
+            assert full_census.two_measurement[omega] == (
+                enumerate_two_measurement(color_group, omega)
+            )
 
     def test_derived_from_standard(self, color_group):
         for spec in enumerate_direct(color_group, (5, 6)):

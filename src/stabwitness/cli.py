@@ -142,6 +142,10 @@ def cmd_eval(parser, args) -> int:
             return _fail(f"cannot read {args.data}: {exc}")
         except ValueError as exc:
             return _fail(f"bad dataset: {exc}")
+        if data.n_qubits != code.n_qubits:
+            return _fail(
+                f"dataset is on {data.n_qubits} qubits, the code on {code.n_qubits}"
+            )
     methods = ["direct"]
     if WitnessKind.TWO_MEASUREMENT in kinds:
         methods.append("twomeas")

@@ -11,6 +11,9 @@ so enumeration deduplicates by a canonical subgroup key.
 
 ``check_direct`` and the subspace scan behind the direct enumerators share
 one predicate on packed 2N-bit rows, which yields the violated conditions.
+The full direct census scans every subgroup of the whole group once; a
+query for one subsystem scans only the subgroups whose letters outside it
+are restricted as condition (iii) demands.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .binary import (
     pauli_row,
     rows_rank,
     rows_rref,
+    solve_mod2,
 )
 from .cliffords import (
     apply,
@@ -265,13 +269,61 @@ def _mask_to_omega(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _direct_subgroups(group: StabilizerGroup, rank: int):
-    """Yield (omega, canonical basis) for every rank-``rank`` subgroup of the
-    stabilizer group that seeds a local witness for its active region."""
-    n_qubits = group.n_qubits
-    element_rows = [pauli_row(e) for e in group.elements]
-    for exp_rows in _rref_bases(len(group.generator_set.generators), rank):
-        rows = [element_rows[e] for e in exp_rows]
+def _omega_to_mask(omega: Sequence[int]) -> int:
+    mask = 0
+    for q in omega:
+        mask |= 1 << (q - 1)
+    return mask
+
+
+def _check_subsystem(omega: Sequence[int], n_qubits: int) -> tuple[int, ...]:
+    """The sorted labels of a subsystem; raises MalformedSubsetError unless
+    it has 2..N-1 distinct labels in 1..N."""
+    omega = tuple(sorted(omega))
+    if not 2 <= len(omega) <= n_qubits - 1:
+        raise MalformedSubsetError(
+            f"subsystem {omega} is not a local scope on {n_qubits} qubits"
+        )
+    if len(set(omega)) != len(omega) or not all(
+        1 <= q <= n_qubits for q in omega
+    ):
+        raise MalformedSubsetError(
+            f"subsystem {omega} has labels outside 1..{n_qubits}"
+        )
+    return omega
+
+
+def _standard_specs(
+    omega: tuple[int, ...], keys: Iterable[tuple[int, ...]], n_qubits: int
+) -> list[WitnessSpec]:
+    """Standard witnesses for omega from subgroup keys, sorted by key (the
+    identity key of each witness)."""
+    return [
+        WitnessSpec.standard_local(
+            omega, [pauli_from_row(r, n_qubits) for r in key]
+        )
+        for key in sorted(keys)
+    ]
+
+
+def _direct_subgroups(
+    element_rows: Sequence[int],
+    exponent_basis: Sequence[int],
+    rank: int,
+    n_qubits: int,
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (active mask, RREF key) for every rank-``rank`` subgroup inside
+    the span of ``exponent_basis`` that seeds a local witness for its active
+    region.  ``element_rows`` are the group's packed 2N-bit rows by exponent
+    vector; the basis is the unit vectors for the whole group."""
+    # span[c]: the row of the element whose exponent vector combines the
+    # basis vectors selected by the bits of c
+    exponents = [0]
+    for e in exponent_basis:
+        exponents += [x ^ e for x in exponents]
+    span = [element_rows[x] for x in exponents]
+    for coords in _rref_bases(len(exponent_basis), rank):
+        rows = [span[c] for c in coords]
         active = 0
         for m in _pair_masks(rows, n_qubits):
             active |= m
@@ -281,28 +333,66 @@ def _direct_subgroups(group: StabilizerGroup, rank: int):
         if bin(active).count("1") != rank:
             continue
         if next(_failed_conditions(rows, active, n_qubits), None) is None:
-            canonical = [pauli_from_row(r, n_qubits) for r in rows_rref(rows)]
-            yield _mask_to_omega(active), canonical
+            yield active, tuple(rows_rref(rows))
+
+
+def _letter_kernels(
+    generator_rows: Sequence[int], omega_mask: int, n_qubits: int
+) -> Iterator[list[int]]:
+    """For each choice of one letter P_mu per qubit mu outside omega, a basis
+    of exponent vectors of the group elements whose letter on every such mu
+    commutes with P_mu, i.e. is I or P_mu.
+
+    Condition (iii) puts every witness subgroup for omega inside one of
+    these kernels.
+    """
+    n_gens = len(generator_rows)
+    choices = []
+    for mu in range(n_qubits):
+        if (omega_mask >> mu) & 1:
+            continue
+        # bit i of x_col (z_col): generator i has an X-part (Z-part) on
+        # qubit mu, i.e. anticommutes with Z (X) there
+        x_col = z_col = 0
+        for i, row in enumerate(generator_rows):
+            x_col |= ((row >> mu) & 1) << i
+            z_col |= ((row >> (n_qubits + mu)) & 1) << i
+        # the generators anticommuting with X, Y, Z on qubit mu
+        choices.append((z_col, z_col ^ x_col, x_col))
+    # An element commutes with P_mu on qubit mu exactly when an even number
+    # of its generators anticommute with P_mu there: one linear constraint
+    # on its exponent vector per qubit outside omega.
+    for constraints in itertools.product(*choices):
+        yield solve_mod2(BitMatrix(len(constraints), n_gens, constraints), 0)[1]
 
 
 def enumerate_direct(
     group: StabilizerGroup, omega: Sequence[int]
 ) -> list[WitnessSpec]:
     """All standard local witnesses for one subsystem, one per spanned
-    subgroup, sorted by identity key."""
-    omega = tuple(sorted(omega))
-    n = len(omega)
-    if not 2 <= n <= group.n_qubits - 1:
-        raise MalformedSubsetError(
-            f"need 2 <= |omega| <= {group.n_qubits - 1}, got {n}"
-        )
-    specs = [
-        WitnessSpec.standard_local(found_omega, basis)
-        for found_omega, basis in _direct_subgroups(group, n)
-        if found_omega == omega
-    ]
-    specs.sort(key=lambda s: s.identity_key)
-    return specs
+    subgroup, sorted by identity key.
+
+    Scans only the letter-restricted kernels of ``_letter_kernels``, so the
+    cost follows the subsystem, not the size of the whole group; the
+    result equals ``direct_census(group)[omega]``.  Raises
+    MalformedSubsetError for a subsystem that is not 2..N-1 distinct labels
+    in 1..N.
+    """
+    n_qubits = group.n_qubits
+    omega = _check_subsystem(omega, n_qubits)
+    mask = _omega_to_mask(omega)
+    element_rows = [pauli_row(e) for e in group.elements]
+    generator_rows = [element_rows[1 << i] for i in range(n_qubits)]
+    # A subgroup that is all-I on some qubit outside omega lies in the
+    # kernels of all three letters there; the key set keeps it once.
+    keys = set()
+    for kernel in _letter_kernels(generator_rows, mask, n_qubits):
+        for active, key in _direct_subgroups(
+            element_rows, kernel, len(omega), n_qubits
+        ):
+            if active == mask:
+                keys.add(key)
+    return _standard_specs(omega, keys, n_qubits)
 
 
 def all_subsystems(n_qubits: int) -> list[tuple[int, ...]]:
@@ -314,16 +404,24 @@ def all_subsystems(n_qubits: int) -> list[tuple[int, ...]]:
 
 
 def direct_census(group: StabilizerGroup) -> dict[tuple[int, ...], list[WitnessSpec]]:
-    """Standard local witnesses for every subsystem, by the direct method."""
-    buckets: dict[tuple[int, ...], list[WitnessSpec]] = {
-        omega: [] for omega in all_subsystems(group.n_qubits)
+    """Standard local witnesses for every subsystem, by the direct method.
+
+    One pass over every subgroup of rank 2..N-1 of the whole group, each
+    filed under its active region.
+    """
+    n_qubits = group.n_qubits
+    element_rows = [pauli_row(e) for e in group.elements]
+    units = [1 << i for i in range(n_qubits)]
+    keys: dict[tuple[int, ...], list[tuple[int, ...]]] = {
+        omega: [] for omega in all_subsystems(n_qubits)
     }
-    for rank in range(2, group.n_qubits):
-        for omega, basis in _direct_subgroups(group, rank):
-            buckets[omega].append(WitnessSpec.standard_local(omega, basis))
-    for specs in buckets.values():
-        specs.sort(key=lambda s: s.identity_key)
-    return buckets
+    for rank in range(2, n_qubits):
+        for active, key in _direct_subgroups(element_rows, units, rank, n_qubits):
+            keys[_mask_to_omega(active)].append(key)
+    return {
+        omega: _standard_specs(omega, found, n_qubits)
+        for omega, found in keys.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +446,7 @@ def enumerate_graph_based(
     symmetries = find_local_symmetries(s)
 
     subsystems = all_subsystems(n_qubits)
-    masks = []
-    for omega in subsystems:
-        m = 0
-        for q in omega:
-            m |= 1 << (q - 1)
-        masks.append(m)
+    masks = [_omega_to_mask(omega) for omega in subsystems]
 
     found: dict[tuple[int, ...], set[tuple[int, ...]]] = {
         omega: set() for omega in subsystems
@@ -385,13 +478,7 @@ def enumerate_graph_based(
                     for r in key
                 ]
                 keys.add(tuple(rows_rref(image)))
-        specs = [
-            WitnessSpec.standard_local(
-                omega, [pauli_from_row(r, n_qubits) for r in key]
-            )
-            for key in sorted(keys)
-        ]
-        out[omega] = specs
+        out[omega] = _standard_specs(omega, keys, n_qubits)
     return out
 
 
@@ -583,7 +670,12 @@ def run_census(
 
     ``methods`` may contain "direct", "graph", and "twomeas"; the
     two-measurement census is derived from the direct one.  ``omegas``
-    restricts the subsystems (default: all of size 2..N-1).
+    restricts the subsystems (default: all of size 2..N-1) and raises
+    MalformedSubsetError for one that is not 2..N-1 distinct labels in
+    1..N.  Without ``omegas`` the direct witnesses come from the one-pass
+    scan of ``direct_census``; with them, from ``enumerate_direct`` per
+    subsystem, whose cost follows the subsystems asked for.  The graph
+    method always builds the whole census and keeps the wanted subsystems.
     """
     methods = set(methods)
     unknown = methods - {"direct", "graph", "twomeas"}
@@ -593,24 +685,17 @@ def run_census(
     if omegas is None:
         wanted = all_subsystems(s.n_qubits)
     else:
-        wanted = list(dict.fromkeys(tuple(sorted(o)) for o in omegas))
-    for omega in wanted:
-        if not 2 <= len(omega) <= s.n_qubits - 1:
-            raise MalformedSubsetError(
-                f"subsystem {omega} is not a local scope on {s.n_qubits} qubits"
-            )
-        if len(set(omega)) != len(omega) or not all(
-            1 <= q <= s.n_qubits for q in omega
-        ):
-            raise MalformedSubsetError(
-                f"subsystem {omega} has labels outside 1..{s.n_qubits}"
-            )
+        wanted = list(
+            dict.fromkeys(_check_subsystem(o, s.n_qubits) for o in omegas)
+        )
 
     direct = None
     twomeas = None
     if methods & {"direct", "twomeas"}:
-        full = direct_census(group)
-        direct = {omega: full[omega] for omega in wanted}
+        if omegas is None:
+            direct = direct_census(group)
+        else:
+            direct = {omega: enumerate_direct(group, omega) for omega in wanted}
         if "twomeas" in methods:
             twomeas = {
                 omega: _two_measurement_variants(direct[omega]) for omega in wanted

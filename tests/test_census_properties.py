@@ -14,7 +14,9 @@ from stabwitness.witnesses import (
     all_subsystems,
     check_direct,
     direct_census,
+    enumerate_direct,
     enumerate_graph_based,
+    enumerate_two_measurement,
     run_census,
 )
 
@@ -135,6 +137,17 @@ class TestCensusValidation:
         code = build_color_code()
         with pytest.raises(MalformedSubsetError):
             run_census(code, ("direct",), [(8, 9)])
+
+    @pytest.mark.parametrize("omega", [(0, 3), (1, 1, 2), (5, 9), (3,), tuple(range(1, 8))])
+    def test_every_entry_point_rejects_malformed_subsystems(self, omega):
+        code = build_color_code()
+        group = span_group(code)
+        with pytest.raises(MalformedSubsetError):
+            run_census(code, ("direct",), [omega])
+        with pytest.raises(MalformedSubsetError):
+            enumerate_direct(group, omega)
+        with pytest.raises(MalformedSubsetError):
+            enumerate_two_measurement(group, omega)
 
     def test_deduplicates_equivalent_omegas(self):
         code = build_color_code()

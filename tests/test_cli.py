@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from stabwitness import cli
 from stabwitness.cli import main
 from stabwitness.groups import build_color_code, code_to_json
 
@@ -167,6 +168,18 @@ class TestEval:
             "--kinds", "standard",
         )
         assert code == 1
+        assert err == "error: dataset is on 5 qubits, the code on 7\n"
+
+    def test_dataset_size_checked_before_the_census(self, capsys, tmp_path, monkeypatch):
+        def census(*args):
+            raise AssertionError("census run for a dataset of the wrong size")
+
+        monkeypatch.setattr(cli, "run_census", census)
+        path = tmp_path / "data.csv"
+        path.write_text("pauli,expectation,shots\nZZIII,0.9,100\n")
+        code, out, err = run_cli(capsys, "eval", "color_code_7", "--data", str(path))
+        assert code == 1
+        assert out == ""
         assert err == "error: dataset is on 5 qubits, the code on 7\n"
 
     def test_needs_exactly_one_source(self, capsys):

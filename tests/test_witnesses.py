@@ -18,6 +18,7 @@ from stabwitness.groups import (
     span_group,
     span_paulis,
 )
+from stabwitness import witnesses
 from stabwitness.witnesses import (
     MalformedSubsetError,
     SubsystemClass,
@@ -31,6 +32,7 @@ from stabwitness.witnesses import (
     enumerate_two_measurement,
     find_xz_form,
     pseudo_incidence,
+    run_census,
     two_measurement_from_standard,
 )
 
@@ -256,6 +258,51 @@ class TestEnumerateDirect:
         keys = [s.identity_key for s in specs]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+
+class TestPerSubsystemPath:
+    """``enumerate_direct`` scans letter-restricted kernels; the one-pass
+    scan of ``direct_census`` is its oracle."""
+
+    def test_matches_scan_on_color_code(self, color_group):
+        full = direct_census(color_group)
+        for omega, specs in full.items():
+            assert enumerate_direct(color_group, omega) == specs
+
+    @pytest.mark.parametrize("n_qubits", [5, 6, 7])
+    def test_matches_scan_on_random_states(self, n_qubits):
+        group = span_group(random_stabilizer_set(random.Random(n_qubits), n_qubits))
+        full = direct_census(group)
+        assert any(full.values())
+        for omega, specs in full.items():
+            keys = [s.identity_key for s in specs]
+            assert keys == sorted(keys)
+            assert enumerate_direct(group, omega) == specs
+
+    def test_restricted_census_matches_full_census(self):
+        s = random_stabilizer_set(random.Random(61), 6)
+        full = run_census(s, ("direct", "twomeas"))
+        # scrambled random states rarely have an X/Z split: keep the
+        # subsystems that do, plus a random handful
+        split = [o for o in full.subsystems() if full.two_measurement[o]]
+        rest = [o for o in full.subsystems() if o not in split]
+        omegas = split + random.Random(62).sample(rest, 5)
+        restricted = run_census(s, ("direct", "twomeas"), omegas)
+        assert restricted.subsystems() == omegas
+        assert any(restricted.direct.values())
+        assert any(restricted.two_measurement.values())
+        for omega in omegas:
+            assert restricted.direct[omega] == full.direct[omega]
+            assert restricted.two_measurement[omega] == full.two_measurement[omega]
+
+    def test_restricted_census_skips_the_full_scan(self, color_code, monkeypatch):
+        def full_scan(group):
+            raise AssertionError("full scan for a restricted census")
+
+        monkeypatch.setattr(witnesses, "direct_census", full_scan)
+        census = run_census(color_code, ("direct", "twomeas"), [(5, 6)])
+        assert len(census.direct[(5, 6)]) == 72
+        assert len(census.two_measurement[(5, 6)]) == 4
 
 
 def naive_span_texts(paulis, n_qubits):

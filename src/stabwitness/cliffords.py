@@ -156,16 +156,12 @@ class LocalClifford:
         return all(q is _ID for q in self.per_qubit)
 
 
-def apply(q: LocalClifford, p: PauliOperator) -> PauliOperator:
-    """Apply the per-qubit letter maps to an operator."""
-    if q.n_qubits != p.n_qubits:
-        raise ValueError(
-            f"operator on {p.n_qubits} qubits, map on {q.n_qubits}"
-        )
+def _map_letters(q: LocalClifford, z_bits: int, x_bits: int) -> tuple[int, int]:
+    """Apply the per-qubit letter maps to packed (Z-block, X-block) bits."""
     z = x = 0
     for mask, a, b, c, d in q._masks:
-        pz = p.z_bits & mask
-        px = p.x_bits & mask
+        pz = z_bits & mask
+        px = x_bits & mask
         if a:
             z |= pz if not b else pz ^ px
         elif b:
@@ -174,7 +170,16 @@ def apply(q: LocalClifford, p: PauliOperator) -> PauliOperator:
             x |= pz if not d else pz ^ px
         elif d:
             x |= px
-    return PauliOperator(p.n_qubits, z, x)
+    return z, x
+
+
+def apply(q: LocalClifford, p: PauliOperator) -> PauliOperator:
+    """Apply the per-qubit letter maps to an operator."""
+    if q.n_qubits != p.n_qubits:
+        raise ValueError(
+            f"operator on {p.n_qubits} qubits, map on {q.n_qubits}"
+        )
+    return PauliOperator(p.n_qubits, *_map_letters(q, p.z_bits, p.x_bits))
 
 
 def apply_to_generators(q: LocalClifford, s: GeneratorSet) -> GeneratorSet:
@@ -258,10 +263,6 @@ def find_graph_equivalence(
     if check.generators != graph_generators(graph).generators:
         raise RuntimeError("internal error: graph equivalence check failed")
     return clifford, recomb, graph
-
-
-def _letter_bits(a: int, b: int, c: int, d: int, zb: int, xb: int) -> tuple[int, int]:
-    return (a & zb) ^ (b & xb), (c & zb) ^ (d & xb)
 
 
 def find_local_symmetries(s: GeneratorSet) -> list[LocalClifford]:

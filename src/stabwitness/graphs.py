@@ -184,18 +184,24 @@ def _connected_mask(adjacency: Sequence[int], mask: int) -> bool:
     return reached == mask
 
 
-def local_complement(g: Graph, vertex: int) -> Graph:
-    """Toggle every edge between two neighbors of the given vertex."""
-    g._check_vertex(vertex)
-    hood = g.adjacency[vertex - 1]
-    rows = list(g.adjacency)
+def _complemented(adjacency: tuple[int, ...], vertex: int) -> tuple[int, ...]:
+    """Adjacency rows after toggling every edge between two neighbors of a
+    1-based vertex; the input is not validated."""
+    hood = adjacency[vertex - 1]
+    rows = list(adjacency)
     rest = hood
     while rest:
         low = rest & -rest
         mu = low.bit_length() - 1
         rows[mu] ^= hood & ~low
         rest ^= low
-    return Graph(g.n_vertices, tuple(rows))
+    return tuple(rows)
+
+
+def local_complement(g: Graph, vertex: int) -> Graph:
+    """Toggle every edge between two neighbors of the given vertex."""
+    g._check_vertex(vertex)
+    return Graph(g.n_vertices, _complemented(g.adjacency, vertex))
 
 
 @dataclass(frozen=True)
@@ -221,23 +227,27 @@ class LcOrbit:
 
 
 def lc_orbit(g: Graph, max_size: int = 10**6) -> LcOrbit:
-    """Breadth-first fixpoint of local complementation over labeled graphs."""
+    """Breadth-first fixpoint of local complementation over labeled graphs.
+
+    Complements are compared as adjacency tuples; a ``Graph`` is built only
+    for a newly discovered member.
+    """
     seen = {g.adjacency: ()}
     order = [g]
-    queue = deque([g])
+    queue = deque([g.adjacency])
     while queue:
         current = queue.popleft()
-        seq = seen[current.adjacency]
+        seq = seen[current]
         for vertex in range(1, g.n_vertices + 1):
-            nxt = local_complement(current, vertex)
-            if nxt.adjacency in seen:
+            nxt = _complemented(current, vertex)
+            if nxt in seen:
                 continue
             if len(seen) >= max_size:
                 raise CapacityError(
                     f"local-complementation orbit exceeds {max_size} graphs"
                 )
-            seen[nxt.adjacency] = seq + (vertex,)
-            order.append(nxt)
+            seen[nxt] = seq + (vertex,)
+            order.append(Graph(g.n_vertices, nxt))
             queue.append(nxt)
     return LcOrbit(tuple(order), tuple(seen[h.adjacency] for h in order))
 

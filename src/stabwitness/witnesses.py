@@ -9,6 +9,13 @@ local-complementation orbit of an equivalent graph plus the local symmetries
 of the state.  Witnesses are identified with the subgroup their seed spans,
 so enumeration deduplicates by a canonical subgroup key.
 
+The graph-based walk is incremental.  Only the orbit's seed is pulled back
+through letter maps; every other member's pulled generators follow from its
+breadth-first parent's, because complementing at v maps them by
+child_u = parent_u ^ parent_v for each neighbor u of v and leaves the rest.
+That step changes the key or the connectivity only of the subsystems that
+miss v and meet its neighborhood, so only those are keyed again.
+
 ``check_direct`` and the subspace scan behind the direct enumerators share
 one predicate on packed 2N-bit rows, which yields the violated conditions.
 The full direct census scans every subgroup of the whole group once; a
@@ -33,12 +40,12 @@ from .binary import (
     solve_mod2,
 )
 from .cliffords import (
-    apply,
+    LocalClifford,
+    _map_letters,
     find_graph_equivalence,
     find_local_symmetries,
-    lc_unitary_binary,
 )
-from .graphs import _connected_mask, graph_generators, lc_orbit, local_complement
+from .graphs import Graph, LcOrbit, _connected_mask, lc_orbit
 from .groups import (
     GeneratorSet,
     GeneratorSubset,
@@ -429,6 +436,55 @@ def direct_census(group: StabilizerGroup) -> dict[tuple[int, ...], list[WitnessS
 # ---------------------------------------------------------------------------
 
 
+def _map_row(q: LocalClifford, row: int, n_qubits: int) -> int:
+    """Apply letter maps to a packed 2N-bit row."""
+    z, x = _map_letters(q, row >> n_qubits, row & ((1 << n_qubits) - 1))
+    return (z << n_qubits) | x
+
+
+def _orbit_pullback(
+    q_le: LocalClifford, orbit: LcOrbit
+) -> Iterator[tuple[Graph, tuple[int, ...], list[int]]]:
+    """Yield (member, sequence, pulled rows) for every orbit member, in
+    orbit order.
+
+    ``q_le`` maps the state onto the graph form of the orbit's seed; the
+    pulled rows are the member's graph generators carried back to the state,
+    as packed 2N-bit rows, one per vertex.  The seed's rows come from the
+    inverse letter maps.  Every other member's rows come from its
+    breadth-first parent, the member of ``sequence[:-1]``: complementing at
+    v maps the pulled generators by
+
+        child_u = parent_u ^ parent_v  for u in N(v),  parent_u otherwise,
+
+    because the inverse of the complementation's letter maps sends the
+    child's generator g'_u to g_u g_v for each neighbor u of v and to g_u
+    elsewhere.
+    """
+    inverse = q_le.inverse()
+    n_qubits = q_le.n_qubits
+    seed = orbit.graphs[0]
+    # the seed's graph generator of vertex mu: X on mu, Z on its neighbors
+    by_sequence = {
+        (): [
+            _map_row(inverse, (seed.adjacency[mu] << n_qubits) | 1 << mu, n_qubits)
+            for mu in range(n_qubits)
+        ]
+    }
+    for member, sequence in orbit.items():
+        if sequence:
+            parent = by_sequence[sequence[:-1]]
+            vertex = sequence[-1]
+            # v's neighborhood is the same before and after complementing
+            hood = member.adjacency[vertex - 1]
+            pivot = parent[vertex - 1]
+            by_sequence[sequence] = [
+                row ^ pivot if (hood >> u) & 1 else row
+                for u, row in enumerate(parent)
+            ]
+        yield member, sequence, by_sequence[sequence]
+
+
 def enumerate_graph_based(
     s: GeneratorSet,
 ) -> dict[tuple[int, ...], list[WitnessSpec]]:
@@ -436,47 +492,49 @@ def enumerate_graph_based(
 
     Pipeline: map the generator set onto a graph form, enumerate the full
     local-complementation orbit, pull the generators of every connected
-    subsystem of every orbit graph back through the inverse letter maps, and
-    finally conjugate everything by each local symmetry of the state.
-    Deduplicated by spanned subgroup per subsystem.
+    subsystem of every orbit graph back to the state, and finally conjugate
+    everything by each local symmetry of the state.  Deduplicated by
+    spanned subgroup (RREF key) per subsystem.
+
+    The walk is incremental (``_orbit_pullback``): each member's pulled
+    generators come from its breadth-first parent's by one XOR per neighbor
+    of the complemented vertex v.  Only the subsystems omega with v outside
+    omega and meeting N(v) are keyed again.  A subsystem holding v keeps
+    its span (each changed row gains the row of v, which it holds) and its
+    connectivity (complementing at v commutes with inducing on omega and
+    keeps a graph connected); one missing v and N(v) keeps its rows and its
+    induced subgraph.  So the cost is the orbit size times the subsystems
+    each complementation touches.
     """
     n_qubits = s.n_qubits
-    q_le, recomb, graph0 = find_graph_equivalence(s)
+    q_le, _, graph0 = find_graph_equivalence(s)
     orbit = lc_orbit(graph0)
     symmetries = find_local_symmetries(s)
 
     subsystems = all_subsystems(n_qubits)
     masks = [_omega_to_mask(omega) for omega in subsystems]
-
-    found: dict[tuple[int, ...], set[tuple[int, ...]]] = {
-        omega: set() for omega in subsystems
+    indices = {
+        mask: [q - 1 for q in omega] for omega, mask in zip(subsystems, masks)
     }
-    for member, sequence in orbit.items():
-        q_total = q_le
-        current = graph0
-        for vertex in sequence:
-            q_total = lc_unitary_binary(current, vertex).compose(q_total)
-            current = local_complement(current, vertex)
-        inv = q_total.inverse()
-        pulled = [apply(inv, g) for g in graph_generators(member).generators]
-        for omega, mask in zip(subsystems, masks):
-            if not _connected_mask(member.adjacency, mask):
-                continue
-            rows = [pauli_row(pulled[q - 1]) for q in omega]
-            found[omega].add(tuple(rows_rref(rows)))
 
+    found: dict[int, set[tuple[int, ...]]] = {mask: set() for mask in masks}
+    for member, sequence, rows in _orbit_pullback(q_le, orbit):
+        touched = masks
+        if sequence:
+            vertex = sequence[-1]
+            hood = member.adjacency[vertex - 1]
+            touched = [m for m in masks if m & hood and not (m >> (vertex - 1)) & 1]
+        for mask in touched:
+            if _connected_mask(member.adjacency, mask):
+                found[mask].add(tuple(rows_rref([rows[u] for u in indices[mask]])))
+
+    inverses = [sym.inverse() for sym in symmetries if not sym.is_identity()]
     out: dict[tuple[int, ...], list[WitnessSpec]] = {}
-    for omega in subsystems:
-        keys = set(found[omega])
-        for sym in symmetries:
-            if sym.is_identity():
-                continue
-            inv_sym = sym.inverse()
-            for key in found[omega]:
-                image = [
-                    pauli_row(apply(inv_sym, pauli_from_row(r, n_qubits)))
-                    for r in key
-                ]
+    for omega, mask in zip(subsystems, masks):
+        keys = set(found[mask])
+        for inv_sym in inverses:
+            for key in found[mask]:
+                image = [_map_row(inv_sym, r, n_qubits) for r in key]
                 keys.add(tuple(rows_rref(image)))
         out[omega] = _standard_specs(omega, keys, n_qubits)
     return out
@@ -500,9 +558,11 @@ def find_xz_form(
 ) -> Optional[XZForm]:
     """Recombine a basis into pure X-type and Z-type stabilizers if possible.
 
-    Scans the spanned subgroup for its X-only and Z-only members; a split
-    exists exactly when those two subgroups together span everything.
-    Returns None otherwise.
+    The X-only members of the spanned subgroup have dimension n - rank of
+    the Z-parts, the Z-only members n - rank of the X-parts, and the two
+    meet only in the identity.  So a split exists exactly when the two
+    ranks add up to n; otherwise returns None without scanning.  When it
+    exists, the split is read off the 2^n members of the subgroup.
     """
     if isinstance(w, GeneratorSubset):
         paulis: Sequence[PauliOperator] = w.stabilizers
@@ -516,6 +576,12 @@ def find_xz_form(
     rows = rows_rref(pauli_row(p) for p in paulis)
     n = len(rows)
     x_mask = (1 << n_qubits) - 1
+    # In reduced row-echelon form the rows with a Z-part have their pivots
+    # in the Z-block, so those Z-parts are independent: their count is the
+    # rank of the Z-parts.
+    z_rank = sum(r >> n_qubits != 0 for r in rows)
+    if z_rank + rows_rank(r & x_mask for r in rows) != n:
+        return None
 
     x_rows: list[int] = []
     z_rows: list[int] = []
@@ -530,13 +596,9 @@ def find_xz_form(
             x_rows.append(acc)
         elif acc & x_mask == 0:
             z_rows.append(acc)
-    x_basis = rows_rref(x_rows)
-    z_basis = rows_rref(z_rows)
-    if len(x_basis) + len(z_basis) != n:
-        return None
     return XZForm(
-        tuple(pauli_from_row(r, n_qubits) for r in x_basis),
-        tuple(pauli_from_row(r, n_qubits) for r in z_basis),
+        tuple(pauli_from_row(r, n_qubits) for r in rows_rref(x_rows)),
+        tuple(pauli_from_row(r, n_qubits) for r in rows_rref(z_rows)),
     )
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from stabwitness.binary import rank_mod2
 from stabwitness.graphs import (
     CapacityError,
     Graph,
+    LcOrbit,
     _connected_mask,
     connected_components,
     graph_from_json,
@@ -150,7 +152,32 @@ class TestLocalComplement:
             assert local_complement(local_complement(g, v), v) == g
 
 
+def naive_lc_orbit(g: Graph) -> LcOrbit:
+    """Breadth-first closure that builds a Graph for every complement."""
+    seen = {g.adjacency: ()}
+    order = [g]
+    queue = deque([g])
+    while queue:
+        current = queue.popleft()
+        seq = seen[current.adjacency]
+        for vertex in range(1, g.n_vertices + 1):
+            nxt = local_complement(current, vertex)
+            if nxt.adjacency not in seen:
+                seen[nxt.adjacency] = seq + (vertex,)
+                order.append(nxt)
+                queue.append(nxt)
+    return LcOrbit(tuple(order), tuple(seen[h.adjacency] for h in order))
+
+
 class TestOrbit:
+    def test_order_and_sequences_match_naive_closure(self):
+        rng = random.Random(43)
+        graphs = [PATH3, STAR4, CODE_GRAPH] + [
+            random_graph(rng, n) for n in (5, 6, 7) for _ in range(3)
+        ]
+        for g in graphs:
+            assert lc_orbit(g) == naive_lc_orbit(g)
+
     def test_single_edge_fixed(self):
         g = Graph.from_edges(2, [(1, 2)])
         orbit = lc_orbit(g)

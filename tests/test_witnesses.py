@@ -7,14 +7,31 @@ from stabwitness.binary import (
     anticommutation_mask,
     parse_pauli,
     pauli_from_row,
+    pauli_row,
     rank_mod2,
+    rows_rank,
+    rows_rref,
 )
-from stabwitness.cliffords import apply
-from stabwitness.graphs import is_connected_within, reduced_generator_subset
+from stabwitness.cliffords import (
+    apply,
+    apply_to_generators,
+    find_graph_equivalence,
+    find_local_symmetries,
+    lc_unitary_binary,
+)
+from stabwitness.graphs import (
+    _connected_mask,
+    graph_generators,
+    is_connected_within,
+    lc_orbit,
+    local_complement,
+    reduced_generator_subset,
+)
 from stabwitness.groups import (
     GeneratorSet,
     GeneratorSubset,
     basis_key,
+    build_color_code,
     span_group,
     span_paulis,
 )
@@ -23,6 +40,7 @@ from stabwitness.witnesses import (
     MalformedSubsetError,
     SubsystemClass,
     WitnessSpec,
+    XZForm,
     all_subsystems,
     check_direct,
     classify_subsystem,
@@ -459,7 +477,152 @@ class TestGraphBased:
                 assert check_direct(spec.subset())
 
 
+def naive_pulled_rows(s: GeneratorSet) -> list:
+    """(member, pulled rows) per orbit member, in orbit order, by the
+    Clifford path: re-walk the member's whole complementation sequence from
+    the seed, compose the letter maps, invert them and apply the inverse to
+    the member's graph generators."""
+    q_le, _, graph0 = find_graph_equivalence(s)
+    out = []
+    for member, sequence in lc_orbit(graph0).items():
+        q_total = q_le
+        current = graph0
+        for vertex in sequence:
+            q_total = lc_unitary_binary(current, vertex).compose(q_total)
+            current = local_complement(current, vertex)
+        inv = q_total.inverse()
+        pulled = [apply(inv, g) for g in graph_generators(member).generators]
+        out.append((member, [pauli_row(p) for p in pulled]))
+    return out
+
+
+def naive_graph_based(s: GeneratorSet) -> dict:
+    """The graph-based census without the incremental walk: every member
+    re-walked, every connected subsystem of every member keyed, and the
+    symmetry sweep through PauliOperator objects."""
+    n_qubits = s.n_qubits
+    symmetries = find_local_symmetries(s)
+    subsystems = all_subsystems(n_qubits)
+    found = {omega: set() for omega in subsystems}
+    for member, rows in naive_pulled_rows(s):
+        for omega in subsystems:
+            mask = sum(1 << (q - 1) for q in omega)
+            if _connected_mask(member.adjacency, mask):
+                found[omega].add(tuple(rows_rref([rows[q - 1] for q in omega])))
+    out = {}
+    for omega in subsystems:
+        keys = set(found[omega])
+        for sym in symmetries:
+            if sym.is_identity():
+                continue
+            inv_sym = sym.inverse()
+            for key in found[omega]:
+                image = [
+                    pauli_row(apply(inv_sym, pauli_from_row(r, n_qubits)))
+                    for r in key
+                ]
+                keys.add(tuple(rows_rref(image)))
+        out[omega] = [
+            WitnessSpec.standard_local(
+                omega, [pauli_from_row(r, n_qubits) for r in key]
+            )
+            for key in sorted(keys)
+        ]
+    return out
+
+
+def _pullback_cases() -> list:
+    """color_code_7, the five-qubit code state, and one random graph state
+    of N = 5, 6, 7 qubits under three letter-map scrambles each; the
+    scrambles land the graph-form search on different seed graphs."""
+    cases = [
+        ("color_code_7", build_color_code()),
+        (
+            "five_qubit",
+            GeneratorSet.from_texts(["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ", "XXXXX"]),
+        ),
+    ]
+    for n in (5, 6, 7):
+        rng = random.Random(100 + n)
+        graph = random_graph(rng, n)
+        for k in range(3):
+            scramble = random_local_clifford(rng, n)
+            cases.append(
+                (f"random{n}_{k}", apply_to_generators(scramble, graph_generators(graph)))
+            )
+    return cases
+
+
+PULLBACK_CASES = _pullback_cases()
+
+
+class TestIncrementalPullback:
+    @pytest.mark.parametrize(
+        "s", [s for _, s in PULLBACK_CASES], ids=[i for i, _ in PULLBACK_CASES]
+    )
+    def test_matches_naive_graph_based(self, s):
+        assert enumerate_graph_based(s) == naive_graph_based(s)
+
+    @pytest.mark.parametrize(
+        "s", [s for _, s in PULLBACK_CASES], ids=[i for i, _ in PULLBACK_CASES]
+    )
+    def test_parent_rows_equal_clifford_path_rows(self, s):
+        q_le, _, graph0 = find_graph_equivalence(s)
+        orbit = lc_orbit(graph0)
+        derived = [
+            (member, rows)
+            for member, _, rows in witnesses._orbit_pullback(q_le, orbit)
+        ]
+        assert derived == naive_pulled_rows(s)
+
+    def test_scrambles_change_the_seed_graph(self):
+        for n in (5, 6, 7):
+            seeds = {
+                find_graph_equivalence(s)[2]
+                for case, s in PULLBACK_CASES
+                if case.startswith(f"random{n}_")
+            }
+            assert len(seeds) > 1
+
+
+def naive_xz_form(paulis) -> "XZForm | None":
+    """The X/Z split read off all 2^n members of the spanned subgroup."""
+    n_qubits = paulis[0].n_qubits
+    members = span_paulis(list(paulis))
+    x_basis = rows_rref(pauli_row(p) for p in members if p.z_bits == 0)
+    z_basis = rows_rref(pauli_row(p) for p in members if p.x_bits == 0)
+    if len(x_basis) + len(z_basis) != rows_rank(pauli_row(p) for p in paulis):
+        return None
+    return XZForm(
+        tuple(pauli_from_row(r, n_qubits) for r in x_basis),
+        tuple(pauli_from_row(r, n_qubits) for r in z_basis),
+    )
+
+
 class TestXZForm:
+    def test_rank_test_matches_oracle_on_color_code(self, full_census):
+        hits = 0
+        for specs in full_census.direct.values():
+            for spec in specs:
+                form = find_xz_form(spec.basis)
+                assert form == naive_xz_form(spec.basis)
+                hits += form is not None
+        assert hits > 0
+
+    @pytest.mark.parametrize("n_qubits", [5, 6])
+    def test_rank_test_matches_oracle_on_random_subgroups(self, n_qubits):
+        rng = random.Random(200 + n_qubits)
+        hits = misses = 0
+        for _ in range(20):
+            elements = span_group(random_stabilizer_set(rng, n_qubits)).elements
+            for _ in range(20):
+                basis = rng.sample(elements[1:], rng.randint(1, n_qubits))
+                form = find_xz_form(basis)
+                assert form == naive_xz_form(basis)
+                hits += form is not None
+                misses += form is None
+        assert hits and misses
+
     def test_plaquette_example(self):
         form = find_xz_form(E1_SUBSET)
         assert form is not None

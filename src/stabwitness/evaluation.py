@@ -7,6 +7,13 @@ treating each stabilizer estimate as an independent binomial variable with
 variance (1 - <s>^2) / M; the identity contributes expectation 1 and
 variance 0.  Shot counts may differ per record, in which case each summand
 carries its own 1/M factor.
+
+Records are read once, when the data source is built, into one lookup from
+a packed 2N-bit row (``binary.pauli_row``) to (expectation, variance).  All
+evaluators and ``fidelity`` sum through one loop over packed rows; a span is
+summed in ascending packed-row order, so a value does not depend on the
+basis chosen for the subgroup.  Only members without a record are rendered
+as text, in the ``IncompleteDataError`` that names them all.
 """
 
 from __future__ import annotations
@@ -15,10 +22,10 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
-from .binary import PauliOperator, parse_pauli
-from .groups import StabilizerGroup, span_paulis
+from .binary import PauliOperator, parse_pauli, pauli_from_row, pauli_row
+from .groups import StabilizerGroup, _span_rows
 from .witnesses import WitnessKind, WitnessSpec
 
 __all__ = [
@@ -36,6 +43,7 @@ __all__ = [
 ]
 
 DataSource = Union["MeasurementDataset", "WernerModel"]
+_IDENTITY = (1.0, 0.0)
 
 
 class IncompleteDataError(ValueError):
@@ -48,31 +56,64 @@ class IncompleteDataError(ValueError):
         super().__init__(f"missing stabilizer records: {preview}{suffix}")
 
 
+class _Source:
+    """Per-operator reads, shared by both data sources.
+
+    A source defines ``_lookup(n_qubits)``: a function from the packed row
+    of an ``n_qubits``-qubit member to its (expectation, variance), or None
+    when there is no record.  It is the one place a record is read.
+    """
+
+    def _record(self, p: PauliOperator) -> tuple[float, float]:
+        record = self._lookup(p.n_qubits)(pauli_row(p))
+        if record is None:
+            raise IncompleteDataError([p.to_text()])
+        return record
+
+    def missing(self, paulis: Sequence[PauliOperator]) -> list[str]:
+        absent = (p for p in paulis if self._lookup(p.n_qubits)(pauli_row(p)) is None)
+        return sorted({p.to_text() for p in absent})
+
+    def expectation_of(self, p: PauliOperator) -> float:
+        return self._record(p)[0]
+
+    def variance_of(self, p: PauliOperator) -> float:
+        """Binomial variance of one stabilizer estimate, (1 - <s>^2) / M."""
+        return self._record(p)[1]
+
+
 @dataclass(frozen=True)
-class MeasurementDataset:
+class MeasurementDataset(_Source):
     """Measured expectation values keyed by Pauli label.
 
     ``records`` maps each Pauli text label to (expectation, shots).  The
     identity is always served as expectation 1 with zero variance, whether
-    or not a record is present.
+    or not a record is present.  The records are read once, at
+    construction, into a lookup by packed row of (expectation, variance);
+    evaluators sum over it in ascending packed-row order.
     """
 
     n_qubits: int
     records: dict[str, tuple[float, int]] = field(repr=False)
 
     def __post_init__(self) -> None:
-        for label, (expectation, shots) in self.records.items():
+        index = {}
+        for label, (e, shots) in self.records.items():
             p = parse_pauli(label)
             if p.n_qubits != self.n_qubits:
                 raise ValueError(
                     f"label {label!r} is not on {self.n_qubits} qubits"
                 )
-            if not -1.0 <= expectation <= 1.0:
-                raise ValueError(
-                    f"expectation {expectation} of {label!r} outside [-1, 1]"
-                )
+            if not -1.0 <= e <= 1.0:
+                raise ValueError(f"expectation {e} of {label!r} outside [-1, 1]")
             if shots <= 0:
                 raise ValueError(f"non-positive shot count for {label!r}")
+            index[pauli_row(p)] = (e, (1.0 - e * e) / shots)
+        index[0] = _IDENTITY
+        object.__setattr__(self, "_index", index)
+
+    def _lookup(self, n_qubits: int) -> Callable:
+        return self._index.get if n_qubits == self.n_qubits else {0: _IDENTITY}.get
 
     @classmethod
     def from_pairs(
@@ -137,36 +178,9 @@ class MeasurementDataset:
             writer.writerow([label, f"{e:.12g}", m])
         return out.getvalue()
 
-    def missing(self, paulis: Sequence[PauliOperator]) -> list[str]:
-        return sorted(
-            {
-                p.to_text()
-                for p in paulis
-                if not p.is_identity and p.to_text() not in self.records
-            }
-        )
-
-    def expectation_of(self, p: PauliOperator) -> float:
-        if p.is_identity:
-            return 1.0
-        try:
-            return self.records[p.to_text()][0]
-        except KeyError:
-            raise IncompleteDataError([p.to_text()]) from None
-
-    def variance_of(self, p: PauliOperator) -> float:
-        """Binomial variance of one stabilizer estimate, (1 - <s>^2) / M."""
-        if p.is_identity:
-            return 0.0
-        try:
-            e, shots = self.records[p.to_text()]
-        except KeyError:
-            raise IncompleteDataError([p.to_text()]) from None
-        return (1.0 - e * e) / shots
-
 
 @dataclass(frozen=True)
-class WernerModel:
+class WernerModel(_Source):
     """White-noise mixture: every non-identity stabilizer has expectation p."""
 
     p: float
@@ -175,14 +189,9 @@ class WernerModel:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"mixing probability {self.p} outside [0, 1]")
 
-    def expectation_of(self, p: PauliOperator) -> float:
-        return 1.0 if p.is_identity else self.p
-
-    def variance_of(self, p: PauliOperator) -> float:
-        return 0.0
-
-    def missing(self, paulis: Sequence[PauliOperator]) -> list[str]:
-        return []
+    def _lookup(self, n_qubits: int) -> Callable:
+        record = (self.p, 0.0)
+        return lambda row: record if row else _IDENTITY
 
 
 @dataclass(frozen=True)
@@ -198,12 +207,6 @@ class WitnessValue:
         return math.sqrt(self.variance)
 
 
-def _require_records(data: DataSource, paulis: Sequence[PauliOperator]) -> None:
-    missing = data.missing(paulis)
-    if missing:
-        raise IncompleteDataError(missing)
-
-
 def _finish(
     expectation: float, variance: float, sigma_threshold: float
 ) -> WitnessValue:
@@ -211,9 +214,15 @@ def _finish(
     return WitnessValue(expectation, variance, detected)
 
 
-def _sorted_span(paulis) -> list[PauliOperator]:
-    # canonical summation order keeps results bit-identical across bases
-    return sorted(span_paulis(list(paulis)), key=lambda p: (p.z_bits, p.x_bits))
+def _sums(data: DataSource, n_qubits: int, *parts: Sequence[int]) -> list:
+    """(expectation sum, variance sum) of each part's packed rows, in the
+    order given; IncompleteDataError names every member without a record."""
+    lookup = data._lookup(n_qubits)
+    records = [list(map(lookup, rows)) for rows in parts]
+    if any(None in part for part in records):
+        members = [pauli_from_row(row, n_qubits) for rows in parts for row in rows]
+        raise IncompleteDataError(data.missing(members))
+    return [tuple(sum(column) for column in zip(*part)) for part in records]
 
 
 def eval_standard(
@@ -224,13 +233,10 @@ def eval_standard(
     The sum runs over the full spanned subgroup including the identity.
     Variance adds (1 - <s>^2) / (M_s * 2^(2n)) per non-identity member.
     """
-    members = _sorted_span(w.basis)
-    _require_records(data, members)
-    n = len(w.basis)
-    scale = 1.0 / (1 << n)
-    total = sum(data.expectation_of(s) for s in members)
-    variance = sum(data.variance_of(s) for s in members) * scale * scale
-    return _finish(0.5 - scale * total, variance, sigma_threshold)
+    rows = sorted(_span_rows(map(pauli_row, w.basis)))
+    [(total, variance)] = _sums(data, w.n_qubits, rows)
+    scale = 1.0 / len(rows)
+    return _finish(0.5 - scale * total, variance * scale * scale, sigma_threshold)
 
 
 def eval_alternative(
@@ -238,14 +244,13 @@ def eval_alternative(
 ) -> WitnessValue:
     """Alternative witness value (n-1)/2 - 1/2 * sum over the basis only.
 
-    Variance adds (1 - <s>^2) / (2 * M_s) per basis element.
+    Variance adds (1 - <s>^2) / (2 * M_s) per basis element, summed in
+    basis order.
     """
-    basis = list(w.basis)
-    _require_records(data, basis)
-    n = len(basis)
-    total = sum(data.expectation_of(s) for s in basis)
-    variance = 0.5 * sum(data.variance_of(s) for s in basis)
-    return _finish((n - 1) / 2.0 - 0.5 * total, variance, sigma_threshold)
+    rows = [pauli_row(p) for p in w.basis]
+    [(total, variance)] = _sums(data, w.n_qubits, rows)
+    n = len(rows)
+    return _finish((n - 1) / 2.0 - 0.5 * total, 0.5 * variance, sigma_threshold)
 
 
 def eval_two_measurement(
@@ -253,33 +258,19 @@ def eval_two_measurement(
 ) -> WitnessValue:
     """Two-measurement value 3/2 minus the X-span and Z-span projector sums.
 
-    Each span enters as 2^-a * sum over its 2^a members (identity included);
-    variances carry the same squared coefficients.
+    Each span enters as 2^-a * sum over its 2^a members (identity included;
+    an empty part is the identity alone); variances carry the same squared
+    coefficients.
     """
     if w.x_basis is None or w.z_basis is None:
         raise ValueError("witness carries no X/Z split")
-    x_members = (
-        _sorted_span(w.x_basis)
-        if w.x_basis
-        else [PauliOperator.identity(w.n_qubits)]
-    )
-    z_members = (
-        _sorted_span(w.z_basis)
-        if w.z_basis
-        else [PauliOperator.identity(w.n_qubits)]
-    )
-    _require_records(data, x_members + z_members)
-    x_scale = 1.0 / len(x_members)
-    z_scale = 1.0 / len(z_members)
-    expectation = (
-        1.5
-        - x_scale * sum(data.expectation_of(s) for s in x_members)
-        - z_scale * sum(data.expectation_of(s) for s in z_members)
-    )
-    variance = (
-        sum(data.variance_of(s) for s in x_members) * x_scale * x_scale
-        + sum(data.variance_of(s) for s in z_members) * z_scale * z_scale
-    )
+    x_rows = sorted(_span_rows(map(pauli_row, w.x_basis)))
+    z_rows = sorted(_span_rows(map(pauli_row, w.z_basis)))
+    x_sums, z_sums = _sums(data, w.n_qubits, x_rows, z_rows)
+    x_scale = 1.0 / len(x_rows)
+    z_scale = 1.0 / len(z_rows)
+    expectation = 1.5 - x_scale * x_sums[0] - z_scale * z_sums[0]
+    variance = x_sums[1] * x_scale * x_scale + z_sums[1] * z_scale * z_scale
     return _finish(expectation, variance, sigma_threshold)
 
 
@@ -299,12 +290,10 @@ def evaluate(
 
 def fidelity(group: StabilizerGroup, data: DataSource) -> tuple[float, float]:
     """State fidelity 2^-N * sum over all 2^N stabilizers, with variance."""
-    members = sorted(group.elements, key=lambda p: (p.z_bits, p.x_bits))
-    _require_records(data, members)
-    scale = 1.0 / len(members)
-    value = scale * sum(data.expectation_of(s) for s in members)
-    variance = scale * scale * sum(data.variance_of(s) for s in members)
-    return value, variance
+    rows = sorted(pauli_row(p) for p in group.elements)
+    [(total, variance)] = _sums(data, group.n_qubits, rows)
+    scale = 1.0 / len(rows)
+    return scale * total, scale * scale * variance
 
 
 def critical_probability(w: WitnessSpec) -> float:

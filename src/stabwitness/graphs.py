@@ -2,9 +2,10 @@
 
 Vertices are labeled 1..N to match the qubit labels used everywhere else.
 The adjacency matrix is stored one bit-packed neighbor mask per vertex.
-Connectivity of a vertex subset is decided through the rank of the reduced
-incidence matrix: a graph on n vertices is connected within the subset iff
-that rank is n - 1.
+Connectivity of a vertex subset is decided by one flood fill over those
+masks.  The incidence-matrix forms the paper states stay as rank
+computations: a graph on n vertices is connected iff the rank of its
+incidence matrix is n - 1.
 """
 
 from __future__ import annotations
@@ -162,7 +163,9 @@ def is_connected_within(g: Graph, omega: Sequence[int]) -> bool:
     verts = sorted(set(omega))
     if len(verts) < 2:
         raise ValueError("omega needs at least two vertices")
-    return rank_mod2(reduced_incidence_matrix(g, verts)) == len(verts) - 1
+    for v in verts:
+        g._check_vertex(v)
+    return _connected_mask(g.adjacency, sum(1 << (v - 1) for v in verts))
 
 
 def _connected_mask(adjacency: Sequence[int], mask: int) -> bool:

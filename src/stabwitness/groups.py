@@ -173,6 +173,15 @@ def span_paulis(paulis: Sequence[PauliOperator]) -> list[PauliOperator]:
     return out
 
 
+def _span_rows(rows: Iterable[int]) -> list[int]:
+    """All 2^k XOR combinations of k packed rows; bit i of an entry's index
+    selects row i, so entry 0 is the identity."""
+    span = [0]
+    for row in rows:
+        span += [r ^ row for r in span]
+    return span
+
+
 def span_group(s: GeneratorSet) -> StabilizerGroup:
     """Materialize the full 2^N-element group spanned by a generator set."""
     if s.n_qubits > MAX_SPAN_QUBITS:

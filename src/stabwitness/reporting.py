@@ -178,36 +178,33 @@ def build_census_report(census: WitnessCensus) -> CensusReport:
     return CensusReport(census.n_qubits, tuple(rows), census.totals())
 
 
+def _method(key, direct_keys, graph_keys) -> str:
+    if key in graph_keys:
+        return "both" if key in direct_keys else "graph-based"
+    return "direct"
+
+
 def witness_rows(census: WitnessCensus) -> list[dict]:
     """One row per witness: omega, kind, basis, key digest, method."""
-    direct_keys = {
-        omega: {s.identity_key for s in specs}
-        for omega, specs in (census.direct or {}).items()
-    }
     graph_keys = {
         omega: {s.identity_key for s in specs}
         for omega, specs in (census.graph_based or {}).items()
     }
-
-    def method_of(omega, key) -> str:
-        in_direct = key in direct_keys.get(omega, ())
-        in_graph = key in graph_keys.get(omega, ())
-        if in_direct and in_graph:
-            return "both"
-        if in_graph:
-            return "graph-based"
-        return "direct"
-
     rows = []
     for omega in census.subsystems():
-        for spec in (census.direct or census.graph_based or {}).get(omega, ()):
+        specs = (census.direct or census.graph_based or {}).get(omega, ())
+        # identity_key costs an RREF: each standard witness's is computed once
+        keys = [s.identity_key for s in specs]
+        in_direct = set(keys) if census.direct else set()
+        in_graph = graph_keys.get(omega, set())
+        for spec, key in zip(specs, keys):
             rows.append(
                 {
                     "omega": list(omega),
                     "kind": spec.kind.value,
                     "basis": [p.to_text() for p in spec.basis],
-                    "key_digest": _key_digest(spec.identity_key),
-                    "method": method_of(omega, spec.identity_key),
+                    "key_digest": _key_digest(key),
+                    "method": _method(key, in_direct, in_graph),
                 }
             )
         if census.two_measurement is not None:
@@ -221,7 +218,7 @@ def witness_rows(census: WitnessCensus) -> list[dict]:
                         "x_basis": [p.to_text() for p in spec.x_basis],
                         "z_basis": [p.to_text() for p in spec.z_basis],
                         "key_digest": _key_digest(spec.identity_key),
-                        "method": method_of(omega, span_key),
+                        "method": _method(span_key, in_direct, in_graph),
                     }
                 )
     return rows

@@ -50,6 +50,7 @@ from .groups import (
     GeneratorSet,
     GeneratorSubset,
     StabilizerGroup,
+    _span_rows,
     basis_key,
     span_group,
 )
@@ -105,6 +106,8 @@ class WitnessSpec:
     z_basis: Optional[tuple[PauliOperator, ...]] = None
 
     def __post_init__(self) -> None:
+        if not self.basis:
+            raise ValueError("witness needs at least one basis stabilizer")
         if self.kind is WitnessKind.TWO_MEASUREMENT:
             if self.x_basis is None or self.z_basis is None:
                 raise ValueError("two-measurement witness needs X and Z parts")
@@ -585,17 +588,11 @@ def find_xz_form(
 
     x_rows: list[int] = []
     z_rows: list[int] = []
-    for bits in range(1, 1 << n):
-        acc = 0
-        rest = bits
-        while rest:
-            low = rest & -rest
-            acc ^= rows[low.bit_length() - 1]
-            rest ^= low
-        if acc >> n_qubits == 0:
-            x_rows.append(acc)
-        elif acc & x_mask == 0:
-            z_rows.append(acc)
+    for member in _span_rows(rows):
+        if member >> n_qubits == 0:
+            x_rows.append(member)
+        elif member & x_mask == 0:
+            z_rows.append(member)
     return XZForm(
         tuple(pauli_from_row(r, n_qubits) for r in rows_rref(x_rows)),
         tuple(pauli_from_row(r, n_qubits) for r in rows_rref(z_rows)),

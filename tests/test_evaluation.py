@@ -1,7 +1,10 @@
+import itertools
+import math
 import random
 
 import pytest
 
+from conftest import random_stabilizer_set
 from stabwitness.binary import parse_pauli
 from stabwitness.evaluation import (
     IncompleteDataError,
@@ -18,9 +21,11 @@ from stabwitness.evaluation import (
 )
 from stabwitness.groups import GeneratorSet, span_group, span_paulis
 from stabwitness.witnesses import (
+    WitnessKind,
     WitnessSpec,
     enumerate_direct,
     enumerate_two_measurement,
+    run_census,
     two_measurement_from_standard,
 )
 
@@ -143,6 +148,12 @@ class TestStandard:
         again = eval_standard(other, data)
         assert again.expectation == base.expectation
         assert again.variance == base.variance
+
+    def test_empty_basis_rejected(self):
+        # an empty span would otherwise evaluate to a detection at -1/2
+        for kind in WitnessKind:
+            with pytest.raises(ValueError, match="at least one basis"):
+                WitnessSpec(kind, None, 3, (), x_basis=(), z_basis=())
 
     def test_missing_data_error_lists_labels(self, pair_witness):
         data = MeasurementDataset(7, {})
@@ -351,3 +362,253 @@ class TestHierarchy:
                 eval_standard(local, model).expectation
                 <= eval_standard(genuine, model).expectation + 1e-12
             )
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the text-keyed evaluators that the packed-row path replaced.  Each
+# member is rendered as a label and read from the records one at a time.
+# ---------------------------------------------------------------------------
+
+
+def naive_missing(data, paulis):
+    if isinstance(data, WernerModel):
+        return []
+    return sorted(
+        {
+            p.to_text()
+            for p in paulis
+            if not p.is_identity and p.to_text() not in data.records
+        }
+    )
+
+
+def naive_expectation(data, p):
+    if p.is_identity:
+        return 1.0
+    if isinstance(data, WernerModel):
+        return data.p
+    return data.records[p.to_text()][0]
+
+
+def naive_variance(data, p):
+    if p.is_identity or isinstance(data, WernerModel):
+        return 0.0
+    e, shots = data.records[p.to_text()]
+    return (1.0 - e * e) / shots
+
+
+def naive_require(data, paulis):
+    missing = naive_missing(data, paulis)
+    if missing:
+        raise IncompleteDataError(missing)
+
+
+def naive_record(data, p):
+    naive_require(data, [p])
+    return naive_expectation(data, p), naive_variance(data, p)
+
+
+def naive_finish(expectation, variance, sigma_threshold):
+    detected = expectation + sigma_threshold * math.sqrt(variance) < 0.0
+    return WitnessValue(expectation, variance, detected)
+
+
+def naive_sorted_span(paulis):
+    return sorted(span_paulis(list(paulis)), key=lambda p: (p.z_bits, p.x_bits))
+
+
+def naive_eval_standard(w, data, sigma_threshold=0.0):
+    members = naive_sorted_span(w.basis)
+    naive_require(data, members)
+    scale = 1.0 / (1 << len(w.basis))
+    total = sum(naive_expectation(data, s) for s in members)
+    variance = sum(naive_variance(data, s) for s in members) * scale * scale
+    return naive_finish(0.5 - scale * total, variance, sigma_threshold)
+
+
+def naive_eval_alternative(w, data, sigma_threshold=0.0):
+    basis = list(w.basis)
+    naive_require(data, basis)
+    n = len(basis)
+    total = sum(naive_expectation(data, s) for s in basis)
+    variance = 0.5 * sum(naive_variance(data, s) for s in basis)
+    return naive_finish((n - 1) / 2.0 - 0.5 * total, variance, sigma_threshold)
+
+
+def naive_eval_two_measurement(w, data, sigma_threshold=0.0):
+    identity = [parse_pauli("I" * w.n_qubits)]
+    x_members = naive_sorted_span(w.x_basis) if w.x_basis else identity
+    z_members = naive_sorted_span(w.z_basis) if w.z_basis else identity
+    naive_require(data, x_members + z_members)
+    x_scale = 1.0 / len(x_members)
+    z_scale = 1.0 / len(z_members)
+    expectation = (
+        1.5
+        - x_scale * sum(naive_expectation(data, s) for s in x_members)
+        - z_scale * sum(naive_expectation(data, s) for s in z_members)
+    )
+    variance = (
+        sum(naive_variance(data, s) for s in x_members) * x_scale * x_scale
+        + sum(naive_variance(data, s) for s in z_members) * z_scale * z_scale
+    )
+    return naive_finish(expectation, variance, sigma_threshold)
+
+
+NAIVE_EVALUATORS = {
+    WitnessKind.STANDARD: naive_eval_standard,
+    WitnessKind.ALTERNATIVE: naive_eval_alternative,
+    WitnessKind.TWO_MEASUREMENT: naive_eval_two_measurement,
+}
+
+
+def naive_evaluate(w, data, sigma_threshold=0.0):
+    return NAIVE_EVALUATORS[w.kind](w, data, sigma_threshold)
+
+
+def naive_fidelity(group, data):
+    members = sorted(group.elements, key=lambda p: (p.z_bits, p.x_bits))
+    naive_require(data, members)
+    scale = 1.0 / len(members)
+    value = scale * sum(naive_expectation(data, s) for s in members)
+    variance = scale * scale * sum(naive_variance(data, s) for s in members)
+    return value, variance
+
+
+def float_bits(values):
+    return tuple(x.hex() for x in values)
+
+
+def bits(value):
+    """Every field of a WitnessValue, floats as their exact bit patterns."""
+    return float_bits((value.expectation, value.variance)) + (value.detected,)
+
+
+def shot_noise_dataset(group, seed, keep=1.0):
+    """Uneven expectations and per-record shot counts for every non-identity
+    element, each kept with probability ``keep``."""
+    rng = random.Random(seed)
+    records = {}
+    for e in group.non_identity():
+        record = (rng.uniform(-1.0, 1.0), rng.randint(20, 2000))
+        if rng.random() < keep:
+            records[e.to_text()] = record
+    return MeasurementDataset(group.n_qubits, records)
+
+
+def all_witnesses(census, generator_set):
+    """Every census witness of all three kinds, plus the genuine ones."""
+    specs = []
+    for omega in census.subsystems():
+        for spec in census.direct.get(omega, ()):
+            specs += [spec, WitnessSpec.alternative_from(spec)]
+        specs += census.two_measurement.get(omega, ())
+    genuine = WitnessSpec.standard_genuine(generator_set)
+    specs += [genuine, WitnessSpec.alternative_from(genuine)]
+    genuine_two = two_measurement_from_standard(genuine)
+    if genuine_two is not None:
+        specs.append(genuine_two)
+    return specs
+
+
+def outcome(fn, *args):
+    """A call's result, or the names an IncompleteDataError carries."""
+    try:
+        return fn(*args)
+    except IncompleteDataError as exc:
+        return ("missing", exc.missing, str(exc))
+
+
+def oracle_sources(group):
+    return [shot_noise_dataset(group, seed) for seed in (1, 2, 3)] + [
+        WernerModel(p) for p in (0.0, 0.37, 1.0)
+    ]
+
+
+@pytest.fixture(scope="module")
+def color_witnesses(full_census, color_code):
+    return all_witnesses(full_census, color_code)
+
+
+# seeds whose states have X/Z splits, so all three kinds are checked
+@pytest.fixture(scope="module", params=[(5, 104), (6, 103)], ids=["n5", "n6"])
+def random_case(request):
+    n, seed = request.param
+    s = random_stabilizer_set(random.Random(seed), n)
+    census = run_census(s, ("direct", "twomeas"))
+    return span_group(s), all_witnesses(census, s)
+
+
+class TestPackedMatchesNaive:
+    def test_color_code_every_witness(self, color_group, color_witnesses):
+        kinds = {spec.kind for spec in color_witnesses}
+        assert kinds == set(WitnessKind)
+        for data in oracle_sources(color_group):
+            for spec in color_witnesses:
+                assert bits(evaluate(spec, data)) == bits(naive_evaluate(spec, data))
+            assert float_bits(fidelity(color_group, data)) == float_bits(
+                naive_fidelity(color_group, data)
+            )
+
+    def test_random_states_every_witness(self, random_case):
+        group, specs = random_case
+        assert {spec.kind for spec in specs} == set(WitnessKind)
+        for data in oracle_sources(group):
+            for spec in specs:
+                got = evaluate(spec, data, 1.0)
+                assert bits(got) == bits(naive_evaluate(spec, data, 1.0))
+            assert float_bits(fidelity(group, data)) == float_bits(
+                naive_fidelity(group, data)
+            )
+
+    def test_dropped_records_name_the_same_members(
+        self, color_group, color_witnesses
+    ):
+        data = shot_noise_dataset(color_group, 4, keep=0.97)
+        outcomes = [
+            (outcome(evaluate, spec, data), outcome(naive_evaluate, spec, data))
+            for spec in color_witnesses
+        ]
+        assert all(got == want for got, want in outcomes)
+        failed = sum(isinstance(got, tuple) for got, _ in outcomes)
+        assert 0 < failed < len(outcomes)
+        assert outcome(fidelity, color_group, data) == outcome(
+            naive_fidelity, color_group, data
+        )
+        for p in color_group.elements:
+            assert outcome(
+                lambda: (data.expectation_of(p), data.variance_of(p))
+            ) == outcome(naive_record, data, p)
+        assert data.missing(color_group.elements) == naive_missing(
+            data, color_group.elements
+        )
+
+    def test_two_measurement_missing_in_both_parts(self, color_group):
+        spec = next(
+            w
+            for w in enumerate_two_measurement(color_group, (2, 3, 4, 6))
+            if len(w.x_basis) >= 2 and len(w.z_basis) >= 2
+        )
+        dropped = {spec.x_basis[0].to_text(), spec.z_basis[1].to_text()}
+        full = MeasurementDataset.uniform(color_group, 0.5, 100)
+        data = MeasurementDataset(
+            7, {k: v for k, v in full.records.items() if k not in dropped}
+        )
+        with pytest.raises(IncompleteDataError) as err:
+            eval_two_measurement(spec, data)
+        assert set(err.value.missing) == dropped
+        assert outcome(evaluate, spec, data) == outcome(naive_evaluate, spec, data)
+
+    def test_dataset_on_other_qubit_count(self, color_witnesses):
+        # every 5-qubit Pauli has a record, so any packed 7-qubit row that
+        # happened to equal a 5-qubit one would read a record it must not
+        labels = (
+            "".join(letters)
+            for letters in itertools.product("IXYZ", repeat=5)
+        )
+        data = MeasurementDataset.from_pairs(
+            5, {label: (0.5, 100) for label in labels if label != "IIIII"}
+        )
+        for spec in color_witnesses[:200]:
+            got = outcome(evaluate, spec, data)
+            assert got == outcome(naive_evaluate, spec, data)
+            assert got[0] == "missing"

@@ -124,6 +124,10 @@ class TestConnectivity:
         with pytest.raises(ValueError):
             is_connected_within(STAR4, (2,))
 
+    def test_vertex_out_of_range_rejected(self):
+        with pytest.raises(IndexError):
+            is_connected_within(STAR4, (1, 5))
+
     def test_flood_fill_matches_incidence_rank(self):
         rng = random.Random(23)
         for _ in range(200):
@@ -133,7 +137,9 @@ class TestConnectivity:
             mask = 0
             for q in omega:
                 mask |= 1 << (q - 1)
-            assert _connected_mask(g.adjacency, mask) == is_connected_within(g, omega)
+            by_rank = rank_mod2(reduced_incidence_matrix(g, omega)) == k - 1
+            assert _connected_mask(g.adjacency, mask) == by_rank
+            assert is_connected_within(g, omega) == by_rank
 
 
 class TestLocalComplement:

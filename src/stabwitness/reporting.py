@@ -339,7 +339,7 @@ def _sorted_rows(rows) -> list[EvalRow]:
     return sorted(rows, key=sort_key)
 
 
-def _row_for(spec: WitnessSpec, value: WitnessValue) -> EvalRow:
+def _row_for(spec: WitnessSpec, key, value: WitnessValue) -> EvalRow:
     try:
         confidence = detection_confidence(value)
     except ValueError:
@@ -351,7 +351,7 @@ def _row_for(spec: WitnessSpec, value: WitnessValue) -> EvalRow:
         value.stddev,
         value.detected,
         confidence,
-        _key_digest(spec.identity_key),
+        _key_digest(key),
     )
 
 
@@ -373,32 +373,38 @@ def build_evaluation_report(
         raise ValueError(
             f"dataset is on {data.n_qubits} qubits, the code on {census.n_qubits}"
         )
-    kinds = tuple(kinds)
-    rows: list[EvalRow] = []
-    specs: list[WitnessSpec] = []
     source = census.direct if census.direct is not None else census.graph_based
     if source is None:
         raise ValueError("census has no standard witnesses to evaluate")
+    if include_genuine and genuine_set is None:
+        raise ValueError("genuine evaluation needs the generator set")
+    kinds = tuple(kinds)
+    rows: list[EvalRow] = []
+
+    def add(spec: WitnessSpec, key) -> None:
+        rows.append(_row_for(spec, key, evaluate(spec, data, sigma_threshold)))
+
+    def add_standard(spec: WitnessSpec) -> None:
+        # a key costs an RREF, and an alternative witness has the basis, so
+        # the key, of its standard witness
+        if WitnessKind.STANDARD in kinds or WitnessKind.ALTERNATIVE in kinds:
+            key = spec.identity_key
+            if WitnessKind.STANDARD in kinds:
+                add(spec, key)
+            if WitnessKind.ALTERNATIVE in kinds:
+                add(WitnessSpec.alternative_from(spec), key)
+
     for omega in census.subsystems():
         for spec in source.get(omega, ()):
-            if WitnessKind.STANDARD in kinds:
-                specs.append(spec)
-            if WitnessKind.ALTERNATIVE in kinds:
-                specs.append(WitnessSpec.alternative_from(spec))
+            add_standard(spec)
         if WitnessKind.TWO_MEASUREMENT in kinds and census.two_measurement:
-            specs.extend(census.two_measurement.get(omega, ()))
+            for spec in census.two_measurement.get(omega, ()):
+                add(spec, spec.identity_key)
     if include_genuine:
-        if genuine_set is None:
-            raise ValueError("genuine evaluation needs the generator set")
         genuine_standard = WitnessSpec.standard_genuine(genuine_set)
-        if WitnessKind.STANDARD in kinds:
-            specs.append(genuine_standard)
-        if WitnessKind.ALTERNATIVE in kinds:
-            specs.append(WitnessSpec.alternative_from(genuine_standard))
+        add_standard(genuine_standard)
         if WitnessKind.TWO_MEASUREMENT in kinds:
             genuine_two = two_measurement_from_standard(genuine_standard)
             if genuine_two is not None:
-                specs.append(genuine_two)
-    for spec in specs:
-        rows.append(_row_for(spec, evaluate(spec, data, sigma_threshold)))
+                add(genuine_two, genuine_two.identity_key)
     return EvaluationReport(census.n_qubits, tuple(_sorted_rows(rows)))

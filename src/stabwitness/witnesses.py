@@ -16,11 +16,18 @@ child_u = parent_u ^ parent_v for each neighbor u of v and leaves the rest.
 That step changes the key or the connectivity only of the subsystems that
 miss v and meet its neighborhood, so only those are keyed again.
 
-``check_direct`` and the subspace scan behind the direct enumerators share
-one predicate on packed 2N-bit rows, which yields the violated conditions.
-The full direct census scans every subgroup of the whole group once; a
-query for one subsystem scans only the subgroups whose letters outside it
-are restricted as condition (iii) demands.
+The direct enumerators walk the subgroups depth first, one reduced
+row-echelon basis row at a time, in exponent coordinates.  The walk keeps
+the active region of the partial basis: the qubits where two of its rows
+anticommute.  The active region belongs to the subgroup, not to the basis,
+and it only grows as rows are added.  A witness for omega needs an active
+region equal to omega.  So a partial basis whose active region has more
+than rank qubits, or leaves omega when omega is given, is pruned with
+everything below it.  ``check_direct`` and the leaves of the walk share one
+predicate on packed 2N-bit rows, which yields the violated conditions.
+The full direct census walks the whole group once per rank; a query for
+one subsystem walks only the subgroups whose letters outside it are
+restricted as condition (iii) demands.
 """
 
 from __future__ import annotations
@@ -241,33 +248,6 @@ def check_direct(w: GeneratorSubset) -> DirectCheckResult:
     return DirectCheckResult(not failed, failed)
 
 
-def _rref_bases(n_cols: int, rank: int) -> Iterable[tuple[int, ...]]:
-    """All reduced row-echelon bases of rank-``rank`` subspaces of GF(2)^n.
-
-    Every subspace appears exactly once.  Rows carry their pivot at the
-    lowest set bit; free entries sit at non-pivot columns right of the pivot.
-    """
-    for pivots in itertools.combinations(range(n_cols), rank):
-        pivot_set = set(pivots)
-        free_cols = [
-            [c for c in range(p + 1, n_cols) if c not in pivot_set]
-            for p in pivots
-        ]
-        row_choices = []
-        for i, p in enumerate(pivots):
-            base = 1 << p
-            options = []
-            for bits in range(1 << len(free_cols[i])):
-                row = base
-                for j, c in enumerate(free_cols[i]):
-                    if (bits >> j) & 1:
-                        row |= 1 << c
-                options.append(row)
-            row_choices.append(options)
-        for rows in itertools.product(*row_choices):
-            yield rows
-
-
 def _mask_to_omega(mask: int) -> tuple[int, ...]:
     out = []
     q = 1
@@ -316,31 +296,86 @@ def _standard_specs(
     ]
 
 
-def _direct_subgroups(
+def _subgroup_search(
+    span: Sequence[int], n_cols: int, rank: int, n_qubits: int, outside: int = 0
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Depth-first search over the rank-``rank`` subgroups of a group,
+    pruned by the active region; yields (active mask, rows) at each leaf.
+
+    ``span[c]`` is the packed 2N-bit row of the element at coordinate
+    vector c, for c < 2^n_cols.  Each subgroup is reached through the
+    reduced row-echelon basis of its coordinate subspace: a row's pivot is
+    its lowest set bit and its free columns lie above the pivot, off the
+    pivots already chosen.  Rows are chosen from the highest pivot down,
+    so each row is final when it is chosen, and every subspace is reached
+    at most once; a pivot too low to leave a column for each remaining row
+    is skipped.
+
+    ``letters`` is the OR of the rows chosen so far, and ``active`` the OR
+    of their pair anticommutation masks.  A new row r makes the active
+    region ``active | symp(letters, r)``.  That is exact: on a qubit outside
+    ``active`` the rows so far carry I or one common letter, which is what
+    ``letters`` holds there, so the product is 1 exactly when r
+    anticommutes with one of them; on a qubit inside ``active`` the bit is
+    already set.  The active region only grows, so a partial basis is
+    pruned, with every extension, once it has more than ``rank`` active
+    qubits or an active qubit in the mask ``outside``.  A leaf may still
+    have fewer than ``rank`` active qubits.
+    """
+    full = (1 << n_cols) - 1
+    rows = [0] * rank
+    last = rank - 1
+
+    def extend(depth: int, top: int, used: int, letters: int, active: int):
+        # pivots below the previous one, leaving a column for each row after
+        for p in range(top - 1, last - depth - 1, -1):
+            pivot = 1 << p
+            free = full & ~used & -(pivot << 1)
+            sub = free
+            while True:
+                r = span[pivot | sub]
+                grown = active | (
+                    ((letters >> n_qubits) & r) ^ (letters & (r >> n_qubits))
+                )
+                if grown.bit_count() <= rank and not grown & outside:
+                    rows[depth] = r
+                    if depth == last:
+                        yield grown, tuple(rows)
+                    else:
+                        yield from extend(
+                            depth + 1, p, used | pivot, letters | r, grown
+                        )
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+
+    return extend(0, n_cols, 0, 0, 0)
+
+
+def _direct_keys(
     element_rows: Sequence[int],
     exponent_basis: Sequence[int],
     rank: int,
     n_qubits: int,
+    outside: int = 0,
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield (active mask, RREF key) for every rank-``rank`` subgroup inside
     the span of ``exponent_basis`` that seeds a local witness for its active
-    region.  ``element_rows`` are the group's packed 2N-bit rows by exponent
-    vector; the basis is the unit vectors for the whole group."""
+    region, pruned as ``_subgroup_search`` prunes.  ``element_rows`` are the
+    group's packed 2N-bit rows by exponent vector; the basis is the unit
+    vectors for the whole group."""
     # span[c]: the row of the element whose exponent vector combines the
     # basis vectors selected by the bits of c
     exponents = [0]
     for e in exponent_basis:
         exponents += [x ^ e for x in exponents]
     span = [element_rows[x] for x in exponents]
-    for coords in _rref_bases(len(exponent_basis), rank):
-        rows = [span[c] for c in coords]
-        active = 0
-        for m in _pair_masks(rows, n_qubits):
-            active |= m
+    leaves = _subgroup_search(span, len(exponent_basis), rank, n_qubits, outside)
+    for active, rows in leaves:
         # Pair masks have even weight, so the pseudo-incidence rank is at
         # most |active| - 1, and (iii) needs active inside omega: only
         # omega = active with |active| = rank can pass.
-        if bin(active).count("1") != rank:
+        if active.bit_count() != rank:
             continue
         if next(_failed_conditions(rows, active, n_qubits), None) is None:
             yield active, tuple(rows_rref(rows))
@@ -382,9 +417,13 @@ def enumerate_direct(
     """All standard local witnesses for one subsystem, one per spanned
     subgroup, sorted by identity key.
 
-    Scans only the letter-restricted kernels of ``_letter_kernels``, so the
-    cost follows the subsystem, not the size of the whole group; the
-    result equals ``direct_census(group)[omega]``.  Raises
+    Searches only the letter-restricted kernels of ``_letter_kernels``, so
+    the cost follows the subsystem, not the size of the whole group; the
+    result equals ``direct_census(group)[omega]``.  Inside each kernel the
+    depth-first search of ``_subgroup_search`` prunes a partial basis as
+    soon as its active region has a qubit outside omega: the region only
+    grows, and condition (iii) keeps it inside omega.  A leaf with |omega|
+    active qubits has omega as its active region.  Raises
     MalformedSubsetError for a subsystem that is not 2..N-1 distinct labels
     in 1..N.
     """
@@ -397,11 +436,10 @@ def enumerate_direct(
     # kernels of all three letters there; the key set keeps it once.
     keys = set()
     for kernel in _letter_kernels(generator_rows, mask, n_qubits):
-        for active, key in _direct_subgroups(
-            element_rows, kernel, len(omega), n_qubits
+        for _, key in _direct_keys(
+            element_rows, kernel, len(omega), n_qubits, ~mask
         ):
-            if active == mask:
-                keys.add(key)
+            keys.add(key)
     return _standard_specs(omega, keys, n_qubits)
 
 
@@ -416,8 +454,12 @@ def all_subsystems(n_qubits: int) -> list[tuple[int, ...]]:
 def direct_census(group: StabilizerGroup) -> dict[tuple[int, ...], list[WitnessSpec]]:
     """Standard local witnesses for every subsystem, by the direct method.
 
-    One pass over every subgroup of rank 2..N-1 of the whole group, each
-    filed under its active region.
+    One depth-first search over the subgroups of the whole group per rank
+    k = 2..N-1 (``_subgroup_search``), each accepted subgroup filed under
+    its active region.  A rank-k witness needs exactly k active qubits, and
+    the active region only grows as basis rows are added, so a partial
+    basis with more than k active qubits is pruned with all its
+    extensions.  Only the leaves with k active qubits meet the predicate.
     """
     n_qubits = group.n_qubits
     element_rows = [pauli_row(e) for e in group.elements]
@@ -426,7 +468,7 @@ def direct_census(group: StabilizerGroup) -> dict[tuple[int, ...], list[WitnessS
         omega: [] for omega in all_subsystems(n_qubits)
     }
     for rank in range(2, n_qubits):
-        for active, key in _direct_subgroups(element_rows, units, rank, n_qubits):
+        for active, key in _direct_keys(element_rows, units, rank, n_qubits):
             keys[_mask_to_omega(active)].append(key)
     return {
         omega: _standard_specs(omega, found, n_qubits)
@@ -575,8 +617,12 @@ def find_xz_form(
         paulis = tuple(w)
     if not paulis:
         raise ValueError("empty basis")
-    n_qubits = paulis[0].n_qubits
-    rows = rows_rref(pauli_row(p) for p in paulis)
+    return _xz_split(rows_rref(pauli_row(p) for p in paulis), paulis[0].n_qubits)
+
+
+def _xz_split(rows: Sequence[int], n_qubits: int) -> Optional[XZForm]:
+    """``find_xz_form`` of the subgroup whose ``rows_rref`` basis is
+    ``rows``; the rows must already be that basis."""
     n = len(rows)
     x_mask = (1 << n_qubits) - 1
     # In reduced row-echelon form the rows with a Z-part have their pivots
@@ -601,7 +647,12 @@ def find_xz_form(
 
 def two_measurement_from_standard(spec: WitnessSpec) -> Optional[WitnessSpec]:
     """Two-measurement variant of a standard witness, when the split exists."""
-    form = find_xz_form(spec.basis)
+    return _two_measurement_variant(spec, find_xz_form(spec.basis))
+
+
+def _two_measurement_variant(
+    spec: WitnessSpec, form: Optional[XZForm]
+) -> Optional[WitnessSpec]:
     if form is None:
         return None
     return WitnessSpec(
@@ -623,11 +674,16 @@ def enumerate_two_measurement(
 
 
 def _two_measurement_variants(specs: Iterable[WitnessSpec]) -> list[WitnessSpec]:
-    """Two-measurement variants of standard witnesses, deduplicated by the
-    (X-span, Z-span) pair and sorted by it."""
+    """Two-measurement variants of census witnesses, deduplicated by the
+    (X-span, Z-span) pair and sorted by it.
+
+    A census witness's basis is its RREF key (``_standard_specs``), so its
+    rows go to the split as they are, without another reduction.
+    """
     seen = {}
     for spec in specs:
-        variant = two_measurement_from_standard(spec)
+        rows = [pauli_row(p) for p in spec.basis]
+        variant = _two_measurement_variant(spec, _xz_split(rows, spec.n_qubits))
         if variant is not None:
             seen[variant.identity_key] = variant
     return [seen[k] for k in sorted(seen)]
@@ -731,10 +787,11 @@ def run_census(
     two-measurement census is derived from the direct one.  ``omegas``
     restricts the subsystems (default: all of size 2..N-1) and raises
     MalformedSubsetError for one that is not 2..N-1 distinct labels in
-    1..N.  Without ``omegas`` the direct witnesses come from the one-pass
-    scan of ``direct_census``; with them, from ``enumerate_direct`` per
-    subsystem, whose cost follows the subsystems asked for.  The graph
-    method always builds the whole census and keeps the wanted subsystems.
+    1..N.  Without ``omegas`` the direct witnesses come from the pruned
+    search of ``direct_census`` over the whole group; with them, from
+    ``enumerate_direct`` per subsystem, whose cost follows the subsystems
+    asked for.  The graph method always builds the whole census and keeps
+    the wanted subsystems.
     """
     methods = set(methods)
     unknown = methods - {"direct", "graph", "twomeas"}

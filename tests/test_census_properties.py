@@ -6,11 +6,11 @@ import sys
 
 import pytest
 
-from stabwitness.binary import rows_rank
+from stabwitness import witnesses
+from stabwitness.binary import pauli_row, rows_rank, rows_rref
 from stabwitness.groups import GeneratorSet, build_color_code, span_group
 from stabwitness.witnesses import (
     MalformedSubsetError,
-    _rref_bases,
     all_subsystems,
     check_direct,
     direct_census,
@@ -19,6 +19,8 @@ from stabwitness.witnesses import (
     enumerate_two_measurement,
     run_census,
 )
+
+from test_witnesses import _rref_bases
 
 
 def gaussian_binomial(n, k):
@@ -38,13 +40,28 @@ class TestSubspaceEnumeration:
         assert len(set(bases)) == len(bases)
 
     def test_spans_are_distinct(self):
-        from stabwitness.binary import rows_rref
-
         seen = set()
         for rows in _rref_bases(5, 2):
             key = tuple(rows_rref(rows))
             assert key not in seen
             seen.add(key)
+
+    @pytest.mark.parametrize("n_qubits", [5, 6])
+    def test_unpruned_search_reaches_every_subspace_once(self, n_qubits):
+        # on an all-Z product state no pair anticommutes anywhere, so the
+        # active region stays empty and no prune fires
+        texts = ["I" * q + "Z" + "I" * (n_qubits - q - 1) for q in range(n_qubits)]
+        group = span_group(GeneratorSet.from_texts(texts))
+        span = [pauli_row(e) for e in group.elements]
+        for rank in range(1, n_qubits + 1):
+            leaves = list(
+                witnesses._subgroup_search(span, n_qubits, rank, n_qubits)
+            )
+            assert len(leaves) == gaussian_binomial(n_qubits, rank)
+            assert {active for active, _ in leaves} == {0}
+            keys = {tuple(rows_rref(rows)) for _, rows in leaves}
+            assert len(keys) == len(leaves)
+            assert all(len(rows) == rank for _, rows in leaves)
 
 
 class TestDegenerateStates:

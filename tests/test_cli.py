@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -224,4 +225,39 @@ class TestOtherCommands:
             "[3, 4], [3, 6], [3, 7], [5, 6], [5, 7]]}\n"
             "recombination_rows: 0000101 0001111 0000010 1000000 0001001 "
             "0100000 1110000\n"
+        )
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestOutputBytes:
+    """The sha256 of whole CLI outputs on color_code_7, recorded before the
+    direct census became a pruned search: a change of speed must not change
+    a byte."""
+
+    ENUMERATE_STDOUT = "9202d4e49907a983895b56a6aac55e0b463c70a7c0161a83f95cb4d180803032"
+
+    @pytest.mark.parametrize(
+        "name,digest",
+        [
+            ("x.json", "ddafdeacb41d511cf4179862269bbce9ab01b57d7bf7dab3c482820bfc0eca9f"),
+            ("x.csv", "b3fe5fba1f465a5fe7fa7ccd5afa8461bbd67a75841f174227ad9830812b729a"),
+        ],
+    )
+    def test_enumerate_with_witness_listing(self, capsys, tmp_path, name, digest):
+        listing = tmp_path / name
+        code, out, _ = run_cli(
+            capsys, "enumerate", "color_code_7", "--witnesses-out", str(listing)
+        )
+        assert code == 0
+        assert sha256(out) == self.ENUMERATE_STDOUT
+        assert sha256(listing.read_text()) == digest
+
+    def test_eval_werner(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "color_code_7", "--werner", "0.9")
+        assert code == 0
+        assert sha256(out) == (
+            "0a0a9ad921d445276e6d1224b64bc27a54ce22f7ca8270c2869b0f76acd9d713"
         )

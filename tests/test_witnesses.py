@@ -279,8 +279,8 @@ class TestEnumerateDirect:
 
 
 class TestPerSubsystemPath:
-    """``enumerate_direct`` scans letter-restricted kernels; the one-pass
-    scan of ``direct_census`` is its oracle."""
+    """``enumerate_direct`` searches letter-restricted kernels; the search
+    of ``direct_census`` over the whole group is its cross-check."""
 
     def test_matches_scan_on_color_code(self, color_group):
         full = direct_census(color_group)
@@ -321,6 +321,107 @@ class TestPerSubsystemPath:
         census = run_census(color_code, ("direct", "twomeas"), [(5, 6)])
         assert len(census.direct[(5, 6)]) == 72
         assert len(census.two_measurement[(5, 6)]) == 4
+
+
+def _rref_bases(n_cols: int, rank: int):
+    """All reduced row-echelon bases of rank-``rank`` subspaces of GF(2)^n.
+
+    Every subspace appears exactly once.  Rows carry their pivot at the
+    lowest set bit; free entries sit at non-pivot columns right of the pivot.
+    """
+    for pivots in itertools.combinations(range(n_cols), rank):
+        pivot_set = set(pivots)
+        free_cols = [
+            [c for c in range(p + 1, n_cols) if c not in pivot_set]
+            for p in pivots
+        ]
+        row_choices = []
+        for i, p in enumerate(pivots):
+            base = 1 << p
+            options = []
+            for bits in range(1 << len(free_cols[i])):
+                row = base
+                for j, c in enumerate(free_cols[i]):
+                    if (bits >> j) & 1:
+                        row |= 1 << c
+                options.append(row)
+            row_choices.append(options)
+        for rows in itertools.product(*row_choices):
+            yield rows
+
+
+def _direct_subgroups(element_rows, exponent_basis, rank, n_qubits):
+    """Yield (active mask, RREF key) for every rank-``rank`` subgroup inside
+    the span of ``exponent_basis`` that seeds a local witness for its active
+    region, by scanning every subspace."""
+    exponents = [0]
+    for e in exponent_basis:
+        exponents += [x ^ e for x in exponents]
+    span = [element_rows[x] for x in exponents]
+    for coords in _rref_bases(len(exponent_basis), rank):
+        rows = [span[c] for c in coords]
+        active = 0
+        for m in witnesses._pair_masks(rows, n_qubits):
+            active |= m
+        if bin(active).count("1") != rank:
+            continue
+        if next(witnesses._failed_conditions(rows, active, n_qubits), None) is None:
+            yield active, tuple(rows_rref(rows))
+
+
+def naive_direct_census(group) -> dict:
+    """The direct census by a scan of every subgroup of rank 2..N-1, with
+    no pruning: the oracle of the pruned search."""
+    n_qubits = group.n_qubits
+    element_rows = [pauli_row(e) for e in group.elements]
+    units = [1 << i for i in range(n_qubits)]
+    keys = {omega: [] for omega in all_subsystems(n_qubits)}
+    for rank in range(2, n_qubits):
+        for active, key in _direct_subgroups(element_rows, units, rank, n_qubits):
+            keys[witnesses._mask_to_omega(active)].append(key)
+    return {
+        omega: witnesses._standard_specs(omega, found, n_qubits)
+        for omega, found in keys.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def naive_color(color_group):
+    return naive_direct_census(color_group)
+
+
+class TestPrunedSearch:
+    """``direct_census`` and ``enumerate_direct`` walk a pruned depth-first
+    search; the unpruned scan ``naive_direct_census`` is their oracle."""
+
+    def test_census_matches_scan_on_color_code(self, color_group, naive_color):
+        assert direct_census(color_group) == naive_color
+
+    @pytest.mark.parametrize("n_qubits,seed", [(5, 305), (6, 306), (7, 307), (8, 8)])
+    def test_census_matches_scan_on_random_states(self, n_qubits, seed):
+        group = span_group(random_stabilizer_set(random.Random(seed), n_qubits))
+        naive = naive_direct_census(group)
+        assert any(naive.values())
+        assert direct_census(group) == naive
+
+    def test_every_subsystem_matches_scan_on_color_code(
+        self, color_group, naive_color
+    ):
+        assert len(naive_color) == 119
+        for omega, specs in naive_color.items():
+            assert enumerate_direct(color_group, omega) == specs
+
+    @pytest.mark.parametrize("n_qubits", [6, 7])
+    def test_random_subsystems_match_scan(self, n_qubits):
+        group = span_group(random_stabilizer_set(random.Random(n_qubits), n_qubits))
+        rng = random.Random(410 + n_qubits)
+        naive = naive_direct_census(group)
+        # random subsystems with witnesses and without
+        found = [o for o in sorted(naive) if naive[o]]
+        empty = [o for o in sorted(naive) if not naive[o]]
+        omegas = rng.sample(found, 6) + rng.sample(empty, 6)
+        for omega in omegas:
+            assert enumerate_direct(group, omega) == naive[omega]
 
 
 def naive_span_texts(paulis, n_qubits):
@@ -681,6 +782,29 @@ class TestTwoMeasurement:
             assert full_census.two_measurement[omega] == (
                 enumerate_two_measurement(color_group, omega)
             )
+
+    def test_census_bases_are_rref_fixed_points(self, full_census):
+        # the census split takes a witness's basis rows as its RREF basis
+        census = direct_census(span_group(random_stabilizer_set(random.Random(6), 6)))
+        buckets = [full_census.direct, full_census.graph_based, census]
+        for bucket in buckets:
+            for specs in bucket.values():
+                for spec in specs:
+                    rows = [pauli_row(p) for p in spec.basis]
+                    assert rows == rows_rref(rows)
+
+    def test_census_split_matches_public_split(self, full_census):
+        seen = {}
+        for omega, specs in full_census.direct.items():
+            for spec in specs:
+                variant = two_measurement_from_standard(spec)
+                if variant is not None:
+                    seen[(omega, variant.identity_key)] = variant
+        expected = {
+            omega: [seen[k] for k in sorted(seen) if k[0] == omega]
+            for omega in full_census.subsystems()
+        }
+        assert full_census.two_measurement == expected
 
     def test_derived_from_standard(self, color_group):
         for spec in enumerate_direct(color_group, (5, 6)):

@@ -22,12 +22,13 @@ the active region of the partial basis: the qubits where two of its rows
 anticommute.  The active region belongs to the subgroup, not to the basis,
 and it only grows as rows are added.  A witness for omega needs an active
 region equal to omega.  So a partial basis whose active region has more
-than rank qubits, or leaves omega when omega is given, is pruned with
-everything below it.  ``check_direct`` and the leaves of the walk share one
-predicate on packed 2N-bit rows, which yields the violated conditions.
+than rank qubits is pruned with everything below it.  ``check_direct`` and
+the leaves of the walk share one predicate on packed 2N-bit rows, which
+yields the violated conditions.
 The full direct census walks the whole group once per rank; a query for
 one subsystem walks only the subgroups whose letters outside it are
-restricted as condition (iii) demands.
+restricted as condition (iii) demands.  There the active region always
+lies inside the subsystem, so that walk prunes nothing.
 """
 
 from __future__ import annotations
@@ -297,7 +298,7 @@ def _standard_specs(
 
 
 def _subgroup_search(
-    span: Sequence[int], n_cols: int, rank: int, n_qubits: int, outside: int = 0
+    span: Sequence[int], n_cols: int, rank: int, n_qubits: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Depth-first search over the rank-``rank`` subgroups of a group,
     pruned by the active region; yields (active mask, rows) at each leaf.
@@ -319,8 +320,7 @@ def _subgroup_search(
     anticommutes with one of them; on a qubit inside ``active`` the bit is
     already set.  The active region only grows, so a partial basis is
     pruned, with every extension, once it has more than ``rank`` active
-    qubits or an active qubit in the mask ``outside``.  A leaf may still
-    have fewer than ``rank`` active qubits.
+    qubits.  A leaf may still have fewer than ``rank`` active qubits.
     """
     full = (1 << n_cols) - 1
     rows = [0] * rank
@@ -337,7 +337,7 @@ def _subgroup_search(
                 grown = active | (
                     ((letters >> n_qubits) & r) ^ (letters & (r >> n_qubits))
                 )
-                if grown.bit_count() <= rank and not grown & outside:
+                if grown.bit_count() <= rank:
                     rows[depth] = r
                     if depth == last:
                         yield grown, tuple(rows)
@@ -357,7 +357,6 @@ def _direct_keys(
     exponent_basis: Sequence[int],
     rank: int,
     n_qubits: int,
-    outside: int = 0,
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield (active mask, RREF key) for every rank-``rank`` subgroup inside
     the span of ``exponent_basis`` that seeds a local witness for its active
@@ -370,7 +369,7 @@ def _direct_keys(
     for e in exponent_basis:
         exponents += [x ^ e for x in exponents]
     span = [element_rows[x] for x in exponents]
-    leaves = _subgroup_search(span, len(exponent_basis), rank, n_qubits, outside)
+    leaves = _subgroup_search(span, len(exponent_basis), rank, n_qubits)
     for active, rows in leaves:
         # Pair masks have even weight, so the pseudo-incidence rank is at
         # most |active| - 1, and (iii) needs active inside omega: only
@@ -419,11 +418,11 @@ def enumerate_direct(
 
     Searches only the letter-restricted kernels of ``_letter_kernels``, so
     the cost follows the subsystem, not the size of the whole group; the
-    result equals ``direct_census(group)[omega]``.  Inside each kernel the
-    depth-first search of ``_subgroup_search`` prunes a partial basis as
-    soon as its active region has a qubit outside omega: the region only
-    grows, and condition (iii) keeps it inside omega.  A leaf with |omega|
-    active qubits has omega as its active region.  Raises
+    result equals ``direct_census(group)[omega]``.  Each kernel goes
+    through the depth-first search of ``_subgroup_search``.  Inside a
+    kernel the active region always lies in omega, so its rank prune never
+    fires and the search walks every RREF basis, keeping only the active
+    mask incrementally.  Raises
     MalformedSubsetError for a subsystem that is not 2..N-1 distinct labels
     in 1..N.
     """
@@ -436,9 +435,11 @@ def enumerate_direct(
     # kernels of all three letters there; the key set keeps it once.
     keys = set()
     for kernel in _letter_kernels(generator_rows, mask, n_qubits):
-        for _, key in _direct_keys(
-            element_rows, kernel, len(omega), n_qubits, ~mask
-        ):
+        # Every kernel element carries I or the chosen letter on each qubit
+        # outside omega, so no pair anticommutes there: the active region
+        # stays inside omega, and a leaf with |omega| active qubits has
+        # active == omega.
+        for _, key in _direct_keys(element_rows, kernel, len(omega), n_qubits):
             keys.add(key)
     return _standard_specs(omega, keys, n_qubits)
 

@@ -21,6 +21,7 @@ from .evaluation import (
 )
 from .graphs import graph_from_json, graph_to_json, lc_orbit
 from .groups import (
+    MAX_SPAN_QUBITS,
     GeneratorSet,
     NAMED_CODES,
     code_from_json,
@@ -199,6 +200,11 @@ def cmd_critical_prob(parser, args) -> int:
         n = a + b
         if a < 0 or b < 0 or n < 2:
             parser.error("sizes must be non-negative with at least two total")
+        if max(a, b) > MAX_SPAN_QUBITS:
+            parser.error(
+                f"--x-size/--z-size would span 2^{max(a, b)} members; "
+                f"the cap is {MAX_SPAN_QUBITS}"
+            )
         # witness structure only matters through (a, b); build a disjoint
         # X/Z seed on n qubits
         x_part = tuple(
@@ -219,6 +225,12 @@ def cmd_critical_prob(parser, args) -> int:
         if args.n is None or args.n < 2:
             parser.error("--n >= 2 is required")
         n = args.n
+        # the standard witness spans 2^n members; the alternative sums its
+        # n basis members only
+        if args.kind == "standard" and n > MAX_SPAN_QUBITS:
+            parser.error(
+                f"--n {n} would span 2^{n} members; the cap is {MAX_SPAN_QUBITS}"
+            )
         # value depends only on n; use an n-qubit GHZ-style seed
         all_x = PauliOperator(n, 0, (1 << n) - 1)
         zz_pairs = tuple(

@@ -25,10 +25,10 @@ region equal to omega.  So a partial basis whose active region has more
 than rank qubits is pruned with everything below it.  ``check_direct`` and
 the leaves of the walk share one predicate on packed 2N-bit rows, which
 yields the violated conditions.
-The full direct census walks the whole group once per rank; a query for
-one subsystem walks only the subgroups whose letters outside it are
-restricted as condition (iii) demands.  There the active region always
-lies inside the subsystem, so that walk prunes nothing.
+The full direct census walks the whole group once per rank.  A query for
+one subsystem omega walks the whole group once, at rank |omega|, and also
+prunes a partial basis once its active region meets a qubit outside omega,
+which condition (iii) forbids.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .binary import (
     pauli_row,
     rows_rank,
     rows_rref,
-    solve_mod2,
 )
 from .cliffords import (
     LocalClifford,
@@ -298,19 +297,19 @@ def _standard_specs(
 
 
 def _subgroup_search(
-    span: Sequence[int], n_cols: int, rank: int, n_qubits: int
+    span: Sequence[int], rank: int, n_qubits: int, outside: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Depth-first search over the rank-``rank`` subgroups of a group,
     pruned by the active region; yields (active mask, rows) at each leaf.
 
-    ``span[c]`` is the packed 2N-bit row of the element at coordinate
-    vector c, for c < 2^n_cols.  Each subgroup is reached through the
-    reduced row-echelon basis of its coordinate subspace: a row's pivot is
-    its lowest set bit and its free columns lie above the pivot, off the
-    pivots already chosen.  Rows are chosen from the highest pivot down,
-    so each row is final when it is chosen, and every subspace is reached
-    at most once; a pivot too low to leave a column for each remaining row
-    is skipped.
+    ``span[c]`` is the packed 2N-bit row of the group element with exponent
+    vector c, for c < 2^N.  Each subgroup is reached through the reduced
+    row-echelon basis of its exponent subspace: a row's pivot is its lowest
+    set bit and its free columns lie above the pivot, off the pivots
+    already chosen.  Rows are chosen from the highest pivot down, so each
+    row is final when it is chosen, and every subspace is reached at most
+    once; a pivot too low to leave a column for each remaining row is
+    skipped.
 
     ``letters`` is the OR of the rows chosen so far, and ``active`` the OR
     of their pair anticommutation masks.  A new row r makes the active
@@ -320,9 +319,10 @@ def _subgroup_search(
     anticommutes with one of them; on a qubit inside ``active`` the bit is
     already set.  The active region only grows, so a partial basis is
     pruned, with every extension, once it has more than ``rank`` active
-    qubits.  A leaf may still have fewer than ``rank`` active qubits.
+    qubits or once it meets the qubit mask ``outside`` (0 for none).  A
+    leaf may still have fewer than ``rank`` active qubits.
     """
-    full = (1 << n_cols) - 1
+    full = (1 << n_qubits) - 1
     rows = [0] * rank
     last = rank - 1
 
@@ -337,7 +337,7 @@ def _subgroup_search(
                 grown = active | (
                     ((letters >> n_qubits) & r) ^ (letters & (r >> n_qubits))
                 )
-                if grown.bit_count() <= rank:
+                if not grown & outside and grown.bit_count() <= rank:
                     rows[depth] = r
                     if depth == last:
                         yield grown, tuple(rows)
@@ -349,28 +349,17 @@ def _subgroup_search(
                     break
                 sub = (sub - 1) & free
 
-    return extend(0, n_cols, 0, 0, 0)
+    return extend(0, n_qubits, 0, 0, 0)
 
 
 def _direct_keys(
-    element_rows: Sequence[int],
-    exponent_basis: Sequence[int],
-    rank: int,
-    n_qubits: int,
+    element_rows: Sequence[int], rank: int, n_qubits: int, outside: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (active mask, RREF key) for every rank-``rank`` subgroup inside
-    the span of ``exponent_basis`` that seeds a local witness for its active
-    region, pruned as ``_subgroup_search`` prunes.  ``element_rows`` are the
-    group's packed 2N-bit rows by exponent vector; the basis is the unit
-    vectors for the whole group."""
-    # span[c]: the row of the element whose exponent vector combines the
-    # basis vectors selected by the bits of c
-    exponents = [0]
-    for e in exponent_basis:
-        exponents += [x ^ e for x in exponents]
-    span = [element_rows[x] for x in exponents]
-    leaves = _subgroup_search(span, len(exponent_basis), rank, n_qubits)
-    for active, rows in leaves:
+    """Yield (active mask, RREF key) for every rank-``rank`` subgroup whose
+    active region misses ``outside`` and that seeds a local witness for
+    that region, pruned as ``_subgroup_search`` prunes.  ``element_rows``
+    are the group's packed 2N-bit rows by exponent vector."""
+    for active, rows in _subgroup_search(element_rows, rank, n_qubits, outside):
         # Pair masks have even weight, so the pseudo-incidence rank is at
         # most |active| - 1, and (iii) needs active inside omega: only
         # omega = active with |active| = rank can pass.
@@ -380,68 +369,27 @@ def _direct_keys(
             yield active, tuple(rows_rref(rows))
 
 
-def _letter_kernels(
-    generator_rows: Sequence[int], omega_mask: int, n_qubits: int
-) -> Iterator[list[int]]:
-    """For each choice of one letter P_mu per qubit mu outside omega, a basis
-    of exponent vectors of the group elements whose letter on every such mu
-    commutes with P_mu, i.e. is I or P_mu.
-
-    Condition (iii) puts every witness subgroup for omega inside one of
-    these kernels.
-    """
-    n_gens = len(generator_rows)
-    choices = []
-    for mu in range(n_qubits):
-        if (omega_mask >> mu) & 1:
-            continue
-        # bit i of x_col (z_col): generator i has an X-part (Z-part) on
-        # qubit mu, i.e. anticommutes with Z (X) there
-        x_col = z_col = 0
-        for i, row in enumerate(generator_rows):
-            x_col |= ((row >> mu) & 1) << i
-            z_col |= ((row >> (n_qubits + mu)) & 1) << i
-        # the generators anticommuting with X, Y, Z on qubit mu
-        choices.append((z_col, z_col ^ x_col, x_col))
-    # An element commutes with P_mu on qubit mu exactly when an even number
-    # of its generators anticommute with P_mu there: one linear constraint
-    # on its exponent vector per qubit outside omega.
-    for constraints in itertools.product(*choices):
-        yield solve_mod2(BitMatrix(len(constraints), n_gens, constraints), 0)[1]
-
-
 def enumerate_direct(
     group: StabilizerGroup, omega: Sequence[int]
 ) -> list[WitnessSpec]:
     """All standard local witnesses for one subsystem, one per spanned
-    subgroup, sorted by identity key.
+    subgroup, sorted by identity key; equal to
+    ``direct_census(group)[omega]``.
 
-    Searches only the letter-restricted kernels of ``_letter_kernels``, so
-    the cost follows the subsystem, not the size of the whole group; the
-    result equals ``direct_census(group)[omega]``.  Each kernel goes
-    through the depth-first search of ``_subgroup_search``.  Inside a
-    kernel the active region always lies in omega, so its rank prune never
-    fires and the search walks every RREF basis, keeping only the active
-    mask incrementally.  Raises
+    Runs the depth-first search of ``_subgroup_search`` over the whole
+    group at rank |omega|, pruning a partial basis once its active region
+    meets a qubit outside omega: condition (iii) keeps a witness's active
+    region inside omega, and the region only grows.  Raises
     MalformedSubsetError for a subsystem that is not 2..N-1 distinct labels
     in 1..N.
     """
     n_qubits = group.n_qubits
     omega = _check_subsystem(omega, n_qubits)
-    mask = _omega_to_mask(omega)
+    outside = ((1 << n_qubits) - 1) ^ _omega_to_mask(omega)
     element_rows = [pauli_row(e) for e in group.elements]
-    generator_rows = [element_rows[1 << i] for i in range(n_qubits)]
-    # A subgroup that is all-I on some qubit outside omega lies in the
-    # kernels of all three letters there; the key set keeps it once.
-    keys = set()
-    for kernel in _letter_kernels(generator_rows, mask, n_qubits):
-        # Every kernel element carries I or the chosen letter on each qubit
-        # outside omega, so no pair anticommutes there: the active region
-        # stays inside omega, and a leaf with |omega| active qubits has
-        # active == omega.
-        for _, key in _direct_keys(element_rows, kernel, len(omega), n_qubits):
-            keys.add(key)
-    return _standard_specs(omega, keys, n_qubits)
+    # a leaf with |omega| active qubits, none outside omega, has active == omega
+    found = _direct_keys(element_rows, len(omega), n_qubits, outside)
+    return _standard_specs(omega, (key for _, key in found), n_qubits)
 
 
 def all_subsystems(n_qubits: int) -> list[tuple[int, ...]]:
@@ -464,12 +412,11 @@ def direct_census(group: StabilizerGroup) -> dict[tuple[int, ...], list[WitnessS
     """
     n_qubits = group.n_qubits
     element_rows = [pauli_row(e) for e in group.elements]
-    units = [1 << i for i in range(n_qubits)]
     keys: dict[tuple[int, ...], list[tuple[int, ...]]] = {
         omega: [] for omega in all_subsystems(n_qubits)
     }
     for rank in range(2, n_qubits):
-        for active, key in _direct_keys(element_rows, units, rank, n_qubits):
+        for active, key in _direct_keys(element_rows, rank, n_qubits, 0):
             keys[_mask_to_omega(active)].append(key)
     return {
         omega: _standard_specs(omega, found, n_qubits)
@@ -790,9 +737,9 @@ def run_census(
     MalformedSubsetError for one that is not 2..N-1 distinct labels in
     1..N.  Without ``omegas`` the direct witnesses come from the pruned
     search of ``direct_census`` over the whole group; with them, from
-    ``enumerate_direct`` per subsystem, whose cost follows the subsystems
-    asked for.  The graph method always builds the whole census and keeps
-    the wanted subsystems.
+    ``enumerate_direct`` per subsystem, the same search at one rank that
+    also prunes outside the subsystem.  The graph method always builds the
+    whole census and keeps the wanted subsystems.
     """
     methods = set(methods)
     unknown = methods - {"direct", "graph", "twomeas"}

@@ -55,7 +55,7 @@ class TestSubspaceEnumeration:
         span = [pauli_row(e) for e in group.elements]
         for rank in range(1, n_qubits + 1):
             leaves = list(
-                witnesses._subgroup_search(span, n_qubits, rank, n_qubits)
+                witnesses._subgroup_search(span, rank, n_qubits, 0)
             )
             assert len(leaves) == gaussian_binomial(n_qubits, rank)
             assert {active for active, _ in leaves} == {0}

@@ -5,7 +5,7 @@ import pytest
 
 from stabwitness import cli
 from stabwitness.cli import main
-from stabwitness.groups import build_color_code, code_to_json
+from stabwitness.groups import MAX_SPAN_QUBITS, build_color_code, code_to_json
 
 
 def run_cli(capsys, *argv):
@@ -216,6 +216,30 @@ class TestOtherCommands:
         )
         assert abs(float(out) - 1.3125 / 1.8125) < 1e-12
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            ("--kind", "standard", "--n", "21"),
+            ("--kind", "twomeas", "--x-size", "21", "--z-size", "1"),
+            ("--kind", "twomeas", "--x-size", "1", "--z-size", "21"),
+        ],
+    )
+    def test_critical_prob_refuses_spans_past_the_cap(self, capsys, sizes):
+        with pytest.raises(SystemExit) as err:
+            main(["critical-prob", *sizes])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"the cap is {MAX_SPAN_QUBITS}\n"
+        )
+
+    def test_critical_prob_alternative_is_not_capped(self, capsys):
+        # the alternative witness sums its basis only, so --n is unbounded
+        code, out, _ = run_cli(
+            capsys, "critical-prob", "--kind", "alternative", "--n", "40"
+        )
+        assert code == 0
+        assert abs(float(out) - 39 / 40) < 1e-12
+
     def test_equivalence(self, capsys):
         code, out, _ = run_cli(capsys, "equivalence", "color_code_7")
         assert code == 0
@@ -234,8 +258,9 @@ def sha256(text: str) -> str:
 
 class TestOutputBytes:
     """The sha256 of whole CLI outputs on color_code_7, recorded before the
-    direct census became a pruned search: a change of speed must not change
-    a byte."""
+    direct census became a pruned search (the per-subsystem cases before
+    that search was pruned outside the subsystem): a change of speed must
+    not change a byte."""
 
     ENUMERATE_STDOUT = "9202d4e49907a983895b56a6aac55e0b463c70a7c0161a83f95cb4d180803032"
 
@@ -260,4 +285,31 @@ class TestOutputBytes:
         assert code == 0
         assert sha256(out) == (
             "0a0a9ad921d445276e6d1224b64bc27a54ce22f7ca8270c2869b0f76acd9d713"
+        )
+
+    def test_enumerate_per_subsystem_with_witness_listing(self, capsys, tmp_path):
+        listing = tmp_path / "x.json"
+        code, out, _ = run_cli(
+            capsys,
+            "enumerate", "color_code_7", "--methods", "direct,twomeas",
+            "--omega", "5,6", "--omega", "1,2,5", "--omega", "1,2,3,4",
+            "--witnesses-out", str(listing),
+        )
+        assert code == 0
+        assert sha256(out) == (
+            "f09d6092b103cc0a59312ed284c4f01d8717d524a35bca721e75dc3a56a0c5b3"
+        )
+        assert sha256(listing.read_text()) == (
+            "119d4c491f5bb1e6cc7104f00844ba1bcd046f61705bdbc8fc3a7c28126062d4"
+        )
+
+    def test_eval_werner_per_subsystem(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "eval", "color_code_7", "--werner", "0.9",
+            "--omega", "5,6", "--omega", "1,2,3,4",
+        )
+        assert code == 0
+        assert sha256(out) == (
+            "f95212004ed8ef328d5ffedbb0719b61f132b7a9bf44cfd1a6c4a8dde2d9928f"
         )

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from stabwitness.binary import (
+    BitMatrix,
     anticommutation_mask,
     parse_pauli,
     pauli_from_row,
@@ -11,6 +12,7 @@ from stabwitness.binary import (
     rank_mod2,
     rows_rank,
     rows_rref,
+    solve_mod2,
 )
 from stabwitness.cliffords import (
     apply,
@@ -279,8 +281,9 @@ class TestEnumerateDirect:
 
 
 class TestPerSubsystemPath:
-    """``enumerate_direct`` searches letter-restricted kernels; the search
-    of ``direct_census`` over the whole group is its cross-check."""
+    """``enumerate_direct`` searches the whole group at one rank, pruned
+    outside the subsystem; the search of ``direct_census``, which has no
+    such prune, is its cross-check."""
 
     def test_matches_scan_on_color_code(self, color_group):
         full = direct_census(color_group)
@@ -385,6 +388,64 @@ def naive_direct_census(group) -> dict:
     }
 
 
+def _letter_kernels(generator_rows, omega_mask, n_qubits):
+    """For each choice of one letter P_mu per qubit mu outside omega, a basis
+    of exponent vectors of the group elements whose letter on every such mu
+    commutes with P_mu, i.e. is I or P_mu.
+
+    Condition (iii) puts every witness subgroup for omega inside one of
+    these kernels.
+    """
+    n_gens = len(generator_rows)
+    choices = []
+    for mu in range(n_qubits):
+        if (omega_mask >> mu) & 1:
+            continue
+        # bit i of x_col (z_col): generator i has an X-part (Z-part) on
+        # qubit mu, i.e. anticommutes with Z (X) there
+        x_col = z_col = 0
+        for i, row in enumerate(generator_rows):
+            x_col |= ((row >> mu) & 1) << i
+            z_col |= ((row >> (n_qubits + mu)) & 1) << i
+        # the generators anticommuting with X, Y, Z on qubit mu
+        choices.append((z_col, z_col ^ x_col, x_col))
+    # An element commutes with P_mu on qubit mu exactly when an even number
+    # of its generators anticommute with P_mu there: one linear constraint
+    # on its exponent vector per qubit outside omega.
+    for constraints in itertools.product(*choices):
+        yield solve_mod2(BitMatrix(len(constraints), n_gens, constraints), 0)[1]
+
+
+def naive_enumerate_direct(group, omega) -> list:
+    """The direct witnesses for one subsystem by a scan of every subgroup
+    inside the 3^(N - |omega|) letter-restricted kernels, deduplicated by
+    key: the oracle of the search pruned outside omega."""
+    n_qubits = group.n_qubits
+    omega = tuple(sorted(omega))
+    mask = witnesses._omega_to_mask(omega)
+    element_rows = [pauli_row(e) for e in group.elements]
+    generator_rows = [element_rows[1 << i] for i in range(n_qubits)]
+    # a subgroup that is all-I on some qubit outside omega lies in the
+    # kernels of all three letters there
+    keys = set()
+    for kernel in _letter_kernels(generator_rows, mask, n_qubits):
+        for _, key in _direct_subgroups(element_rows, kernel, len(omega), n_qubits):
+            keys.add(key)
+    return witnesses._standard_specs(omega, keys, n_qubits)
+
+
+def ring_group(n_qubits):
+    """The group of the ring graph state on n qubits."""
+    texts = [
+        "".join(
+            "X" if j == i else "Z" if (j - i) % n_qubits in (1, n_qubits - 1) else "I"
+            for j in range(n_qubits)
+        )
+        for i in range(n_qubits)
+    ]
+    return span_group(GeneratorSet.from_texts(texts))
+
+
 @pytest.fixture(scope="module")
 def naive_color(color_group):
     return naive_direct_census(color_group)
@@ -392,7 +453,9 @@ def naive_color(color_group):
 
 class TestPrunedSearch:
     """``direct_census`` and ``enumerate_direct`` walk a pruned depth-first
-    search; the unpruned scan ``naive_direct_census`` is their oracle."""
+    search; the unpruned scan ``naive_direct_census`` is their oracle, and
+    the letter-kernel scan ``naive_enumerate_direct`` is the per-subsystem
+    oracle where the full scan is too slow."""
 
     def test_census_matches_scan_on_color_code(self, color_group, naive_color):
         assert direct_census(color_group) == naive_color
@@ -422,6 +485,51 @@ class TestPrunedSearch:
         omegas = rng.sample(found, 6) + rng.sample(empty, 6)
         for omega in omegas:
             assert enumerate_direct(group, omega) == naive[omega]
+
+    def test_ring9_subsystems_match_kernel_scan(self):
+        # the full scan takes half a minute at N = 9; the kernel scan is fast
+        group = ring_group(9)
+        rng = random.Random(909)
+        for size in range(2, 9):
+            block = spread = tuple(range(1, size + 1))
+            while spread == block:
+                spread = tuple(sorted(rng.sample(range(1, 10), size)))
+            for omega in (block, spread):
+                naive = naive_enumerate_direct(group, omega)
+                assert naive, omega
+                assert enumerate_direct(group, omega) == naive
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random8_subsystems_match_kernel_scan(self, seed):
+        group = span_group(random_stabilizer_set(random.Random(seed), 8))
+        rng = random.Random(800 + seed)
+        for size in (2, 3, 4):
+            omega = tuple(sorted(rng.sample(range(1, 9), size)))
+            assert enumerate_direct(group, omega) == naive_enumerate_direct(
+                group, omega
+            )
+
+    @pytest.mark.parametrize("n_qubits,seed", [(5, 505), (6, 506)])
+    def test_outside_prune_keeps_exactly_the_leaves_inside_omega(
+        self, n_qubits, seed
+    ):
+        group = span_group(random_stabilizer_set(random.Random(seed), n_qubits))
+        span = [pauli_row(e) for e in group.elements]
+        full = (1 << n_qubits) - 1
+        unpruned = {
+            rank: set(witnesses._subgroup_search(span, rank, n_qubits, 0))
+            for rank in range(2, n_qubits)
+        }
+        exact = 0
+        for omega in all_subsystems(n_qubits):
+            mask = witnesses._omega_to_mask(omega)
+            pruned = set(
+                witnesses._subgroup_search(span, len(omega), n_qubits, full ^ mask)
+            )
+            inside = {leaf for leaf in unpruned[len(omega)] if not leaf[0] & ~mask}
+            assert pruned == inside, omega
+            exact += sum(active == mask for active, _ in pruned)
+        assert exact
 
 
 def naive_span_texts(paulis, n_qubits):

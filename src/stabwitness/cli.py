@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -126,6 +127,10 @@ def cmd_eval(parser, args) -> int:
     _, code = _load_code(parser, args)
     if (args.data is None) == (args.werner is None):
         parser.error("give exactly one of --data or --werner")
+    if not math.isfinite(args.sigma_threshold):
+        parser.error(
+            f"--sigma-threshold must be finite, got {args.sigma_threshold}"
+        )
     try:
         omegas = _parse_omegas(args.omega)
         kinds = [_KIND_FLAGS[k.strip()] for k in args.kinds.split(",")]

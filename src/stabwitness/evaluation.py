@@ -164,7 +164,21 @@ class MeasurementDataset(_Source):
             label = p.to_text()
             if label in records:
                 raise ValueError(f"line {line_no}: duplicate label {label}")
-            records[label] = (float(expectation), int(shots))
+            try:
+                value = float(expectation)
+            except ValueError:
+                raise ValueError(
+                    f"line {line_no}: expectation {expectation!r} of {label} "
+                    "is not a number"
+                ) from None
+            try:
+                count = int(shots)
+            except ValueError:
+                raise ValueError(
+                    f"line {line_no}: shot count {shots!r} of {label} "
+                    "is not an integer"
+                ) from None
+            records[label] = (value, count)
         if n_qubits is None:
             raise ValueError("dataset has no records")
         return cls(n_qubits, records)

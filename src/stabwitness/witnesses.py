@@ -17,14 +17,18 @@ That step changes the key or the connectivity only of the subsystems that
 miss v and meet its neighborhood, so only those are keyed again.
 
 The direct enumerators walk the subgroups depth first, one reduced
-row-echelon basis row at a time, in exponent coordinates.  The walk keeps
-the active region of the partial basis: the qubits where two of its rows
-anticommute.  The active region belongs to the subgroup, not to the basis,
-and it only grows as rows are added.  A witness for omega needs an active
-region equal to omega.  So a partial basis whose active region has more
-than rank qubits is pruned with everything below it.  ``check_direct`` and
-the leaves of the walk share one predicate on packed 2N-bit rows, which
-yields the violated conditions.
+row-echelon basis row at a time, in exponent coordinates over the group's
+own reduced row-echelon basis.  In those coordinates the exponent basis the
+walk builds is the Pauli basis of the subgroup's key, so a leaf is its own
+key.  The walk keeps the active region of the partial basis: the qubits
+where two of its rows anticommute.  The active region belongs to the
+subgroup, not to the basis, and it only grows as rows are added.  A
+witness for omega needs an active region equal to omega.  So a partial
+basis whose active region has more than rank qubits is pruned with
+everything below it.  At a leaf with rank active qubits, conditions (i)
+and (iii) and the commutation half of (ii) hold by construction, so the
+leaf tests only the two ranks that remain; ``check_direct`` evaluates all
+four conditions with one predicate on packed 2N-bit rows.
 The full direct census walks the whole group once per rank.  A query for
 one subsystem omega walks the whole group once, at rank |omega|, and also
 prunes a partial basis once its active region meets a qubit outside omega,
@@ -248,17 +252,6 @@ def check_direct(w: GeneratorSubset) -> DirectCheckResult:
     return DirectCheckResult(not failed, failed)
 
 
-def _mask_to_omega(mask: int) -> tuple[int, ...]:
-    out = []
-    q = 1
-    while mask:
-        if mask & 1:
-            out.append(q)
-        mask >>= 1
-        q += 1
-    return tuple(out)
-
-
 def _omega_to_mask(omega: Sequence[int]) -> int:
     mask = 0
     for q in omega:
@@ -311,6 +304,13 @@ def _subgroup_search(
     once; a pivot too low to leave a column for each remaining row is
     skipped.
 
+    When ``span`` is ``_span_rows`` of the group's ``rows_rref`` basis,
+    exponent bit i selects the basis row with the i-th highest Pauli pivot,
+    and an element's Pauli bits at those pivot columns are its exponent
+    bits.  A lowest-set-bit exponent pivot is then a highest-set-bit Pauli
+    pivot, and each pivot column is set in one row only, so the rows at a
+    leaf, reversed, are the ``rows_rref`` key of their subgroup.
+
     ``letters`` is the OR of the rows chosen so far, and ``active`` the OR
     of their pair anticommutation masks.  A new row r makes the active
     region ``active | symp(letters, r)``.  That is exact: on a qubit outside
@@ -352,21 +352,41 @@ def _subgroup_search(
     return extend(0, n_qubits, 0, 0, 0)
 
 
+def _rref_span(group: StabilizerGroup) -> list[int]:
+    """The group's packed 2N-bit rows by exponent vector over its
+    ``rows_rref`` basis: the span ``_direct_keys`` searches."""
+    return _span_rows(
+        rows_rref(pauli_row(g) for g in group.generator_set.generators)
+    )
+
+
 def _direct_keys(
-    element_rows: Sequence[int], rank: int, n_qubits: int, outside: int
+    span: Sequence[int], rank: int, n_qubits: int, outside: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield (active mask, RREF key) for every rank-``rank`` subgroup whose
     active region misses ``outside`` and that seeds a local witness for
-    that region, pruned as ``_subgroup_search`` prunes.  ``element_rows``
-    are the group's packed 2N-bit rows by exponent vector."""
-    for active, rows in _subgroup_search(element_rows, rank, n_qubits, outside):
-        # Pair masks have even weight, so the pseudo-incidence rank is at
-        # most |active| - 1, and (iii) needs active inside omega: only
-        # omega = active with |active| = rank can pass.
+    that region, pruned as ``_subgroup_search`` prunes.  ``span`` is
+    ``_rref_span`` of the group, so each leaf's rows, reversed, are its
+    key.
+
+    Pair masks have even weight, so the pseudo-incidence rank is at most
+    |active| - 1, and (iii) needs active inside omega: only omega = active
+    with |active| = rank can pass.  At such a leaf the rest of the
+    predicate ``_failed_conditions`` holds by construction: (i) because
+    independent exponent vectors give independent members of a commuting
+    group, (iii) because every pair mask lies inside active, and the
+    commutation half of (ii) because those masks have even weight.  Two
+    ranks remain: the rows restricted to omega and the pair masks.
+    """
+    for active, rows in _subgroup_search(span, rank, n_qubits, outside):
         if active.bit_count() != rank:
             continue
-        if next(_failed_conditions(rows, active, n_qubits), None) is None:
-            yield active, tuple(rows_rref(rows))
+        omega_rows = (active << n_qubits) | active
+        if (
+            rows_rank([r & omega_rows for r in rows]) == rank
+            and rows_rank(_pair_masks(rows, n_qubits)) == rank - 1
+        ):
+            yield active, rows[::-1]
 
 
 def enumerate_direct(
@@ -386,9 +406,8 @@ def enumerate_direct(
     n_qubits = group.n_qubits
     omega = _check_subsystem(omega, n_qubits)
     outside = ((1 << n_qubits) - 1) ^ _omega_to_mask(omega)
-    element_rows = [pauli_row(e) for e in group.elements]
     # a leaf with |omega| active qubits, none outside omega, has active == omega
-    found = _direct_keys(element_rows, len(omega), n_qubits, outside)
+    found = _direct_keys(_rref_span(group), len(omega), n_qubits, outside)
     return _standard_specs(omega, (key for _, key in found), n_qubits)
 
 
@@ -408,19 +427,20 @@ def direct_census(group: StabilizerGroup) -> dict[tuple[int, ...], list[WitnessS
     its active region.  A rank-k witness needs exactly k active qubits, and
     the active region only grows as basis rows are added, so a partial
     basis with more than k active qubits is pruned with all its
-    extensions.  Only the leaves with k active qubits meet the predicate.
+    extensions.  Only the leaves with k active qubits are tested
+    (``_direct_keys``), and each is its own key.
     """
     n_qubits = group.n_qubits
-    element_rows = [pauli_row(e) for e in group.elements]
-    keys: dict[tuple[int, ...], list[tuple[int, ...]]] = {
-        omega: [] for omega in all_subsystems(n_qubits)
-    }
+    span = _rref_span(group)
+    keys: dict[int, list[tuple[int, ...]]] = {}
     for rank in range(2, n_qubits):
-        for active, key in _direct_keys(element_rows, rank, n_qubits, 0):
-            keys[_mask_to_omega(active)].append(key)
+        for active, key in _direct_keys(span, rank, n_qubits, 0):
+            keys.setdefault(active, []).append(key)
     return {
-        omega: _standard_specs(omega, found, n_qubits)
-        for omega, found in keys.items()
+        omega: _standard_specs(
+            omega, keys.get(_omega_to_mask(omega), ()), n_qubits
+        )
+        for omega in all_subsystems(n_qubits)
     }
 
 
@@ -565,12 +585,29 @@ def find_xz_form(
         paulis = tuple(w)
     if not paulis:
         raise ValueError("empty basis")
-    return _xz_split(rows_rref(pauli_row(p) for p in paulis), paulis[0].n_qubits)
+    n_qubits = paulis[0].n_qubits
+    key = _xz_split(rows_rref(pauli_row(p) for p in paulis), n_qubits)
+    return None if key is None else _xz_form(key, n_qubits)
 
 
-def _xz_split(rows: Sequence[int], n_qubits: int) -> Optional[XZForm]:
-    """``find_xz_form`` of the subgroup whose ``rows_rref`` basis is
-    ``rows``; the rows must already be that basis."""
+def _xz_form(
+    key: tuple[tuple[int, ...], tuple[int, ...]], n_qubits: int
+) -> XZForm:
+    """The split whose X-type and Z-type parts have the given row keys."""
+    x_key, z_key = key
+    return XZForm(
+        tuple(pauli_from_row(r, n_qubits) for r in x_key),
+        tuple(pauli_from_row(r, n_qubits) for r in z_key),
+    )
+
+
+def _xz_split(
+    rows: Sequence[int], n_qubits: int
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The ``rows_rref`` keys of the X-type and Z-type parts of
+    ``find_xz_form`` for the subgroup whose ``rows_rref`` basis is
+    ``rows``, or None when no split exists; the rows must already be that
+    basis.  The pair is the two-measurement witness's identity key."""
     n = len(rows)
     x_mask = (1 << n_qubits) - 1
     # In reduced row-echelon form the rows with a Z-part have their pivots
@@ -587,10 +624,7 @@ def _xz_split(rows: Sequence[int], n_qubits: int) -> Optional[XZForm]:
             x_rows.append(member)
         elif member & x_mask == 0:
             z_rows.append(member)
-    return XZForm(
-        tuple(pauli_from_row(r, n_qubits) for r in rows_rref(x_rows)),
-        tuple(pauli_from_row(r, n_qubits) for r in rows_rref(z_rows)),
-    )
+    return tuple(rows_rref(x_rows)), tuple(rows_rref(z_rows))
 
 
 def two_measurement_from_standard(spec: WitnessSpec) -> Optional[WitnessSpec]:
@@ -626,14 +660,15 @@ def _two_measurement_variants(specs: Iterable[WitnessSpec]) -> list[WitnessSpec]
     (X-span, Z-span) pair and sorted by it.
 
     A census witness's basis is its RREF key (``_standard_specs``), so its
-    rows go to the split as they are, without another reduction.
+    rows go to the split as they are, without another reduction, and the
+    split's own RREF rows are the variant's identity key.
     """
     seen = {}
     for spec in specs:
-        rows = [pauli_row(p) for p in spec.basis]
-        variant = _two_measurement_variant(spec, _xz_split(rows, spec.n_qubits))
-        if variant is not None:
-            seen[variant.identity_key] = variant
+        key = _xz_split([pauli_row(p) for p in spec.basis], spec.n_qubits)
+        if key is not None and key not in seen:
+            form = _xz_form(key, spec.n_qubits)
+            seen[key] = _two_measurement_variant(spec, form)
     return [seen[k] for k in sorted(seen)]
 
 

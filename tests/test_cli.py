@@ -188,6 +188,20 @@ class TestEval:
             main(["eval", "color_code_7", "--kinds", "standard"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_refuses_non_finite_sigma_threshold(self, capsys, value):
+        with pytest.raises(SystemExit) as err:
+            main(
+                [
+                    "eval", "color_code_7", "--werner", "0.9",
+                    "--omega", "5,6", f"--sigma-threshold={value}",
+                ]
+            )
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--sigma-threshold must be finite" in captured.err
+
 
 class TestOtherCommands:
     def test_orbit(self, capsys, tmp_path):

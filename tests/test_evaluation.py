@@ -84,6 +84,19 @@ class TestDataset:
                 "pauli,expectation,shots\nXX,0.5,100\nXX,0.4,100\n"
             )
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("ZZI,abc,100", "line 3: expectation 'abc' of ZZI is not a number"),
+            ("ZZI,0.5,1e3", "line 3: shot count '1e3' of ZZI is not an integer"),
+        ],
+    )
+    def test_bad_number_names_line_and_label(self, row, message):
+        text = f"pauli,expectation,shots\nXXI,0.5,100\n{row}\n"
+        with pytest.raises(ValueError) as err:
+            MeasurementDataset.from_csv(text)
+        assert str(err.value) == message
+
     def test_identity_always_served(self):
         data = MeasurementDataset(2, {"XX": (0.5, 10)})
         identity = parse_pauli("II")

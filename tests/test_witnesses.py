@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -372,6 +373,11 @@ def _direct_subgroups(element_rows, exponent_basis, rank, n_qubits):
             yield active, tuple(rows_rref(rows))
 
 
+def mask_to_omega(mask):
+    """The 1-based qubit labels of a bit mask, ascending."""
+    return tuple(q + 1 for q in range(mask.bit_length()) if (mask >> q) & 1)
+
+
 def naive_direct_census(group) -> dict:
     """The direct census by a scan of every subgroup of rank 2..N-1, with
     no pruning: the oracle of the pruned search."""
@@ -381,11 +387,25 @@ def naive_direct_census(group) -> dict:
     keys = {omega: [] for omega in all_subsystems(n_qubits)}
     for rank in range(2, n_qubits):
         for active, key in _direct_subgroups(element_rows, units, rank, n_qubits):
-            keys[witnesses._mask_to_omega(active)].append(key)
+            keys[mask_to_omega(active)].append(key)
     return {
         omega: witnesses._standard_specs(omega, found, n_qubits)
         for omega, found in keys.items()
     }
+
+
+def naive_direct_keys(element_rows, rank, n_qubits, outside):
+    """Yield (active mask, RREF key) like ``_direct_keys``, searching the
+    span by exponent vectors over the generators, testing every leaf with
+    rank active qubits with the full predicate and reducing its rows to a
+    key with ``rows_rref``."""
+    for active, rows in witnesses._subgroup_search(
+        element_rows, rank, n_qubits, outside
+    ):
+        if active.bit_count() != rank:
+            continue
+        if next(witnesses._failed_conditions(rows, active, n_qubits), None) is None:
+            yield active, tuple(rows_rref(rows))
 
 
 def _letter_kernels(generator_rows, omega_mask, n_qubits):
@@ -455,7 +475,9 @@ class TestPrunedSearch:
     """``direct_census`` and ``enumerate_direct`` walk a pruned depth-first
     search; the unpruned scan ``naive_direct_census`` is their oracle, and
     the letter-kernel scan ``naive_enumerate_direct`` is the per-subsystem
-    oracle where the full scan is too slow."""
+    oracle where the full scan is too slow.  ``naive_direct_keys``, the
+    search over generator coordinates with the full predicate at each
+    leaf, is the oracle of the two-rank leaf test in RREF coordinates."""
 
     def test_census_matches_scan_on_color_code(self, color_group, naive_color):
         assert direct_census(color_group) == naive_color
@@ -508,6 +530,53 @@ class TestPrunedSearch:
             assert enumerate_direct(group, omega) == naive_enumerate_direct(
                 group, omega
             )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_census_matches_full_predicate_per_rank_on_random8(self, seed):
+        group = span_group(random_stabilizer_set(random.Random(seed), 8))
+        census = direct_census(group)
+        element_rows = [pauli_row(e) for e in group.elements]
+        for rank in range(2, 8):
+            keys = {omega: [] for omega in census if len(omega) == rank}
+            for active, key in naive_direct_keys(element_rows, rank, 8, 0):
+                keys[mask_to_omega(active)].append(key)
+            expected = {
+                omega: witnesses._standard_specs(omega, found, 8)
+                for omega, found in keys.items()
+            }
+            assert {omega: census[omega] for omega in keys} == expected, rank
+
+    def test_leaves_are_their_keys_and_two_ranks_are_the_predicate(
+        self, color_group
+    ):
+        groups = [color_group] + [
+            span_group(random_stabilizer_set(random.Random(seed), n_qubits))
+            for n_qubits, seed in [(5, 505), (6, 506), (6, 516), (6, 6)]
+        ]
+        failures = collections.Counter()
+        for group in groups:
+            n_qubits = group.n_qubits
+            span = witnesses._rref_span(group)
+            for rank in range(2, n_qubits):
+                accepted = set()
+                for active, rows in witnesses._subgroup_search(
+                    span, rank, n_qubits, 0
+                ):
+                    assert rows[::-1] == tuple(rows_rref(rows))
+                    if active.bit_count() != rank:
+                        continue
+                    failed = tuple(
+                        witnesses._failed_conditions(rows, active, n_qubits)
+                    )
+                    # (i) and (iii) hold by construction at such a leaf
+                    assert set(failed) <= {"ii", "iv"}
+                    failures[failed] += 1
+                    if not failed:
+                        accepted.add((active, rows[::-1]))
+                found = set(witnesses._direct_keys(span, rank, n_qubits, 0))
+                assert found == accepted, (n_qubits, rank)
+        # each of the two rank tests is the only one to reject some leaf
+        assert failures[("ii",)] and failures[("iv",)]
 
     @pytest.mark.parametrize("n_qubits,seed", [(5, 505), (6, 506)])
     def test_outside_prune_keeps_exactly_the_leaves_inside_omega(
@@ -899,6 +968,12 @@ class TestTwoMeasurement:
             for specs in bucket.values():
                 for spec in specs:
                     rows = [pauli_row(p) for p in spec.basis]
+                    assert rows == rows_rref(rows)
+        # the census keys two-measurement variants by the split's own rows
+        for specs in full_census.two_measurement.values():
+            for spec in specs:
+                for part in (spec.x_basis, spec.z_basis):
+                    rows = [pauli_row(p) for p in part]
                     assert rows == rows_rref(rows)
 
     def test_census_split_matches_public_split(self, full_census):

@@ -158,9 +158,16 @@ class MeasurementDataset(_Source):
             if len(row) != 3:
                 raise ValueError(f"line {line_no}: expected 3 fields")
             label, expectation, shots = (f.strip() for f in row)
-            p = parse_pauli(label)
+            try:
+                p = parse_pauli(label)
+            except ValueError as err:
+                raise ValueError(f"line {line_no}: {err}") from None
             if n_qubits is None:
                 n_qubits = p.n_qubits
+            elif p.n_qubits != n_qubits:
+                raise ValueError(
+                    f"line {line_no}: label {label} is not on {n_qubits} qubits"
+                )
             label = p.to_text()
             if label in records:
                 raise ValueError(f"line {line_no}: duplicate label {label}")
@@ -171,6 +178,10 @@ class MeasurementDataset(_Source):
                     f"line {line_no}: expectation {expectation!r} of {label} "
                     "is not a number"
                 ) from None
+            if not -1.0 <= value <= 1.0:
+                raise ValueError(
+                    f"line {line_no}: expectation {value} of {label} outside [-1, 1]"
+                )
             try:
                 count = int(shots)
             except ValueError:
@@ -178,6 +189,10 @@ class MeasurementDataset(_Source):
                     f"line {line_no}: shot count {shots!r} of {label} "
                     "is not an integer"
                 ) from None
+            if count <= 0:
+                raise ValueError(
+                    f"line {line_no}: non-positive shot count for {label}"
+                )
             records[label] = (value, count)
         if n_qubits is None:
             raise ValueError("dataset has no records")

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .binary import pauli_row
 from .groups import basis_key
 from .evaluation import (
     DataSource,
@@ -55,6 +56,17 @@ def _fmt(x: float) -> str:
 
 def _key_digest(key) -> str:
     return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
+
+
+def _two_measurement_key(spec: WitnessSpec) -> tuple:
+    """``identity_key`` of a two-measurement witness read off its parts'
+    packed rows, without an RREF: the parts of every census and genuine
+    two-measurement witness are already the ``rows_rref`` keys of the X
+    and Z spans (``witnesses._xz_split``)."""
+    return (
+        tuple(pauli_row(p) for p in spec.x_basis),
+        tuple(pauli_row(p) for p in spec.z_basis),
+    )
 
 
 def _class_label(omega: tuple[int, ...], n_qubits: int) -> str:
@@ -217,7 +229,7 @@ def witness_rows(census: WitnessCensus) -> list[dict]:
                         "basis": [p.to_text() for p in spec.basis],
                         "x_basis": [p.to_text() for p in spec.x_basis],
                         "z_basis": [p.to_text() for p in spec.z_basis],
-                        "key_digest": _key_digest(spec.identity_key),
+                        "key_digest": _key_digest(_two_measurement_key(spec)),
                         "method": _method(span_key, in_direct, in_graph),
                     }
                 )
@@ -399,12 +411,12 @@ def build_evaluation_report(
             add_standard(spec)
         if WitnessKind.TWO_MEASUREMENT in kinds and census.two_measurement:
             for spec in census.two_measurement.get(omega, ()):
-                add(spec, spec.identity_key)
+                add(spec, _two_measurement_key(spec))
     if include_genuine:
         genuine_standard = WitnessSpec.standard_genuine(genuine_set)
         add_standard(genuine_standard)
         if WitnessKind.TWO_MEASUREMENT in kinds:
             genuine_two = two_measurement_from_standard(genuine_standard)
             if genuine_two is not None:
-                add(genuine_two, genuine_two.identity_key)
+                add(genuine_two, _two_measurement_key(genuine_two))
     return EvaluationReport(census.n_qubits, tuple(_sorted_rows(rows)))

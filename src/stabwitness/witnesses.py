@@ -14,7 +14,14 @@ through letter maps; every other member's pulled generators follow from its
 breadth-first parent's, because complementing at v maps them by
 child_u = parent_u ^ parent_v for each neighbor u of v and leaves the rest.
 That step changes the key or the connectivity only of the subsystems that
-miss v and meet its neighborhood, so only those are keyed again.
+miss v and meet its neighborhood, so only those are keyed again.  Each
+member also carries its Z frame: the packed row holding, on each qubit mu,
+the member's Z letter of mu pulled back to the state.  Complementing at v
+changes only v's letter, which gains v's X letter.  The generators of a
+subsystem omega span the group elements whose letter on each qubit mu
+outside omega is I or the frame's letter of mu, so a subsystem's key
+depends only on the frame outside omega, and a subsystem is keyed once per
+distinct masked frame.
 
 The direct enumerators walk the subgroups depth first, one reduced
 row-echelon basis row at a time, in exponent coordinates over the group's
@@ -457,45 +464,54 @@ def _map_row(q: LocalClifford, row: int, n_qubits: int) -> int:
 
 def _orbit_pullback(
     q_le: LocalClifford, orbit: LcOrbit
-) -> Iterator[tuple[Graph, tuple[int, ...], list[int]]]:
-    """Yield (member, sequence, pulled rows) for every orbit member, in
-    orbit order.
+) -> Iterator[tuple[Graph, tuple[int, ...], list[int], int]]:
+    """Yield (member, sequence, pulled rows, frame) for every orbit member,
+    in orbit order.
 
     ``q_le`` maps the state onto the graph form of the orbit's seed; the
     pulled rows are the member's graph generators carried back to the state,
-    as packed 2N-bit rows, one per vertex.  The seed's rows come from the
-    inverse letter maps.  Every other member's rows come from its
-    breadth-first parent, the member of ``sequence[:-1]``: complementing at
-    v maps the pulled generators by
+    as packed 2N-bit rows, one per vertex, and the frame is the packed
+    2N-bit row holding on each qubit mu the member's Z letter of mu carried
+    back the same way.  The seed's rows and frame come from the inverse
+    letter maps.  Every other member's come from its breadth-first parent,
+    the member of ``sequence[:-1]``: complementing at v maps the pulled
+    generators by
 
         child_u = parent_u ^ parent_v  for u in N(v),  parent_u otherwise,
 
     because the inverse of the complementation's letter maps sends the
     child's generator g'_u to g_u g_v for each neighbor u of v and to g_u
-    elsewhere.
+    elsewhere.  Those letter maps are a square root of X on v and of Z on
+    its neighbors, so only v's Z letter changes: it gains v's X letter,
+    which the parent's row of v carries on qubit v.
     """
     inverse = q_le.inverse()
     n_qubits = q_le.n_qubits
     seed = orbit.graphs[0]
     # the seed's graph generator of vertex mu: X on mu, Z on its neighbors
-    by_sequence = {
-        (): [
-            _map_row(inverse, (seed.adjacency[mu] << n_qubits) | 1 << mu, n_qubits)
-            for mu in range(n_qubits)
-        ]
-    }
+    seed_rows = [
+        _map_row(inverse, (seed.adjacency[mu] << n_qubits) | 1 << mu, n_qubits)
+        for mu in range(n_qubits)
+    ]
+    seed_frame = _map_row(inverse, ((1 << n_qubits) - 1) << n_qubits, n_qubits)
+    by_sequence = {(): (seed_rows, seed_frame)}
     for member, sequence in orbit.items():
         if sequence:
-            parent = by_sequence[sequence[:-1]]
+            parent, parent_frame = by_sequence[sequence[:-1]]
             vertex = sequence[-1]
             # v's neighborhood is the same before and after complementing
             hood = member.adjacency[vertex - 1]
             pivot = parent[vertex - 1]
-            by_sequence[sequence] = [
-                row ^ pivot if (hood >> u) & 1 else row
-                for u, row in enumerate(parent)
-            ]
-        yield member, sequence, by_sequence[sequence]
+            qubit = ((1 << n_qubits) | 1) << (vertex - 1)
+            by_sequence[sequence] = (
+                [
+                    row ^ pivot if (hood >> u) & 1 else row
+                    for u, row in enumerate(parent)
+                ],
+                parent_frame ^ (pivot & qubit),
+            )
+        rows, frame = by_sequence[sequence]
+        yield member, sequence, rows, frame
 
 
 def enumerate_graph_based(
@@ -516,8 +532,17 @@ def enumerate_graph_based(
     its span (each changed row gains the row of v, which it holds) and its
     connectivity (complementing at v commutes with inducing on omega and
     keeps a graph connected); one missing v and N(v) keeps its rows and its
-    induced subgraph.  So the cost is the orbit size times the subsystems
-    each complementation touches.
+    induced subgraph.
+
+    Each key is a function of the member's frame outside omega.  In a
+    graph's own frame the product of the generators of a vertex set A has
+    X-part exactly A, so the span of the generators of omega is the set of
+    group elements whose letter on each qubit mu outside omega is I or the
+    frame's Z letter of mu.  So a subsystem is keyed, and its connectivity
+    tested, only when its masked frame is new; only connected members
+    record one.  A local symmetry maps that set for frame f onto the set
+    for its image of f, so the sweep maps the frame first and reduces a
+    key's image only when the image frame is new.
     """
     n_qubits = s.n_qubits
     q_le, _, graph0 = find_graph_equivalence(s)
@@ -526,30 +551,41 @@ def enumerate_graph_based(
 
     subsystems = all_subsystems(n_qubits)
     masks = [_omega_to_mask(omega) for omega in subsystems]
-    indices = {
-        mask: [q - 1 for q in omega] for omega, mask in zip(subsystems, masks)
+    full = (1 << n_qubits) - 1
+    # per subsystem: the qubits outside it in both letter blocks, its
+    # vertex indices, and its keys by masked frame
+    slots = {
+        mask: (
+            ((full ^ mask) << n_qubits) | (full ^ mask),
+            [q - 1 for q in omega],
+            {},
+        )
+        for omega, mask in zip(subsystems, masks)
     }
-
-    found: dict[int, set[tuple[int, ...]]] = {mask: set() for mask in masks}
-    for member, sequence, rows in _orbit_pullback(q_le, orbit):
+    for member, sequence, rows, frame in _orbit_pullback(q_le, orbit):
         touched = masks
         if sequence:
             vertex = sequence[-1]
             hood = member.adjacency[vertex - 1]
             touched = [m for m in masks if m & hood and not (m >> (vertex - 1)) & 1]
         for mask in touched:
-            if _connected_mask(member.adjacency, mask):
-                found[mask].add(tuple(rows_rref([rows[u] for u in indices[mask]])))
+            outside, indices, keys = slots[mask]
+            masked = frame & outside
+            if masked not in keys and _connected_mask(member.adjacency, mask):
+                keys[masked] = tuple(rows_rref([rows[u] for u in indices]))
 
     inverses = [sym.inverse() for sym in symmetries if not sym.is_identity()]
     out: dict[tuple[int, ...], list[WitnessSpec]] = {}
     for omega, mask in zip(subsystems, masks):
-        keys = set(found[mask])
-        for inv_sym in inverses:
-            for key in found[mask]:
-                image = [_map_row(inv_sym, r, n_qubits) for r in key]
-                keys.add(tuple(rows_rref(image)))
-        out[omega] = _standard_specs(omega, keys, n_qubits)
+        keys = slots[mask][2]
+        for masked, key in list(keys.items()):
+            for inv_sym in inverses:
+                image = _map_row(inv_sym, masked, n_qubits)
+                if image not in keys:
+                    keys[image] = tuple(
+                        rows_rref([_map_row(inv_sym, r, n_qubits) for r in key])
+                    )
+        out[omega] = _standard_specs(omega, set(keys.values()), n_qubits)
     return out
 
 

@@ -89,9 +89,25 @@ class TestDataset:
         [
             ("ZZI,abc,100", "line 3: expectation 'abc' of ZZI is not a number"),
             ("ZZI,0.5,1e3", "line 3: shot count '1e3' of ZZI is not an integer"),
+            ("ZZI,nan,100", "line 3: expectation nan of ZZI outside [-1, 1]"),
+            ("ZZI,-1.5,100", "line 3: expectation -1.5 of ZZI outside [-1, 1]"),
+            ("ZZI,0.5,0", "line 3: non-positive shot count for ZZI"),
         ],
     )
     def test_bad_number_names_line_and_label(self, row, message):
+        text = f"pauli,expectation,shots\nXXI,0.5,100\n{row}\n"
+        with pytest.raises(ValueError) as err:
+            MeasurementDataset.from_csv(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("ZQI,0.5,10", "line 3: invalid Pauli letter 'Q' in 'ZQI'"),
+            ("ZZ,0.5,10", "line 3: label ZZ is not on 3 qubits"),
+        ],
+    )
+    def test_bad_label_names_line(self, row, message):
         text = f"pauli,expectation,shots\nXXI,0.5,100\n{row}\n"
         with pytest.raises(ValueError) as err:
             MeasurementDataset.from_csv(text)

@@ -4,13 +4,19 @@ import pytest
 
 from stabwitness.evaluation import MeasurementDataset, WernerModel
 from stabwitness.reporting import (
+    _two_measurement_key,
     build_census_report,
     build_evaluation_report,
     witness_rows,
     witness_rows_to_csv,
     witness_rows_to_json,
 )
-from stabwitness.witnesses import WitnessKind, run_census
+from stabwitness.witnesses import (
+    WitnessKind,
+    WitnessSpec,
+    run_census,
+    two_measurement_from_standard,
+)
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +93,17 @@ class TestWitnessRows:
         assert len(text.splitlines()) == len(rows) + 1
         parsed = json.loads(witness_rows_to_json(rows))
         assert len(parsed) == len(rows)
+
+
+class TestTwoMeasurementKeys:
+    def test_read_off_key_is_identity_key(self, full_census, color_code_module):
+        specs = [s for v in full_census.two_measurement.values() for s in v]
+        genuine = two_measurement_from_standard(
+            WitnessSpec.standard_genuine(color_code_module)
+        )
+        assert genuine is not None
+        for spec in specs + [genuine]:
+            assert _two_measurement_key(spec) == spec.identity_key
 
 
 class TestEvaluationReport:

@@ -849,7 +849,7 @@ class TestIncrementalPullback:
         orbit = lc_orbit(graph0)
         derived = [
             (member, rows)
-            for member, _, rows in witnesses._orbit_pullback(q_le, orbit)
+            for member, _, rows, _ in witnesses._orbit_pullback(q_le, orbit)
         ]
         assert derived == naive_pulled_rows(s)
 
@@ -861,6 +861,126 @@ class TestIncrementalPullback:
                 if case.startswith(f"random{n}_")
             }
             assert len(seeds) > 1
+
+
+def naive_incremental_graph_based(s: GeneratorSet) -> dict:
+    """The graph-based census by the incremental walk without the frame
+    memo: every connected touched subsystem of every member keyed by
+    ``rows_rref``, and every key's image under every symmetry reduced."""
+    n_qubits = s.n_qubits
+    q_le, _, graph0 = find_graph_equivalence(s)
+    symmetries = find_local_symmetries(s)
+    subsystems = all_subsystems(n_qubits)
+    masks = {sum(1 << (q - 1) for q in omega): omega for omega in subsystems}
+    found = {mask: set() for mask in masks}
+    for member, sequence, rows, _ in witnesses._orbit_pullback(
+        q_le, lc_orbit(graph0)
+    ):
+        touched = list(masks)
+        if sequence:
+            vertex = sequence[-1]
+            hood = member.adjacency[vertex - 1]
+            touched = [m for m in masks if m & hood and not (m >> (vertex - 1)) & 1]
+        for mask in touched:
+            if _connected_mask(member.adjacency, mask):
+                omega_rows = [rows[q - 1] for q in masks[mask]]
+                found[mask].add(tuple(rows_rref(omega_rows)))
+    inverses = [sym.inverse() for sym in symmetries if not sym.is_identity()]
+    out = {}
+    for mask, omega in masks.items():
+        keys = set(found[mask])
+        for inv_sym in inverses:
+            for key in found[mask]:
+                image = [witnesses._map_row(inv_sym, r, n_qubits) for r in key]
+                keys.add(tuple(rows_rref(image)))
+        out[omega] = [
+            WitnessSpec.standard_local(
+                omega, [pauli_from_row(r, n_qubits) for r in key]
+            )
+            for key in sorted(keys)
+        ]
+    return out
+
+
+# graphs 0-3 of the random-state recipe on 8 qubits
+RECIPE8_CASES = [
+    (f"recipe8_{g}", random_stabilizer_set(random.Random(g), 8)) for g in range(4)
+]
+FRAME_CASES = PULLBACK_CASES + RECIPE8_CASES
+
+
+class TestFrameMemo:
+    @pytest.mark.parametrize(
+        "s", [s for _, s in FRAME_CASES], ids=[i for i, _ in FRAME_CASES]
+    )
+    def test_neighbors_carry_the_frame(self, s):
+        # the graph generator of u carries Z on each neighbor mu of u
+        q_le, _, graph0 = find_graph_equivalence(s)
+        # per qubit, the packed-row mask of its Z and X bits
+        qubits = [((1 << s.n_qubits) | 1) << mu for mu in range(s.n_qubits)]
+        for member, _, rows, frame in witnesses._orbit_pullback(
+            q_le, lc_orbit(graph0)
+        ):
+            for mu, qubit in enumerate(qubits):
+                assert frame & qubit
+                for u, row in enumerate(rows):
+                    if (member.adjacency[mu] >> u) & 1:
+                        assert row & qubit == frame & qubit
+
+    @pytest.mark.parametrize(
+        "s", [s for _, s in FRAME_CASES], ids=[i for i, _ in FRAME_CASES]
+    )
+    def test_key_is_the_frame_kernel(self, s):
+        # span{K_u : u in omega} = {g : letter on each mu outside omega is
+        # I or the frame's Z letter of mu}, on the seed and sampled members
+        n_qubits = s.n_qubits
+        full = (1 << n_qubits) - 1
+        elements = [pauli_row(g) for g in span_group(s).elements]
+        q_le, _, graph0 = find_graph_equivalence(s)
+        members = list(witnesses._orbit_pullback(q_le, lc_orbit(graph0)))
+        sample = members[:1] + random.Random(n_qubits).sample(
+            members[1:], min(4, len(members) - 1)
+        )
+        checked = 0
+        for member, _, rows, frame in sample:
+            for omega in all_subsystems(n_qubits):
+                mask = sum(1 << (q - 1) for q in omega)
+                if not _connected_mask(member.adjacency, mask):
+                    continue
+                outside = full ^ mask
+                kernel = []
+                for g in elements:
+                    off = g ^ frame
+                    # qubits where g is not I and not the frame's letter
+                    clash = ((g >> n_qubits) | g) & ((off >> n_qubits) | off)
+                    if not clash & outside:
+                        kernel.append(g)
+                pulled = rows_rref([rows[q - 1] for q in omega])
+                assert pulled == rows_rref(kernel)
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize(
+        "s", [s for _, s in RECIPE8_CASES], ids=[i for i, _ in RECIPE8_CASES]
+    )
+    def test_matches_memo_free_loop(self, s):
+        assert enumerate_graph_based(s) == naive_incremental_graph_based(s)
+
+    def test_color_code_reduces_each_masked_frame_once(self, monkeypatch):
+        # one rows_rref per (subsystem, masked frame) of a connected member
+        # or of a symmetry image; keying every connected touched subsystem
+        # and every image took 21,244
+        calls = []
+        reduce = witnesses.rows_rref
+
+        def counted(rows):
+            calls.append(None)
+            return reduce(rows)
+
+        monkeypatch.setattr(witnesses, "rows_rref", counted)
+        census = enumerate_graph_based(build_color_code())
+        assert sum(len(v) for v in census.values()) == 3122
+        assert len(calls) == 4237
 
 
 def naive_xz_form(paulis) -> "XZForm | None":

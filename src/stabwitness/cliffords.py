@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .binary import BitMatrix, PauliOperator, invert_mod2, rows_rank
-from .groups import GeneratorSet, RecombinationMatrix, recombine, span_group
-from .graphs import CapacityError, Graph, graph_generators
+from .binary import BitMatrix, PauliOperator, invert_mod2, rows_rank, solve_mod2
+from .groups import GeneratorSet, RecombinationMatrix, recombine
+from .graphs import Graph, graph_generators
 
 __all__ = [
     "SingleQubitClifford",
@@ -27,10 +27,7 @@ __all__ = [
     "lc_unitary_binary",
     "find_graph_equivalence",
     "find_local_symmetries",
-    "MAX_SYMMETRY_QUBITS",
 ]
-
-MAX_SYMMETRY_QUBITS = 8
 
 
 @dataclass(frozen=True)
@@ -268,54 +265,41 @@ def find_graph_equivalence(
 def find_local_symmetries(s: GeneratorSet) -> list[LocalClifford]:
     """All phaseless local Cliffords mapping the spanned group onto itself.
 
-    Exhaustive scan over the 6^N per-qubit assignments, pruned qubit by
-    qubit: a partial assignment survives only while every generator image,
-    restricted to the assigned qubits, still matches the restriction of some
-    group element.  The identity is always in the result.
+    One GF(2) solve on the graph form (Van den Nest, Dehaene and De Moor,
+    PRA 70, 034302, 2004), conjugated back by ``find_graph_equivalence``'s
+    letter maps.  Qubit k's letter map (a b / c d) is 4 unknowns, and the
+    image of graph generator i, (Gamma_i | e_i), is in the group exactly
+    when, for every j, Gamma_ij a_j + delta_ij b_i + Gamma_ij d_i
+    + sum_k Gamma_ik Gamma_kj c_k = 0.  A nullspace vector from
+    ``solve_mod2`` has its lowest bit at its free column, so choosing from
+    the vectors qubit block by qubit block fixes one letter map at a time,
+    and a branch ends at the first singular one.
     """
+    q_le, _, graph = find_graph_equivalence(s)
     n = s.n_qubits
-    if n > MAX_SYMMETRY_QUBITS:
-        raise CapacityError(
-            f"symmetry scan capped at {MAX_SYMMETRY_QUBITS} qubits, got {n}"
-        )
-    group = span_group(s)
-    prefix_sets: list[set[tuple[int, int]]] = []
-    for k in range(1, n + 1):
-        mask = (1 << k) - 1
-        prefix_sets.append(
-            {(e.z_bits & mask, e.x_bits & mask) for e in group.elements}
-        )
-
-    gens = s.generators
-    n_gens = len(gens)
-    found: list[LocalClifford] = []
-
-    def extend(depth: int, images: list[tuple[int, int]], chosen: list[SingleQubitClifford]) -> None:
-        if depth == n:
-            found.append(LocalClifford(tuple(chosen)))
-            return
-        bit = 1 << depth
-        mask = (bit << 1) - 1
-        prefixes = prefix_sets[depth]
-        for q in SINGLE_QUBIT_CLIFFORDS:
-            new_images = []
-            ok = True
-            for i in range(n_gens):
-                z, x = images[i]
-                zb = (gens[i].z_bits >> depth) & 1
-                xb = (gens[i].x_bits >> depth) & 1
-                nz = (q.a & zb) ^ (q.b & xb)
-                nx = (q.c & zb) ^ (q.d & xb)
-                z |= nz << depth
-                x |= nx << depth
-                if (z & mask, x & mask) not in prefixes:
-                    ok = False
-                    break
-                new_images.append((z, x))
-            if ok:
-                chosen.append(q)
-                extend(depth + 1, new_images, chosen)
-                chosen.pop()
-
-    extend(0, [(0, 0)] * n_gens, [])
-    return found
+    adj = graph.adjacency
+    equations = []
+    for i in range(n):
+        for j in range(n):
+            row = 1 << 4 * i + 1 if i == j else 0
+            if (adj[i] >> j) & 1:
+                row |= 1 << 4 * j | 1 << 4 * i + 3
+            for k in range(n):
+                if (adj[i] >> k) & (adj[k] >> j) & 1:
+                    row |= 1 << 4 * k + 2
+            equations.append(row)
+    _, nullspace = solve_mod2(BitMatrix(n * n, 4 * n, tuple(equations)), 0)
+    spans = [[0] for _ in range(n)]
+    for vec in nullspace:
+        span = spans[((vec & -vec).bit_length() - 1) // 4]
+        span.extend([v ^ vec for v in span])
+    by_bits = {q.a | q.b << 1 | q.c << 2 | q.d << 3: q for q in _BY_MATRIX.values()}
+    partial = [(0, ())]
+    for k, span in enumerate(spans):
+        partial = [
+            (bits, chosen + (by_bits[(bits >> 4 * k) & 15],))
+            for acc, chosen in partial
+            for bits in (acc ^ v for v in span)
+            if (bits >> 4 * k) & 15 in by_bits
+        ]
+    return [q_le.inverse().compose(LocalClifford(c).compose(q_le)) for _, c in partial]

@@ -275,4 +275,11 @@ def graph_from_json(text: str) -> Graph:
         raise ValueError(f"invalid graph JSON: {exc}") from exc
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise ValueError('graph JSON must carry "n" and "edges"')
-    return Graph.from_edges(payload["n"], payload["edges"])
+    n, edges = payload["n"], payload["edges"]
+    if type(n) is not int:
+        raise ValueError('graph JSON field "n" must be an integer')
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and [type(v) for v in e] == [int, int] for e in edges
+    ):
+        raise ValueError('graph JSON field "edges" must be a list of integer pairs')
+    return Graph.from_edges(n, edges)

@@ -380,6 +380,14 @@ def code_from_json(text: str) -> tuple[str, GeneratorSet]:
     except KeyError as exc:
         raise ValueError(f"code JSON missing field {exc}") from exc
     labels = payload.get("labels")
+    if type(n_qubits) is not int:
+        raise ValueError('code JSON field "n_qubits" must be an integer')
+    for field, value in (
+        ("generators", texts),
+        ("labels", [] if labels is None else labels),
+    ):
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ValueError(f'code JSON field "{field}" must be a list of strings')
     gens = GeneratorSet.from_texts(texts, labels)
     if gens.n_qubits != n_qubits:
         raise ValueError(

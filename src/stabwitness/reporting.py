@@ -58,15 +58,17 @@ def _key_digest(key) -> str:
     return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
 
 
-def _two_measurement_key(spec: WitnessSpec) -> tuple:
-    """``identity_key`` of a two-measurement witness read off its parts'
-    packed rows, without an RREF: the parts of every census and genuine
-    two-measurement witness are already the ``rows_rref`` keys of the X
-    and Z spans (``witnesses._xz_split``)."""
-    return (
-        tuple(pauli_row(p) for p in spec.x_basis),
-        tuple(pauli_row(p) for p in spec.z_basis),
-    )
+def _census_key(spec: WitnessSpec) -> tuple:
+    """``identity_key`` of a census witness read off its packed rows,
+    without an RREF: every census basis is already its ``rows_rref`` key,
+    and so are the X and Z parts of every census and genuine
+    two-measurement witness (``witnesses._xz_split``)."""
+    if spec.kind is WitnessKind.TWO_MEASUREMENT:
+        return (
+            tuple(pauli_row(p) for p in spec.x_basis),
+            tuple(pauli_row(p) for p in spec.z_basis),
+        )
+    return tuple(pauli_row(p) for p in spec.basis)
 
 
 def _class_label(omega: tuple[int, ...], n_qubits: int) -> str:
@@ -199,14 +201,13 @@ def _method(key, direct_keys, graph_keys) -> str:
 def witness_rows(census: WitnessCensus) -> list[dict]:
     """One row per witness: omega, kind, basis, key digest, method."""
     graph_keys = {
-        omega: {s.identity_key for s in specs}
+        omega: {_census_key(s) for s in specs}
         for omega, specs in (census.graph_based or {}).items()
     }
     rows = []
     for omega in census.subsystems():
         specs = (census.direct or census.graph_based or {}).get(omega, ())
-        # identity_key costs an RREF: each standard witness's is computed once
-        keys = [s.identity_key for s in specs]
+        keys = [_census_key(s) for s in specs]
         in_direct = set(keys) if census.direct else set()
         in_graph = graph_keys.get(omega, set())
         for spec, key in zip(specs, keys):
@@ -229,7 +230,7 @@ def witness_rows(census: WitnessCensus) -> list[dict]:
                         "basis": [p.to_text() for p in spec.basis],
                         "x_basis": [p.to_text() for p in spec.x_basis],
                         "z_basis": [p.to_text() for p in spec.z_basis],
-                        "key_digest": _key_digest(_two_measurement_key(spec)),
+                        "key_digest": _key_digest(_census_key(spec)),
                         "method": _method(span_key, in_direct, in_graph),
                     }
                 )
@@ -396,11 +397,9 @@ def build_evaluation_report(
     def add(spec: WitnessSpec, key) -> None:
         rows.append(_row_for(spec, key, evaluate(spec, data, sigma_threshold)))
 
-    def add_standard(spec: WitnessSpec) -> None:
-        # a key costs an RREF, and an alternative witness has the basis, so
-        # the key, of its standard witness
+    def add_standard(spec: WitnessSpec, key) -> None:
+        # an alternative witness shares its standard witness's basis and key
         if WitnessKind.STANDARD in kinds or WitnessKind.ALTERNATIVE in kinds:
-            key = spec.identity_key
             if WitnessKind.STANDARD in kinds:
                 add(spec, key)
             if WitnessKind.ALTERNATIVE in kinds:
@@ -408,15 +407,16 @@ def build_evaluation_report(
 
     for omega in census.subsystems():
         for spec in source.get(omega, ()):
-            add_standard(spec)
+            add_standard(spec, _census_key(spec))
         if WitnessKind.TWO_MEASUREMENT in kinds and census.two_measurement:
             for spec in census.two_measurement.get(omega, ()):
-                add(spec, _two_measurement_key(spec))
+                add(spec, _census_key(spec))
     if include_genuine:
+        # the generator set is not in RREF, so its key is reduced
         genuine_standard = WitnessSpec.standard_genuine(genuine_set)
-        add_standard(genuine_standard)
+        add_standard(genuine_standard, genuine_standard.identity_key)
         if WitnessKind.TWO_MEASUREMENT in kinds:
             genuine_two = two_measurement_from_standard(genuine_standard)
             if genuine_two is not None:
-                add(genuine_two, _two_measurement_key(genuine_two))
+                add(genuine_two, _census_key(genuine_two))
     return EvaluationReport(census.n_qubits, tuple(_sorted_rows(rows)))

@@ -213,6 +213,41 @@ class TestOtherCommands:
         assert payload["size"] == 4
         assert payload["members"][0]["sequence"] == []
 
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            ('{"n": "3", "edges": []}', '"n"'),
+            ('{"n": 3, "edges": [[1, "2"]]}', '"edges"'),
+            ('{"n": 3, "edges": 5}', '"edges"'),
+        ],
+    )
+    def test_orbit_names_mistyped_field(self, capsys, tmp_path, text, field):
+        path = tmp_path / "graph.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "orbit", "--graph", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: graph JSON field ")
+        assert f"field {field} " in err
+
+    @pytest.mark.parametrize(
+        "extra,field",
+        [
+            ('"generators": [1, 2]', '"generators"'),
+            ('"generators": ["XX", "ZZ"], "labels": 5', '"labels"'),
+        ],
+    )
+    def test_enumerate_names_mistyped_field(self, capsys, tmp_path, extra, field):
+        path = tmp_path / "code.json"
+        path.write_text('{"name": "pair", "n_qubits": 2, ' + extra + "}")
+        with pytest.raises(SystemExit) as err:
+            main(["enumerate", "--file", str(path)])
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad code file: code JSON field ")
+        assert f"field {field} " in captured.err
+
     def test_critical_prob_standard(self, capsys):
         code, out, _ = run_cli(capsys, "critical-prob", "--kind", "standard", "--n", "2")
         assert code == 0

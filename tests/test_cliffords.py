@@ -13,7 +13,7 @@ from stabwitness.cliffords import (
     find_local_symmetries,
     lc_unitary_binary,
 )
-from stabwitness.graphs import CapacityError, Graph, graph_generators, lc_orbit, local_complement
+from stabwitness.graphs import Graph, graph_generators, lc_orbit, local_complement
 from stabwitness.groups import (
     GeneratorSet,
     build_color_code,
@@ -22,8 +22,11 @@ from stabwitness.groups import (
     span_paulis,
     subgroup_key,
 )
+from stabwitness.witnesses import direct_census, enumerate_graph_based
 
+from conftest import random_stabilizer_set
 from test_graphs import CODE_GRAPH, K4, random_graph
+from test_witnesses import ring_group
 
 
 def random_local_clifford(rng, n):
@@ -226,7 +229,138 @@ class TestLocalSymmetries:
             a, b = rng.choice(sym), rng.choice(sym)
             assert a.compose(b).to_text() in texts
 
-    def test_capacity_cap(self):
-        gens = GeneratorSet.from_texts(["X" * 9] + ["I" * i + "ZZ" + "I" * (7 - i) for i in range(8)])
-        with pytest.raises(CapacityError):
-            find_local_symmetries(gens)
+
+def naive_local_symmetries(s):
+    """Oracle: the 6^N scan over per-qubit letter maps, pruned qubit by
+    qubit; a partial assignment survives only while every generator image,
+    restricted to the assigned qubits, matches the restriction of some
+    group element."""
+    n = s.n_qubits
+    group = span_group(s)
+    prefix_sets = []
+    for k in range(1, n + 1):
+        mask = (1 << k) - 1
+        prefix_sets.append(
+            {(e.z_bits & mask, e.x_bits & mask) for e in group.elements}
+        )
+    gens = s.generators
+    found = []
+
+    def extend(depth, images, chosen):
+        if depth == n:
+            found.append(LocalClifford(tuple(chosen)))
+            return
+        mask = (2 << depth) - 1
+        for q in SINGLE_QUBIT_CLIFFORDS:
+            new_images = []
+            for g, (z, x) in zip(gens, images):
+                zb = (g.z_bits >> depth) & 1
+                xb = (g.x_bits >> depth) & 1
+                z |= ((q.a & zb) ^ (q.b & xb)) << depth
+                x |= ((q.c & zb) ^ (q.d & xb)) << depth
+                if (z & mask, x & mask) not in prefix_sets[depth]:
+                    break
+                new_images.append((z, x))
+            else:
+                chosen.append(q)
+                extend(depth + 1, new_images, chosen)
+                chosen.pop()
+
+    extend(0, [(0, 0)] * len(gens), [])
+    return found
+
+
+def benchmark_state(graph_seed, scramble, n):
+    """The benchmark's random state: the recipe's graph for ``graph_seed``
+    under the letter maps of ``scramble`` (0 is the recipe's own)."""
+    rng = random.Random(graph_seed)
+    letters = random_local_clifford(rng, n)
+    graph = random_graph(rng, n)
+    if scramble:
+        letters = random_local_clifford(
+            random.Random(f"scramble:{graph_seed}:{scramble}"), n
+        )
+    return apply_to_generators(letters, graph_generators(graph))
+
+
+def named_graph(name, n):
+    edges = {
+        "edgeless": [],
+        "star": [(1, k) for k in range(2, n + 1)],
+        "complete": list(itertools.combinations(range(1, n + 1), 2)),
+        "matching": [(k, k + 1) for k in range(1, n, 2)],
+        "ring": [(k, k % n + 1) for k in range(1, n + 1)],
+    }[name]
+    return graph_generators(Graph.from_edges(n, edges))
+
+
+def symmetry_texts(symmetries):
+    texts = {q.to_text() for q in symmetries}
+    assert len(texts) == len(symmetries)
+    return texts
+
+
+class TestSymmetrySolveMatchesScan:
+    """``find_local_symmetries`` solves one GF(2) system on the graph form;
+    the backtracking scan ``naive_local_symmetries`` is its oracle."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_random_states(self, n):
+        rng = random.Random(1000 + n)
+        for _ in range(60):
+            s = random_stabilizer_set(rng, n)
+            assert symmetry_texts(find_local_symmetries(s)) == symmetry_texts(
+                naive_local_symmetries(s)
+            )
+
+    def test_color_code(self):
+        s = build_color_code()
+        assert symmetry_texts(find_local_symmetries(s)) == symmetry_texts(
+            naive_local_symmetries(s)
+        )
+
+    @pytest.mark.parametrize("graph_seed", range(4))
+    def test_benchmark_states(self, graph_seed):
+        for scramble in range(8):
+            s = benchmark_state(graph_seed, scramble, 8)
+            assert symmetry_texts(find_local_symmetries(s)) == symmetry_texts(
+                naive_local_symmetries(s)
+            )
+
+    @pytest.mark.parametrize("name", ["edgeless", "star", "complete", "matching"])
+    def test_symmetric_graphs(self, name):
+        s = named_graph(name, 8)
+        assert symmetry_texts(find_local_symmetries(s)) == symmetry_texts(
+            naive_local_symmetries(s)
+        )
+
+
+class TestSymmetriesAtNine:
+    """Past the old scan's reach: N = 9 checked against the group itself."""
+
+    @pytest.mark.parametrize(
+        "name,count",
+        [("edgeless", 512), ("star", 256), ("matching", 2592), ("ring", 1)],
+    )
+    def test_maps_send_group_onto_itself(self, name, count):
+        s = named_graph(name, 9)
+        sym = find_local_symmetries(s)
+        assert len(symmetry_texts(sym)) == count
+        group = span_group(s)
+        members = set(group.elements)
+        # a letter map is a bijection, so generator images in the group
+        # span all of it
+        for q in sym:
+            assert all(apply(q, g) in members for g in s.generators)
+        key = subgroup_key(group.elements)
+        for q in random.Random(909).sample(sym, min(8, len(sym))):
+            assert subgroup_key([apply(q, e) for e in group.elements]) == key
+
+    def test_ring9_graph_census_inside_direct_census(self):
+        group = ring_group(9)
+        graph_based = enumerate_graph_based(group.generator_set)
+        direct = direct_census(group)
+        assert sum(map(len, graph_based.values())) == 38301
+        assert sum(map(len, direct.values())) == 74640
+        for omega, specs in graph_based.items():
+            assert set(specs) <= set(direct[omega])

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from stabwitness.evaluation import MeasurementDataset, WernerModel
+from stabwitness import groups
 from stabwitness.reporting import (
-    _two_measurement_key,
+    _census_key,
     build_census_report,
     build_evaluation_report,
     witness_rows,
@@ -103,7 +104,32 @@ class TestTwoMeasurementKeys:
         )
         assert genuine is not None
         for spec in specs + [genuine]:
-            assert _two_measurement_key(spec) == spec.identity_key
+            assert _census_key(spec) == spec.identity_key
+
+
+class TestCensusKeys:
+    def test_read_off_key_is_identity_key(self, full_census):
+        for bucket in (full_census.direct, full_census.graph_based):
+            for specs in bucket.values():
+                for spec in specs:
+                    assert _census_key(spec) == spec.identity_key
+
+    def test_witness_rows_reduce_only_the_method_keys(
+        self, full_census, monkeypatch
+    ):
+        # one rows_rref per two-measurement row's method key; keying every
+        # standard witness by identity_key took 7,525
+        calls = []
+        reduce = groups.rows_rref
+
+        def counted(rows):
+            calls.append(None)
+            return reduce(rows)
+
+        monkeypatch.setattr(groups, "rows_rref", counted)
+        rows = witness_rows(full_census)
+        assert len(rows) == 3927 + 476
+        assert len(calls) == 476
 
 
 class TestEvaluationReport:

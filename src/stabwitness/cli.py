@@ -12,7 +12,6 @@ import math
 import sys
 from pathlib import Path
 
-from .binary import PauliOperator
 from .cliffords import find_graph_equivalence
 from .evaluation import (
     IncompleteDataError,
@@ -211,20 +210,11 @@ def cmd_critical_prob(parser, args) -> int:
                 f"the cap is {MAX_SPAN_QUBITS}"
             )
         # witness structure only matters through (a, b); build a disjoint
-        # X/Z seed on n qubits
-        x_part = tuple(
-            PauliOperator.single(n, i + 1, "X") for i in range(a)
-        )
-        z_part = tuple(
-            PauliOperator.single(n, a + i + 1, "Z") for i in range(b)
-        )
+        # X/Z seed on n qubits as packed rows: X on qubits 1..a, Z on the rest
+        x_rows = tuple(1 << i for i in range(a))
+        z_rows = tuple(1 << (n + i) for i in range(a, n))
         spec = WitnessSpec(
-            WitnessKind.TWO_MEASUREMENT,
-            None,
-            n,
-            x_part + z_part,
-            x_basis=x_part,
-            z_basis=z_part,
+            WitnessKind.TWO_MEASUREMENT, None, n, x_rows + z_rows, x_rows, z_rows
         )
     else:
         if args.n is None or args.n < 2:
@@ -236,13 +226,11 @@ def cmd_critical_prob(parser, args) -> int:
             parser.error(
                 f"--n {n} would span 2^{n} members; the cap is {MAX_SPAN_QUBITS}"
             )
-        # value depends only on n; use an n-qubit GHZ-style seed
-        all_x = PauliOperator(n, 0, (1 << n) - 1)
-        zz_pairs = tuple(
-            PauliOperator(n, 0b11 << i, 0) for i in range(n - 1)
-        )
-        kind = _KIND_FLAGS[args.kind]
-        spec = WitnessSpec(kind, None, n, (all_x,) + zz_pairs)
+        # value depends only on n; use an n-qubit GHZ-style seed as packed
+        # rows: X on every qubit, then ZZ on each neighboring pair
+        all_x = (1 << n) - 1
+        zz_pairs = tuple(0b11 << (n + i) for i in range(n - 1))
+        spec = WitnessSpec(_KIND_FLAGS[args.kind], None, n, (all_x,) + zz_pairs)
     print(f"{critical_probability(spec):.12g}")
     return 0
 

@@ -276,7 +276,14 @@ def find_local_symmetries(s: GeneratorSet) -> list[LocalClifford]:
     and a branch ends at the first singular one.
     """
     q_le, _, graph = find_graph_equivalence(s)
-    n = s.n_qubits
+    return _local_symmetries(q_le, graph)
+
+
+def _local_symmetries(q_le: LocalClifford, graph: Graph) -> list[LocalClifford]:
+    """``find_local_symmetries`` of the state that the letter maps ``q_le``
+    turn into the generators of ``graph``, as ``find_graph_equivalence``
+    returns them."""
+    n = graph.n_vertices
     adj = graph.adjacency
     equations = []
     for i in range(n):

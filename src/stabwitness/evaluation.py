@@ -9,11 +9,16 @@ variance 0.  Shot counts may differ per record, in which case each summand
 carries its own 1/M factor.
 
 Records are read once, when the data source is built, into one lookup from
-a packed 2N-bit row (``binary.pauli_row``) to (expectation, variance).  All
+a packed 2N-bit row (``binary.pauli_row``) to (expectation, variance).  A
+witness carries its basis as packed rows too (``WitnessSpec.rows``, and
+``x_rows``/``z_rows`` for a two-measurement witness), so the evaluators
+read those rows and never build its ``PauliOperator`` views.  All
 evaluators and ``fidelity`` sum through one loop over packed rows; a span is
 summed in ascending packed-row order, so a value does not depend on the
 basis chosen for the subgroup.  Only members without a record are rendered
-as text, in the ``IncompleteDataError`` that names them all.
+as text, in the ``IncompleteDataError`` that names them all.  A dataset on
+another number of qubits than the witness is refused with a ValueError
+that names both counts.
 """
 
 from __future__ import annotations
@@ -61,7 +66,8 @@ class _Source:
 
     A source defines ``_lookup(n_qubits)``: a function from the packed row
     of an ``n_qubits``-qubit member to its (expectation, variance), or None
-    when there is no record.  It is the one place a record is read.
+    when there is no record; a dataset on another number of qubits raises
+    ValueError instead.  It is the one place a record is read.
     """
 
     def _record(self, p: PauliOperator) -> tuple[float, float]:
@@ -113,7 +119,11 @@ class MeasurementDataset(_Source):
         object.__setattr__(self, "_index", index)
 
     def _lookup(self, n_qubits: int) -> Callable:
-        return self._index.get if n_qubits == self.n_qubits else {0: _IDENTITY}.get
+        if n_qubits != self.n_qubits:
+            raise ValueError(
+                f"dataset is on {self.n_qubits} qubits, the stabilizers on {n_qubits}"
+            )
+        return self._index.get
 
     @classmethod
     def from_pairs(
@@ -262,7 +272,7 @@ def eval_standard(
     The sum runs over the full spanned subgroup including the identity.
     Variance adds (1 - <s>^2) / (M_s * 2^(2n)) per non-identity member.
     """
-    rows = sorted(_span_rows(map(pauli_row, w.basis)))
+    rows = sorted(_span_rows(w.rows))
     [(total, variance)] = _sums(data, w.n_qubits, rows)
     scale = 1.0 / len(rows)
     return _finish(0.5 - scale * total, variance * scale * scale, sigma_threshold)
@@ -276,9 +286,8 @@ def eval_alternative(
     Variance adds (1 - <s>^2) / (2 * M_s) per basis element, summed in
     basis order.
     """
-    rows = [pauli_row(p) for p in w.basis]
-    [(total, variance)] = _sums(data, w.n_qubits, rows)
-    n = len(rows)
+    [(total, variance)] = _sums(data, w.n_qubits, w.rows)
+    n = len(w.rows)
     return _finish((n - 1) / 2.0 - 0.5 * total, 0.5 * variance, sigma_threshold)
 
 
@@ -291,10 +300,10 @@ def eval_two_measurement(
     an empty part is the identity alone); variances carry the same squared
     coefficients.
     """
-    if w.x_basis is None or w.z_basis is None:
+    if w.x_rows is None or w.z_rows is None:
         raise ValueError("witness carries no X/Z split")
-    x_rows = sorted(_span_rows(map(pauli_row, w.x_basis)))
-    z_rows = sorted(_span_rows(map(pauli_row, w.z_basis)))
+    x_rows = sorted(_span_rows(w.x_rows))
+    z_rows = sorted(_span_rows(w.z_rows))
     x_sums, z_sums = _sums(data, w.n_qubits, x_rows, z_rows)
     x_scale = 1.0 / len(x_rows)
     z_scale = 1.0 / len(z_rows)

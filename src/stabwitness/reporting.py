@@ -4,6 +4,11 @@ Census reports count witnesses per subsystem; evaluation reports list one
 row per evaluated witness, ordered by subsystem size then lexicographic
 label order, with genuine-scope rows at the end.  Identical inputs always
 produce byte-identical output.
+
+Witnesses carry packed rows and their identity keys
+(``WitnessSpec.rows``, ``identity_key``); the reports key and digest
+witnesses from those, and build Pauli text only for the ``basis`` columns
+of the witness rows, through the derived ``basis`` views.
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .binary import pauli_row
-from .groups import basis_key
 from .evaluation import (
     DataSource,
     MeasurementDataset,
@@ -56,19 +59,6 @@ def _fmt(x: float) -> str:
 
 def _key_digest(key) -> str:
     return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
-
-
-def _census_key(spec: WitnessSpec) -> tuple:
-    """``identity_key`` of a census witness read off its packed rows,
-    without an RREF: every census basis is already its ``rows_rref`` key,
-    and so are the X and Z parts of every census and genuine
-    two-measurement witness (``witnesses._xz_split``)."""
-    if spec.kind is WitnessKind.TWO_MEASUREMENT:
-        return (
-            tuple(pauli_row(p) for p in spec.x_basis),
-            tuple(pauli_row(p) for p in spec.z_basis),
-        )
-    return tuple(pauli_row(p) for p in spec.basis)
 
 
 def _class_label(omega: tuple[int, ...], n_qubits: int) -> str:
@@ -201,13 +191,13 @@ def _method(key, direct_keys, graph_keys) -> str:
 def witness_rows(census: WitnessCensus) -> list[dict]:
     """One row per witness: omega, kind, basis, key digest, method."""
     graph_keys = {
-        omega: {_census_key(s) for s in specs}
+        omega: {s.identity_key for s in specs}
         for omega, specs in (census.graph_based or {}).items()
     }
     rows = []
     for omega in census.subsystems():
         specs = (census.direct or census.graph_based or {}).get(omega, ())
-        keys = [_census_key(s) for s in specs]
+        keys = [s.identity_key for s in specs]
         in_direct = set(keys) if census.direct else set()
         in_graph = graph_keys.get(omega, set())
         for spec, key in zip(specs, keys):
@@ -222,7 +212,10 @@ def witness_rows(census: WitnessCensus) -> list[dict]:
             )
         if census.two_measurement is not None:
             for spec in census.two_measurement.get(omega, ()):
-                span_key = basis_key(spec.basis)
+                # a census variant's parts are rows_rref keys, Z-only rows
+                # above X-only ones, so the Z part then the X part is the
+                # rows_rref key of the span, the standard witness's key
+                span_key = spec.z_rows + spec.x_rows
                 rows.append(
                     {
                         "omega": list(omega),
@@ -230,7 +223,7 @@ def witness_rows(census: WitnessCensus) -> list[dict]:
                         "basis": [p.to_text() for p in spec.basis],
                         "x_basis": [p.to_text() for p in spec.x_basis],
                         "z_basis": [p.to_text() for p in spec.z_basis],
-                        "key_digest": _key_digest(_census_key(spec)),
+                        "key_digest": _key_digest(spec.identity_key),
                         "method": _method(span_key, in_direct, in_graph),
                     }
                 )
@@ -352,7 +345,7 @@ def _sorted_rows(rows) -> list[EvalRow]:
     return sorted(rows, key=sort_key)
 
 
-def _row_for(spec: WitnessSpec, key, value: WitnessValue) -> EvalRow:
+def _row_for(spec: WitnessSpec, value: WitnessValue) -> EvalRow:
     try:
         confidence = detection_confidence(value)
     except ValueError:
@@ -364,7 +357,7 @@ def _row_for(spec: WitnessSpec, key, value: WitnessValue) -> EvalRow:
         value.stddev,
         value.detected,
         confidence,
-        _key_digest(key),
+        _key_digest(spec.identity_key),
     )
 
 
@@ -394,29 +387,27 @@ def build_evaluation_report(
     kinds = tuple(kinds)
     rows: list[EvalRow] = []
 
-    def add(spec: WitnessSpec, key) -> None:
-        rows.append(_row_for(spec, key, evaluate(spec, data, sigma_threshold)))
+    def add(spec: WitnessSpec) -> None:
+        rows.append(_row_for(spec, evaluate(spec, data, sigma_threshold)))
 
-    def add_standard(spec: WitnessSpec, key) -> None:
-        # an alternative witness shares its standard witness's basis and key
-        if WitnessKind.STANDARD in kinds or WitnessKind.ALTERNATIVE in kinds:
-            if WitnessKind.STANDARD in kinds:
-                add(spec, key)
-            if WitnessKind.ALTERNATIVE in kinds:
-                add(WitnessSpec.alternative_from(spec), key)
+    def add_standard(spec: WitnessSpec) -> None:
+        # an alternative witness shares its standard witness's rows and key
+        if WitnessKind.STANDARD in kinds:
+            add(spec)
+        if WitnessKind.ALTERNATIVE in kinds:
+            add(WitnessSpec.alternative_from(spec))
 
     for omega in census.subsystems():
         for spec in source.get(omega, ()):
-            add_standard(spec, _census_key(spec))
+            add_standard(spec)
         if WitnessKind.TWO_MEASUREMENT in kinds and census.two_measurement:
             for spec in census.two_measurement.get(omega, ()):
-                add(spec, _census_key(spec))
+                add(spec)
     if include_genuine:
-        # the generator set is not in RREF, so its key is reduced
         genuine_standard = WitnessSpec.standard_genuine(genuine_set)
-        add_standard(genuine_standard, genuine_standard.identity_key)
+        add_standard(genuine_standard)
         if WitnessKind.TWO_MEASUREMENT in kinds:
             genuine_two = two_measurement_from_standard(genuine_standard)
             if genuine_two is not None:
-                add(genuine_two, _census_key(genuine_two))
+                add(genuine_two)
     return EvaluationReport(census.n_qubits, tuple(_sorted_rows(rows)))

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .binary import (
@@ -59,9 +59,9 @@ from .binary import (
 )
 from .cliffords import (
     LocalClifford,
+    _local_symmetries,
     _map_letters,
     find_graph_equivalence,
-    find_local_symmetries,
 )
 from .graphs import Graph, LcOrbit, _connected_mask, lc_orbit
 from .groups import (
@@ -69,7 +69,6 @@ from .groups import (
     GeneratorSubset,
     StabilizerGroup,
     _span_rows,
-    basis_key,
     span_group,
 )
 
@@ -106,45 +105,92 @@ class WitnessKind(str, enum.Enum):
     TWO_MEASUREMENT = "two-measurement"
 
 
+def _pauli_rows(paulis: Sequence[PauliOperator]) -> tuple[int, ...]:
+    """Packed 2N-bit rows of Paulis that must all be on one qubit count."""
+    if not paulis:
+        raise ValueError("witness needs at least one basis stabilizer")
+    n_qubits = paulis[0].n_qubits
+    if any(p.n_qubits != n_qubits for p in paulis):
+        raise ValueError("basis stabilizers are on different qubit counts")
+    return tuple(pauli_row(p) for p in paulis)
+
+
 @dataclass(frozen=True)
 class WitnessSpec:
     """A witness: kind, scope, and the stabilizer basis defining it.
 
+    The basis is stored as packed 2N-bit rows (``binary.pauli_row``), in
+    ``rows``; a two-measurement witness also keeps its X-type and Z-type
+    parts in ``x_rows`` and ``z_rows``, and its ``rows`` are those parts
+    concatenated.  ``basis``, ``x_basis`` and ``z_basis`` are the same
+    rows as ``PauliOperator``s, built on each access and not stored.
+    Specs compare equal when their kind, scope and rows, in the order
+    given, are equal.
+
     ``omega`` is None for genuine (whole-state) scope.  Standard and
     alternative witnesses are identified by the subgroup their basis spans;
-    two-measurement witnesses by the (X-span, Z-span) pair, with the
-    partitioned basis kept in ``x_basis``/``z_basis``.
+    two-measurement witnesses by the (X-span, Z-span) pair.  That
+    ``identity_key`` is reduced once, at construction, unless the caller
+    passes it in as ``key``: every census witness's rows are already its
+    key, so the census passes the rows themselves and the spec shares that
+    tuple.
     """
 
     kind: WitnessKind
     omega: Optional[tuple[int, ...]]
     n_qubits: int
-    basis: tuple[PauliOperator, ...]
-    x_basis: Optional[tuple[PauliOperator, ...]] = None
-    z_basis: Optional[tuple[PauliOperator, ...]] = None
+    rows: tuple[int, ...]
+    x_rows: Optional[tuple[int, ...]] = None
+    z_rows: Optional[tuple[int, ...]] = None
+    identity_key: tuple = field(init=False, compare=False, repr=False)
+    key: InitVar[Optional[tuple]] = None
 
-    def __post_init__(self) -> None:
-        if not self.basis:
+    def __post_init__(self, key: Optional[tuple]) -> None:
+        if not self.rows:
             raise ValueError("witness needs at least one basis stabilizer")
-        if self.kind is WitnessKind.TWO_MEASUREMENT:
-            if self.x_basis is None or self.z_basis is None:
+        if min(self.rows) < 0 or max(self.rows) >> 2 * self.n_qubits:
+            raise ValueError(f"basis rows out of range for {self.n_qubits} qubits")
+        two_measurement = self.kind is WitnessKind.TWO_MEASUREMENT
+        if two_measurement:
+            if self.x_rows is None or self.z_rows is None:
                 raise ValueError("two-measurement witness needs X and Z parts")
-        if self.omega is not None and len(self.omega) != len(self.basis):
+            if self.rows != self.x_rows + self.z_rows:
+                raise ValueError(
+                    "two-measurement basis must be its X part then its Z part"
+                )
+        if self.omega is not None and len(self.omega) != len(self.rows):
             raise ValueError("need one basis stabilizer per qubit of omega")
+        if key is None:
+            if two_measurement:
+                key = (tuple(rows_rref(self.x_rows)), tuple(rows_rref(self.z_rows)))
+            else:
+                key = tuple(rows_rref(self.rows))
+        object.__setattr__(self, "identity_key", key)
+
+    def _paulis(self, rows: Optional[tuple[int, ...]]):
+        if rows is None:
+            return None
+        return tuple(pauli_from_row(r, self.n_qubits) for r in rows)
+
+    @property
+    def basis(self) -> tuple[PauliOperator, ...]:
+        return self._paulis(self.rows)
+
+    @property
+    def x_basis(self) -> Optional[tuple[PauliOperator, ...]]:
+        return self._paulis(self.x_rows)
+
+    @property
+    def z_basis(self) -> Optional[tuple[PauliOperator, ...]]:
+        return self._paulis(self.z_rows)
 
     @property
     def size(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def is_genuine(self) -> bool:
         return self.omega is None
-
-    @property
-    def identity_key(self):
-        if self.kind is WitnessKind.TWO_MEASUREMENT:
-            return (basis_key(self.x_basis), basis_key(self.z_basis))
-        return basis_key(self.basis)
 
     def subset(self) -> GeneratorSubset:
         if self.omega is None:
@@ -156,18 +202,19 @@ class WitnessSpec:
         cls, omega: Sequence[int], basis: Sequence[PauliOperator]
     ) -> "WitnessSpec":
         basis = tuple(basis)
-        return cls(
-            WitnessKind.STANDARD, tuple(sorted(omega)), basis[0].n_qubits, basis
-        )
+        rows = _pauli_rows(basis)
+        return cls(WitnessKind.STANDARD, tuple(sorted(omega)), basis[0].n_qubits, rows)
 
     @classmethod
     def standard_genuine(cls, s: GeneratorSet) -> "WitnessSpec":
-        return cls(WitnessKind.STANDARD, None, s.n_qubits, s.generators)
+        return cls(WitnessKind.STANDARD, None, s.n_qubits, _pauli_rows(s.generators))
 
     @classmethod
     def alternative_from(cls, spec: "WitnessSpec") -> "WitnessSpec":
+        # a standard or alternative witness's key is the key of its rows
+        key = None if spec.x_rows is not None else spec.identity_key
         return cls(
-            WitnessKind.ALTERNATIVE, spec.omega, spec.n_qubits, spec.basis
+            WitnessKind.ALTERNATIVE, spec.omega, spec.n_qubits, spec.rows, key=key
         )
 
 
@@ -286,12 +333,10 @@ def _check_subsystem(omega: Sequence[int], n_qubits: int) -> tuple[int, ...]:
 def _standard_specs(
     omega: tuple[int, ...], keys: Iterable[tuple[int, ...]], n_qubits: int
 ) -> list[WitnessSpec]:
-    """Standard witnesses for omega from subgroup keys, sorted by key (the
-    identity key of each witness)."""
+    """Standard witnesses for omega from subgroup keys, sorted by key.
+    Each key tuple is the witness's rows and its identity key at once."""
     return [
-        WitnessSpec.standard_local(
-            omega, [pauli_from_row(r, n_qubits) for r in key]
-        )
+        WitnessSpec(WitnessKind.STANDARD, omega, n_qubits, key, key=key)
         for key in sorted(keys)
     ]
 
@@ -547,7 +592,7 @@ def enumerate_graph_based(
     n_qubits = s.n_qubits
     q_le, _, graph0 = find_graph_equivalence(s)
     orbit = lc_orbit(graph0)
-    symmetries = find_local_symmetries(s)
+    symmetries = _local_symmetries(q_le, graph0)
 
     subsystems = all_subsystems(n_qubits)
     masks = [_omega_to_mask(omega) for omega in subsystems]
@@ -622,15 +667,10 @@ def find_xz_form(
     if not paulis:
         raise ValueError("empty basis")
     n_qubits = paulis[0].n_qubits
-    key = _xz_split(rows_rref(pauli_row(p) for p in paulis), n_qubits)
-    return None if key is None else _xz_form(key, n_qubits)
-
-
-def _xz_form(
-    key: tuple[tuple[int, ...], tuple[int, ...]], n_qubits: int
-) -> XZForm:
-    """The split whose X-type and Z-type parts have the given row keys."""
-    x_key, z_key = key
+    split = _xz_split(rows_rref(pauli_row(p) for p in paulis), n_qubits)
+    if split is None:
+        return None
+    x_key, z_key = split
     return XZForm(
         tuple(pauli_from_row(r, n_qubits) for r in x_key),
         tuple(pauli_from_row(r, n_qubits) for r in z_key),
@@ -665,21 +705,24 @@ def _xz_split(
 
 def two_measurement_from_standard(spec: WitnessSpec) -> Optional[WitnessSpec]:
     """Two-measurement variant of a standard witness, when the split exists."""
-    return _two_measurement_variant(spec, find_xz_form(spec.basis))
+    split = _xz_split(rows_rref(spec.rows), spec.n_qubits)
+    return None if split is None else _two_measurement_variant(spec, split)
 
 
 def _two_measurement_variant(
-    spec: WitnessSpec, form: Optional[XZForm]
-) -> Optional[WitnessSpec]:
-    if form is None:
-        return None
+    spec: WitnessSpec, split: tuple[tuple[int, ...], tuple[int, ...]]
+) -> WitnessSpec:
+    """The variant whose X and Z parts are the split's ``rows_rref`` keys,
+    which together are also its identity key."""
+    x_rows, z_rows = split
     return WitnessSpec(
         WitnessKind.TWO_MEASUREMENT,
         spec.omega,
         spec.n_qubits,
-        form.x_part + form.z_part,
-        x_basis=form.x_part,
-        z_basis=form.z_part,
+        x_rows + z_rows,
+        x_rows,
+        z_rows,
+        key=split,
     )
 
 
@@ -695,16 +738,15 @@ def _two_measurement_variants(specs: Iterable[WitnessSpec]) -> list[WitnessSpec]
     """Two-measurement variants of census witnesses, deduplicated by the
     (X-span, Z-span) pair and sorted by it.
 
-    A census witness's basis is its RREF key (``_standard_specs``), so its
-    rows go to the split as they are, without another reduction, and the
-    split's own RREF rows are the variant's identity key.
+    A census witness's rows are its RREF key (``_standard_specs``), so they
+    go to the split as they are, without another reduction, and the
+    split's own RREF rows are the variant's parts and identity key.
     """
     seen = {}
     for spec in specs:
-        key = _xz_split([pauli_row(p) for p in spec.basis], spec.n_qubits)
-        if key is not None and key not in seen:
-            form = _xz_form(key, spec.n_qubits)
-            seen[key] = _two_measurement_variant(spec, form)
+        split = _xz_split(spec.rows, spec.n_qubits)
+        if split is not None and split not in seen:
+            seen[split] = _two_measurement_variant(spec, split)
     return [seen[k] for k in sorted(seen)]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -22,6 +23,7 @@ from stabwitness.groups import (
     span_paulis,
     subgroup_key,
 )
+from stabwitness import witnesses
 from stabwitness.witnesses import direct_census, enumerate_graph_based
 
 from conftest import random_stabilizer_set
@@ -333,6 +335,51 @@ class TestSymmetrySolveMatchesScan:
         assert symmetry_texts(find_local_symmetries(s)) == symmetry_texts(
             naive_local_symmetries(s)
         )
+
+
+class TestSymmetriesFromOneEquivalence:
+    """The graph census solves for the symmetries on the graph form it has
+    already found; the list is the one ``find_local_symmetries`` returns."""
+
+    # (count, sha256 of the symmetry texts in order) before the census
+    # shared its graph form with the solve
+    LISTS = {
+        "color_code_7": (2, "ee6868922042fe6e9cc66aecc92ddff5622352b19fce48eeedc83523d67e1096"),
+        0: (2, "c29a0faade2f0f1f4a0e989f6a3d65885ff5185232c697e6b9ed3d4c137e440e"),
+        1: (1, "542ac53390c9677a05ddaf36e6939c529728c7c567807bf36fd384f2529239f8"),
+        2: (8, "a313ee5a6e268f37783bad38874405e6471e920766bddff957029b496db10b31"),
+        3: (4, "b44dc171ef5623d3de6d451d7c56742f8ac42df55f225c26d5db3a164e31585f"),
+    }
+
+    @pytest.mark.parametrize("state", ["color_code_7", 0, 1, 2, 3])
+    def test_symmetry_list_unchanged(self, state, monkeypatch):
+        if state == "color_code_7":
+            s = build_color_code()
+        else:
+            s = benchmark_state(state, 0, 8)
+        texts = [q.to_text() for q in find_local_symmetries(s)]
+        digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+        assert (len(texts), digest) == self.LISTS[state]
+
+        equivalences = []
+        solved = []
+        find = witnesses.find_graph_equivalence
+        solve = witnesses._local_symmetries
+
+        def counted_find(s):
+            equivalences.append(None)
+            return find(s)
+
+        def recorded_solve(q_le, graph):
+            solved.append(solve(q_le, graph))
+            return solved[-1]
+
+        monkeypatch.setattr(witnesses, "find_graph_equivalence", counted_find)
+        monkeypatch.setattr(witnesses, "_local_symmetries", recorded_solve)
+        enumerate_graph_based(s)
+        assert len(equivalences) == 1
+        [symmetries] = solved
+        assert [q.to_text() for q in symmetries] == texts
 
 
 class TestSymmetriesAtNine:

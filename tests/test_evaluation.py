@@ -182,7 +182,9 @@ class TestStandard:
         # an empty span would otherwise evaluate to a detection at -1/2
         for kind in WitnessKind:
             with pytest.raises(ValueError, match="at least one basis"):
-                WitnessSpec(kind, None, 3, (), x_basis=(), z_basis=())
+                WitnessSpec(kind, None, 3, (), x_rows=(), z_rows=())
+        with pytest.raises(ValueError, match="at least one basis"):
+            WitnessSpec.standard_local((), [])
 
     def test_missing_data_error_lists_labels(self, pair_witness):
         data = MeasurementDataset(7, {})
@@ -627,9 +629,10 @@ class TestPackedMatchesNaive:
         assert set(err.value.missing) == dropped
         assert outcome(evaluate, spec, data) == outcome(naive_evaluate, spec, data)
 
-    def test_dataset_on_other_qubit_count(self, color_witnesses):
+    def test_dataset_on_other_qubit_count(self, color_witnesses, color_group):
         # every 5-qubit Pauli has a record, so any packed 7-qubit row that
-        # happened to equal a 5-qubit one would read a record it must not
+        # happened to equal a 5-qubit one would read a record it must not;
+        # the mismatch is named instead of listing members as missing
         labels = (
             "".join(letters)
             for letters in itertools.product("IXYZ", repeat=5)
@@ -637,7 +640,27 @@ class TestPackedMatchesNaive:
         data = MeasurementDataset.from_pairs(
             5, {label: (0.5, 100) for label in labels if label != "IIIII"}
         )
+        message = "^dataset is on 5 qubits, the stabilizers on 7$"
         for spec in color_witnesses[:200]:
-            got = outcome(evaluate, spec, data)
-            assert got == outcome(naive_evaluate, spec, data)
-            assert got[0] == "missing"
+            with pytest.raises(ValueError, match=message) as err:
+                evaluate(spec, data)
+            assert not isinstance(err.value, IncompleteDataError)
+        with pytest.raises(ValueError, match=message):
+            fidelity(color_group, data)
+
+    def test_witness_on_other_qubit_count_names_both_counts(self):
+        # a 4-qubit pair witness on a 3-qubit dataset used to report its
+        # members XXII, YYII and ZZII as missing records
+        spec = WitnessSpec.standard_local(
+            (1, 2), [parse_pauli("XXII"), parse_pauli("ZZII")]
+        )
+        data = MeasurementDataset.from_pairs(
+            3, {"XXI": (0.9, 100), "YYI": (-0.9, 100), "ZZI": (0.9, 100)}
+        )
+        two = two_measurement_from_standard(spec)
+        for w in (spec, WitnessSpec.alternative_from(spec), two):
+            with pytest.raises(
+                ValueError, match="^dataset is on 3 qubits, the stabilizers on 4$"
+            ) as err:
+                evaluate(w, data)
+            assert not isinstance(err.value, IncompleteDataError)

@@ -3,9 +3,9 @@ import json
 import pytest
 
 from stabwitness.evaluation import MeasurementDataset, WernerModel
-from stabwitness import groups
+from stabwitness import groups, witnesses
+from stabwitness.groups import basis_key
 from stabwitness.reporting import (
-    _census_key,
     build_census_report,
     build_evaluation_report,
     witness_rows,
@@ -98,38 +98,48 @@ class TestWitnessRows:
 
 class TestTwoMeasurementKeys:
     def test_read_off_key_is_identity_key(self, full_census, color_code_module):
+        # the X and Z rows of census and genuine variants are their keys
         specs = [s for v in full_census.two_measurement.values() for s in v]
         genuine = two_measurement_from_standard(
             WitnessSpec.standard_genuine(color_code_module)
         )
         assert genuine is not None
         for spec in specs + [genuine]:
-            assert _census_key(spec) == spec.identity_key
+            assert spec.identity_key == (spec.x_rows, spec.z_rows)
+            assert spec.identity_key == (
+                basis_key(spec.x_basis),
+                basis_key(spec.z_basis),
+            )
 
 
 class TestCensusKeys:
     def test_read_off_key_is_identity_key(self, full_census):
+        # a census witness's key is its rows, shared rather than reduced
         for bucket in (full_census.direct, full_census.graph_based):
             for specs in bucket.values():
                 for spec in specs:
-                    assert _census_key(spec) == spec.identity_key
+                    assert spec.identity_key is spec.rows
+                    assert spec.identity_key == basis_key(spec.basis)
 
-    def test_witness_rows_reduce_only_the_method_keys(
-        self, full_census, monkeypatch
-    ):
-        # one rows_rref per two-measurement row's method key; keying every
-        # standard witness by identity_key took 7,525
+    def test_witness_rows_reduce_no_keys(self, full_census, monkeypatch):
+        # every key, the two-measurement rows' method keys too, is read
+        # off packed rows
         calls = []
-        reduce = groups.rows_rref
 
-        def counted(rows):
-            calls.append(None)
-            return reduce(rows)
+        def counted(module):
+            reduce = module.rows_rref
 
-        monkeypatch.setattr(groups, "rows_rref", counted)
+            def rows_rref(rows):
+                calls.append(None)
+                return reduce(rows)
+
+            monkeypatch.setattr(module, "rows_rref", rows_rref)
+
+        counted(groups)
+        counted(witnesses)
         rows = witness_rows(full_census)
         assert len(rows) == 3927 + 476
-        assert len(calls) == 476
+        assert calls == []
 
 
 class TestEvaluationReport:

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import random
 
@@ -1117,6 +1118,148 @@ class TestTwoMeasurement:
             from stabwitness.groups import basis_key
 
             assert basis_key(variant.basis) == spec.identity_key
+
+
+def naive_standard_specs(omega, keys, n_qubits):
+    """Census witnesses as they were built while specs held operators: one
+    ``PauliOperator`` per row of each subgroup key, sorted by key, as
+    (omega, basis) pairs."""
+    return [
+        (omega, tuple(pauli_from_row(r, n_qubits) for r in key))
+        for key in sorted(keys)
+    ]
+
+
+def naive_two_measurement_parts(bases, n_qubits):
+    """The (X part, Z part) operator pairs of the two-measurement variants
+    of census bases, as they were built while specs held operators: the
+    split of each basis's rows, one ``PauliOperator`` per split row,
+    deduplicated and sorted by the split."""
+    seen = {}
+    for basis in bases:
+        split = witnesses._xz_split([pauli_row(p) for p in basis], n_qubits)
+        if split is not None:
+            seen[split] = tuple(
+                tuple(pauli_from_row(r, n_qubits) for r in part) for part in split
+            )
+    return [seen[k] for k in sorted(seen)]
+
+
+def texts(paulis):
+    return [p.to_text() for p in paulis]
+
+
+class TestPackedSpecs:
+    """Specs hold packed rows; the operator construction is the oracle for
+    the derived ``basis``, ``x_basis`` and ``z_basis`` views."""
+
+    @pytest.mark.parametrize("state", ["color_code_7", 0, 1, 2, 3])
+    def test_census_specs_match_operator_construction(self, state, monkeypatch):
+        if state == "color_code_7":
+            s = build_color_code()
+        else:
+            s = random_stabilizer_set(random.Random(state), 8)
+        n_qubits = s.n_qubits
+        calls = []
+        build = witnesses._standard_specs
+
+        def recorded(omega, keys, n):
+            keys = list(keys)
+            specs = build(omega, keys, n)
+            calls.append((naive_standard_specs(omega, keys, n), specs))
+            return specs
+
+        monkeypatch.setattr(witnesses, "_standard_specs", recorded)
+        census = run_census(s)
+        built = set()
+        for naive, specs in calls:
+            assert len(specs) == len(naive)
+            for (omega, basis), spec in zip(naive, specs):
+                built.add(id(spec))
+                assert spec.omega == omega
+                assert texts(spec.basis) == texts(basis)
+                assert spec.identity_key == basis_key(spec.basis)
+                rebuilt = WitnessSpec.standard_local(omega, basis)
+                assert rebuilt == spec and hash(rebuilt) == hash(spec)
+                assert rebuilt.identity_key == spec.identity_key
+        for bucket in (census.direct, census.graph_based):
+            assert all(id(w) in built for specs in bucket.values() for w in specs)
+        assert sum(map(len, census.graph_based.values())) > 0
+
+        for omega, specs in census.two_measurement.items():
+            bases = [w.basis for w in census.direct[omega]]
+            naive = naive_two_measurement_parts(bases, n_qubits)
+            assert len(specs) == len(naive)
+            for (x_part, z_part), spec in zip(naive, specs):
+                assert texts(spec.x_basis) == texts(x_part)
+                assert texts(spec.z_basis) == texts(z_part)
+                assert texts(spec.basis) == texts(x_part + z_part)
+                assert spec.identity_key == (
+                    basis_key(spec.x_basis),
+                    basis_key(spec.z_basis),
+                )
+        if state == "color_code_7":
+            assert census.totals() == {
+                "direct": 3927, "graph_based": 3122, "two_measurement": 476
+            }
+
+    def test_views_are_built_on_each_access(self, full_census):
+        spec = full_census.two_measurement[(5, 6)][0]
+        for view in ("basis", "x_basis", "z_basis"):
+            assert getattr(spec, view) == getattr(spec, view)
+            assert getattr(spec, view) is not getattr(spec, view)
+        assert "basis" not in vars(spec) and "x_basis" not in vars(spec)
+
+    def test_pauli_constructors_keep_basis_order(self, color_group):
+        spec = enumerate_direct(color_group, (1, 2, 3, 4))[5]
+        basis = spec.basis[::-1]
+        reordered = WitnessSpec.standard_local((4, 3, 2, 1), basis)
+        assert texts(reordered.basis) == texts(basis)
+        assert reordered != spec
+        assert reordered.identity_key == spec.identity_key
+        alternative = WitnessSpec.alternative_from(reordered)
+        assert alternative.rows == reordered.rows
+        assert alternative.identity_key is reordered.identity_key
+        genuine = WitnessSpec.standard_genuine(color_group.generator_set)
+        assert texts(genuine.basis) == texts(color_group.generator_set.generators)
+
+    def test_replaced_rows_get_their_own_key(self, color_group):
+        spec, other = enumerate_direct(color_group, (5, 6))[:2]
+        moved = dataclasses.replace(spec, rows=other.rows[::-1])
+        assert moved != other
+        assert moved.identity_key == other.identity_key != spec.identity_key
+
+    def test_mixed_qubit_counts_rejected(self):
+        with pytest.raises(ValueError, match="different qubit counts"):
+            WitnessSpec.standard_local(
+                (1, 2), [parse_pauli("XXI"), parse_pauli("ZZ")]
+            )
+        with pytest.raises(ValueError, match="out of range for 2 qubits"):
+            WitnessSpec(witnesses.WitnessKind.STANDARD, None, 2, (1 << 4,))
+
+
+class TestTwoMeasurementParts:
+    """A two-measurement spec's basis is its X part then its Z part."""
+
+    def test_census_basis_is_x_then_z(self, full_census):
+        for specs in full_census.two_measurement.values():
+            for spec in specs:
+                assert spec.rows == spec.x_rows + spec.z_rows
+                assert spec.basis == spec.x_basis + spec.z_basis
+
+    def test_unrelated_basis_rejected(self):
+        kind = witnesses.WitnessKind.TWO_MEASUREMENT
+        x_rows = (0b011,)  # XXI
+        z_rows = (0b110 << 3,)  # IZZ
+        spec = WitnessSpec(kind, None, 3, x_rows + z_rows, x_rows, z_rows)
+        assert texts(spec.basis) == ["XXI", "IZZ"]
+        for rows in [z_rows + x_rows, (0b111,) + z_rows, x_rows]:
+            with pytest.raises(ValueError, match="X part then its Z part"):
+                WitnessSpec(kind, None, 3, rows, x_rows, z_rows)
+        with pytest.raises(ValueError, match="needs X and Z parts"):
+            WitnessSpec(kind, None, 3, x_rows, x_rows)
+        with pytest.raises(ValueError, match="at least one basis"):
+            WitnessSpec(kind, None, 3, (), x_rows=(), z_rows=())
 
 
 class TestClassify:

@@ -92,11 +92,12 @@ class _Source:
 class MeasurementDataset(_Source):
     """Measured expectation values keyed by Pauli label.
 
-    ``records`` maps each Pauli text label to (expectation, shots).  The
-    identity is always served as expectation 1 with zero variance, whether
-    or not a record is present.  The records are read once, at
-    construction, into a lookup by packed row of (expectation, variance);
-    evaluators sum over it in ascending packed-row order.
+    ``records`` maps each Pauli text label to (expectation, shots), the
+    shot count a positive int.  The identity is always served as
+    expectation 1 with zero variance, whether or not a record is
+    present.  The records are read once, at construction, into a lookup
+    by packed row of (expectation, variance); evaluators sum over it in
+    ascending packed-row order.
     """
 
     n_qubits: int
@@ -112,6 +113,8 @@ class MeasurementDataset(_Source):
                 )
             if not -1.0 <= e <= 1.0:
                 raise ValueError(f"expectation {e} of {label!r} outside [-1, 1]")
+            if not isinstance(shots, int):
+                raise ValueError(f"shot count {shots!r} of {label!r} is not an integer")
             if shots <= 0:
                 raise ValueError(f"non-positive shot count for {label!r}")
             index[pauli_row(p)] = (e, (1.0 - e * e) / shots)
@@ -129,10 +132,13 @@ class MeasurementDataset(_Source):
     def from_pairs(
         cls, n_qubits: int, pairs: dict[str, tuple[float, int]]
     ) -> "MeasurementDataset":
-        records = {
-            parse_pauli(label).to_text(): (float(e), int(m))
-            for label, (e, m) in pairs.items()
-        }
+        """Records from (expectation, shots) pairs; an integral float shot
+        count is taken as an int, and a fractional one is refused."""
+        records = {}
+        for label, (e, m) in pairs.items():
+            if isinstance(m, float) and not m.is_integer():
+                raise ValueError(f"shot count {m!r} of {label!r} is not an integer")
+            records[parse_pauli(label).to_text()] = (float(e), int(m))
         return cls(n_qubits, records)
 
     @classmethod

@@ -212,9 +212,7 @@ def witness_rows(census: WitnessCensus) -> list[dict]:
             )
         if census.two_measurement is not None:
             for spec in census.two_measurement.get(omega, ()):
-                # a census variant's parts are rows_rref keys, Z-only rows
-                # above X-only ones, so the Z part then the X part is the
-                # rows_rref key of the span, the standard witness's key
+                # the split partitions the standard witness's key, Z rows first
                 span_key = spec.z_rows + spec.x_rows
                 rows.append(
                     {

@@ -40,6 +40,13 @@ The full direct census walks the whole group once per rank.  A query for
 one subsystem omega walks the whole group once, at rank |omega|, and also
 prunes a partial basis once its active region meets a qubit outside omega,
 which condition (iii) forbids.
+
+The two-measurement form is read off a witness's key: the subgroup splits
+into an X-type and a Z-type part exactly when every row of its reduced
+row-echelon basis is X-only or Z-only, and the parts are those rows.  A row
+with a Z part has its pivot in the Z block, and back-substitution has
+cleared the pivots of the X-only rows from it, so its X part is in their
+span only if it is 0.
 """
 
 from __future__ import annotations
@@ -158,6 +165,18 @@ class WitnessSpec:
                 raise ValueError(
                     "two-measurement basis must be its X part then its Z part"
                 )
+            x_mask = (1 << self.n_qubits) - 1
+            for part, rows, other in (
+                ("X", self.x_rows, ~x_mask),
+                ("Z", self.z_rows, x_mask),
+            ):
+                bad = next((r for r in rows if r & other), None)
+                if bad is not None:
+                    text = pauli_from_row(bad, self.n_qubits).to_text()
+                    raise ValueError(
+                        f"two-measurement {part} part holds {text}, "
+                        f"which is not {part}-type"
+                    )
         if self.omega is not None and len(self.omega) != len(self.rows):
             raise ValueError("need one basis stabilizer per qubit of omega")
         if key is None:
@@ -652,11 +671,10 @@ def find_xz_form(
 ) -> Optional[XZForm]:
     """Recombine a basis into pure X-type and Z-type stabilizers if possible.
 
-    The X-only members of the spanned subgroup have dimension n - rank of
-    the Z-parts, the Z-only members n - rank of the X-parts, and the two
-    meet only in the identity.  So a split exists exactly when the two
-    ranks add up to n; otherwise returns None without scanning.  When it
-    exists, the split is read off the 2^n members of the subgroup.
+    The basis is reduced once with ``rows_rref``.  The spanned subgroup
+    splits exactly when every row of that reduced basis is X-only or
+    Z-only, and the two parts are those rows (``_xz_split``); otherwise
+    returns None.
     """
     if isinstance(w, GeneratorSubset):
         paulis: Sequence[PauliOperator] = w.stabilizers
@@ -680,27 +698,21 @@ def find_xz_form(
 def _xz_split(
     rows: Sequence[int], n_qubits: int
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The ``rows_rref`` keys of the X-type and Z-type parts of
-    ``find_xz_form`` for the subgroup whose ``rows_rref`` basis is
-    ``rows``, or None when no split exists; the rows must already be that
-    basis.  The pair is the two-measurement witness's identity key."""
-    n = len(rows)
-    x_mask = (1 << n_qubits) - 1
-    # In reduced row-echelon form the rows with a Z-part have their pivots
-    # in the Z-block, so those Z-parts are independent: their count is the
-    # rank of the Z-parts.
-    z_rank = sum(r >> n_qubits != 0 for r in rows)
-    if z_rank + rows_rank(r & x_mask for r in rows) != n:
-        return None
+    """The X-only and the Z-only rows of a ``rows_rref`` basis, each in
+    key order, or None when a row has both parts.
 
-    x_rows: list[int] = []
-    z_rows: list[int] = []
-    for member in _span_rows(rows):
-        if member >> n_qubits == 0:
-            x_rows.append(member)
-        elif member & x_mask == 0:
-            z_rows.append(member)
-    return tuple(rows_rref(x_rows)), tuple(rows_rref(z_rows))
+    A row with a Z part has its pivot in the Z block, and back-substitution
+    has cleared the pivot of every X-only row from it, so its X part lies
+    in the span of the X-only rows only if that X part is 0.  Each part is
+    then its own ``rows_rref`` key, and the pair is the two-measurement
+    witness's identity key."""
+    x_mask = (1 << n_qubits) - 1
+    if any(r > x_mask and r & x_mask for r in rows):
+        return None
+    return (
+        tuple(r for r in rows if r <= x_mask),
+        tuple(r for r in rows if r > x_mask),
+    )
 
 
 def two_measurement_from_standard(spec: WitnessSpec) -> Optional[WitnessSpec]:
@@ -712,8 +724,8 @@ def two_measurement_from_standard(spec: WitnessSpec) -> Optional[WitnessSpec]:
 def _two_measurement_variant(
     spec: WitnessSpec, split: tuple[tuple[int, ...], tuple[int, ...]]
 ) -> WitnessSpec:
-    """The variant whose X and Z parts are the split's ``rows_rref`` keys,
-    which together are also its identity key."""
+    """The variant whose X and Z parts are the split's rows, which together
+    are also its identity key."""
     x_rows, z_rows = split
     return WitnessSpec(
         WitnessKind.TWO_MEASUREMENT,
@@ -735,19 +747,20 @@ def enumerate_two_measurement(
 
 
 def _two_measurement_variants(specs: Iterable[WitnessSpec]) -> list[WitnessSpec]:
-    """Two-measurement variants of census witnesses, deduplicated by the
-    (X-span, Z-span) pair and sorted by it.
+    """Two-measurement variants of census witnesses, sorted by their
+    (X part, Z part) split.
 
     A census witness's rows are its RREF key (``_standard_specs``), so they
-    go to the split as they are, without another reduction, and the
-    split's own RREF rows are the variant's parts and identity key.
+    go to the split as they are.  The two parts together are that key, so
+    distinct witnesses give distinct variants.
     """
-    seen = {}
+    variants = []
     for spec in specs:
         split = _xz_split(spec.rows, spec.n_qubits)
-        if split is not None and split not in seen:
-            seen[split] = _two_measurement_variant(spec, split)
-    return [seen[k] for k in sorted(seen)]
+        if split is not None:
+            variants.append(_two_measurement_variant(spec, split))
+    variants.sort(key=lambda w: w.identity_key)
+    return variants
 
 
 # ---------------------------------------------------------------------------

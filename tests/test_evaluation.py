@@ -113,6 +113,24 @@ class TestDataset:
             MeasurementDataset.from_csv(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("shots", [2.7, 0.9, float("nan")])
+    def test_pairs_refuse_fractional_shot_count(self, shots):
+        # 2.7 used to be stored as 2 shots, and 0.9 failed as non-positive
+        with pytest.raises(ValueError) as err:
+            MeasurementDataset.from_pairs(2, {"ZZ": (0.5, shots)})
+        assert str(err.value) == f"shot count {shots!r} of 'ZZ' is not an integer"
+
+    def test_pairs_take_integral_float_shot_count(self):
+        data = MeasurementDataset.from_pairs(2, {"ZZ": (0.5, 3.0)})
+        assert data.records == {"ZZ": (0.5, 3)}
+        assert isinstance(data.records["ZZ"][1], int)
+
+    @pytest.mark.parametrize("shots", [2.5, 3.0, "100"])
+    def test_constructor_refuses_non_integer_shot_count(self, shots):
+        with pytest.raises(ValueError) as err:
+            MeasurementDataset(2, {"ZZ": (0.5, shots)})
+        assert str(err.value) == f"shot count {shots!r} of 'ZZ' is not an integer"
+
     def test_identity_always_served(self):
         data = MeasurementDataset(2, {"XX": (0.5, 10)})
         identity = parse_pauli("II")

@@ -32,6 +32,7 @@ from stabwitness.graphs import (
     reduced_generator_subset,
 )
 from stabwitness.groups import (
+    _span_rows,
     GeneratorSet,
     GeneratorSubset,
     basis_key,
@@ -998,6 +999,96 @@ def naive_xz_form(paulis) -> "XZForm | None":
     )
 
 
+def naive_xz_split(rows, n_qubits):
+    """The X/Z split of the subgroup whose ``rows_rref`` basis is ``rows``,
+    by a rank test and the span: the X-only members have dimension n minus
+    the rank of the Z parts and the Z-only members n minus the rank of the
+    X parts, so a split exists exactly when the two ranks add up to n, and
+    its parts are the ``rows_rref`` keys of those members."""
+    n = len(rows)
+    x_mask = (1 << n_qubits) - 1
+    z_rank = rows_rank(r >> n_qubits for r in rows)
+    if z_rank + rows_rank(r & x_mask for r in rows) != n:
+        return None
+    members = _span_rows(rows)
+    x_rows = rows_rref(m for m in members if m >> n_qubits == 0)
+    z_rows = rows_rref(m for m in members if m & x_mask == 0)
+    return tuple(x_rows), tuple(z_rows)
+
+
+def random_rref_bases(rng, n_qubits, count):
+    """``rows_rref`` bases of random packed rows, commuting or not: each row
+    is X-only, Z-only or unrestricted with equal odds, so splits and
+    misses both occur."""
+    x_mask = (1 << n_qubits) - 1
+    masks = (x_mask, x_mask << n_qubits, (x_mask << n_qubits) | x_mask)
+    for _ in range(count):
+        rows = [
+            rng.getrandbits(2 * n_qubits) & rng.choice(masks)
+            for _ in range(rng.randint(1, 2 * n_qubits))
+        ]
+        basis = rows_rref(rows)
+        if basis:
+            yield basis
+
+
+# (state, direct witnesses, of which split)
+SPLIT_CASES = (
+    [("color_code_7", build_color_code(), 3927, 476)]
+    + [
+        (name, s, total, hits)
+        for (name, s), total, hits in zip(
+            RECIPE8_CASES, (18348, 17095, 19220, 18832), (0, 1, 2, 0)
+        )
+    ]
+    + [("ring9", ring_group(9).generator_set, 74640, 0)]
+)
+
+
+class TestXZSplitRule:
+    """``_xz_split`` partitions a key's rows; the rank test and the span,
+    ``naive_xz_split``, are its oracle."""
+
+    @pytest.mark.parametrize(
+        "s,total,hits", [c[1:] for c in SPLIT_CASES], ids=[c[0] for c in SPLIT_CASES]
+    )
+    def test_matches_oracle_on_every_census_witness(self, s, total, hits):
+        splits = []
+        for specs in direct_census(span_group(s)).values():
+            for spec in specs:
+                split = witnesses._xz_split(spec.rows, s.n_qubits)
+                assert split == naive_xz_split(spec.rows, s.n_qubits)
+                splits.append(split)
+        assert len(splits) == total
+        assert sum(split is not None for split in splits) == hits
+
+    @pytest.mark.parametrize("n_qubits", range(2, 8))
+    def test_matches_oracle_on_random_rref_bases(self, n_qubits):
+        rng = random.Random(1200 + n_qubits)
+        hits = misses = 0
+        for rows in random_rref_bases(rng, n_qubits, 300):
+            split = witnesses._xz_split(rows, n_qubits)
+            assert split == naive_xz_split(rows, n_qubits)
+            hits += split is not None
+            misses += split is None
+        assert hits and misses
+
+    def test_census_reduces_once(self, color_code, monkeypatch):
+        # the group's own basis; the split reads each witness's key as it
+        # is, where reducing every census witness again took 953 calls
+        calls = []
+        reduce = witnesses.rows_rref
+
+        def counted(rows):
+            calls.append(None)
+            return reduce(rows)
+
+        monkeypatch.setattr(witnesses, "rows_rref", counted)
+        census = run_census(color_code, ("direct", "twomeas"))
+        assert census.totals()["two_measurement"] == 476
+        assert len(calls) == 1
+
+
 class TestXZForm:
     def test_rank_test_matches_oracle_on_color_code(self, full_census):
         hits = 0
@@ -1137,7 +1228,7 @@ def naive_two_measurement_parts(bases, n_qubits):
     deduplicated and sorted by the split."""
     seen = {}
     for basis in bases:
-        split = witnesses._xz_split([pauli_row(p) for p in basis], n_qubits)
+        split = naive_xz_split([pauli_row(p) for p in basis], n_qubits)
         if split is not None:
             seen[split] = tuple(
                 tuple(pauli_from_row(r, n_qubits) for r in part) for part in split
@@ -1260,6 +1351,23 @@ class TestTwoMeasurementParts:
             WitnessSpec(kind, None, 3, x_rows, x_rows)
         with pytest.raises(ValueError, match="at least one basis"):
             WitnessSpec(kind, None, 3, (), x_rows=(), z_rows=())
+
+    def test_z_row_in_x_part_rejected(self):
+        kind = witnesses.WitnessKind.TWO_MEASUREMENT
+        z1, x2 = 1 << 2, 1 << 1  # ZI, IX on two qubits
+        with pytest.raises(ValueError, match="^two-measurement X part holds ZI,"):
+            WitnessSpec(kind, None, 2, (z1, x2), x_rows=(z1,), z_rows=(x2,))
+        y1 = (1 << 2) | 1  # YI
+        with pytest.raises(ValueError, match="^two-measurement X part holds YI,"):
+            WitnessSpec(kind, None, 2, (y1, z1 << 1), x_rows=(y1,), z_rows=(z1 << 1,))
+
+    def test_x_row_in_z_part_rejected(self):
+        kind = witnesses.WitnessKind.TWO_MEASUREMENT
+        x1, y2 = 1, (1 << 3) | (1 << 1)  # XI, IY on two qubits
+        with pytest.raises(ValueError, match="^two-measurement Z part holds IY,"):
+            WitnessSpec(kind, None, 2, (x1, y2), x_rows=(x1,), z_rows=(y2,))
+        with pytest.raises(ValueError, match="^two-measurement Z part holds XI,"):
+            WitnessSpec(kind, None, 2, (x1,), x_rows=(), z_rows=(x1,))
 
 
 class TestClassify:

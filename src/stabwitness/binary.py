@@ -58,19 +58,6 @@ class PauliOperator:
     def identity(cls, n_qubits: int) -> "PauliOperator":
         return cls(n_qubits, 0, 0)
 
-    @classmethod
-    def from_text(cls, text: str) -> "PauliOperator":
-        return parse_pauli(text)
-
-    @classmethod
-    def single(cls, n_qubits: int, qubit: int, letter: str) -> "PauliOperator":
-        """Pauli with one non-identity letter at a 1-based qubit position."""
-        if not 1 <= qubit <= n_qubits:
-            raise IndexError(f"qubit {qubit} out of range 1..{n_qubits}")
-        z, x = _LETTER_TO_BITS[letter]
-        bit = 1 << (qubit - 1)
-        return cls(n_qubits, z * bit, x * bit)
-
     @property
     def is_identity(self) -> bool:
         return self.z_bits == 0 and self.x_bits == 0
@@ -86,9 +73,6 @@ class PauliOperator:
             q for q in range(1, self.n_qubits + 1)
             if (self.support_mask >> (q - 1)) & 1
         )
-
-    def weight(self) -> int:
-        return bin(self.support_mask).count("1")
 
     def letter_at(self, qubit: int) -> str:
         """Single-qubit letter at a 1-based position."""
@@ -245,9 +229,6 @@ class BitMatrix:
                 rest ^= low
             rows.append(acc)
         return BitMatrix(self.n_rows, other.n_cols, tuple(rows))
-
-    def is_symmetric(self) -> bool:
-        return self.n_rows == self.n_cols and self.row_bits == self.transpose().row_bits
 
 
 def _echelon(rows: Iterable[int]) -> list[int]:

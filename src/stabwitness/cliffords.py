@@ -3,10 +3,19 @@
 A single-qubit Clifford, with phases discarded, is one of the six invertible
 2x2 binary matrices acting on the (z, x) letter bits.  A local Clifford is
 one such matrix per qubit; it preserves commutation, so applying it to a
-generator set gives another generator set.  This module also finds a graph
-generator set reachable from an arbitrary generator set (letter swaps plus a
-recombination) and the local operations that map a stabilizer group onto
-itself.
+generator set gives another generator set.  It is stored, besides its
+per-qubit matrices, as two packed 2N-bit image rows (``binary.pauli_row``
+layout): ``z_image`` holds on each qubit mu the image of the letter Z on
+mu, and ``x_image`` the image of X.  A phaseless Pauli is a product of
+single-qubit Z and X letters, so any packed row with Z block z and X block
+x maps to
+
+    (z_image & spread(z)) ^ (x_image & spread(x)),   spread(m) = (m << N) | m,
+
+the images its letter bits select, multiplied together (``_map_row``).
+This module also finds a graph generator set reachable from an arbitrary
+generator set (letter swaps plus a recombination) and the local operations
+that map a stabilizer group onto itself.
 """
 
 from __future__ import annotations
@@ -14,7 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .binary import BitMatrix, PauliOperator, invert_mod2, rows_rank, solve_mod2
+from .binary import (
+    BitMatrix,
+    PauliOperator,
+    invert_mod2,
+    pauli_from_row,
+    pauli_row,
+    rows_rank,
+    solve_mod2,
+)
 from .groups import GeneratorSet, RecombinationMatrix, recombine
 from .graphs import Graph, graph_generators
 
@@ -85,25 +102,24 @@ _HSH = _BY_NAME["HSH"]
 
 @dataclass(frozen=True)
 class LocalClifford:
-    """A tensor product of single-qubit letter maps, one per qubit."""
+    """A tensor product of single-qubit letter maps, one per qubit, and its
+    two image rows ``z_image`` and ``x_image``, derived at construction."""
 
     per_qubit: tuple[SingleQubitClifford, ...]
-    _masks: tuple[tuple[int, int, int, int, int], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    z_image: int = field(init=False, repr=False, compare=False)
+    x_image: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.per_qubit:
             raise ValueError("local Clifford needs at least one qubit")
-        # Group qubits by letter map so apply() costs O(1) per distinct map.
-        masks: dict[SingleQubitClifford, int] = {}
+        n = len(self.per_qubit)
+        z_image = x_image = 0
         for mu, q in enumerate(self.per_qubit):
-            masks[q] = masks.get(q, 0) | (1 << mu)
-        object.__setattr__(
-            self,
-            "_masks",
-            tuple((m, q.a, q.b, q.c, q.d) for q, m in masks.items()),
-        )
+            # (a b / c d) maps Z to (z, x) = (a, c) and X to (b, d)
+            z_image |= (q.a << n | q.c) << mu
+            x_image |= (q.b << n | q.d) << mu
+        object.__setattr__(self, "z_image", z_image)
+        object.__setattr__(self, "x_image", x_image)
 
     @classmethod
     def identity(cls, n_qubits: int) -> "LocalClifford":
@@ -153,21 +169,13 @@ class LocalClifford:
         return all(q is _ID for q in self.per_qubit)
 
 
-def _map_letters(q: LocalClifford, z_bits: int, x_bits: int) -> tuple[int, int]:
-    """Apply the per-qubit letter maps to packed (Z-block, X-block) bits."""
-    z = x = 0
-    for mask, a, b, c, d in q._masks:
-        pz = z_bits & mask
-        px = x_bits & mask
-        if a:
-            z |= pz if not b else pz ^ px
-        elif b:
-            z |= px
-        if c:
-            x |= pz if not d else pz ^ px
-        elif d:
-            x |= px
-    return z, x
+def _map_row(q: LocalClifford, row: int) -> int:
+    """Apply the letter maps to a packed 2N-bit row: each of its Z and X
+    letter bits selects that letter's image, and the images multiply."""
+    n = len(q.per_qubit)
+    z = row >> n
+    x = row & ((1 << n) - 1)
+    return (q.z_image & ((z << n) | z)) ^ (q.x_image & ((x << n) | x))
 
 
 def apply(q: LocalClifford, p: PauliOperator) -> PauliOperator:
@@ -176,7 +184,7 @@ def apply(q: LocalClifford, p: PauliOperator) -> PauliOperator:
         raise ValueError(
             f"operator on {p.n_qubits} qubits, map on {q.n_qubits}"
         )
-    return PauliOperator(p.n_qubits, *_map_letters(q, p.z_bits, p.x_bits))
+    return pauli_from_row(_map_row(q, pauli_row(p)), p.n_qubits)
 
 
 def apply_to_generators(q: LocalClifford, s: GeneratorSet) -> GeneratorSet:
@@ -193,12 +201,9 @@ def lc_unitary_binary(g: Graph, vertex: int) -> LocalClifford:
     the image of the graph generators spans the complemented graph's group.
     """
     g._check_vertex(vertex)
-    maps = [_ID] * g.n_vertices
-    maps[vertex - 1] = _HSH
     row = g.adjacency[vertex - 1]
-    for mu in range(g.n_vertices):
-        if (row >> mu) & 1:
-            maps[mu] = _S
+    maps = [_S if (row >> mu) & 1 else _ID for mu in range(g.n_vertices)]
+    maps[vertex - 1] = _HSH
     return LocalClifford(tuple(maps))
 
 
@@ -214,14 +219,9 @@ def find_graph_equivalence(
     maps clear its diagonal.
     """
     n = s.n_qubits
-    z_rows = [0] * n
-    x_rows = [0] * n
-    for i, g in enumerate(s.generators):
-        for mu in range(n):
-            if (g.z_bits >> mu) & 1:
-                z_rows[mu] |= 1 << i
-            if (g.x_bits >> mu) & 1:
-                x_rows[mu] |= 1 << i
+    blocks = s.binary_matrix().row_bits
+    z_rows = list(blocks[:n])
+    x_rows = list(blocks[n:])
 
     # Greedy row basis of the X-block; qubits outside it get the letter swap.
     basis_rows: list[int] = []
@@ -309,4 +309,5 @@ def _local_symmetries(q_le: LocalClifford, graph: Graph) -> list[LocalClifford]:
             for bits in (acc ^ v for v in span)
             if (bits >> 4 * k) & 15 in by_bits
         ]
-    return [q_le.inverse().compose(LocalClifford(c).compose(q_le)) for _, c in partial]
+    inverse = q_le.inverse()
+    return [inverse.compose(LocalClifford(c).compose(q_le)) for _, c in partial]

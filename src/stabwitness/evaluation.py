@@ -113,7 +113,7 @@ class MeasurementDataset(_Source):
                 )
             if not -1.0 <= e <= 1.0:
                 raise ValueError(f"expectation {e} of {label!r} outside [-1, 1]")
-            if not isinstance(shots, int):
+            if isinstance(shots, bool) or not isinstance(shots, int):
                 raise ValueError(f"shot count {shots!r} of {label!r} is not an integer")
             if shots <= 0:
                 raise ValueError(f"non-positive shot count for {label!r}")
@@ -132,13 +132,26 @@ class MeasurementDataset(_Source):
     def from_pairs(
         cls, n_qubits: int, pairs: dict[str, tuple[float, int]]
     ) -> "MeasurementDataset":
-        """Records from (expectation, shots) pairs; an integral float shot
-        count is taken as an int, and a fractional one is refused."""
+        """Records from (expectation, shots) pairs, converted with float()
+        and int().  A fractional float or a bool shot count is refused, as
+        is a value that does not convert; each error names the label."""
         records = {}
         for label, (e, m) in pairs.items():
-            if isinstance(m, float) and not m.is_integer():
-                raise ValueError(f"shot count {m!r} of {label!r} is not an integer")
-            records[parse_pauli(label).to_text()] = (float(e), int(m))
+            try:
+                e = float(e)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"expectation {e!r} of {label!r} is not a number"
+                ) from None
+            try:
+                if isinstance(m, bool) or isinstance(m, float) and not m.is_integer():
+                    raise ValueError
+                m = int(m)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"shot count {m!r} of {label!r} is not an integer"
+                ) from None
+            records[parse_pauli(label).to_text()] = (e, m)
         return cls(n_qubits, records)
 
     @classmethod

@@ -104,9 +104,6 @@ class Graph:
         self._check_vertex(nu)
         return bool((self.adjacency[mu - 1] >> (nu - 1)) & 1)
 
-    def adjacency_matrix(self) -> BitMatrix:
-        return BitMatrix(self.n_vertices, self.n_vertices, self.adjacency)
-
     def _check_vertex(self, vertex: int) -> None:
         if not 1 <= vertex <= self.n_vertices:
             raise IndexError(

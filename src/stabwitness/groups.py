@@ -106,20 +106,10 @@ class GeneratorSet:
     def binary_matrix(self) -> BitMatrix:
         """2N x N matrix whose column i is generator i (Z-block on top)."""
         n = self.n_qubits
-        rows = []
-        for mu in range(n):  # Z-block rows
-            bits = 0
-            for i, g in enumerate(self.generators):
-                if (g.z_bits >> mu) & 1:
-                    bits |= 1 << i
-            rows.append(bits)
-        for mu in range(n):  # X-block rows
-            bits = 0
-            for i, g in enumerate(self.generators):
-                if (g.x_bits >> mu) & 1:
-                    bits |= 1 << i
-            rows.append(bits)
-        return BitMatrix(2 * n, n, tuple(rows))
+        # rows of the transpose: the X-block columns of the packed rows, then Z
+        cols = BitMatrix(n, 2 * n, tuple(pauli_row(g) for g in self.generators))
+        rows = cols.transpose().row_bits
+        return BitMatrix(2 * n, n, rows[n:] + rows[:n])
 
 
 @dataclass(frozen=True)

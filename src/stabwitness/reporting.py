@@ -27,6 +27,7 @@ from .evaluation import (
     detection_confidence,
     evaluate,
 )
+from .groups import basis_key, build_color_code
 from .witnesses import (
     SubsystemClass,
     WitnessCensus,
@@ -61,8 +62,14 @@ def _key_digest(key) -> str:
     return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
 
 
-def _class_label(omega: tuple[int, ...], n_qubits: int) -> str:
-    if n_qubits != 7:
+# the subsystem classes are drawn on the color code's own qubit layout
+_COLOR_CODE_KEY = basis_key(build_color_code().generators)
+
+
+def _class_label(omega: tuple[int, ...], group_key: tuple[int, ...]) -> str:
+    """The color-code class of a subsystem of the color code's group, and
+    "unclassified" for a subsystem of any other state."""
+    if group_key != _COLOR_CODE_KEY:
         return SubsystemClass.UNCLASSIFIED.value
     cls = classify_subsystem(omega)
     return SubsystemClass.ALL.value if cls is SubsystemClass.UNCLASSIFIED else cls.value
@@ -173,7 +180,7 @@ def build_census_report(census: WitnessCensus) -> CensusReport:
         rows.append(
             CensusRow(
                 omega,
-                _class_label(omega, census.n_qubits),
+                _class_label(omega, census.group_key),
                 count(census.direct),
                 count(census.graph_based),
                 count(census.two_measurement),

@@ -9,19 +9,17 @@ local-complementation orbit of an equivalent graph plus the local symmetries
 of the state.  Witnesses are identified with the subgroup their seed spans,
 so enumeration deduplicates by a canonical subgroup key.
 
-The graph-based walk is incremental.  Only the orbit's seed is pulled back
-through letter maps; every other member's pulled generators follow from its
-breadth-first parent's, because complementing at v maps them by
-child_u = parent_u ^ parent_v for each neighbor u of v and leaves the rest.
-That step changes the key or the connectivity only of the subsystems that
-miss v and meet its neighborhood, so only those are keyed again.  Each
-member also carries its Z frame: the packed row holding, on each qubit mu,
-the member's Z letter of mu pulled back to the state.  Complementing at v
-changes only v's letter, which gains v's X letter.  The generators of a
-subsystem omega span the group elements whose letter on each qubit mu
-outside omega is I or the frame's letter of mu, so a subsystem's key
-depends only on the frame outside omega, and a subsystem is keyed once per
-distinct masked frame.
+The graph-based walk is incremental.  Each orbit member carries its Z and
+X frames: the image rows (``cliffords.LocalClifford``) of the letter map
+that takes its graph form back to the state.  Complementing at v is a
+square root of X on v and of Z on its neighbors, so a member's frames are
+its breadth-first parent's after two XORs: v's Z letter gains v's X
+letter, and each neighbor's X letter gains its Z letter.  Complementing at
+v changes the key or the connectivity only of the subsystems that miss v
+and meet its neighborhood, so only those are keyed again.  The generators
+of a subsystem omega span the group elements whose letter on each qubit mu
+outside omega is I or the Z frame's letter of mu, so a subsystem is keyed,
+its generators read off the frames, once per distinct masked Z frame.
 
 The direct enumerators walk the subgroups depth first, one reduced
 row-echelon basis row at a time, in exponent coordinates over the group's
@@ -67,7 +65,7 @@ from .binary import (
 from .cliffords import (
     LocalClifford,
     _local_symmetries,
-    _map_letters,
+    _map_row,
     find_graph_equivalence,
 )
 from .graphs import Graph, LcOrbit, _connected_mask, lc_orbit
@@ -76,6 +74,7 @@ from .groups import (
     GeneratorSubset,
     StabilizerGroup,
     _span_rows,
+    basis_key,
     span_group,
 )
 
@@ -207,10 +206,6 @@ class WitnessSpec:
     def size(self) -> int:
         return len(self.rows)
 
-    @property
-    def is_genuine(self) -> bool:
-        return self.omega is None
-
     def subset(self) -> GeneratorSubset:
         if self.omega is None:
             raise ValueError("genuine witness has no qubit subset")
@@ -333,18 +328,21 @@ def _omega_to_mask(omega: Sequence[int]) -> int:
 
 
 def _check_subsystem(omega: Sequence[int], n_qubits: int) -> tuple[int, ...]:
-    """The sorted labels of a subsystem; raises MalformedSubsetError unless
-    it has 2..N-1 distinct labels in 1..N."""
+    """The sorted labels of a subsystem; raises MalformedSubsetError, naming
+    the fault, unless it has 2..N-1 distinct labels in 1..N."""
     omega = tuple(sorted(omega))
+    repeated = sorted({q for q in omega if omega.count(q) > 1})
+    if repeated:
+        raise MalformedSubsetError(
+            f"subsystem {omega} repeats labels {', '.join(map(str, repeated))}"
+        )
+    if not all(1 <= q <= n_qubits for q in omega):
+        raise MalformedSubsetError(
+            f"subsystem {omega} has labels outside 1..{n_qubits}"
+        )
     if not 2 <= len(omega) <= n_qubits - 1:
         raise MalformedSubsetError(
             f"subsystem {omega} is not a local scope on {n_qubits} qubits"
-        )
-    if len(set(omega)) != len(omega) or not all(
-        1 <= q <= n_qubits for q in omega
-    ):
-        raise MalformedSubsetError(
-            f"subsystem {omega} has labels outside 1..{n_qubits}"
         )
     return omega
 
@@ -520,62 +518,50 @@ def direct_census(group: StabilizerGroup) -> dict[tuple[int, ...], list[WitnessS
 # ---------------------------------------------------------------------------
 
 
-def _map_row(q: LocalClifford, row: int, n_qubits: int) -> int:
-    """Apply letter maps to a packed 2N-bit row."""
-    z, x = _map_letters(q, row >> n_qubits, row & ((1 << n_qubits) - 1))
-    return (z << n_qubits) | x
-
-
 def _orbit_pullback(
     q_le: LocalClifford, orbit: LcOrbit
-) -> Iterator[tuple[Graph, tuple[int, ...], list[int], int]]:
-    """Yield (member, sequence, pulled rows, frame) for every orbit member,
-    in orbit order.
+) -> Iterator[tuple[Graph, tuple[int, ...], int, int]]:
+    """Yield (member, sequence, Z frame, X frame) for every orbit member, in
+    orbit order.
 
-    ``q_le`` maps the state onto the graph form of the orbit's seed; the
-    pulled rows are the member's graph generators carried back to the state,
-    as packed 2N-bit rows, one per vertex, and the frame is the packed
-    2N-bit row holding on each qubit mu the member's Z letter of mu carried
-    back the same way.  The seed's rows and frame come from the inverse
-    letter maps.  Every other member's come from its breadth-first parent,
-    the member of ``sequence[:-1]``: complementing at v maps the pulled
-    generators by
+    A member's frames are the image rows (``LocalClifford.z_image`` and
+    ``x_image``) of the letter map carrying its graph form back to the
+    state; the seed's are those of ``q_le.inverse()``.  Complementing at v
+    maps a graph's generators into the complemented graph's group by
+    Z <-> Y on v and X <-> Y on each neighbor of v, maps that are their own
+    inverses, so a member's map back is its breadth-first parent's after
+    them, and its frames follow from the parent's by
 
-        child_u = parent_u ^ parent_v  for u in N(v),  parent_u otherwise,
-
-    because the inverse of the complementation's letter maps sends the
-    child's generator g'_u to g_u g_v for each neighbor u of v and to g_u
-    elsewhere.  Those letter maps are a square root of X on v and of Z on
-    its neighbors, so only v's Z letter changes: it gains v's X letter,
-    which the parent's row of v carries on qubit v.
+        z ^= x & spread(v),  x ^= z & spread(N(v)),  spread(m) = (m << N) | m.
     """
     inverse = q_le.inverse()
     n_qubits = q_le.n_qubits
-    seed = orbit.graphs[0]
-    # the seed's graph generator of vertex mu: X on mu, Z on its neighbors
-    seed_rows = [
-        _map_row(inverse, (seed.adjacency[mu] << n_qubits) | 1 << mu, n_qubits)
-        for mu in range(n_qubits)
-    ]
-    seed_frame = _map_row(inverse, ((1 << n_qubits) - 1) << n_qubits, n_qubits)
-    by_sequence = {(): (seed_rows, seed_frame)}
+    by_sequence = {}
     for member, sequence in orbit.items():
-        if sequence:
-            parent, parent_frame = by_sequence[sequence[:-1]]
-            vertex = sequence[-1]
+        if not sequence:
+            z, x = inverse.z_image, inverse.x_image
+        else:
+            z, x = by_sequence[sequence[:-1]]
+            vertex = sequence[-1] - 1
             # v's neighborhood is the same before and after complementing
-            hood = member.adjacency[vertex - 1]
-            pivot = parent[vertex - 1]
-            qubit = ((1 << n_qubits) | 1) << (vertex - 1)
-            by_sequence[sequence] = (
-                [
-                    row ^ pivot if (hood >> u) & 1 else row
-                    for u, row in enumerate(parent)
-                ],
-                parent_frame ^ (pivot & qubit),
-            )
-        rows, frame = by_sequence[sequence]
-        yield member, sequence, rows, frame
+            hood = member.adjacency[vertex]
+            z ^= x & ((1 << n_qubits) | 1) << vertex
+            x ^= z & ((hood << n_qubits) | hood)
+        by_sequence[sequence] = (z, x)
+        yield member, sequence, z, x
+
+
+def _pulled_rows(
+    z: int, x: int, adjacency: Sequence[int], vertices: Iterable[int], n_qubits: int
+) -> list[int]:
+    """The graph generators of 0-based ``vertices``, X on u and Z on its
+    neighbors, carried back to the state by a member's Z and X frames, as
+    packed 2N-bit rows.  u is not its own neighbor, so the parts are disjoint."""
+    qubit = (1 << n_qubits) | 1
+    return [
+        (x & qubit << u) | (z & ((adjacency[u] << n_qubits) | adjacency[u]))
+        for u in vertices
+    ]
 
 
 def enumerate_graph_based(
@@ -589,24 +575,26 @@ def enumerate_graph_based(
     everything by each local symmetry of the state.  Deduplicated by
     spanned subgroup (RREF key) per subsystem.
 
-    The walk is incremental (``_orbit_pullback``): each member's pulled
-    generators come from its breadth-first parent's by one XOR per neighbor
-    of the complemented vertex v.  Only the subsystems omega with v outside
-    omega and meeting N(v) are keyed again.  A subsystem holding v keeps
-    its span (each changed row gains the row of v, which it holds) and its
-    connectivity (complementing at v commutes with inducing on omega and
-    keeps a graph connected); one missing v and N(v) keeps its rows and its
-    induced subgraph.
+    The walk is incremental (``_orbit_pullback``): each member's frames
+    come from its breadth-first parent's by two XORs.  Only the subsystems
+    omega that miss v, the complemented vertex, and meet N(v) are keyed
+    again.  A subsystem holding v keeps its span (each changed generator
+    gains the generator of v, which it holds) and its connectivity
+    (complementing at v commutes with inducing on omega and keeps a graph
+    connected); one missing v and N(v) keeps its generators and its induced
+    subgraph.
 
-    Each key is a function of the member's frame outside omega.  In a
+    Each key is a function of the member's Z frame outside omega.  In a
     graph's own frame the product of the generators of a vertex set A has
     X-part exactly A, so the span of the generators of omega is the set of
     group elements whose letter on each qubit mu outside omega is I or the
-    frame's Z letter of mu.  So a subsystem is keyed, and its connectivity
-    tested, only when its masked frame is new; only connected members
-    record one.  A local symmetry maps that set for frame f onto the set
-    for its image of f, so the sweep maps the frame first and reduces a
-    key's image only when the image frame is new.
+    Z frame's letter of mu.  So a subsystem is keyed, its connectivity
+    tested and its generators read off the frames (``_pulled_rows``), only
+    when its masked Z frame is new; only connected members record one.  A
+    local symmetry maps that set for frame f onto the set for its image of
+    f, so the sweep maps the frame first and reduces a key's image only
+    when the image frame is new.  The symmetries are closed under inverse,
+    so the sweep maps by each of them, not by its inverse.
     """
     n_qubits = s.n_qubits
     q_le, _, graph0 = find_graph_equivalence(s)
@@ -626,29 +614,29 @@ def enumerate_graph_based(
         )
         for omega, mask in zip(subsystems, masks)
     }
-    for member, sequence, rows, frame in _orbit_pullback(q_le, orbit):
+    for member, sequence, z_frame, x_frame in _orbit_pullback(q_le, orbit):
+        adjacency = member.adjacency
         touched = masks
         if sequence:
             vertex = sequence[-1]
-            hood = member.adjacency[vertex - 1]
+            hood = adjacency[vertex - 1]
             touched = [m for m in masks if m & hood and not (m >> (vertex - 1)) & 1]
         for mask in touched:
             outside, indices, keys = slots[mask]
-            masked = frame & outside
-            if masked not in keys and _connected_mask(member.adjacency, mask):
-                keys[masked] = tuple(rows_rref([rows[u] for u in indices]))
+            masked = z_frame & outside
+            if masked not in keys and _connected_mask(adjacency, mask):
+                rows = _pulled_rows(z_frame, x_frame, adjacency, indices, n_qubits)
+                keys[masked] = tuple(rows_rref(rows))
 
-    inverses = [sym.inverse() for sym in symmetries if not sym.is_identity()]
+    others = [sym for sym in symmetries if not sym.is_identity()]
     out: dict[tuple[int, ...], list[WitnessSpec]] = {}
     for omega, mask in zip(subsystems, masks):
         keys = slots[mask][2]
         for masked, key in list(keys.items()):
-            for inv_sym in inverses:
-                image = _map_row(inv_sym, masked, n_qubits)
+            for sym in others:
+                image = _map_row(sym, masked)
                 if image not in keys:
-                    keys[image] = tuple(
-                        rows_rref([_map_row(inv_sym, r, n_qubits) for r in key])
-                    )
+                    keys[image] = tuple(rows_rref([_map_row(sym, r) for r in key]))
         out[omega] = _standard_specs(omega, set(keys.values()), n_qubits)
     return out
 
@@ -826,13 +814,19 @@ def classify_subsystem(omega: Sequence[int]) -> SubsystemClass:
 
 @dataclass(frozen=True)
 class WitnessCensus:
-    """Per-subsystem witness lists for the selected construction methods."""
+    """Per-subsystem witness lists for the selected construction methods.
+
+    ``group_key`` is the ``groups.basis_key`` of the state's generators: it
+    names the state's group whichever generators were given, and the
+    reports use it to tell the color code from other states.
+    """
 
     n_qubits: int
     omegas: tuple[tuple[int, ...], ...]
     direct: Optional[dict[tuple[int, ...], list[WitnessSpec]]]
     graph_based: Optional[dict[tuple[int, ...], list[WitnessSpec]]]
     two_measurement: Optional[dict[tuple[int, ...], list[WitnessSpec]]]
+    group_key: tuple[int, ...] = ()
 
     def subsystems(self) -> list[tuple[int, ...]]:
         return list(self.omegas)
@@ -898,4 +892,5 @@ def run_census(
         full = enumerate_graph_based(s)
         graph_based = {omega: full[omega] for omega in wanted}
 
-    return WitnessCensus(s.n_qubits, tuple(wanted), direct, graph_based, twomeas)
+    key = basis_key(s.generators)
+    return WitnessCensus(s.n_qubits, tuple(wanted), direct, graph_based, twomeas, key)

@@ -155,6 +155,20 @@ class TestCensusValidation:
         with pytest.raises(MalformedSubsetError):
             run_census(code, ("direct",), [(8, 9)])
 
+    @pytest.mark.parametrize(
+        "omega,message",
+        [
+            ((1, 2, 1), "subsystem (1, 1, 2) repeats labels 1"),
+            ((2, 2, 3, 3), "subsystem (2, 2, 3, 3) repeats labels 2, 3"),
+            ((9, 1), "subsystem (1, 9) has labels outside 1..7"),
+            ((3,), "subsystem (3,) is not a local scope on 7 qubits"),
+        ],
+    )
+    def test_message_names_the_fault(self, omega, message):
+        with pytest.raises(MalformedSubsetError) as err:
+            run_census(build_color_code(), ("direct",), [omega])
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("omega", [(0, 3), (1, 1, 2), (5, 9), (3,), tuple(range(1, 8))])
     def test_every_entry_point_rejects_malformed_subsystems(self, omega):
         code = build_color_code()

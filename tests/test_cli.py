@@ -71,6 +71,24 @@ class TestEnumerate:
             )
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command,omega,message",
+        [
+            ("enumerate", "1,1,2", "subsystem (1, 1, 2) repeats labels 1"),
+            ("enumerate", "8,9", "subsystem (8, 9) has labels outside 1..7"),
+            ("eval", "2,1,2", "subsystem (1, 2, 2) repeats labels 2"),
+            ("eval", "0,3", "subsystem (0, 3) has labels outside 1..7"),
+        ],
+    )
+    def test_bad_omega_is_usage_error_naming_the_fault(
+        self, capsys, command, omega, message
+    ):
+        extra = ["--werner", "0.9"] if command == "eval" else []
+        with pytest.raises(SystemExit) as err:
+            main([command, "color_code_7", "--omega", omega, *extra])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+
     def test_witness_listing(self, capsys, tmp_path):
         listing = tmp_path / "witnesses.csv"
         code, _, _ = run_cli(

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from stabwitness.binary import PauliOperator, commutes, multiply, parse_pauli
+from stabwitness.binary import PauliOperator, commutes, multiply, parse_pauli, pauli_row
 from stabwitness.cliffords import (
     SINGLE_QUBIT_CLIFFORDS,
     LocalClifford,
+    _map_row,
     apply,
     apply_to_generators,
     find_graph_equivalence,
@@ -37,6 +38,27 @@ def random_local_clifford(rng, n):
 
 def group_key(gens):
     return subgroup_key(span_paulis(list(gens)))
+
+
+def naive_map_letters(q, z_bits, x_bits):
+    """Letter maps applied to packed (Z-block, X-block) bits by grouping the
+    qubits by letter map and branching on each map's matrix entries."""
+    masks = {}
+    for mu, c in enumerate(q.per_qubit):
+        masks[c] = masks.get(c, 0) | (1 << mu)
+    z = x = 0
+    for c, mask in masks.items():
+        pz = z_bits & mask
+        px = x_bits & mask
+        if c.a:
+            z |= pz if not c.b else pz ^ px
+        elif c.b:
+            z |= px
+        if c.c:
+            x |= pz if not c.d else pz ^ px
+        elif c.d:
+            x |= px
+    return z, x
 
 
 class TestSingleQubit:
@@ -126,6 +148,26 @@ class TestApply:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             apply(LocalClifford.identity(2), parse_pauli("XXX"))
+
+    def test_map_row_matches_grouped_letter_maps(self):
+        rng = random.Random(43)
+        for _ in range(500):
+            n = rng.randint(1, 9)
+            q = random_local_clifford(rng, n)
+            row = rng.getrandbits(2 * n)
+            z, x = naive_map_letters(q, row >> n, row & ((1 << n) - 1))
+            assert _map_row(q, row) == (z << n) | x
+
+    def test_image_rows_are_the_letter_images(self):
+        rng = random.Random(47)
+        for _ in range(50):
+            n = rng.randint(1, 7)
+            q = random_local_clifford(rng, n)
+            z_image = x_image = 0
+            for mu in range(n):
+                z_image |= pauli_row(apply(q, PauliOperator(n, 1 << mu, 0)))
+                x_image |= pauli_row(apply(q, PauliOperator(n, 0, 1 << mu)))
+            assert (q.z_image, q.x_image) == (z_image, x_image)
 
     def test_text_round_trip(self):
         q = LocalClifford.parse("H,I,S,HS,SH,HSH,I")

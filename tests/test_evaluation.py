@@ -125,7 +125,20 @@ class TestDataset:
         assert data.records == {"ZZ": (0.5, 3)}
         assert isinstance(data.records["ZZ"][1], int)
 
-    @pytest.mark.parametrize("shots", [2.5, 3.0, "100"])
+    @pytest.mark.parametrize(
+        "pair,message",
+        [
+            ((0.5, "2.7"), "shot count '2.7' of 'ZZ' is not an integer"),
+            ((0.5, True), "shot count True of 'ZZ' is not an integer"),
+            (("high", 3), "expectation 'high' of 'ZZ' is not a number"),
+        ],
+    )
+    def test_pairs_name_the_label_of_an_unconvertible_value(self, pair, message):
+        with pytest.raises(ValueError) as err:
+            MeasurementDataset.from_pairs(2, {"ZZ": pair})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("shots", [2.5, 3.0, "100", True])
     def test_constructor_refuses_non_integer_shot_count(self, shots):
         with pytest.raises(ValueError) as err:
             MeasurementDataset(2, {"ZZ": (0.5, shots)})

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from stabwitness.binary import multiply
 from stabwitness.evaluation import MeasurementDataset, WernerModel
 from stabwitness import groups, witnesses
 from stabwitness.groups import basis_key
@@ -18,6 +19,8 @@ from stabwitness.witnesses import (
     run_census,
     two_measurement_from_standard,
 )
+
+from test_witnesses import ring_group
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +76,27 @@ class TestCensusReport:
                      "two_measurement": "two_measurement"}[column]
                 ]
             )
+
+    def test_other_seven_qubit_states_are_unclassified(self):
+        # the 7-qubit ring used to get the color-code labels: "all" on its
+        # pairs, whose direct counts are 64, 72 or 80
+        ring7 = ring_group(7).generator_set
+        report = build_census_report(run_census(ring7, methods=("direct", "graph")))
+        assert {row.label for row in report.rows} == {"unclassified"}
+        assert {row.direct for row in report.rows if len(row.omega) == 2} == {
+            64, 72, 80
+        }
+
+    def test_color_code_classified_from_any_generators(self, color_code_module):
+        # recombined and reordered generators span the same group
+        gens = color_code_module.generators
+        other = groups.GeneratorSet(
+            7, tuple(multiply(gens[i], gens[(i + 1) % 7]) for i in range(6)) + gens[6:]
+        )
+        assert basis_key(other.generators) == basis_key(gens)
+        census = run_census(other, ("direct",), [(1, 2, 5), (1, 2, 3, 4)])
+        labels = [row.label for row in build_census_report(census).rows]
+        assert labels == ["string-like", "plaquette-like"]
 
 
 class TestWitnessRows:

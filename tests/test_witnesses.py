@@ -17,6 +17,7 @@ from stabwitness.binary import (
     solve_mod2,
 )
 from stabwitness.cliffords import (
+    _map_row,
     apply,
     apply_to_generators,
     find_graph_equivalence,
@@ -757,11 +758,10 @@ class TestGraphBased:
                 assert check_direct(spec.subset())
 
 
-def naive_pulled_rows(s: GeneratorSet) -> list:
-    """(member, pulled rows) per orbit member, in orbit order, by the
-    Clifford path: re-walk the member's whole complementation sequence from
-    the seed, compose the letter maps, invert them and apply the inverse to
-    the member's graph generators."""
+def naive_maps_back(s: GeneratorSet) -> list:
+    """(member, letter map back to the state) per orbit member, in orbit
+    order, by the Clifford path: re-walk the member's whole complementation
+    sequence from the seed, compose the letter maps and invert them."""
     q_le, _, graph0 = find_graph_equivalence(s)
     out = []
     for member, sequence in lc_orbit(graph0).items():
@@ -770,7 +770,15 @@ def naive_pulled_rows(s: GeneratorSet) -> list:
         for vertex in sequence:
             q_total = lc_unitary_binary(current, vertex).compose(q_total)
             current = local_complement(current, vertex)
-        inv = q_total.inverse()
+        out.append((member, q_total.inverse()))
+    return out
+
+
+def naive_pulled_rows(s: GeneratorSet) -> list:
+    """(member, pulled rows) per orbit member, in orbit order: the member's
+    graph generators mapped back by the Clifford path's letter map."""
+    out = []
+    for member, inv in naive_maps_back(s):
         pulled = [apply(inv, g) for g in graph_generators(member).generators]
         out.append((member, [pauli_row(p) for p in pulled]))
     return out
@@ -850,10 +858,25 @@ class TestIncrementalPullback:
         q_le, _, graph0 = find_graph_equivalence(s)
         orbit = lc_orbit(graph0)
         derived = [
-            (member, rows)
-            for member, _, rows, _ in witnesses._orbit_pullback(q_le, orbit)
+            (member, frame_rows(member, z_frame, x_frame))
+            for member, _, z_frame, x_frame in witnesses._orbit_pullback(q_le, orbit)
         ]
         assert derived == naive_pulled_rows(s)
+
+    @pytest.mark.parametrize(
+        "s", [s for _, s in PULLBACK_CASES], ids=[i for i, _ in PULLBACK_CASES]
+    )
+    def test_frames_are_the_clifford_path_images(self, s):
+        q_le, _, graph0 = find_graph_equivalence(s)
+        derived = [
+            (member, z_frame, x_frame)
+            for member, _, z_frame, x_frame in witnesses._orbit_pullback(
+                q_le, lc_orbit(graph0)
+            )
+        ]
+        assert derived == [
+            (member, inv.z_image, inv.x_image) for member, inv in naive_maps_back(s)
+        ]
 
     def test_scrambles_change_the_seed_graph(self):
         for n in (5, 6, 7):
@@ -863,6 +886,15 @@ class TestIncrementalPullback:
                 if case.startswith(f"random{n}_")
             }
             assert len(seeds) > 1
+
+
+def frame_rows(member, z_frame: int, x_frame: int) -> list:
+    """The pulled generator rows of every vertex of an orbit member, read
+    off its frames."""
+    n_qubits = member.n_vertices
+    return witnesses._pulled_rows(
+        z_frame, x_frame, member.adjacency, range(n_qubits), n_qubits
+    )
 
 
 def naive_incremental_graph_based(s: GeneratorSet) -> dict:
@@ -875,9 +907,10 @@ def naive_incremental_graph_based(s: GeneratorSet) -> dict:
     subsystems = all_subsystems(n_qubits)
     masks = {sum(1 << (q - 1) for q in omega): omega for omega in subsystems}
     found = {mask: set() for mask in masks}
-    for member, sequence, rows, _ in witnesses._orbit_pullback(
+    for member, sequence, z_frame, x_frame in witnesses._orbit_pullback(
         q_le, lc_orbit(graph0)
     ):
+        rows = frame_rows(member, z_frame, x_frame)
         touched = list(masks)
         if sequence:
             vertex = sequence[-1]
@@ -893,7 +926,7 @@ def naive_incremental_graph_based(s: GeneratorSet) -> dict:
         keys = set(found[mask])
         for inv_sym in inverses:
             for key in found[mask]:
-                image = [witnesses._map_row(inv_sym, r, n_qubits) for r in key]
+                image = [_map_row(inv_sym, r) for r in key]
                 keys.add(tuple(rows_rref(image)))
         out[omega] = [
             WitnessSpec.standard_local(
@@ -920,9 +953,10 @@ class TestFrameMemo:
         q_le, _, graph0 = find_graph_equivalence(s)
         # per qubit, the packed-row mask of its Z and X bits
         qubits = [((1 << s.n_qubits) | 1) << mu for mu in range(s.n_qubits)]
-        for member, _, rows, frame in witnesses._orbit_pullback(
+        for member, _, frame, x_frame in witnesses._orbit_pullback(
             q_le, lc_orbit(graph0)
         ):
+            rows = frame_rows(member, frame, x_frame)
             for mu, qubit in enumerate(qubits):
                 assert frame & qubit
                 for u, row in enumerate(rows):
@@ -944,7 +978,8 @@ class TestFrameMemo:
             members[1:], min(4, len(members) - 1)
         )
         checked = 0
-        for member, _, rows, frame in sample:
+        for member, _, frame, x_frame in sample:
+            rows = frame_rows(member, frame, x_frame)
             for omega in all_subsystems(n_qubits):
                 mask = sum(1 << (q - 1) for q in omega)
                 if not _connected_mask(member.adjacency, mask):

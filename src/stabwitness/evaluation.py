@@ -272,15 +272,19 @@ def _finish(
     return WitnessValue(expectation, variance, detected)
 
 
-def _sums(data: DataSource, n_qubits: int, *parts: Sequence[int]) -> list:
-    """(expectation sum, variance sum) of each part's packed rows, in the
-    order given; IncompleteDataError names every member without a record."""
-    lookup = data._lookup(n_qubits)
-    records = [list(map(lookup, rows)) for rows in parts]
-    if any(None in part for part in records):
-        members = [pauli_from_row(row, n_qubits) for rows in parts for row in rows]
-        raise IncompleteDataError(data.missing(members))
-    return [tuple(sum(column) for column in zip(*part)) for part in records]
+def _sums(lookup: Callable, rows: Sequence[int]):
+    """(expectation sum, variance sum) of packed rows, summed in the order
+    given, or None when a row has no record."""
+    records = list(map(lookup, rows))
+    if None in records:
+        return None
+    expectations, variances = zip(*records)
+    return sum(expectations), sum(variances)
+
+
+def _incomplete(data: DataSource, n_qubits: int, rows: Sequence[int]):
+    """The IncompleteDataError naming every member of rows without a record."""
+    return IncompleteDataError(data.missing([pauli_from_row(r, n_qubits) for r in rows]))
 
 
 def eval_standard(
@@ -292,9 +296,11 @@ def eval_standard(
     Variance adds (1 - <s>^2) / (M_s * 2^(2n)) per non-identity member.
     """
     rows = sorted(_span_rows(w.rows))
-    [(total, variance)] = _sums(data, w.n_qubits, rows)
+    sums = _sums(data._lookup(w.n_qubits), rows)
+    if sums is None:
+        raise _incomplete(data, w.n_qubits, rows)
     scale = 1.0 / len(rows)
-    return _finish(0.5 - scale * total, variance * scale * scale, sigma_threshold)
+    return _finish(0.5 - scale * sums[0], sums[1] * scale * scale, sigma_threshold)
 
 
 def eval_alternative(
@@ -303,11 +309,14 @@ def eval_alternative(
     """Alternative witness value (n-1)/2 - 1/2 * sum over the basis only.
 
     Variance adds (1 - <s>^2) / (2 * M_s) per basis element, summed in
-    basis order.
+    basis order.  Only ``w.rows`` is read, so the standard witness of the
+    same basis gives the same value.
     """
-    [(total, variance)] = _sums(data, w.n_qubits, w.rows)
+    sums = _sums(data._lookup(w.n_qubits), w.rows)
+    if sums is None:
+        raise _incomplete(data, w.n_qubits, w.rows)
     n = len(w.rows)
-    return _finish((n - 1) / 2.0 - 0.5 * total, 0.5 * variance, sigma_threshold)
+    return _finish((n - 1) / 2.0 - 0.5 * sums[0], 0.5 * sums[1], sigma_threshold)
 
 
 def eval_two_measurement(
@@ -323,7 +332,11 @@ def eval_two_measurement(
         raise ValueError("witness carries no X/Z split")
     x_rows = sorted(_span_rows(w.x_rows))
     z_rows = sorted(_span_rows(w.z_rows))
-    x_sums, z_sums = _sums(data, w.n_qubits, x_rows, z_rows)
+    lookup = data._lookup(w.n_qubits)
+    x_sums = _sums(lookup, x_rows)
+    z_sums = _sums(lookup, z_rows)
+    if x_sums is None or z_sums is None:
+        raise _incomplete(data, w.n_qubits, x_rows + z_rows)
     x_scale = 1.0 / len(x_rows)
     z_scale = 1.0 / len(z_rows)
     expectation = 1.5 - x_scale * x_sums[0] - z_scale * z_sums[0]
@@ -348,9 +361,11 @@ def evaluate(
 def fidelity(group: StabilizerGroup, data: DataSource) -> tuple[float, float]:
     """State fidelity 2^-N * sum over all 2^N stabilizers, with variance."""
     rows = sorted(pauli_row(p) for p in group.elements)
-    [(total, variance)] = _sums(data, group.n_qubits, rows)
+    sums = _sums(data._lookup(group.n_qubits), rows)
+    if sums is None:
+        raise _incomplete(data, group.n_qubits, rows)
     scale = 1.0 / len(rows)
-    return scale * total, scale * scale * variance
+    return scale * sums[0], scale * scale * sums[1]
 
 
 def critical_probability(w: WitnessSpec) -> float:

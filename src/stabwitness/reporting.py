@@ -8,7 +8,11 @@ produce byte-identical output.
 Witnesses carry packed rows and their identity keys
 (``WitnessSpec.rows``, ``identity_key``); the reports key and digest
 witnesses from those, and build Pauli text only for the ``basis`` columns
-of the witness rows, through the derived ``basis`` views.
+of the witness rows.  Every basis row is one of the group's 2^N members
+and a standard witness shares its key with its alternative, so each
+report call renders each distinct row, digests each distinct key and
+formats each subsystem label once, in dicts (``_Memo``) that the call
+drops when it returns.
 """
 
 from __future__ import annotations
@@ -20,11 +24,13 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .binary import pauli_from_row
 from .evaluation import (
     DataSource,
     MeasurementDataset,
     WitnessValue,
     detection_confidence,
+    eval_alternative,
     evaluate,
 )
 from .groups import basis_key, build_color_code
@@ -60,6 +66,20 @@ def _fmt(x: float) -> str:
 
 def _key_digest(key) -> str:
     return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
+
+
+class _Memo(dict):
+    """A dict that computes each missing value once, as ``fn(key)``.  A
+    report call makes its own and drops it on return, so nothing is kept
+    from one call to the next."""
+
+    def __init__(self, fn) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 # the subsystem classes are drawn on the color code's own qubit layout
@@ -144,31 +164,32 @@ class CensusReport:
         )
 
     def class_table(self) -> list[dict]:
-        """Counts aggregated by (size, class); counts must agree inside a
-        class, which is asserted here."""
-        groups: dict[tuple[int, str], list[CensusRow]] = {}
+        """Subsystems aggregated by (size, class, counts): one entry per
+        distinct count triple in a class, with the number of subsystems that
+        have it, so per-entry counts times subsystems sum to the totals.  On
+        the color code every class has one triple, hence one entry."""
+        groups: dict[tuple, int] = {}
         for row in self.rows:
-            groups.setdefault((len(row.omega), row.label), []).append(row)
-        table = []
-        for (size, label), rows in sorted(groups.items()):
-            for attr in ("direct", "graph_based", "two_measurement"):
-                counts = {getattr(r, attr) for r in rows}
-                if len(counts) != 1:
-                    raise AssertionError(
-                        f"class ({size}, {label}) has uneven {attr} counts: {counts}"
-                    )
-            sample = rows[0]
-            table.append(
-                {
-                    "size": size,
-                    "class": label,
-                    "subsystems": len(rows),
-                    "direct": sample.direct,
-                    "graph_based": sample.graph_based,
-                    "two_measurement": sample.two_measurement,
-                }
+            slot = (
+                len(row.omega),
+                row.label,
+                row.direct,
+                row.graph_based,
+                row.two_measurement,
             )
-        return table
+            groups[slot] = groups.get(slot, 0) + 1
+        return [
+            {
+                "size": size,
+                "class": label,
+                "subsystems": subsystems,
+                "direct": direct,
+                "graph_based": graph_based,
+                "two_measurement": two_measurement,
+            }
+            for (size, label, direct, graph_based, two_measurement), subsystems
+            in sorted(groups.items())
+        ]
 
 
 def build_census_report(census: WitnessCensus) -> CensusReport:
@@ -201,6 +222,8 @@ def witness_rows(census: WitnessCensus) -> list[dict]:
         omega: {s.identity_key for s in specs}
         for omega, specs in (census.graph_based or {}).items()
     }
+    n_qubits = census.n_qubits
+    text = _Memo(lambda row: pauli_from_row(row, n_qubits).to_text())
     rows = []
     for omega in census.subsystems():
         specs = (census.direct or census.graph_based or {}).get(omega, ())
@@ -212,7 +235,7 @@ def witness_rows(census: WitnessCensus) -> list[dict]:
                 {
                     "omega": list(omega),
                     "kind": spec.kind.value,
-                    "basis": [p.to_text() for p in spec.basis],
+                    "basis": [text[r] for r in spec.rows],
                     "key_digest": _key_digest(key),
                     "method": _method(key, in_direct, in_graph),
                 }
@@ -225,9 +248,9 @@ def witness_rows(census: WitnessCensus) -> list[dict]:
                     {
                         "omega": list(omega),
                         "kind": spec.kind.value,
-                        "basis": [p.to_text() for p in spec.basis],
-                        "x_basis": [p.to_text() for p in spec.x_basis],
-                        "z_basis": [p.to_text() for p in spec.z_basis],
+                        "basis": [text[r] for r in spec.rows],
+                        "x_basis": [text[r] for r in spec.x_rows],
+                        "z_basis": [text[r] for r in spec.z_rows],
                         "key_digest": _key_digest(spec.identity_key),
                         "method": _method(span_key, in_direct, in_graph),
                     }
@@ -304,11 +327,13 @@ class EvaluationReport:
         writer.writerow(
             ["omega", "kind", "expectation", "stddev", "detected", "confidence"]
         )
+        omega_text = _Memo(_omega_text)
+        kind_text = {kind: kind.value for kind in WitnessKind}
         for row in self.rows:
             writer.writerow(
                 [
-                    _omega_text(row.omega),
-                    row.kind.value,
+                    omega_text[row.omega],
+                    kind_text[row.kind],
                     _fmt(row.expectation),
                     _fmt(row.stddev),
                     int(row.detected),
@@ -350,22 +375,6 @@ def _sorted_rows(rows) -> list[EvalRow]:
     return sorted(rows, key=sort_key)
 
 
-def _row_for(spec: WitnessSpec, value: WitnessValue) -> EvalRow:
-    try:
-        confidence = detection_confidence(value)
-    except ValueError:
-        confidence = None
-    return EvalRow(
-        spec.omega,
-        spec.kind,
-        value.expectation,
-        value.stddev,
-        value.detected,
-        confidence,
-        _key_digest(spec.identity_key),
-    )
-
-
 def build_evaluation_report(
     census: WitnessCensus,
     data: DataSource,
@@ -390,29 +399,49 @@ def build_evaluation_report(
     if include_genuine and genuine_set is None:
         raise ValueError("genuine evaluation needs the generator set")
     kinds = tuple(kinds)
+    digest = _Memo(_key_digest)
     rows: list[EvalRow] = []
 
-    def add(spec: WitnessSpec) -> None:
-        rows.append(_row_for(spec, evaluate(spec, data, sigma_threshold)))
+    def add(spec: WitnessSpec, kind: WitnessKind, value: WitnessValue) -> None:
+        try:
+            confidence = detection_confidence(value)
+        except ValueError:
+            confidence = None
+        rows.append(
+            EvalRow(
+                spec.omega,
+                kind,
+                value.expectation,
+                value.stddev,
+                value.detected,
+                confidence,
+                digest[spec.identity_key],
+            )
+        )
+
+    def add_evaluated(spec: WitnessSpec) -> None:
+        add(spec, spec.kind, evaluate(spec, data, sigma_threshold))
 
     def add_standard(spec: WitnessSpec) -> None:
-        # an alternative witness shares its standard witness's rows and key
         if WitnessKind.STANDARD in kinds:
-            add(spec)
+            add_evaluated(spec)
         if WitnessKind.ALTERNATIVE in kinds:
-            add(WitnessSpec.alternative_from(spec))
+            # an alternative witness is its standard witness's rows and key,
+            # so the standard spec itself is evaluated as the alternative
+            value = eval_alternative(spec, data, sigma_threshold)
+            add(spec, WitnessKind.ALTERNATIVE, value)
 
     for omega in census.subsystems():
         for spec in source.get(omega, ()):
             add_standard(spec)
         if WitnessKind.TWO_MEASUREMENT in kinds and census.two_measurement:
             for spec in census.two_measurement.get(omega, ()):
-                add(spec)
+                add_evaluated(spec)
     if include_genuine:
         genuine_standard = WitnessSpec.standard_genuine(genuine_set)
         add_standard(genuine_standard)
         if WitnessKind.TWO_MEASUREMENT in kinds:
             genuine_two = two_measurement_from_standard(genuine_standard)
             if genuine_two is not None:
-                add(genuine_two)
+                add_evaluated(genuine_two)
     return EvaluationReport(census.n_qubits, tuple(_sorted_rows(rows)))

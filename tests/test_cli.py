@@ -1,11 +1,12 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from stabwitness import cli
 from stabwitness.cli import main
-from stabwitness.groups import MAX_SPAN_QUBITS, build_color_code, code_to_json
+from stabwitness.groups import MAX_SPAN_QUBITS, build_color_code, code_to_json, span_group
 
 
 def run_cli(capsys, *argv):
@@ -323,6 +324,22 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# 127 records of color_code_7, one per non-identity member in label order;
+# record i of weight w reads 1 - 0.045 w - 0.013 (i mod 7) on 150 + 41 (i mod 23)
+# shots, so stddev and confidence vary from row to row
+SHOT_DATA = Path(__file__).parent / "data" / "color_code_7_shots.csv"
+
+
+def shot_data_text() -> str:
+    labels = sorted(e.to_text() for e in span_group(build_color_code()).non_identity())
+    lines = ["pauli,expectation,shots"]
+    for i, label in enumerate(labels):
+        weight = sum(c != "I" for c in label)
+        expectation = 1.0 - 0.045 * weight - 0.013 * (i % 7)
+        lines.append(f"{label},{expectation:.6f},{150 + 41 * (i % 23)}")
+    return "\n".join(lines) + "\n"
+
+
 class TestOutputBytes:
     """The sha256 of whole CLI outputs on color_code_7, recorded before the
     direct census became a pruned search (the per-subsystem cases before
@@ -369,6 +386,32 @@ class TestOutputBytes:
         assert sha256(listing.read_text()) == (
             "119d4c491f5bb1e6cc7104f00844ba1bcd046f61705bdbc8fc3a7c28126062d4"
         )
+
+    def test_shot_data_fixture_is_its_formula(self):
+        assert SHOT_DATA.read_text() == shot_data_text()
+
+    @pytest.mark.parametrize(
+        "flags,digest",
+        [
+            ((), "d326640a79322eacf0a4698ac47680d67422b29f8127c8a3b83ed72277693910"),
+            (
+                ("--format", "json"),
+                "ae6b71f688adbce3f9f10d1e3d9b79c9bf2b32ecc472ac91ba136d194e6f8812",
+            ),
+            (
+                ("--best-per-omega",),
+                "f2e446adb291c718d08f6f99f31267fd9cfeeae2956195df161032c5c7228d9d",
+            ),
+        ],
+        ids=["csv", "json", "best-per-omega"],
+    )
+    def test_eval_shot_data(self, capsys, flags, digest):
+        # recorded before the reports memoised rows, keys and labels per call
+        code, out, _ = run_cli(
+            capsys, "eval", "color_code_7", "--data", str(SHOT_DATA), *flags
+        )
+        assert code == 0
+        assert sha256(out) == digest
 
     def test_eval_werner_per_subsystem(self, capsys):
         code, out, _ = run_cli(

@@ -3,10 +3,19 @@ import json
 import pytest
 
 from stabwitness.binary import multiply
-from stabwitness.evaluation import MeasurementDataset, WernerModel
+from stabwitness.evaluation import (
+    MeasurementDataset,
+    WernerModel,
+    detection_confidence,
+    evaluate,
+)
 from stabwitness import groups, witnesses
 from stabwitness.groups import basis_key
 from stabwitness.reporting import (
+    EvalRow,
+    _key_digest,
+    _method,
+    _sorted_rows,
     build_census_report,
     build_evaluation_report,
     witness_rows,
@@ -20,7 +29,8 @@ from stabwitness.witnesses import (
     two_measurement_from_standard,
 )
 
-from test_witnesses import ring_group
+from test_evaluation import shot_noise_dataset
+from test_witnesses import RECIPE8_CASES, ring_group
 
 
 @pytest.fixture(scope="module")
@@ -63,11 +73,17 @@ class TestCensusReport:
         assert payload["totals"]["direct"] == 142
 
     def test_full_class_table(self, full_census):
+        # the paper's seven classes, one count triple each
         table = build_census_report(full_census).class_table()
-        by_class = {(t["size"], t["class"]): t for t in table}
-        assert by_class[(2, "all")]["direct"] == 72
-        assert by_class[(2, "all")]["subsystems"] == 21
-        assert by_class[(3, "string-like")]["graph_based"] == 32
+        assert [tuple(t.values()) for t in table] == [
+            (2, "all", 21, 72, 54, 4),
+            (3, "non-string-like", 28, 44, 34, 5),
+            (3, "string-like", 7, 40, 32, 4),
+            (4, "non-plaquette-like", 28, 18, 18, 3),
+            (4, "plaquette-like", 7, 30, 17, 9),
+            (5, "all", 21, 8, 8, 3),
+            (6, "all", 7, 3, 3, 2),
+        ]
         # class arithmetic: per-class counts times class sizes sum to totals
         for column in ("direct", "graph_based", "two_measurement"):
             assert sum(t[column] * t["subsystems"] for t in table) == (
@@ -75,6 +91,22 @@ class TestCensusReport:
                     {"graph_based": "graph_based", "direct": "direct",
                      "two_measurement": "two_measurement"}[column]
                 ]
+            )
+
+    def test_ring7_class_table_splits_uneven_counts(self):
+        # the ring's pairs are adjacent, at distance 2 or at distance 3, and
+        # their direct counts differ, so one class holds several triples
+        ring7 = ring_group(7).generator_set
+        report = build_census_report(run_census(ring7, ("direct", "graph", "twomeas")))
+        table = report.class_table()
+        pairs = [t for t in table if t["size"] == 2]
+        assert sorted((t["direct"], t["subsystems"]) for t in pairs) == [
+            (64, 7), (72, 7), (80, 7)
+        ]
+        assert sum(t["subsystems"] for t in table) == len(report.rows)
+        for column in ("direct", "graph_based", "two_measurement"):
+            assert sum(t[column] * t["subsystems"] for t in table) == (
+                report.totals[column]
             )
 
     def test_other_seven_qubit_states_are_unclassified(self):
@@ -243,3 +275,176 @@ class TestEvaluationReport:
                 small_census, data, genuine_set=color_code_module
             )
         assert not isinstance(err.value, IncompleteDataError)
+
+
+# ---------------------------------------------------------------------------
+# The per-row report builders, kept as oracles for the per-call memos
+# ---------------------------------------------------------------------------
+
+
+def naive_witness_rows(census):
+    """The listing with every basis row rendered through its Pauli view."""
+    graph_keys = {
+        omega: {s.identity_key for s in specs}
+        for omega, specs in (census.graph_based or {}).items()
+    }
+    rows = []
+    for omega in census.subsystems():
+        specs = (census.direct or census.graph_based or {}).get(omega, ())
+        keys = [s.identity_key for s in specs]
+        in_direct = set(keys) if census.direct else set()
+        in_graph = graph_keys.get(omega, set())
+        for spec, key in zip(specs, keys):
+            rows.append(
+                {
+                    "omega": list(omega),
+                    "kind": spec.kind.value,
+                    "basis": [p.to_text() for p in spec.basis],
+                    "key_digest": _key_digest(key),
+                    "method": _method(key, in_direct, in_graph),
+                }
+            )
+        if census.two_measurement is not None:
+            for spec in census.two_measurement.get(omega, ()):
+                span_key = spec.z_rows + spec.x_rows
+                rows.append(
+                    {
+                        "omega": list(omega),
+                        "kind": spec.kind.value,
+                        "basis": [p.to_text() for p in spec.basis],
+                        "x_basis": [p.to_text() for p in spec.x_basis],
+                        "z_basis": [p.to_text() for p in spec.z_basis],
+                        "key_digest": _key_digest(spec.identity_key),
+                        "method": _method(span_key, in_direct, in_graph),
+                    }
+                )
+    return rows
+
+
+def naive_evaluation_rows(
+    census, data, kinds=tuple(WitnessKind), include_genuine=True,
+    sigma_threshold=0.0, genuine_set=None,
+):
+    """The report's rows with a second spec built for every alternative and
+    every key digested once per row."""
+    source = census.direct if census.direct is not None else census.graph_based
+    rows = []
+
+    def add(spec):
+        value = evaluate(spec, data, sigma_threshold)
+        try:
+            confidence = detection_confidence(value)
+        except ValueError:
+            confidence = None
+        rows.append(
+            EvalRow(
+                spec.omega, spec.kind, value.expectation, value.stddev,
+                value.detected, confidence, _key_digest(spec.identity_key),
+            )
+        )
+
+    def add_standard(spec):
+        if WitnessKind.STANDARD in kinds:
+            add(spec)
+        if WitnessKind.ALTERNATIVE in kinds:
+            add(WitnessSpec.alternative_from(spec))
+
+    for omega in census.subsystems():
+        for spec in source.get(omega, ()):
+            add_standard(spec)
+        if WitnessKind.TWO_MEASUREMENT in kinds and census.two_measurement:
+            for spec in census.two_measurement.get(omega, ()):
+                add(spec)
+    if include_genuine:
+        genuine_standard = WitnessSpec.standard_genuine(genuine_set)
+        add_standard(genuine_standard)
+        if WitnessKind.TWO_MEASUREMENT in kinds:
+            genuine_two = two_measurement_from_standard(genuine_standard)
+            if genuine_two is not None:
+                add(genuine_two)
+    return _sorted_rows(rows)
+
+
+def row_bits(rows):
+    """Every field of each EvalRow, floats as their exact bit patterns."""
+    def hex_or_none(x):
+        return None if x is None else x.hex()
+
+    return [
+        (
+            r.omega, r.kind, r.expectation.hex(), r.stddev.hex(), r.detected,
+            hex_or_none(r.confidence), r.key_digest,
+        )
+        for r in rows
+    ]
+
+
+def assert_reports_match_oracles(census, generator_set, sources, **options):
+    assert witness_rows(census) == naive_witness_rows(census)
+    for data in sources:
+        report = build_evaluation_report(
+            census, data, genuine_set=generator_set, **options
+        )
+        expected = naive_evaluation_rows(
+            census, data, genuine_set=generator_set, **options
+        )
+        assert row_bits(report.rows) == row_bits(expected)
+
+
+def shot_data(generator_set):
+    return shot_noise_dataset(groups.span_group(generator_set), 7)
+
+
+COLOR_CODE_RUNS = {
+    "all": (("direct", "graph", "twomeas"), None),
+    "direct": (("direct",), None),
+    "graph": (("graph",), None),
+    "graph-twomeas": (("graph", "twomeas"), None),
+    "omega-direct-twomeas": (
+        ("direct", "twomeas"), [(5, 6), (1, 2, 5), (1, 2, 3, 4), (1, 2, 3, 4, 5, 6)]
+    ),
+    "omega-all": (("direct", "graph", "twomeas"), [(1, 3), (2, 4, 6, 7)]),
+}
+
+
+class TestReportsMatchOracles:
+    """Rendering, digesting and labelling once per distinct row, key and
+    subsystem gives the same listing and the same evaluation rows, to the
+    bit, as doing it once per witness row."""
+
+    @pytest.mark.parametrize("run", sorted(COLOR_CODE_RUNS))
+    def test_color_code_method_sets(self, color_code_module, run):
+        methods, omegas = COLOR_CODE_RUNS[run]
+        census = run_census(color_code_module, methods, omegas)
+        assert_reports_match_oracles(
+            census, color_code_module,
+            [WernerModel(0.9), shot_data(color_code_module)],
+            include_genuine=omegas is None,
+        )
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            (WitnessKind.ALTERNATIVE,),
+            (WitnessKind.TWO_MEASUREMENT,),
+            (WitnessKind.STANDARD, WitnessKind.TWO_MEASUREMENT),
+        ],
+        ids=["alternative", "twomeas", "standard-twomeas"],
+    )
+    @pytest.mark.parametrize("include_genuine", [True, False], ids=["genuine", "no-genuine"])
+    def test_color_code_kind_subsets(self, color_code_module, kinds, include_genuine):
+        census = run_census(color_code_module, ("direct", "twomeas"))
+        assert_reports_match_oracles(
+            census, color_code_module,
+            [WernerModel(0.9), shot_data(color_code_module)],
+            kinds=kinds, include_genuine=include_genuine, sigma_threshold=1.5,
+        )
+
+    @pytest.mark.parametrize(
+        "generator_set",
+        [ring_group(7).generator_set] + [s for _, s in RECIPE8_CASES],
+        ids=["ring7"] + [name for name, _ in RECIPE8_CASES],
+    )
+    def test_other_states(self, generator_set):
+        census = run_census(generator_set, ("direct", "graph", "twomeas"))
+        assert_reports_match_oracles(census, generator_set, [shot_data(generator_set)])

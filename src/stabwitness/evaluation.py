@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -92,12 +93,13 @@ class _Source:
 class MeasurementDataset(_Source):
     """Measured expectation values keyed by Pauli label.
 
-    ``records`` maps each Pauli text label to (expectation, shots), the
-    shot count a positive int.  The identity is always served as
-    expectation 1 with zero variance, whether or not a record is
-    present.  The records are read once, at construction, into a lookup
-    by packed row of (expectation, variance); evaluators sum over it in
-    ascending packed-row order.
+    ``records`` maps each Pauli text label to (expectation, shots): the
+    expectation a real number (not a bool) in [-1, 1], the shot count a
+    positive int.  The identity is always served as expectation 1 with
+    zero variance, whether or not a record is present.  The records are
+    read once, at construction, into a lookup by packed row of
+    (expectation, variance); evaluators sum over it in ascending
+    packed-row order.
     """
 
     n_qubits: int
@@ -111,6 +113,8 @@ class MeasurementDataset(_Source):
                 raise ValueError(
                     f"label {label!r} is not on {self.n_qubits} qubits"
                 )
+            if isinstance(e, bool) or not isinstance(e, numbers.Real):
+                raise ValueError(f"expectation {e!r} of {label!r} is not a number")
             if not -1.0 <= e <= 1.0:
                 raise ValueError(f"expectation {e} of {label!r} outside [-1, 1]")
             if isinstance(shots, bool) or not isinstance(shots, int):
@@ -360,7 +364,7 @@ def evaluate(
 
 def fidelity(group: StabilizerGroup, data: DataSource) -> tuple[float, float]:
     """State fidelity 2^-N * sum over all 2^N stabilizers, with variance."""
-    rows = sorted(pauli_row(p) for p in group.elements)
+    rows = sorted(group.rows)
     sums = _sums(data._lookup(group.n_qubits), rows)
     if sums is None:
         raise _incomplete(data, group.n_qubits, rows)

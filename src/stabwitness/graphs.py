@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .binary import BitMatrix, PauliOperator, rank_mod2
-from .groups import GeneratorSet, GeneratorSubset
+from .groups import GeneratorSet, GeneratorSubset, _qubit_mask
 
 __all__ = [
     "Graph",
@@ -162,7 +162,7 @@ def is_connected_within(g: Graph, omega: Sequence[int]) -> bool:
         raise ValueError("omega needs at least two vertices")
     for v in verts:
         g._check_vertex(v)
-    return _connected_mask(g.adjacency, sum(1 << (v - 1) for v in verts))
+    return _connected_mask(g.adjacency, _qubit_mask(verts))
 
 
 def _connected_mask(adjacency: Sequence[int], mask: int) -> bool:

@@ -8,6 +8,7 @@ stabilizers carry an implicit +1 phase.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -16,7 +17,6 @@ from .binary import (
     BitMatrix,
     PauliOperator,
     anticommutation_mask,
-    multiply,
     parse_pauli,
     pauli_from_row,
     pauli_row,
@@ -114,20 +114,34 @@ class GeneratorSet:
 
 @dataclass(frozen=True)
 class StabilizerGroup:
-    """The 2^N products of a generator set, indexed by exponent vector."""
+    """The 2^N products of a generator set, indexed by exponent vector.
+
+    ``rows`` holds them as packed 2N-bit rows (``binary.pauli_row``), as
+    ``_span_rows`` forms them; ``elements`` is the same members as
+    ``PauliOperator``s, built on first access.
+    """
 
     generator_set: GeneratorSet
-    elements: tuple[PauliOperator, ...] = field(repr=False)
+    rows: tuple[int, ...] = field(repr=False)
 
     @property
     def n_qubits(self) -> int:
         return self.generator_set.n_qubits
 
+    @functools.cached_property
+    def elements(self) -> tuple[PauliOperator, ...]:
+        return tuple(pauli_from_row(r, self.n_qubits) for r in self.rows)
+
+    @functools.cached_property
+    def key(self) -> tuple[int, ...]:
+        """``basis_key`` of the generators: the group's RREF basis."""
+        return basis_key(self.generator_set.generators)
+
     def element(self, exponent: int) -> PauliOperator:
         return self.elements[exponent]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.elements)
@@ -136,16 +150,13 @@ class StabilizerGroup:
         return self.exponent_of(p) is not None
 
     def exponent_of(self, p: PauliOperator) -> Optional[int]:
-        return self._index().get((p.z_bits, p.x_bits))
+        if p.n_qubits == self.n_qubits:
+            return self._index.get(pauli_row(p))
+        return None
 
-    def _index(self) -> dict[tuple[int, int], int]:
-        cached = getattr(self, "_index_cache", None)
-        if cached is None:
-            cached = {
-                (e.z_bits, e.x_bits): i for i, e in enumerate(self.elements)
-            }
-            object.__setattr__(self, "_index_cache", cached)
-        return cached
+    @functools.cached_property
+    def _index(self) -> dict[int, int]:
+        return {row: i for i, row in enumerate(self.rows)}
 
     def non_identity(self) -> tuple[PauliOperator, ...]:
         return self.elements[1:]
@@ -156,11 +167,9 @@ def span_paulis(paulis: Sequence[PauliOperator]) -> list[PauliOperator]:
     if not paulis:
         raise ValueError("cannot span an empty sequence")
     n = paulis[0].n_qubits
-    out = [PauliOperator.identity(n)]
-    for e in range(1, 1 << len(paulis)):
-        low = e & -e
-        out.append(multiply(out[e ^ low], paulis[low.bit_length() - 1]))
-    return out
+    if any(p.n_qubits != n for p in paulis):
+        raise ValueError("cannot span Paulis on different qubit counts")
+    return [pauli_from_row(r, n) for r in _span_rows(pauli_row(p) for p in paulis)]
 
 
 def _span_rows(rows: Iterable[int]) -> list[int]:
@@ -179,10 +188,10 @@ def span_group(s: GeneratorSet) -> StabilizerGroup:
             f"refusing to materialize 2^{s.n_qubits} elements "
             f"(cap is {MAX_SPAN_QUBITS} qubits)"
         )
-    elements = tuple(span_paulis(s.generators))
-    if len({(e.z_bits, e.x_bits) for e in elements}) != len(elements):
+    rows = tuple(_span_rows(pauli_row(g) for g in s.generators))
+    if len(set(rows)) != len(rows):
         raise InvalidGeneratorSetError("spanned elements are not distinct")
-    return StabilizerGroup(s, elements)
+    return StabilizerGroup(s, rows)
 
 
 @dataclass(frozen=True)
@@ -223,18 +232,10 @@ def recombine(s: GeneratorSet, r: RecombinationMatrix) -> GeneratorSet:
             f"recombination size {r.size} does not match "
             f"{len(s.generators)} generators"
         )
-    new_gens = []
-    for row in r.matrix.row_bits:
-        z = x = 0
-        rest = row
-        while rest:
-            low = rest & -rest
-            g = s.generators[low.bit_length() - 1]
-            z ^= g.z_bits
-            x ^= g.x_bits
-            rest ^= low
-        new_gens.append(PauliOperator(s.n_qubits, z, x))
-    return GeneratorSet(s.n_qubits, tuple(new_gens))
+    n = s.n_qubits
+    gens = BitMatrix(n, 2 * n, tuple(pauli_row(g) for g in s.generators))
+    rows = (r.matrix @ gens).row_bits
+    return GeneratorSet(n, tuple(pauli_from_row(row, n) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -275,10 +276,12 @@ class GeneratorSubset:
 
     @property
     def omega_mask(self) -> int:
-        mask = 0
-        for q in self.omega:
-            mask |= 1 << (q - 1)
-        return mask
+        return _qubit_mask(self.omega)
+
+
+def _qubit_mask(qubits: Iterable[int]) -> int:
+    """Bit mask of distinct 1-based qubit labels: qubit k is bit k - 1."""
+    return sum(1 << (q - 1) for q in qubits)
 
 
 def basis_key(paulis: Iterable[PauliOperator]) -> tuple[int, ...]:
@@ -313,10 +316,7 @@ def subgroup_key(elements: Iterable[PauliOperator]) -> tuple[int, ...]:
 
 def key_elements(key: tuple[int, ...], n_qubits: int) -> list[PauliOperator]:
     """Expand a subgroup key back into its 2^k member operators."""
-    basis = [pauli_from_row(row, n_qubits) for row in key]
-    if not basis:
-        return [PauliOperator.identity(n_qubits)]
-    return span_paulis(basis)
+    return [pauli_from_row(r, n_qubits) for r in _span_rows(key)]
 
 
 # ---------------------------------------------------------------------------

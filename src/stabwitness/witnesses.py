@@ -73,8 +73,8 @@ from .groups import (
     GeneratorSet,
     GeneratorSubset,
     StabilizerGroup,
+    _qubit_mask,
     _span_rows,
-    basis_key,
     span_group,
 )
 
@@ -320,13 +320,6 @@ def check_direct(w: GeneratorSubset) -> DirectCheckResult:
     return DirectCheckResult(not failed, failed)
 
 
-def _omega_to_mask(omega: Sequence[int]) -> int:
-    mask = 0
-    for q in omega:
-        mask |= 1 << (q - 1)
-    return mask
-
-
 def _check_subsystem(omega: Sequence[int], n_qubits: int) -> tuple[int, ...]:
     """The sorted labels of a subsystem; raises MalformedSubsetError, naming
     the fault, unless it has 2..N-1 distinct labels in 1..N."""
@@ -423,10 +416,8 @@ def _subgroup_search(
 
 def _rref_span(group: StabilizerGroup) -> list[int]:
     """The group's packed 2N-bit rows by exponent vector over its
-    ``rows_rref`` basis: the span ``_direct_keys`` searches."""
-    return _span_rows(
-        rows_rref(pauli_row(g) for g in group.generator_set.generators)
-    )
+    ``rows_rref`` basis, ``group.key``: the span ``_direct_keys`` searches."""
+    return _span_rows(group.key)
 
 
 def _direct_keys(
@@ -474,7 +465,7 @@ def enumerate_direct(
     """
     n_qubits = group.n_qubits
     omega = _check_subsystem(omega, n_qubits)
-    outside = ((1 << n_qubits) - 1) ^ _omega_to_mask(omega)
+    outside = ((1 << n_qubits) - 1) ^ _qubit_mask(omega)
     # a leaf with |omega| active qubits, none outside omega, has active == omega
     found = _direct_keys(_rref_span(group), len(omega), n_qubits, outside)
     return _standard_specs(omega, (key for _, key in found), n_qubits)
@@ -507,7 +498,7 @@ def direct_census(group: StabilizerGroup) -> dict[tuple[int, ...], list[WitnessS
             keys.setdefault(active, []).append(key)
     return {
         omega: _standard_specs(
-            omega, keys.get(_omega_to_mask(omega), ()), n_qubits
+            omega, keys.get(_qubit_mask(omega), ()), n_qubits
         )
         for omega in all_subsystems(n_qubits)
     }
@@ -602,7 +593,7 @@ def enumerate_graph_based(
     symmetries = _local_symmetries(q_le, graph0)
 
     subsystems = all_subsystems(n_qubits)
-    masks = [_omega_to_mask(omega) for omega in subsystems]
+    masks = [_qubit_mask(omega) for omega in subsystems]
     full = (1 << n_qubits) - 1
     # per subsystem: the qubits outside it in both letter blocks, its
     # vertex indices, and its keys by masked frame
@@ -704,16 +695,17 @@ def _xz_split(
 
 
 def two_measurement_from_standard(spec: WitnessSpec) -> Optional[WitnessSpec]:
-    """Two-measurement variant of a standard witness, when the split exists."""
-    split = _xz_split(rows_rref(spec.rows), spec.n_qubits)
-    return None if split is None else _two_measurement_variant(spec, split)
+    """Two-measurement variant of a standard witness, when the split exists.
 
-
-def _two_measurement_variant(
-    spec: WitnessSpec, split: tuple[tuple[int, ...], tuple[int, ...]]
-) -> WitnessSpec:
-    """The variant whose X and Z parts are the split's rows, which together
-    are also its identity key."""
+    A spec without X/Z parts holds the ``rows_rref`` key of its rows as
+    ``identity_key``, so the split reads that key as it is; only a spec
+    that already has X/Z parts is reduced again.  The variant's X and Z
+    parts are the split's rows, which together are also its identity key.
+    """
+    key = spec.identity_key if spec.x_rows is None else rows_rref(spec.rows)
+    split = _xz_split(key, spec.n_qubits)
+    if split is None:
+        return None
     x_rows, z_rows = split
     return WitnessSpec(
         WitnessKind.TWO_MEASUREMENT,
@@ -735,18 +727,14 @@ def enumerate_two_measurement(
 
 
 def _two_measurement_variants(specs: Iterable[WitnessSpec]) -> list[WitnessSpec]:
-    """Two-measurement variants of census witnesses, sorted by their
-    (X part, Z part) split.
-
-    A census witness's rows are its RREF key (``_standard_specs``), so they
-    go to the split as they are.  The two parts together are that key, so
-    distinct witnesses give distinct variants.
+    """Two-measurement variants of standard witnesses, one
+    ``two_measurement_from_standard`` call each, sorted by their
+    (X part, Z part) split.  The two parts together are a witness's key,
+    so distinct witnesses give distinct variants.
     """
-    variants = []
-    for spec in specs:
-        split = _xz_split(spec.rows, spec.n_qubits)
-        if split is not None:
-            variants.append(_two_measurement_variant(spec, split))
+    variants = [
+        v for v in map(two_measurement_from_standard, specs) if v is not None
+    ]
     variants.sort(key=lambda w: w.identity_key)
     return variants
 
@@ -816,9 +804,10 @@ def classify_subsystem(omega: Sequence[int]) -> SubsystemClass:
 class WitnessCensus:
     """Per-subsystem witness lists for the selected construction methods.
 
-    ``group_key`` is the ``groups.basis_key`` of the state's generators: it
-    names the state's group whichever generators were given, and the
-    reports use it to tell the color code from other states.
+    ``group_key`` is ``StabilizerGroup.key``, the ``groups.basis_key`` of
+    the state's generators: it names the state's group whichever
+    generators were given, and the reports use it to tell the color code
+    from other states.
     """
 
     n_qubits: int
@@ -892,5 +881,6 @@ def run_census(
         full = enumerate_graph_based(s)
         graph_based = {omega: full[omega] for omega in wanted}
 
-    key = basis_key(s.generators)
-    return WitnessCensus(s.n_qubits, tuple(wanted), direct, graph_based, twomeas, key)
+    return WitnessCensus(
+        s.n_qubits, tuple(wanted), direct, graph_based, twomeas, group.key
+    )

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -143,6 +144,21 @@ class TestDataset:
         with pytest.raises(ValueError) as err:
             MeasurementDataset(2, {"ZZ": (0.5, shots)})
         assert str(err.value) == f"shot count {shots!r} of 'ZZ' is not an integer"
+
+    @pytest.mark.parametrize("expectation", ["0.5", None, 0.5j, True, False])
+    def test_constructor_refuses_non_number_expectation(self, expectation):
+        # "0.5", None and 0.5j failed the range check with a TypeError that
+        # did not name the label, and True was stored as the expectation
+        with pytest.raises(ValueError) as err:
+            MeasurementDataset(2, {"ZZ": (expectation, 10)})
+        assert str(err.value) == (
+            f"expectation {expectation!r} of 'ZZ' is not a number"
+        )
+
+    def test_constructor_takes_real_expectations(self):
+        data = MeasurementDataset(2, {"ZZ": (1, 10), "XX": (Fraction(1, 2), 4)})
+        assert data.expectation_of(parse_pauli("ZZ")) == 1
+        assert data.variance_of(parse_pauli("XX")) == 0.1875
 
     def test_identity_always_served(self):
         data = MeasurementDataset(2, {"XX": (0.5, 10)})

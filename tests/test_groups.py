@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from stabwitness.binary import BitMatrix, PauliOperator, commutes, multiply, parse_pauli
+from stabwitness.binary import (
+    BitMatrix,
+    PauliOperator,
+    commutes,
+    multiply,
+    parse_pauli,
+    pauli_from_row,
+)
 from stabwitness.groups import (
     GeneratorSet,
     GeneratorSubset,
@@ -22,6 +29,8 @@ from stabwitness.groups import (
     span_paulis,
     subgroup_key,
 )
+
+from conftest import random_stabilizer_set
 
 
 def random_nonsingular(rng, n):
@@ -224,6 +233,125 @@ class TestSubgroupKey:
             assert subgroup_key(shuffled) == key
 
         check()
+
+
+def naive_span_paulis(paulis):
+    """The product recurrence ``span_paulis`` replaced: entry e is entry
+    e minus its lowest set bit times the Pauli of that bit."""
+    if not paulis:
+        raise ValueError("cannot span an empty sequence")
+    out = [PauliOperator.identity(paulis[0].n_qubits)]
+    for e in range(1, 1 << len(paulis)):
+        low = e & -e
+        out.append(multiply(out[e ^ low], paulis[low.bit_length() - 1]))
+    return out
+
+
+def naive_recombine(s, r):
+    """The XOR loop ``recombine`` replaced: new generator i is the product
+    of the old generators selected by row i of the matrix."""
+    new_gens = []
+    for row in r.matrix.row_bits:
+        z = x = 0
+        rest = row
+        while rest:
+            low = rest & -rest
+            g = s.generators[low.bit_length() - 1]
+            z ^= g.z_bits
+            x ^= g.x_bits
+            rest ^= low
+        new_gens.append(PauliOperator(s.n_qubits, z, x))
+    return GeneratorSet(s.n_qubits, tuple(new_gens))
+
+
+def ring_code(n):
+    return GeneratorSet.from_texts([
+        "".join(
+            "X" if j == i else "Z" if (j - i) % n in (1, n - 1) else "I"
+            for j in range(n)
+        )
+        for i in range(n)
+    ])
+
+
+# the color code, the 7-qubit ring and graphs 0-3 of the random-state
+# recipe on 8 qubits
+ORACLE_CASES = (
+    [("color_code_7", build_color_code()), ("ring7", ring_code(7))]
+    + [(f"recipe8_{g}", random_stabilizer_set(random.Random(g), 8)) for g in range(4)]
+)
+
+
+def texts(paulis):
+    return [p.to_text() for p in paulis]
+
+
+@pytest.mark.parametrize(
+    "code", [c for _, c in ORACLE_CASES], ids=[name for name, _ in ORACLE_CASES]
+)
+class TestPackedSpanMatchesOracles:
+    """Members are formed as packed rows (``_span_rows``) and recombined
+    generators as ``R @ G``; the Pauli-level loops are the oracles, and
+    text and order must agree."""
+
+    def test_span_paulis(self, code):
+        gens = list(code.generators)
+        assert texts(span_paulis(gens)) == texts(naive_span_paulis(gens))
+        rng = random.Random(code.n_qubits)
+        for k in range(1, len(gens)):
+            picks = rng.sample(gens, k)
+            assert texts(span_paulis(picks)) == texts(naive_span_paulis(picks))
+
+    def test_span_group_elements_and_exponents(self, code):
+        group = span_group(code)
+        expected = naive_span_paulis(list(code.generators))
+        assert texts(group.elements) == texts(expected)
+        assert group.elements == tuple(expected)
+        assert len(group) == len(expected) == 1 << code.n_qubits
+        for i, member in enumerate(expected):
+            assert group.exponent_of(member) == i
+            assert group.element(i) == member
+
+    def test_recombine(self, code):
+        rng = random.Random(100 + code.n_qubits)
+        for _ in range(10):
+            r = random_nonsingular(rng, code.n_qubits)
+            out = recombine(code, r)
+            assert texts(out.generators) == texts(naive_recombine(code, r).generators)
+
+    def test_key_elements(self, code):
+        group = span_group(code)
+        assert texts(key_elements(group.key, code.n_qubits)) == texts(
+            naive_span_paulis([
+                pauli_from_row(r, code.n_qubits) for r in group.key
+            ])
+        )
+        assert texts(key_elements((), code.n_qubits)) == ["I" * code.n_qubits]
+        rng = random.Random(200 + code.n_qubits)
+        for k in range(1, code.n_qubits):
+            key = basis_key(rng.sample(group.elements[1:], k))
+            paulis = [pauli_from_row(r, code.n_qubits) for r in key]
+            assert texts(key_elements(key, code.n_qubits)) == texts(
+                naive_span_paulis(paulis)
+            )
+
+
+class TestSpanPaulisInput:
+    def test_refuses_empty(self):
+        with pytest.raises(ValueError, match="empty"):
+            span_paulis([])
+
+    def test_refuses_mixed_sizes(self):
+        with pytest.raises(ValueError, match="different qubit counts"):
+            span_paulis([parse_pauli("XX"), parse_pauli("ZZZ")])
+        with pytest.raises(ValueError):
+            naive_span_paulis([parse_pauli("XX"), parse_pauli("ZZZ")])
+
+    def test_exponent_of_other_size_is_none(self):
+        group = span_group(GeneratorSet.from_texts(["XX", "ZZ"]))
+        assert group.exponent_of(parse_pauli("XX")) == 1
+        assert group.exponent_of(parse_pauli("XXI")) is None
+        assert parse_pauli("XXI") not in group
 
 
 class TestCodeJson:

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -33,6 +34,7 @@ from stabwitness.graphs import (
     reduced_generator_subset,
 )
 from stabwitness.groups import (
+    _qubit_mask,
     _span_rows,
     GeneratorSet,
     GeneratorSubset,
@@ -445,7 +447,7 @@ def naive_enumerate_direct(group, omega) -> list:
     key: the oracle of the search pruned outside omega."""
     n_qubits = group.n_qubits
     omega = tuple(sorted(omega))
-    mask = witnesses._omega_to_mask(omega)
+    mask = _qubit_mask(omega)
     element_rows = [pauli_row(e) for e in group.elements]
     generator_rows = [element_rows[1 << i] for i in range(n_qubits)]
     # a subgroup that is all-I on some qubit outside omega lies in the
@@ -594,7 +596,7 @@ class TestPrunedSearch:
         }
         exact = 0
         for omega in all_subsystems(n_qubits):
-            mask = witnesses._omega_to_mask(omega)
+            mask = _qubit_mask(omega)
             pruned = set(
                 witnesses._subgroup_search(span, len(omega), n_qubits, full ^ mask)
             )
@@ -1109,19 +1111,39 @@ class TestXZSplitRule:
         assert hits and misses
 
     def test_census_reduces_once(self, color_code, monkeypatch):
-        # the group's own basis; the split reads each witness's key as it
-        # is, where reducing every census witness again took 953 calls
+        # the group's own basis, reduced once as ``StabilizerGroup.key`` and
+        # shared by the search and ``group_key``; the split reads each
+        # witness's key as it is, where reducing every census witness again
+        # took 953 calls.  Every module's binding of ``rows_rref`` counts.
         calls = []
-        reduce = witnesses.rows_rref
+        reduce = rows_rref
 
         def counted(rows):
             calls.append(None)
             return reduce(rows)
 
-        monkeypatch.setattr(witnesses, "rows_rref", counted)
+        for name, module in list(sys.modules.items()):
+            if name == "stabwitness" or name.startswith("stabwitness."):
+                for attr, value in list(vars(module).items()):
+                    if value is reduce:
+                        monkeypatch.setattr(module, attr, counted)
         census = run_census(color_code, ("direct", "twomeas"))
         assert census.totals()["two_measurement"] == 476
         assert len(calls) == 1
+
+    def test_census_splits_each_direct_witness_once(self, color_code, monkeypatch):
+        # the census splits through the public two_measurement_from_standard
+        results = []
+        split = two_measurement_from_standard
+
+        def counted(spec):
+            results.append(split(spec))
+            return results[-1]
+
+        monkeypatch.setattr(witnesses, "two_measurement_from_standard", counted)
+        census = run_census(color_code, ("direct", "twomeas"))
+        assert len(results) == census.totals()["direct"] == 3927
+        assert sum(r is not None for r in results) == 476
 
 
 class TestXZForm:

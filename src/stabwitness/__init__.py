@@ -10,7 +10,6 @@ from .binary import (
     BitMatrix,
     PauliOperator,
     commutes,
-    local_commutes,
     multiply,
     parse_pauli,
     rank_mod2,
@@ -24,7 +23,6 @@ from .cliffords import (
     apply_to_generators,
     find_graph_equivalence,
     find_local_symmetries,
-    lc_unitary_binary,
 )
 from .evaluation import (
     IncompleteDataError,
@@ -43,11 +41,9 @@ from .graphs import (
     CapacityError,
     Graph,
     LcOrbit,
-    connected_components,
     graph_from_json,
     graph_generators,
     graph_to_json,
-    incidence_matrix,
     is_connected_within,
     lc_orbit,
     local_complement,
@@ -60,14 +56,12 @@ from .groups import (
     InvalidRecombinationError,
     RecombinationMatrix,
     StabilizerGroup,
-    SubgroupClosureError,
     build_color_code,
     code_from_json,
     code_to_json,
     load_named_code,
     recombine,
     span_group,
-    subgroup_key,
 )
 from .reporting import (
     CensusReport,
@@ -83,13 +77,11 @@ from .witnesses import (
     WitnessCensus,
     WitnessKind,
     WitnessSpec,
-    XZForm,
     check_direct,
     classify_subsystem,
     enumerate_direct,
     enumerate_graph_based,
     enumerate_two_measurement,
-    find_xz_form,
     pseudo_incidence,
     run_census,
 )

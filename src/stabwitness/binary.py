@@ -23,7 +23,6 @@ __all__ = [
     "BitMatrix",
     "multiply",
     "commutes",
-    "local_commutes",
     "rank_mod2",
     "solve_mod2",
     "parse_pauli",
@@ -127,14 +126,6 @@ def anticommutation_mask(a: PauliOperator, b: PauliOperator) -> int:
 def commutes(a: PauliOperator, b: PauliOperator) -> bool:
     """True iff the symplectic product z_a.x_b + x_a.z_b vanishes mod 2."""
     return bin(anticommutation_mask(a, b)).count("1") % 2 == 0
-
-
-def local_commutes(a: PauliOperator, b: PauliOperator, qubit: int) -> bool:
-    """True iff the single-qubit letters at a 1-based position commute."""
-    _check_same_size(a, b)
-    if not 1 <= qubit <= a.n_qubits:
-        raise IndexError(f"qubit {qubit} out of range 1..{a.n_qubits}")
-    return not (anticommutation_mask(a, b) >> (qubit - 1)) & 1
 
 
 def pauli_row(p: PauliOperator) -> int:

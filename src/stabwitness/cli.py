@@ -13,12 +13,7 @@ import sys
 from pathlib import Path
 
 from .cliffords import find_graph_equivalence
-from .evaluation import (
-    IncompleteDataError,
-    MeasurementDataset,
-    WernerModel,
-    critical_probability,
-)
+from .evaluation import MeasurementDataset, WernerModel, critical_probability
 from .graphs import graph_from_json, graph_to_json, lc_orbit
 from .groups import (
     MAX_SPAN_QUBITS,
@@ -132,7 +127,11 @@ def cmd_eval(parser, args) -> int:
     try:
         omegas = _parse_omegas(args.omega)
         kinds = [_KIND_FLAGS[k.strip()] for k in args.kinds.split(",")]
-    except (ValueError, KeyError) as exc:
+    except KeyError as exc:
+        parser.error(
+            f"unknown kind {exc.args[0]!r}; choose from {','.join(_KIND_FLAGS)}"
+        )
+    except ValueError as exc:
         parser.error(str(exc))
     if args.werner is not None:
         try:
@@ -157,17 +156,14 @@ def cmd_eval(parser, args) -> int:
         census = run_census(code, methods, omegas)
     except ValueError as exc:
         parser.error(str(exc))
-    try:
-        report = build_evaluation_report(
-            census,
-            data,
-            kinds,
-            include_genuine=omegas is None and not args.no_genuine,
-            sigma_threshold=args.sigma_threshold,
-            genuine_set=code,
-        )
-    except IncompleteDataError as exc:
-        return _fail(str(exc))
+    report = build_evaluation_report(
+        census,
+        data,
+        kinds,
+        include_genuine=omegas is None and not args.no_genuine,
+        sigma_threshold=args.sigma_threshold,
+        genuine_set=code,
+    )
     if args.best_per_omega:
         report = report.best_per_omega()
     _write_out(
@@ -345,10 +341,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except SystemExit:
-        raise
-    except IncompleteDataError as exc:
-        return _fail(str(exc))
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         return _fail(str(exc))
 

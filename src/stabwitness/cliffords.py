@@ -41,7 +41,6 @@ __all__ = [
     "SINGLE_QUBIT_CLIFFORDS",
     "apply",
     "apply_to_generators",
-    "lc_unitary_binary",
     "find_graph_equivalence",
     "find_local_symmetries",
 ]
@@ -97,7 +96,6 @@ _BY_MATRIX = {(c.a, c.b, c.c, c.d): c for c in SINGLE_QUBIT_CLIFFORDS}
 _ID = _BY_NAME["I"]
 _H = _BY_NAME["H"]
 _S = _BY_NAME["S"]
-_HSH = _BY_NAME["HSH"]
 
 
 @dataclass(frozen=True)
@@ -192,19 +190,6 @@ def apply_to_generators(q: LocalClifford, s: GeneratorSet) -> GeneratorSet:
     return GeneratorSet(
         s.n_qubits, tuple(apply(q, g) for g in s.generators), s.labels
     )
-
-
-def lc_unitary_binary(g: Graph, vertex: int) -> LocalClifford:
-    """Letter maps realizing a local complementation at ``vertex``.
-
-    Z <-> Y on the complemented vertex and X <-> Y on each of its neighbors;
-    the image of the graph generators spans the complemented graph's group.
-    """
-    g._check_vertex(vertex)
-    row = g.adjacency[vertex - 1]
-    maps = [_S if (row >> mu) & 1 else _ID for mu in range(g.n_vertices)]
-    maps[vertex - 1] = _HSH
-    return LocalClifford(tuple(maps))
 
 
 def find_graph_equivalence(

@@ -3,20 +3,19 @@
 Vertices are labeled 1..N to match the qubit labels used everywhere else.
 The adjacency matrix is stored one bit-packed neighbor mask per vertex.
 Connectivity of a vertex subset is decided by one flood fill over those
-masks.  The incidence-matrix forms the paper states stay as rank
-computations: a graph on n vertices is connected iff the rank of its
-incidence matrix is n - 1.
+masks.  The incidence-matrix form the paper states, a graph on n vertices
+being connected iff the rank of its incidence matrix is n - 1, lives in
+the tests as the oracle of that flood fill.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .binary import BitMatrix, PauliOperator, rank_mod2
+from .binary import PauliOperator
 from .groups import GeneratorSet, GeneratorSubset, _qubit_mask
 
 __all__ = [
@@ -24,9 +23,6 @@ __all__ = [
     "CapacityError",
     "LcOrbit",
     "graph_generators",
-    "incidence_matrix",
-    "reduced_incidence_matrix",
-    "connected_components",
     "is_connected_within",
     "local_complement",
     "lc_orbit",
@@ -99,11 +95,6 @@ class Graph:
         row = self.adjacency[vertex - 1]
         return tuple(v for v in range(1, self.n_vertices + 1) if (row >> (v - 1)) & 1)
 
-    def has_edge(self, mu: int, nu: int) -> bool:
-        self._check_vertex(mu)
-        self._check_vertex(nu)
-        return bool((self.adjacency[mu - 1] >> (nu - 1)) & 1)
-
     def _check_vertex(self, vertex: int) -> None:
         if not 1 <= vertex <= self.n_vertices:
             raise IndexError(
@@ -119,40 +110,6 @@ def graph_generators(g: Graph) -> GeneratorSet:
     )
     labels = tuple(f"g_{mu + 1}" for mu in range(g.n_vertices))
     return GeneratorSet(g.n_vertices, gens, labels)
-
-
-def incidence_matrix(g: Graph) -> BitMatrix:
-    """N x C(N,2) edge-membership matrix over all vertex pairs.
-
-    Column order is lexicographic over pairs (mu, nu) with mu < nu; columns
-    of absent edges are zero, so the rank is unaffected by the convention.
-    """
-    n = g.n_vertices
-    rows = [0] * n
-    for col, (mu, nu) in enumerate(itertools.combinations(range(n), 2)):
-        if (g.adjacency[mu] >> nu) & 1:
-            rows[mu] |= 1 << col
-            rows[nu] |= 1 << col
-    return BitMatrix(n, n * (n - 1) // 2, tuple(rows))
-
-
-def reduced_incidence_matrix(g: Graph, omega: Sequence[int]) -> BitMatrix:
-    """Incidence matrix of the reduced graph on a 1-based vertex subset:
-    the induced subgraph, its vertices relabeled 1..n in sorted order."""
-    verts = sorted(set(omega))
-    for v in verts:
-        g._check_vertex(v)
-    edges = [
-        (i + 1, j + 1)
-        for (i, mu), (j, nu) in itertools.combinations(enumerate(verts), 2)
-        if g.has_edge(mu, nu)
-    ]
-    return incidence_matrix(Graph.from_edges(len(verts), edges))
-
-
-def connected_components(g: Graph) -> int:
-    """Component count via the incidence rank: m = N - rank(M_E)."""
-    return g.n_vertices - rank_mod2(incidence_matrix(g))
 
 
 def is_connected_within(g: Graph, omega: Sequence[int]) -> bool:
@@ -230,8 +187,11 @@ def lc_orbit(g: Graph, max_size: int = 10**6) -> LcOrbit:
     """Breadth-first fixpoint of local complementation over labeled graphs.
 
     Complements are compared as adjacency tuples; a ``Graph`` is built only
-    for a newly discovered member.
+    for a newly discovered member.  ``max_size`` caps the member count,
+    the seed included, so it must be at least 1.
     """
+    if max_size < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
     seen = {g.adjacency: ()}
     order = [g]
     queue = deque([g.adjacency])

@@ -32,12 +32,10 @@ __all__ = [
     "GeneratorSubset",
     "InvalidGeneratorSetError",
     "InvalidRecombinationError",
-    "SubgroupClosureError",
     "span_group",
     "span_paulis",
     "recombine",
     "build_color_code",
-    "subgroup_key",
     "basis_key",
     "code_to_json",
     "code_from_json",
@@ -55,10 +53,6 @@ class InvalidGeneratorSetError(ValueError):
 
 class InvalidRecombinationError(ValueError):
     """Recombination matrix is not square and non-singular."""
-
-
-class SubgroupClosureError(ValueError):
-    """Element set is not closed under multiplication."""
 
 
 @dataclass(frozen=True)
@@ -288,35 +282,10 @@ def basis_key(paulis: Iterable[PauliOperator]) -> tuple[int, ...]:
     """Canonical key of the subgroup spanned by the given Paulis.
 
     The key is the reduced row-echelon basis of the packed 2N-bit rows,
-    sorted descending; equal subgroups always yield equal keys.
+    sorted descending; equal subgroups always yield equal keys, whatever
+    generating set is given, the full member list included.
     """
     return tuple(rows_rref(pauli_row(p) for p in paulis))
-
-
-def subgroup_key(elements: Iterable[PauliOperator]) -> tuple[int, ...]:
-    """Canonical key of a multiplicatively closed element set.
-
-    Raises SubgroupClosureError if the set is not a subgroup (must contain
-    the identity and be closed under products).
-    """
-    elems = list(elements)
-    if not elems:
-        raise SubgroupClosureError("empty set is not a subgroup")
-    n = elems[0].n_qubits
-    rows = {pauli_row(p) for p in elems}
-    if 0 not in rows:
-        raise SubgroupClosureError("subgroup must contain the identity")
-    basis = rows_rref(rows)
-    if (1 << len(basis)) != len(rows):
-        raise SubgroupClosureError(
-            f"{len(rows)} elements cannot span a rank-{len(basis)} subgroup"
-        )
-    return tuple(basis)
-
-
-def key_elements(key: tuple[int, ...], n_qubits: int) -> list[PauliOperator]:
-    """Expand a subgroup key back into its 2^k member operators."""
-    return [pauli_from_row(r, n_qubits) for r in _span_rows(key)]
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .binary import (
     BitMatrix,
@@ -82,7 +82,6 @@ __all__ = [
     "WitnessKind",
     "WitnessSpec",
     "DirectCheckResult",
-    "XZForm",
     "SubsystemClass",
     "MalformedSubsetError",
     "pseudo_incidence",
@@ -90,7 +89,6 @@ __all__ = [
     "enumerate_direct",
     "direct_census",
     "enumerate_graph_based",
-    "find_xz_form",
     "enumerate_two_measurement",
     "two_measurement_from_standard",
     "classify_subsystem",
@@ -635,43 +633,6 @@ def enumerate_graph_based(
 # ---------------------------------------------------------------------------
 # Two-measurement form
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class XZForm:
-    """A recombined basis split into X-type and Z-type stabilizers."""
-
-    x_part: tuple[PauliOperator, ...]
-    z_part: tuple[PauliOperator, ...]
-
-
-def find_xz_form(
-    w: Union[GeneratorSubset, GeneratorSet, Sequence[PauliOperator]],
-) -> Optional[XZForm]:
-    """Recombine a basis into pure X-type and Z-type stabilizers if possible.
-
-    The basis is reduced once with ``rows_rref``.  The spanned subgroup
-    splits exactly when every row of that reduced basis is X-only or
-    Z-only, and the two parts are those rows (``_xz_split``); otherwise
-    returns None.
-    """
-    if isinstance(w, GeneratorSubset):
-        paulis: Sequence[PauliOperator] = w.stabilizers
-    elif isinstance(w, GeneratorSet):
-        paulis = w.generators
-    else:
-        paulis = tuple(w)
-    if not paulis:
-        raise ValueError("empty basis")
-    n_qubits = paulis[0].n_qubits
-    split = _xz_split(rows_rref(pauli_row(p) for p in paulis), n_qubits)
-    if split is None:
-        return None
-    x_key, z_key = split
-    return XZForm(
-        tuple(pauli_from_row(r, n_qubits) for r in x_key),
-        tuple(pauli_from_row(r, n_qubits) for r in z_key),
-    )
 
 
 def _xz_split(

@@ -9,7 +9,6 @@ from stabwitness.binary import (
     anticommutation_mask,
     commutes,
     invert_mod2,
-    local_commutes,
     multiply,
     parse_pauli,
     pauli_from_row,
@@ -19,6 +18,13 @@ from stabwitness.binary import (
     rows_rref,
     solve_mod2,
 )
+
+
+def letters_commute(a, b, qubit):
+    """True iff the single-qubit letters at a 1-based position commute:
+    they are equal or one of them is I."""
+    pair = {a.letter_at(qubit), b.letter_at(qubit)}
+    return len(pair) == 1 or "I" in pair
 
 
 def naive_rank(rows, n_cols):
@@ -137,7 +143,7 @@ class TestCommutes:
         a = PauliOperator(n, a.z_bits, a.x_bits)
         b = PauliOperator(n, b.z_bits, b.x_bits)
         odd_sites = sum(
-            0 if local_commutes(a, b, q) else 1 for q in range(1, n + 1)
+            0 if letters_commute(a, b, q) else 1 for q in range(1, n + 1)
         )
         assert commutes(a, b) == (odd_sites % 2 == 0)
 
@@ -146,17 +152,22 @@ class TestLocalCommutes:
     def test_z_against_x_plaquettes(self):
         srz = parse_pauli("ZZZZIII")
         sbx = parse_pauli("IXXIXXI")
-        assert not local_commutes(srz, sbx, 2)  # Z vs X
-        assert local_commutes(srz, sbx, 5)  # I vs X
+        assert anticommutation_mask(srz, sbx) == 0b110  # Z vs X on qubits 2, 3
+        assert not letters_commute(srz, sbx, 2)  # Z vs X
+        assert letters_commute(srz, sbx, 5)  # I vs X
 
     def test_outside_both_supports(self):
         a = parse_pauli("XII")
         b = parse_pauli("IZI")
-        assert local_commutes(a, b, 3)
+        assert anticommutation_mask(a, b) == 0
+        assert letters_commute(a, b, 3)
 
     def test_index_out_of_range(self):
+        # the mask has no bit past the last qubit; the letterwise check
+        # reads letters, which refuse a qubit outside 1..N
+        assert anticommutation_mask(parse_pauli("X"), parse_pauli("Z")) == 1
         with pytest.raises(IndexError):
-            local_commutes(parse_pauli("X"), parse_pauli("Z"), 2)
+            letters_commute(parse_pauli("X"), parse_pauli("Z"), 2)
 
 
 class TestRank:
@@ -297,4 +308,4 @@ class TestPacking:
         b = PauliOperator(n, b.z_bits, b.x_bits)
         mask = anticommutation_mask(a, b)
         for q in range(1, n + 1):
-            assert ((mask >> (q - 1)) & 1) == (not local_commutes(a, b, q))
+            assert ((mask >> (q - 1)) & 1) == (not letters_commute(a, b, q))

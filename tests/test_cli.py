@@ -207,6 +207,16 @@ class TestEval:
             main(["eval", "color_code_7", "--kinds", "standard"])
         assert err.value.code == 2
 
+    def test_unknown_kind_is_named(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "color_code_7", "--werner", "0.9", "--kinds", "standard,bogus"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: unknown kind 'bogus'; choose from standard,alternative,twomeas\n"
+        )
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_refuses_non_finite_sigma_threshold(self, capsys, value):
         with pytest.raises(SystemExit) as err:
@@ -231,6 +241,17 @@ class TestOtherCommands:
         payload = json.loads(out)
         assert payload["size"] == 4
         assert payload["members"][0]["sequence"] == []
+
+    @pytest.mark.parametrize("max_size", ["0", "-3"])
+    def test_orbit_refuses_cap_below_one(self, capsys, tmp_path, max_size):
+        path = tmp_path / "graph.json"
+        path.write_text('{"n": 3, "edges": [[1, 2], [2, 3]]}')
+        code, out, err = run_cli(
+            capsys, "orbit", "--graph", str(path), "--max-size", max_size
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: max_size must be at least 1, got {max_size}\n"
 
     @pytest.mark.parametrize(
         "text,field",

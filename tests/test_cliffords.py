@@ -13,31 +13,25 @@ from stabwitness.cliffords import (
     apply_to_generators,
     find_graph_equivalence,
     find_local_symmetries,
-    lc_unitary_binary,
 )
 from stabwitness.graphs import Graph, graph_generators, lc_orbit, local_complement
 from stabwitness.groups import (
     GeneratorSet,
+    basis_key,
     build_color_code,
     recombine,
     span_group,
-    span_paulis,
-    subgroup_key,
 )
 from stabwitness import witnesses
 from stabwitness.witnesses import direct_census, enumerate_graph_based
 
 from conftest import random_stabilizer_set
 from test_graphs import CODE_GRAPH, K4, random_graph
-from test_witnesses import ring_group
+from test_witnesses import naive_lc_unitary, ring_group
 
 
 def random_local_clifford(rng, n):
     return LocalClifford(tuple(rng.choice(SINGLE_QUBIT_CLIFFORDS) for _ in range(n)))
-
-
-def group_key(gens):
-    return subgroup_key(span_paulis(list(gens)))
 
 
 def naive_map_letters(q, z_bits, x_bits):
@@ -178,27 +172,27 @@ class TestApply:
 class TestLcUnitary:
     def test_path_to_triangle(self):
         path = Graph.from_edges(3, [(1, 2), (2, 3)])
-        u = lc_unitary_binary(path, 2)
+        u = naive_lc_unitary(path, 2)
         assert u.to_text() == "S,HSH,S"
         images = [apply(u, g) for g in graph_generators(path).generators]
         target = graph_generators(local_complement(path, 2)).generators
-        assert group_key(images) == group_key(target)
+        assert basis_key(images) == basis_key(target)
 
     def test_isolated_vertex(self):
         g = Graph.from_edges(3, [(1, 2)])
-        u = lc_unitary_binary(g, 3)
+        u = naive_lc_unitary(g, 3)
         images = [apply(u, p) for p in graph_generators(g).generators]
-        assert group_key(images) == group_key(graph_generators(g).generators)
+        assert basis_key(images) == basis_key(graph_generators(g).generators)
 
     def test_random_graphs_span_complemented_group(self):
         rng = random.Random(43)
         for _ in range(60):
             g = random_graph(rng, 5)
             v = rng.randint(1, 5)
-            u = lc_unitary_binary(g, v)
+            u = naive_lc_unitary(g, v)
             images = [apply(u, p) for p in graph_generators(g).generators]
             target = graph_generators(local_complement(g, v)).generators
-            assert group_key(images) == group_key(target)
+            assert basis_key(images) == basis_key(target)
 
 
 class TestGraphEquivalence:
@@ -258,11 +252,11 @@ class TestLocalSymmetries:
     def test_symmetries_map_group_onto_itself(self):
         gens = build_color_code()
         group = span_group(gens)
-        key = subgroup_key(group.elements)
+        key = basis_key(group.elements)
         sym = find_local_symmetries(gens)
         rng = random.Random(53)
         for q in rng.sample(sym, min(10, len(sym))):
-            assert subgroup_key([apply(q, e) for e in group.elements]) == key
+            assert basis_key([apply(q, e) for e in group.elements]) == key
 
     def test_closed_under_composition(self):
         gens = GeneratorSet.from_texts(["XXX", "ZZI", "IZZ"])
@@ -441,9 +435,9 @@ class TestSymmetriesAtNine:
         # span all of it
         for q in sym:
             assert all(apply(q, g) in members for g in s.generators)
-        key = subgroup_key(group.elements)
+        key = basis_key(group.elements)
         for q in random.Random(909).sample(sym, min(8, len(sym))):
-            assert subgroup_key([apply(q, e) for e in group.elements]) == key
+            assert basis_key([apply(q, e) for e in group.elements]) == key
 
     def test_ring9_graph_census_inside_direct_census(self):
         group = ring_group(9)

@@ -1,25 +1,23 @@
+import itertools
 import random
 from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
 
-from stabwitness.binary import rank_mod2
+from stabwitness.binary import BitMatrix, rank_mod2
 from stabwitness.graphs import (
     CapacityError,
     Graph,
     LcOrbit,
     _connected_mask,
-    connected_components,
     graph_from_json,
     graph_generators,
     graph_to_json,
-    incidence_matrix,
     is_connected_within,
     lc_orbit,
     local_complement,
     reduced_generator_subset,
-    reduced_incidence_matrix,
 )
 
 STAR4 = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
@@ -50,6 +48,39 @@ def bfs_components(g: Graph) -> int:
             seen.add(v)
             stack.extend(g.neighbors(v))
     return count
+
+
+def naive_incidence_matrix(g: Graph) -> BitMatrix:
+    """N x C(N,2) edge-membership matrix over all vertex pairs, the rank
+    form of connectivity the paper states.
+
+    Column order is lexicographic over pairs (mu, nu) with mu < nu; columns
+    of absent edges are zero, so the rank is unaffected by the convention.
+    """
+    n = g.n_vertices
+    rows = [0] * n
+    for col, (mu, nu) in enumerate(itertools.combinations(range(n), 2)):
+        if (g.adjacency[mu] >> nu) & 1:
+            rows[mu] |= 1 << col
+            rows[nu] |= 1 << col
+    return BitMatrix(n, n * (n - 1) // 2, tuple(rows))
+
+
+def naive_reduced_incidence_matrix(g: Graph, omega) -> BitMatrix:
+    """Incidence matrix of the reduced graph on a 1-based vertex subset:
+    the induced subgraph, its vertices relabeled 1..n in sorted order."""
+    verts = sorted(set(omega))
+    edges = [
+        (i + 1, j + 1)
+        for (i, mu), (j, nu) in itertools.combinations(enumerate(verts), 2)
+        if (g.adjacency[mu - 1] >> (nu - 1)) & 1
+    ]
+    return naive_incidence_matrix(Graph.from_edges(len(verts), edges))
+
+
+def naive_connected_components(g: Graph) -> int:
+    """Component count via the incidence rank: m = N - rank(M_E)."""
+    return g.n_vertices - rank_mod2(naive_incidence_matrix(g))
 
 
 def random_graph(rng, n):
@@ -101,17 +132,20 @@ class TestGraphGenerators:
 
 class TestConnectivity:
     def test_star_is_connected(self):
-        assert connected_components(STAR4) == 1
-        assert rank_mod2(incidence_matrix(STAR4)) == 3
+        assert is_connected_within(STAR4, (1, 2, 3, 4))
+        assert rank_mod2(naive_incidence_matrix(STAR4)) == 3
 
     def test_edgeless_components(self):
-        assert connected_components(Graph.edgeless(5)) == 5
+        assert naive_connected_components(Graph.edgeless(5)) == 5
+        assert not is_connected_within(Graph.edgeless(5), (1, 2, 3, 4, 5))
 
     def test_random_graphs_match_bfs(self):
         rng = random.Random(17)
         for _ in range(100):
             g = random_graph(rng, 8)
-            assert connected_components(g) == bfs_components(g)
+            m = bfs_components(g)
+            assert naive_connected_components(g) == m
+            assert is_connected_within(g, range(1, 9)) == (m == 1)
 
     def test_code_graph_subsets(self):
         assert is_connected_within(CODE_GRAPH, (5, 6))
@@ -137,7 +171,7 @@ class TestConnectivity:
             mask = 0
             for q in omega:
                 mask |= 1 << (q - 1)
-            by_rank = rank_mod2(reduced_incidence_matrix(g, omega)) == k - 1
+            by_rank = rank_mod2(naive_reduced_incidence_matrix(g, omega)) == k - 1
             assert _connected_mask(g.adjacency, mask) == by_rank
             assert is_connected_within(g, omega) == by_rank
 
@@ -215,6 +249,12 @@ class TestOrbit:
         with pytest.raises(CapacityError):
             lc_orbit(CODE_GRAPH, max_size=3)
 
+    @pytest.mark.parametrize("max_size", [0, -3])
+    def test_cap_below_one_is_refused(self, max_size):
+        # the seed alone is an orbit of one member, which such a cap forbids
+        with pytest.raises(ValueError, match=f"max_size must be at least 1, got {max_size}"):
+            lc_orbit(Graph.edgeless(1), max_size=max_size)
+
     def test_code_graph_orbit_size_regression(self):
         # labeled-orbit size for the color-code graph; derived once from the
         # breadth-first closure and pinned as a regression value
@@ -251,9 +291,10 @@ class TestGraphProperties:
 
     @given(graphs_st)
     def test_component_count_in_range(self, g):
-        m = connected_components(g)
+        m = naive_connected_components(g)
         assert 1 <= m <= g.n_vertices
         assert (m == g.n_vertices) == all(a == 0 for a in g.adjacency)
+        assert is_connected_within(g, range(1, g.n_vertices + 1)) == (m == 1)
 
 
 class TestReducedSubset:
@@ -274,6 +315,7 @@ class TestReducedSubset:
         assert restricted == expected
 
     def test_reduced_incidence_rank(self):
-        m = reduced_incidence_matrix(K4, (2, 3, 4))
+        m = naive_reduced_incidence_matrix(K4, (2, 3, 4))
         assert (m.n_rows, m.n_cols) == (3, 3)
         assert rank_mod2(m) == 2
+        assert is_connected_within(K4, (2, 3, 4))

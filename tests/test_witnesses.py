@@ -18,12 +18,12 @@ from stabwitness.binary import (
     solve_mod2,
 )
 from stabwitness.cliffords import (
+    LocalClifford,
     _map_row,
     apply,
     apply_to_generators,
     find_graph_equivalence,
     find_local_symmetries,
-    lc_unitary_binary,
 )
 from stabwitness.graphs import (
     _connected_mask,
@@ -48,7 +48,6 @@ from stabwitness.witnesses import (
     MalformedSubsetError,
     SubsystemClass,
     WitnessSpec,
-    XZForm,
     all_subsystems,
     check_direct,
     classify_subsystem,
@@ -56,7 +55,6 @@ from stabwitness.witnesses import (
     enumerate_direct,
     enumerate_graph_based,
     enumerate_two_measurement,
-    find_xz_form,
     pseudo_incidence,
     run_census,
     two_measurement_from_standard,
@@ -760,6 +758,17 @@ class TestGraphBased:
                 assert check_direct(spec.subset())
 
 
+def naive_lc_unitary(g, vertex: int) -> LocalClifford:
+    """Letter maps realizing a local complementation at ``vertex``, the
+    step of the Clifford-path re-walk: Z <-> Y on the complemented vertex
+    and X <-> Y on each of its neighbors, so the image of the graph
+    generators spans the complemented graph's group."""
+    row = g.adjacency[vertex - 1]
+    names = ["S" if (row >> mu) & 1 else "I" for mu in range(g.n_vertices)]
+    names[vertex - 1] = "HSH"
+    return LocalClifford.from_names(names)
+
+
 def naive_maps_back(s: GeneratorSet) -> list:
     """(member, letter map back to the state) per orbit member, in orbit
     order, by the Clifford path: re-walk the member's whole complementation
@@ -770,7 +779,7 @@ def naive_maps_back(s: GeneratorSet) -> list:
         q_total = q_le
         current = graph0
         for vertex in sequence:
-            q_total = lc_unitary_binary(current, vertex).compose(q_total)
+            q_total = naive_lc_unitary(current, vertex).compose(q_total)
             current = local_complement(current, vertex)
         out.append((member, q_total.inverse()))
     return out
@@ -1022,18 +1031,29 @@ class TestFrameMemo:
         assert len(calls) == 4237
 
 
-def naive_xz_form(paulis) -> "XZForm | None":
-    """The X/Z split read off all 2^n members of the spanned subgroup."""
+def naive_xz_form(paulis):
+    """The X/Z split read off all 2^n members of the spanned subgroup: the
+    (X part, Z part) pair of ``rows_rref`` bases as Paulis, or None."""
     n_qubits = paulis[0].n_qubits
     members = span_paulis(list(paulis))
     x_basis = rows_rref(pauli_row(p) for p in members if p.z_bits == 0)
     z_basis = rows_rref(pauli_row(p) for p in members if p.x_bits == 0)
     if len(x_basis) + len(z_basis) != rows_rank(pauli_row(p) for p in paulis):
         return None
-    return XZForm(
+    return (
         tuple(pauli_from_row(r, n_qubits) for r in x_basis),
         tuple(pauli_from_row(r, n_qubits) for r in z_basis),
     )
+
+
+def xz_form(spec: WitnessSpec):
+    """The (X part, Z part) of a spec's two-measurement variant, or None."""
+    variant = two_measurement_from_standard(spec)
+    return None if variant is None else (variant.x_basis, variant.z_basis)
+
+
+def subset_spec(subset: GeneratorSubset) -> WitnessSpec:
+    return WitnessSpec.standard_local(subset.omega, subset.stabilizers)
 
 
 def naive_xz_split(rows, n_qubits):
@@ -1151,7 +1171,7 @@ class TestXZForm:
         hits = 0
         for specs in full_census.direct.values():
             for spec in specs:
-                form = find_xz_form(spec.basis)
+                form = xz_form(spec)
                 assert form == naive_xz_form(spec.basis)
                 hits += form is not None
         assert hits > 0
@@ -1164,24 +1184,24 @@ class TestXZForm:
             elements = span_group(random_stabilizer_set(rng, n_qubits)).elements
             for _ in range(20):
                 basis = rng.sample(elements[1:], rng.randint(1, n_qubits))
-                form = find_xz_form(basis)
+                rows = tuple(pauli_row(p) for p in basis)
+                spec = WitnessSpec(witnesses.WitnessKind.STANDARD, None, n_qubits, rows)
+                form = xz_form(spec)
                 assert form == naive_xz_form(basis)
                 hits += form is not None
                 misses += form is None
         assert hits and misses
 
     def test_plaquette_example(self):
-        form = find_xz_form(E1_SUBSET)
+        form = xz_form(subset_spec(E1_SUBSET))
         assert form is not None
-        assert [p.to_text() for p in form.x_part] == ["XXXXIII"]
-        z_texts = {p.to_text() for p in form.z_part}
+        x_part, z_part = form
+        assert [p.to_text() for p in x_part] == ["XXXXIII"]
         # spans {ZIZIZIZ, IZZIZZI, IIZZIZZ} up to basis choice
-        assert len(form.z_part) == 3
-        for p in form.z_part:
+        assert len(z_part) == 3
+        for p in z_part:
             assert set(p.to_text()) <= {"I", "Z"}
-        from stabwitness.groups import basis_key
-
-        assert basis_key(form.z_part) == basis_key(
+        assert basis_key(z_part) == basis_key(
             [parse_pauli("ZIZIZIZ"), parse_pauli("IZZIZZI"), parse_pauli("IIZZIZZ")]
         )
 
@@ -1189,10 +1209,11 @@ class TestXZForm:
         subset = GeneratorSubset(
             (2, 3), (parse_pauli("ZZZZIII"), parse_pauli("IZZIZZI"))
         )
-        form = find_xz_form(subset)
+        form = xz_form(subset_spec(subset))
         assert form is not None
-        assert form.x_part == ()
-        assert len(form.z_part) == 2
+        x_part, z_part = form
+        assert x_part == ()
+        assert len(z_part) == 2
 
     def test_y_heavy_subgroup_has_no_form(self):
         # every non-identity member carries a Y letter
@@ -1200,7 +1221,7 @@ class TestXZForm:
         for member in span_paulis(list(subset.stabilizers)):
             if not member.is_identity:
                 assert "Y" in member.to_text()
-        assert find_xz_form(subset) is None
+        assert xz_form(subset_spec(subset)) is None
 
 
 class TestTwoMeasurement:

@@ -173,6 +173,8 @@ def cmd_eval(parser, args) -> int:
 
 
 def cmd_orbit(parser, args) -> int:
+    if args.max_size < 1:
+        parser.error(f"--max-size must be at least 1, got {args.max_size}")
     try:
         graph = graph_from_json(Path(args.graph).read_text())
     except OSError as exc:

@@ -31,9 +31,12 @@ subgroup, not to the basis, and it only grows as rows are added.  A
 witness for omega needs an active region equal to omega.  So a partial
 basis whose active region has more than rank qubits is pruned with
 everything below it.  At a leaf with rank active qubits, conditions (i)
-and (iii) and the commutation half of (ii) hold by construction, so the
-leaf tests only the two ranks that remain; ``check_direct`` evaluates all
-four conditions with one predicate on packed 2N-bit rows.
+and (iii) and the commutation half of (ii) hold by construction.  Two
+ranks remain, and at rank 2 or 3 they hold by construction too
+(``_direct_keys``); from rank 4 up the leaf tests both with one rank of
+the restricted rows and the pair masks stacked on disjoint bits.
+``check_direct`` evaluates all four conditions with one predicate on
+packed 2N-bit rows.
 The full direct census walks the whole group once per rank.  A query for
 one subsystem omega walks the whole group once, at rank |omega|, and also
 prunes a partial basis once its active region meets a qubit outside omega,
@@ -135,9 +138,9 @@ class WitnessSpec:
     alternative witnesses are identified by the subgroup their basis spans;
     two-measurement witnesses by the (X-span, Z-span) pair.  That
     ``identity_key`` is reduced once, at construction, unless the caller
-    passes it in as ``key``: every census witness's rows are already its
-    key, so the census passes the rows themselves and the spec shares that
-    tuple.
+    passes it in as ``key``.  Every census witness's rows are already its
+    key; the census builds those specs without this constructor
+    (``_standard_specs``), and each shares its rows tuple as its key.
     """
 
     kind: WitnessKind
@@ -342,11 +345,26 @@ def _standard_specs(
     omega: tuple[int, ...], keys: Iterable[tuple[int, ...]], n_qubits: int
 ) -> list[WitnessSpec]:
     """Standard witnesses for omega from subgroup keys, sorted by key.
-    Each key tuple is the witness's rows and its identity key at once."""
-    return [
-        WitnessSpec(WitnessKind.STANDARD, omega, n_qubits, key, key=key)
-        for key in sorted(keys)
-    ]
+    Each key tuple is the witness's rows and its identity key at once.
+
+    A key comes from the search or from ``rows_rref`` of |omega|
+    independent rows, so it already passes the checks of ``WitnessSpec``.
+    Each spec is filled in field by field, in the order its ``__init__``
+    sets them, which keeps the instance dict's keys shared with the class."""
+    new, put = object.__new__, object.__setattr__
+    kind = WitnessKind.STANDARD
+    specs = []
+    for key in sorted(keys):
+        spec = new(WitnessSpec)
+        put(spec, "kind", kind)
+        put(spec, "omega", omega)
+        put(spec, "n_qubits", n_qubits)
+        put(spec, "rows", key)
+        put(spec, "x_rows", None)
+        put(spec, "z_rows", None)
+        put(spec, "identity_key", key)
+        specs.append(spec)
+    return specs
 
 
 def _subgroup_search(
@@ -429,22 +447,42 @@ def _direct_keys(
 
     Pair masks have even weight, so the pseudo-incidence rank is at most
     |active| - 1, and (iii) needs active inside omega: only omega = active
-    with |active| = rank can pass.  At such a leaf the rest of the
+    with |active| = k = rank can pass.  At such a leaf the rest of the
     predicate ``_failed_conditions`` holds by construction: (i) because
     independent exponent vectors give independent members of a commuting
     group, (iii) because every pair mask lies inside active, and the
     commutation half of (ii) because those masks have even weight.  Two
-    ranks remain: the rows restricted to omega and the pair masks.
+    ranks remain: the rows restricted to omega must have rank k, and the
+    pair masks rank k - 1.
+
+    For k <= 3 both hold by construction as well.  At k = 2 the one pair
+    mask is all of active, weight 2 and so rank 1; and a product of a
+    non-empty set of the two rows that is I on active would commute with
+    both rows letterwise there, so the mask would be 0.  At k = 3 each
+    mask is 0 or of weight 2 inside the 3 active qubits and their union is
+    active, so two of them differ and their rank is 2.  If a product P of
+    the rows in a non-empty set T were I on active, each per-qubit form
+    w_q(x, y) = symp_q(sum x_i r_i, sum y_j r_j) would vanish on T and so
+    live on a 2-dimensional quotient, whose alternating forms span one
+    dimension: the columns (w_q(e_i, e_j)) over the pairs would all be 0
+    or one common vector.  Each mask would then be 0 or the same set, and
+    as the masks cover active, one of them would be all 3 active qubits,
+    an odd weight.
+
+    From k = 4 up the restricted rows, shifted above bit N, and the pair
+    masks are stacked in one list.  Their bits do not overlap, so the
+    ranks add, and the leaf passes exactly when the sum is 2k - 1.
     """
     for active, rows in _subgroup_search(span, rank, n_qubits, outside):
         if active.bit_count() != rank:
             continue
-        omega_rows = (active << n_qubits) | active
-        if (
-            rows_rank([r & omega_rows for r in rows]) == rank
-            and rows_rank(_pair_masks(rows, n_qubits)) == rank - 1
-        ):
-            yield active, rows[::-1]
+        if rank > 3:
+            omega_rows = (active << n_qubits) | active
+            stacked = _pair_masks(rows, n_qubits)
+            stacked += [(r & omega_rows) << n_qubits for r in rows]
+            if rows_rank(stacked) != 2 * rank - 1:
+                continue
+        yield active, rows[::-1]
 
 
 def enumerate_direct(
@@ -485,7 +523,7 @@ def direct_census(group: StabilizerGroup) -> dict[tuple[int, ...], list[WitnessS
     its active region.  A rank-k witness needs exactly k active qubits, and
     the active region only grows as basis rows are added, so a partial
     basis with more than k active qubits is pruned with all its
-    extensions.  Only the leaves with k active qubits are tested
+    extensions.  Only the leaves with k active qubits can pass
     (``_direct_keys``), and each is its own key.
     """
     n_qubits = group.n_qubits

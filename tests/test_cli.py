@@ -246,12 +246,14 @@ class TestOtherCommands:
     def test_orbit_refuses_cap_below_one(self, capsys, tmp_path, max_size):
         path = tmp_path / "graph.json"
         path.write_text('{"n": 3, "edges": [[1, 2], [2, 3]]}')
-        code, out, err = run_cli(
-            capsys, "orbit", "--graph", str(path), "--max-size", max_size
+        with pytest.raises(SystemExit) as err:
+            main(["orbit", "--graph", str(path), "--max-size", max_size])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: --max-size must be at least 1, got {max_size}\n"
         )
-        assert code == 1
-        assert out == ""
-        assert err == f"error: max_size must be at least 1, got {max_size}\n"
 
     @pytest.mark.parametrize(
         "text,field",

@@ -480,7 +480,7 @@ class TestPrunedSearch:
     the letter-kernel scan ``naive_enumerate_direct`` is the per-subsystem
     oracle where the full scan is too slow.  ``naive_direct_keys``, the
     search over generator coordinates with the full predicate at each
-    leaf, is the oracle of the two-rank leaf test in RREF coordinates."""
+    leaf, is the oracle of the leaf test in RREF coordinates."""
 
     def test_census_matches_scan_on_color_code(self, color_group, naive_color):
         assert direct_census(color_group) == naive_color
@@ -602,6 +602,77 @@ class TestPrunedSearch:
             assert pruned == inside, omega
             exact += sum(active == mask for active, _ in pruned)
         assert exact
+
+
+LEAF_CASES = [
+    ("color_code_7", build_color_code()),
+    ("ring8", ring_group(8).generator_set),
+] + [
+    (f"recipe{n}_{seed}", random_stabilizer_set(random.Random(seed), n))
+    for n, seed in [(5, 505), (6, 506), (7, 307), (8, 0), (8, 1)]
+]
+
+
+class TestLeafTest:
+    """``_direct_keys`` accepts the leaves of rank 2 and 3 untested and
+    tests those of rank 4 and up with one rank of the restricted rows and
+    the pair masks stacked on disjoint bits; the full predicate
+    ``_failed_conditions`` is the oracle at every leaf."""
+
+    @pytest.mark.parametrize(
+        "s", [s for _, s in LEAF_CASES], ids=[i for i, _ in LEAF_CASES]
+    )
+    def test_leaf_test_is_the_full_predicate(self, s):
+        group = span_group(s)
+        n_qubits = group.n_qubits
+        span = witnesses._rref_span(group)
+        rejected = collections.Counter()
+        for rank in range(2, n_qubits):
+            accepted = set()
+            for active, rows in witnesses._subgroup_search(span, rank, n_qubits, 0):
+                if active.bit_count() != rank:
+                    continue
+                failed = next(
+                    witnesses._failed_conditions(rows, active, n_qubits), None
+                )
+                if rank <= 3:
+                    # both remaining ranks hold by construction
+                    assert failed is None, (rank, rows)
+                else:
+                    omega_rows = (active << n_qubits) | active
+                    restricted = [r & omega_rows for r in rows]
+                    masks = witnesses._pair_masks(rows, n_qubits)
+                    stacked = masks + [r << n_qubits for r in restricted]
+                    separate = (rows_rank(restricted), rows_rank(masks))
+                    assert (rows_rank(stacked) == 2 * rank - 1) == (
+                        separate == (rank, rank - 1)
+                    )
+                if failed is None:
+                    accepted.add((active, rows[::-1]))
+                else:
+                    rejected[rank] += 1
+            found = set(witnesses._direct_keys(span, rank, n_qubits, 0))
+            assert found == accepted, rank
+        # rank 4 is the first rank whose leaves the test must reject
+        if n_qubits > 5:
+            assert rejected[4]
+
+    def test_color_code_census_ranks_only_leaves_of_rank_four_and_up(
+        self, color_group, monkeypatch
+    ):
+        # one stacked rank per leaf of rank 4..6 with that many active
+        # qubits and none at the leaves of rank 2 and 3
+        calls = []
+        rank = witnesses.rows_rank
+
+        def counted(rows):
+            calls.append(None)
+            return rank(rows)
+
+        monkeypatch.setattr(witnesses, "rows_rank", counted)
+        census = direct_census(color_group)
+        assert sum(len(v) for v in census.values()) == 3927
+        assert len(calls) == 987
 
 
 def naive_span_texts(paulis, n_qubits):
@@ -1405,6 +1476,42 @@ class TestPackedSpecs:
             )
         with pytest.raises(ValueError, match="out of range for 2 qubits"):
             WitnessSpec(witnesses.WitnessKind.STANDARD, None, 2, (1 << 4,))
+
+
+class TestUncheckedSpecs:
+    """``_standard_specs`` fills each census spec field by field; the
+    checked constructor is its oracle."""
+
+    @pytest.mark.parametrize("state", ["color_code_7", "ring7"])
+    def test_census_specs_equal_checked_construction(self, state):
+        if state == "color_code_7":
+            group = span_group(build_color_code())
+        else:
+            group = ring_group(7)
+        n_qubits = group.n_qubits
+        direct = direct_census(group)
+        omegas = [(1, 2), (2, 5, 6), (1, 2, 3, 4), (3, 4, 5, 6, 7)]
+        buckets = [
+            direct,
+            {omega: enumerate_direct(group, omega) for omega in omegas},
+            enumerate_graph_based(group.generator_set),
+        ]
+        checked = 0
+        for bucket in buckets:
+            assert any(bucket.values())
+            for omega, specs in bucket.items():
+                for spec in specs:
+                    oracle = WitnessSpec(
+                        witnesses.WitnessKind.STANDARD, omega, n_qubits, spec.rows
+                    )
+                    assert spec == oracle
+                    assert hash(spec) == hash(oracle)
+                    assert repr(spec) == repr(oracle)
+                    assert spec.identity_key == oracle.identity_key
+                    # same fields, set in the same order
+                    assert list(vars(spec).items()) == list(vars(oracle).items())
+                    checked += 1
+        assert checked > sum(map(len, direct.values()))
 
 
 class TestTwoMeasurementParts:

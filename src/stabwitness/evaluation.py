@@ -8,21 +8,21 @@ variance (1 - <s>^2) / M; the identity contributes expectation 1 and
 variance 0.  Shot counts may differ per record, in which case each summand
 carries its own 1/M factor.
 
-Records are read once, when the data source is built, into one lookup from
-a packed 2N-bit row (``binary.pauli_row``) to (expectation, variance).  A
-witness carries its basis as packed rows too (``WitnessSpec.rows``, and
-``x_rows``/``z_rows`` for a two-measurement witness), so the evaluators
-read those rows and never build its ``PauliOperator`` views.  All
-evaluators and ``fidelity`` sum through one loop over packed rows; a span is
-summed in ascending packed-row order, so a value does not depend on the
-basis chosen for the subgroup.  Only members without a record are rendered
-as text, in the ``IncompleteDataError`` that names them all.  A dataset on
-another number of qubits than the witness is refused with a ValueError
-that names both counts.
+Every record passes one check, ``_entry``, in the constructor that
+``from_pairs`` and ``from_csv`` end in; those two convert values in one
+``float()``/``int()`` step, ``_converted``.  The check fills one lookup
+from a packed 2N-bit row (``binary.pauli_row``) to (expectation,
+variance), and every evaluator and ``fidelity`` read a witness's packed
+rows through one sum, ``_sums``.  A span is summed in ascending packed-row
+order, so a value does not depend on the basis chosen for the subgroup.
+Only members without a record are rendered as text, in the one
+``IncompleteDataError`` that names them all.  A dataset on another number
+of qubits than the witness is refused with a ValueError naming both counts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -89,39 +89,91 @@ class _Source:
         return self._record(p)[1]
 
 
+def _real(x) -> bool:
+    """A real number that is not a bool, as an expectation or p must be."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _pauli(label) -> PauliOperator:
+    if not isinstance(label, str):
+        raise ValueError(f"label {label!r} is not a Pauli string")
+    return parse_pauli(label)
+
+
+def _pair(record, name: str) -> tuple:
+    try:  # a string of two characters is not a pair
+        e, shots = () if isinstance(record, (str, bytes)) else record
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"record {record!r} of {name} is not an (expectation, shots) pair"
+        ) from None
+    return e, shots
+
+
+def _number(e, name: str):
+    if not _real(e):
+        raise ValueError(f"expectation {e!r} of {name} is not a number")
+    return e
+
+
+def _count(shots, name: str):
+    if isinstance(shots, bool) or not isinstance(shots, int):
+        raise ValueError(f"shot count {shots!r} of {name} is not an integer")
+    return shots
+
+
+def _entry(n_qubits: int, label, name: str, record) -> tuple[int, tuple]:
+    """The packed row of ``label`` and its record's (expectation, variance),
+    checked in this order: a Pauli string, an (expectation, shots) pair, on
+    ``n_qubits`` qubits, a real non-bool expectation in [-1, 1], a positive
+    int shot count a float can hold.  Errors call the label ``name``."""
+    p = _pauli(label)
+    e, shots = _pair(record, name)
+    if p.n_qubits != n_qubits:
+        raise ValueError(f"label {name} is not on {n_qubits} qubits")
+    if not -1.0 <= _number(e, name) <= 1.0:
+        raise ValueError(f"expectation {e} of {name} outside [-1, 1]")
+    if _count(shots, name) <= 0:
+        raise ValueError(f"non-positive shot count for {name}")
+    try:
+        return pauli_row(p), (e, (1.0 - e * e) / shots)
+    except OverflowError:
+        raise ValueError(f"shot count for {name} is too large") from None
+
+
+def _converted(e, shots) -> tuple:
+    """A record's values through ``float()`` and ``int()``.  A value either
+    refuses is left for ``_number`` or ``_count`` to name, as is a bool or
+    fractional float shot count, which ``int()`` would take."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        e = float(e)
+    fractional = isinstance(shots, float) and not shots.is_integer()
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        shots = shots if isinstance(shots, bool) or fractional else int(shots)
+    return e, shots
+
+
 @dataclass(frozen=True)
 class MeasurementDataset(_Source):
     """Measured expectation values keyed by Pauli label.
 
-    ``records`` maps each Pauli text label to (expectation, shots): the
-    expectation a real number (not a bool) in [-1, 1], the shot count a
-    positive int.  The identity is always served as expectation 1 with
-    zero variance, whether or not a record is present.  The records are
-    read once, at construction, into a lookup by packed row of
-    (expectation, variance); evaluators sum over it in ascending
-    packed-row order.
+    ``n_qubits`` is a positive int.  ``records`` maps each Pauli text label
+    to (expectation, shots): the expectation a real number (not a bool) in
+    [-1, 1], the shot count a positive int that a float can hold.  The
+    identity is always served as expectation 1 with zero variance, whether
+    or not a record is present.  The records are read once, at
+    construction, into a lookup by packed row of (expectation, variance);
+    evaluators sum over it in ascending packed-row order.
     """
 
     n_qubits: int
     records: dict[str, tuple[float, int]] = field(repr=False)
 
     def __post_init__(self) -> None:
-        index = {}
-        for label, (e, shots) in self.records.items():
-            p = parse_pauli(label)
-            if p.n_qubits != self.n_qubits:
-                raise ValueError(
-                    f"label {label!r} is not on {self.n_qubits} qubits"
-                )
-            if isinstance(e, bool) or not isinstance(e, numbers.Real):
-                raise ValueError(f"expectation {e!r} of {label!r} is not a number")
-            if not -1.0 <= e <= 1.0:
-                raise ValueError(f"expectation {e} of {label!r} outside [-1, 1]")
-            if isinstance(shots, bool) or not isinstance(shots, int):
-                raise ValueError(f"shot count {shots!r} of {label!r} is not an integer")
-            if shots <= 0:
-                raise ValueError(f"non-positive shot count for {label!r}")
-            index[pauli_row(p)] = (e, (1.0 - e * e) / shots)
+        if type(self.n_qubits) is not int or self.n_qubits < 1:
+            raise ValueError(f"qubit count {self.n_qubits!r} is not a positive integer")
+        items = self.records.items()
+        index = dict(_entry(self.n_qubits, label, repr(label), r) for label, r in items)
         index[0] = _IDENTITY
         object.__setattr__(self, "_index", index)
 
@@ -137,25 +189,14 @@ class MeasurementDataset(_Source):
         cls, n_qubits: int, pairs: dict[str, tuple[float, int]]
     ) -> "MeasurementDataset":
         """Records from (expectation, shots) pairs, converted with float()
-        and int().  A fractional float or a bool shot count is refused, as
-        is a value that does not convert; each error names the label."""
+        and int().  A value that does not convert, a fractional float or bool
+        shot count, or a bad label is reported before the constructor checks."""
         records = {}
-        for label, (e, m) in pairs.items():
-            try:
-                e = float(e)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"expectation {e!r} of {label!r} is not a number"
-                ) from None
-            try:
-                if isinstance(m, bool) or isinstance(m, float) and not m.is_integer():
-                    raise ValueError
-                m = int(m)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"shot count {m!r} of {label!r} is not an integer"
-                ) from None
-            records[parse_pauli(label).to_text()] = (e, m)
+        for label, record in pairs.items():
+            name = repr(label)
+            e, shots = _converted(*_pair(record, name))
+            e, shots = _number(e, name), _count(shots, name)
+            records[_pauli(label).to_text()] = (e, shots)
         return cls(n_qubits, records)
 
     @classmethod
@@ -163,22 +204,17 @@ class MeasurementDataset(_Source):
         cls, group: StabilizerGroup, expectation: float, shots: int
     ) -> "MeasurementDataset":
         """Same expectation and shot count for every non-identity element."""
-        return cls(
-            group.n_qubits,
-            {
-                e.to_text(): (expectation, shots)
-                for e in group.non_identity()
-            },
-        )
+        records = {e.to_text(): (expectation, shots) for e in group.non_identity()}
+        return cls(group.n_qubits, records)
 
     @classmethod
     def from_csv(cls, text: str) -> "MeasurementDataset":
-        """Parse the ``pauli,expectation,shots`` CSV format."""
+        """Parse the ``pauli,expectation,shots`` CSV format.  Each line is
+        checked as it is read, so an error names it."""
         reader = csv.reader(io.StringIO(text))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty dataset") from None
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty dataset")
         if [h.strip().lower() for h in header] != ["pauli", "expectation", "shots"]:
             raise ValueError(
                 "dataset header must be exactly 'pauli,expectation,shots'"
@@ -190,43 +226,15 @@ class MeasurementDataset(_Source):
                 continue
             if len(row) != 3:
                 raise ValueError(f"line {line_no}: expected 3 fields")
-            label, expectation, shots = (f.strip() for f in row)
+            label, *values = (f.strip() for f in row)
+            n_qubits = n_qubits or len(label)  # the first line's label
             try:
-                p = parse_pauli(label)
+                if label in records:  # so it parsed, on n_qubits qubits
+                    raise ValueError(f"duplicate label {label}")
+                records[label] = record = _converted(*values)
+                _entry(n_qubits, label, label, record)
             except ValueError as err:
                 raise ValueError(f"line {line_no}: {err}") from None
-            if n_qubits is None:
-                n_qubits = p.n_qubits
-            elif p.n_qubits != n_qubits:
-                raise ValueError(
-                    f"line {line_no}: label {label} is not on {n_qubits} qubits"
-                )
-            label = p.to_text()
-            if label in records:
-                raise ValueError(f"line {line_no}: duplicate label {label}")
-            try:
-                value = float(expectation)
-            except ValueError:
-                raise ValueError(
-                    f"line {line_no}: expectation {expectation!r} of {label} "
-                    "is not a number"
-                ) from None
-            if not -1.0 <= value <= 1.0:
-                raise ValueError(
-                    f"line {line_no}: expectation {value} of {label} outside [-1, 1]"
-                )
-            try:
-                count = int(shots)
-            except ValueError:
-                raise ValueError(
-                    f"line {line_no}: shot count {shots!r} of {label} "
-                    "is not an integer"
-                ) from None
-            if count <= 0:
-                raise ValueError(
-                    f"line {line_no}: non-positive shot count for {label}"
-                )
-            records[label] = (value, count)
         if n_qubits is None:
             raise ValueError("dataset has no records")
         return cls(n_qubits, records)
@@ -248,6 +256,8 @@ class WernerModel(_Source):
     p: float
 
     def __post_init__(self) -> None:
+        if not _real(self.p):
+            raise ValueError(f"mixing probability {self.p!r} is not a number")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"mixing probability {self.p} outside [0, 1]")
 
@@ -269,26 +279,20 @@ class WitnessValue:
         return math.sqrt(self.variance)
 
 
-def _finish(
-    expectation: float, variance: float, sigma_threshold: float
-) -> WitnessValue:
+def _finish(expectation: float, variance: float, sigma_threshold: float) -> WitnessValue:
     detected = expectation + sigma_threshold * math.sqrt(variance) < 0.0
     return WitnessValue(expectation, variance, detected)
 
 
-def _sums(lookup: Callable, rows: Sequence[int]):
+def _sums(data: DataSource, n_qubits: int, rows: Sequence[int]) -> tuple[float, float]:
     """(expectation sum, variance sum) of packed rows, summed in the order
-    given, or None when a row has no record."""
-    records = list(map(lookup, rows))
+    given, or one IncompleteDataError naming every row without a record."""
+    records = list(map(data._lookup(n_qubits), rows))
     if None in records:
-        return None
+        absent = data.missing([pauli_from_row(r, n_qubits) for r in rows])
+        raise IncompleteDataError(absent)
     expectations, variances = zip(*records)
     return sum(expectations), sum(variances)
-
-
-def _incomplete(data: DataSource, n_qubits: int, rows: Sequence[int]):
-    """The IncompleteDataError naming every member of rows without a record."""
-    return IncompleteDataError(data.missing([pauli_from_row(r, n_qubits) for r in rows]))
 
 
 def eval_standard(
@@ -300,11 +304,9 @@ def eval_standard(
     Variance adds (1 - <s>^2) / (M_s * 2^(2n)) per non-identity member.
     """
     rows = sorted(_span_rows(w.rows))
-    sums = _sums(data._lookup(w.n_qubits), rows)
-    if sums is None:
-        raise _incomplete(data, w.n_qubits, rows)
+    expectation, variance = _sums(data, w.n_qubits, rows)
     scale = 1.0 / len(rows)
-    return _finish(0.5 - scale * sums[0], sums[1] * scale * scale, sigma_threshold)
+    return _finish(0.5 - scale * expectation, variance * scale * scale, sigma_threshold)
 
 
 def eval_alternative(
@@ -316,11 +318,9 @@ def eval_alternative(
     basis order.  Only ``w.rows`` is read, so the standard witness of the
     same basis gives the same value.
     """
-    sums = _sums(data._lookup(w.n_qubits), w.rows)
-    if sums is None:
-        raise _incomplete(data, w.n_qubits, w.rows)
+    expectation, variance = _sums(data, w.n_qubits, w.rows)
     n = len(w.rows)
-    return _finish((n - 1) / 2.0 - 0.5 * sums[0], 0.5 * sums[1], sigma_threshold)
+    return _finish((n - 1) / 2.0 - 0.5 * expectation, 0.5 * variance, sigma_threshold)
 
 
 def eval_two_measurement(
@@ -330,21 +330,22 @@ def eval_two_measurement(
 
     Each span enters as 2^-a * sum over its 2^a members (identity included;
     an empty part is the identity alone); variances carry the same squared
-    coefficients.
+    coefficients.  Missing records are named for both parts at once.
     """
     if w.x_rows is None or w.z_rows is None:
         raise ValueError("witness carries no X/Z split")
     x_rows = sorted(_span_rows(w.x_rows))
     z_rows = sorted(_span_rows(w.z_rows))
-    lookup = data._lookup(w.n_qubits)
-    x_sums = _sums(lookup, x_rows)
-    z_sums = _sums(lookup, z_rows)
-    if x_sums is None or z_sums is None:
-        raise _incomplete(data, w.n_qubits, x_rows + z_rows)
+    try:
+        x_expectation, x_variance = _sums(data, w.n_qubits, x_rows)
+        z_expectation, z_variance = _sums(data, w.n_qubits, z_rows)
+    except IncompleteDataError:
+        _sums(data, w.n_qubits, x_rows + z_rows)  # raises, naming both parts
+        raise
     x_scale = 1.0 / len(x_rows)
     z_scale = 1.0 / len(z_rows)
-    expectation = 1.5 - x_scale * x_sums[0] - z_scale * z_sums[0]
-    variance = x_sums[1] * x_scale * x_scale + z_sums[1] * z_scale * z_scale
+    expectation = 1.5 - x_scale * x_expectation - z_scale * z_expectation
+    variance = x_variance * x_scale * x_scale + z_variance * z_scale * z_scale
     return _finish(expectation, variance, sigma_threshold)
 
 
@@ -365,11 +366,9 @@ def evaluate(
 def fidelity(group: StabilizerGroup, data: DataSource) -> tuple[float, float]:
     """State fidelity 2^-N * sum over all 2^N stabilizers, with variance."""
     rows = sorted(group.rows)
-    sums = _sums(data._lookup(group.n_qubits), rows)
-    if sums is None:
-        raise _incomplete(data, group.n_qubits, rows)
+    expectation, variance = _sums(data, group.n_qubits, rows)
     scale = 1.0 / len(rows)
-    return scale * sums[0], scale * scale * sums[1]
+    return scale * expectation, scale * scale * variance
 
 
 def critical_probability(w: WitnessSpec) -> float:

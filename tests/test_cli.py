@@ -202,6 +202,15 @@ class TestEval:
         assert out == ""
         assert err == "error: dataset is on 5 qubits, the code on 7\n"
 
+    def test_shot_count_too_large_for_a_float(self, capsys, tmp_path):
+        # the variance's OverflowError used to escape main as a traceback
+        path = tmp_path / "big.csv"
+        path.write_text("pauli,expectation,shots\nZZZZIII,0.5,1" + "0" * 400 + "\n")
+        code, out, err = run_cli(capsys, "eval", "color_code_7", "--data", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: bad dataset: line 2: shot count for ZZZZIII is too large\n"
+
     def test_needs_exactly_one_source(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["eval", "color_code_7", "--kinds", "standard"])

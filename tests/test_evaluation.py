@@ -73,6 +73,18 @@ class TestDataset:
         assert data.records["ZZZZIII"] == (0.83, 100)
         assert MeasurementDataset.from_csv(data.to_csv()).records == data.records
 
+    @pytest.mark.parametrize("build", ["csv", "pairs"])
+    def test_parsed_dataset_is_the_constructors(self, build):
+        records = {"ZZZZIII": (0.83, 100), "IXXIXXI": (-0.25, 50), "IIIIIII": (0.5, 7)}
+        made = MeasurementDataset(7, records)
+        if build == "csv":
+            data = MeasurementDataset.from_csv(made.to_csv())
+        else:
+            data = MeasurementDataset.from_pairs(7, {k: (str(e), str(m)) for k, (e, m) in records.items()})
+        assert type(data) is MeasurementDataset
+        assert data == made
+        assert vars(data) == vars(made)  # the lookup by packed row included
+
     def test_rejects_bad_rows(self):
         with pytest.raises(ValueError):
             MeasurementDataset.from_csv("pauli,expectation\nXX,1\n")
@@ -178,6 +190,203 @@ class TestDataset:
         assert model.variance_of(parse_pauli("XIX")) == 0.0
         with pytest.raises(ValueError):
             WernerModel(1.2)
+
+    @pytest.mark.parametrize(
+        "p,message",
+        [
+            # True was taken as p = 1, and "0.5" failed the range check
+            # with a TypeError that named nothing
+            (True, "mixing probability True is not a number"),
+            ("0.5", "mixing probability '0.5' is not a number"),
+            (None, "mixing probability None is not a number"),
+            (0.5j, "mixing probability 0.5j is not a number"),
+            (float("nan"), "mixing probability nan outside [0, 1]"),
+        ],
+    )
+    def test_werner_refuses_non_number(self, p, message):
+        with pytest.raises(ValueError) as err:
+            WernerModel(p)
+        assert str(err.value) == message
+
+    def test_werner_takes_real_numbers(self):
+        assert WernerModel(Fraction(1, 2)).expectation_of(parse_pauli("XX")) == 0.5
+        assert WernerModel(1).expectation_of(parse_pauli("XX")) == 1
+
+
+def dataset_from(source, label, csv_values, values):
+    """One record of a 2-qubit dataset through the constructor,
+    ``from_pairs`` or ``from_csv``, the last after a good first line, so a
+    CSV fault is on line 3."""
+    if source == "csv":
+        text = f"pauli,expectation,shots\nXX,0.5,100\n{label},{csv_values}\n"
+        return MeasurementDataset.from_csv(text)
+    build = MeasurementDataset if source == "constructor" else MeasurementDataset.from_pairs
+    return build(2, {label: values})
+
+
+def expected_message(source, template, label):
+    """The CSV names the line and the bare label; the others quote it."""
+    if source == "csv":
+        return "line 3: " + template.format(label=label)
+    return template.format(label=repr(label))
+
+
+# One fault per row: (label, CSV values, Python values, message).  The
+# Python values print as the CSV text does, so the three sources differ
+# only in the line prefix and the quoting of the label.
+SINGLE_FAULTS = {
+    "letter": ("ZQ", "0.5,10", (0.5, 10), "invalid Pauli letter 'Q' in 'ZQ'"),
+    "qubits": ("ZZZ", "0.5,10", (0.5, 10), "label {label} is not on 2 qubits"),
+    "type": ("ZZ", "abc,10", ("abc", 10), "expectation 'abc' of {label} is not a number"),
+    "above": ("ZZ", "1.5,10", (1.5, 10), "expectation 1.5 of {label} outside [-1, 1]"),
+    "below": ("ZZ", "-1.5,10", (-1.5, 10), "expectation -1.5 of {label} outside [-1, 1]"),
+    "nan": ("ZZ", "nan,10", (float("nan"), 10), "expectation nan of {label} outside [-1, 1]"),
+    "shots": ("ZZ", "0.5,1e3", (0.5, "1e3"), "shot count '1e3' of {label} is not an integer"),
+    "zero": ("ZZ", "0.5,0", (0.5, 0), "non-positive shot count for {label}"),
+    "negative": ("ZZ", "0.5,-3", (0.5, -3), "non-positive shot count for {label}"),
+}
+
+# Two faults per record, each reported by the check that runs first:
+# label, qubit count, expectation type, range, shot type, positivity.
+CONSTRUCTOR_DOUBLE_FAULTS = [
+    ("ZQ", (1.5, 10), "invalid Pauli letter 'Q' in 'ZQ'"),
+    ("ZQ", ("abc", 2.5), "invalid Pauli letter 'Q' in 'ZQ'"),
+    ("ZZZ", ("abc", 10), "label 'ZZZ' is not on 2 qubits"),
+    ("ZZZ", (1.5, 0), "label 'ZZZ' is not on 2 qubits"),
+    ("ZZ", ("abc", "1e3"), "expectation 'abc' of 'ZZ' is not a number"),
+    ("ZZ", (None, 0), "expectation None of 'ZZ' is not a number"),
+    ("ZZ", (1.5, 2.5), "expectation 1.5 of 'ZZ' outside [-1, 1]"),
+    ("ZZ", (1.5, 0), "expectation 1.5 of 'ZZ' outside [-1, 1]"),
+]
+
+# from_pairs reports a value that float() or int() refuses (or a bool or
+# fractional float shot count) first, then a bad label, and only then the
+# constructor's checks: qubit count, range, positivity.
+PAIRS_DOUBLE_FAULTS = [
+    ("ZQ", (1.5, 10), "invalid Pauli letter 'Q' in 'ZQ'"),
+    ("ZQ", ("abc", 2.5), "expectation 'abc' of 'ZQ' is not a number"),
+    ("ZZZ", ("abc", 10), "expectation 'abc' of 'ZZZ' is not a number"),
+    ("ZZZ", (1.5, 0), "label 'ZZZ' is not on 2 qubits"),
+    ("ZZ", ("abc", "1e3"), "expectation 'abc' of 'ZZ' is not a number"),
+    ("ZZ", (None, 0), "expectation None of 'ZZ' is not a number"),
+    ("ZZ", (1.5, 2.5), "shot count 2.5 of 'ZZ' is not an integer"),
+    ("ZZ", (1.5, True), "shot count True of 'ZZ' is not an integer"),
+    ("ZZ", (1.5, 0), "expectation 1.5 of 'ZZ' outside [-1, 1]"),
+]
+
+CSV_DOUBLE_FAULTS = [
+    ("ZQI,abc,100", "line 3: invalid Pauli letter 'Q' in 'ZQI'"),
+    ("ZQI,0.5", "line 3: expected 3 fields"),
+    ("ZZ,abc,100", "line 3: label ZZ is not on 3 qubits"),
+    ("ZZ,1.5,100", "line 3: label ZZ is not on 3 qubits"),
+    ("XXI,1.5,100", "line 3: duplicate label XXI"),
+    ("ZZI,abc,1e3", "line 3: expectation 'abc' of ZZI is not a number"),
+    ("ZZI,abc,0", "line 3: expectation 'abc' of ZZI is not a number"),
+    ("ZZI,1.5,1e3", "line 3: expectation 1.5 of ZZI outside [-1, 1]"),
+    ("ZZI,nan,0", "line 3: expectation nan of ZZI outside [-1, 1]"),
+]
+
+
+class TestRecordFaults:
+    @pytest.mark.parametrize("source", ["constructor", "pairs", "csv"])
+    @pytest.mark.parametrize("fault", sorted(SINGLE_FAULTS))
+    def test_each_source_names_a_fault_alike(self, source, fault):
+        label, csv_values, values, template = SINGLE_FAULTS[fault]
+        with pytest.raises(ValueError) as err:
+            dataset_from(source, label, csv_values, values)
+        assert str(err.value) == expected_message(source, template, label)
+
+    @pytest.mark.parametrize("label,values,message", CONSTRUCTOR_DOUBLE_FAULTS)
+    def test_constructor_reports_the_first_of_two_faults(self, label, values, message):
+        with pytest.raises(ValueError) as err:
+            MeasurementDataset(2, {label: values})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("label,values,message", PAIRS_DOUBLE_FAULTS)
+    def test_pairs_report_the_first_of_two_faults(self, label, values, message):
+        with pytest.raises(ValueError) as err:
+            MeasurementDataset.from_pairs(2, {label: values})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "pairs,message",
+        [
+            # a later record's value that does not convert comes before an
+            # earlier record's qubit count, range or shot count
+            ({"ZZZ": (0.5, 10), "XX": ("abc", 10)}, "expectation 'abc' of 'XX' is not a number"),
+            ({"XX": (0.5, 0), "YY": (0.5, "x")}, "shot count 'x' of 'YY' is not an integer"),
+            ({"XX": (1.5, 10), "ZQ": (0.5, 10)}, "invalid Pauli letter 'Q' in 'ZQ'"),
+            # an earlier record's bad label comes before a later one's value
+            ({"ZQ": (0.5, 10), "XX": ("abc", 10)}, "invalid Pauli letter 'Q' in 'ZQ'"),
+        ],
+    )
+    def test_pairs_report_conversion_and_label_faults_first(self, pairs, message):
+        with pytest.raises(ValueError) as err:
+            MeasurementDataset.from_pairs(2, pairs)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("row,message", CSV_DOUBLE_FAULTS)
+    def test_csv_reports_the_first_of_two_faults(self, row, message):
+        text = f"pauli,expectation,shots\nXXI,0.5,100\n{row}\n"
+        with pytest.raises(ValueError) as err:
+            MeasurementDataset.from_csv(text)
+        assert str(err.value) == message
+
+    def test_first_faulty_record_is_reported(self):
+        records = {"XX": (0.5, 10), "ZZ": (0.5, 0), "YY": (1.5, 10)}
+        with pytest.raises(ValueError, match="^non-positive shot count for 'ZZ'$"):
+            MeasurementDataset(2, records)
+        text = "pauli,expectation,shots\nXX,0.5,10\nZZ,0.5,0\nYY,1.5,10\n"
+        with pytest.raises(ValueError, match="^line 3: non-positive shot count for ZZ$"):
+            MeasurementDataset.from_csv(text)
+
+    @pytest.mark.parametrize("source", ["constructor", "pairs", "csv"])
+    def test_shot_count_too_large_for_a_float(self, source):
+        # the variance (1 - e^2) / shots raised OverflowError, which the CLI
+        # did not catch
+        shots = 10**400
+        with pytest.raises(ValueError) as err:
+            dataset_from(source, "ZZ", f"0.5,{shots}", (0.5, shots))
+        assert str(err.value) == expected_message(
+            source, "shot count for {label} is too large", "ZZ"
+        )
+
+    def test_largest_float_shot_count_is_taken(self):
+        data = MeasurementDataset(2, {"ZZ": (0.5, int(1e308))})
+        assert data.variance_of(parse_pauli("ZZ")) == 0.75 / 1e308
+
+    @pytest.mark.parametrize("build", [MeasurementDataset, MeasurementDataset.from_pairs])
+    @pytest.mark.parametrize(
+        "records,message",
+        [
+            # each used to raise a TypeError or an unpacking error that
+            # named neither the label nor the value
+            ({5: (0.5, 10)}, "label 5 is not a Pauli string"),
+            ({"ZZ": 0.5}, "record 0.5 of 'ZZ' is not an (expectation, shots) pair"),
+            ({"ZZ": (0.5,)}, "record (0.5,) of 'ZZ' is not an (expectation, shots) pair"),
+            (
+                {"ZZ": (0.5, 10, 3)},
+                "record (0.5, 10, 3) of 'ZZ' is not an (expectation, shots) pair",
+            ),
+            # two characters unpack into two values, but are not a record
+            ({"ZZ": "05"}, "record '05' of 'ZZ' is not an (expectation, shots) pair"),
+            ({"ZZ": "ab"}, "record 'ab' of 'ZZ' is not an (expectation, shots) pair"),
+            ({"ZZ": b"05"}, "record b'05' of 'ZZ' is not an (expectation, shots) pair"),
+        ],
+    )
+    def test_malformed_record_is_named(self, build, records, message):
+        with pytest.raises(ValueError) as err:
+            build(2, records)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("build", [MeasurementDataset, MeasurementDataset.from_pairs])
+    @pytest.mark.parametrize("n_qubits", ["2", -1, 0, True, 2.0, None])
+    def test_qubit_count_must_be_a_positive_integer(self, build, n_qubits):
+        # "2" was reported as "label 'ZZ' is not on 2 qubits", and -1 was
+        # taken for a dataset with no records
+        with pytest.raises(ValueError) as err:
+            build(n_qubits, {})
+        assert str(err.value) == f"qubit count {n_qubits!r} is not a positive integer"
 
 
 class TestStandard:

@@ -27,6 +27,8 @@ import csv
 import io
 import math
 import numbers
+import reprlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -110,15 +112,30 @@ def _pair(record, name: str) -> tuple:
     return e, shots
 
 
+def _items(records):
+    """The (label, record) items of a mapping of records."""
+    if not isinstance(records, Mapping):
+        raise ValueError(
+            f"records {reprlib.repr(records)} are not a mapping of label to"
+            " (expectation, shots)"
+        )
+    return records.items()
+
+
+# A refused value is echoed shortened, so a long CSV field stays readable.
 def _number(e, name: str):
     if not _real(e):
-        raise ValueError(f"expectation {e!r} of {name} is not a number")
+        raise ValueError(
+            f"expectation {reprlib.repr(e)} of {name} is not a number"
+        )
     return e
 
 
 def _count(shots, name: str):
     if isinstance(shots, bool) or not isinstance(shots, int):
-        raise ValueError(f"shot count {shots!r} of {name} is not an integer")
+        raise ValueError(
+            f"shot count {reprlib.repr(shots)} of {name} is not an integer"
+        )
     return shots
 
 
@@ -143,13 +160,17 @@ def _entry(n_qubits: int, label, name: str, record) -> tuple[int, tuple]:
 
 def _converted(e, shots) -> tuple:
     """A record's values through ``float()`` and ``int()``.  A value either
-    refuses is left for ``_number`` or ``_count`` to name, as is a bool or
-    fractional float shot count, which ``int()`` would take."""
+    refuses is left for ``_number`` or ``_count`` to name, as is a bool
+    shot count or a number of shots that is not whole, which ``int()``
+    would truncate."""
     with contextlib.suppress(TypeError, ValueError, OverflowError):
         e = float(e)
-    fractional = isinstance(shots, float) and not shots.is_integer()
     with contextlib.suppress(TypeError, ValueError, OverflowError):
-        shots = shots if isinstance(shots, bool) or fractional else int(shots)
+        whole = int(shots)
+        if not isinstance(shots, numbers.Number) or (
+            whole == shots and not isinstance(shots, bool)
+        ):
+            shots = whole
     return e, shots
 
 
@@ -172,7 +193,7 @@ class MeasurementDataset(_Source):
     def __post_init__(self) -> None:
         if type(self.n_qubits) is not int or self.n_qubits < 1:
             raise ValueError(f"qubit count {self.n_qubits!r} is not a positive integer")
-        items = self.records.items()
+        items = _items(self.records)
         index = dict(_entry(self.n_qubits, label, repr(label), r) for label, r in items)
         index[0] = _IDENTITY
         object.__setattr__(self, "_index", index)
@@ -189,10 +210,11 @@ class MeasurementDataset(_Source):
         cls, n_qubits: int, pairs: dict[str, tuple[float, int]]
     ) -> "MeasurementDataset":
         """Records from (expectation, shots) pairs, converted with float()
-        and int().  A value that does not convert, a fractional float or bool
-        shot count, or a bad label is reported before the constructor checks."""
+        and int().  A value that does not convert, a shot count that is a
+        bool or not whole, or a bad label is reported before the constructor
+        checks."""
         records = {}
-        for label, record in pairs.items():
+        for label, record in _items(pairs):
             name = repr(label)
             e, shots = _converted(*_pair(record, name))
             e, shots = _number(e, name), _count(shots, name)

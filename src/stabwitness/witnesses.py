@@ -14,12 +14,17 @@ X frames: the image rows (``cliffords.LocalClifford``) of the letter map
 that takes its graph form back to the state.  Complementing at v is a
 square root of X on v and of Z on its neighbors, so a member's frames are
 its breadth-first parent's after two XORs: v's Z letter gains v's X
-letter, and each neighbor's X letter gains its Z letter.  Complementing at
-v changes the key or the connectivity only of the subsystems that miss v
-and meet its neighborhood, so only those are keyed again.  The generators
+letter, and each neighbor's X letter gains its Z letter.  The generators
 of a subsystem omega span the group elements whose letter on each qubit mu
-outside omega is I or the Z frame's letter of mu, so a subsystem is keyed,
-its generators read off the frames, once per distinct masked Z frame.
+outside omega is I or the Z frame's letter of mu, so the key depends only
+on the Z frame outside omega.  So does the connectivity of omega: the span
+restricted to omega is, up to local maps, the graph state of the induced
+subgraph, which is genuinely multipartite entangled exactly when that
+subgraph is connected (Hein, Eisert and Briegel, PRA 69, 062311, 2004),
+and local maps do not change entanglement.  The census therefore works one
+subsystem at a time: it projects all members' Z frames onto the qubits
+outside omega at once, keeps one member per distinct masked frame, tests
+that member's connectivity once and keys it only when it is connected.
 
 The direct enumerators walk the subgroups depth first, one reduced
 row-echelon basis row at a time, in exponent coordinates over the group's
@@ -602,63 +607,48 @@ def enumerate_graph_based(
     everything by each local symmetry of the state.  Deduplicated by
     spanned subgroup (RREF key) per subsystem.
 
-    The walk is incremental (``_orbit_pullback``): each member's frames
-    come from its breadth-first parent's by two XORs.  Only the subsystems
-    omega that miss v, the complemented vertex, and meet N(v) are keyed
-    again.  A subsystem holding v keeps its span (each changed generator
-    gains the generator of v, which it holds) and its connectivity
-    (complementing at v commutes with inducing on omega and keeps a graph
-    connected); one missing v and N(v) keeps its generators and its induced
-    subgraph.
+    Each member's frames come from its breadth-first parent's by two XORs
+    (``_orbit_pullback``).  In a graph's own frame the product of the
+    generators of a vertex set A has X-part exactly A, so the span of the
+    generators of omega is the set of group elements whose letter on each
+    qubit mu outside omega is I or the Z frame's letter of mu.  The key is
+    therefore a function of the member's Z frame outside omega, and so is
+    the connectivity of omega in the member (see the module docstring).
 
-    Each key is a function of the member's Z frame outside omega.  In a
-    graph's own frame the product of the generators of a vertex set A has
-    X-part exactly A, so the span of the generators of omega is the set of
-    group elements whose letter on each qubit mu outside omega is I or the
-    Z frame's letter of mu.  So a subsystem is keyed, its connectivity
-    tested and its generators read off the frames (``_pulled_rows``), only
-    when its masked Z frame is new; only connected members record one.  A
-    local symmetry maps that set for frame f onto the set for its image of
-    f, so the sweep maps the frame first and reduces a key's image only
-    when the image frame is new.  The symmetries are closed under inverse,
-    so the sweep maps by each of them, not by its inverse.
+    The census works one subsystem at a time.  It projects every member's
+    Z frame onto the qubits outside omega at once and keeps one member per
+    distinct masked frame; any member with the frame will do.  Each kept
+    member's connectivity is tested once, and a connected one has its
+    generators read off the frames (``_pulled_rows``) and keyed.  A local
+    symmetry maps the span for frame f onto the span for its image of f,
+    so the sweep maps the frame first and reduces a key's image only when
+    the image frame is new.  The symmetries are closed under inverse, so
+    the sweep maps by each of them, not by its inverse.  Nothing outlives
+    the subsystem.
     """
     n_qubits = s.n_qubits
     q_le, _, graph0 = find_graph_equivalence(s)
     orbit = lc_orbit(graph0)
     symmetries = _local_symmetries(q_le, graph0)
 
-    subsystems = all_subsystems(n_qubits)
-    masks = [_qubit_mask(omega) for omega in subsystems]
-    full = (1 << n_qubits) - 1
-    # per subsystem: the qubits outside it in both letter blocks, its
-    # vertex indices, and its keys by masked frame
-    slots = {
-        mask: (
-            ((full ^ mask) << n_qubits) | (full ^ mask),
-            [q - 1 for q in omega],
-            {},
-        )
-        for omega, mask in zip(subsystems, masks)
-    }
-    for member, sequence, z_frame, x_frame in _orbit_pullback(q_le, orbit):
-        adjacency = member.adjacency
-        touched = masks
-        if sequence:
-            vertex = sequence[-1]
-            hood = adjacency[vertex - 1]
-            touched = [m for m in masks if m & hood and not (m >> (vertex - 1)) & 1]
-        for mask in touched:
-            outside, indices, keys = slots[mask]
-            masked = z_frame & outside
-            if masked not in keys and _connected_mask(adjacency, mask):
-                rows = _pulled_rows(z_frame, x_frame, adjacency, indices, n_qubits)
-                keys[masked] = tuple(rows_rref(rows))
-
+    frames = [
+        (member.adjacency, z, x) for member, _, z, x in _orbit_pullback(q_le, orbit)
+    ]
+    z_frames = [z for _, z, _ in frames]
     others = [sym for sym in symmetries if not sym.is_identity()]
+    full = (1 << n_qubits) - 1
     out: dict[tuple[int, ...], list[WitnessSpec]] = {}
-    for omega, mask in zip(subsystems, masks):
-        keys = slots[mask][2]
+    for omega in all_subsystems(n_qubits):
+        mask = _qubit_mask(omega)
+        outside = ((full ^ mask) << n_qubits) | (full ^ mask)
+        indices = [q - 1 for q in omega]
+        keys = {}
+        for masked, (adjacency, z, x) in dict(
+            zip(map(outside.__and__, z_frames), frames)
+        ).items():
+            if _connected_mask(adjacency, mask):
+                rows = _pulled_rows(z, x, adjacency, indices, n_qubits)
+                keys[masked] = tuple(rows_rref(rows))
         for masked, key in list(keys.items()):
             for sym in others:
                 image = _map_row(sym, masked)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -133,10 +134,33 @@ class TestDataset:
             MeasurementDataset.from_pairs(2, {"ZZ": (0.5, shots)})
         assert str(err.value) == f"shot count {shots!r} of 'ZZ' is not an integer"
 
+    @pytest.mark.parametrize("shots", [Fraction(5, 2), Decimal("2.5")])
+    def test_pairs_refuse_fractional_shot_count_of_any_type(self, shots):
+        # int() truncated both to 2 shots
+        with pytest.raises(ValueError) as err:
+            MeasurementDataset.from_pairs(2, {"ZZ": (0.5, shots)})
+        assert str(err.value) == f"shot count {shots!r} of 'ZZ' is not an integer"
+
     def test_pairs_take_integral_float_shot_count(self):
         data = MeasurementDataset.from_pairs(2, {"ZZ": (0.5, 3.0)})
         assert data.records == {"ZZ": (0.5, 3)}
         assert isinstance(data.records["ZZ"][1], int)
+
+    @pytest.mark.parametrize("shots", [Fraction(6, 2), Decimal("3"), "3"])
+    def test_pairs_take_whole_shot_count_of_any_type(self, shots):
+        data = MeasurementDataset.from_pairs(2, {"ZZ": (0.5, shots)})
+        assert data.records == {"ZZ": (0.5, 3)}
+        assert type(data.records["ZZ"][1]) is int
+
+    def test_long_field_is_shortened_in_the_message(self):
+        # a count past int()'s digit limit was echoed whole: 5,045 characters
+        text = "pauli,expectation,shots\nZZ,0.5," + "1" * 5000 + "\n"
+        with pytest.raises(ValueError) as err:
+            MeasurementDataset.from_csv(text)
+        message = str(err.value)
+        assert message.startswith("line 2: shot count '111")
+        assert message.endswith("' of ZZ is not an integer")
+        assert len(message) < 100
 
     @pytest.mark.parametrize(
         "pair,message",
@@ -378,6 +402,17 @@ class TestRecordFaults:
         with pytest.raises(ValueError) as err:
             build(2, records)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("build", [MeasurementDataset, MeasurementDataset.from_pairs])
+    @pytest.mark.parametrize("records", [[("ZZ", (0.5, 10))], None, "ZZ"])
+    def test_records_must_be_a_mapping(self, build, records):
+        # a list of pairs raised AttributeError: 'list' object has no
+        # attribute 'items'
+        with pytest.raises(ValueError) as err:
+            build(2, records)
+        assert str(err.value) == (
+            f"records {records!r} are not a mapping of label to (expectation, shots)"
+        )
 
     @pytest.mark.parametrize("build", [MeasurementDataset, MeasurementDataset.from_pairs])
     @pytest.mark.parametrize("n_qubits", ["2", -1, 0, True, 2.0, None])

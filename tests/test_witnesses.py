@@ -1024,6 +1024,11 @@ RECIPE8_CASES = [
     (f"recipe8_{g}", random_stabilizer_set(random.Random(g), 8)) for g in range(4)
 ]
 FRAME_CASES = PULLBACK_CASES + RECIPE8_CASES
+CONNECTIVITY_CASES = PULLBACK_CASES + RECIPE8_CASES[:1]
+MEMO_FREE_CASES = RECIPE8_CASES + [
+    ("color_code_7", build_color_code()),
+    ("ring8", ring_group(8).generator_set),
+]
 
 
 class TestFrameMemo:
@@ -1080,26 +1085,53 @@ class TestFrameMemo:
         assert checked
 
     @pytest.mark.parametrize(
-        "s", [s for _, s in RECIPE8_CASES], ids=[i for i, _ in RECIPE8_CASES]
+        "s", [s for _, s in CONNECTIVITY_CASES], ids=[i for i, _ in CONNECTIVITY_CASES]
+    )
+    def test_connectivity_is_a_function_of_the_masked_frame(self, s):
+        # the census tests one member per (subsystem, masked Z frame), so
+        # every member with that frame must agree on the subsystem
+        n_qubits = s.n_qubits
+        full = (1 << n_qubits) - 1
+        q_le, _, graph0 = find_graph_equivalence(s)
+        members = list(witnesses._orbit_pullback(q_le, lc_orbit(graph0)))
+        seen = {}
+        for omega in all_subsystems(n_qubits):
+            mask = sum(1 << (q - 1) for q in omega)
+            outside = ((full ^ mask) << n_qubits) | (full ^ mask)
+            for member, _, z_frame, _ in members:
+                connected = _connected_mask(member.adjacency, mask)
+                assert seen.setdefault((mask, z_frame & outside), connected) == connected
+        assert len(seen) < len(members) * len(all_subsystems(n_qubits))
+
+    @pytest.mark.parametrize(
+        "s", [s for _, s in MEMO_FREE_CASES], ids=[i for i, _ in MEMO_FREE_CASES]
     )
     def test_matches_memo_free_loop(self, s):
         assert enumerate_graph_based(s) == naive_incremental_graph_based(s)
 
     def test_color_code_reduces_each_masked_frame_once(self, monkeypatch):
-        # one rows_rref per (subsystem, masked frame) of a connected member
-        # or of a symmetry image; keying every connected touched subsystem
-        # and every image took 21,244
-        calls = []
-        reduce = witnesses.rows_rref
+        # one flood fill per (subsystem, masked Z frame) of some member, and
+        # one rows_rref per such frame of a connected member or of a
+        # symmetry image.  Keying every connected touched subsystem and
+        # every image took 21,244 rows_rref; the touched-subsystem walk
+        # with a frame memo took 4,237 and 14,279 flood fills.  Projecting
+        # every member keys frames the walk skipped, hence the 96 more.
+        counts = {"rows_rref": 0, "_connected_mask": 0}
 
-        def counted(rows):
-            calls.append(None)
-            return reduce(rows)
+        def counted(name):
+            call = getattr(witnesses, name)
 
-        monkeypatch.setattr(witnesses, "rows_rref", counted)
+            def wrapper(*args):
+                counts[name] += 1
+                return call(*args)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(witnesses, name, counted(name))
         census = enumerate_graph_based(build_color_code())
         assert sum(len(v) for v in census.values()) == 3122
-        assert len(calls) == 4237
+        assert counts == {"rows_rref": 4333, "_connected_mask": 6863}
 
 
 def naive_xz_form(paulis):

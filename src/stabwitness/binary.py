@@ -8,13 +8,16 @@ discarded: products are componentwise XOR and every operator is its own
 inverse.
 
 All GF(2) elimination goes through one forward-elimination helper:
-``rows_rank`` is the length of its basis, ``rows_rref`` adds
-back-substitution, and ``invert_mod2`` and ``solve_mod2`` reduce augmented
-rows with ``rows_rref``.
+``rows_rank`` is the length of its basis and ``rows_rref`` adds
+back-substitution.  Matrix inversion and solving are reductions of
+augmented rows with ``rows_rref``: ``solve_mod2`` reduces [A_i | b_i], and
+``cliffords.find_graph_equivalence`` reduces [X_i | Z_i | e_i], bringing
+the X block to the identity and reading its inverse off the low bits.
 """
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -97,7 +100,9 @@ def parse_pauli(text: str) -> PauliOperator:
     z = x = 0
     for pos, letter in enumerate(text):
         if letter not in _LETTER_TO_BITS:
-            raise ValueError(f"invalid Pauli letter {letter!r} in {text!r}")
+            raise ValueError(
+                f"invalid Pauli letter {letter!r} in {reprlib.repr(text)}"
+            )
         zb, xb = _LETTER_TO_BITS[letter]
         z |= zb << pos
         x |= xb << pos
@@ -259,23 +264,6 @@ def rows_rref(rows: Iterable[int]) -> list[int]:
 def rank_mod2(m: BitMatrix) -> int:
     """Row-echelon rank over GF(2); the input is not mutated."""
     return rows_rank(m.row_bits)
-
-
-def invert_mod2(m: BitMatrix) -> BitMatrix:
-    """Inverse of a square binary matrix; raises ValueError if singular.
-
-    Reduces the augmented rows [A_i | e_i].  For invertible A the reduced
-    row with high half e_k carries row k of the inverse in its low half; a
-    reduced row with a zero high half is a dependency among the rows of A.
-    """
-    if m.n_rows != m.n_cols:
-        raise ValueError("only square matrices can be inverted")
-    n = m.n_rows
-    reduced = rows_rref((row << n) | (1 << i) for i, row in enumerate(m.row_bits))
-    if any(r >> n == 0 for r in reduced):
-        raise ValueError("matrix is singular over GF(2)")
-    low = (1 << n) - 1
-    return BitMatrix(n, n, tuple(r & low for r in reversed(reduced)))
 
 
 def solve_mod2(a: BitMatrix, b: int) -> tuple[Optional[int], list[int]]:

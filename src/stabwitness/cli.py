@@ -32,6 +32,11 @@ from .reporting import (
 )
 from .witnesses import WitnessKind, WitnessSpec, run_census
 
+# The alternative witness sums only its n basis members, but building its
+# spec reduces n rows of 2n bits: O(n^3) time and O(n^2) memory.  At this
+# size it answers in well under a second.
+MAX_ALTERNATIVE_QUBITS = 1000
+
 _KIND_FLAGS = {
     "standard": WitnessKind.STANDARD,
     "alternative": WitnessKind.ALTERNATIVE,
@@ -160,9 +165,8 @@ def cmd_eval(parser, args) -> int:
         census,
         data,
         kinds,
-        include_genuine=omegas is None and not args.no_genuine,
         sigma_threshold=args.sigma_threshold,
-        genuine_set=code,
+        genuine_set=code if omegas is None and not args.no_genuine else None,
     )
     if args.best_per_omega:
         report = report.best_per_omega()
@@ -222,6 +226,11 @@ def cmd_critical_prob(parser, args) -> int:
         if args.kind == "standard" and n > MAX_SPAN_QUBITS:
             parser.error(
                 f"--n {n} would span 2^{n} members; the cap is {MAX_SPAN_QUBITS}"
+            )
+        if n > MAX_ALTERNATIVE_QUBITS:
+            parser.error(
+                f"--n {n} would reduce {n} rows of {2 * n} bits; "
+                f"the cap is {MAX_ALTERNATIVE_QUBITS}"
             )
         # value depends only on n; use an n-qubit GHZ-style seed as packed
         # rows: X on every qubit, then ZZ on each neighboring pair

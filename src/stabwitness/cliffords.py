@@ -26,10 +26,10 @@ from typing import Iterable, Sequence
 from .binary import (
     BitMatrix,
     PauliOperator,
-    invert_mod2,
     pauli_from_row,
     pauli_row,
     rows_rank,
+    rows_rref,
     solve_mod2,
 )
 from .groups import GeneratorSet, RecombinationMatrix, recombine
@@ -198,38 +198,37 @@ def find_graph_equivalence(
     """Letter maps and a recombination turning a generator set into graph form.
 
     Returns (Q, R, graph) with apply(Q, recombine(s, R)) exactly equal to
-    graph_generators(graph).  Swapping letters on qubits outside a row basis
-    of the X-block makes that block invertible; the inverse is the
-    recombination, the Z-block image is the adjacency matrix, and X <-> Y
-    maps clear its diagonal.
+    graph_generators(graph).  Qubit mu keeps its letters when it raises the
+    rank of the generators' X blocks on qubits 1..mu + 1 (a greedy basis of
+    the qubits, lowest first) and gets the letter swap X <-> Z otherwise;
+    that makes the X block invertible.  One reduction of the rows
+    [X_i | Z_i | e_i] then brings the X block to the identity, so reduced
+    row v, counted from the bottom, is the product of the generators in its
+    low N bits (row v of R) and has X block e_v.  Its Z block is v's
+    adjacency row, with v's own bit set where the letter on v is Y, which
+    an X <-> Y map clears.
     """
     n = s.n_qubits
-    blocks = s.binary_matrix().row_bits
-    z_rows = list(blocks[:n])
-    x_rows = list(blocks[n:])
-
-    # Greedy row basis of the X-block; qubits outside it get the letter swap.
-    basis_rows: list[int] = []
+    low = (1 << n) - 1
+    rows = [pauli_row(g) for g in s.generators]
+    maps = []
+    rank = 0
     for mu in range(n):
-        candidate = [x_rows[nu] for nu in basis_rows] + [x_rows[mu]]
-        if rows_rank(candidate) > len(basis_rows):
-            basis_rows.append(mu)
-    swap_qubits = [mu for mu in range(n) if mu not in set(basis_rows)]
-    for mu in swap_qubits:
-        z_rows[mu], x_rows[mu] = x_rows[mu], z_rows[mu]
-
-    x_block = BitMatrix(n, n, tuple(x_rows))
-    try:
-        r_matrix = invert_mod2(x_block)
-    except ValueError as exc:
+        prefix_rank = rows_rank(row & ((2 << mu) - 1) for row in rows)
+        maps.append(_ID if prefix_rank > rank else _H)
+        rank = prefix_rank
+    swaps = LocalClifford(tuple(maps))
+    # the reduced rows [X | Z | R], bottom row first
+    reduced = rows_rref(
+        ((row & low) << 2 * n) | ((row >> n) << n) | (1 << i)
+        for i, row in enumerate(_map_row(swaps, row) for row in rows)
+    )[::-1]
+    if any(r >> 2 * n != 1 << v for v, r in enumerate(reduced)):
         raise RuntimeError(
             "internal error: X-block not invertible after letter swaps"
-        ) from exc
+        )
 
-    z_block = BitMatrix(n, n, tuple(z_rows))
-    gamma = z_block @ r_matrix
-    adjacency = list(gamma.row_bits)
-    maps = [_H if mu in set(swap_qubits) else _ID for mu in range(n)]
+    adjacency = [(r >> n) & low for r in reduced]
     for mu in range(n):
         if (adjacency[mu] >> mu) & 1:
             adjacency[mu] ^= 1 << mu
@@ -237,9 +236,7 @@ def find_graph_equivalence(
 
     graph = Graph(n, tuple(adjacency))
     clifford = LocalClifford(tuple(maps))
-    # R is column-convention in the block algebra above; the recombination
-    # type is row-convention, so transpose.
-    recomb = RecombinationMatrix(r_matrix.transpose())
+    recomb = RecombinationMatrix(BitMatrix(n, n, tuple(r & low for r in reduced)))
 
     check = apply_to_generators(clifford, recombine(s, recomb))
     if check.generators != graph_generators(graph).generators:

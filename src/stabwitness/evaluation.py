@@ -98,7 +98,7 @@ def _real(x) -> bool:
 
 def _pauli(label) -> PauliOperator:
     if not isinstance(label, str):
-        raise ValueError(f"label {label!r} is not a Pauli string")
+        raise ValueError(f"label {reprlib.repr(label)} is not a Pauli string")
     return parse_pauli(label)
 
 
@@ -123,6 +123,12 @@ def _items(records):
 
 
 # A refused value is echoed shortened, so a long CSV field stays readable.
+def _shown(label: str) -> str:
+    """A CSV label as errors name it: whole up to 28 letters, else its two
+    ends, as ``reprlib.repr`` shortens a quoted label."""
+    return label if len(label) <= 28 else f"{label[:12]}...{label[-13:]}"
+
+
 def _number(e, name: str):
     if not _real(e):
         raise ValueError(
@@ -194,7 +200,9 @@ class MeasurementDataset(_Source):
         if type(self.n_qubits) is not int or self.n_qubits < 1:
             raise ValueError(f"qubit count {self.n_qubits!r} is not a positive integer")
         items = _items(self.records)
-        index = dict(_entry(self.n_qubits, label, repr(label), r) for label, r in items)
+        index = dict(
+            _entry(self.n_qubits, label, reprlib.repr(label), r) for label, r in items
+        )
         index[0] = _IDENTITY
         object.__setattr__(self, "_index", index)
 
@@ -215,7 +223,7 @@ class MeasurementDataset(_Source):
         checks."""
         records = {}
         for label, record in _items(pairs):
-            name = repr(label)
+            name = reprlib.repr(label)
             e, shots = _converted(*_pair(record, name))
             e, shots = _number(e, name), _count(shots, name)
             records[_pauli(label).to_text()] = (e, shots)
@@ -252,9 +260,9 @@ class MeasurementDataset(_Source):
             n_qubits = n_qubits or len(label)  # the first line's label
             try:
                 if label in records:  # so it parsed, on n_qubits qubits
-                    raise ValueError(f"duplicate label {label}")
+                    raise ValueError(f"duplicate label {_shown(label)}")
                 records[label] = record = _converted(*values)
-                _entry(n_qubits, label, label, record)
+                _entry(n_qubits, label, _shown(label), record)
             except ValueError as err:
                 raise ValueError(f"line {line_no}: {err}") from None
         if n_qubits is None:

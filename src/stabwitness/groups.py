@@ -97,14 +97,6 @@ class GeneratorSet:
             tuple(labels) if labels is not None else None,
         )
 
-    def binary_matrix(self) -> BitMatrix:
-        """2N x N matrix whose column i is generator i (Z-block on top)."""
-        n = self.n_qubits
-        # rows of the transpose: the X-block columns of the packed rows, then Z
-        cols = BitMatrix(n, 2 * n, tuple(pauli_row(g) for g in self.generators))
-        rows = cols.transpose().row_bits
-        return BitMatrix(2 * n, n, rows[n:] + rows[:n])
-
 
 @dataclass(frozen=True)
 class StabilizerGroup:

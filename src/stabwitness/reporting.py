@@ -33,12 +33,12 @@ from .evaluation import (
     eval_alternative,
     evaluate,
 )
-from .groups import basis_key, build_color_code
 from .witnesses import (
     SubsystemClass,
     WitnessCensus,
     WitnessKind,
     WitnessSpec,
+    _COLOR_CODE,
     classify_subsystem,
     two_measurement_from_standard,
 )
@@ -82,8 +82,8 @@ class _Memo(dict):
         return value
 
 
-# the subsystem classes are drawn on the color code's own qubit layout
-_COLOR_CODE_KEY = basis_key(build_color_code().generators)
+# the subsystem classes are drawn on the color code's own group
+_COLOR_CODE_KEY = _COLOR_CODE.key
 
 
 def _class_label(omega: tuple[int, ...], group_key: tuple[int, ...]) -> str:
@@ -379,12 +379,12 @@ def build_evaluation_report(
     census: WitnessCensus,
     data: DataSource,
     kinds: Sequence[WitnessKind] = tuple(WitnessKind),
-    include_genuine: bool = True,
     sigma_threshold: float = 0.0,
     genuine_set=None,
 ) -> EvaluationReport:
-    """Evaluate the census witnesses (and optionally the genuine witnesses
-    of each requested kind) against a data source.
+    """Evaluate the census witnesses against a data source, and with
+    ``genuine_set``, the generator set of the census's state, also its
+    genuine witnesses of each requested kind.
 
     Raises ValueError when a measurement dataset is on a different number
     of qubits than the census.
@@ -396,8 +396,6 @@ def build_evaluation_report(
     source = census.direct if census.direct is not None else census.graph_based
     if source is None:
         raise ValueError("census has no standard witnesses to evaluate")
-    if include_genuine and genuine_set is None:
-        raise ValueError("genuine evaluation needs the generator set")
     kinds = tuple(kinds)
     digest = _Memo(_key_digest)
     rows: list[EvalRow] = []
@@ -437,7 +435,7 @@ def build_evaluation_report(
         if WitnessKind.TWO_MEASUREMENT in kinds and census.two_measurement:
             for spec in census.two_measurement.get(omega, ()):
                 add_evaluated(spec)
-    if include_genuine:
+    if genuine_set is not None:
         genuine_standard = WitnessSpec.standard_genuine(genuine_set)
         add_standard(genuine_standard)
         if WitnessKind.TWO_MEASUREMENT in kinds:

@@ -83,6 +83,7 @@ from .groups import (
     StabilizerGroup,
     _qubit_mask,
     _span_rows,
+    build_color_code,
     span_group,
 )
 
@@ -328,7 +329,14 @@ def check_direct(w: GeneratorSubset) -> DirectCheckResult:
 
 def _check_subsystem(omega: Sequence[int], n_qubits: int) -> tuple[int, ...]:
     """The sorted labels of a subsystem; raises MalformedSubsetError, naming
-    the fault, unless it has 2..N-1 distinct labels in 1..N."""
+    the fault, unless it has 2..N-1 distinct int labels in 1..N."""
+    omega = tuple(omega)
+    strays = [q for q in omega if isinstance(q, bool) or not isinstance(q, int)]
+    if strays:
+        raise MalformedSubsetError(
+            f"subsystem {omega} has labels that are not integers: "
+            f"{', '.join(map(repr, strays))}"
+        )
     omega = tuple(sorted(omega))
     repeated = sorted({q for q in omega if omega.count(q) > 1})
     if repeated:
@@ -742,31 +750,26 @@ class SubsystemClass(str, enum.Enum):
     UNCLASSIFIED = "unclassified"
 
 
-_STRING_LIKE = frozenset(
-    frozenset(s)
-    for s in [(1, 2, 5), (1, 4, 7), (5, 6, 7), (1, 3, 6), (3, 4, 5), (2, 3, 7), (2, 4, 6)]
-)
-_PLAQUETTE_LIKE = frozenset(
-    frozenset(s)
-    for s in [
-        (1, 2, 3, 4),
-        (2, 3, 5, 6),
-        (3, 4, 6, 7),
-        (1, 2, 6, 7),
-        (1, 4, 5, 6),
-        (2, 4, 5, 7),
-        (1, 3, 5, 7),
-    ]
+# The classes are drawn on the color code's own group: the string-like and
+# plaquette-like subsystems are the supports of its 3-qubit and 4-qubit
+# members, seven of each.
+_COLOR_CODE = span_group(build_color_code())
+_STRING_LIKE, _PLAQUETTE_LIKE = (
+    frozenset(
+        frozenset(e.support()) for e in _COLOR_CODE.elements
+        if len(e.support()) == size
+    )
+    for size in (3, 4)
 )
 
 
 def classify_subsystem(omega: Sequence[int]) -> SubsystemClass:
     """Subsystem class on the seven-qubit color code layout.
 
-    Three-qubit subsets split into string-like (supports of weight-3 X-type
-    stabilizers) and the rest; four-qubit subsets into plaquette-like
-    (supports of Z-type stabilizers) and the rest.  Other sizes are
-    unclassified.
+    Three-qubit subsets split into string-like (supports of the code's
+    weight-3 stabilizers) and the rest; four-qubit subsets into
+    plaquette-like (supports of its weight-4 stabilizers) and the rest.
+    Other sizes are unclassified.
     """
     key = frozenset(omega)
     if len(key) == 3:

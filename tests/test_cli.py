@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from stabwitness import cli
 from stabwitness.cli import main
 from stabwitness.groups import MAX_SPAN_QUBITS, build_color_code, code_to_json, span_group
+
+from conftest import random_stabilizer_set
 
 
 def run_cli(capsys, *argv):
@@ -333,12 +336,29 @@ class TestOtherCommands:
         )
 
     def test_critical_prob_alternative_is_not_capped(self, capsys):
-        # the alternative witness sums its basis only, so --n is unbounded
+        # the alternative witness sums its basis only, so the span cap does
+        # not apply to it
         code, out, _ = run_cli(
             capsys, "critical-prob", "--kind", "alternative", "--n", "40"
         )
         assert code == 0
         assert abs(float(out) - 39 / 40) < 1e-12
+
+    def test_critical_prob_alternative_refuses_past_its_cap(self, capsys):
+        # the spec's basis reduction costs O(n^3): 8,000 took 39 s
+        cap = cli.MAX_ALTERNATIVE_QUBITS
+        code, out, _ = run_cli(
+            capsys, "critical-prob", "--kind", "alternative", "--n", str(cap)
+        )
+        assert code == 0
+        assert out == f"{(cap - 1) / cap:.12g}\n"
+        with pytest.raises(SystemExit) as err:
+            main(["critical-prob", "--kind", "alternative", "--n", str(cap + 1)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: --n {cap + 1} would reduce {cap + 1} rows of "
+            f"{2 * cap + 2} bits; the cap is {cap}\n"
+        )
 
     def test_equivalence(self, capsys):
         code, out, _ = run_cli(capsys, "equivalence", "color_code_7")
@@ -349,6 +369,24 @@ class TestOtherCommands:
             "[3, 4], [3, 6], [3, 7], [5, 6], [5, 7]]}\n"
             "recombination_rows: 0000101 0001111 0000010 1000000 0001001 "
             "0100000 1110000\n"
+        )
+
+    def test_equivalence_scrambled_recipe_state(self, capsys, tmp_path):
+        # recipe graph 0 on 8 qubits under its own letter maps: one letter
+        # swap, three X <-> Y maps and a recombination that is not symmetric
+        path = tmp_path / "recipe8_0.json"
+        path.write_text(
+            code_to_json(random_stabilizer_set(random.Random(0), 8), "recipe8_0")
+        )
+        code, out, _ = run_cli(capsys, "equivalence", "--file", str(path))
+        assert code == 0
+        assert out == (
+            "local_clifford: I,S,I,I,S,S,H,I\n"
+            'graph: {"n": 8, "edges": [[1, 3], [1, 4], [1, 5], [2, 8], [3, 4], '
+            "[3, 5], [3, 6], [3, 7], [3, 8], [4, 5], [4, 7], [5, 6], [5, 8], "
+            "[6, 7]]}\n"
+            "recombination_rows: 00001000 01000000 10101100 10011000 10000100 "
+            "00001100 00000110 01001001\n"
         )
 
 

@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from stabwitness.binary import PauliOperator, commutes, multiply, parse_pauli, pauli_row
+from stabwitness.binary import (
+    BitMatrix,
+    PauliOperator,
+    commutes,
+    multiply,
+    parse_pauli,
+    pauli_row,
+    rows_rank,
+)
 from stabwitness.cliffords import (
     SINGLE_QUBIT_CLIFFORDS,
     LocalClifford,
@@ -17,6 +25,7 @@ from stabwitness.cliffords import (
 from stabwitness.graphs import Graph, graph_generators, lc_orbit, local_complement
 from stabwitness.groups import (
     GeneratorSet,
+    RecombinationMatrix,
     basis_key,
     build_color_code,
     recombine,
@@ -26,7 +35,9 @@ from stabwitness import witnesses
 from stabwitness.witnesses import direct_census, enumerate_graph_based
 
 from conftest import random_stabilizer_set
+from test_binary import naive_invert_mod2
 from test_graphs import CODE_GRAPH, K4, random_graph
+from test_groups import naive_binary_matrix, random_nonsingular
 from test_witnesses import naive_lc_unitary, ring_group
 
 
@@ -223,6 +234,83 @@ class TestGraphEquivalence:
             assert mapped.generators == graph_generators(recovered).generators
             # recovered graph describes the same state up to local maps
             assert recovered in lc_orbit(g)
+
+
+def naive_find_graph_equivalence(s):
+    """Graph form by block algebra on the 2N x N generator matrix: letter
+    swaps on the qubits outside a greedy row basis of the X block (lowest
+    qubit first) make that block invertible; its inverse is the
+    recombination, the Z block times it is the adjacency matrix, and
+    X <-> Y maps clear the diagonal."""
+    n = s.n_qubits
+    blocks = naive_binary_matrix(s).row_bits
+    z_rows = list(blocks[:n])
+    x_rows = list(blocks[n:])
+    basis_rows = []
+    for mu in range(n):
+        candidate = [x_rows[nu] for nu in basis_rows] + [x_rows[mu]]
+        if rows_rank(candidate) > len(basis_rows):
+            basis_rows.append(mu)
+    swap_qubits = [mu for mu in range(n) if mu not in basis_rows]
+    for mu in swap_qubits:
+        z_rows[mu], x_rows[mu] = x_rows[mu], z_rows[mu]
+    r_matrix = naive_invert_mod2(BitMatrix(n, n, tuple(x_rows)))
+    adjacency = list((BitMatrix(n, n, tuple(z_rows)) @ r_matrix).row_bits)
+    names = ["H" if mu in swap_qubits else "I" for mu in range(n)]
+    for mu in range(n):
+        if (adjacency[mu] >> mu) & 1:
+            adjacency[mu] ^= 1 << mu
+            names[mu] = {"I": "S", "H": "SH"}[names[mu]]
+    # R is column-convention in the block algebra; recombination rows are
+    # row-convention, so transpose
+    return (
+        LocalClifford.from_names(names),
+        RecombinationMatrix(r_matrix.transpose()),
+        Graph(n, tuple(adjacency)),
+    )
+
+
+def equivalence_cases():
+    yield "color_code_7", build_color_code()
+    for n in range(7, 11):
+        yield f"ring{n}", ring_group(n).generator_set
+    for seed in range(1200):
+        rng = random.Random(seed)
+        n = 2 + seed % 8
+        state = random_stabilizer_set(rng, n)
+        yield f"random{seed}", state
+        yield f"recombined{seed}", recombine(state, random_nonsingular(rng, n))
+
+
+class TestGraphEquivalenceMatchesBlockAlgebra:
+    """``find_graph_equivalence`` reduces the rows [X | Z | e_i] once; the
+    block algebra ``naive_find_graph_equivalence`` (transpose, inverse,
+    product, transpose) is its oracle."""
+
+    def test_same_letter_maps_recombination_and_graph(self):
+        checked = 0
+        for name, state in equivalence_cases():
+            q, r, graph = find_graph_equivalence(state)
+            nq, nr, ngraph = naive_find_graph_equivalence(state)
+            assert q.to_text() == nq.to_text(), name
+            assert r.matrix == nr.matrix, name
+            assert graph == ngraph, name
+            checked += 1
+        assert checked == 2405
+
+    def test_cases_need_swaps_phase_maps_and_recombinations(self):
+        # the cases exercise letter swaps, X <-> Y maps and recombinations
+        # that are not symmetric, so leaving R untransposed changes them.
+        # No swapped qubit needs an X <-> Y map: its X row is a sum of
+        # earlier basis qubits' rows, which all vanish on its reduced row.
+        names = set()
+        asymmetric = 0
+        for _, state in itertools.islice(equivalence_cases(), 400):
+            q, r, _ = find_graph_equivalence(state)
+            names.update(c.name for c in q.per_qubit)
+            asymmetric += r.matrix != r.matrix.transpose()
+        assert names == {"I", "H", "S"}
+        assert asymmetric > 100
 
 
 class TestLocalSymmetries:

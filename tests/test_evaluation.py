@@ -163,6 +163,34 @@ class TestDataset:
         assert len(message) < 100
 
     @pytest.mark.parametrize(
+        "label,message",
+        [
+            # a 5,000-letter label was echoed whole: 5,033 and 5,039 characters
+            ("Z" * 5000, "line 3: label ZZZZZZZZZZZZ...ZZZZZZZZZZZZZ is not on 2 qubits"),
+            (
+                "Q" + "Z" * 5000,
+                "line 3: invalid Pauli letter 'Q' in 'QZZZZZZZZZZZ...ZZZZZZZZZZZZZ'",
+            ),
+            # up to 28 letters a label is echoed whole, as before
+            ("Z" * 28, "line 3: label " + "Z" * 28 + " is not on 2 qubits"),
+            ("Q" + "Z" * 27, "line 3: invalid Pauli letter 'Q' in 'Q" + "Z" * 27 + "'"),
+        ],
+    )
+    def test_long_label_is_shortened_in_the_message(self, label, message):
+        text = f"pauli,expectation,shots\nZZ,0.5,10\n{label},0.5,10\n"
+        with pytest.raises(ValueError) as err:
+            MeasurementDataset.from_csv(text)
+        assert str(err.value) == message
+
+    def test_long_label_is_shortened_by_every_constructor(self):
+        label = "Z" * 5000
+        message = "label 'ZZZZZZZZZZZZ...ZZZZZZZZZZZZZ' is not on 2 qubits"
+        for build in (MeasurementDataset, MeasurementDataset.from_pairs):
+            with pytest.raises(ValueError) as err:
+                build(2, {label: (0.5, 10)})
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize(
         "pair,message",
         [
             ((0.5, "2.7"), "shot count '2.7' of 'ZZ' is not an integer"),

@@ -20,6 +20,8 @@ from stabwitness.graphs import (
     reduced_generator_subset,
 )
 
+from test_groups import naive_binary_matrix
+
 STAR4 = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
 K4 = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
 PATH3 = Graph.from_edges(3, [(1, 2), (2, 3)])
@@ -122,7 +124,7 @@ class TestGraphGenerators:
         assert [g.to_text() for g in gens] == ["XZZZ", "ZXII", "ZIXI", "ZIIX"]
 
     def test_binary_blocks_are_adjacency_and_identity(self):
-        m = graph_generators(CODE_GRAPH).binary_matrix()
+        m = naive_binary_matrix(graph_generators(CODE_GRAPH))
         n = CODE_GRAPH.n_vertices
         for mu in range(n):
             for i in range(n):

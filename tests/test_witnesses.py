@@ -1587,19 +1587,42 @@ class TestTwoMeasurementParts:
             WitnessSpec(kind, None, 2, (x1,), x_rows=(), z_rows=(x1,))
 
 
+# The paper's tables of the color code's subsystem classes; the library
+# derives both from the code's group.
+PAPER_STRING_LIKE = [
+    (1, 2, 5), (1, 4, 7), (5, 6, 7), (1, 3, 6), (3, 4, 5), (2, 3, 7), (2, 4, 6),
+]
+PAPER_PLAQUETTE_LIKE = [
+    (1, 2, 3, 4), (2, 3, 5, 6), (3, 4, 6, 7), (1, 2, 6, 7),
+    (1, 4, 5, 6), (2, 4, 5, 7), (1, 3, 5, 7),
+]
+
+
 class TestClassify:
     def test_string_like(self):
-        for omega in [(1, 2, 5), (1, 4, 7), (5, 6, 7), (1, 3, 6), (3, 4, 5), (2, 3, 7), (2, 4, 6)]:
+        for omega in PAPER_STRING_LIKE:
             assert classify_subsystem(omega) is SubsystemClass.STRING_LIKE
         assert classify_subsystem((1, 2, 3)) is SubsystemClass.NON_STRING_LIKE
 
     def test_plaquette_like(self):
-        for omega in [
-            (1, 2, 3, 4), (2, 3, 5, 6), (3, 4, 6, 7), (1, 2, 6, 7),
-            (1, 4, 5, 6), (2, 4, 5, 7), (1, 3, 5, 7),
-        ]:
+        for omega in PAPER_PLAQUETTE_LIKE:
             assert classify_subsystem(omega) is SubsystemClass.PLAQUETTE_LIKE
         assert classify_subsystem((1, 2, 3, 5)) is SubsystemClass.NON_PLAQUETTE_LIKE
+
+    def test_classes_are_the_paper_tables(self):
+        # every 3- and 4-subset, in any label order, lands where the
+        # paper's tables put it
+        tables = {3: set(PAPER_STRING_LIKE), 4: set(PAPER_PLAQUETTE_LIKE)}
+        listed = {
+            3: (SubsystemClass.STRING_LIKE, SubsystemClass.NON_STRING_LIKE),
+            4: (SubsystemClass.PLAQUETTE_LIKE, SubsystemClass.NON_PLAQUETTE_LIKE),
+        }
+        for size, table in tables.items():
+            for omega in itertools.combinations(range(1, 8), size):
+                inside, outside = listed[size]
+                expected = inside if omega in table else outside
+                assert classify_subsystem(omega) is expected
+                assert classify_subsystem(omega[::-1]) is expected
 
     def test_other_sizes(self):
         assert classify_subsystem((1, 2)) is SubsystemClass.UNCLASSIFIED

@@ -26,6 +26,13 @@ subsystem at a time: it projects all members' Z frames onto the qubits
 outside omega at once, keeps one member per distinct masked frame, tests
 that member's connectivity once and keys it only when it is connected.
 
+Whenever the direct search runs anyway, the census reads the graph-based
+witnesses off it instead of walking the orbit.  The span a frame gives is
+a letter kernel K_c: the members whose letter on each qubit mu outside
+omega is I or c_mu, of dimension |omega|.  A direct witness is
+graph-based exactly when it is such a kernel (``_graph_reachable``), which
+one small GF(2) elimination over the letters outside omega decides.
+
 The direct enumerators walk the subgroups depth first, one reduced
 row-echelon basis row at a time, in exponent coordinates over the group's
 own reduced row-echelon basis.  In those coordinates the exponent basis the
@@ -57,9 +64,12 @@ span only if it is 0.
 
 from __future__ import annotations
 
+import collections.abc
 import enum
 import itertools
 from dataclasses import InitVar, dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .binary import (
@@ -352,6 +362,28 @@ def _check_subsystem(omega: Sequence[int], n_qubits: int) -> tuple[int, ...]:
             f"subsystem {omega} is not a local scope on {n_qubits} qubits"
         )
     return omega
+
+
+def _check_subsystems(
+    omegas: Iterable[Sequence[int]], n_qubits: int
+) -> list[tuple[int, ...]]:
+    """``_check_subsystem`` of each subsystem in a collection; raises
+    MalformedSubsetError when the collection, or one of its entries, is not
+    iterable, as when one flat subsystem (1, 2) is passed for [(1, 2)]."""
+    shape = "omegas must be a collection of subsystems, such as [(1, 2)]"
+    if not isinstance(omegas, collections.abc.Iterable):
+        raise MalformedSubsetError(
+            f"{shape}; got an object of type {type(omegas).__name__}"
+        )
+    checked = []
+    for i, omega in enumerate(omegas):
+        if not isinstance(omega, collections.abc.Iterable):
+            raise MalformedSubsetError(
+                f"{shape}; entry {i} is of type {type(omega).__name__}, "
+                "not a collection of qubit labels"
+            )
+        checked.append(_check_subsystem(omega, n_qubits))
+    return checked
 
 
 def _standard_specs(
@@ -666,6 +698,165 @@ def enumerate_graph_based(
     return out
 
 
+def _letter_functionals(key: Sequence[int], n_qubits: int) -> list[tuple[int, ...]]:
+    """For each 0-based qubit mu, the exponent functionals over the group
+    basis ``key`` whose kernels are the members with letter I or L on mu,
+    indexed by L's letter code x | z << 1: X keeps z(mu), Z keeps x(mu), Y
+    keeps x(mu) ^ z(mu).  Bit i of a functional is its value on key[i]."""
+    out = []
+    for mu in range(n_qubits):
+        x = z = 0
+        for i, row in enumerate(key):
+            x |= (row >> mu & 1) << i
+            z |= (row >> (n_qubits + mu) & 1) << i
+        out.append((0, z, x, x ^ z))
+    return out
+
+
+def _extends_to_kernel(
+    letters: int, outside: Sequence[tuple[int, int, tuple[int, ...]]]
+) -> bool:
+    """Whether the letters ``letters`` (a packed 2N-bit OR of a witness's
+    rows) extend to one letter c_mu on every qubit mu outside omega whose
+    functionals are linearly independent.  ``outside`` holds, per such mu,
+    its X bit, its Z bit and its ``_letter_functionals`` entry.
+
+    The letters already carried are fixed.  Each all-I qubit gets one of
+    its three letters, chosen by a depth-first search that keeps the chosen
+    functionals reduced in a dict by top bit and drops a choice's pivot
+    when it backtracks.  The search takes the qubits with the fewest
+    distinct choices left after the fixed letters first, so a qubit with
+    no choice left, or two whose one choice is the same, fail before the
+    other qubits are tried."""
+    pivots: dict[int, int] = {}
+
+    def reduced(f: int) -> int:
+        while f:
+            pivot = pivots.get(f.bit_length() - 1)
+            if pivot is None:
+                break
+            f ^= pivot
+        return f
+
+    free = []
+    for x_bit, z_bit, functionals in outside:
+        code = (1 if letters & x_bit else 0) | (2 if letters & z_bit else 0)
+        if not code:
+            free.append(functionals[1:])
+            continue
+        f = functionals[code]
+        while f:
+            top = f.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = f
+                break
+            f ^= pivot
+        else:
+            return False
+    if not free:
+        return True
+    choices = sorted(
+        (tuple(dict.fromkeys(f for f in map(reduced, fs) if f)) for fs in free),
+        key=len,
+    )
+
+    def choose(depth: int) -> bool:
+        if depth == len(choices):
+            return True
+        for f in choices[depth]:
+            f = reduced(f)
+            if f:
+                top = f.bit_length() - 1
+                pivots[top] = f
+                if choose(depth + 1):
+                    return True
+                del pivots[top]
+        return False
+
+    return choose(0)
+
+
+def _graph_reachable(
+    specs: Sequence[WitnessSpec],
+    omega: tuple[int, ...],
+    functionals: Sequence[tuple[int, ...]],
+    n_qubits: int,
+) -> list[WitnessSpec]:
+    """The direct witnesses for omega that ``enumerate_graph_based`` finds,
+    in their order, as the same spec objects.
+
+    For c, one letter in {X, Y, Z} on each qubit mu of the set O outside
+    omega, K_c is the subgroup of members whose letter on each mu in O is I
+    or c_mu.  Each such condition is one linear functional of the exponent
+    vector (``_letter_functionals``), so dim K_c = N - rank >= k = |omega|,
+    with equality exactly when the |O| functionals are independent.  A
+    direct witness K passes when some c that agrees with K's letters
+    outside omega has dim K_c = k (``_extends_to_kernel``).  These are
+    exactly the graph-based witnesses for omega.
+
+    The four direct conditions hold for a subgroup or for none of its
+    bases: each qubit's letter anticommutation is bilinear, so the pair
+    masks of a recombined basis are sums of the old ones.  Local letter
+    maps preserve them too.  In a graph G's own frame, the generators
+    X_v Z_N(v) of v in omega commute, are independent and carry only I and
+    Z outside omega; their restrictions to omega generate the graph state
+    of the induced subgraph G[omega]; and the pair mask of u and v is
+    {u, v} when they are adjacent and empty otherwise.  The masks are then
+    the incidence columns of G[omega], of rank k - 1 exactly when G[omega]
+    is connected.  So that span is a direct witness exactly when omega is
+    connected in G.
+
+    Graph-based witnesses pass.  The walk keys, for each orbit member G in
+    which omega is connected, the span of G's generators over omega
+    carried to the state by G's frame, and the images of those spans under
+    the state's local symmetries.  A product of G's generators over a
+    vertex set A has X part A, so the span is the members of G's group
+    with letter I or Z on each qubit of O.  Carried by the frame and a
+    symmetry, it is K_c, of dimension k, with c_mu the image of Z on mu,
+    and its letters on O are I or c_mu, so c agrees with them.
+
+    Passing witnesses are graph-based.  Let K be a direct witness for omega
+    and c as above, with dim K_c = k.  By (iii) K carries at most one
+    letter besides I on each qubit of O, and c agrees with it, so K lies in
+    K_c, and as both have dimension k, K = K_c.  Take a local map U with
+    U(c_mu) = Z on O.  The group's X bits on O are then a linear map whose
+    kernel is U(K), of dimension k, so the map is onto and there are
+    members h_mu whose X bits on O are the unit vector of mu.  By (ii) the
+    restriction of K to omega is a stabilizer state of k qubits, so a local
+    map V on omega gives it an invertible X block A (every stabilizer
+    state has a graph form; Van den Nest, Dehaene and De Moor, PRA 69,
+    022316, 2004).  The X block of the rows of VU(K) and the VU(h_mu) is
+    then [A 0; B 1], whose inverse [A^-1 0; B A^-1 1] recombines the rows
+    of VU(K) among themselves alone.  The recombined rows are X_v Z_R(v)
+    with R symmetric, and an X <-> Y map on each qubit whose row has Y
+    there clears R's diagonal and fixes the letters I and Z.  That gives a
+    graph G, locally equivalent to the state's graph and so a member of
+    its local-complementation orbit (same reference), and a local map W
+    from G's state to the state that carries the span of G's generators
+    over omega to K.  G's frame in the walk differs from W by a local
+    symmetry of the state, which the sweep applies.  K passes (iv), so
+    omega is connected in G.
+    """
+    outside_mask = ((1 << n_qubits) - 1) ^ _qubit_mask(omega)
+    outside_rows = (outside_mask << n_qubits) | outside_mask
+    outside = [
+        (1 << mu, 1 << (n_qubits + mu), functionals[mu])
+        for mu in range(n_qubits)
+        if outside_mask >> mu & 1
+    ]
+    verdicts: dict[int, bool] = {}
+    kept = []
+    for spec in specs:
+        letters = reduce(or_, spec.rows) & outside_rows
+        passes = verdicts.get(letters)
+        if passes is None:
+            passes = verdicts[letters] = _extends_to_kernel(letters, outside)
+        if passes:
+            kept.append(spec)
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # Two-measurement form
 # ---------------------------------------------------------------------------
@@ -839,9 +1030,25 @@ def run_census(
     1..N.  Without ``omegas`` the direct witnesses come from the pruned
     search of ``direct_census`` over the whole group; with them, from
     ``enumerate_direct`` per subsystem, the same search at one rank that
-    also prunes outside the subsystem.  The graph method always builds the
-    whole census and keeps the wanted subsystems.
+    also prunes outside the subsystem.
+
+    When the direct search runs, for "direct" or "twomeas", the graph-based
+    witnesses are read off it: each subsystem's direct list is filtered to
+    the witnesses equal to a letter kernel of their own dimension
+    (``_graph_reachable``), the same spec objects in the same order.  The
+    graph method alone walks the local-complementation orbit
+    (``enumerate_graph_based``), which always builds the whole census, and
+    keeps the wanted subsystems.
+
+    ``methods`` given as one string, or ``omegas`` given as one flat
+    subsystem such as (1, 2) rather than [(1, 2)], raise ValueError and
+    MalformedSubsetError.
     """
+    if isinstance(methods, str):
+        raise ValueError(
+            "methods must be a collection of method names, "
+            "such as ('graph',), not a string"
+        )
     methods = set(methods)
     unknown = methods - {"direct", "graph", "twomeas"}
     if unknown:
@@ -850,12 +1057,9 @@ def run_census(
     if omegas is None:
         wanted = all_subsystems(s.n_qubits)
     else:
-        wanted = list(
-            dict.fromkeys(_check_subsystem(o, s.n_qubits) for o in omegas)
-        )
+        wanted = list(dict.fromkeys(_check_subsystems(omegas, s.n_qubits)))
 
-    direct = None
-    twomeas = None
+    direct = twomeas = graph_based = None
     if methods & {"direct", "twomeas"}:
         if omegas is None:
             direct = direct_census(group)
@@ -865,11 +1069,15 @@ def run_census(
             twomeas = {
                 omega: _two_measurement_variants(direct[omega]) for omega in wanted
             }
+        if "graph" in methods:
+            functionals = _letter_functionals(group.key, s.n_qubits)
+            graph_based = {
+                omega: _graph_reachable(direct[omega], omega, functionals, s.n_qubits)
+                for omega in wanted
+            }
         if "direct" not in methods:
             direct = None
-
-    graph_based = None
-    if "graph" in methods:
+    elif "graph" in methods:
         full = enumerate_graph_based(s)
         graph_based = {omega: full[omega] for omega in wanted}
 

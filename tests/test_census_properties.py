@@ -212,6 +212,40 @@ class TestCensusValidation:
         with pytest.raises(ValueError):
             run_census(build_color_code(), ("direct", "magic"))
 
+    def test_methods_given_as_one_string_are_named(self):
+        # a string is a collection of letters, which named the letters as
+        # unknown methods
+        with pytest.raises(ValueError) as err:
+            run_census(build_color_code(), "graph")
+        assert str(err.value) == (
+            "methods must be a collection of method names, "
+            "such as ('graph',), not a string"
+        )
+
+    @pytest.mark.parametrize(
+        "omegas,entry",
+        [
+            ((1, 2), "entry 0 is of type int"),
+            ([(1, 2), 3], "entry 1 is of type int"),
+        ],
+    )
+    def test_flat_subsystem_is_named(self, omegas, entry):
+        # one flat subsystem for a list of them was a bare TypeError
+        with pytest.raises(MalformedSubsetError) as err:
+            run_census(build_color_code(), ("direct",), omegas=omegas)
+        assert str(err.value) == (
+            "omegas must be a collection of subsystems, such as [(1, 2)]; "
+            f"{entry}, not a collection of qubit labels"
+        )
+
+    def test_omegas_that_are_not_a_collection_are_named(self):
+        with pytest.raises(MalformedSubsetError) as err:
+            run_census(build_color_code(), ("direct",), omegas=5)
+        assert str(err.value) == (
+            "omegas must be a collection of subsystems, such as [(1, 2)]; "
+            "got an object of type int"
+        )
+
 
 class TestCrossProcessDeterminism:
     def test_census_byte_identical_across_processes(self):

@@ -10,6 +10,7 @@ from stabwitness.cli import main
 from stabwitness.groups import MAX_SPAN_QUBITS, build_color_code, code_to_json, span_group
 
 from conftest import random_stabilizer_set
+from test_witnesses import ring_group
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +93,17 @@ class TestEnumerate:
             main([command, "color_code_7", "--omega", omega, *extra])
         assert err.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+
+    def test_ring9_subsystems_with_default_methods(self, capsys, tmp_path):
+        # the graph column is read off the two subsystems' direct search
+        path = tmp_path / "ring9.json"
+        path.write_text(code_to_json(ring_group(9).generator_set, "ring9"))
+        code, out, _ = run_cli(
+            capsys,
+            "enumerate", "--file", str(path), "--omega", "1,2", "--omega", "1,3,5,7",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "total,,657,276,0"
 
     def test_witness_listing(self, capsys, tmp_path):
         listing = tmp_path / "witnesses.csv"

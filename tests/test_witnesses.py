@@ -1134,6 +1134,215 @@ class TestFrameMemo:
         assert counts == {"rows_rref": 4333, "_connected_mask": 6863}
 
 
+def naive_letter_kernel_graph_based(s: GeneratorSet) -> dict:
+    """The graph-based keys by brute force over letter kernels, N <= 7.
+
+    For every subsystem omega and every c in {X, Y, Z}^O on the qubits O
+    outside it, the kernel K_c is the set of members whose letter on each
+    mu in O is I or c_mu.  A kernel of 2^|omega| members whose basis passes
+    ``check_direct`` is a graph-based witness (Van den Nest, Dehaene and De
+    Moor, 2004; Hein, Eisert and Briegel, 2004).  Letters are read off the
+    members' texts; keys are sorted per subsystem."""
+    n_qubits = s.n_qubits
+    assert n_qubits <= 7
+    members = [(p, p.to_text()) for p in span_group(s).elements]
+    out = {}
+    for omega in all_subsystems(n_qubits):
+        outside = [mu for mu in range(n_qubits) if mu + 1 not in omega]
+        keys = set()
+        for c in itertools.product("XYZ", repeat=len(outside)):
+            kernel = [
+                p
+                for p, text in members
+                if all(text[mu] in ("I", letter) for mu, letter in zip(outside, c))
+            ]
+            if len(kernel) != 2 ** len(omega):
+                continue
+            key = basis_key(kernel)
+            basis = tuple(pauli_from_row(r, n_qubits) for r in key)
+            if check_direct(GeneratorSubset(omega, basis)):
+                keys.add(key)
+        out[omega] = sorted(keys)
+    return out
+
+
+DEGENERATE_STATES = {
+    "product": ["ZIII", "IZII", "IIZI", "IIIZ"],
+    "ghz": ["XXX", "ZZI", "IZZ"],
+    "disjoint_pairs": ["XXII", "ZZII", "IIXX", "IIZZ"],
+}
+
+
+def _filter_cases(max_qubits: int) -> list:
+    """color_code_7, the rings, the product, GHZ and disjoint-pair states,
+    and the ``conftest`` random recipes put through two more letter-map
+    scrambles each, up to ``max_qubits`` qubits."""
+    cases = [("color_code_7", build_color_code())]
+    cases += [
+        (f"ring{n}", ring_group(n).generator_set)
+        for n in range(5, min(9, max_qubits) + 1)
+    ]
+    cases += [
+        (name, GeneratorSet.from_texts(texts))
+        for name, texts in DEGENERATE_STATES.items()
+    ]
+    for n in range(5, min(8, max_qubits) + 1):
+        for seed in range(2):
+            s = random_stabilizer_set(random.Random(seed), n)
+            rng = random.Random(1000 * n + seed)
+            for k in range(2):
+                scrambled = apply_to_generators(random_local_clifford(rng, n), s)
+                cases.append((f"random{n}_{seed}_{k}", scrambled))
+    return cases
+
+
+FILTER_CASES = _filter_cases(9)
+SMALL_FILTER_CASES = _filter_cases(7)
+
+
+def naive_extends_to_kernel(letters, outside) -> bool:
+    """Whether some completion of the letters outside omega has linearly
+    independent functionals, by trying all 3^(free qubits) completions."""
+    choices = []
+    for x_bit, z_bit, functionals in outside:
+        code = (1 if letters & x_bit else 0) | (2 if letters & z_bit else 0)
+        choices.append((functionals[code],) if code else functionals[1:])
+    return any(
+        rows_rank(list(picked)) == len(picked)
+        for picked in itertools.product(*choices)
+    )
+
+
+def random_outside(rng, n_outside, dim):
+    """``_extends_to_kernel`` input for qubits 0..n_outside-1 of a state on
+    n_outside qubits: per qubit its X bit, Z bit and (0, X, Z, Y)
+    functionals, with random X and Z functionals over ``dim`` bits."""
+    outside = []
+    for mu in range(n_outside):
+        z, x = rng.getrandbits(dim), rng.getrandbits(dim)
+        outside.append((1 << mu, 1 << (n_outside + mu), (0, z, x, x ^ z)))
+    return outside
+
+
+class TestLetterChoice:
+    """``_extends_to_kernel`` against all completions of the letters.  On
+    the census states the first letter tried at an all-I qubit has always
+    completed, so these inputs are built by hand and at random."""
+
+    def test_backtracks_to_a_second_letter(self):
+        a, b, c = 1, 2, 4
+
+        def entry(mu, z, x):
+            return (1 << mu, 1 << (3 + mu), (0, z, x, x ^ z))
+
+        # qubits 1 and 2 need both of a and c, so qubit 0 must take b,
+        # its second letter
+        outside = [entry(0, a, b), entry(1, a, c), entry(2, a, c)]
+        assert witnesses._extends_to_kernel(0, outside)
+        # with all three qubits in the span of a and c, nothing completes
+        outside[0] = entry(0, a, c)
+        assert not witnesses._extends_to_kernel(0, outside)
+        # a fixed X on qubit 1 takes a, and qubit 2 then takes c
+        assert not witnesses._extends_to_kernel(1 << 1, outside)
+        outside[0] = entry(0, a, b)
+        assert witnesses._extends_to_kernel(1 << 1, outside)
+
+    def test_matches_all_completions_at_random(self):
+        rng = random.Random(2104)
+        outcomes = collections.Counter()
+        for _ in range(3000):
+            n_outside = rng.randint(1, 4)
+            outside = random_outside(rng, n_outside, rng.randint(n_outside, 6))
+            # each qubit I, X, Z or Y, all-I most often
+            letters = 0
+            codes = rng.choices(range(4), (3, 1, 1, 1), k=n_outside)
+            for mu, code in enumerate(codes):
+                letters |= (code & 1) << mu | (code >> 1) << (n_outside + mu)
+            want = naive_extends_to_kernel(letters, outside)
+            assert witnesses._extends_to_kernel(letters, outside) == want
+            outcomes[want] += 1
+        assert min(outcomes.values()) > 300
+
+
+class TestGraphFilter:
+    """With the direct search running, ``run_census`` reads the graph-based
+    witnesses off it with a letter-kernel filter.  The orbit walk
+    ``enumerate_graph_based`` is its oracle, and so is the brute-force
+    letter-kernel scan for N <= 7."""
+
+    @pytest.mark.parametrize(
+        "s", [s for _, s in FILTER_CASES], ids=[i for i, _ in FILTER_CASES]
+    )
+    def test_matches_orbit_walk(self, s):
+        census = run_census(s, ("direct", "graph"))
+        assert census.graph_based == enumerate_graph_based(s)
+
+    @pytest.mark.parametrize(
+        "s",
+        [s for _, s in SMALL_FILTER_CASES],
+        ids=[i for i, _ in SMALL_FILTER_CASES],
+    )
+    def test_matches_letter_kernel_scan(self, s):
+        census = run_census(s, ("direct", "graph"))
+        assert {
+            omega: [w.identity_key for w in specs]
+            for omega, specs in census.graph_based.items()
+        } == naive_letter_kernel_graph_based(s)
+
+    def test_graph_lists_are_sublists_of_the_direct_lists(self, full_census):
+        for omega, graph in full_census.graph_based.items():
+            direct = iter(full_census.direct[omega])
+            # the same spec objects, in the direct list's order
+            assert all(any(g is d for d in direct) for g in graph), omega
+
+    @pytest.mark.parametrize("methods", [("direct", "graph"), ("graph", "twomeas")])
+    def test_restricted_census_matches_full_census(
+        self, methods, full_census, color_code
+    ):
+        omegas = [(5, 6), (1, 2, 5), (1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5, 6)]
+        rng = random.Random(21)
+        omegas += rng.sample(full_census.subsystems(), 8)
+        census = run_census(color_code, methods, omegas)
+        assert census.graph_based == {
+            omega: full_census.graph_based[omega] for omega in census.subsystems()
+        }
+        if "direct" in methods:
+            for omega, graph in census.graph_based.items():
+                direct = iter(census.direct[omega])
+                assert all(any(g is d for d in direct) for g in graph), omega
+        else:
+            assert census.direct is None
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_restricted_census_matches_orbit_walk_on_random8(self, seed):
+        s = random_stabilizer_set(random.Random(seed), 8)
+        walk = enumerate_graph_based(s)
+        omegas = random.Random(300 + seed).sample(all_subsystems(8), 12)
+        for methods in (("direct", "graph"), ("graph", "twomeas")):
+            census = run_census(s, methods, omegas)
+            assert census.graph_based == {omega: walk[omega] for omega in omegas}
+
+    def test_direct_search_replaces_the_walk(self, color_code, monkeypatch):
+        calls = []
+
+        def walk(s):
+            calls.append(s)
+            return enumerate_graph_based(s)
+
+        monkeypatch.setattr(witnesses, "enumerate_graph_based", walk)
+        for methods in (
+            ("direct", "graph", "twomeas"),
+            ("direct", "graph"),
+            ("graph", "twomeas"),
+        ):
+            run_census(color_code, methods)
+            run_census(color_code, methods, [(5, 6)])
+        assert calls == []
+        census = run_census(color_code, ("graph",), [(5, 6)])
+        assert calls == [color_code]
+        assert len(census.graph_based[(5, 6)]) == 54
+
+
 def naive_xz_form(paulis):
     """The X/Z split read off all 2^n members of the spanned subgroup: the
     (X part, Z part) pair of ``rows_rref`` bases as Paulis, or None."""

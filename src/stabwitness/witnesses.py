@@ -22,9 +22,14 @@ restricted to omega is, up to local maps, the graph state of the induced
 subgraph, which is genuinely multipartite entangled exactly when that
 subgraph is connected (Hein, Eisert and Briegel, PRA 69, 062311, 2004),
 and local maps do not change entanglement.  The census therefore works one
-subsystem at a time: it projects all members' Z frames onto the qubits
-outside omega at once, keeps one member per distinct masked frame, tests
-that member's connectivity once and keys it only when it is connected.
+subsystem at a time: it projects members' Z frames onto the qubits outside
+omega, keeps one member per distinct masked frame, tests that member's
+connectivity once and keys it only when it is connected.  Masking to the
+qubits outside omega factors through masking to those outside omega's
+parent, omega without its largest qubit, so omega projects only the one
+member per distinct frame that its parent kept, and only the subsystems of
+size 2 project the whole orbit.  Those per-subsystem lists are kept one
+size at a time, each until its children are built.
 
 Whenever the direct search runs anyway, the census reads the graph-based
 witnesses off it instead of walking the orbit.  The span a frame gives is
@@ -69,7 +74,7 @@ import enum
 import itertools
 from dataclasses import InitVar, dataclass, field
 from functools import reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .binary import (
@@ -645,7 +650,18 @@ def enumerate_graph_based(
     local-complementation orbit, pull the generators of every connected
     subsystem of every orbit graph back to the state, and finally conjugate
     everything by each local symmetry of the state.  Deduplicated by
-    spanned subgroup (RREF key) per subsystem.
+    spanned subgroup (RREF key) per subsystem, and built for every
+    subsystem by ``_graph_census``.
+    """
+    return _graph_census(s, all_subsystems(s.n_qubits))
+
+
+def _graph_census(
+    s: GeneratorSet, subsystems: Sequence[tuple[int, ...]]
+) -> dict[tuple[int, ...], list[WitnessSpec]]:
+    """The graph-based witnesses of each subsystem in ``subsystems``, given
+    as sorted label tuples, keyed by subsystem in order of size, then
+    labels; ``enumerate_graph_based`` builds them all.
 
     Each member's frames come from its breadth-first parent's by two XORs
     (``_orbit_pullback``).  In a graph's own frame the product of the
@@ -655,16 +671,26 @@ def enumerate_graph_based(
     therefore a function of the member's Z frame outside omega, and so is
     the connectivity of omega in the member (see the module docstring).
 
-    The census works one subsystem at a time.  It projects every member's
-    Z frame onto the qubits outside omega at once and keeps one member per
-    distinct masked frame; any member with the frame will do.  Each kept
-    member's connectivity is tested once, and a connected one has its
-    generators read off the frames (``_pulled_rows``) and keyed.  A local
-    symmetry maps the span for frame f onto the span for its image of f,
-    so the sweep maps the frame first and reduces a key's image only when
-    the image frame is new.  The symmetries are closed under inverse, so
-    the sweep maps by each of them, not by its inverse.  Nothing outlives
-    the subsystem.
+    The subsystems are built as a tree.  The parent of omega is omega
+    without its largest qubit.  The qubits outside omega are some of those
+    outside its parent, so masking a Z frame to omega's outside factors
+    through masking it to the parent's, and projecting one member per
+    distinct frame of the parent gives omega every distinct masked frame
+    the whole orbit gives it.  Any member with the frame will do.  So a
+    subsystem whose parent is built projects the members its parent kept,
+    one per distinct frame, and any other, as every one of size 2,
+    projects the whole orbit.  Each subsystem keeps one member per distinct
+    frame of its own in a plain list, unless it holds qubit N and so has
+    no children.  The lists of one size live until their children are
+    built: a list is dropped after its last child, the one that adds
+    qubit N, and the rest of the level once the next size is done.
+
+    Each kept member's connectivity is tested once, and a connected one has
+    its generators read off the frames (``_pulled_rows``) and keyed.  A
+    local symmetry maps the span for frame f onto the span for its image of
+    f, so the sweep maps the frame first and reduces a key's image only
+    when the image frame is new.  The symmetries are closed under inverse,
+    so the sweep maps by each of them, not by its inverse.
     """
     n_qubits = s.n_qubits
     q_le, _, graph0 = find_graph_equivalence(s)
@@ -674,18 +700,26 @@ def enumerate_graph_based(
     frames = [
         (member.adjacency, z, x) for member, _, z, x in _orbit_pullback(q_le, orbit)
     ]
-    z_frames = [z for _, z, _ in frames]
+    z_frame = itemgetter(1)
     others = [sym for sym in symmetries if not sym.is_identity()]
     full = (1 << n_qubits) - 1
     out: dict[tuple[int, ...], list[WitnessSpec]] = {}
-    for omega in all_subsystems(n_qubits):
+    size, parents, level = 0, {}, {}
+    for omega in sorted(subsystems, key=lambda omega: (len(omega), omega)):
+        if len(omega) != size:
+            size, parents, level = len(omega), level, {}
         mask = _qubit_mask(omega)
         outside = ((full ^ mask) << n_qubits) | (full ^ mask)
+        # a subsystem holding qubit N has no children, and in this order it
+        # is its parent's last child
+        leaf = omega[-1] == n_qubits
+        members = (parents.pop if leaf else parents.get)(omega[:-1], frames)
+        distinct = dict(zip(map(outside.__and__, map(z_frame, members)), members))
+        if not leaf:
+            level[omega] = list(distinct.values())
         indices = [q - 1 for q in omega]
         keys = {}
-        for masked, (adjacency, z, x) in dict(
-            zip(map(outside.__and__, z_frames), frames)
-        ).items():
+        for masked, (adjacency, z, x) in distinct.items():
             if _connected_mask(adjacency, mask):
                 rows = _pulled_rows(z, x, adjacency, indices, n_qubits)
                 keys[masked] = tuple(rows_rref(rows))
@@ -1036,9 +1070,9 @@ def run_census(
     witnesses are read off it: each subsystem's direct list is filtered to
     the witnesses equal to a letter kernel of their own dimension
     (``_graph_reachable``), the same spec objects in the same order.  The
-    graph method alone walks the local-complementation orbit
-    (``enumerate_graph_based``), which always builds the whole census, and
-    keeps the wanted subsystems.
+    graph method alone walks the local-complementation orbit: for every
+    subsystem by ``enumerate_graph_based``, and with ``omegas`` for the
+    wanted subsystems alone (``_graph_census``).
 
     ``methods`` given as one string, or ``omegas`` given as one flat
     subsystem such as (1, 2) rather than [(1, 2)], raise ValueError and
@@ -1078,8 +1112,11 @@ def run_census(
         if "direct" not in methods:
             direct = None
     elif "graph" in methods:
-        full = enumerate_graph_based(s)
-        graph_based = {omega: full[omega] for omega in wanted}
+        if omegas is None:
+            graph_based = enumerate_graph_based(s)
+        else:
+            built = _graph_census(s, wanted)
+            graph_based = {omega: built[omega] for omega in wanted}
 
     return WitnessCensus(
         s.n_qubits, tuple(wanted), direct, graph_based, twomeas, group.key

@@ -105,6 +105,18 @@ class TestEnumerate:
         assert code == 0
         assert out.splitlines()[-1] == "total,,657,276,0"
 
+    def test_ring9_subsystems_with_graph_method(self, capsys, tmp_path):
+        # the orbit walk builds the two subsystems alone
+        path = tmp_path / "ring9.json"
+        path.write_text(code_to_json(ring_group(9).generator_set, "ring9"))
+        code, out, _ = run_cli(
+            capsys,
+            "enumerate", "--file", str(path), "--methods", "graph",
+            "--omega", "1,2", "--omega", "1,3,5,7",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "total,,,276,"
+
     def test_witness_listing(self, capsys, tmp_path):
         listing = tmp_path / "witnesses.csv"
         code, _, _ = run_cli(

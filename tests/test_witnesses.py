@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import random
 import sys
+from operator import itemgetter
 
 import pytest
 
@@ -1019,6 +1020,43 @@ def naive_incremental_graph_based(s: GeneratorSet) -> dict:
     return out
 
 
+def naive_orbit_projection_graph_based(s: GeneratorSet) -> dict:
+    """The graph-based census projecting every orbit member's Z frame for
+    every subsystem: one member per distinct masked frame, its
+    connectivity tested and a connected one keyed, then the symmetry
+    sweep by frame images.  Nothing is carried from one subsystem to the
+    next."""
+    n_qubits = s.n_qubits
+    q_le, _, graph0 = find_graph_equivalence(s)
+    orbit = lc_orbit(graph0)
+    symmetries = find_local_symmetries(s)
+    frames = [
+        (member.adjacency, z, x)
+        for member, _, z, x in witnesses._orbit_pullback(q_le, orbit)
+    ]
+    others = [sym for sym in symmetries if not sym.is_identity()]
+    full = (1 << n_qubits) - 1
+    out = {}
+    for omega in all_subsystems(n_qubits):
+        mask = _qubit_mask(omega)
+        outside = ((full ^ mask) << n_qubits) | (full ^ mask)
+        keys = {}
+        distinct = {outside & frame[1]: frame for frame in frames}
+        for masked, (adjacency, z, x) in distinct.items():
+            if _connected_mask(adjacency, mask):
+                rows = witnesses._pulled_rows(
+                    z, x, adjacency, [q - 1 for q in omega], n_qubits
+                )
+                keys[masked] = tuple(rows_rref(rows))
+        for masked, key in list(keys.items()):
+            for sym in others:
+                image = _map_row(sym, masked)
+                if image not in keys:
+                    keys[image] = tuple(rows_rref([_map_row(sym, r) for r in key]))
+        out[omega] = witnesses._standard_specs(omega, set(keys.values()), n_qubits)
+    return out
+
+
 # graphs 0-3 of the random-state recipe on 8 qubits
 RECIPE8_CASES = [
     (f"recipe8_{g}", random_stabilizer_set(random.Random(g), 8)) for g in range(4)
@@ -1116,7 +1154,10 @@ class TestFrameMemo:
         # every image took 21,244 rows_rref; the touched-subsystem walk
         # with a frame memo took 4,237 and 14,279 flood fills.  Projecting
         # every member keys frames the walk skipped, hence the 96 more.
-        counts = {"rows_rref": 0, "_connected_mask": 0}
+        # Projecting all 532 members for each of the 119 subsystems took
+        # 63,308 projections; the subsystem tree projects the whole orbit
+        # for the 21 pairs only, and its parent's kept members otherwise.
+        counts = {"rows_rref": 0, "_connected_mask": 0, "projected": 0}
 
         def counted(name):
             call = getattr(witnesses, name)
@@ -1127,11 +1168,25 @@ class TestFrameMemo:
 
             return wrapper
 
-        for name in counts:
+        def counted_getter(index):
+            get = itemgetter(index)
+
+            def projected(frame):
+                counts["projected"] += 1
+                return get(frame)
+
+            return projected
+
+        for name in ("rows_rref", "_connected_mask"):
             monkeypatch.setattr(witnesses, name, counted(name))
+        monkeypatch.setattr(witnesses, "itemgetter", counted_getter)
         census = enumerate_graph_based(build_color_code())
         assert sum(len(v) for v in census.values()) == 3122
-        assert counts == {"rows_rref": 4333, "_connected_mask": 6863}
+        assert counts == {
+            "rows_rref": 4333,
+            "_connected_mask": 6863,
+            "projected": 20241,
+        }
 
 
 def naive_letter_kernel_graph_based(s: GeneratorSet) -> dict:
@@ -1325,11 +1380,11 @@ class TestGraphFilter:
     def test_direct_search_replaces_the_walk(self, color_code, monkeypatch):
         calls = []
 
-        def walk(s):
-            calls.append(s)
-            return enumerate_graph_based(s)
+        def walk(graph):
+            calls.append(graph)
+            return lc_orbit(graph)
 
-        monkeypatch.setattr(witnesses, "enumerate_graph_based", walk)
+        monkeypatch.setattr(witnesses, "lc_orbit", walk)
         for methods in (
             ("direct", "graph", "twomeas"),
             ("direct", "graph"),
@@ -1339,8 +1394,111 @@ class TestGraphFilter:
             run_census(color_code, methods, [(5, 6)])
         assert calls == []
         census = run_census(color_code, ("graph",), [(5, 6)])
-        assert calls == [color_code]
+        assert calls == [find_graph_equivalence(color_code)[2]]
         assert len(census.graph_based[(5, 6)]) == 54
+
+
+TREE_CASES = (
+    MEMO_FREE_CASES
+    + [("ring9", ring_group(9).generator_set)]
+    + [
+        (name, s)
+        for name, s in FILTER_CASES
+        if name.startswith("random") or name in DEGENERATE_STATES
+    ]
+)
+
+
+def subsystem_sample(n_qubits, seed):
+    """Wanted subsystems for a graph-only census with ``omegas``, in a
+    shuffled order: a chain of parents and children, one subsystem whose
+    parent is missing, and a random handful."""
+    omegas = [(1, 2), (1, 2, 3), (1, 2, n_qubits), (2, 3, 4, 5), (1, 2, 3, 4)]
+    rest = [o for o in all_subsystems(n_qubits) if o not in omegas + [(2, 3, 4)]]
+    rng = random.Random(seed)
+    omegas += rng.sample(rest, 8)
+    rng.shuffle(omegas)
+    return omegas
+
+
+class TestSubsystemTree:
+    """``enumerate_graph_based`` projects each subsystem's frames from the
+    members its parent, the subsystem without its largest qubit, kept.
+    Projecting the whole orbit for every subsystem is its oracle."""
+
+    @pytest.mark.parametrize(
+        "s", [s for _, s in TREE_CASES], ids=[i for i, _ in TREE_CASES]
+    )
+    def test_matches_whole_orbit_projection(self, s):
+        census = enumerate_graph_based(s)
+        naive = naive_orbit_projection_graph_based(s)
+        assert list(census) == list(naive) == all_subsystems(s.n_qubits)
+        assert census == naive
+
+    @pytest.mark.parametrize(
+        "s", [s for _, s in FRAME_CASES], ids=[i for i, _ in FRAME_CASES]
+    )
+    def test_parent_frames_give_every_masked_frame(self, s):
+        n_qubits = s.n_qubits
+        full = (1 << n_qubits) - 1
+        q_le, _, graph0 = find_graph_equivalence(s)
+        orbit = lc_orbit(graph0)
+        z_frames = [z for _, _, z, _ in witnesses._orbit_pullback(q_le, orbit)]
+        rng = random.Random(n_qubits)
+
+        def spread(mask):
+            return (mask << n_qubits) | mask
+
+        projected = 0
+        subsystems = all_subsystems(n_qubits)[n_qubits * (n_qubits - 1) // 2 :]
+        for omega in subsystems:
+            outside = spread(full ^ _qubit_mask(omega))
+            parent = spread(full ^ _qubit_mask(omega[:-1]))
+            # any member per distinct parent frame will do: pick one at random
+            classes = collections.defaultdict(list)
+            for z in z_frames:
+                classes[parent & z].append(z)
+            kept = [rng.choice(members) for members in classes.values()]
+            projected += len(kept)
+            assert {outside & z for z in kept} == {outside & z for z in z_frames}
+        assert projected < len(subsystems) * len(z_frames)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["color_code_7", "ring9", "recipe8_0", "recipe8_1"],
+    )
+    def test_graph_only_omegas_match_full_census(self, case, monkeypatch):
+        s = dict(TREE_CASES)[case]
+        full = run_census(s, ("graph",))
+        omegas = subsystem_sample(s.n_qubits, 22)
+        tested = set()
+
+        def connected(adjacency, mask):
+            tested.add(mask)
+            return _connected_mask(adjacency, mask)
+
+        monkeypatch.setattr(witnesses, "_connected_mask", connected)
+        census = run_census(s, ("graph",), omegas)
+        assert list(census.graph_based) == omegas
+        assert census.graph_based == {o: full.graph_based[o] for o in omegas}
+        assert any(census.graph_based.values())
+        assert tested == {_qubit_mask(o) for o in omegas}
+
+    def test_graph_only_census_of_every_subsystem_is_the_walk(
+        self, color_code, monkeypatch
+    ):
+        calls = []
+
+        def walk(s):
+            calls.append(s)
+            return enumerate_graph_based(s)
+
+        monkeypatch.setattr(witnesses, "enumerate_graph_based", walk)
+        census = run_census(color_code, ("graph",))
+        assert calls == [color_code]
+        assert census.totals()["graph_based"] == 3122
+        run_census(color_code, ("graph",), [(5, 6), (1, 2, 5)])
+        assert calls == [color_code]
 
 
 def naive_xz_form(paulis):

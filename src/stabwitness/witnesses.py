@@ -35,8 +35,10 @@ Whenever the direct search runs anyway, the census reads the graph-based
 witnesses off it instead of walking the orbit.  The span a frame gives is
 a letter kernel K_c: the members whose letter on each qubit mu outside
 omega is I or c_mu, of dimension |omega|.  A direct witness is
-graph-based exactly when it is such a kernel (``_graph_reachable``), which
-one small GF(2) elimination over the letters outside omega decides.
+graph-based exactly when it is such a kernel, and that holds exactly when
+no product of the single-qubit letters it carries outside omega, other
+than I, is a member (``_graph_reachable``): one rank of the group's basis
+stacked with those letters.
 
 The direct enumerators walk the subgroups depth first, one reduced
 row-echelon basis row at a time, in exponent coordinates over the group's
@@ -732,102 +734,26 @@ def _graph_census(
     return out
 
 
-def _letter_functionals(key: Sequence[int], n_qubits: int) -> list[tuple[int, ...]]:
-    """For each 0-based qubit mu, the exponent functionals over the group
-    basis ``key`` whose kernels are the members with letter I or L on mu,
-    indexed by L's letter code x | z << 1: X keeps z(mu), Z keeps x(mu), Y
-    keeps x(mu) ^ z(mu).  Bit i of a functional is its value on key[i]."""
-    out = []
-    for mu in range(n_qubits):
-        x = z = 0
-        for i, row in enumerate(key):
-            x |= (row >> mu & 1) << i
-            z |= (row >> (n_qubits + mu) & 1) << i
-        out.append((0, z, x, x ^ z))
-    return out
-
-
-def _extends_to_kernel(
-    letters: int, outside: Sequence[tuple[int, int, tuple[int, ...]]]
-) -> bool:
-    """Whether the letters ``letters`` (a packed 2N-bit OR of a witness's
-    rows) extend to one letter c_mu on every qubit mu outside omega whose
-    functionals are linearly independent.  ``outside`` holds, per such mu,
-    its X bit, its Z bit and its ``_letter_functionals`` entry.
-
-    The letters already carried are fixed.  Each all-I qubit gets one of
-    its three letters, chosen by a depth-first search that keeps the chosen
-    functionals reduced in a dict by top bit and drops a choice's pivot
-    when it backtracks.  The search takes the qubits with the fewest
-    distinct choices left after the fixed letters first, so a qubit with
-    no choice left, or two whose one choice is the same, fail before the
-    other qubits are tried."""
-    pivots: dict[int, int] = {}
-
-    def reduced(f: int) -> int:
-        while f:
-            pivot = pivots.get(f.bit_length() - 1)
-            if pivot is None:
-                break
-            f ^= pivot
-        return f
-
-    free = []
-    for x_bit, z_bit, functionals in outside:
-        code = (1 if letters & x_bit else 0) | (2 if letters & z_bit else 0)
-        if not code:
-            free.append(functionals[1:])
-            continue
-        f = functionals[code]
-        while f:
-            top = f.bit_length() - 1
-            pivot = pivots.get(top)
-            if pivot is None:
-                pivots[top] = f
-                break
-            f ^= pivot
-        else:
-            return False
-    if not free:
-        return True
-    choices = sorted(
-        (tuple(dict.fromkeys(f for f in map(reduced, fs) if f)) for fs in free),
-        key=len,
-    )
-
-    def choose(depth: int) -> bool:
-        if depth == len(choices):
-            return True
-        for f in choices[depth]:
-            f = reduced(f)
-            if f:
-                top = f.bit_length() - 1
-                pivots[top] = f
-                if choose(depth + 1):
-                    return True
-                del pivots[top]
-        return False
-
-    return choose(0)
-
-
 def _graph_reachable(
     specs: Sequence[WitnessSpec],
     omega: tuple[int, ...],
-    functionals: Sequence[tuple[int, ...]],
+    key: Sequence[int],
     n_qubits: int,
 ) -> list[WitnessSpec]:
     """The direct witnesses for omega that ``enumerate_graph_based`` finds,
-    in their order, as the same spec objects.
+    in their order, as the same spec objects.  ``key`` is the group's
+    reduced row-echelon basis.
 
     For c, one letter in {X, Y, Z} on each qubit mu of the set O outside
     omega, K_c is the subgroup of members whose letter on each mu in O is I
-    or c_mu.  Each such condition is one linear functional of the exponent
-    vector (``_letter_functionals``), so dim K_c = N - rank >= k = |omega|,
-    with equality exactly when the |O| functionals are independent.  A
-    direct witness K passes when some c that agrees with K's letters
-    outside omega has dim K_c = k (``_extends_to_kernel``).  These are
-    exactly the graph-based witnesses for omega.
+    or c_mu.  A direct witness K for omega, k = |omega|, carries by (iii)
+    at most one letter L_mu besides I on each qubit mu of O.  K is
+    graph-based exactly when some c that agrees with those letters has
+    dim K_c = k, and this holds exactly when no product of the carried
+    single-qubit letters L_mu other than I is a member.  The carried
+    letters sit on distinct qubits, so that is one rank: the group's basis
+    and the carried letters stacked have full rank.  The verdict depends
+    only on K's letters outside omega, so it is kept per letter pattern.
 
     The four direct conditions hold for a subgroup or for none of its
     bases: each qubit's letter anticommutation is bilinear, so the pair
@@ -841,51 +767,69 @@ def _graph_reachable(
     is connected.  So that span is a direct witness exactly when omega is
     connected in G.
 
-    Graph-based witnesses pass.  The walk keys, for each orbit member G in
-    which omega is connected, the span of G's generators over omega
-    carried to the state by G's frame, and the images of those spans under
-    the state's local symmetries.  A product of G's generators over a
-    vertex set A has X part A, so the span is the members of G's group
+    Graph-based witnesses have such a c.  The walk keys, for each orbit
+    member G in which omega is connected, the span of G's generators over
+    omega carried to the state by G's frame, and the images of those spans
+    under the state's local symmetries.  A product of G's generators over
+    a vertex set A has X part A, so the span is the members of G's group
     with letter I or Z on each qubit of O.  Carried by the frame and a
     symmetry, it is K_c, of dimension k, with c_mu the image of Z on mu,
     and its letters on O are I or c_mu, so c agrees with them.
 
-    Passing witnesses are graph-based.  Let K be a direct witness for omega
-    and c as above, with dim K_c = k.  By (iii) K carries at most one
-    letter besides I on each qubit of O, and c agrees with it, so K lies in
-    K_c, and as both have dimension k, K = K_c.  Take a local map U with
-    U(c_mu) = Z on O.  The group's X bits on O are then a linear map whose
-    kernel is U(K), of dimension k, so the map is onto and there are
-    members h_mu whose X bits on O are the unit vector of mu.  By (ii) the
-    restriction of K to omega is a stabilizer state of k qubits, so a local
-    map V on omega gives it an invertible X block A (every stabilizer
-    state has a graph form; Van den Nest, Dehaene and De Moor, PRA 69,
-    022316, 2004).  The X block of the rows of VU(K) and the VU(h_mu) is
-    then [A 0; B 1], whose inverse [A^-1 0; B A^-1 1] recombines the rows
-    of VU(K) among themselves alone.  The recombined rows are X_v Z_R(v)
-    with R symmetric, and an X <-> Y map on each qubit whose row has Y
-    there clears R's diagonal and fixes the letters I and Z.  That gives a
-    graph G, locally equivalent to the state's graph and so a member of
-    its local-complementation orbit (same reference), and a local map W
-    from G's state to the state that carries the span of G's generators
-    over omega to K.  G's frame in the walk differs from W by a local
-    symmetry of the state, which the sweep applies.  K passes (iv), so
-    omega is connected in G.
+    Witnesses with such a c are graph-based.  By (iii) K lies in K_c, and
+    as both have dimension k, K = K_c.  Take a local map U with U(c_mu) = Z
+    on O.  The group's X bits on O are then a linear map whose kernel is
+    U(K), of dimension k, so the map is onto and there are members h_mu
+    whose X bits on O are the unit vector of mu.  By (ii) the restriction
+    of K to omega is a stabilizer state of k qubits, so a local map V on
+    omega gives it an invertible X block A (every stabilizer state has a
+    graph form; Van den Nest, Dehaene and De Moor, PRA 69, 022316, 2004).
+    The X block of the rows of VU(K) and the VU(h_mu) is then [A 0; B 1],
+    whose inverse [A^-1 0; B A^-1 1] recombines the rows of VU(K) among
+    themselves alone.  The recombined rows are X_v Z_R(v) with R
+    symmetric, and an X <-> Y map on each qubit whose row has Y there
+    clears R's diagonal and fixes the letters I and Z.  That gives a graph
+    G, locally equivalent to the state's graph and so a member of its
+    local-complementation orbit (same reference), and a local map W from
+    G's state to the state that carries the span of G's generators over
+    omega to K.  G's frame in the walk differs from W by a local symmetry
+    of the state, which the sweep applies.  K passes (iv), so omega is
+    connected in G.
+
+    Such a c exists exactly when no carried product is a member.  For c
+    that agrees with K, let C_c be the members of K_c that are I on omega.
+    The members of K_c commute, and on each qubit of O their letters are I
+    or c_mu, which commute, so their restrictions to omega commute and
+    span at most k dimensions; the kernel of the restriction is C_c.  K
+    lies in K_c and by (ii) restricts to k dimensions, so dim K_c = k +
+    dim C_c.  If a product P of carried letters other than I is a member,
+    P lies in C_c for every such c, and no c has dim K_c = k.  If none is,
+    let O_I be the qubits of O where K is all I, and M the members that
+    are I on omega and I or L_mu on each lettered qubit.  Two members of M
+    that agree on O_I differ by a carried product that is a member, so
+    they are equal: M restricts one-to-one to O_I.  Its image R commutes,
+    as before, so it extends to a stabilizer state on O_I, which a local
+    map U takes to a graph state (same reference).  Set c_mu = L_mu on the
+    lettered qubits and c_mu = U^-1(Z) on O_I.  A member of C_c lies in M,
+    and U takes its restriction to O_I to a member of the graph state with
+    only I and Z letters, which is I, since a product of graph generators
+    over A has X part A.  So C_c = {I} and dim K_c = k.
     """
-    outside_mask = ((1 << n_qubits) - 1) ^ _qubit_mask(omega)
-    outside_rows = (outside_mask << n_qubits) | outside_mask
     outside = [
-        (1 << mu, 1 << (n_qubits + mu), functionals[mu])
+        (1 << mu) | (1 << (n_qubits + mu))
         for mu in range(n_qubits)
-        if outside_mask >> mu & 1
+        if mu + 1 not in omega
     ]
+    outside_rows = reduce(or_, outside)
     verdicts: dict[int, bool] = {}
     kept = []
     for spec in specs:
         letters = reduce(or_, spec.rows) & outside_rows
         passes = verdicts.get(letters)
         if passes is None:
-            passes = verdicts[letters] = _extends_to_kernel(letters, outside)
+            carried = [letters & q for q in outside if letters & q]
+            rank = rows_rank([*key, *carried])
+            passes = verdicts[letters] = rank == len(key) + len(carried)
         if passes:
             kept.append(spec)
     return kept
@@ -1068,11 +1012,12 @@ def run_census(
 
     When the direct search runs, for "direct" or "twomeas", the graph-based
     witnesses are read off it: each subsystem's direct list is filtered to
-    the witnesses equal to a letter kernel of their own dimension
-    (``_graph_reachable``), the same spec objects in the same order.  The
-    graph method alone walks the local-complementation orbit: for every
-    subsystem by ``enumerate_graph_based``, and with ``omegas`` for the
-    wanted subsystems alone (``_graph_census``).
+    the witnesses none of whose products of single-qubit letters outside
+    the subsystem, other than I, is a member, one rank per distinct letter
+    pattern (``_graph_reachable``), the same spec objects in the same
+    order.  The graph method alone walks the local-complementation orbit:
+    for every subsystem by ``enumerate_graph_based``, and with ``omegas``
+    for the wanted subsystems alone (``_graph_census``).
 
     ``methods`` given as one string, or ``omegas`` given as one flat
     subsystem such as (1, 2) rather than [(1, 2)], raise ValueError and
@@ -1104,9 +1049,8 @@ def run_census(
                 omega: _two_measurement_variants(direct[omega]) for omega in wanted
             }
         if "graph" in methods:
-            functionals = _letter_functionals(group.key, s.n_qubits)
             graph_based = {
-                omega: _graph_reachable(direct[omega], omega, functionals, s.n_qubits)
+                omega: _graph_reachable(direct[omega], omega, group.key, s.n_qubits)
                 for omega in wanted
             }
         if "direct" not in methods:

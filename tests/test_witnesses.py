@@ -796,12 +796,19 @@ class TestGraphBased:
         keys = {s.identity_key for s in full_census.graph_based[(5, 6)]}
         assert wanted.identity_key in keys
 
-    def test_counterexample_not_graph_reachable(self, full_census):
+    def test_counterexample_not_graph_reachable(self, full_census, color_group):
         spec = WitnessSpec.standard_local((2, 3, 4), FIG6_SUBSET.stabilizers)
         direct_keys = {s.identity_key for s in full_census.direct[(2, 3, 4)]}
         graph_keys = {s.identity_key for s in full_census.graph_based[(2, 3, 4)]}
         assert spec.identity_key in direct_keys
         assert spec.identity_key not in graph_keys
+        # the subset carries X on qubits 5, 6 and 7, and their product
+        # IIIIXXX = s_R^X s_L^X is a member, so no letter kernel of
+        # dimension 3 contains the witness
+        for q in (5, 6, 7):
+            assert {p.letter_at(q) for p in FIG6_SUBSET.stabilizers} == {"I", "X"}
+        assert parse_pauli("IIIIXXX") in color_group.elements
+        assert witnesses._graph_reachable([spec], (2, 3, 4), color_group.key, 7) == []
 
     def test_subset_of_direct_everywhere(self, full_census):
         for omega in full_census.subsystems():
@@ -1255,9 +1262,26 @@ FILTER_CASES = _filter_cases(9)
 SMALL_FILTER_CASES = _filter_cases(7)
 
 
+def letter_functionals(key, n_qubits) -> list:
+    """For each 0-based qubit mu, the exponent functionals over the group
+    basis ``key`` whose kernels are the members with letter I or L on mu,
+    indexed by L's letter code x | z << 1: X keeps z(mu), Z keeps x(mu), Y
+    keeps x(mu) ^ z(mu).  Bit i of a functional is its value on key[i]."""
+    out = []
+    for mu in range(n_qubits):
+        x = z = 0
+        for i, row in enumerate(key):
+            x |= (row >> mu & 1) << i
+            z |= (row >> (n_qubits + mu) & 1) << i
+        out.append((0, z, x, x ^ z))
+    return out
+
+
 def naive_extends_to_kernel(letters, outside) -> bool:
     """Whether some completion of the letters outside omega has linearly
-    independent functionals, by trying all 3^(free qubits) completions."""
+    independent functionals, by trying all 3^(free qubits) completions.
+    ``outside`` holds, per qubit outside omega, its X bit, its Z bit and
+    its ``letter_functionals`` entry."""
     choices = []
     for x_bit, z_bit, functionals in outside:
         code = (1 if letters & x_bit else 0) | (2 if letters & z_bit else 0)
@@ -1268,55 +1292,101 @@ def naive_extends_to_kernel(letters, outside) -> bool:
     )
 
 
-def random_outside(rng, n_outside, dim):
-    """``_extends_to_kernel`` input for qubits 0..n_outside-1 of a state on
-    n_outside qubits: per qubit its X bit, Z bit and (0, X, Z, Y)
-    functionals, with random X and Z functionals over ``dim`` bits."""
-    outside = []
-    for mu in range(n_outside):
-        z, x = rng.getrandbits(dim), rng.getrandbits(dim)
-        outside.append((1 << mu, 1 << (n_outside + mu), (0, z, x, x ^ z)))
-    return outside
+def naive_graph_reachable(specs, omega, key, n_qubits) -> list:
+    """The specs for omega whose letters outside omega complete to a letter
+    kernel of dimension |omega|, by ``naive_extends_to_kernel`` once per
+    letter pattern."""
+    functionals = letter_functionals(key, n_qubits)
+    outside = [
+        (1 << mu, 1 << (n_qubits + mu), functionals[mu])
+        for mu in range(n_qubits)
+        if mu + 1 not in omega
+    ]
+    outside_rows = sum(x_bit | z_bit for x_bit, z_bit, _ in outside)
+    verdicts = {}
+    kept = []
+    for spec in specs:
+        letters = 0
+        for row in spec.rows:
+            letters |= row & outside_rows
+        if letters not in verdicts:
+            verdicts[letters] = naive_extends_to_kernel(letters, outside)
+        if verdicts[letters]:
+            kept.append(spec)
+    return kept
 
 
-class TestLetterChoice:
-    """``_extends_to_kernel`` against all completions of the letters.  On
-    the census states the first letter tried at an all-I qubit has always
-    completed, so these inputs are built by hand and at random."""
+ONE_RANK_CASES = [(name, s) for name, s in FILTER_CASES if s.n_qubits <= 8]
 
-    def test_backtracks_to_a_second_letter(self):
-        a, b, c = 1, 2, 4
 
-        def entry(mu, z, x):
-            return (1 << mu, 1 << (3 + mu), (0, z, x, x ^ z))
+class TestOneRankRule:
+    """``_graph_reachable`` keeps a direct witness exactly when no product
+    of its letters outside omega, other than I, is a member: one rank of
+    the group's basis and those letters.  Its oracle tries every completion
+    of the letters to one letter per outside qubit and keeps the witness
+    when one completion gives a letter kernel of dimension |omega|."""
 
-        # qubits 1 and 2 need both of a and c, so qubit 0 must take b,
-        # its second letter
-        outside = [entry(0, a, b), entry(1, a, c), entry(2, a, c)]
-        assert witnesses._extends_to_kernel(0, outside)
-        # with all three qubits in the span of a and c, nothing completes
-        outside[0] = entry(0, a, c)
-        assert not witnesses._extends_to_kernel(0, outside)
-        # a fixed X on qubit 1 takes a, and qubit 2 then takes c
-        assert not witnesses._extends_to_kernel(1 << 1, outside)
-        outside[0] = entry(0, a, b)
-        assert witnesses._extends_to_kernel(1 << 1, outside)
+    @pytest.mark.parametrize(
+        "s", [s for _, s in ONE_RANK_CASES], ids=[i for i, _ in ONE_RANK_CASES]
+    )
+    def test_matches_all_completions(self, s):
+        group = span_group(s)
+        for omega, specs in direct_census(group).items():
+            kept = witnesses._graph_reachable(specs, omega, group.key, s.n_qubits)
+            assert kept == naive_graph_reachable(
+                specs, omega, group.key, s.n_qubits
+            ), omega
 
-    def test_matches_all_completions_at_random(self):
-        rng = random.Random(2104)
-        outcomes = collections.Counter()
-        for _ in range(3000):
-            n_outside = rng.randint(1, 4)
-            outside = random_outside(rng, n_outside, rng.randint(n_outside, 6))
-            # each qubit I, X, Z or Y, all-I most often
-            letters = 0
-            codes = rng.choices(range(4), (3, 1, 1, 1), k=n_outside)
-            for mu, code in enumerate(codes):
-                letters |= (code & 1) << mu | (code >> 1) << (n_outside + mu)
-            want = naive_extends_to_kernel(letters, outside)
-            assert witnesses._extends_to_kernel(letters, outside) == want
-            outcomes[want] += 1
-        assert min(outcomes.values()) > 300
+    def test_one_rank_per_letter_pattern_on_the_color_code(
+        self, color_code, color_group, monkeypatch
+    ):
+        # one rank per distinct (omega, letters outside omega) among the
+        # 3,927 direct witnesses, beside the 987 of the direct search
+        census = direct_census(color_group)
+        calls = []
+        rank = witnesses.rows_rank
+
+        def counted(rows):
+            calls.append(None)
+            return rank(rows)
+
+        monkeypatch.setattr(witnesses, "rows_rank", counted)
+        kept = {
+            omega: witnesses._graph_reachable(specs, omega, color_group.key, 7)
+            for omega, specs in census.items()
+        }
+        assert sum(len(v) for v in kept.values()) == 3122
+        assert len(calls) == 3451
+        calls.clear()
+        assert run_census(color_code).totals() == {
+            "direct": 3927,
+            "graph_based": 3122,
+            "two_measurement": 476,
+        }
+        assert len(calls) == 987 + 3451
+
+    def test_disjoint_pairs(self):
+        s = GeneratorSet.from_texts(DEGENERATE_STATES["disjoint_pairs"])
+        group = span_group(s)
+        passing = WitnessSpec.standard_local(
+            (1, 2), (parse_pauli("XXII"), parse_pauli("ZZII"))
+        )
+        # XXXX carries X on qubits 3 and 4, and IIXX is a member
+        failing = WitnessSpec.standard_local(
+            (1, 2), (parse_pauli("XXXX"), parse_pauli("ZZII"))
+        )
+        assert parse_pauli("IIXX") in group.elements
+        direct = enumerate_direct(group, (1, 2))
+        keys = [spec.identity_key for spec in direct]
+        assert passing.identity_key in keys and failing.identity_key in keys
+        kept = witnesses._graph_reachable(direct, (1, 2), group.key, 4)
+        kept_keys = {spec.identity_key for spec in kept}
+        assert passing.identity_key in kept_keys
+        assert failing.identity_key not in kept_keys
+        graph_keys = {
+            spec.identity_key for spec in enumerate_graph_based(s)[(1, 2)]
+        }
+        assert graph_keys == kept_keys
 
 
 class TestGraphFilter:

@@ -187,18 +187,23 @@ def lc_orbit(g: Graph, max_size: int = 10**6) -> LcOrbit:
     """Breadth-first fixpoint of local complementation over labeled graphs.
 
     Complements are compared as adjacency tuples; a ``Graph`` is built only
-    for a newly discovered member.  ``max_size`` caps the member count,
-    the seed included, so it must be at least 1.
+    for a newly discovered member, and without ``Graph.__post_init__``'s
+    O(N^2) check: complementing keeps a graph's rows symmetric, loop-free
+    and in range, so each member is filled in field by field, in the order
+    its ``__init__`` sets them.  ``max_size`` caps the member count, the
+    seed included, so it must be at least 1.
     """
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
+    new, put = object.__new__, object.__setattr__
+    n_vertices = g.n_vertices
     seen = {g.adjacency: ()}
     order = [g]
     queue = deque([g.adjacency])
     while queue:
         current = queue.popleft()
         seq = seen[current]
-        for vertex in range(1, g.n_vertices + 1):
+        for vertex in range(1, n_vertices + 1):
             nxt = _complemented(current, vertex)
             if nxt in seen:
                 continue
@@ -207,7 +212,10 @@ def lc_orbit(g: Graph, max_size: int = 10**6) -> LcOrbit:
                     f"local-complementation orbit exceeds {max_size} graphs"
                 )
             seen[nxt] = seq + (vertex,)
-            order.append(Graph(g.n_vertices, nxt))
+            member = new(Graph)
+            put(member, "n_vertices", n_vertices)
+            put(member, "adjacency", nxt)
+            order.append(member)
             queue.append(nxt)
     return LcOrbit(tuple(order), tuple(seen[h.adjacency] for h in order))
 

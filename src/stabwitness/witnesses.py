@@ -23,13 +23,18 @@ subgraph, which is genuinely multipartite entangled exactly when that
 subgraph is connected (Hein, Eisert and Briegel, PRA 69, 062311, 2004),
 and local maps do not change entanglement.  The census therefore works one
 subsystem at a time: it projects members' Z frames onto the qubits outside
-omega, keeps one member per distinct masked frame, tests that member's
-connectivity once and keys it only when it is connected.  Masking to the
+omega and keeps one member per distinct masked frame.  Masking to the
 qubits outside omega factors through masking to those outside omega's
 parent, omega without its largest qubit, so omega projects only the one
 member per distinct frame that its parent kept, and only the subsystems of
 size 2 project the whole orbit.  Those per-subsystem lists are kept one
-size at a time, each until its children are built.
+size at a time, each until its children are built.  The key needs less
+than the masked frame: the span is I outside omega except on the qubits
+with a neighbour in omega, so it is fixed by the Z frame on those qubits
+alone, the neighbourhood frame, and distinct neighbourhood frames give
+distinct keys.  The census tests connectivity once per neighbourhood frame
+and keys it only when omega is connected, so it reduces one key per
+witness (``_graph_census``).
 
 Whenever the direct search runs anyway, the census reads the graph-based
 witnesses off it instead of walking the orbit.  The span a frame gives is
@@ -687,12 +692,36 @@ def _graph_census(
     built: a list is dropped after its last child, the one that adds
     qubit N, and the rest of the level once the next size is done.
 
-    Each kept member's connectivity is tested once, and a connected one has
-    its generators read off the frames (``_pulled_rows``) and keyed.  A
-    local symmetry maps the span for frame f onto the span for its image of
-    f, so the sweep maps the frame first and reduces a key's image only
-    when the image frame is new.  The symmetries are closed under inverse,
-    so the sweep maps by each of them, not by its inverse.
+    Each kept member is then keyed by its neighbourhood frame, not by its
+    masked frame: z & spread(S), where S, the neighbourhood of omega less
+    omega, holds the qubits outside omega with a neighbour in omega in that
+    member.  Distinct neighbourhood frames give distinct keys and equal
+    ones equal keys:
+
+    - The span K of omega's generators is I on the qubits of O outside S,
+      O the qubits outside omega, since a generator X_u Z_N(u) carries Z
+      on the neighbours of u alone.  On each mu in S its letters are I or
+      c_mu, the frame's Z letter of mu.
+    - So K lies in L(S, c_S): the members that are I on O outside S and
+      carry I or c_mu on each mu in S.
+    - L(S, c_S) lies in K_c, the members with letter I or c_mu on each mu
+      in O, and K_c = K (module docstring).  So K = L(S, c_S).
+    - A member of the group is fixed by its letters, so L(S, c_S) is a
+      function of c_S, and K has letter c_mu on each mu in S, where a
+      neighbour's generator carries it: K also gives back S and c_S.
+      Equal neighbourhood frames therefore give equal keys, and distinct
+      ones distinct keys.
+    - Connectivity of omega is a function of K (``_graph_reachable``), so
+      it is tested once per neighbourhood frame too, and a connected one
+      has its generators read off the frames (``_pulled_rows``) and
+      reduced once.
+
+    A local symmetry sigma maps the span K = L(S, c_S) onto L(S, sigma(c_S)):
+    it keeps S and maps each letter c_mu on its own qubit.  So the sweep
+    maps the neighbourhood frame first and reduces a key's image only when
+    the image frame is new, and every frame it keeps gives a new key.  The
+    symmetries are closed under inverse, so the sweep maps by each of them,
+    not by its inverse.  The census makes one ``rows_rref`` per witness.
     """
     n_qubits = s.n_qubits
     q_le, _, graph0 = find_graph_equivalence(s)
@@ -720,17 +749,28 @@ def _graph_census(
         if not leaf:
             level[omega] = list(distinct.values())
         indices = [q - 1 for q in omega]
-        keys = {}
+        # keys by neighbourhood frame, and the frames where omega is not
+        # connected
+        keys, apart = {}, set()
         for masked, (adjacency, z, x) in distinct.items():
+            hood = 0
+            for u in indices:
+                hood |= adjacency[u]
+            # masked is I on omega, so this masks it to S
+            frame = masked & ((hood << n_qubits) | hood)
+            if frame in keys or frame in apart:
+                continue
             if _connected_mask(adjacency, mask):
                 rows = _pulled_rows(z, x, adjacency, indices, n_qubits)
-                keys[masked] = tuple(rows_rref(rows))
-        for masked, key in list(keys.items()):
+                keys[frame] = tuple(rows_rref(rows))
+            else:
+                apart.add(frame)
+        for frame, key in list(keys.items()):
             for sym in others:
-                image = _map_row(sym, masked)
+                image = _map_row(sym, frame)
                 if image not in keys:
                     keys[image] = tuple(rows_rref([_map_row(sym, r) for r in key]))
-        out[omega] = _standard_specs(omega, set(keys.values()), n_qubits)
+        out[omega] = _standard_specs(omega, keys.values(), n_qubits)
     return out
 
 

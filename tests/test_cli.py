@@ -481,6 +481,22 @@ class TestOutputBytes:
             "119d4c491f5bb1e6cc7104f00844ba1bcd046f61705bdbc8fc3a7c28126062d4"
         )
 
+    def test_orbit_of_the_graph_form(self, capsys, tmp_path):
+        # the 532 members of the LC orbit of color_code_7's graph form, as
+        # ``equivalence`` prints it, recorded before the orbit walk built
+        # its members without the checked Graph constructor
+        path = tmp_path / "graph.json"
+        path.write_text(
+            '{"n": 7, "edges": [[1, 4], [1, 7], [2, 4], [2, 6], [3, 4], '
+            "[3, 6], [3, 7], [5, 6], [5, 7]]}"
+        )
+        code, out, _ = run_cli(capsys, "orbit", "--graph", str(path))
+        assert code == 0
+        assert json.loads(out)["size"] == 532
+        assert sha256(out) == (
+            "3c2da3438302933d66f37a2dfba807ccccf013a41a6bc6ac5b64c7a71f1eca90"
+        )
+
     def test_shot_data_fixture_is_its_formula(self):
         assert SHOT_DATA.read_text() == shot_data_text()
 

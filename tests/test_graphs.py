@@ -211,14 +211,42 @@ def naive_lc_orbit(g: Graph) -> LcOrbit:
     return LcOrbit(tuple(order), tuple(seen[h.adjacency] for h in order))
 
 
+def ring(n: int) -> Graph:
+    return Graph.from_edges(n, [(mu, mu % n + 1) for mu in range(1, n + 1)])
+
+
+# rings of 5..8 vertices and random graphs of 5..8, the graph_random8
+# workload's size included
+ORBIT_SEEDS = [(f"ring{n}", ring(n)) for n in range(5, 9)] + [
+    (f"random{n}_{k}", random_graph(random.Random(10 * n + k), n))
+    for n in (5, 6, 7, 8)
+    for k in range(2)
+]
+
+
 class TestOrbit:
     def test_order_and_sequences_match_naive_closure(self):
         rng = random.Random(43)
         graphs = [PATH3, STAR4, CODE_GRAPH] + [
             random_graph(rng, n) for n in (5, 6, 7) for _ in range(3)
         ]
-        for g in graphs:
+        for g in graphs + [g for _, g in ORBIT_SEEDS]:
             assert lc_orbit(g) == naive_lc_orbit(g)
+
+    @pytest.mark.parametrize(
+        "g", [g for _, g in ORBIT_SEEDS], ids=[i for i, _ in ORBIT_SEEDS]
+    )
+    def test_members_are_checked_graphs(self, g):
+        # members after the seed skip Graph.__post_init__; each must be the
+        # graph the checked constructor builds from its rows, field for field
+        orbit = lc_orbit(g)
+        assert len(orbit) > 1
+        for member in orbit.graphs:
+            checked = Graph(member.n_vertices, member.adjacency)
+            assert type(member) is Graph
+            assert member == checked
+            assert hash(member) == hash(checked)
+            assert list(vars(member).items()) == list(vars(checked).items())
 
     def test_single_edge_fixed(self):
         g = Graph.from_edges(2, [(1, 2)])

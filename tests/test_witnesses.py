@@ -1155,15 +1155,16 @@ class TestFrameMemo:
         assert enumerate_graph_based(s) == naive_incremental_graph_based(s)
 
     def test_color_code_reduces_each_masked_frame_once(self, monkeypatch):
-        # one flood fill per (subsystem, masked Z frame) of some member, and
-        # one rows_rref per such frame of a connected member or of a
-        # symmetry image.  Keying every connected touched subsystem and
-        # every image took 21,244 rows_rref; the touched-subsystem walk
-        # with a frame memo took 4,237 and 14,279 flood fills.  Projecting
-        # every member keys frames the walk skipped, hence the 96 more.
-        # Projecting all 532 members for each of the 119 subsystems took
-        # 63,308 projections; the subsystem tree projects the whole orbit
-        # for the 21 pairs only, and its parent's kept members otherwise.
+        # one flood fill per (subsystem, neighbourhood frame) of some
+        # member, and one rows_rref per such frame of a connected member or
+        # of a symmetry image, which is one per witness.  Keying every
+        # connected touched subsystem and every image took 21,244
+        # rows_rref; the touched-subsystem walk with a frame memo took 4,237
+        # and 14,279 flood fills, and one of each per masked Z frame 4,333
+        # and 6,863.  Projecting all 532 members for each of the 119
+        # subsystems took 63,308 projections; the subsystem tree projects
+        # the whole orbit for the 21 pairs only, and its parent's kept
+        # members otherwise.
         counts = {"rows_rref": 0, "_connected_mask": 0, "projected": 0}
 
         def counted(name):
@@ -1190,8 +1191,8 @@ class TestFrameMemo:
         census = enumerate_graph_based(build_color_code())
         assert sum(len(v) for v in census.values()) == 3122
         assert counts == {
-            "rows_rref": 4333,
-            "_connected_mask": 6863,
+            "rows_rref": 3122,
+            "_connected_mask": 5386,
             "projected": 20241,
         }
 
@@ -1569,6 +1570,187 @@ class TestSubsystemTree:
         assert census.totals()["graph_based"] == 3122
         run_census(color_code, ("graph",), [(5, 6), (1, 2, 5)])
         assert calls == [color_code]
+
+
+def naive_masked_frame_graph_based(s: GeneratorSet) -> dict:
+    """The graph-based census keyed by masked Z frame: the subsystem tree of
+    ``_graph_census``, with one flood fill and one key per distinct Z frame
+    masked to the qubits outside omega, the symmetry sweep by masked frame
+    images, and a set to merge the frames that give one key."""
+    n_qubits = s.n_qubits
+    q_le, _, graph0 = find_graph_equivalence(s)
+    orbit = lc_orbit(graph0)
+    symmetries = find_local_symmetries(s)
+    frames = [
+        (member.adjacency, z, x)
+        for member, _, z, x in witnesses._orbit_pullback(q_le, orbit)
+    ]
+    others = [sym for sym in symmetries if not sym.is_identity()]
+    full = (1 << n_qubits) - 1
+    out = {}
+    size, parents, level = 0, {}, {}
+    for omega in all_subsystems(n_qubits):
+        if len(omega) != size:
+            size, parents, level = len(omega), level, {}
+        mask = _qubit_mask(omega)
+        outside = ((full ^ mask) << n_qubits) | (full ^ mask)
+        leaf = omega[-1] == n_qubits
+        members = (parents.pop if leaf else parents.get)(omega[:-1], frames)
+        distinct = {outside & frame[1]: frame for frame in members}
+        if not leaf:
+            level[omega] = list(distinct.values())
+        indices = [q - 1 for q in omega]
+        keys = {}
+        for masked, (adjacency, z, x) in distinct.items():
+            if _connected_mask(adjacency, mask):
+                rows = witnesses._pulled_rows(z, x, adjacency, indices, n_qubits)
+                keys[masked] = tuple(rows_rref(rows))
+        for masked, key in list(keys.items()):
+            for sym in others:
+                image = _map_row(sym, masked)
+                if image not in keys:
+                    keys[image] = tuple(rows_rref([_map_row(sym, r) for r in key]))
+        out[omega] = witnesses._standard_specs(omega, set(keys.values()), n_qubits)
+    return out
+
+
+def neighbourhood(adjacency, mask: int, n_qubits: int) -> int:
+    """The packed-row mask of S, the qubits outside the subsystem ``mask``
+    with a neighbour in it: its Z and X bits on each such qubit."""
+    hood = 0
+    for u in range(n_qubits):
+        if (mask >> u) & 1:
+            hood |= adjacency[u]
+    hood &= ~mask
+    return (hood << n_qubits) | hood
+
+
+def masked_frame_members(members, mask: int, n_qubits: int) -> list:
+    """One orbit member, as (member, sequence, Z frame, X frame), per
+    distinct Z frame masked to the qubits outside ``mask``: the members the
+    census projects, and any one per frame gives the frame's key."""
+    full = (1 << n_qubits) - 1
+    outside = ((full ^ mask) << n_qubits) | (full ^ mask)
+    return list({outside & entry[2]: entry for entry in members}.values())
+
+
+class TestNeighbourhoodFrame:
+    """``_graph_census`` keys a subsystem omega by the neighbourhood frame
+    z & spread(S), S the qubits outside omega with a neighbour in omega:
+    the span K of omega's generators is L(S, c_S), the members that are I
+    outside omega and S and carry I or the frame's Z letter c_mu on each mu
+    in S.  The parent's one key per masked Z frame is its oracle."""
+
+    @pytest.mark.parametrize(
+        "s", [s for _, s in TREE_CASES], ids=[i for i, _ in TREE_CASES]
+    )
+    def test_matches_masked_frame_keying(self, s):
+        census = enumerate_graph_based(s)
+        naive = naive_masked_frame_graph_based(s)
+        assert list(census) == list(naive) == all_subsystems(s.n_qubits)
+        for omega, specs in census.items():
+            assert len(specs) == len(naive[omega])
+            for spec, expected in zip(specs, naive[omega]):
+                assert spec == expected
+                assert spec.identity_key == expected.identity_key
+
+    @pytest.mark.parametrize(
+        "s", [s for _, s in FRAME_CASES], ids=[i for i, _ in FRAME_CASES]
+    )
+    def test_key_is_the_neighbourhood_kernel(self, s):
+        # L(S, c_S) brute-forced from the group's elements, on the seed and
+        # sampled members, for every subsystem connected in the member
+        n_qubits = s.n_qubits
+        full = (1 << n_qubits) - 1
+        elements = [pauli_row(g) for g in span_group(s).elements]
+        q_le, _, graph0 = find_graph_equivalence(s)
+        members = list(witnesses._orbit_pullback(q_le, lc_orbit(graph0)))
+        sample = members[:1] + random.Random(n_qubits).sample(
+            members[1:], min(4, len(members) - 1)
+        )
+        checked = 0
+        for member, _, frame, x_frame in sample:
+            rows = frame_rows(member, frame, x_frame)
+            for omega in all_subsystems(n_qubits):
+                mask = _qubit_mask(omega)
+                if not _connected_mask(member.adjacency, mask):
+                    continue
+                hood = neighbourhood(member.adjacency, mask, n_qubits)
+                # the packed-row mask of omega's letters
+                inside = (mask << n_qubits) | mask
+                kernel = []
+                for g in elements:
+                    off = g ^ frame
+                    # qubits where g is not I and not the frame's letter
+                    clash = ((g >> n_qubits) | g) & ((off >> n_qubits) | off)
+                    if not g & ~(hood | inside) and not clash & (hood & full):
+                        kernel.append(g)
+                pulled = rows_rref([rows[q - 1] for q in omega])
+                assert pulled == rows_rref(kernel)
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize(
+        "s", [s for _, s in FRAME_CASES], ids=[i for i, _ in FRAME_CASES]
+    )
+    def test_distinct_frames_give_distinct_keys(self, s):
+        # over one member per masked frame, the members the census projects,
+        # neighbourhood frames and keys of connected members match one to one
+        n_qubits = s.n_qubits
+        q_le, _, graph0 = find_graph_equivalence(s)
+        members = list(witnesses._orbit_pullback(q_le, lc_orbit(graph0)))
+        merged = 0
+        for omega in all_subsystems(n_qubits):
+            mask = _qubit_mask(omega)
+            kept = masked_frame_members(members, mask, n_qubits)
+            by_frame, by_key = {}, {}
+            for member, _, z, x in kept:
+                if not _connected_mask(member.adjacency, mask):
+                    continue
+                frame = z & neighbourhood(member.adjacency, mask, n_qubits)
+                rows = witnesses._pulled_rows(
+                    z, x, member.adjacency, [q - 1 for q in omega], n_qubits
+                )
+                key = tuple(rows_rref(rows))
+                assert by_frame.setdefault(frame, key) == key
+                assert by_key.setdefault(key, frame) == frame
+            merged += len(kept) - len(by_frame)
+        # some masked frames share a neighbourhood frame
+        assert merged
+
+    @pytest.mark.parametrize(
+        "s", [s for _, s in FRAME_CASES], ids=[i for i, _ in FRAME_CASES]
+    )
+    def test_connectivity_is_a_function_of_the_neighbourhood_frame(self, s):
+        # the census tests one member per (subsystem, neighbourhood frame),
+        # so every member with that frame must agree on the subsystem
+        n_qubits = s.n_qubits
+        q_le, _, graph0 = find_graph_equivalence(s)
+        members = list(witnesses._orbit_pullback(q_le, lc_orbit(graph0)))
+        seen = {}
+        for omega in all_subsystems(n_qubits):
+            mask = _qubit_mask(omega)
+            for member, _, z, _ in members:
+                frame = z & neighbourhood(member.adjacency, mask, n_qubits)
+                connected = _connected_mask(member.adjacency, mask)
+                assert seen.setdefault((mask, frame), connected) == connected
+        assert len(seen) < len(members) * len(all_subsystems(n_qubits))
+
+    @pytest.mark.parametrize("case", ["ring8", "recipe8_0", "recipe8_1"])
+    def test_one_rows_rref_per_witness(self, case, monkeypatch):
+        s = dict(TREE_CASES)[case]
+        calls = []
+        rref = witnesses.rows_rref
+
+        def counted(rows):
+            calls.append(None)
+            return rref(rows)
+
+        monkeypatch.setattr(witnesses, "rows_rref", counted)
+        census = enumerate_graph_based(s)
+        total = sum(len(specs) for specs in census.values())
+        assert total
+        assert len(calls) == total
 
 
 def naive_xz_form(paulis):

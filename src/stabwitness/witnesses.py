@@ -21,10 +21,10 @@ on the Z frame outside omega.  So does the connectivity of omega: the span
 restricted to omega is, up to local maps, the graph state of the induced
 subgraph, which is genuinely multipartite entangled exactly when that
 subgraph is connected (Hein, Eisert and Briegel, PRA 69, 062311, 2004),
-and local maps do not change entanglement.  The census therefore works one
-subsystem at a time: it projects members' Z frames onto the qubits outside
-omega and keeps one member per distinct masked frame.  Masking to the
-qubits outside omega factors through masking to those outside omega's
+and local maps do not change entanglement.  The walk builds every
+subsystem, one at a time: it projects members' Z frames onto the qubits
+outside omega and keeps one member per distinct masked frame.  Masking to
+the qubits outside omega factors through masking to those outside omega's
 parent, omega without its largest qubit, so omega projects only the one
 member per distinct frame that its parent kept, and only the subsystems of
 size 2 project the whole orbit.  Those per-subsystem lists are kept one
@@ -32,12 +32,14 @@ size at a time, each until its children are built.  The key needs less
 than the masked frame: the span is I outside omega except on the qubits
 with a neighbour in omega, so it is fixed by the Z frame on those qubits
 alone, the neighbourhood frame, and distinct neighbourhood frames give
-distinct keys.  The census tests connectivity once per neighbourhood frame
+distinct keys.  The walk tests connectivity once per neighbourhood frame
 and keys it only when omega is connected, so it reduces one key per
-witness (``_graph_census``).
+witness (``enumerate_graph_based``).
 
-Whenever the direct search runs anyway, the census reads the graph-based
-witnesses off it instead of walking the orbit.  The span a frame gives is
+The walk runs only for a graph-based census of every subsystem with no
+direct search.  Any other census, one that names its subsystems or runs
+the direct search anyway, reads the graph-based witnesses off the direct
+lists instead of walking the orbit.  The span a frame gives is
 a letter kernel K_c: the members whose letter on each qubit mu outside
 omega is I or c_mu, of dimension |omega|.  A direct witness is
 graph-based exactly when it is such a kernel, and that holds exactly when
@@ -487,20 +489,14 @@ def _subgroup_search(
     return extend(0, n_qubits, 0, 0, 0)
 
 
-def _rref_span(group: StabilizerGroup) -> list[int]:
-    """The group's packed 2N-bit rows by exponent vector over its
-    ``rows_rref`` basis, ``group.key``: the span ``_direct_keys`` searches."""
-    return _span_rows(group.key)
-
-
 def _direct_keys(
     span: Sequence[int], rank: int, n_qubits: int, outside: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield (active mask, RREF key) for every rank-``rank`` subgroup whose
     active region misses ``outside`` and that seeds a local witness for
     that region, pruned as ``_subgroup_search`` prunes.  ``span`` is
-    ``_rref_span`` of the group, so each leaf's rows, reversed, are its
-    key.
+    ``_span_rows(group.key)``, the group's rows by exponent vector over its
+    ``rows_rref`` basis, so each leaf's rows, reversed, are its key.
 
     Pair masks have even weight, so the pseudo-incidence rank is at most
     |active| - 1, and (iii) needs active inside omega: only omega = active
@@ -560,7 +556,7 @@ def enumerate_direct(
     omega = _check_subsystem(omega, n_qubits)
     outside = ((1 << n_qubits) - 1) ^ _qubit_mask(omega)
     # a leaf with |omega| active qubits, none outside omega, has active == omega
-    found = _direct_keys(_rref_span(group), len(omega), n_qubits, outside)
+    found = _direct_keys(_span_rows(group.key), len(omega), n_qubits, outside)
     return _standard_specs(omega, (key for _, key in found), n_qubits)
 
 
@@ -584,7 +580,7 @@ def direct_census(group: StabilizerGroup) -> dict[tuple[int, ...], list[WitnessS
     (``_direct_keys``), and each is its own key.
     """
     n_qubits = group.n_qubits
-    span = _rref_span(group)
+    span = _span_rows(group.key)
     keys: dict[int, list[tuple[int, ...]]] = {}
     for rank in range(2, n_qubits):
         for active, key in _direct_keys(span, rank, n_qubits, 0):
@@ -651,24 +647,14 @@ def _pulled_rows(
 def enumerate_graph_based(
     s: GeneratorSet,
 ) -> dict[tuple[int, ...], list[WitnessSpec]]:
-    """Standard local witnesses reachable through locally equivalent graphs.
+    """Standard local witnesses reachable through locally equivalent graphs,
+    for every subsystem, keyed in order of size, then labels.
 
     Pipeline: map the generator set onto a graph form, enumerate the full
     local-complementation orbit, pull the generators of every connected
     subsystem of every orbit graph back to the state, and finally conjugate
     everything by each local symmetry of the state.  Deduplicated by
-    spanned subgroup (RREF key) per subsystem, and built for every
-    subsystem by ``_graph_census``.
-    """
-    return _graph_census(s, all_subsystems(s.n_qubits))
-
-
-def _graph_census(
-    s: GeneratorSet, subsystems: Sequence[tuple[int, ...]]
-) -> dict[tuple[int, ...], list[WitnessSpec]]:
-    """The graph-based witnesses of each subsystem in ``subsystems``, given
-    as sorted label tuples, keyed by subsystem in order of size, then
-    labels; ``enumerate_graph_based`` builds them all.
+    spanned subgroup (RREF key) per subsystem.
 
     Each member's frames come from its breadth-first parent's by two XORs
     (``_orbit_pullback``).  In a graph's own frame the product of the
@@ -683,14 +669,14 @@ def _graph_census(
     outside its parent, so masking a Z frame to omega's outside factors
     through masking it to the parent's, and projecting one member per
     distinct frame of the parent gives omega every distinct masked frame
-    the whole orbit gives it.  Any member with the frame will do.  So a
-    subsystem whose parent is built projects the members its parent kept,
-    one per distinct frame, and any other, as every one of size 2,
-    projects the whole orbit.  Each subsystem keeps one member per distinct
-    frame of its own in a plain list, unless it holds qubit N and so has
-    no children.  The lists of one size live until their children are
-    built: a list is dropped after its last child, the one that adds
-    qubit N, and the rest of the level once the next size is done.
+    the whole orbit gives it.  Any member with the frame will do.  So each
+    subsystem projects the members its parent kept, one per distinct
+    frame, and only those of size 2, whose parent is one qubit, project the
+    whole orbit.  Each subsystem keeps one member per distinct frame of its
+    own in a plain list, unless it holds qubit N and so has no children.
+    The lists of one size live until their children are built: a list is
+    dropped after its last child, the one that adds qubit N, and the rest
+    of the level once the next size is done.
 
     Each kept member is then keyed by its neighbourhood frame, not by its
     masked frame: z & spread(S), where S, the neighbourhood of omega less
@@ -735,8 +721,9 @@ def _graph_census(
     others = [sym for sym in symmetries if not sym.is_identity()]
     full = (1 << n_qubits) - 1
     out: dict[tuple[int, ...], list[WitnessSpec]] = {}
-    size, parents, level = 0, {}, {}
-    for omega in sorted(subsystems, key=lambda omega: (len(omega), omega)):
+    # the one-qubit parents of the subsystems of size 2 keep the whole orbit
+    size, parents, level = 1, {}, {(q,): frames for q in range(1, n_qubits)}
+    for omega in all_subsystems(n_qubits):
         if len(omega) != size:
             size, parents, level = len(omega), level, {}
         mask = _qubit_mask(omega)
@@ -744,7 +731,7 @@ def _graph_census(
         # a subsystem holding qubit N has no children, and in this order it
         # is its parent's last child
         leaf = omega[-1] == n_qubits
-        members = (parents.pop if leaf else parents.get)(omega[:-1], frames)
+        members = parents.pop(omega[:-1]) if leaf else parents[omega[:-1]]
         distinct = dict(zip(map(outside.__and__, map(z_frame, members)), members))
         if not leaf:
             level[omega] = list(distinct.values())
@@ -1050,14 +1037,14 @@ def run_census(
     ``enumerate_direct`` per subsystem, the same search at one rank that
     also prunes outside the subsystem.
 
-    When the direct search runs, for "direct" or "twomeas", the graph-based
-    witnesses are read off it: each subsystem's direct list is filtered to
-    the witnesses none of whose products of single-qubit letters outside
+    The graph method alone without ``omegas`` walks the
+    local-complementation orbit (``enumerate_graph_based``).  Every other
+    census runs the direct search, and reads the graph-based witnesses off
+    it when "graph" is asked for: each subsystem's direct list is filtered
+    to the witnesses none of whose products of single-qubit letters outside
     the subsystem, other than I, is a member, one rank per distinct letter
     pattern (``_graph_reachable``), the same spec objects in the same
-    order.  The graph method alone walks the local-complementation orbit:
-    for every subsystem by ``enumerate_graph_based``, and with ``omegas``
-    for the wanted subsystems alone (``_graph_census``).
+    order.  The direct lists are then dropped unless "direct" is asked for.
 
     ``methods`` given as one string, or ``omegas`` given as one flat
     subsystem such as (1, 2) rather than [(1, 2)], raise ValueError and
@@ -1079,7 +1066,9 @@ def run_census(
         wanted = list(dict.fromkeys(_check_subsystems(omegas, s.n_qubits)))
 
     direct = twomeas = graph_based = None
-    if methods & {"direct", "twomeas"}:
+    if methods == {"graph"} and omegas is None:
+        graph_based = enumerate_graph_based(s)
+    elif methods:
         if omegas is None:
             direct = direct_census(group)
         else:
@@ -1095,12 +1084,6 @@ def run_census(
             }
         if "direct" not in methods:
             direct = None
-    elif "graph" in methods:
-        if omegas is None:
-            graph_based = enumerate_graph_based(s)
-        else:
-            built = _graph_census(s, wanted)
-            graph_based = {omega: built[omega] for omega in wanted}
 
     return WitnessCensus(
         s.n_qubits, tuple(wanted), direct, graph_based, twomeas, group.key

@@ -7,6 +7,7 @@ import pytest
 
 from stabwitness import cli
 from stabwitness.cli import main
+from stabwitness.graphs import MAX_GRAPH_VERTICES
 from stabwitness.groups import MAX_SPAN_QUBITS, build_color_code, code_to_json, span_group
 
 from conftest import random_stabilizer_set
@@ -106,7 +107,7 @@ class TestEnumerate:
         assert out.splitlines()[-1] == "total,,657,276,0"
 
     def test_ring9_subsystems_with_graph_method(self, capsys, tmp_path):
-        # the orbit walk builds the two subsystems alone
+        # the graph column is read off the two subsystems' direct search too
         path = tmp_path / "ring9.json"
         path.write_text(code_to_json(ring_group(9).generator_set, "ring9"))
         code, out, _ = run_cli(
@@ -307,6 +308,18 @@ class TestOtherCommands:
         assert out == ""
         assert err.startswith("error: graph JSON field ")
         assert f"field {field} " in err
+
+    def test_orbit_refuses_oversized_graph(self, capsys, tmp_path):
+        n = MAX_GRAPH_VERTICES + 1
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"n": n, "edges": []}))
+        code, out, err = run_cli(capsys, "orbit", "--graph", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f'error: graph JSON field "n" is {n}; '
+            f"the cap is {MAX_GRAPH_VERTICES} vertices\n"
+        )
 
     @pytest.mark.parametrize(
         "extra,field",

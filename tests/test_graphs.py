@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from collections import deque
 
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from stabwitness.binary import BitMatrix, rank_mod2
 from stabwitness.graphs import (
+    MAX_GRAPH_VERTICES,
     CapacityError,
     Graph,
     LcOrbit,
@@ -112,6 +114,19 @@ class TestGraphBasics:
         assert graph_from_json(graph_to_json(CODE_GRAPH)) == CODE_GRAPH
         with pytest.raises(ValueError):
             graph_from_json("[]")
+
+    @pytest.mark.parametrize("n", [MAX_GRAPH_VERTICES + 1, 10**9])
+    def test_json_refuses_oversized_n_before_building(self, n, monkeypatch):
+        def build(cls, n_vertices, edges):
+            raise AssertionError("built a graph past the cap")
+
+        monkeypatch.setattr(Graph, "from_edges", classmethod(build))
+        with pytest.raises(ValueError) as err:
+            graph_from_json(json.dumps({"n": n, "edges": []}))
+        assert str(err.value) == (
+            f'graph JSON field "n" is {n}; '
+            f"the cap is {MAX_GRAPH_VERTICES} vertices"
+        )
 
 
 class TestGraphGenerators:

@@ -560,7 +560,7 @@ class TestPrunedSearch:
         failures = collections.Counter()
         for group in groups:
             n_qubits = group.n_qubits
-            span = witnesses._rref_span(group)
+            span = _span_rows(group.key)
             for rank in range(2, n_qubits):
                 accepted = set()
                 for active, rows in witnesses._subgroup_search(
@@ -626,7 +626,7 @@ class TestLeafTest:
     def test_leaf_test_is_the_full_predicate(self, s):
         group = span_group(s)
         n_qubits = group.n_qubits
-        span = witnesses._rref_span(group)
+        span = _span_rows(group.key)
         rejected = collections.Counter()
         for rank in range(2, n_qubits):
             accepted = set()
@@ -1390,6 +1390,29 @@ class TestOneRankRule:
         assert graph_keys == kept_keys
 
 
+TREE_CASES = (
+    MEMO_FREE_CASES
+    + [("ring9", ring_group(9).generator_set)]
+    + [
+        (name, s)
+        for name, s in FILTER_CASES
+        if name.startswith("random") or name in DEGENERATE_STATES
+    ]
+)
+
+
+def subsystem_sample(n_qubits, seed):
+    """Wanted subsystems for a graph-only census with ``omegas``, in a
+    shuffled order: a chain of parents and children, one subsystem whose
+    parent is missing, and a random handful."""
+    omegas = [(1, 2), (1, 2, 3), (1, 2, n_qubits), (2, 3, 4, 5), (1, 2, 3, 4)]
+    rest = [o for o in all_subsystems(n_qubits) if o not in omegas + [(2, 3, 4)]]
+    rng = random.Random(seed)
+    omegas += rng.sample(rest, 8)
+    rng.shuffle(omegas)
+    return omegas
+
+
 class TestGraphFilter:
     """With the direct search running, ``run_census`` reads the graph-based
     witnesses off it with a letter-kernel filter.  The orbit walk
@@ -1421,7 +1444,9 @@ class TestGraphFilter:
             # the same spec objects, in the direct list's order
             assert all(any(g is d for d in direct) for g in graph), omega
 
-    @pytest.mark.parametrize("methods", [("direct", "graph"), ("graph", "twomeas")])
+    @pytest.mark.parametrize(
+        "methods", [("direct", "graph"), ("graph", "twomeas"), ("graph",)]
+    )
     def test_restricted_census_matches_full_census(
         self, methods, full_census, color_code
     ):
@@ -1444,7 +1469,7 @@ class TestGraphFilter:
         s = random_stabilizer_set(random.Random(seed), 8)
         walk = enumerate_graph_based(s)
         omegas = random.Random(300 + seed).sample(all_subsystems(8), 12)
-        for methods in (("direct", "graph"), ("graph", "twomeas")):
+        for methods in (("direct", "graph"), ("graph", "twomeas"), ("graph",)):
             census = run_census(s, methods, omegas)
             assert census.graph_based == {omega: walk[omega] for omega in omegas}
 
@@ -1463,33 +1488,36 @@ class TestGraphFilter:
         ):
             run_census(color_code, methods)
             run_census(color_code, methods, [(5, 6)])
-        assert calls == []
         census = run_census(color_code, ("graph",), [(5, 6)])
-        assert calls == [find_graph_equivalence(color_code)[2]]
+        assert calls == []
         assert len(census.graph_based[(5, 6)]) == 54
 
+    @pytest.mark.parametrize(
+        "case",
+        ["color_code_7", "ring9", "recipe8_0", "recipe8_1"],
+    )
+    def test_graph_only_omegas_match_full_census(self, case, monkeypatch):
+        s = dict(TREE_CASES)[case]
+        full = run_census(s, ("graph",))
+        omegas = subsystem_sample(s.n_qubits, 22)
+        walks, searched = [], []
 
-TREE_CASES = (
-    MEMO_FREE_CASES
-    + [("ring9", ring_group(9).generator_set)]
-    + [
-        (name, s)
-        for name, s in FILTER_CASES
-        if name.startswith("random") or name in DEGENERATE_STATES
-    ]
-)
+        def walk(graph):
+            walks.append(graph)
+            return lc_orbit(graph)
 
+        def search(group, omega):
+            searched.append(omega)
+            return enumerate_direct(group, omega)
 
-def subsystem_sample(n_qubits, seed):
-    """Wanted subsystems for a graph-only census with ``omegas``, in a
-    shuffled order: a chain of parents and children, one subsystem whose
-    parent is missing, and a random handful."""
-    omegas = [(1, 2), (1, 2, 3), (1, 2, n_qubits), (2, 3, 4, 5), (1, 2, 3, 4)]
-    rest = [o for o in all_subsystems(n_qubits) if o not in omegas + [(2, 3, 4)]]
-    rng = random.Random(seed)
-    omegas += rng.sample(rest, 8)
-    rng.shuffle(omegas)
-    return omegas
+        monkeypatch.setattr(witnesses, "lc_orbit", walk)
+        monkeypatch.setattr(witnesses, "enumerate_direct", search)
+        census = run_census(s, ("graph",), omegas)
+        assert list(census.graph_based) == omegas
+        assert census.graph_based == {o: full.graph_based[o] for o in omegas}
+        assert any(census.graph_based.values())
+        assert walks == []
+        assert searched == omegas
 
 
 class TestSubsystemTree:
@@ -1533,27 +1561,6 @@ class TestSubsystemTree:
             projected += len(kept)
             assert {outside & z for z in kept} == {outside & z for z in z_frames}
         assert projected < len(subsystems) * len(z_frames)
-
-    @pytest.mark.parametrize(
-        "case",
-        ["color_code_7", "ring9", "recipe8_0", "recipe8_1"],
-    )
-    def test_graph_only_omegas_match_full_census(self, case, monkeypatch):
-        s = dict(TREE_CASES)[case]
-        full = run_census(s, ("graph",))
-        omegas = subsystem_sample(s.n_qubits, 22)
-        tested = set()
-
-        def connected(adjacency, mask):
-            tested.add(mask)
-            return _connected_mask(adjacency, mask)
-
-        monkeypatch.setattr(witnesses, "_connected_mask", connected)
-        census = run_census(s, ("graph",), omegas)
-        assert list(census.graph_based) == omegas
-        assert census.graph_based == {o: full.graph_based[o] for o in omegas}
-        assert any(census.graph_based.values())
-        assert tested == {_qubit_mask(o) for o in omegas}
 
     def test_graph_only_census_of_every_subsystem_is_the_walk(
         self, color_code, monkeypatch

@@ -54,19 +54,19 @@ walk builds is the Pauli basis of the subgroup's key, so a leaf is its own
 key.  The walk keeps the active region of the partial basis: the qubits
 where two of its rows anticommute.  The active region belongs to the
 subgroup, not to the basis, and it only grows as rows are added.  A
-witness for omega needs an active region equal to omega.  So a partial
-basis whose active region has more than rank qubits is pruned with
-everything below it.  At a leaf with rank active qubits, conditions (i)
-and (iii) and the commutation half of (ii) hold by construction.  Two
-ranks remain, and at rank 2 or 3 they hold by construction too
-(``_direct_keys``); from rank 4 up the leaf tests both with one rank of
-the restricted rows and the pair masks stacked on disjoint bits.
-``check_direct`` evaluates all four conditions with one predicate on
-packed 2N-bit rows.
-The full direct census walks the whole group once per rank.  A query for
-one subsystem omega walks the whole group once, at rank |omega|, and also
-prunes a partial basis once its active region meets a qubit outside omega,
-which condition (iii) forbids.
+witness for omega needs an active region equal to omega.  Every direct
+census, of all subsystems or of named ones, walks the whole group once
+per wanted subsystem size k (``_direct_lists``), and prunes a partial
+basis with everything below it once its active region is no submask of a
+wanted subsystem of size k: for every subsystem, once it has more than k
+qubits; for one subsystem omega, once it meets a qubit outside omega,
+which condition (iii) forbids.  At a leaf with k active qubits,
+conditions (i) and (iii) and the commutation half of (ii) hold by
+construction.  Two ranks remain, and at rank 2 or 3 they hold by
+construction too (``_direct_keys``); from rank 4 up the leaf tests both
+with one rank of the restricted rows and the pair masks stacked on
+disjoint bits.  ``check_direct`` evaluates all four conditions with one
+predicate on packed 2N-bit rows.
 
 The two-measurement form is read off a witness's key: the subgroup splits
 into an X-type and a Z-type part exactly when every row of its reduced
@@ -84,7 +84,7 @@ import itertools
 from dataclasses import InitVar, dataclass, field
 from functools import reduce
 from operator import itemgetter, or_
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
 
 from .binary import (
     BitMatrix,
@@ -427,7 +427,7 @@ def _standard_specs(
 
 
 def _subgroup_search(
-    span: Sequence[int], rank: int, n_qubits: int, outside: int
+    span: Sequence[int], rank: int, n_qubits: int, allowed: AbstractSet[int]
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Depth-first search over the rank-``rank`` subgroups of a group,
     pruned by the active region; yields (active mask, rows) at each leaf.
@@ -455,9 +455,11 @@ def _subgroup_search(
     ``letters`` holds there, so the product is 1 exactly when r
     anticommutes with one of them; on a qubit inside ``active`` the bit is
     already set.  The active region only grows, so a partial basis is
-    pruned, with every extension, once it has more than ``rank`` active
-    qubits or once it meets the qubit mask ``outside`` (0 for none).  A
-    leaf may still have fewer than ``rank`` active qubits.
+    pruned, with every extension, once its active region is not in
+    ``allowed``.  The prune is exact when ``allowed`` is downward closed,
+    holding every submask of each of its masks: a region outside it has no
+    extension inside it.  A leaf may still have fewer active qubits than
+    the masks it is allowed under.
     """
     full = (1 << n_qubits) - 1
     rows = [0] * rank
@@ -474,7 +476,7 @@ def _subgroup_search(
                 grown = active | (
                     ((letters >> n_qubits) & r) ^ (letters & (r >> n_qubits))
                 )
-                if not grown & outside and grown.bit_count() <= rank:
+                if grown in allowed:
                     rows[depth] = r
                     if depth == last:
                         yield grown, tuple(rows)
@@ -490,10 +492,10 @@ def _subgroup_search(
 
 
 def _direct_keys(
-    span: Sequence[int], rank: int, n_qubits: int, outside: int
+    span: Sequence[int], rank: int, n_qubits: int, allowed: AbstractSet[int]
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield (active mask, RREF key) for every rank-``rank`` subgroup whose
-    active region misses ``outside`` and that seeds a local witness for
+    active region is in ``allowed`` and that seeds a local witness for
     that region, pruned as ``_subgroup_search`` prunes.  ``span`` is
     ``_span_rows(group.key)``, the group's rows by exponent vector over its
     ``rows_rref`` basis, so each leaf's rows, reversed, are its key.
@@ -526,7 +528,7 @@ def _direct_keys(
     masks are stacked in one list.  Their bits do not overlap, so the
     ranks add, and the leaf passes exactly when the sum is 2k - 1.
     """
-    for active, rows in _subgroup_search(span, rank, n_qubits, outside):
+    for active, rows in _subgroup_search(span, rank, n_qubits, allowed):
         if active.bit_count() != rank:
             continue
         if rank > 3:
@@ -538,6 +540,38 @@ def _direct_keys(
         yield active, rows[::-1]
 
 
+def _direct_lists(
+    group: StabilizerGroup, wanted: Sequence[tuple[int, ...]]
+) -> dict[tuple[int, ...], list[WitnessSpec]]:
+    """Standard local witnesses for each sorted subsystem in ``wanted``, by
+    the direct method, keyed in ``wanted`` order.
+
+    One depth-first search over the subgroups of the whole group per
+    distinct size k in ``wanted`` (``_direct_keys``), pruned to the active
+    regions in ``allowed``: every submask, 0 included, of the wanted
+    subsystems of size k, made by clearing one qubit at a time.  A witness
+    for omega has active region omega, and the region only grows as basis
+    rows are added, so a partial basis whose region is no submask of a
+    wanted omega has no wanted extension.  A leaf with k active qubits
+    inside a wanted omega of size k is that omega, so each accepted
+    subgroup is filed under its active region.  For one omega the prune
+    drops every region that meets a qubit outside omega; for every
+    subsystem of size k, every region of more than k qubits.
+    """
+    span = _span_rows(group.key)
+    keys: dict[int, list[tuple[int, ...]]] = {_qubit_mask(o): [] for o in wanted}
+    for rank in sorted(set(map(len, wanted))):
+        allowed = {mask for mask in keys if mask.bit_count() == rank}
+        for q in range(group.n_qubits):
+            allowed |= {sub & ~(1 << q) for sub in allowed}
+        for active, key in _direct_keys(span, rank, group.n_qubits, allowed):
+            keys[active].append(key)
+    return {
+        omega: _standard_specs(omega, keys[_qubit_mask(omega)], group.n_qubits)
+        for omega in wanted
+    }
+
+
 def enumerate_direct(
     group: StabilizerGroup, omega: Sequence[int]
 ) -> list[WitnessSpec]:
@@ -545,19 +579,13 @@ def enumerate_direct(
     subgroup, sorted by identity key; equal to
     ``direct_census(group)[omega]``.
 
-    Runs the depth-first search of ``_subgroup_search`` over the whole
-    group at rank |omega|, pruning a partial basis once its active region
-    meets a qubit outside omega: condition (iii) keeps a witness's active
-    region inside omega, and the region only grows.  Raises
+    One search of ``_direct_lists`` at rank |omega|, pruned once a partial
+    basis's active region meets a qubit outside omega.  Raises
     MalformedSubsetError for a subsystem that is not 2..N-1 distinct labels
     in 1..N.
     """
-    n_qubits = group.n_qubits
-    omega = _check_subsystem(omega, n_qubits)
-    outside = ((1 << n_qubits) - 1) ^ _qubit_mask(omega)
-    # a leaf with |omega| active qubits, none outside omega, has active == omega
-    found = _direct_keys(_span_rows(group.key), len(omega), n_qubits, outside)
-    return _standard_specs(omega, (key for _, key in found), n_qubits)
+    omega = _check_subsystem(omega, group.n_qubits)
+    return _direct_lists(group, [omega])[omega]
 
 
 def all_subsystems(n_qubits: int) -> list[tuple[int, ...]]:
@@ -569,28 +597,10 @@ def all_subsystems(n_qubits: int) -> list[tuple[int, ...]]:
 
 
 def direct_census(group: StabilizerGroup) -> dict[tuple[int, ...], list[WitnessSpec]]:
-    """Standard local witnesses for every subsystem, by the direct method.
-
-    One depth-first search over the subgroups of the whole group per rank
-    k = 2..N-1 (``_subgroup_search``), each accepted subgroup filed under
-    its active region.  A rank-k witness needs exactly k active qubits, and
-    the active region only grows as basis rows are added, so a partial
-    basis with more than k active qubits is pruned with all its
-    extensions.  Only the leaves with k active qubits can pass
-    (``_direct_keys``), and each is its own key.
-    """
-    n_qubits = group.n_qubits
-    span = _span_rows(group.key)
-    keys: dict[int, list[tuple[int, ...]]] = {}
-    for rank in range(2, n_qubits):
-        for active, key in _direct_keys(span, rank, n_qubits, 0):
-            keys.setdefault(active, []).append(key)
-    return {
-        omega: _standard_specs(
-            omega, keys.get(_qubit_mask(omega), ()), n_qubits
-        )
-        for omega in all_subsystems(n_qubits)
-    }
+    """Standard local witnesses for every subsystem, by the direct method:
+    ``_direct_lists`` of every subsystem, one search per rank k = 2..N-1,
+    pruned once a partial basis has more than k active qubits."""
+    return _direct_lists(group, all_subsystems(group.n_qubits))
 
 
 # ---------------------------------------------------------------------------
@@ -1032,10 +1042,10 @@ def run_census(
     two-measurement census is derived from the direct one.  ``omegas``
     restricts the subsystems (default: all of size 2..N-1) and raises
     MalformedSubsetError for one that is not 2..N-1 distinct labels in
-    1..N.  Without ``omegas`` the direct witnesses come from the pruned
-    search of ``direct_census`` over the whole group; with them, from
-    ``enumerate_direct`` per subsystem, the same search at one rank that
-    also prunes outside the subsystem.
+    1..N.  The direct witnesses come from one pruned search of the whole
+    group per wanted subsystem size (``_direct_lists``): through
+    ``direct_census`` without ``omegas``, for the requested subsystems
+    with them.
 
     The graph method alone without ``omegas`` walks the
     local-complementation orbit (``enumerate_graph_based``).  Every other
@@ -1069,10 +1079,9 @@ def run_census(
     if methods == {"graph"} and omegas is None:
         graph_based = enumerate_graph_based(s)
     elif methods:
-        if omegas is None:
-            direct = direct_census(group)
-        else:
-            direct = {omega: enumerate_direct(group, omega) for omega in wanted}
+        direct = (
+            direct_census(group) if omegas is None else _direct_lists(group, wanted)
+        )
         if "twomeas" in methods:
             twomeas = {
                 omega: _two_measurement_variants(direct[omega]) for omega in wanted

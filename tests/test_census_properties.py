@@ -49,13 +49,14 @@ class TestSubspaceEnumeration:
     @pytest.mark.parametrize("n_qubits", [5, 6])
     def test_unpruned_search_reaches_every_subspace_once(self, n_qubits):
         # on an all-Z product state no pair anticommutes anywhere, so the
-        # active region stays empty and no prune fires
+        # active region stays empty and no prune fires, even with the empty
+        # region the only one allowed
         texts = ["I" * q + "Z" + "I" * (n_qubits - q - 1) for q in range(n_qubits)]
         group = span_group(GeneratorSet.from_texts(texts))
         span = [pauli_row(e) for e in group.elements]
         for rank in range(1, n_qubits + 1):
             leaves = list(
-                witnesses._subgroup_search(span, rank, n_qubits, 0)
+                witnesses._subgroup_search(span, rank, n_qubits, {0})
             )
             assert len(leaves) == gaussian_binomial(n_qubits, rank)
             assert {active for active, _ in leaves} == {0}

@@ -286,9 +286,10 @@ class TestEnumerateDirect:
 
 
 class TestPerSubsystemPath:
-    """``enumerate_direct`` searches the whole group at one rank, pruned
-    outside the subsystem; the search of ``direct_census``, which has no
-    such prune, is its cross-check."""
+    """``enumerate_direct`` and ``run_census`` with ``omegas`` search the
+    whole group once per subsystem size, pruned to the submasks of the
+    wanted subsystems (``_direct_lists``); ``direct_census``, the same
+    search for every subsystem, is their cross-check."""
 
     def test_matches_scan_on_color_code(self, color_group):
         full = direct_census(color_group)
@@ -398,13 +399,25 @@ def naive_direct_census(group) -> dict:
     }
 
 
-def naive_direct_keys(element_rows, rank, n_qubits, outside):
+def masks_up_to(rank, n_qubits):
+    """Every qubit mask with at most ``rank`` qubits: the allowed regions of
+    the search for every subsystem of size ``rank``."""
+    return {m for m in range(1 << n_qubits) if m.bit_count() <= rank}
+
+
+def submasks(mask, n_qubits):
+    """Every qubit mask inside ``mask``, 0 and ``mask`` included: the
+    allowed regions of the search for the one subsystem ``mask``."""
+    return {m for m in range(1 << n_qubits) if not m & ~mask}
+
+
+def naive_direct_keys(element_rows, rank, n_qubits, allowed):
     """Yield (active mask, RREF key) like ``_direct_keys``, searching the
     span by exponent vectors over the generators, testing every leaf with
     rank active qubits with the full predicate and reducing its rows to a
     key with ``rows_rref``."""
     for active, rows in witnesses._subgroup_search(
-        element_rows, rank, n_qubits, outside
+        element_rows, rank, n_qubits, allowed
     ):
         if active.bit_count() != rank:
             continue
@@ -542,7 +555,9 @@ class TestPrunedSearch:
         element_rows = [pauli_row(e) for e in group.elements]
         for rank in range(2, 8):
             keys = {omega: [] for omega in census if len(omega) == rank}
-            for active, key in naive_direct_keys(element_rows, rank, 8, 0):
+            for active, key in naive_direct_keys(
+                element_rows, rank, 8, masks_up_to(rank, 8)
+            ):
                 keys[mask_to_omega(active)].append(key)
             expected = {
                 omega: witnesses._standard_specs(omega, found, 8)
@@ -563,8 +578,9 @@ class TestPrunedSearch:
             span = _span_rows(group.key)
             for rank in range(2, n_qubits):
                 accepted = set()
+                allowed = masks_up_to(rank, n_qubits)
                 for active, rows in witnesses._subgroup_search(
-                    span, rank, n_qubits, 0
+                    span, rank, n_qubits, allowed
                 ):
                     assert rows[::-1] == tuple(rows_rref(rows))
                     if active.bit_count() != rank:
@@ -577,7 +593,7 @@ class TestPrunedSearch:
                     failures[failed] += 1
                     if not failed:
                         accepted.add((active, rows[::-1]))
-                found = set(witnesses._direct_keys(span, rank, n_qubits, 0))
+                found = set(witnesses._direct_keys(span, rank, n_qubits, allowed))
                 assert found == accepted, (n_qubits, rank)
         # each of the two rank tests is the only one to reject some leaf
         assert failures[("ii",)] and failures[("iv",)]
@@ -588,16 +604,21 @@ class TestPrunedSearch:
     ):
         group = span_group(random_stabilizer_set(random.Random(seed), n_qubits))
         span = [pauli_row(e) for e in group.elements]
-        full = (1 << n_qubits) - 1
         unpruned = {
-            rank: set(witnesses._subgroup_search(span, rank, n_qubits, 0))
+            rank: set(
+                witnesses._subgroup_search(
+                    span, rank, n_qubits, masks_up_to(rank, n_qubits)
+                )
+            )
             for rank in range(2, n_qubits)
         }
         exact = 0
         for omega in all_subsystems(n_qubits):
             mask = _qubit_mask(omega)
             pruned = set(
-                witnesses._subgroup_search(span, len(omega), n_qubits, full ^ mask)
+                witnesses._subgroup_search(
+                    span, len(omega), n_qubits, submasks(mask, n_qubits)
+                )
             )
             inside = {leaf for leaf in unpruned[len(omega)] if not leaf[0] & ~mask}
             assert pruned == inside, omega
@@ -630,7 +651,10 @@ class TestLeafTest:
         rejected = collections.Counter()
         for rank in range(2, n_qubits):
             accepted = set()
-            for active, rows in witnesses._subgroup_search(span, rank, n_qubits, 0):
+            allowed = masks_up_to(rank, n_qubits)
+            for active, rows in witnesses._subgroup_search(
+                span, rank, n_qubits, allowed
+            ):
                 if active.bit_count() != rank:
                     continue
                 failed = next(
@@ -652,7 +676,7 @@ class TestLeafTest:
                     accepted.add((active, rows[::-1]))
                 else:
                     rejected[rank] += 1
-            found = set(witnesses._direct_keys(span, rank, n_qubits, 0))
+            found = set(witnesses._direct_keys(span, rank, n_qubits, allowed))
             assert found == accepted, rank
         # rank 4 is the first rank whose leaves the test must reject
         if n_qubits > 5:
@@ -674,6 +698,160 @@ class TestLeafTest:
         census = direct_census(color_group)
         assert sum(len(v) for v in census.values()) == 3927
         assert len(calls) == 987
+
+
+def naive_per_subsystem_direct(group, omegas) -> dict:
+    """The direct witnesses of each sorted subsystem by a search of its
+    own: at rank |omega|, pruned once the active region meets a qubit
+    outside omega, each leaf with active region omega tested with the full
+    predicate and reduced to its key by ``rows_rref``.  One search per
+    subsystem, the loop ``_direct_lists`` replaced."""
+    n_qubits = group.n_qubits
+    span = _span_rows(group.key)
+    out = {}
+    for omega in omegas:
+        mask = _qubit_mask(omega)
+        allowed = submasks(mask, n_qubits)
+        keys = [
+            tuple(rows_rref(rows))
+            for active, rows in witnesses._subgroup_search(
+                span, len(omega), n_qubits, allowed
+            )
+            if active == mask
+            and next(witnesses._failed_conditions(rows, mask, n_qubits), None)
+            is None
+        ]
+        out[omega] = witnesses._standard_specs(omega, keys, n_qubits)
+    return out
+
+
+def random_wanted(rng, n_qubits):
+    """Sorted subsystems of mixed sizes in a shuffled order: a random
+    subsystem with one nested in it, one it nests in and one overlapping
+    it, and a random handful."""
+    labels = range(1, n_qubits + 1)
+    base = rng.sample(labels, rng.randrange(3, n_qubits - 1))
+    spare = [q for q in labels if q not in base]
+    wanted = {
+        tuple(sorted(base)),
+        tuple(sorted(base[1:])),
+        tuple(sorted(base + spare[:1])),
+        tuple(sorted(base[1:] + spare[:1])),
+    }
+    wanted.update(rng.sample(all_subsystems(n_qubits), 5))
+    wanted = sorted(wanted)
+    rng.shuffle(wanted)
+    return wanted
+
+
+class TestDirectLists:
+    """``_direct_lists`` runs one search per distinct subsystem size,
+    pruned to the submasks of the wanted subsystems of that size, and
+    files each witness under its active region; one search per subsystem
+    (``naive_per_subsystem_direct``) is its oracle."""
+
+    @pytest.mark.parametrize(
+        "s", [s for _, s in LEAF_CASES], ids=[i for i, _ in LEAF_CASES]
+    )
+    def test_every_subsystem_matches_oracle_and_census(self, s):
+        group = span_group(s)
+        wanted = all_subsystems(group.n_qubits)
+        lists = witnesses._direct_lists(group, wanted)
+        assert list(lists) == wanted
+        assert any(lists.values())
+        assert lists == naive_per_subsystem_direct(group, wanted)
+        assert lists == direct_census(group)
+
+    @pytest.mark.parametrize(
+        "s", [s for _, s in LEAF_CASES], ids=[i for i, _ in LEAF_CASES]
+    )
+    def test_random_wanted_lists_match_oracle(self, s):
+        group = span_group(s)
+        rng = random.Random(2600 + group.n_qubits)
+        found = 0
+        for _ in range(3):
+            wanted = random_wanted(rng, group.n_qubits)
+            lists = witnesses._direct_lists(group, wanted)
+            assert list(lists) == wanted
+            assert lists == naive_per_subsystem_direct(group, wanted)
+            found += sum(map(len, lists.values()))
+        assert found
+
+    def test_one_search_per_size(self, color_group, monkeypatch):
+        searched = []
+        subgroup_search = witnesses._subgroup_search
+
+        def search(span, rank, n_qubits, allowed):
+            searched.append((rank, allowed))
+            return subgroup_search(span, rank, n_qubits, allowed)
+
+        monkeypatch.setattr(witnesses, "_subgroup_search", search)
+        wanted = [(1, 2, 3), (5, 6), (2, 3), (1, 2, 4, 7), (1, 2, 4)]
+        witnesses._direct_lists(color_group, wanted)
+        assert [rank for rank, _ in searched] == [2, 3, 4]
+        for rank, allowed in searched:
+            assert allowed == set().union(
+                *(submasks(_qubit_mask(o), 7) for o in wanted if len(o) == rank)
+            )
+
+
+def naive_gme(rows, omega) -> bool:
+    """Whether the stabilizer state that the Pauli texts ``rows`` restrict
+    to on the 1-based qubits ``omega`` is genuinely multipartite entangled,
+    by the cut-rank rule (Fattal et al., quant-ph/0406168): for every
+    non-empty proper subset B of omega, the rows restricted to B have rank
+    greater than |B|."""
+    bits = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+    for size in range(1, len(omega)):
+        for cut in itertools.combinations(omega, size):
+            restricted = [
+                [b for q in cut for b in bits[text[q - 1]]] for text in rows
+            ]
+            if naive_rank(restricted, 2 * size) <= size:
+                return False
+    return True
+
+
+GME_CASES = [("color_code_7", build_color_code())] + [
+    (f"ring{n}", ring_group(n).generator_set) for n in (5, 6, 7)
+] + [
+    (f"recipe{n}_{seed}", random_stabilizer_set(random.Random(seed), n))
+    for n, seed in [(5, 505), (6, 506), (7, 307)]
+]
+
+
+class TestConditionFourIsGme:
+    """At a search leaf whose active region has as many qubits as its rank
+    and to which the rows restrict with full rank, the rows restrict to a
+    stabilizer state on the active qubits; condition (iv) fails there
+    exactly when that state is not genuinely multipartite entangled."""
+
+    @pytest.mark.parametrize("case", [name for name, _ in GME_CASES])
+    def test_condition_four_is_the_cut_rank_rule(self, case):
+        group = span_group(dict(GME_CASES)[case])
+        n_qubits = group.n_qubits
+        span = _span_rows(group.key)
+        verdicts = collections.Counter()
+        for rank in range(2, n_qubits):
+            allowed = masks_up_to(rank, n_qubits)
+            for active, rows in witnesses._subgroup_search(
+                span, rank, n_qubits, allowed
+            ):
+                if active.bit_count() != rank:
+                    continue
+                omega_rows = (active << n_qubits) | active
+                if rows_rank([r & omega_rows for r in rows]) != rank:
+                    continue
+                failed = set(witnesses._failed_conditions(rows, active, n_qubits))
+                texts = [pauli_from_row(r, n_qubits).to_text() for r in rows]
+                gme = naive_gme(texts, mask_to_omega(active))
+                assert ("iv" not in failed) == gme, texts
+                verdicts[gme] += 1
+        assert verdicts[True]
+        if case == "color_code_7":
+            # every accepted witness of the census, and 42 leaves that
+            # fail (iv) alone
+            assert verdicts == {True: 3927, False: 42}
 
 
 def naive_span_texts(paulis, n_qubits):
@@ -1501,23 +1679,25 @@ class TestGraphFilter:
         full = run_census(s, ("graph",))
         omegas = subsystem_sample(s.n_qubits, 22)
         walks, searched = [], []
+        subgroup_search = witnesses._subgroup_search
 
         def walk(graph):
             walks.append(graph)
             return lc_orbit(graph)
 
-        def search(group, omega):
-            searched.append(omega)
-            return enumerate_direct(group, omega)
+        def search(span, rank, n_qubits, allowed):
+            searched.append(rank)
+            return subgroup_search(span, rank, n_qubits, allowed)
 
         monkeypatch.setattr(witnesses, "lc_orbit", walk)
-        monkeypatch.setattr(witnesses, "enumerate_direct", search)
+        monkeypatch.setattr(witnesses, "_subgroup_search", search)
         census = run_census(s, ("graph",), omegas)
         assert list(census.graph_based) == omegas
         assert census.graph_based == {o: full.graph_based[o] for o in omegas}
         assert any(census.graph_based.values())
         assert walks == []
-        assert searched == omegas
+        # one search per distinct subsystem size, not one per subsystem
+        assert sorted(searched) == sorted({len(o) for o in omegas})
 
 
 class TestSubsystemTree:

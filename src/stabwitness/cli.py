@@ -125,9 +125,11 @@ def cmd_eval(parser, args) -> int:
     _, code = _load_code(parser, args)
     if (args.data is None) == (args.werner is None):
         parser.error("give exactly one of --data or --werner")
-    if not math.isfinite(args.sigma_threshold):
+    # a negative threshold would mark positive estimates as detected
+    if not (math.isfinite(args.sigma_threshold) and args.sigma_threshold >= 0.0):
         parser.error(
-            f"--sigma-threshold must be finite, got {args.sigma_threshold}"
+            "--sigma-threshold must be finite and non-negative,"
+            f" got {args.sigma_threshold}"
         )
     try:
         omegas = _parse_omegas(args.omega)
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sigma-threshold",
         type=float,
         default=0.0,
-        help="detection requires expectation + k*stddev < 0",
+        help="detection requires expectation + k*stddev < 0 (k >= 0)",
     )
     p.add_argument(
         "--no-genuine",

@@ -8,11 +8,14 @@ variance (1 - <s>^2) / M; the identity contributes expectation 1 and
 variance 0.  Shot counts may differ per record, in which case each summand
 carries its own 1/M factor.
 
-Every record passes one check, ``_entry``, in the constructor that
-``from_pairs`` and ``from_csv`` end in; those two convert values in one
-``float()``/``int()`` step, ``_converted``.  The check fills one lookup
-from a packed 2N-bit row (``binary.pauli_row``) to (expectation,
-variance), and every evaluator and ``fidelity`` read a witness's packed
+Every record passes one check, ``_entry``, once: in the constructor that
+``from_pairs`` ends in, or in ``from_csv`` as it reads each line.  Both
+convert values in one ``float()``/``int()`` step, ``_converted``.  The
+check fills one lookup from a packed 2N-bit row (``binary.pauli_row``) to
+(expectation, variance).  Each witness kind has one kernel that returns
+its (expectation, variance) as floats (``_standard``, ``_alternative``,
+``_two_measurement``); the ``eval_*`` functions and the evaluation report
+are built on them.  The kernels and ``fidelity`` read a witness's packed
 rows through one sum, ``_sums``.  A span is summed in ascending packed-row
 order, so a value does not depend on the basis chosen for the subgroup.
 Only members without a record are rendered as text, in the one
@@ -30,7 +33,7 @@ import numbers
 import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .binary import PauliOperator, parse_pauli, pauli_from_row, pauli_row
 from .groups import StabilizerGroup, _span_rows
@@ -203,6 +206,11 @@ class MeasurementDataset(_Source):
         index = dict(
             _entry(self.n_qubits, label, reprlib.repr(label), r) for label, r in items
         )
+        self._indexed(index)
+
+    def _indexed(self, index: dict) -> None:
+        """Keep ``index``, the checked lookup of the records, with the
+        identity served as expectation 1 at zero variance."""
         index[0] = _IDENTITY
         object.__setattr__(self, "_index", index)
 
@@ -240,7 +248,8 @@ class MeasurementDataset(_Source):
     @classmethod
     def from_csv(cls, text: str) -> "MeasurementDataset":
         """Parse the ``pauli,expectation,shots`` CSV format.  Each line is
-        checked as it is read, so an error names it."""
+        checked as it is read, so an error names it, and each record passes
+        ``_entry`` once: the lookup is built as the lines are checked."""
         reader = csv.reader(io.StringIO(text))
         header = next(reader, None)
         if header is None:
@@ -250,6 +259,7 @@ class MeasurementDataset(_Source):
                 "dataset header must be exactly 'pauli,expectation,shots'"
             )
         records: dict[str, tuple[float, int]] = {}
+        index = {}
         n_qubits = None
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -262,12 +272,19 @@ class MeasurementDataset(_Source):
                 if label in records:  # so it parsed, on n_qubits qubits
                     raise ValueError(f"duplicate label {_shown(label)}")
                 records[label] = record = _converted(*values)
-                _entry(n_qubits, label, _shown(label), record)
+                packed, value = _entry(n_qubits, label, _shown(label), record)
+                index[packed] = value
             except ValueError as err:
                 raise ValueError(f"line {line_no}: {err}") from None
         if n_qubits is None:
             raise ValueError("dataset has no records")
-        return cls(n_qubits, records)
+        # every record passed _entry above, which is all the constructor
+        # would check again; the instance is filled in as it would fill it
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "n_qubits", n_qubits)
+        object.__setattr__(dataset, "records", records)
+        dataset._indexed(index)
+        return dataset
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -309,8 +326,12 @@ class WitnessValue:
         return math.sqrt(self.variance)
 
 
+def _detected(expectation: float, stddev: float, sigma_threshold: float) -> bool:
+    return expectation + sigma_threshold * stddev < 0.0
+
+
 def _finish(expectation: float, variance: float, sigma_threshold: float) -> WitnessValue:
-    detected = expectation + sigma_threshold * math.sqrt(variance) < 0.0
+    detected = _detected(expectation, math.sqrt(variance), sigma_threshold)
     return WitnessValue(expectation, variance, detected)
 
 
@@ -325,43 +346,22 @@ def _sums(data: DataSource, n_qubits: int, rows: Sequence[int]) -> tuple[float, 
     return sum(expectations), sum(variances)
 
 
-def eval_standard(
-    w: WitnessSpec, data: DataSource, sigma_threshold: float = 0.0
-) -> WitnessValue:
-    """Standard witness value 1/2 - 2^-n * sum of subgroup expectations.
+# The kernels: one per witness kind, each (expectation, variance) as floats.
 
-    The sum runs over the full spanned subgroup including the identity.
-    Variance adds (1 - <s>^2) / (M_s * 2^(2n)) per non-identity member.
-    """
+
+def _standard(w: WitnessSpec, data: DataSource) -> tuple[float, float]:
     rows = sorted(_span_rows(w.rows))
     expectation, variance = _sums(data, w.n_qubits, rows)
     scale = 1.0 / len(rows)
-    return _finish(0.5 - scale * expectation, variance * scale * scale, sigma_threshold)
+    return 0.5 - scale * expectation, variance * scale * scale
 
 
-def eval_alternative(
-    w: WitnessSpec, data: DataSource, sigma_threshold: float = 0.0
-) -> WitnessValue:
-    """Alternative witness value (n-1)/2 - 1/2 * sum over the basis only.
-
-    Variance adds (1 - <s>^2) / (2 * M_s) per basis element, summed in
-    basis order.  Only ``w.rows`` is read, so the standard witness of the
-    same basis gives the same value.
-    """
+def _alternative(w: WitnessSpec, data: DataSource) -> tuple[float, float]:
     expectation, variance = _sums(data, w.n_qubits, w.rows)
-    n = len(w.rows)
-    return _finish((n - 1) / 2.0 - 0.5 * expectation, 0.5 * variance, sigma_threshold)
+    return (len(w.rows) - 1) / 2.0 - 0.5 * expectation, 0.5 * variance
 
 
-def eval_two_measurement(
-    w: WitnessSpec, data: DataSource, sigma_threshold: float = 0.0
-) -> WitnessValue:
-    """Two-measurement value 3/2 minus the X-span and Z-span projector sums.
-
-    Each span enters as 2^-a * sum over its 2^a members (identity included;
-    an empty part is the identity alone); variances carry the same squared
-    coefficients.  Missing records are named for both parts at once.
-    """
+def _two_measurement(w: WitnessSpec, data: DataSource) -> tuple[float, float]:
     if w.x_rows is None or w.z_rows is None:
         raise ValueError("witness carries no X/Z split")
     x_rows = sorted(_span_rows(w.x_rows))
@@ -376,7 +376,42 @@ def eval_two_measurement(
     z_scale = 1.0 / len(z_rows)
     expectation = 1.5 - x_scale * x_expectation - z_scale * z_expectation
     variance = x_variance * x_scale * x_scale + z_variance * z_scale * z_scale
-    return _finish(expectation, variance, sigma_threshold)
+    return expectation, variance
+
+
+def eval_standard(
+    w: WitnessSpec, data: DataSource, sigma_threshold: float = 0.0
+) -> WitnessValue:
+    """Standard witness value 1/2 - 2^-n * sum of subgroup expectations.
+
+    The sum runs over the full spanned subgroup including the identity.
+    Variance adds (1 - <s>^2) / (M_s * 2^(2n)) per non-identity member.
+    """
+    return _finish(*_standard(w, data), sigma_threshold)
+
+
+def eval_alternative(
+    w: WitnessSpec, data: DataSource, sigma_threshold: float = 0.0
+) -> WitnessValue:
+    """Alternative witness value (n-1)/2 - 1/2 * sum over the basis only.
+
+    Variance adds (1 - <s>^2) / (2 * M_s) per basis element, summed in
+    basis order.  Only ``w.rows`` is read, so the standard witness of the
+    same basis gives the same value.
+    """
+    return _finish(*_alternative(w, data), sigma_threshold)
+
+
+def eval_two_measurement(
+    w: WitnessSpec, data: DataSource, sigma_threshold: float = 0.0
+) -> WitnessValue:
+    """Two-measurement value 3/2 minus the X-span and Z-span projector sums.
+
+    Each span enters as 2^-a * sum over its 2^a members (identity included;
+    an empty part is the identity alone); variances carry the same squared
+    coefficients.  Missing records are named for both parts at once.
+    """
+    return _finish(*_two_measurement(w, data), sigma_threshold)
 
 
 _EVALUATORS = {
@@ -412,13 +447,21 @@ def critical_probability(w: WitnessSpec) -> float:
     return at_zero / (at_zero - at_one)
 
 
+def _confidence(expectation: float, variance: float) -> Optional[float]:
+    """``detection_confidence`` of floats, None where it is undefined."""
+    if variance == 0.0:
+        if expectation == 0.0:
+            return None
+        return 100.0 if expectation < 0 else 0.0
+    t = -expectation / math.sqrt(variance)
+    return 50.0 * (1.0 + math.erf(t / math.sqrt(2.0)))
+
+
 def detection_confidence(v: WitnessValue) -> float:
     """One-sided Gaussian probability (in %) that the true value is below 0."""
-    if v.variance == 0.0:
-        if v.expectation == 0.0:
-            raise ValueError(
-                "confidence undefined for zero variance at zero expectation"
-            )
-        return 100.0 if v.expectation < 0 else 0.0
-    t = -v.expectation / v.stddev
-    return 50.0 * (1.0 + math.erf(t / math.sqrt(2.0)))
+    confidence = _confidence(v.expectation, v.variance)
+    if confidence is None:
+        raise ValueError(
+            "confidence undefined for zero variance at zero expectation"
+        )
+    return confidence

@@ -21,6 +21,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,10 +29,11 @@ from .binary import pauli_from_row
 from .evaluation import (
     DataSource,
     MeasurementDataset,
-    WitnessValue,
-    detection_confidence,
-    eval_alternative,
-    evaluate,
+    _alternative,
+    _confidence,
+    _detected,
+    _standard,
+    _two_measurement,
 )
 from .witnesses import (
     SubsystemClass,
@@ -60,8 +62,11 @@ def _omega_text(omega: Optional[tuple[int, ...]]) -> str:
     return "genuine" if omega is None else ",".join(str(q) for q in omega)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _csv_omega(omega: Optional[tuple[int, ...]]) -> str:
+    """A subsystem label as one CSV field, quoted as ``csv.writer`` quotes it."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow([_omega_text(omega)])
+    return out.getvalue()
 
 
 def _key_digest(key) -> str:
@@ -322,25 +327,19 @@ class EvaluationReport:
         return EvaluationReport(self.n_qubits, tuple(_sorted_rows(best.values())))
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["omega", "kind", "expectation", "stddev", "detected", "confidence"]
-        )
-        omega_text = _Memo(_omega_text)
+        # The subsystem label is the one field that can hold a comma; it is
+        # quoted by the csv module, once per subsystem.  Every other field is
+        # a kind name or a formatted number, which csv writes as it is.
+        omega_field = _Memo(_csv_omega)
         kind_text = {kind: kind.value for kind in WitnessKind}
-        for row in self.rows:
-            writer.writerow(
-                [
-                    omega_text[row.omega],
-                    kind_text[row.kind],
-                    _fmt(row.expectation),
-                    _fmt(row.stddev),
-                    int(row.detected),
-                    "" if row.confidence is None else _fmt(row.confidence),
-                ]
-            )
-        return out.getvalue()
+        lines = ["omega,kind,expectation,stddev,detected,confidence\n"]
+        lines += (
+            f"{omega_field[row.omega]},{kind_text[row.kind]},"
+            f"{row.expectation:.12g},{row.stddev:.12g},{int(row.detected)},"
+            f"{'' if row.confidence is None else format(row.confidence, '.12g')}\n"
+            for row in self.rows
+        )
+        return "".join(lines)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -386,9 +385,16 @@ def build_evaluation_report(
     ``genuine_set``, the generator set of the census's state, also its
     genuine witnesses of each requested kind.
 
-    Raises ValueError when a measurement dataset is on a different number
-    of qubits than the census.
+    Each row is read off the evaluators' float kernels: it is the row that
+    ``evaluate`` and ``detection_confidence`` give, with no value object
+    between.  Raises ValueError when a measurement dataset is on a
+    different number of qubits than the census, or when ``sigma_threshold``
+    is negative or not finite.
     """
+    if not 0.0 <= sigma_threshold < math.inf:
+        raise ValueError(
+            f"sigma threshold {sigma_threshold} is not a finite non-negative number"
+        )
     if isinstance(data, MeasurementDataset) and data.n_qubits != census.n_qubits:
         raise ValueError(
             f"dataset is on {data.n_qubits} qubits, the code on {census.n_qubits}"
@@ -397,49 +403,46 @@ def build_evaluation_report(
     if source is None:
         raise ValueError("census has no standard witnesses to evaluate")
     kinds = tuple(kinds)
+    standard = WitnessKind.STANDARD in kinds
+    alternative = WitnessKind.ALTERNATIVE in kinds
+    two_measurement = WitnessKind.TWO_MEASUREMENT in kinds
     digest = _Memo(_key_digest)
+    new, put, sqrt = object.__new__, object.__setattr__, math.sqrt
     rows: list[EvalRow] = []
 
-    def add(spec: WitnessSpec, kind: WitnessKind, value: WitnessValue) -> None:
-        try:
-            confidence = detection_confidence(value)
-        except ValueError:
-            confidence = None
-        rows.append(
-            EvalRow(
-                spec.omega,
-                kind,
-                value.expectation,
-                value.stddev,
-                value.detected,
-                confidence,
-                digest[spec.identity_key],
-            )
-        )
-
-    def add_evaluated(spec: WitnessSpec) -> None:
-        add(spec, spec.kind, evaluate(spec, data, sigma_threshold))
+    def add(spec: WitnessSpec, kind: WitnessKind, kernel) -> None:
+        # filled in field by field, in the order EvalRow's __init__ sets them
+        expectation, variance = kernel(spec, data)
+        stddev = sqrt(variance)
+        row = new(EvalRow)
+        put(row, "omega", spec.omega)
+        put(row, "kind", kind)
+        put(row, "expectation", expectation)
+        put(row, "stddev", stddev)
+        put(row, "detected", _detected(expectation, stddev, sigma_threshold))
+        put(row, "confidence", _confidence(expectation, variance))
+        put(row, "key_digest", digest[spec.identity_key])
+        rows.append(row)
 
     def add_standard(spec: WitnessSpec) -> None:
-        if WitnessKind.STANDARD in kinds:
-            add_evaluated(spec)
-        if WitnessKind.ALTERNATIVE in kinds:
+        if standard:
+            add(spec, WitnessKind.STANDARD, _standard)
+        if alternative:
             # an alternative witness is its standard witness's rows and key,
             # so the standard spec itself is evaluated as the alternative
-            value = eval_alternative(spec, data, sigma_threshold)
-            add(spec, WitnessKind.ALTERNATIVE, value)
+            add(spec, WitnessKind.ALTERNATIVE, _alternative)
 
     for omega in census.subsystems():
         for spec in source.get(omega, ()):
             add_standard(spec)
-        if WitnessKind.TWO_MEASUREMENT in kinds and census.two_measurement:
+        if two_measurement and census.two_measurement:
             for spec in census.two_measurement.get(omega, ()):
-                add_evaluated(spec)
+                add(spec, WitnessKind.TWO_MEASUREMENT, _two_measurement)
     if genuine_set is not None:
         genuine_standard = WitnessSpec.standard_genuine(genuine_set)
         add_standard(genuine_standard)
-        if WitnessKind.TWO_MEASUREMENT in kinds:
+        if two_measurement:
             genuine_two = two_measurement_from_standard(genuine_standard)
             if genuine_two is not None:
-                add_evaluated(genuine_two)
+                add(genuine_two, WitnessKind.TWO_MEASUREMENT, _two_measurement)
     return EvaluationReport(census.n_qubits, tuple(_sorted_rows(rows)))

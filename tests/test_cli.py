@@ -268,6 +268,42 @@ class TestEval:
         assert captured.out == ""
         assert "--sigma-threshold must be finite" in captured.err
 
+    def test_refuses_negative_sigma_threshold(self, capsys):
+        # a negative threshold marked positive estimates as detected
+        with pytest.raises(SystemExit) as err:
+            main(
+                [
+                    "eval", "color_code_7", "--data", str(SHOT_DATA),
+                    "--sigma-threshold", "-3",
+                ]
+            )
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--sigma-threshold must be finite" in captured.err
+        assert captured.err.endswith("got -3.0\n")
+
+    @pytest.mark.parametrize("value", ["0", "-0.0"])
+    def test_zero_sigma_threshold_is_the_default(self, capsys, value):
+        argv = ("eval", "color_code_7", "--werner", "0.9", "--omega", "5,6")
+        _, default, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, f"--sigma-threshold={value}")
+        assert code == 0
+        assert out == default
+
+    def test_zero_expectation_at_zero_variance_has_no_confidence(self, capsys):
+        # the alternative pair witness is 1/2 - p, exactly 0 at p = 1/2, and
+        # the white-noise model has no variance
+        code, out, _ = run_cli(
+            capsys, "eval", "color_code_7", "--werner", "0.5",
+            "--omega", "1,2", "--kinds", "alternative",
+        )
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == "omega,kind,expectation,stddev,detected,confidence"
+        assert rows
+        assert set(rows) == {'"1,2",alternative,0,0,0,'}
+
 
 class TestOtherCommands:
     def test_orbit(self, capsys, tmp_path):

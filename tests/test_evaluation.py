@@ -1,12 +1,16 @@
+import csv
+import io
 import itertools
 import math
 import random
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import random_stabilizer_set
+from stabwitness import evaluation
 from stabwitness.binary import parse_pauli
 from stabwitness.evaluation import (
     IncompleteDataError,
@@ -983,3 +987,67 @@ class TestPackedMatchesNaive:
             ) as err:
                 evaluate(w, data)
             assert not isinstance(err.value, IncompleteDataError)
+
+
+# ---------------------------------------------------------------------------
+# from_csv checks each record once and builds the constructor's dataset
+# ---------------------------------------------------------------------------
+
+SHOT_DATA = Path(__file__).parent / "data" / "color_code_7_shots.csv"
+
+
+def naive_csv_records(text):
+    """The records of a dataset CSV, read with the csv module alone."""
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    return {label: (float(e), int(m)) for label, e, m in rows}
+
+
+def parse_cases():
+    """(name, n_qubits, CSV text, group): the shot fixture, then seeded
+    shot-noise datasets with records dropped, on the color code and on
+    random states."""
+    color = span_group(GeneratorSet.from_texts(
+        ["ZZZZIII", "IZZIZZI", "IIZZIZZ", "XXXXIII", "IXXIXXI", "IIXXIXX", "XXXXXXX"]
+    ))
+    yield "fixture", 7, SHOT_DATA.read_text(), color
+    yield "color-seed5", 7, shot_noise_dataset(color, 5, keep=0.8).to_csv(), color
+    for n, seed in ((4, 11), (5, 12), (6, 13)):
+        group = span_group(random_stabilizer_set(random.Random(seed), n))
+        text = shot_noise_dataset(group, seed, keep=0.7).to_csv()
+        yield f"n{n}-seed{seed}", n, text, group
+
+
+class TestParsedOnce:
+    @pytest.mark.parametrize(
+        "case", list(parse_cases()), ids=lambda case: case[0]
+    )
+    def test_from_csv_is_the_constructors_dataset(self, case):
+        _, n, text, group = case
+        parsed = MeasurementDataset.from_csv(text)
+        made = MeasurementDataset(n, naive_csv_records(text))
+        assert type(parsed) is MeasurementDataset
+        assert parsed == made
+        assert parsed.records == made.records
+        assert vars(parsed) == vars(made)  # the lookup by packed row included
+        assert list(vars(parsed)) == list(vars(made))
+        for p in group.elements:
+            assert outcome(parsed.expectation_of, p) == outcome(made.expectation_of, p)
+            assert outcome(parsed.variance_of, p) == outcome(made.variance_of, p)
+        assert parsed.missing(group.elements) == made.missing(group.elements)
+
+    @pytest.mark.parametrize(
+        "case", list(parse_cases()), ids=lambda case: case[0]
+    )
+    def test_each_record_is_checked_once(self, case, monkeypatch):
+        _, _, text, _ = case
+        calls = []
+        checked = evaluation._entry
+
+        def spy(*args):
+            calls.append(args[1])
+            return checked(*args)
+
+        monkeypatch.setattr(evaluation, "_entry", spy)
+        parsed = MeasurementDataset.from_csv(text)
+        assert sorted(calls) == sorted(parsed.records)
+        assert len(calls) == len(naive_csv_records(text))

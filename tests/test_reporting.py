@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import random
 
 import pytest
 
@@ -13,6 +16,7 @@ from stabwitness import groups, witnesses
 from stabwitness.groups import basis_key
 from stabwitness.reporting import (
     EvalRow,
+    EvaluationReport,
     _key_digest,
     _method,
     _sorted_rows,
@@ -289,6 +293,54 @@ class TestEvaluationReport:
             )
         assert not isinstance(err.value, IncompleteDataError)
 
+    @pytest.mark.parametrize("value", [-3.0, -1e-300, float("nan"), float("inf")])
+    def test_refuses_negative_or_non_finite_sigma_threshold(
+        self, small_census, value
+    ):
+        # at -3 the color code's shot data marked 210 rows with <W> > 0
+        # as detected
+        with pytest.raises(ValueError, match=f"sigma threshold {value} is not"):
+            build_evaluation_report(
+                small_census, WernerModel(0.9), sigma_threshold=value
+            )
+
+    @pytest.mark.parametrize("value", [0, 0.0, -0.0])
+    def test_zero_sigma_threshold_is_the_default(self, small_census, value):
+        default = build_evaluation_report(small_census, WernerModel(0.9))
+        report = build_evaluation_report(
+            small_census, WernerModel(0.9), sigma_threshold=value
+        )
+        assert report == default
+
+    def test_two_measurement_report_names_both_parts_at_once(
+        self, small_census, color_code_module
+    ):
+        from stabwitness.evaluation import IncompleteDataError, eval_two_measurement
+
+        # the first two-measurement witness the report evaluates, with one
+        # record dropped from each of its parts
+        first = next(
+            spec
+            for omega in small_census.subsystems()
+            for spec in small_census.two_measurement.get(omega, ())
+        )
+        dropped = {first.x_basis[0].to_text(), first.z_basis[0].to_text()}
+        full = MeasurementDataset.uniform(
+            groups.span_group(color_code_module), 0.5, 100
+        )
+        data = MeasurementDataset(
+            7, {k: v for k, v in full.records.items() if k not in dropped}
+        )
+        with pytest.raises(IncompleteDataError) as named:
+            eval_two_measurement(first, data)
+        with pytest.raises(IncompleteDataError) as err:
+            build_evaluation_report(
+                small_census, data, kinds=(WitnessKind.TWO_MEASUREMENT,)
+            )
+        assert set(named.value.missing) == dropped
+        assert err.value.missing == named.value.missing
+        assert str(err.value) == str(named.value)
+
 
 # ---------------------------------------------------------------------------
 # The per-row report builders, kept as oracles for the per-call memos
@@ -378,6 +430,34 @@ def naive_evaluation_rows(
     return _sorted_rows(rows)
 
 
+def naive_eval_csv(report):
+    """The evaluation CSV written by ``csv.writer``, one row at a time."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        ["omega", "kind", "expectation", "stddev", "detected", "confidence"]
+    )
+    for row in report.rows:
+        omega = "genuine" if row.omega is None else ",".join(map(str, row.omega))
+        writer.writerow(
+            [
+                omega, row.kind.value, f"{row.expectation:.12g}",
+                f"{row.stddev:.12g}", int(row.detected),
+                "" if row.confidence is None else f"{row.confidence:.12g}",
+            ]
+        )
+    return out.getvalue()
+
+
+def assert_same_csv(got, want):
+    """Equal texts, compared line by line so that a failure names the first
+    differing line instead of diffing thousands of them."""
+    got_lines, want_lines = got.splitlines(True), want.splitlines(True)
+    for number, (line, wanted) in enumerate(zip(got_lines, want_lines), 1):
+        assert line == wanted, f"line {number}"
+    assert len(got_lines) == len(want_lines)
+
+
 def row_bits(rows):
     """Every field of each EvalRow, floats as their exact bit patterns."""
     def hex_or_none(x):
@@ -461,3 +541,40 @@ class TestReportsMatchOracles:
     def test_other_states(self, generator_set):
         census = run_census(generator_set, ("direct", "graph", "twomeas"))
         assert_reports_match_oracles(census, generator_set, [shot_data(generator_set)])
+
+
+class TestEvalCsvMatchesWriter:
+    """The evaluation CSV, formatted one line per row with only the
+    subsystem label quoted by the csv module, is byte for byte what
+    ``csv.writer`` writes for the same rows."""
+
+    @pytest.mark.parametrize("run", sorted(COLOR_CODE_RUNS))
+    def test_color_code_reports(self, color_code_module, run):
+        methods, omegas = COLOR_CODE_RUNS[run]
+        census = run_census(color_code_module, methods, omegas)
+        genuine_set = color_code_module if omegas is None else None
+        for data in (WernerModel(0.5), shot_data(color_code_module)):
+            report = build_evaluation_report(census, data, genuine_set=genuine_set)
+            best = report.best_per_omega()
+            assert_same_csv(report.to_csv(), naive_eval_csv(report))
+            assert_same_csv(best.to_csv(), naive_eval_csv(best))
+
+    def test_csv_of_any_rows_is_the_csv_writers(self):
+        # signed zeros, extremes, non-finite values, absent confidences and
+        # one-qubit, many-qubit and genuine scopes
+        rng = random.Random(7)
+        values = [
+            0.0, -0.0, 1e-300, -5e-324, 1e300, float("inf"), float("-inf"),
+            float("nan"), 0.1 + 0.2, -0.5, 100.0, 123456789012345.6,
+        ]
+        scopes = [None, (1,), (5, 6), (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)]
+        rows = [
+            EvalRow(
+                rng.choice(scopes), rng.choice(list(WitnessKind)),
+                rng.choice(values), rng.choice(values), rng.random() < 0.5,
+                rng.choice([None] + values), "0123456789abcdef",
+            )
+            for _ in range(500)
+        ]
+        report = EvaluationReport(12, tuple(rows))
+        assert_same_csv(report.to_csv(), naive_eval_csv(report))

@@ -8,19 +8,21 @@ variance (1 - <s>^2) / M; the identity contributes expectation 1 and
 variance 0.  Shot counts may differ per record, in which case each summand
 carries its own 1/M factor.
 
-Every record passes one check, ``_entry``, once: in the constructor that
-``from_pairs`` ends in, or in ``from_csv`` as it reads each line.  Both
-convert values in one ``float()``/``int()`` step, ``_converted``.  The
-check fills one lookup from a packed 2N-bit row (``binary.pauli_row``) to
-(expectation, variance).  Each witness kind has one kernel that returns
-its (expectation, variance) as floats (``_standard``, ``_alternative``,
-``_two_measurement``); the ``eval_*`` functions and the evaluation report
-are built on them.  The kernels and ``fidelity`` read a witness's packed
-rows through one sum, ``_sums``.  A span is summed in ascending packed-row
-order, so a value does not depend on the basis chosen for the subgroup.
-Only members without a record are rendered as text, in the one
-``IncompleteDataError`` that names them all.  A dataset on another number
-of qubits than the witness is refused with a ValueError naming both counts.
+Every record passes one check, ``_entry``, once: in the constructor, or in
+``from_csv`` as it reads each line; ``from_pairs`` parses each label once
+and runs the rest of that check, ``_checked``, on the parsed operator.
+Both classmethods convert values in one ``float()``/``int()`` step,
+``_converted``.  The check fills one lookup from a packed 2N-bit row
+(``binary.pauli_row``) to (expectation, variance).  Each witness kind has
+one kernel that returns its (expectation, variance) as floats
+(``_standard``, ``_alternative``, ``_two_measurement``); the ``eval_*``
+functions and the evaluation report are built on them.  The kernels and
+``fidelity`` read a witness's packed rows through one sum, ``_sums``.  A
+span is summed in ascending packed-row order, so a value does not depend
+on the basis chosen for the subgroup.  Only members without a record are
+rendered as text, in the one ``IncompleteDataError`` that names them all.
+A dataset on another number of qubits than the witness is refused with a
+ValueError naming both counts.
 """
 
 from __future__ import annotations
@@ -154,7 +156,14 @@ def _entry(n_qubits: int, label, name: str, record) -> tuple[int, tuple]:
     ``n_qubits`` qubits, a real non-bool expectation in [-1, 1], a positive
     int shot count a float can hold.  Errors call the label ``name``."""
     p = _pauli(label)
-    e, shots = _pair(record, name)
+    return _checked(n_qubits, p, name, *_pair(record, name))
+
+
+def _checked(
+    n_qubits: int, p: PauliOperator, name: str, e, shots
+) -> tuple[int, tuple]:
+    """``_entry`` from its qubit-count check on, for the parsed label ``p``
+    and the record's two values."""
     if p.n_qubits != n_qubits:
         raise ValueError(f"label {name} is not on {n_qubits} qubits")
     if not -1.0 <= _number(e, name) <= 1.0:
@@ -165,6 +174,11 @@ def _entry(n_qubits: int, label, name: str, record) -> tuple[int, tuple]:
         return pauli_row(p), (e, (1.0 - e * e) / shots)
     except OverflowError:
         raise ValueError(f"shot count for {name} is too large") from None
+
+
+def _qubit_count(n_qubits) -> None:
+    if type(n_qubits) is not int or n_qubits < 1:
+        raise ValueError(f"qubit count {n_qubits!r} is not a positive integer")
 
 
 def _converted(e, shots) -> tuple:
@@ -200,13 +214,24 @@ class MeasurementDataset(_Source):
     records: dict[str, tuple[float, int]] = field(repr=False)
 
     def __post_init__(self) -> None:
-        if type(self.n_qubits) is not int or self.n_qubits < 1:
-            raise ValueError(f"qubit count {self.n_qubits!r} is not a positive integer")
+        _qubit_count(self.n_qubits)
         items = _items(self.records)
         index = dict(
             _entry(self.n_qubits, label, reprlib.repr(label), r) for label, r in items
         )
         self._indexed(index)
+
+    @classmethod
+    def _filled(
+        cls, n_qubits: int, records: dict, index: dict
+    ) -> "MeasurementDataset":
+        """The instance the constructor would fill from ``records``, whose
+        checked lookup ``index`` already is."""
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "n_qubits", n_qubits)
+        object.__setattr__(dataset, "records", records)
+        dataset._indexed(index)
+        return dataset
 
     def _indexed(self, index: dict) -> None:
         """Keep ``index``, the checked lookup of the records, with the
@@ -226,16 +251,25 @@ class MeasurementDataset(_Source):
         cls, n_qubits: int, pairs: dict[str, tuple[float, int]]
     ) -> "MeasurementDataset":
         """Records from (expectation, shots) pairs, converted with float()
-        and int().  A value that does not convert, a shot count that is a
-        bool or not whole, or a bad label is reported before the constructor
-        checks."""
-        records = {}
+        and int(), keyed by the canonical text of their labels.  A value
+        that does not convert, a shot count that is a bool or not whole, or
+        a bad label is reported before the constructor's checks, which then
+        run in its order on the labels parsed here: each label is parsed
+        once."""
+        parsed = {}
         for label, record in _items(pairs):
             name = reprlib.repr(label)
             e, shots = _converted(*_pair(record, name))
             e, shots = _number(e, name), _count(shots, name)
-            records[_pauli(label).to_text()] = (e, shots)
-        return cls(n_qubits, records)
+            p = _pauli(label)
+            parsed[p.to_text()] = p, (e, shots)
+        _qubit_count(n_qubits)
+        index = dict(
+            _checked(n_qubits, p, reprlib.repr(text), *record)
+            for text, (p, record) in parsed.items()
+        )
+        records = {text: record for text, (_, record) in parsed.items()}
+        return cls._filled(n_qubits, records, index)
 
     @classmethod
     def uniform(
@@ -279,12 +313,8 @@ class MeasurementDataset(_Source):
         if n_qubits is None:
             raise ValueError("dataset has no records")
         # every record passed _entry above, which is all the constructor
-        # would check again; the instance is filled in as it would fill it
-        dataset = object.__new__(cls)
-        object.__setattr__(dataset, "n_qubits", n_qubits)
-        object.__setattr__(dataset, "records", records)
-        dataset._indexed(index)
-        return dataset
+        # would check again
+        return cls._filled(n_qubits, records, index)
 
     def to_csv(self) -> str:
         out = io.StringIO()

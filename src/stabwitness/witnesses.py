@@ -73,7 +73,9 @@ into an X-type and a Z-type part exactly when every row of its reduced
 row-echelon basis is X-only or Z-only, and the parts are those rows.  A row
 with a Z part has its pivot in the Z block, and back-substitution has
 cleared the pivots of the X-only rows from it, so its X part is in their
-span only if it is 0.
+span only if it is 0.  Key rows are group members, so a census collects
+the X-only and Z-only members once and splits only the witnesses whose
+key rows all lie among them, one set test per witness.
 """
 
 from __future__ import annotations
@@ -925,18 +927,37 @@ def enumerate_two_measurement(
     group: StabilizerGroup, omega: Sequence[int]
 ) -> list[WitnessSpec]:
     """All two-measurement local witnesses for one subsystem, deduplicated
-    by the (X-span, Z-span) pair."""
-    return _two_measurement_variants(enumerate_direct(group, omega))
+    by the (X-span, Z-span) pair: the direct witnesses of ``enumerate_direct``
+    through ``_two_measurement_variants``, the path ``run_census`` takes."""
+    return _two_measurement_variants(
+        enumerate_direct(group, omega), _pure_members(group)
+    )
 
 
-def _two_measurement_variants(specs: Iterable[WitnessSpec]) -> list[WitnessSpec]:
-    """Two-measurement variants of standard witnesses, one
-    ``two_measurement_from_standard`` call each, sorted by their
-    (X part, Z part) split.  The two parts together are a witness's key,
-    so distinct witnesses give distinct variants.
+def _pure_members(group: StabilizerGroup) -> frozenset[int]:
+    """The group's packed rows that are X-only or Z-only, I included."""
+    x_mask = (1 << group.n_qubits) - 1
+    return frozenset(r for r in group.rows if not (r & x_mask and r > x_mask))
+
+
+def _two_measurement_variants(
+    specs: Iterable[WitnessSpec], pure: AbstractSet[int]
+) -> list[WitnessSpec]:
+    """Two-measurement variants of the group's direct witnesses ``specs``,
+    sorted by their (X part, Z part) split.  The two parts together are a
+    witness's key, so distinct witnesses give distinct variants.
+
+    ``pure`` is ``_pure_members`` of the group.  Each row of a witness's
+    ``identity_key`` is a product of members, so a member, and
+    ``_xz_split`` returns None exactly when a row has both an X and a Z
+    part: the key splits exactly when ``pure`` holds all its rows.  So one
+    set test per witness picks the ones to split, and each
+    ``two_measurement_from_standard`` call returns a variant.
     """
     variants = [
-        v for v in map(two_measurement_from_standard, specs) if v is not None
+        two_measurement_from_standard(spec)
+        for spec in specs
+        if pure.issuperset(spec.identity_key)
     ]
     variants.sort(key=lambda w: w.identity_key)
     return variants
@@ -1039,7 +1060,10 @@ def run_census(
     """Enumerate witnesses with the selected methods.
 
     ``methods`` may contain "direct", "graph", and "twomeas"; the
-    two-measurement census is derived from the direct one.  ``omegas``
+    two-measurement census is derived from the direct one: the group's
+    X-only and Z-only members are collected once, and only the direct
+    witnesses whose key rows are all among them are split
+    (``_two_measurement_variants``).  ``omegas``
     restricts the subsystems (default: all of size 2..N-1) and raises
     MalformedSubsetError for one that is not 2..N-1 distinct labels in
     1..N.  The direct witnesses come from one pruned search of the whole
@@ -1083,8 +1107,10 @@ def run_census(
             direct_census(group) if omegas is None else _direct_lists(group, wanted)
         )
         if "twomeas" in methods:
+            pure = _pure_members(group)
             twomeas = {
-                omega: _two_measurement_variants(direct[omega]) for omega in wanted
+                omega: _two_measurement_variants(direct[omega], pure)
+                for omega in wanted
             }
         if "graph" in methods:
             graph_based = {

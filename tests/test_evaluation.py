@@ -1051,3 +1051,37 @@ class TestParsedOnce:
         parsed = MeasurementDataset.from_csv(text)
         assert sorted(calls) == sorted(parsed.records)
         assert len(calls) == len(naive_csv_records(text))
+
+    @pytest.mark.parametrize(
+        "case", list(parse_cases()), ids=lambda case: case[0]
+    )
+    def test_from_pairs_is_the_constructors_dataset(self, case):
+        _, n, text, group = case
+        pairs = {
+            label: (str(e), float(m))
+            for label, (e, m) in naive_csv_records(text).items()
+        }
+        built = MeasurementDataset.from_pairs(n, pairs)
+        made = MeasurementDataset(n, naive_csv_records(text))
+        assert type(built) is MeasurementDataset
+        assert built == made
+        assert vars(built) == vars(made)  # the lookup by packed row included
+        assert list(vars(built)) == list(vars(made))
+        assert list(built.records) == list(made.records)
+        for p in group.elements:
+            assert outcome(built.expectation_of, p) == outcome(made.expectation_of, p)
+            assert outcome(built.variance_of, p) == outcome(made.variance_of, p)
+
+    def test_from_pairs_parses_each_label_once(self, color_group, monkeypatch):
+        calls = []
+        parse = evaluation.parse_pauli
+
+        def spy(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(evaluation, "parse_pauli", spy)
+        pairs = {p.to_text(): (0.5, 100) for p in color_group.non_identity()}
+        data = MeasurementDataset.from_pairs(7, pairs)
+        assert sorted(calls) == sorted(data.records) == sorted(pairs)
+        assert len(calls) == 127

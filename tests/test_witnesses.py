@@ -2060,8 +2060,11 @@ class TestXZSplitRule:
         assert census.totals()["two_measurement"] == 476
         assert len(calls) == 1
 
-    def test_census_splits_each_direct_witness_once(self, color_code, monkeypatch):
-        # the census splits through the public two_measurement_from_standard
+    def test_census_splits_only_keys_of_pure_members(self, color_code, monkeypatch):
+        # the census splits through the public two_measurement_from_standard,
+        # and only the keys whose rows are all X-only or Z-only members: each
+        # of its calls returns a variant, where splitting every direct
+        # witness took 3,927 calls for the 476 variants
         results = []
         split = two_measurement_from_standard
 
@@ -2071,8 +2074,118 @@ class TestXZSplitRule:
 
         monkeypatch.setattr(witnesses, "two_measurement_from_standard", counted)
         census = run_census(color_code, ("direct", "twomeas"))
-        assert len(results) == census.totals()["direct"] == 3927
+        assert census.totals()["direct"] == 3927
+        assert len(results) == 476
         assert sum(r is not None for r in results) == 476
+
+
+def naive_two_measurement_variants(specs):
+    """The two-measurement column before the set test on pure members:
+    every direct witness through ``two_measurement_from_standard``, the
+    variants sorted by key."""
+    variants = [v for v in map(two_measurement_from_standard, specs) if v is not None]
+    variants.sort(key=lambda w: w.identity_key)
+    return variants
+
+
+def _xz_swap_cases() -> list:
+    """color_code_7 and the rings of 5..8 qubits under three seeded letter
+    maps each that swap X and Z on a random set of qubits, and the even
+    rings under the swap on every other qubit, which makes every member X-
+    or Z-type up to the swap: each map changes which members are X-only or
+    Z-only."""
+    bases = [("color_code_7", build_color_code())]
+    bases += [(f"ring{n}", ring_group(n).generator_set) for n in range(5, 9)]
+    cases = []
+    for name, s in bases:
+        n = s.n_qubits
+        rng = random.Random(n)
+        maps = ["".join(rng.choice("IH") for _ in range(n)) for _ in range(3)]
+        if name.startswith("ring") and n % 2 == 0:
+            maps.append("IH" * (n // 2))
+        for names in maps:
+            swapped = apply_to_generators(LocalClifford.from_names(names), s)
+            cases.append((f"{name}_{names}", swapped))
+    return cases
+
+
+TWO_MEASUREMENT_CASES = _filter_cases(8) + _xz_swap_cases()
+
+# two-measurement witnesses of each case with a split; every other case has none
+TWO_MEASUREMENT_TOTALS = {
+    "color_code_7": 476,
+    "ghz": 3,
+    "disjoint_pairs": 6,
+    "random5_1_0": 2,
+    "random6_0_0": 2,
+    "random6_0_1": 2,
+    "random8_1_1": 1,
+    "color_code_7_IIIIHHI": 2,
+    "color_code_7_IIHIIII": 37,
+    "ring5_HHIHI": 4,
+    "ring6_HHHIHH": 1,
+    "ring6_IHIHIH": 140,
+    "ring7_HIHIIIH": 4,
+    "ring8_IIHIHHHH": 1,
+    "ring8_HIHIHIIH": 13,
+    "ring8_IHIHIHIH": 1184,
+}
+
+
+class TestTwoMeasurementColumn:
+    """The census splits only the direct witnesses whose key rows are all
+    X-only or Z-only members of the group, one set test each
+    (``_two_measurement_variants``); splitting every direct witness,
+    ``naive_two_measurement_variants``, is its oracle."""
+
+    @pytest.mark.parametrize(
+        "name,s", TWO_MEASUREMENT_CASES, ids=[name for name, _ in TWO_MEASUREMENT_CASES]
+    )
+    def test_census_matches_oracle(self, name, s):
+        census = run_census(s, ("direct", "twomeas"))
+        assert list(census.two_measurement) == census.subsystems()
+        for omega in census.subsystems():
+            expected = naive_two_measurement_variants(census.direct[omega])
+            assert census.two_measurement[omega] == expected
+        assert census.totals()["two_measurement"] == TWO_MEASUREMENT_TOTALS.get(name, 0)
+
+    @pytest.mark.parametrize(
+        "s", [s for _, s in TWO_MEASUREMENT_CASES],
+        ids=[name for name, _ in TWO_MEASUREMENT_CASES],
+    )
+    def test_restricted_census_matches_oracle(self, s):
+        # every subsystem with a split, plus a seeded handful, shuffled
+        full = run_census(s, ("direct", "twomeas"))
+        rng = random.Random(s.n_qubits)
+        split = [o for o in full.subsystems() if full.two_measurement[o]]
+        rest = [o for o in full.subsystems() if o not in split]
+        omegas = split + rng.sample(rest, min(5, len(rest)))
+        rng.shuffle(omegas)
+        census = run_census(s, ("direct", "twomeas"), omegas)
+        assert list(census.two_measurement) == omegas
+        for omega in omegas:
+            expected = naive_two_measurement_variants(census.direct[omega])
+            assert census.two_measurement[omega] == expected
+            assert census.two_measurement[omega] == full.two_measurement[omega]
+
+    def test_enumerate_matches_oracle_on_every_color_code_subsystem(self, color_group):
+        total = 0
+        for omega in all_subsystems(7):
+            variants = enumerate_two_measurement(color_group, omega)
+            expected = naive_two_measurement_variants(enumerate_direct(color_group, omega))
+            assert variants == expected
+            total += len(variants)
+        assert total == 476
+
+    def test_pure_members_are_the_x_only_and_z_only_members(self, color_group):
+        pure = witnesses._pure_members(color_group)
+        expected = {
+            pauli_row(p) for p in color_group.elements if not (p.x_bits and p.z_bits)
+        }
+        assert pure == expected
+        # I, the 15 X-only members (the three X plaquettes and XXXXXXX
+        # span 16) and the 7 Z-only ones
+        assert len(pure) == 1 + 15 + 7
 
 
 class TestXZForm:

@@ -14,15 +14,17 @@ and runs the rest of that check, ``_checked``, on the parsed operator.
 Both classmethods convert values in one ``float()``/``int()`` step,
 ``_converted``.  The check fills one lookup from a packed 2N-bit row
 (``binary.pauli_row``) to (expectation, variance).  Each witness kind has
-one kernel that returns its (expectation, variance) as floats
-(``_standard``, ``_alternative``, ``_two_measurement``); the ``eval_*``
-functions and the evaluation report are built on them.  The kernels and
-``fidelity`` read a witness's packed rows through one sum, ``_sums``.  A
-span is summed in ascending packed-row order, so a value does not depend
-on the basis chosen for the subgroup.  Only members without a record are
-rendered as text, in the one ``IncompleteDataError`` that names them all.
-A dataset on another number of qubits than the witness is refused with a
-ValueError naming both counts.
+one kernel that returns its (expectation, variance) as floats, kept in one
+table by kind, ``_KERNELS``: ``evaluate``, ``critical_probability`` and
+the evaluation report read it, and each ``eval_*`` function wraps its own
+kernel in a ``WitnessValue``.  The kernels and ``fidelity`` read packed
+rows through one sum, ``_sums``, and every span through one projector
+sum, ``_projector``, which sums the members in ascending packed-row
+order, so a value does not depend on the basis chosen for the subgroup,
+and scales the sum.  Only members without a record are rendered as text,
+in the one ``IncompleteDataError`` that names them all.  A dataset on
+another number of qubits than the witness is refused with a ValueError
+naming both counts.
 """
 
 from __future__ import annotations
@@ -376,14 +378,24 @@ def _sums(data: DataSource, n_qubits: int, rows: Sequence[int]) -> tuple[float, 
     return sum(expectations), sum(variances)
 
 
+def _projector(
+    data: DataSource, n_qubits: int, members: Sequence[int]
+) -> tuple[float, float]:
+    """(expectation, variance) of the projector 2^-a * sum over ``members``,
+    the 2^a packed rows of a span, summed in ascending order: the one place
+    a member sum is scaled."""
+    rows = sorted(members)
+    expectation, variance = _sums(data, n_qubits, rows)
+    scale = 1.0 / len(rows)
+    return scale * expectation, variance * scale * scale
+
+
 # The kernels: one per witness kind, each (expectation, variance) as floats.
 
 
 def _standard(w: WitnessSpec, data: DataSource) -> tuple[float, float]:
-    rows = sorted(_span_rows(w.rows))
-    expectation, variance = _sums(data, w.n_qubits, rows)
-    scale = 1.0 / len(rows)
-    return 0.5 - scale * expectation, variance * scale * scale
+    expectation, variance = _projector(data, w.n_qubits, _span_rows(w.rows))
+    return 0.5 - expectation, variance
 
 
 def _alternative(w: WitnessSpec, data: DataSource) -> tuple[float, float]:
@@ -394,19 +406,21 @@ def _alternative(w: WitnessSpec, data: DataSource) -> tuple[float, float]:
 def _two_measurement(w: WitnessSpec, data: DataSource) -> tuple[float, float]:
     if w.x_rows is None or w.z_rows is None:
         raise ValueError("witness carries no X/Z split")
-    x_rows = sorted(_span_rows(w.x_rows))
-    z_rows = sorted(_span_rows(w.z_rows))
+    x_members, z_members = _span_rows(w.x_rows), _span_rows(w.z_rows)
     try:
-        x_expectation, x_variance = _sums(data, w.n_qubits, x_rows)
-        z_expectation, z_variance = _sums(data, w.n_qubits, z_rows)
+        x_expectation, x_variance = _projector(data, w.n_qubits, x_members)
+        z_expectation, z_variance = _projector(data, w.n_qubits, z_members)
     except IncompleteDataError:
-        _sums(data, w.n_qubits, x_rows + z_rows)  # raises, naming both parts
+        _sums(data, w.n_qubits, x_members + z_members)  # raises, naming both parts
         raise
-    x_scale = 1.0 / len(x_rows)
-    z_scale = 1.0 / len(z_rows)
-    expectation = 1.5 - x_scale * x_expectation - z_scale * z_expectation
-    variance = x_variance * x_scale * x_scale + z_variance * z_scale * z_scale
-    return expectation, variance
+    return 1.5 - x_expectation - z_expectation, x_variance + z_variance
+
+
+_KERNELS = {
+    WitnessKind.STANDARD: _standard,
+    WitnessKind.ALTERNATIVE: _alternative,
+    WitnessKind.TWO_MEASUREMENT: _two_measurement,
+}
 
 
 def eval_standard(
@@ -444,36 +458,28 @@ def eval_two_measurement(
     return _finish(*_two_measurement(w, data), sigma_threshold)
 
 
-_EVALUATORS = {
-    WitnessKind.STANDARD: eval_standard,
-    WitnessKind.ALTERNATIVE: eval_alternative,
-    WitnessKind.TWO_MEASUREMENT: eval_two_measurement,
-}
-
-
 def evaluate(
     w: WitnessSpec, data: DataSource, sigma_threshold: float = 0.0
 ) -> WitnessValue:
-    """Dispatch to the evaluator matching the witness kind."""
-    return _EVALUATORS[w.kind](w, data, sigma_threshold)
+    """Evaluate the witness with the kernel of its kind."""
+    return _finish(*_KERNELS[w.kind](w, data), sigma_threshold)
 
 
 def fidelity(group: StabilizerGroup, data: DataSource) -> tuple[float, float]:
     """State fidelity 2^-N * sum over all 2^N stabilizers, with variance."""
-    rows = sorted(group.rows)
-    expectation, variance = _sums(data, group.n_qubits, rows)
-    scale = 1.0 / len(rows)
-    return scale * expectation, scale * scale * variance
+    return _projector(data, group.n_qubits, group.rows)
 
 
 def critical_probability(w: WitnessSpec) -> float:
     """The white-noise mixing probability at which the witness hits zero.
 
     Every witness kind is affine decreasing in p, so the root follows from
-    the values at p = 0 and p = 1 (the latter is -1/2 for all kinds).
+    the kernel's values at p = 0 and p = 1 (the latter is -1/2 for all
+    kinds).
     """
-    at_zero = evaluate(w, WernerModel(0.0)).expectation
-    at_one = evaluate(w, WernerModel(1.0)).expectation
+    kernel = _KERNELS[w.kind]
+    at_zero = kernel(w, WernerModel(0.0))[0]
+    at_one = kernel(w, WernerModel(1.0))[0]
     return at_zero / (at_zero - at_one)
 
 

@@ -29,11 +29,9 @@ from .binary import pauli_from_row
 from .evaluation import (
     DataSource,
     MeasurementDataset,
-    _alternative,
+    _KERNELS,
     _confidence,
     _detected,
-    _standard,
-    _two_measurement,
 )
 from .witnesses import (
     SubsystemClass,
@@ -288,11 +286,7 @@ def witness_rows_to_json(rows: Sequence[dict]) -> str:
 # Evaluation report
 # ---------------------------------------------------------------------------
 
-_KIND_ORDER = {
-    WitnessKind.STANDARD: 0,
-    WitnessKind.ALTERNATIVE: 1,
-    WitnessKind.TWO_MEASUREMENT: 2,
-}
+_KIND_ORDER = {kind: i for i, kind in enumerate(WitnessKind)}
 
 
 @dataclass(frozen=True)
@@ -385,11 +379,13 @@ def build_evaluation_report(
     ``genuine_set``, the generator set of the census's state, also its
     genuine witnesses of each requested kind.
 
-    Each row is read off the evaluators' float kernels: it is the row that
-    ``evaluate`` and ``detection_confidence`` give, with no value object
-    between.  Raises ValueError when a measurement dataset is on a
-    different number of qubits than the census, or when ``sigma_threshold``
-    is negative or not finite.
+    Each row is read off the kernel of its kind, ``_KERNELS``: it is the
+    row that ``evaluate`` and ``detection_confidence`` give, with no value
+    object between.  An alternative witness is its standard witness's rows
+    and key, so each standard spec is evaluated as both kinds.  Raises
+    ValueError when a measurement dataset is on a different number of
+    qubits than the census, or when ``sigma_threshold`` is negative or not
+    finite.
     """
     if not 0.0 <= sigma_threshold < math.inf:
         raise ValueError(
@@ -403,46 +399,38 @@ def build_evaluation_report(
     if source is None:
         raise ValueError("census has no standard witnesses to evaluate")
     kinds = tuple(kinds)
-    standard = WitnessKind.STANDARD in kinds
-    alternative = WitnessKind.ALTERNATIVE in kinds
-    two_measurement = WitnessKind.TWO_MEASUREMENT in kinds
+    two_measurement = [k for k in (WitnessKind.TWO_MEASUREMENT,) if k in kinds]
+    standard = [
+        k for k in (WitnessKind.STANDARD, WitnessKind.ALTERNATIVE) if k in kinds
+    ]
     digest = _Memo(_key_digest)
-    new, put, sqrt = object.__new__, object.__setattr__, math.sqrt
     rows: list[EvalRow] = []
 
-    def add(spec: WitnessSpec, kind: WitnessKind, kernel) -> None:
-        # filled in field by field, in the order EvalRow's __init__ sets them
-        expectation, variance = kernel(spec, data)
-        stddev = sqrt(variance)
-        row = new(EvalRow)
-        put(row, "omega", spec.omega)
-        put(row, "kind", kind)
-        put(row, "expectation", expectation)
-        put(row, "stddev", stddev)
-        put(row, "detected", _detected(expectation, stddev, sigma_threshold))
-        put(row, "confidence", _confidence(expectation, variance))
-        put(row, "key_digest", digest[spec.identity_key])
-        rows.append(row)
-
-    def add_standard(spec: WitnessSpec) -> None:
-        if standard:
-            add(spec, WitnessKind.STANDARD, _standard)
-        if alternative:
-            # an alternative witness is its standard witness's rows and key,
-            # so the standard spec itself is evaluated as the alternative
-            add(spec, WitnessKind.ALTERNATIVE, _alternative)
+    def add(spec: WitnessSpec, kinds: list[WitnessKind]) -> None:
+        for kind in kinds:
+            expectation, variance = _KERNELS[kind](spec, data)
+            stddev = math.sqrt(variance)
+            rows.append(
+                EvalRow(
+                    spec.omega,
+                    kind,
+                    expectation,
+                    stddev,
+                    _detected(expectation, stddev, sigma_threshold),
+                    _confidence(expectation, variance),
+                    digest[spec.identity_key],
+                )
+            )
 
     for omega in census.subsystems():
         for spec in source.get(omega, ()):
-            add_standard(spec)
-        if two_measurement and census.two_measurement:
-            for spec in census.two_measurement.get(omega, ()):
-                add(spec, WitnessKind.TWO_MEASUREMENT, _two_measurement)
+            add(spec, standard)
+        for spec in (census.two_measurement or {}).get(omega, ()):
+            add(spec, two_measurement)
     if genuine_set is not None:
-        genuine_standard = WitnessSpec.standard_genuine(genuine_set)
-        add_standard(genuine_standard)
-        if two_measurement:
-            genuine_two = two_measurement_from_standard(genuine_standard)
-            if genuine_two is not None:
-                add(genuine_two, WitnessKind.TWO_MEASUREMENT, _two_measurement)
+        genuine = WitnessSpec.standard_genuine(genuine_set)
+        add(genuine, standard)
+        split = two_measurement_from_standard(genuine) if two_measurement else None
+        if split is not None:
+            add(split, two_measurement)
     return EvaluationReport(census.n_qubits, tuple(_sorted_rows(rows)))

@@ -615,6 +615,21 @@ class TestFidelity:
         assert value == pytest.approx(0.33 + 0.67 / 128, abs=1e-12)
         assert variance == 0.0
 
+    @pytest.mark.parametrize("source", ["shots", "werner0.33", "werner0.9"])
+    def test_is_the_genuine_standard_witness(self, color_group_module, source):
+        # both read one projector sum over the 2^N members, so they agree
+        # bit for bit: fidelity F and the witness value 1/2 - F
+        data = {
+            "shots": lambda: MeasurementDataset.from_csv(SHOT_DATA.read_text()),
+            "werner0.33": lambda: WernerModel(0.33),
+            "werner0.9": lambda: WernerModel(0.9),
+        }[source]()
+        genuine = WitnessSpec.standard_genuine(color_group_module.generator_set)
+        value = eval_standard(genuine, data)
+        assert float_bits(fidelity(color_group_module, data)) == float_bits(
+            (0.5 - value.expectation, value.variance)
+        )
+
 
 class TestCriticalProbability:
     def test_alternative_local(self, color_group_module):

@@ -24,3 +24,12 @@ def test_public_surface_holds_together():
             assert alias.name in module.__all__, (
                 f"stabwitness binds {alias.name}, not in {module.__name__}.__all__"
             )
+
+
+def test_readme_library_example_runs(capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("\n## Library example\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md: Library example", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert "{'direct': 3927, 'graph_based': 3122, 'two_measurement': 476}" in printed

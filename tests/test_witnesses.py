@@ -62,6 +62,7 @@ from stabwitness.witnesses import (
 )
 
 from conftest import random_graph, random_local_clifford, random_stabilizer_set
+from physics import cuts_with_first, largest_schmidt_sq, state_vector
 from test_binary import naive_rank, random_pauli
 from test_groups import random_nonsingular
 
@@ -820,6 +821,22 @@ GME_CASES = [("color_code_7", build_color_code())] + [
 ]
 
 
+def full_rank_leaves(group, ranks):
+    """(active, rows) of each search leaf of a rank in ``ranks`` whose active
+    region has as many qubits as its rank and to which the rows restrict
+    with full rank."""
+    n_qubits = group.n_qubits
+    span = _span_rows(group.key)
+    for rank in ranks:
+        allowed = masks_up_to(rank, n_qubits)
+        for active, rows in witnesses._subgroup_search(span, rank, n_qubits, allowed):
+            if active.bit_count() != rank:
+                continue
+            omega_rows = (active << n_qubits) | active
+            if rows_rank([r & omega_rows for r in rows]) == rank:
+                yield active, rows
+
+
 class TestConditionFourIsGme:
     """At a search leaf whose active region has as many qubits as its rank
     and to which the rows restrict with full rank, the rows restrict to a
@@ -830,28 +847,53 @@ class TestConditionFourIsGme:
     def test_condition_four_is_the_cut_rank_rule(self, case):
         group = span_group(dict(GME_CASES)[case])
         n_qubits = group.n_qubits
-        span = _span_rows(group.key)
         verdicts = collections.Counter()
-        for rank in range(2, n_qubits):
-            allowed = masks_up_to(rank, n_qubits)
-            for active, rows in witnesses._subgroup_search(
-                span, rank, n_qubits, allowed
-            ):
-                if active.bit_count() != rank:
-                    continue
-                omega_rows = (active << n_qubits) | active
-                if rows_rank([r & omega_rows for r in rows]) != rank:
-                    continue
-                failed = set(witnesses._failed_conditions(rows, active, n_qubits))
-                texts = [pauli_from_row(r, n_qubits).to_text() for r in rows]
-                gme = naive_gme(texts, mask_to_omega(active))
-                assert ("iv" not in failed) == gme, texts
-                verdicts[gme] += 1
+        for active, rows in full_rank_leaves(group, range(2, n_qubits)):
+            failed = set(witnesses._failed_conditions(rows, active, n_qubits))
+            texts = [pauli_from_row(r, n_qubits).to_text() for r in rows]
+            gme = naive_gme(texts, mask_to_omega(active))
+            assert ("iv" not in failed) == gme, texts
+            verdicts[gme] += 1
         assert verdicts[True]
         if case == "color_code_7":
             # every accepted witness of the census, and 42 leaves that
             # fail (iv) alone
             assert verdicts == {True: 3927, False: 42}
+
+    def test_condition_four_bounds_the_schmidt_coefficients(self):
+        """With no GF(2) in the check: on the state vector of the restricted
+        stabilizer state, every bipartition of a leaf that passes (iv) has
+        largest squared Schmidt coefficient at most 1/2, and a leaf that
+        fails (iv) is a product across some bipartition (coefficient 1).
+        color_code_7, |omega| <= 4; each restricted state is built once."""
+        group = span_group(build_color_code())
+        n_qubits = group.n_qubits
+        largest = {}
+        verdicts = collections.Counter()
+        for active, rows in full_rank_leaves(group, range(2, 5)):
+            positions = [q - 1 for q in mask_to_omega(active)]
+            texts = tuple(
+                "".join(text[q] for q in positions)
+                for text in (pauli_from_row(r, n_qubits).to_text() for r in rows)
+            )
+            if texts not in largest:
+                rng = random.Random(len(largest))
+                state = state_vector(texts, [1] * len(texts), rng)
+                largest[texts] = max(
+                    largest_schmidt_sq(state, cut)
+                    for cut in cuts_with_first(len(positions))
+                )
+            gme = "iv" not in witnesses._failed_conditions(rows, active, n_qubits)
+            if gme:
+                assert largest[texts] <= 0.5 + 1e-12, texts
+            else:
+                assert largest[texts] >= 1.0 - 1e-12, texts
+            verdicts[gme, len(positions)] += 1
+        # every leaf of |omega| <= 4 of the cut-rank test above; the 42 that
+        # fail (iv) are all on four qubits
+        assert verdicts == {
+            (True, 2): 1512, (True, 3): 1512, (True, 4): 714, (False, 4): 42
+        }
 
 
 def naive_span_texts(paulis, n_qubits):

@@ -17,12 +17,15 @@ Both classmethods convert values in one ``float()``/``int()`` step,
 one kernel that returns its (expectation, variance) as floats, kept in one
 table by kind, ``_KERNELS``: ``evaluate``, ``critical_probability`` and
 the evaluation report read it, and each ``eval_*`` function wraps its own
-kernel in a ``WitnessValue``.  The kernels and ``fidelity`` read packed
-rows through one sum, ``_sums``, and every span through one projector
-sum, ``_projector``, which sums the members in ascending packed-row
-order, so a value does not depend on the basis chosen for the subgroup,
-and scales the sum.  Only members without a record are rendered as text,
-in the one ``IncompleteDataError`` that names them all.  A dataset on
+kernel in a ``WitnessValue``.  A kernel takes packed rows, a witness's
+basis rows and its identity key, not a spec, so the report evaluates a
+census's keys without building specs.  The kernels and ``fidelity`` read
+packed rows through one sum, ``_sums``, and every span through one
+projector sum, ``_projector``, which spans a ``rows_rref`` key, sums the
+members in ascending packed-row order, so a value does not depend on the
+basis chosen for the subgroup, and scales the sum.  Only members without
+a record are rendered as text, in the one ``IncompleteDataError`` that
+names them all.  A dataset on
 another number of qubits than the witness is refused with a ValueError
 naming both counts.
 """
@@ -39,7 +42,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
-from .binary import PauliOperator, parse_pauli, pauli_from_row, pauli_row
+from .binary import PauliOperator, parse_pauli, pauli_from_row, pauli_row, rows_rref
 from .groups import StabilizerGroup, _span_rows
 from .witnesses import WitnessKind, WitnessSpec
 
@@ -378,40 +381,62 @@ def _sums(data: DataSource, n_qubits: int, rows: Sequence[int]) -> tuple[float, 
     return sum(expectations), sum(variances)
 
 
+def _ascending_span(key: Sequence[int]) -> list[int]:
+    """The 2^a members of the span of a ``rows_rref`` key, in ascending
+    packed-row order, with no sort.
+
+    A key lists its rows by descending leading bit, and each leading bit
+    is clear in every other row.  Spanned from the lowest row up, entry i
+    is the XOR of the rows at the set bits of i, row b being the b-th
+    lowest.  Take indices i < j whose highest differing bit is b.  The
+    entries differ by the XOR of rows b and lower, none of which has a bit
+    above the leading bit of row b, so they agree above it; at it, the
+    rows above b are clear and the rows below are too short, so only the
+    entry that holds row b, entry j, has that bit set."""
+    return _span_rows(reversed(key))
+
+
 def _projector(
-    data: DataSource, n_qubits: int, members: Sequence[int]
+    data: DataSource, n_qubits: int, key: Sequence[int]
 ) -> tuple[float, float]:
-    """(expectation, variance) of the projector 2^-a * sum over ``members``,
-    the 2^a packed rows of a span, summed in ascending order: the one place
-    a member sum is scaled."""
-    rows = sorted(members)
-    expectation, variance = _sums(data, n_qubits, rows)
-    scale = 1.0 / len(rows)
+    """(expectation, variance) of the projector 2^-a * sum over the 2^a
+    members of the span of ``key``, a ``rows_rref`` key, summed in
+    ascending order (``_ascending_span``): the one place a member sum is
+    scaled."""
+    members = _ascending_span(key)
+    expectation, variance = _sums(data, n_qubits, members)
+    scale = 1.0 / len(members)
     return scale * expectation, variance * scale * scale
 
 
-# The kernels: one per witness kind, each (expectation, variance) as floats.
+# The kernels: one per witness kind, each (expectation, variance) as floats
+# of a witness's n_qubits, basis rows and identity key.
 
 
-def _standard(w: WitnessSpec, data: DataSource) -> tuple[float, float]:
-    expectation, variance = _projector(data, w.n_qubits, _span_rows(w.rows))
+def _standard(
+    data: DataSource, n_qubits: int, rows: Sequence[int], key: tuple
+) -> tuple[float, float]:
+    expectation, variance = _projector(data, n_qubits, key)
     return 0.5 - expectation, variance
 
 
-def _alternative(w: WitnessSpec, data: DataSource) -> tuple[float, float]:
-    expectation, variance = _sums(data, w.n_qubits, w.rows)
-    return (len(w.rows) - 1) / 2.0 - 0.5 * expectation, 0.5 * variance
+def _alternative(
+    data: DataSource, n_qubits: int, rows: Sequence[int], key: tuple
+) -> tuple[float, float]:
+    expectation, variance = _sums(data, n_qubits, rows)
+    return (len(rows) - 1) / 2.0 - 0.5 * expectation, 0.5 * variance
 
 
-def _two_measurement(w: WitnessSpec, data: DataSource) -> tuple[float, float]:
-    if w.x_rows is None or w.z_rows is None:
-        raise ValueError("witness carries no X/Z split")
-    x_members, z_members = _span_rows(w.x_rows), _span_rows(w.z_rows)
+def _two_measurement(
+    data: DataSource, n_qubits: int, rows: Sequence[int], key: tuple
+) -> tuple[float, float]:
+    x_key, z_key = key
     try:
-        x_expectation, x_variance = _projector(data, w.n_qubits, x_members)
-        z_expectation, z_variance = _projector(data, w.n_qubits, z_members)
+        x_expectation, x_variance = _projector(data, n_qubits, x_key)
+        z_expectation, z_variance = _projector(data, n_qubits, z_key)
     except IncompleteDataError:
-        _sums(data, w.n_qubits, x_members + z_members)  # raises, naming both parts
+        # raises, naming the members of both parts
+        _sums(data, n_qubits, _span_rows(x_key) + _span_rows(z_key))
         raise
     return 1.5 - x_expectation - z_expectation, x_variance + z_variance
 
@@ -423,6 +448,26 @@ _KERNELS = {
 }
 
 
+def _kernel(
+    kind: WitnessKind, w: WitnessSpec, data: DataSource
+) -> tuple[float, float]:
+    """The (expectation, variance) of a spec by the kernel of ``kind``: its
+    rows, and the key that kind reads.  That is the spec's identity key
+    unless one of the two kinds is the two-measurement kind and the other
+    is not; then the key is reduced from the spec's rows, or from its X
+    and Z parts, which a spec without them lacks."""
+    two_measurement = WitnessKind.TWO_MEASUREMENT
+    if (kind is two_measurement) == (w.kind is two_measurement):
+        key = w.identity_key
+    elif kind is two_measurement:
+        if w.x_rows is None or w.z_rows is None:
+            raise ValueError("witness carries no X/Z split")
+        key = (tuple(rows_rref(w.x_rows)), tuple(rows_rref(w.z_rows)))
+    else:
+        key = tuple(rows_rref(w.rows))
+    return _KERNELS[kind](data, w.n_qubits, w.rows, key)
+
+
 def eval_standard(
     w: WitnessSpec, data: DataSource, sigma_threshold: float = 0.0
 ) -> WitnessValue:
@@ -431,7 +476,7 @@ def eval_standard(
     The sum runs over the full spanned subgroup including the identity.
     Variance adds (1 - <s>^2) / (M_s * 2^(2n)) per non-identity member.
     """
-    return _finish(*_standard(w, data), sigma_threshold)
+    return _finish(*_kernel(WitnessKind.STANDARD, w, data), sigma_threshold)
 
 
 def eval_alternative(
@@ -443,7 +488,7 @@ def eval_alternative(
     basis order.  Only ``w.rows`` is read, so the standard witness of the
     same basis gives the same value.
     """
-    return _finish(*_alternative(w, data), sigma_threshold)
+    return _finish(*_kernel(WitnessKind.ALTERNATIVE, w, data), sigma_threshold)
 
 
 def eval_two_measurement(
@@ -455,19 +500,19 @@ def eval_two_measurement(
     an empty part is the identity alone); variances carry the same squared
     coefficients.  Missing records are named for both parts at once.
     """
-    return _finish(*_two_measurement(w, data), sigma_threshold)
+    return _finish(*_kernel(WitnessKind.TWO_MEASUREMENT, w, data), sigma_threshold)
 
 
 def evaluate(
     w: WitnessSpec, data: DataSource, sigma_threshold: float = 0.0
 ) -> WitnessValue:
     """Evaluate the witness with the kernel of its kind."""
-    return _finish(*_KERNELS[w.kind](w, data), sigma_threshold)
+    return _finish(*_kernel(w.kind, w, data), sigma_threshold)
 
 
 def fidelity(group: StabilizerGroup, data: DataSource) -> tuple[float, float]:
     """State fidelity 2^-N * sum over all 2^N stabilizers, with variance."""
-    return _projector(data, group.n_qubits, group.rows)
+    return _projector(data, group.n_qubits, group.key)
 
 
 def critical_probability(w: WitnessSpec) -> float:
@@ -477,9 +522,8 @@ def critical_probability(w: WitnessSpec) -> float:
     the kernel's values at p = 0 and p = 1 (the latter is -1/2 for all
     kinds).
     """
-    kernel = _KERNELS[w.kind]
-    at_zero = kernel(w, WernerModel(0.0))[0]
-    at_one = kernel(w, WernerModel(1.0))[0]
+    at_zero = _kernel(w.kind, w, WernerModel(0.0))[0]
+    at_one = _kernel(w.kind, w, WernerModel(1.0))[0]
     return at_zero / (at_zero - at_one)
 
 

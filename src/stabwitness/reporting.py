@@ -7,12 +7,14 @@ produce byte-identical output.
 
 Witnesses carry packed rows and their identity keys
 (``WitnessSpec.rows``, ``identity_key``); the reports key and digest
-witnesses from those, and build Pauli text only for the ``basis`` columns
-of the witness rows.  Every basis row is one of the group's 2^N members
-and a standard witness shares its key with its alternative, so each
-report call renders each distinct row, digests each distinct key and
-formats each subsystem label once, in dicts (``_Memo``) that the call
-drops when it returns.
+witnesses from those, and build Pauli text only for the ``basis``
+columns of the witness rows.  A census's standard witnesses are read as
+their keys, each the witness's rows and identity key at once, so the
+reports build no spec for them; only the two-measurement column holds
+specs.  Every basis row is one of the group's 2^N members and a standard
+witness shares its key with its alternative, so each report call renders
+each distinct row, digests each distinct key and formats each subsystem
+label once, in dicts (``_Memo``) that the call drops when it returns.
 """
 
 from __future__ import annotations
@@ -196,18 +198,19 @@ class CensusReport:
 
 
 def build_census_report(census: WitnessCensus) -> CensusReport:
+    direct, graph_based, two_measurement = census._lists()
     rows = []
     for omega in census.subsystems():
-        def count(bucket):
-            return None if bucket is None else len(bucket.get(omega, ()))
+        def count(lists):
+            return None if lists is None else len(lists.get(omega, ()))
 
         rows.append(
             CensusRow(
                 omega,
                 _class_label(omega, census.group_key),
-                count(census.direct),
-                count(census.graph_based),
-                count(census.two_measurement),
+                count(direct),
+                count(graph_based),
+                count(two_measurement),
             )
         )
     return CensusReport(census.n_qubits, tuple(rows), census.totals())
@@ -220,25 +223,23 @@ def _method(key, direct_keys, graph_keys) -> str:
 
 
 def witness_rows(census: WitnessCensus) -> list[dict]:
-    """One row per witness: omega, kind, basis, key digest, method."""
-    graph_keys = {
-        omega: {s.identity_key for s in specs}
-        for omega, specs in (census.graph_based or {}).items()
-    }
+    """One row per witness: omega, kind, basis, key digest, method.  A
+    standard witness's basis is its key."""
+    direct, graph_based, _ = census._lists()
     n_qubits = census.n_qubits
     text = _Memo(lambda row: pauli_from_row(row, n_qubits).to_text())
+    standard = WitnessKind.STANDARD.value
     rows = []
     for omega in census.subsystems():
-        specs = (census.direct or census.graph_based or {}).get(omega, ())
-        keys = [s.identity_key for s in specs]
-        in_direct = set(keys) if census.direct else set()
-        in_graph = graph_keys.get(omega, set())
-        for spec, key in zip(specs, keys):
+        keys = (direct or graph_based or {}).get(omega, ())
+        in_direct = set(keys) if direct else set()
+        in_graph = set(graph_based.get(omega, ())) if graph_based else set()
+        for key in keys:
             rows.append(
                 {
                     "omega": list(omega),
-                    "kind": spec.kind.value,
-                    "basis": [text[r] for r in spec.rows],
+                    "kind": standard,
+                    "basis": [text[r] for r in key],
                     "key_digest": _key_digest(key),
                     "method": _method(key, in_direct, in_graph),
                 }
@@ -379,13 +380,14 @@ def build_evaluation_report(
     ``genuine_set``, the generator set of the census's state, also its
     genuine witnesses of each requested kind.
 
-    Each row is read off the kernel of its kind, ``_KERNELS``: it is the
-    row that ``evaluate`` and ``detection_confidence`` give, with no value
-    object between.  An alternative witness is its standard witness's rows
-    and key, so each standard spec is evaluated as both kinds.  Raises
-    ValueError when a measurement dataset is on a different number of
-    qubits than the census, or when ``sigma_threshold`` is negative or not
-    finite.
+    Each row is read off the kernel of its kind, ``_KERNELS``: it is the row
+    that ``evaluate`` and ``detection_confidence`` give, with no value
+    object between.  The census's standard witnesses are read as their keys,
+    each its witness's rows and identity key, with no spec.  An alternative
+    witness is its standard witness's rows and key, so each standard key is
+    evaluated as both kinds.  Raises ValueError when a measurement dataset
+    is on a different number of qubits than the census, or when
+    ``sigma_threshold`` is negative or not finite.
     """
     if not 0.0 <= sigma_threshold < math.inf:
         raise ValueError(
@@ -395,7 +397,8 @@ def build_evaluation_report(
         raise ValueError(
             f"dataset is on {data.n_qubits} qubits, the code on {census.n_qubits}"
         )
-    source = census.direct if census.direct is not None else census.graph_based
+    direct, graph_based, _ = census._lists()
+    source = direct if direct is not None else graph_based
     if source is None:
         raise ValueError("census has no standard witnesses to evaluate")
     kinds = tuple(kinds)
@@ -404,33 +407,37 @@ def build_evaluation_report(
         k for k in (WitnessKind.STANDARD, WitnessKind.ALTERNATIVE) if k in kinds
     ]
     digest = _Memo(_key_digest)
-    rows: list[EvalRow] = []
+    out: list[EvalRow] = []
 
-    def add(spec: WitnessSpec, kinds: list[WitnessKind]) -> None:
+    def add(omega, n_qubits, rows, key, kinds: list[WitnessKind]) -> None:
         for kind in kinds:
-            expectation, variance = _KERNELS[kind](spec, data)
+            expectation, variance = _KERNELS[kind](data, n_qubits, rows, key)
             stddev = math.sqrt(variance)
-            rows.append(
+            out.append(
                 EvalRow(
-                    spec.omega,
+                    omega,
                     kind,
                     expectation,
                     stddev,
                     _detected(expectation, stddev, sigma_threshold),
                     _confidence(expectation, variance),
-                    digest[spec.identity_key],
+                    digest[key],
                 )
             )
 
+    def add_spec(spec: WitnessSpec, kinds: list[WitnessKind]) -> None:
+        add(spec.omega, spec.n_qubits, spec.rows, spec.identity_key, kinds)
+
+    n_qubits = census.n_qubits
     for omega in census.subsystems():
-        for spec in source.get(omega, ()):
-            add(spec, standard)
+        for key in source.get(omega, ()):
+            add(omega, n_qubits, key, key, standard)
         for spec in (census.two_measurement or {}).get(omega, ()):
-            add(spec, two_measurement)
+            add_spec(spec, two_measurement)
     if genuine_set is not None:
         genuine = WitnessSpec.standard_genuine(genuine_set)
-        add(genuine, standard)
+        add_spec(genuine, standard)
         split = two_measurement_from_standard(genuine) if two_measurement else None
         if split is not None:
-            add(split, two_measurement)
-    return EvaluationReport(census.n_qubits, tuple(_sorted_rows(rows)))
+            add_spec(split, two_measurement)
+    return EvaluationReport(census.n_qubits, tuple(_sorted_rows(out)))

@@ -44,8 +44,11 @@ a letter kernel K_c: the members whose letter on each qubit mu outside
 omega is I or c_mu, of dimension |omega|.  A direct witness is
 graph-based exactly when it is such a kernel, and that holds exactly when
 no product of the single-qubit letters it carries outside omega, other
-than I, is a member (``_graph_reachable``): one rank of the group's basis
-stacked with those letters.
+than I, is a member (``_graph_reachable``).  Such a product is I on
+omega, so only the members idle on omega, I there, are tested: a witness
+is dropped when one of them other than I carries, on each qubit outside
+omega, I or the witness's letter.  Where I is the only idle member, every
+direct witness is graph-based.
 
 The direct enumerators walk the subgroups depth first, one reduced
 row-echelon basis row at a time, in exponent coordinates over the group's
@@ -76,6 +79,16 @@ cleared the pivots of the X-only rows from it, so its X part is in their
 span only if it is 0.  Key rows are group members, so a census collects
 the X-only and Z-only members once and splits only the witnesses whose
 key rows all lie among them, one set test per witness.
+
+A census holds keys, not specs.  Each subsystem's standard witnesses are
+their sorted keys, each key the witness's rows and its identity key at
+once, and the graph-based keys are the subset the filter keeps.  The
+census reports count, list and evaluate the keys.  ``direct_census``,
+``enumerate_graph_based`` and the ``WitnessCensus`` columns hand them out
+as read-only mappings of subsystem to spec list (``_StandardWitnesses``),
+which build a subsystem's specs, with the checked constructor, on its
+first access and keep them; a graph-based list is made of the direct
+list's own spec objects.
 """
 
 from __future__ import annotations
@@ -86,7 +99,7 @@ import itertools
 from dataclasses import InitVar, dataclass, field
 from functools import reduce
 from operator import itemgetter, or_
-from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .binary import (
     BitMatrix,
@@ -171,8 +184,8 @@ class WitnessSpec:
     two-measurement witnesses by the (X-span, Z-span) pair.  That
     ``identity_key`` is reduced once, at construction, unless the caller
     passes it in as ``key``.  Every census witness's rows are already its
-    key; the census builds those specs without this constructor
-    (``_standard_specs``), and each shares its rows tuple as its key.
+    key; the census views (``_StandardWitnesses``) pass them in as ``key``,
+    so each of their specs shares its rows tuple as its key.
     """
 
     kind: WitnessKind
@@ -402,30 +415,55 @@ def _check_subsystems(
     return checked
 
 
-def _standard_specs(
-    omega: tuple[int, ...], keys: Iterable[tuple[int, ...]], n_qubits: int
-) -> list[WitnessSpec]:
-    """Standard witnesses for omega from subgroup keys, sorted by key.
-    Each key tuple is the witness's rows and its identity key at once.
+class _StandardWitnesses(collections.abc.Mapping):
+    """A read-only mapping of subsystem to its standard local witnesses,
+    held as keys.
 
-    A key comes from the search or from ``rows_rref`` of |omega|
-    independent rows, so it already passes the checks of ``WitnessSpec``.
-    Each spec is filled in field by field, in the order its ``__init__``
-    sets them, which keeps the instance dict's keys shared with the class."""
-    new, put = object.__new__, object.__setattr__
-    kind = WitnessKind.STANDARD
-    specs = []
-    for key in sorted(keys):
-        spec = new(WitnessSpec)
-        put(spec, "kind", kind)
-        put(spec, "omega", omega)
-        put(spec, "n_qubits", n_qubits)
-        put(spec, "rows", key)
-        put(spec, "x_rows", None)
-        put(spec, "z_rows", None)
-        put(spec, "identity_key", key)
-        specs.append(spec)
-    return specs
+    ``witness_keys`` maps each subsystem to its witnesses' ``rows_rref``
+    keys in ascending order; each key is the witness's rows and its
+    identity key at once.  ``view[omega]`` builds omega's specs on its
+    first access, with the checked constructor, and keeps them.  A view
+    with a ``parent`` holds a subset of the parent's keys for each
+    subsystem and hands out the parent's own spec objects for them.
+    Membership, length and iteration read the keys and build no spec.
+    """
+
+    def __init__(
+        self,
+        witness_keys: dict[tuple[int, ...], list[tuple[int, ...]]],
+        n_qubits: int,
+        parent: Optional["_StandardWitnesses"] = None,
+    ) -> None:
+        self.witness_keys = witness_keys
+        self.n_qubits = n_qubits
+        self._parent = parent
+        self._specs: dict[tuple[int, ...], list[WitnessSpec]] = {}
+
+    def __getitem__(self, omega: tuple[int, ...]) -> list[WitnessSpec]:
+        specs = self._specs.get(omega)
+        if specs is None:
+            keys = self.witness_keys[omega]
+            if self._parent is None:
+                kind = WitnessKind.STANDARD
+                specs = [
+                    WitnessSpec(kind, omega, self.n_qubits, key, key=key)
+                    for key in keys
+                ]
+            else:
+                parent = self._parent
+                by_key = dict(zip(parent.witness_keys[omega], parent[omega]))
+                specs = [by_key[key] for key in keys]
+            self._specs[omega] = specs
+        return specs
+
+    def __contains__(self, omega) -> bool:
+        return omega in self.witness_keys
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self.witness_keys)
+
+    def __len__(self) -> int:
+        return len(self.witness_keys)
 
 
 def _subgroup_search(
@@ -544,9 +582,9 @@ def _direct_keys(
 
 def _direct_lists(
     group: StabilizerGroup, wanted: Sequence[tuple[int, ...]]
-) -> dict[tuple[int, ...], list[WitnessSpec]]:
+) -> _StandardWitnesses:
     """Standard local witnesses for each sorted subsystem in ``wanted``, by
-    the direct method, keyed in ``wanted`` order.
+    the direct method, keyed in ``wanted`` order, as sorted keys.
 
     One depth-first search over the subgroups of the whole group per
     distinct size k in ``wanted`` (``_direct_keys``), pruned to the active
@@ -568,10 +606,10 @@ def _direct_lists(
             allowed |= {sub & ~(1 << q) for sub in allowed}
         for active, key in _direct_keys(span, rank, group.n_qubits, allowed):
             keys[active].append(key)
-    return {
-        omega: _standard_specs(omega, keys[_qubit_mask(omega)], group.n_qubits)
-        for omega in wanted
-    }
+    return _StandardWitnesses(
+        {omega: sorted(keys[_qubit_mask(omega)]) for omega in wanted},
+        group.n_qubits,
+    )
 
 
 def enumerate_direct(
@@ -598,7 +636,7 @@ def all_subsystems(n_qubits: int) -> list[tuple[int, ...]]:
     return out
 
 
-def direct_census(group: StabilizerGroup) -> dict[tuple[int, ...], list[WitnessSpec]]:
+def direct_census(group: StabilizerGroup) -> _StandardWitnesses:
     """Standard local witnesses for every subsystem, by the direct method:
     ``_direct_lists`` of every subsystem, one search per rank k = 2..N-1,
     pruned once a partial basis has more than k active qubits."""
@@ -656,9 +694,7 @@ def _pulled_rows(
     ]
 
 
-def enumerate_graph_based(
-    s: GeneratorSet,
-) -> dict[tuple[int, ...], list[WitnessSpec]]:
+def enumerate_graph_based(s: GeneratorSet) -> _StandardWitnesses:
     """Standard local witnesses reachable through locally equivalent graphs,
     for every subsystem, keyed in order of size, then labels.
 
@@ -732,7 +768,7 @@ def enumerate_graph_based(
     z_frame = itemgetter(1)
     others = [sym for sym in symmetries if not sym.is_identity()]
     full = (1 << n_qubits) - 1
-    out: dict[tuple[int, ...], list[WitnessSpec]] = {}
+    out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     # the one-qubit parents of the subsystems of size 2 keep the whole orbit
     size, parents, level = 1, {}, {(q,): frames for q in range(1, n_qubits)}
     for omega in all_subsystems(n_qubits):
@@ -769,30 +805,34 @@ def enumerate_graph_based(
                 image = _map_row(sym, frame)
                 if image not in keys:
                     keys[image] = tuple(rows_rref([_map_row(sym, r) for r in key]))
-        out[omega] = _standard_specs(omega, keys.values(), n_qubits)
-    return out
+        out[omega] = sorted(keys.values())
+    return _StandardWitnesses(out, n_qubits)
 
 
 def _graph_reachable(
-    specs: Sequence[WitnessSpec],
+    keys: Sequence[tuple[int, ...]],
     omega: tuple[int, ...],
-    key: Sequence[int],
-    n_qubits: int,
-) -> list[WitnessSpec]:
-    """The direct witnesses for omega that ``enumerate_graph_based`` finds,
-    in their order, as the same spec objects.  ``key`` is the group's
-    reduced row-echelon basis.
+    group: StabilizerGroup,
+) -> list[tuple[int, ...]]:
+    """The keys of the direct witnesses for omega that
+    ``enumerate_graph_based`` finds, in their order, out of ``keys``, the
+    keys of omega's direct witnesses.
 
     For c, one letter in {X, Y, Z} on each qubit mu of the set O outside
     omega, K_c is the subgroup of members whose letter on each mu in O is I
     or c_mu.  A direct witness K for omega, k = |omega|, carries by (iii)
-    at most one letter L_mu besides I on each qubit mu of O.  K is
-    graph-based exactly when some c that agrees with those letters has
-    dim K_c = k, and this holds exactly when no product of the carried
-    single-qubit letters L_mu other than I is a member.  The carried
-    letters sit on distinct qubits, so that is one rank: the group's basis
-    and the carried letters stacked have full rank.  The verdict depends
-    only on K's letters outside omega, so it is kept per letter pattern.
+    at most one letter L_mu besides I on each qubit mu of O, and the OR of
+    its rows there holds exactly those letters.  K is graph-based exactly
+    when some c that agrees with those letters has dim K_c = k, and this
+    holds exactly when no product of the carried single-qubit letters L_mu
+    other than I is a member.  Such a product is I on omega, so it is one
+    of the members idle on omega, I on every qubit of omega.  An idle
+    member m other than I is a product of carried letters exactly when its
+    letter on each qubit of O is I or L_mu: when the carried letters, on
+    the qubits where m is not I, are m.  So only the idle members are
+    tested, and where I is the only one, every key passes.  The verdict
+    depends only on K's letters outside omega, so it is kept per letter
+    pattern.
 
     The four direct conditions hold for a subgroup or for none of its
     bases: each qubit's letter anticommutation is bilinear, so the pair
@@ -854,23 +894,30 @@ def _graph_reachable(
     only I and Z letters, which is I, since a product of graph generators
     over A has X part A.  So C_c = {I} and dim K_c = k.
     """
-    outside = [
-        (1 << mu) | (1 << (n_qubits + mu))
-        for mu in range(n_qubits)
-        if mu + 1 not in omega
-    ]
-    outside_rows = reduce(or_, outside)
+    n_qubits = group.n_qubits
+    full = (1 << n_qubits) - 1
+    mask = _qubit_mask(omega)
+    omega_rows = (mask << n_qubits) | mask
+    # each idle member other than I, with its qubits spread over both blocks
+    idle = []
+    for m in group.rows:
+        if m and not m & omega_rows:
+            qubits = (m | m >> n_qubits) & full
+            idle.append((m, (qubits << n_qubits) | qubits))
+    if not idle:
+        return list(keys)
+    outside_rows = ((full << n_qubits) | full) ^ omega_rows
     verdicts: dict[int, bool] = {}
     kept = []
-    for spec in specs:
-        letters = reduce(or_, spec.rows) & outside_rows
+    for key in keys:
+        letters = reduce(or_, key) & outside_rows
         passes = verdicts.get(letters)
         if passes is None:
-            carried = [letters & q for q in outside if letters & q]
-            rank = rows_rank([*key, *carried])
-            passes = verdicts[letters] = rank == len(key) + len(carried)
+            passes = verdicts[letters] = not any(
+                letters & spread == m for m, spread in idle
+            )
         if passes:
-            kept.append(spec)
+            kept.append(key)
     return kept
 
 
@@ -927,10 +974,14 @@ def enumerate_two_measurement(
     group: StabilizerGroup, omega: Sequence[int]
 ) -> list[WitnessSpec]:
     """All two-measurement local witnesses for one subsystem, deduplicated
-    by the (X-span, Z-span) pair: the direct witnesses of ``enumerate_direct``
-    through ``_two_measurement_variants``, the path ``run_census`` takes."""
+    by the (X-span, Z-span) pair: the direct witness keys of
+    ``enumerate_direct``'s search through ``_two_measurement_variants``,
+    the path ``run_census`` takes.  Raises MalformedSubsetError as
+    ``enumerate_direct`` does."""
+    omega = _check_subsystem(omega, group.n_qubits)
+    keys = _direct_lists(group, [omega]).witness_keys[omega]
     return _two_measurement_variants(
-        enumerate_direct(group, omega), _pure_members(group)
+        omega, keys, _pure_members(group), group.n_qubits
     )
 
 
@@ -941,23 +992,28 @@ def _pure_members(group: StabilizerGroup) -> frozenset[int]:
 
 
 def _two_measurement_variants(
-    specs: Iterable[WitnessSpec], pure: AbstractSet[int]
+    omega: tuple[int, ...],
+    keys: Iterable[tuple[int, ...]],
+    pure: AbstractSet[int],
+    n_qubits: int,
 ) -> list[WitnessSpec]:
-    """Two-measurement variants of the group's direct witnesses ``specs``,
-    sorted by their (X part, Z part) split.  The two parts together are a
-    witness's key, so distinct witnesses give distinct variants.
+    """Two-measurement variants of the group's direct witnesses for omega,
+    given by their ``keys``, sorted by their (X part, Z part) split.  The
+    two parts together are a witness's key, so distinct witnesses give
+    distinct variants.
 
     ``pure`` is ``_pure_members`` of the group.  Each row of a witness's
-    ``identity_key`` is a product of members, so a member, and
-    ``_xz_split`` returns None exactly when a row has both an X and a Z
-    part: the key splits exactly when ``pure`` holds all its rows.  So one
-    set test per witness picks the ones to split, and each
+    key is a product of members, so a member, and ``_xz_split`` returns
+    None exactly when a row has both an X and a Z part: the key splits
+    exactly when ``pure`` holds all its rows.  So one set test per witness
+    picks the ones to split; only those get a standard spec, and each
     ``two_measurement_from_standard`` call returns a variant.
     """
+    kind = WitnessKind.STANDARD
     variants = [
-        two_measurement_from_standard(spec)
-        for spec in specs
-        if pure.issuperset(spec.identity_key)
+        two_measurement_from_standard(WitnessSpec(kind, omega, n_qubits, key, key=key))
+        for key in keys
+        if pure.issuperset(key)
     ]
     variants.sort(key=lambda w: w.identity_key)
     return variants
@@ -1023,32 +1079,39 @@ def classify_subsystem(omega: Sequence[int]) -> SubsystemClass:
 class WitnessCensus:
     """Per-subsystem witness lists for the selected construction methods.
 
-    ``group_key`` is ``StabilizerGroup.key``, the ``groups.basis_key`` of
-    the state's generators: it names the state's group whichever
-    generators were given, and the reports use it to tell the color code
-    from other states.
+    ``direct`` and ``graph_based`` are read-only mappings of subsystem to
+    spec list that hold keys and build each subsystem's specs on its first
+    access (``_StandardWitnesses``); ``two_measurement`` is a dict of spec
+    lists.  ``group_key`` is ``StabilizerGroup.key``, the
+    ``groups.basis_key`` of the state's generators: it names the state's
+    group whichever generators were given, and the reports use it to tell
+    the color code from other states.
     """
 
     n_qubits: int
     omegas: tuple[tuple[int, ...], ...]
-    direct: Optional[dict[tuple[int, ...], list[WitnessSpec]]]
-    graph_based: Optional[dict[tuple[int, ...], list[WitnessSpec]]]
+    direct: Optional[_StandardWitnesses]
+    graph_based: Optional[_StandardWitnesses]
     two_measurement: Optional[dict[tuple[int, ...], list[WitnessSpec]]]
     group_key: tuple[int, ...] = ()
 
     def subsystems(self) -> list[tuple[int, ...]]:
         return list(self.omegas)
 
-    def totals(self) -> dict[str, Optional[int]]:
-        def total(bucket):
-            if bucket is None:
-                return None
-            return sum(len(v) for v in bucket.values())
+    def _lists(self) -> tuple[Optional[Mapping[tuple[int, ...], list]], ...]:
+        """The direct, graph-based and two-measurement columns' per-subsystem
+        lists, None for a method not run: the witness keys of the standard
+        columns, the specs of the two-measurement column."""
+        def keys(view):
+            return None if view is None else view.witness_keys
 
+        return keys(self.direct), keys(self.graph_based), self.two_measurement
+
+    def totals(self) -> dict[str, Optional[int]]:
+        names = ("direct", "graph_based", "two_measurement")
         return {
-            "direct": total(self.direct),
-            "graph_based": total(self.graph_based),
-            "two_measurement": total(self.two_measurement),
+            name: None if lists is None else sum(map(len, lists.values()))
+            for name, lists in zip(names, self._lists())
         }
 
 
@@ -1062,7 +1125,7 @@ def run_census(
     ``methods`` may contain "direct", "graph", and "twomeas"; the
     two-measurement census is derived from the direct one: the group's
     X-only and Z-only members are collected once, and only the direct
-    witnesses whose key rows are all among them are split
+    witness keys whose rows are all among them are split
     (``_two_measurement_variants``).  ``omegas``
     restricts the subsystems (default: all of size 2..N-1) and raises
     MalformedSubsetError for one that is not 2..N-1 distinct labels in
@@ -1074,11 +1137,15 @@ def run_census(
     The graph method alone without ``omegas`` walks the
     local-complementation orbit (``enumerate_graph_based``).  Every other
     census runs the direct search, and reads the graph-based witnesses off
-    it when "graph" is asked for: each subsystem's direct list is filtered
-    to the witnesses none of whose products of single-qubit letters outside
-    the subsystem, other than I, is a member, one rank per distinct letter
-    pattern (``_graph_reachable``), the same spec objects in the same
-    order.  The direct lists are then dropped unless "direct" is asked for.
+    it when "graph" is asked for: each subsystem's direct keys are filtered
+    to those none of whose products of single-qubit letters outside the
+    subsystem, other than I, is a member, tested against the members that
+    are I on the subsystem, once per distinct letter pattern
+    (``_graph_reachable``).  The census keeps keys: its ``direct`` and
+    ``graph_based`` columns build their specs on first access, and with
+    "direct" asked for, the graph-based lists are made of the direct
+    lists' own spec objects, in the same order.  The direct lists are
+    dropped unless "direct" is asked for.
 
     ``methods`` given as one string, or ``omegas`` given as one flat
     subsystem such as (1, 2) rather than [(1, 2)], raise ValueError and
@@ -1103,22 +1170,24 @@ def run_census(
     if methods == {"graph"} and omegas is None:
         graph_based = enumerate_graph_based(s)
     elif methods:
-        direct = (
+        searched = (
             direct_census(group) if omegas is None else _direct_lists(group, wanted)
         )
+        keys = searched.witness_keys
         if "twomeas" in methods:
             pure = _pure_members(group)
             twomeas = {
-                omega: _two_measurement_variants(direct[omega], pure)
+                omega: _two_measurement_variants(omega, keys[omega], pure, s.n_qubits)
                 for omega in wanted
             }
+        if "direct" in methods:
+            direct = searched
         if "graph" in methods:
-            graph_based = {
-                omega: _graph_reachable(direct[omega], omega, group.key, s.n_qubits)
-                for omega in wanted
-            }
-        if "direct" not in methods:
-            direct = None
+            graph_based = _StandardWitnesses(
+                {omega: _graph_reachable(keys[omega], omega, group) for omega in wanted},
+                s.n_qubits,
+                direct,
+            )
 
     return WitnessCensus(
         s.n_qubits, tuple(wanted), direct, graph_based, twomeas, group.key

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -9,6 +10,7 @@ from stabwitness import cli
 from stabwitness.cli import main
 from stabwitness.graphs import MAX_GRAPH_VERTICES
 from stabwitness.groups import MAX_SPAN_QUBITS, build_color_code, code_to_json, span_group
+from stabwitness.witnesses import WitnessKind, WitnessSpec
 
 from conftest import random_stabilizer_set
 from test_witnesses import ring_group
@@ -486,8 +488,8 @@ def shot_data_text() -> str:
 class TestOutputBytes:
     """The sha256 of whole CLI outputs on color_code_7, recorded before the
     direct census became a pruned search (the per-subsystem cases before
-    that search was pruned outside the subsystem): a change of speed must
-    not change a byte."""
+    that search was pruned outside the subsystem, or before the census
+    held keys): a change of speed must not change a byte."""
 
     ENUMERATE_STDOUT = "9202d4e49907a983895b56a6aac55e0b463c70a7c0161a83f95cb4d180803032"
 
@@ -582,3 +584,86 @@ class TestOutputBytes:
         assert sha256(out) == (
             "f95212004ed8ef328d5ffedbb0719b61f132b7a9bf44cfd1a6c4a8dde2d9928f"
         )
+
+    def test_enumerate_per_subsystem_default_methods(self, capsys, tmp_path):
+        # all three columns per subsystem, recorded before the census held
+        # keys and the graph column was filtered by the idle members
+        listing = tmp_path / "x.csv"
+        code, out, _ = run_cli(
+            capsys,
+            "enumerate", "color_code_7",
+            "--omega", "5,6", "--omega", "1,2,5", "--omega", "1,2,3,4",
+            "--witnesses-out", str(listing),
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "total,,142,103,17"
+        assert sha256(out) == (
+            "de69649849574d708eacb3f8033755c6eb29ca6badab440c24aa7664ffab7ec4"
+        )
+        assert sha256(listing.read_text()) == (
+            "506572443c8d3513523356b18c8c2e31a8cd70c1f0d661605e160e1e295b1859"
+        )
+
+    def test_eval_shot_data_per_subsystem(self, capsys):
+        # recorded before the evaluation report read the census's keys
+        code, out, _ = run_cli(
+            capsys,
+            "eval", "color_code_7", "--data", str(SHOT_DATA),
+            "--omega", "5,6", "--omega", "1,2,3,4",
+        )
+        assert code == 0
+        assert sha256(out) == (
+            "1d5b0766dac10d551be5e61e0985411ff2bb31932d4176068738f80573aaac11"
+        )
+
+
+def live_specs() -> int:
+    """The ``WitnessSpec`` instances alive, found by a scan of the heap, so
+    a spec made without the constructor counts too."""
+    return sum(type(o) is WitnessSpec for o in gc.get_objects())
+
+
+class TestCensusSpecs:
+    """The CLI reads a census's standard witnesses as keys.  A command
+    builds only the two-measurement variants (476 on color_code_7), the
+    standard specs they are split from, and the genuine specs; building
+    every census witness as a spec took 3,927 or more per command."""
+
+    @pytest.mark.parametrize(
+        "command,built",
+        [(("enumerate", "color_code_7"), 2 * 476), (("eval", "color_code_7"), 2 * 476 + 2)],
+        ids=["enumerate", "eval"],
+    )
+    def test_specs_built_per_command(
+        self, capsys, tmp_path, monkeypatch, command, built
+    ):
+        if command[0] == "enumerate":
+            command += ("--witnesses-out", str(tmp_path / "x.csv"))
+        else:
+            command += ("--data", str(SHOT_DATA))
+        constructed = []
+        post_init = WitnessSpec.__post_init__
+
+        def counted(spec, key):
+            constructed.append(spec.kind)
+            post_init(spec, key)
+
+        monkeypatch.setattr(WitnessSpec, "__post_init__", counted)
+        # the specs alive just after each report is built, while the
+        # command still holds its census
+        alive = []
+        for name in ("build_census_report", "witness_rows", "build_evaluation_report"):
+            report = getattr(cli, name)
+
+            def counted_report(*args, report=report, **kwargs):
+                result = report(*args, **kwargs)
+                alive.append(live_specs() - before)
+                return result
+
+            monkeypatch.setattr(cli, name, counted_report)
+        before = live_specs()
+        code, _, _ = run_cli(capsys, *command)
+        assert code == 0
+        assert alive and max(alive) == 476
+        assert len(constructed) == built
+        assert constructed.count(WitnessKind.TWO_MEASUREMENT) == built // 2

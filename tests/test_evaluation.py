@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_stabilizer_set
+from test_witnesses import random_rref_bases
 from stabwitness import evaluation
 from stabwitness.binary import parse_pauli
 from stabwitness.evaluation import (
@@ -25,7 +26,7 @@ from stabwitness.evaluation import (
     evaluate,
     fidelity,
 )
-from stabwitness.groups import GeneratorSet, span_group, span_paulis
+from stabwitness.groups import GeneratorSet, _span_rows, span_group, span_paulis
 from stabwitness.witnesses import (
     WitnessKind,
     WitnessSpec,
@@ -500,6 +501,23 @@ class TestStandard:
         again = eval_standard(other, data)
         assert again.expectation == base.expectation
         assert again.variance == base.variance
+
+    def test_each_kind_reads_any_spec(self, color_group_module):
+        # eval_standard sums the span of any spec's rows, and
+        # eval_two_measurement any spec's X and Z parts, whatever its kind
+        data = shot_noise_dataset(color_group_module, 5)
+        splits = enumerate_two_measurement(color_group_module, (1, 2, 3, 4))
+        for split in splits:
+            standard = WitnessSpec(
+                WitnessKind.STANDARD, split.omega, 7, split.rows[::-1],
+                split.x_rows, split.z_rows,
+            )
+            assert eval_standard(split, data) == eval_standard(standard, data)
+            assert eval_two_measurement(standard, data) == eval_two_measurement(
+                split, data
+            )
+        with pytest.raises(ValueError, match="carries no X/Z split"):
+            eval_two_measurement(enumerate_direct(color_group_module, (5, 6))[0], data)
 
     def test_empty_basis_rejected(self):
         # an empty span would otherwise evaluate to a detection at -1/2
@@ -1002,6 +1020,42 @@ class TestPackedMatchesNaive:
             ) as err:
                 evaluate(w, data)
             assert not isinstance(err.value, IncompleteDataError)
+
+
+class TestAscendingSpan:
+    """A ``rows_rref`` key spanned from its lowest row up is already in
+    ascending packed-row order, so ``_projector`` sums a key's members in
+    the order a sort would give, with no sort."""
+
+    def test_census_and_group_keys(self, color_code):
+        # the direct keys and two-measurement parts of color_code_7 and of
+        # graphs 0-3 of the 8-qubit recipe, and their groups' keys
+        states = [color_code] + [
+            random_stabilizer_set(random.Random(g), 8) for g in range(4)
+        ]
+        census_keys = 0
+        for s in states:
+            census = run_census(s, ("direct", "twomeas"))
+            keys = [span_group(s).key]
+            for witness_keys in census.direct.witness_keys.values():
+                keys += witness_keys
+            for specs in census.two_measurement.values():
+                for spec in specs:
+                    keys += spec.identity_key
+            census_keys += len(keys) - 1
+            for key in keys:
+                span = evaluation._ascending_span(key)
+                assert span == sorted(span), key
+                assert len(set(span)) == 1 << len(key)
+        assert census_keys == 78380
+
+    @pytest.mark.parametrize("n_qubits", [1, 3, 7])
+    def test_random_keys(self, n_qubits):
+        # keys of random rows, commuting or not, of every rank
+        for key in random_rref_bases(random.Random(40 + n_qubits), n_qubits, 300):
+            span = evaluation._ascending_span(key)
+            assert span == sorted(span)
+            assert sorted(_span_rows(key)) == span
 
 
 # ---------------------------------------------------------------------------

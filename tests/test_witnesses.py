@@ -384,6 +384,13 @@ def mask_to_omega(mask):
     return tuple(q + 1 for q in range(mask.bit_length()) if (mask >> q) & 1)
 
 
+def standard_specs(omega, keys, n_qubits) -> list:
+    """Standard witnesses for omega from subgroup keys, sorted by key, each
+    built with the checked constructor, which reduces its own key."""
+    kind = witnesses.WitnessKind.STANDARD
+    return [WitnessSpec(kind, omega, n_qubits, key) for key in sorted(keys)]
+
+
 def naive_direct_census(group) -> dict:
     """The direct census by a scan of every subgroup of rank 2..N-1, with
     no pruning: the oracle of the pruned search."""
@@ -395,7 +402,7 @@ def naive_direct_census(group) -> dict:
         for active, key in _direct_subgroups(element_rows, units, rank, n_qubits):
             keys[mask_to_omega(active)].append(key)
     return {
-        omega: witnesses._standard_specs(omega, found, n_qubits)
+        omega: standard_specs(omega, found, n_qubits)
         for omega, found in keys.items()
     }
 
@@ -469,7 +476,7 @@ def naive_enumerate_direct(group, omega) -> list:
     for kernel in _letter_kernels(generator_rows, mask, n_qubits):
         for _, key in _direct_subgroups(element_rows, kernel, len(omega), n_qubits):
             keys.add(key)
-    return witnesses._standard_specs(omega, keys, n_qubits)
+    return standard_specs(omega, keys, n_qubits)
 
 
 def ring_group(n_qubits):
@@ -561,7 +568,7 @@ class TestPrunedSearch:
             ):
                 keys[mask_to_omega(active)].append(key)
             expected = {
-                omega: witnesses._standard_specs(omega, found, 8)
+                omega: standard_specs(omega, found, 8)
                 for omega, found in keys.items()
             }
             assert {omega: census[omega] for omega in keys} == expected, rank
@@ -722,7 +729,7 @@ def naive_per_subsystem_direct(group, omegas) -> dict:
             and next(witnesses._failed_conditions(rows, mask, n_qubits), None)
             is None
         ]
-        out[omega] = witnesses._standard_specs(omega, keys, n_qubits)
+        out[omega] = standard_specs(omega, keys, n_qubits)
     return out
 
 
@@ -1028,7 +1035,8 @@ class TestGraphBased:
         for q in (5, 6, 7):
             assert {p.letter_at(q) for p in FIG6_SUBSET.stabilizers} == {"I", "X"}
         assert parse_pauli("IIIIXXX") in color_group.elements
-        assert witnesses._graph_reachable([spec], (2, 3, 4), color_group.key, 7) == []
+        key = spec.identity_key
+        assert witnesses._graph_reachable([key], (2, 3, 4), color_group) == []
 
     def test_subset_of_direct_everywhere(self, full_census):
         for omega in full_census.subsystems():
@@ -1280,7 +1288,7 @@ def naive_orbit_projection_graph_based(s: GeneratorSet) -> dict:
                 image = _map_row(sym, masked)
                 if image not in keys:
                     keys[image] = tuple(rows_rref([_map_row(sym, r) for r in key]))
-        out[omega] = witnesses._standard_specs(omega, set(keys.values()), n_qubits)
+        out[omega] = standard_specs(omega, set(keys.values()), n_qubits)
     return out
 
 
@@ -1513,10 +1521,10 @@ def naive_extends_to_kernel(letters, outside) -> bool:
     )
 
 
-def naive_graph_reachable(specs, omega, key, n_qubits) -> list:
-    """The specs for omega whose letters outside omega complete to a letter
-    kernel of dimension |omega|, by ``naive_extends_to_kernel`` once per
-    letter pattern."""
+def naive_graph_reachable(keys, omega, key, n_qubits) -> list:
+    """The direct keys for omega whose letters outside omega complete to a
+    letter kernel of dimension |omega|, by ``naive_extends_to_kernel`` once
+    per letter pattern."""
     functionals = letter_functionals(key, n_qubits)
     outside = [
         (1 << mu, 1 << (n_qubits + mu), functionals[mu])
@@ -1526,43 +1534,94 @@ def naive_graph_reachable(specs, omega, key, n_qubits) -> list:
     outside_rows = sum(x_bit | z_bit for x_bit, z_bit, _ in outside)
     verdicts = {}
     kept = []
-    for spec in specs:
+    for witness in keys:
         letters = 0
-        for row in spec.rows:
+        for row in witness:
             letters |= row & outside_rows
         if letters not in verdicts:
             verdicts[letters] = naive_extends_to_kernel(letters, outside)
         if verdicts[letters]:
-            kept.append(spec)
+            kept.append(witness)
     return kept
 
 
-ONE_RANK_CASES = [(name, s) for name, s in FILTER_CASES if s.n_qubits <= 8]
+def naive_idle_members(group, omega) -> list:
+    """The members other than I whose text is I on every qubit of omega."""
+    return [
+        e for e in group.non_identity()
+        if all(e.to_text()[q - 1] == "I" for q in omega)
+    ]
 
 
-class TestOneRankRule:
+IDLE_CASES = [
+    (name, s) for name, s in FILTER_CASES + RECIPE8_CASES if s.n_qubits <= 8
+]
+
+
+class TestIdleKernelRule:
     """``_graph_reachable`` keeps a direct witness exactly when no product
-    of its letters outside omega, other than I, is a member: one rank of
-    the group's basis and those letters.  Its oracle tries every completion
-    of the letters to one letter per outside qubit and keeps the witness
-    when one completion gives a letter kernel of dimension |omega|."""
+    of its letters outside omega, other than I, is a member.  Such a
+    product is I on omega, so the rule tests only the members idle on
+    omega.  Its oracle tries every completion of the letters to one letter
+    per outside qubit and keeps the witness when one completion gives a
+    letter kernel of dimension |omega|."""
 
     @pytest.mark.parametrize(
-        "s", [s for _, s in ONE_RANK_CASES], ids=[i for i, _ in ONE_RANK_CASES]
+        "s", [s for _, s in IDLE_CASES], ids=[i for i, _ in IDLE_CASES]
     )
     def test_matches_all_completions(self, s):
         group = span_group(s)
-        for omega, specs in direct_census(group).items():
-            kept = witnesses._graph_reachable(specs, omega, group.key, s.n_qubits)
+        for omega, keys in direct_census(group).witness_keys.items():
+            kept = witnesses._graph_reachable(keys, omega, group)
             assert kept == naive_graph_reachable(
-                specs, omega, group.key, s.n_qubits
+                keys, omega, group.key, s.n_qubits
             ), omega
 
-    def test_one_rank_per_letter_pattern_on_the_color_code(
-        self, color_code, color_group, monkeypatch
+    @pytest.mark.parametrize(
+        "s", [s for _, s in IDLE_CASES], ids=[i for i, _ in IDLE_CASES]
+    )
+    def test_census_with_omegas_matches_all_completions(self, s):
+        n_qubits = s.n_qubits
+        group = span_group(s)
+        subsystems = all_subsystems(n_qubits)
+        omegas = random.Random(3000 + n_qubits).sample(
+            subsystems, min(10, len(subsystems))
+        )
+        census = run_census(s, ("direct", "graph"), omegas)
+        for omega in omegas:
+            keys = census.direct.witness_keys[omega]
+            assert census.graph_based.witness_keys[omega] == naive_graph_reachable(
+                keys, omega, group.key, n_qubits
+            ), omega
+
+    def test_subsystems_without_idle_members_on_the_color_code(
+        self, color_group, full_census
     ):
-        # one rank per distinct (omega, letters outside omega) among the
-        # 3,927 direct witnesses, beside the 987 of the direct search
+        # with I the only idle member, the direct list is the graph list:
+        # every 5- and 6-qubit subsystem and every non-plaquette-like
+        # 4-qubit one; each of the other 63 has 1 to 7 idle members
+        idle = {
+            omega: len(naive_idle_members(color_group, omega))
+            for omega in all_subsystems(7)
+        }
+        free = [omega for omega, count in idle.items() if not count]
+        assert len(free) == 56
+        assert free == [
+            omega for omega in all_subsystems(7)
+            if len(omega) > 4
+            or classify_subsystem(omega) is SubsystemClass.NON_PLAQUETTE_LIKE
+        ]
+        assert {count for count in idle.values() if count} == {1, 3, 7}
+        for omega in free:
+            keys = full_census.direct.witness_keys[omega]
+            assert witnesses._graph_reachable(keys, omega, color_group) == keys
+            graph, direct = full_census.graph_based[omega], full_census.direct[omega]
+            assert len(graph) == len(direct)
+            assert all(g is d for g, d in zip(graph, direct))
+
+    def test_no_rank_on_the_color_code(self, color_code, color_group, monkeypatch):
+        # the filter reads the idle members off the group's rows and takes
+        # no rank; the 987 ranks of the census are the direct search's
         census = direct_census(color_group)
         calls = []
         rank = witnesses.rows_rank
@@ -1573,18 +1632,17 @@ class TestOneRankRule:
 
         monkeypatch.setattr(witnesses, "rows_rank", counted)
         kept = {
-            omega: witnesses._graph_reachable(specs, omega, color_group.key, 7)
-            for omega, specs in census.items()
+            omega: witnesses._graph_reachable(keys, omega, color_group)
+            for omega, keys in census.witness_keys.items()
         }
         assert sum(len(v) for v in kept.values()) == 3122
-        assert len(calls) == 3451
-        calls.clear()
+        assert calls == []
         assert run_census(color_code).totals() == {
             "direct": 3927,
             "graph_based": 3122,
             "two_measurement": 476,
         }
-        assert len(calls) == 987 + 3451
+        assert len(calls) == 987
 
     def test_disjoint_pairs(self):
         s = GeneratorSet.from_texts(DEGENERATE_STATES["disjoint_pairs"])
@@ -1597,11 +1655,9 @@ class TestOneRankRule:
             (1, 2), (parse_pauli("XXXX"), parse_pauli("ZZII"))
         )
         assert parse_pauli("IIXX") in group.elements
-        direct = enumerate_direct(group, (1, 2))
-        keys = [spec.identity_key for spec in direct]
+        keys = [spec.identity_key for spec in enumerate_direct(group, (1, 2))]
         assert passing.identity_key in keys and failing.identity_key in keys
-        kept = witnesses._graph_reachable(direct, (1, 2), group.key, 4)
-        kept_keys = {spec.identity_key for spec in kept}
+        kept_keys = set(witnesses._graph_reachable(keys, (1, 2), group))
         assert passing.identity_key in kept_keys
         assert failing.identity_key not in kept_keys
         graph_keys = {
@@ -1839,7 +1895,7 @@ def naive_masked_frame_graph_based(s: GeneratorSet) -> dict:
                 image = _map_row(sym, masked)
                 if image not in keys:
                     keys[image] = tuple(rows_rref([_map_row(sym, r) for r in key]))
-        out[omega] = witnesses._standard_specs(omega, set(keys.values()), n_qubits)
+        out[omega] = standard_specs(omega, set(keys.values()), n_qubits)
     return out
 
 
@@ -2387,36 +2443,35 @@ class TestPackedSpecs:
     the derived ``basis``, ``x_basis`` and ``z_basis`` views."""
 
     @pytest.mark.parametrize("state", ["color_code_7", 0, 1, 2, 3])
-    def test_census_specs_match_operator_construction(self, state, monkeypatch):
+    def test_census_specs_match_operator_construction(self, state):
         if state == "color_code_7":
             s = build_color_code()
         else:
             s = random_stabilizer_set(random.Random(state), 8)
         n_qubits = s.n_qubits
-        calls = []
-        build = witnesses._standard_specs
-
-        def recorded(omega, keys, n):
-            keys = list(keys)
-            specs = build(omega, keys, n)
-            calls.append((naive_standard_specs(omega, keys, n), specs))
-            return specs
-
-        monkeypatch.setattr(witnesses, "_standard_specs", recorded)
         census = run_census(s)
-        built = set()
-        for naive, specs in calls:
-            assert len(specs) == len(naive)
-            for (omega, basis), spec in zip(naive, specs):
-                built.add(id(spec))
-                assert spec.omega == omega
-                assert texts(spec.basis) == texts(basis)
-                assert spec.identity_key == basis_key(spec.basis)
-                rebuilt = WitnessSpec.standard_local(omega, basis)
-                assert rebuilt == spec and hash(rebuilt) == hash(spec)
-                assert rebuilt.identity_key == spec.identity_key
+        direct_ids = set()
         for bucket in (census.direct, census.graph_based):
-            assert all(id(w) in built for specs in bucket.values() for w in specs)
+            assert list(bucket) == census.subsystems()
+            for omega, keys in bucket.witness_keys.items():
+                assert keys == sorted(keys)
+                specs = bucket[omega]
+                # built on the first access and kept
+                assert bucket[omega] is specs
+                naive = naive_standard_specs(omega, keys, n_qubits)
+                assert len(specs) == len(naive)
+                for (naive_omega, basis), spec in zip(naive, specs):
+                    assert spec.omega == naive_omega
+                    assert texts(spec.basis) == texts(basis)
+                    assert spec.identity_key == basis_key(spec.basis)
+                    rebuilt = WitnessSpec.standard_local(naive_omega, basis)
+                    assert rebuilt == spec and hash(rebuilt) == hash(spec)
+                    assert rebuilt.identity_key == spec.identity_key
+                if bucket is census.direct:
+                    direct_ids.update(map(id, specs))
+                else:
+                    # the graph view hands out the direct list's own specs
+                    assert all(id(w) in direct_ids for w in specs)
         assert sum(map(len, census.graph_based.values())) > 0
 
         for omega, specs in census.two_measurement.items():
@@ -2472,8 +2527,9 @@ class TestPackedSpecs:
 
 
 class TestUncheckedSpecs:
-    """``_standard_specs`` fills each census spec field by field; the
-    checked constructor is its oracle."""
+    """The census views build each spec with the checked constructor from
+    a key that is its rows; the constructor that reduces its own key is
+    their oracle."""
 
     @pytest.mark.parametrize("state", ["color_code_7", "ring7"])
     def test_census_specs_equal_checked_construction(self, state):

@@ -24,10 +24,10 @@ from .groups import (
     load_named_code,
 )
 from .reporting import (
+    _witness_csv,
     build_census_report,
     build_evaluation_report,
     witness_rows,
-    witness_rows_to_csv,
     witness_rows_to_json,
 )
 from .witnesses import WitnessKind, WitnessSpec, run_census
@@ -113,11 +113,11 @@ def cmd_enumerate(parser, args) -> int:
     text = report.to_csv() if args.format == "csv" else report.to_json()
     _write_out(text, args.out)
     if args.witnesses_out:
-        rows = witness_rows(census)
         if args.witnesses_out.endswith(".json"):
-            Path(args.witnesses_out).write_text(witness_rows_to_json(rows))
+            listing = witness_rows_to_json(witness_rows(census))
         else:
-            Path(args.witnesses_out).write_text(witness_rows_to_csv(rows))
+            listing = _witness_csv(census)
+        Path(args.witnesses_out).write_text(listing)
     return 0
 
 

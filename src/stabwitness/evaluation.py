@@ -20,14 +20,17 @@ the evaluation report read it, and each ``eval_*`` function wraps its own
 kernel in a ``WitnessValue``.  A kernel takes packed rows, a witness's
 basis rows and its identity key, not a spec, so the report evaluates a
 census's keys without building specs.  The kernels and ``fidelity`` read
-packed rows through one sum, ``_sums``, and every span through one
-projector sum, ``_projector``, which spans a ``rows_rref`` key, sums the
-members in ascending packed-row order, so a value does not depend on the
-basis chosen for the subgroup, and scales the sum.  Only members without
-a record are rendered as text, in the one ``IncompleteDataError`` that
-names them all.  A dataset on
-another number of qubits than the witness is refused with a ValueError
-naming both counts.
+packed rows' records through one lookup, ``_records``, and every span
+through one projector, ``_projector``, which spans a ``rows_rref`` key,
+sums the members in ascending packed-row order, so a value does not
+depend on the basis chosen for the subgroup, and scales the sum
+(``_scaled``).  A census witness's basis is its key, so the report reads
+its span once for both its standard and its alternative value
+(``_standard_and_alternative``), bit for bit the two kernels' values.
+Only members without a record are rendered as text, in the one
+``IncompleteDataError`` that names them all.  A dataset on another number
+of qubits than the witness is refused with a ValueError naming both
+counts.
 """
 
 from __future__ import annotations
@@ -370,15 +373,26 @@ def _finish(expectation: float, variance: float, sigma_threshold: float) -> Witn
     return WitnessValue(expectation, variance, detected)
 
 
-def _sums(data: DataSource, n_qubits: int, rows: Sequence[int]) -> tuple[float, float]:
-    """(expectation sum, variance sum) of packed rows, summed in the order
+def _records(data: DataSource, n_qubits: int, rows: Sequence[int]) -> list[tuple]:
+    """The (expectation, variance) records of packed rows, in the order
     given, or one IncompleteDataError naming every row without a record."""
     records = list(map(data._lookup(n_qubits), rows))
     if None in records:
         absent = data.missing([pauli_from_row(r, n_qubits) for r in rows])
         raise IncompleteDataError(absent)
+    return records
+
+
+def _summed(records: Sequence[tuple]) -> tuple[float, float]:
+    """(expectation sum, variance sum) of records, summed in their order."""
     expectations, variances = zip(*records)
     return sum(expectations), sum(variances)
+
+
+def _sums(data: DataSource, n_qubits: int, rows: Sequence[int]) -> tuple[float, float]:
+    """(expectation sum, variance sum) of packed rows, summed in the order
+    given, or one IncompleteDataError naming every row without a record."""
+    return _summed(_records(data, n_qubits, rows))
 
 
 def _ascending_span(key: Sequence[int]) -> list[int]:
@@ -396,35 +410,49 @@ def _ascending_span(key: Sequence[int]) -> list[int]:
     return _span_rows(reversed(key))
 
 
-def _projector(
-    data: DataSource, n_qubits: int, key: Sequence[int]
-) -> tuple[float, float]:
+def _scaled(records: Sequence[tuple]) -> tuple[float, float]:
     """(expectation, variance) of the projector 2^-a * sum over the 2^a
-    members of the span of ``key``, a ``rows_rref`` key, summed in
-    ascending order (``_ascending_span``): the one place a member sum is
-    scaled."""
-    members = _ascending_span(key)
-    expectation, variance = _sums(data, n_qubits, members)
-    scale = 1.0 / len(members)
+    records of a span, summed in their order: the one place a member sum
+    is scaled."""
+    expectation, variance = _summed(records)
+    scale = 1.0 / len(records)
     return scale * expectation, variance * scale * scale
 
 
+def _projector(
+    data: DataSource, n_qubits: int, key: Sequence[int]
+) -> tuple[float, float]:
+    """(expectation, variance) of the projector over the span of ``key``, a
+    ``rows_rref`` key, summed in ascending order (``_ascending_span``)."""
+    return _scaled(_records(data, n_qubits, _ascending_span(key)))
+
+
 # The kernels: one per witness kind, each (expectation, variance) as floats
-# of a witness's n_qubits, basis rows and identity key.
+# of a witness's n_qubits, basis rows and identity key.  The standard and
+# alternative values are read off their sums by ``_standard_of`` and
+# ``_alternative_of``, which ``_standard_and_alternative`` shares.
+
+
+def _standard_of(projector: tuple[float, float]) -> tuple[float, float]:
+    expectation, variance = projector
+    return 0.5 - expectation, variance
+
+
+def _alternative_of(n_rows: int, sums: tuple[float, float]) -> tuple[float, float]:
+    expectation, variance = sums
+    return (n_rows - 1) / 2.0 - 0.5 * expectation, 0.5 * variance
 
 
 def _standard(
     data: DataSource, n_qubits: int, rows: Sequence[int], key: tuple
 ) -> tuple[float, float]:
-    expectation, variance = _projector(data, n_qubits, key)
-    return 0.5 - expectation, variance
+    return _standard_of(_projector(data, n_qubits, key))
 
 
 def _alternative(
     data: DataSource, n_qubits: int, rows: Sequence[int], key: tuple
 ) -> tuple[float, float]:
-    expectation, variance = _sums(data, n_qubits, rows)
-    return (len(rows) - 1) / 2.0 - 0.5 * expectation, 0.5 * variance
+    return _alternative_of(len(rows), _sums(data, n_qubits, rows))
 
 
 def _two_measurement(
@@ -439,6 +467,21 @@ def _two_measurement(
         _sums(data, n_qubits, _span_rows(x_key) + _span_rows(z_key))
         raise
     return 1.5 - x_expectation - z_expectation, x_variance + z_variance
+
+
+def _standard_and_alternative(
+    data: DataSource, n_qubits: int, key: tuple
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The standard and alternative kernels of the witness whose basis rows
+    are its ``rows_rref`` key, as a census witness's are, from one read of
+    the span's records.  Span entry 2^b is the b-th lowest key row
+    (``_ascending_span``), so entries 2^(a-1), ..., 2^0 are the key rows in
+    key order: each value adds the same floats in the same order as its
+    kernel, and a missing record raises the standard kernel's error."""
+    records = _records(data, n_qubits, _ascending_span(key))
+    a = len(key)
+    basis = [records[1 << b] for b in range(a - 1, -1, -1)]
+    return _standard_of(_scaled(records)), _alternative_of(a, _summed(basis))
 
 
 _KERNELS = {

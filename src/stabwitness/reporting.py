@@ -11,11 +11,20 @@ witnesses from those, and build Pauli text only for the ``basis``
 columns of the witness rows.  A census's standard witnesses are read as
 their keys, each the witness's rows and identity key at once, so the
 reports build no spec for them; only the two-measurement column holds
-specs.  Every basis row is one of the group's 2^N members and a standard
-witness shares its key with its alternative, so each report call renders
-each distinct row, digests each distinct key and formats each subsystem
-label once, in dicts (``_Memo``) that the call drops when it returns.
-"""
+specs.
+
+The witness listing comes from one row generator, ``_listing``, one row
+per key: ``witness_rows`` makes a dict of each row for JSON and library
+callers, and the CLI's CSV listing, ``_witness_csv``, formats each row as
+one line, with no dict.  The evaluation report reads each standard key's
+span once for both its standard and its alternative row.  It evaluates
+the witnesses in census order, so a missing record names the first
+witness in that order that lacks one, and builds each subsystem's rows in
+report order, its keys ordered by digest once, so no row is sorted.  Its
+rows are named tuples, ``EvalRow``.  Every basis row is one of the group's
+2^N members, so each report call renders each distinct row and formats
+each subsystem label once, in dicts (``_Memo``) that the call drops when
+it returns."""
 
 from __future__ import annotations
 
@@ -25,7 +34,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .binary import pauli_from_row
 from .evaluation import (
@@ -34,6 +43,7 @@ from .evaluation import (
     _KERNELS,
     _confidence,
     _detected,
+    _standard_and_alternative,
 )
 from .witnesses import (
     SubsystemClass,
@@ -216,50 +226,73 @@ def build_census_report(census: WitnessCensus) -> CensusReport:
     return CensusReport(census.n_qubits, tuple(rows), census.totals())
 
 
-def _method(key, direct_keys, graph_keys) -> str:
-    if key in graph_keys:
-        return "both" if key in direct_keys else "graph-based"
-    return "direct"
+def _listing(census: WitnessCensus):
+    """The listing's rows in order, one per witness, as (omega, kind, basis
+    rows, X rows, Z rows, key digest, method); the X and Z rows are None
+    for a standard witness, whose basis is its key.
+
+    Every standard key of a subsystem is in its direct list when the direct
+    method ran, and so is each two-measurement witness's, which its split
+    partitions, Z rows first: a key is direct exactly when ``direct`` is
+    there, and graph-based when the subsystem's graph list holds it."""
+    direct, graph_based, two_measurement = census._lists()
+    source = direct if direct is not None else graph_based or {}
+    both = "both" if direct is not None else "graph-based"
+    standard = WitnessKind.STANDARD.value
+    for omega in census.subsystems():
+        specs = (two_measurement or {}).get(omega, ())
+        # the graph list is tested only where it can tell a method apart: in
+        # a graph-only census, every standard key is on it
+        tested = graph_based is not None and (direct is not None or specs)
+        in_graph = set(graph_based.get(omega, ())) if tested else ()
+        for key in source.get(omega, ()):
+            method = both if direct is None or key in in_graph else "direct"
+            yield omega, standard, key, None, None, _key_digest(key), method
+        for spec in specs:
+            x_rows, z_rows = spec.x_rows, spec.z_rows
+            method = both if z_rows + x_rows in in_graph else "direct"
+            yield (
+                omega, spec.kind.value, spec.rows, x_rows, z_rows,
+                _key_digest(spec.identity_key), method,
+            )
+
+
+def _row_texts(n_qubits: int) -> _Memo:
+    """Each packed row's Pauli text, rendered once per report call."""
+    return _Memo(lambda row: pauli_from_row(row, n_qubits).to_text())
 
 
 def witness_rows(census: WitnessCensus) -> list[dict]:
     """One row per witness: omega, kind, basis, key digest, method.  A
     standard witness's basis is its key."""
-    direct, graph_based, _ = census._lists()
-    n_qubits = census.n_qubits
-    text = _Memo(lambda row: pauli_from_row(row, n_qubits).to_text())
-    standard = WitnessKind.STANDARD.value
+    text = _row_texts(census.n_qubits)
     rows = []
-    for omega in census.subsystems():
-        keys = (direct or graph_based or {}).get(omega, ())
-        in_direct = set(keys) if direct else set()
-        in_graph = set(graph_based.get(omega, ())) if graph_based else set()
-        for key in keys:
-            rows.append(
-                {
-                    "omega": list(omega),
-                    "kind": standard,
-                    "basis": [text[r] for r in key],
-                    "key_digest": _key_digest(key),
-                    "method": _method(key, in_direct, in_graph),
-                }
-            )
-        if census.two_measurement is not None:
-            for spec in census.two_measurement.get(omega, ()):
-                # the split partitions the standard witness's key, Z rows first
-                span_key = spec.z_rows + spec.x_rows
-                rows.append(
-                    {
-                        "omega": list(omega),
-                        "kind": spec.kind.value,
-                        "basis": [text[r] for r in spec.rows],
-                        "x_basis": [text[r] for r in spec.x_rows],
-                        "z_basis": [text[r] for r in spec.z_rows],
-                        "key_digest": _key_digest(spec.identity_key),
-                        "method": _method(span_key, in_direct, in_graph),
-                    }
-                )
+    for omega, kind, basis, x_rows, z_rows, digest, method in _listing(census):
+        row = {"omega": list(omega), "kind": kind, "basis": [text[r] for r in basis]}
+        if x_rows is not None:
+            row["x_basis"] = [text[r] for r in x_rows]
+            row["z_basis"] = [text[r] for r in z_rows]
+        row["key_digest"] = digest
+        row["method"] = method
+        rows.append(row)
     return rows
+
+
+def _witness_csv(census: WitnessCensus) -> str:
+    """``witness_rows_to_csv(witness_rows(census))``, formatted a line per
+    witness with no row dict.  Only the subsystem label can hold a comma;
+    it is quoted by the csv module, once per subsystem.  Every other field
+    is a kind name, Pauli texts joined by spaces, a hex digest or a method
+    name, which csv writes as it is."""
+    text = _row_texts(census.n_qubits)
+    omega_field = _Memo(_csv_omega)
+    lines = ["omega,kind,basis,key_digest,method\n"]
+    lines += (
+        f"{omega_field[omega]},{kind},{' '.join(map(text.__getitem__, basis))},"
+        f"{digest},{method}\n"
+        for omega, kind, basis, _, _, digest, method in _listing(census)
+    )
+    return "".join(lines)
 
 
 def witness_rows_to_csv(rows: Sequence[dict]) -> str:
@@ -290,8 +323,10 @@ def witness_rows_to_json(rows: Sequence[dict]) -> str:
 _KIND_ORDER = {kind: i for i, kind in enumerate(WitnessKind)}
 
 
-@dataclass(frozen=True)
-class EvalRow:
+class EvalRow(NamedTuple):
+    """One evaluated witness.  A named tuple, so it compares equal to the
+    tuple of its fields."""
+
     omega: Optional[tuple[int, ...]]
     kind: WitnessKind
     expectation: float
@@ -309,7 +344,7 @@ class EvaluationReport:
     def detected_subsystems(self) -> list[tuple[int, ...]]:
         return sorted(
             {r.omega for r in self.rows if r.detected and r.omega is not None},
-            key=lambda o: (len(o), o),
+            key=_subsystem_order,
         )
 
     def best_per_omega(self) -> "EvaluationReport":
@@ -329,10 +364,10 @@ class EvaluationReport:
         kind_text = {kind: kind.value for kind in WitnessKind}
         lines = ["omega,kind,expectation,stddev,detected,confidence\n"]
         lines += (
-            f"{omega_field[row.omega]},{kind_text[row.kind]},"
-            f"{row.expectation:.12g},{row.stddev:.12g},{int(row.detected)},"
-            f"{'' if row.confidence is None else format(row.confidence, '.12g')}\n"
-            for row in self.rows
+            f"{omega_field[omega]},{kind_text[kind]},"
+            f"{expectation:.12g},{stddev:.12g},{int(detected)},"
+            f"{'' if confidence is None else format(confidence, '.12g')}\n"
+            for omega, kind, expectation, stddev, detected, confidence, _ in self.rows
         )
         return "".join(lines)
 
@@ -360,6 +395,10 @@ class EvaluationReport:
         )
 
 
+def _subsystem_order(omega: tuple[int, ...]) -> tuple:
+    return len(omega), omega
+
+
 def _sorted_rows(rows) -> list[EvalRow]:
     def sort_key(row: EvalRow):
         omega = row.omega
@@ -367,6 +406,14 @@ def _sorted_rows(rows) -> list[EvalRow]:
         return scope + (_KIND_ORDER[row.kind], row.key_digest)
 
     return sorted(rows, key=sort_key)
+
+
+def _digest_order(keys: Sequence) -> tuple[list[str], list[int]]:
+    """The digests of keys, and the indices of the keys in ascending digest
+    order with ties kept in the order given, as ``_sorted_rows`` orders the
+    rows of one subsystem and kind."""
+    digests = list(map(_key_digest, keys))
+    return digests, sorted(range(len(digests)), key=digests.__getitem__)
 
 
 def build_evaluation_report(
@@ -384,9 +431,15 @@ def build_evaluation_report(
     that ``evaluate`` and ``detection_confidence`` give, with no value
     object between.  The census's standard witnesses are read as their keys,
     each its witness's rows and identity key, with no spec.  An alternative
-    witness is its standard witness's rows and key, so each standard key is
-    evaluated as both kinds.  Raises ValueError when a measurement dataset
-    is on a different number of qubits than the census, or when
+    witness is its standard witness's rows and key; with both kinds asked
+    for, each key's span is read once for both rows
+    (``_standard_and_alternative``).  The witnesses are evaluated in census
+    order, so a missing record raises the IncompleteDataError of the first
+    witness in that order that lacks one.  Each subsystem's rows are built
+    in report order, its keys and its two-measurement witnesses each
+    ordered once by digest, and the subsystems' blocks are joined by size
+    then label, so no row is sorted.  Raises ValueError when a measurement
+    dataset is on a different number of qubits than the census, or when
     ``sigma_threshold`` is negative or not finite.
     """
     if not 0.0 <= sigma_threshold < math.inf:
@@ -406,38 +459,57 @@ def build_evaluation_report(
     standard = [
         k for k in (WitnessKind.STANDARD, WitnessKind.ALTERNATIVE) if k in kinds
     ]
-    digest = _Memo(_key_digest)
-    out: list[EvalRow] = []
-
-    def add(omega, n_qubits, rows, key, kinds: list[WitnessKind]) -> None:
-        for kind in kinds:
-            expectation, variance = _KERNELS[kind](data, n_qubits, rows, key)
-            stddev = math.sqrt(variance)
-            out.append(
-                EvalRow(
-                    omega,
-                    kind,
-                    expectation,
-                    stddev,
-                    _detected(expectation, stddev, sigma_threshold),
-                    _confidence(expectation, variance),
-                    digest[key],
-                )
-            )
-
-    def add_spec(spec: WitnessSpec, kinds: list[WitnessKind]) -> None:
-        add(spec.omega, spec.n_qubits, spec.rows, spec.identity_key, kinds)
-
     n_qubits = census.n_qubits
+
+    def row(omega, kind, digest, value) -> EvalRow:
+        expectation, variance = value
+        stddev = math.sqrt(variance)
+        return EvalRow(
+            omega,
+            kind,
+            expectation,
+            stddev,
+            _detected(expectation, stddev, sigma_threshold),
+            _confidence(expectation, variance),
+            digest,
+        )
+
+    def spec_values(spec: WitnessSpec, kind: WitnessKind):
+        return _KERNELS[kind](data, spec.n_qubits, spec.rows, spec.identity_key)
+
+    def spec_rows(spec: WitnessSpec, kinds: list[WitnessKind]) -> list[EvalRow]:
+        digest = _key_digest(spec.identity_key)
+        return [row(spec.omega, kind, digest, spec_values(spec, kind)) for kind in kinds]
+
+    def standard_columns(keys: Sequence):
+        """The values of the keys, one column per kind in ``standard``."""
+        if len(standard) == 2:
+            return zip(*[_standard_and_alternative(data, n_qubits, k) for k in keys])
+        kernel = _KERNELS[standard[0]]
+        return [[kernel(data, n_qubits, k, k) for k in keys]]
+
+    blocks = []
     for omega in census.subsystems():
-        for key in source.get(omega, ()):
-            add(omega, n_qubits, key, key, standard)
-        for spec in (census.two_measurement or {}).get(omega, ()):
-            add_spec(spec, two_measurement)
+        block: list[EvalRow] = []
+        if standard:
+            keys = source.get(omega, ())
+            digests, order = _digest_order(keys)
+            for kind, column in zip(standard, standard_columns(keys)):
+                block += (row(omega, kind, digests[i], column[i]) for i in order)
+        if two_measurement:
+            specs = (census.two_measurement or {}).get(omega, ())
+            column = [spec_values(spec, two_measurement[0]) for spec in specs]
+            digests, order = _digest_order([spec.identity_key for spec in specs])
+            block += (
+                row(omega, two_measurement[0], digests[i], column[i]) for i in order
+            )
+        blocks.append((omega, block))
+    blocks.sort(key=lambda pair: _subsystem_order(pair[0]))
+    out = [r for _, block in blocks for r in block]
     if genuine_set is not None:
         genuine = WitnessSpec.standard_genuine(genuine_set)
-        add_spec(genuine, standard)
+        out += spec_rows(genuine, standard)
         split = two_measurement_from_standard(genuine) if two_measurement else None
         if split is not None:
-            add_spec(split, two_measurement)
-    return EvaluationReport(census.n_qubits, tuple(_sorted_rows(out)))
+            out += spec_rows(split, two_measurement)
+    return EvaluationReport(census.n_qubits, tuple(out))

@@ -617,6 +617,69 @@ class TestOutputBytes:
         )
 
 
+class TestMissingRecords:
+    """The error of a dataset that lacks records a census witness needs,
+    recorded while the report evaluated the witnesses in census order: it
+    names the members missing from the first witness in that order that
+    lacks any, whatever order the report builds its rows in."""
+
+    @pytest.mark.parametrize(
+        "dropped,kinds,omegas,message",
+        [
+            # ZZZZIII is the first key row of the first pair's first witness
+            (["ZZZZIII"], "standard,alternative,twomeas", [], "ZZZZIII"),
+            (["ZZZZIII"], "alternative", [], "ZZZZIII"),
+            # the first witness, by digest, of the first pair that lacks a
+            # record lacks XXXXIII, a witness before it in census order
+            # ZZZZIII
+            (["XXXXIII", "ZZZZIII"], "standard,alternative,twomeas", [], "ZZZZIII"),
+            (["XXXXIII", "ZZZZIII"], "alternative", [], "ZZZZIII"),
+            # YYYYIII is in the span of the first witness of 1,2,3,4, and
+            # XZZXYYI in that of 5,6, which the report lists first; given in
+            # the other order, the subsystems name XZZXYYI
+            (
+                ["YYYYIII", "XZZXYYI"],
+                "standard,alternative,twomeas",
+                ["1,2,3,4", "5,6"],
+                "YYYYIII",
+            ),
+            (["YYYYIII", "XZZXYYI"], "standard", ["1,2,3,4", "5,6"], "YYYYIII"),
+            (["YYYYIII", "XZZXYYI"], "standard", ["5,6", "1,2,3,4"], "XZZXYYI"),
+        ],
+        ids=[
+            "one-all-kinds",
+            "one-alternative",
+            "two-all-kinds",
+            "two-alternative",
+            "omegas-all-kinds",
+            "omegas-standard",
+            "omegas-reversed",
+        ],
+    )
+    def test_names_the_first_witness_in_census_order(
+        self, capsys, tmp_path, dropped, kinds, omegas, message
+    ):
+        lines = SHOT_DATA.read_text().splitlines(True)
+        kept = [line for line in lines if line.split(",")[0] not in dropped]
+        assert len(kept) == len(lines) - len(dropped)
+        data = tmp_path / "missing.csv"
+        data.write_text("".join(kept))
+        omega_args = [arg for omega in omegas for arg in ("--omega", omega)]
+        code, out, err = run_cli(
+            capsys,
+            "eval",
+            "color_code_7",
+            "--data",
+            str(data),
+            "--kinds",
+            kinds,
+            *omega_args,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: missing stabilizer records: {message}\n"
+
+
 def live_specs() -> int:
     """The ``WitnessSpec`` instances alive, found by a scan of the heap, so
     a spec made without the constructor counts too."""

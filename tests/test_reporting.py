@@ -1,7 +1,9 @@
 import csv
 import io
+import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +20,8 @@ from stabwitness.reporting import (
     EvalRow,
     EvaluationReport,
     _key_digest,
-    _method,
     _sorted_rows,
+    _witness_csv,
     build_census_report,
     build_evaluation_report,
     witness_rows,
@@ -347,6 +349,12 @@ class TestEvaluationReport:
 # ---------------------------------------------------------------------------
 
 
+def naive_method(key, direct_keys, graph_keys):
+    if key in graph_keys:
+        return "both" if key in direct_keys else "graph-based"
+    return "direct"
+
+
 def naive_witness_rows(census):
     """The listing with every basis row rendered through its Pauli view."""
     graph_keys = {
@@ -366,7 +374,7 @@ def naive_witness_rows(census):
                     "kind": spec.kind.value,
                     "basis": [p.to_text() for p in spec.basis],
                     "key_digest": _key_digest(key),
-                    "method": _method(key, in_direct, in_graph),
+                    "method": naive_method(key, in_direct, in_graph),
                 }
             )
         if census.two_measurement is not None:
@@ -380,7 +388,7 @@ def naive_witness_rows(census):
                         "x_basis": [p.to_text() for p in spec.x_basis],
                         "z_basis": [p.to_text() for p in spec.z_basis],
                         "key_digest": _key_digest(spec.identity_key),
-                        "method": _method(span_key, in_direct, in_graph),
+                        "method": naive_method(span_key, in_direct, in_graph),
                     }
                 )
     return rows
@@ -578,3 +586,125 @@ class TestEvalCsvMatchesWriter:
         ]
         report = EvaluationReport(12, tuple(rows))
         assert_same_csv(report.to_csv(), naive_eval_csv(report))
+
+
+def naive_witness_csv(census):
+    """The listing CSV by the dict rows: one dict per witness, written by
+    ``witness_rows_to_csv`` through ``csv.writer``, a call per row."""
+    return witness_rows_to_csv(naive_witness_rows(census))
+
+
+LISTING_RUNS = {
+    "default": (("direct", "graph", "twomeas"), None),
+    "graph": (("graph",), None),
+    "direct-twomeas": (("direct", "twomeas"), None),
+    "omega-default": (
+        ("direct", "graph", "twomeas"), [(5, 6), (1, 2, 5), (1, 2, 3, 4)]
+    ),
+    "omega-graph-unsorted": (("graph",), [(2, 4, 6, 7), (1, 3), (1, 2, 3, 4, 5, 6)]),
+}
+
+
+class TestListingMatchesOracle:
+    """The listing CSV, formatted a line per witness from the census keys,
+    is byte for byte what the dict rows give through ``csv.writer``, and
+    the JSON listing is what it was."""
+
+    def assert_listings_match(self, census):
+        want = naive_witness_csv(census)
+        assert_same_csv(_witness_csv(census), want)
+        assert witness_rows_to_csv(witness_rows(census)) == want
+        assert witness_rows_to_json(witness_rows(census)) == witness_rows_to_json(
+            naive_witness_rows(census)
+        )
+
+    @pytest.mark.parametrize("run", sorted(LISTING_RUNS))
+    def test_color_code(self, color_code_module, run):
+        methods, omegas = LISTING_RUNS[run]
+        self.assert_listings_match(run_census(color_code_module, methods, omegas))
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_rings(self, n):
+        self.assert_listings_match(run_census(ring_group(n).generator_set))
+
+    @pytest.mark.parametrize(
+        "generator_set",
+        [s for _, s in RECIPE8_CASES],
+        ids=[name for name, _ in RECIPE8_CASES],
+    )
+    def test_recipe8_states(self, generator_set):
+        self.assert_listings_match(run_census(generator_set))
+
+
+SHOT_FIXTURE = Path(__file__).parent / "data" / "color_code_7_shots.csv"
+BIT_EXACT_CENSUSES = {
+    "direct": (("direct", "twomeas"), None),
+    "graph-only": (("graph",), None),
+    "omega": (("direct", "twomeas"), [(1, 2, 3, 4), (5, 6), (2, 3, 7)]),
+}
+BIT_EXACT_SOURCES = {
+    "werner-0": WernerModel(0.0),
+    "werner-0.37": WernerModel(0.37),
+    "werner-1": WernerModel(1.0),
+    "shots": MeasurementDataset.from_csv(SHOT_FIXTURE.read_text()),
+}
+KIND_SUBSETS = [
+    kinds
+    for size in range(1, len(WitnessKind) + 1)
+    for kinds in itertools.combinations(WitnessKind, size)
+]
+
+
+@pytest.fixture(scope="module")
+def bit_exact_cases(color_code_module):
+    """Per census: the census, its genuine set, and per data source the
+    oracle's rows for all kinds, of which a kind subset's rows are the
+    rows of its kinds."""
+    cases = {}
+    for name, (methods, omegas) in BIT_EXACT_CENSUSES.items():
+        census = run_census(color_code_module, methods, omegas)
+        genuine_set = color_code_module if omegas is None else None
+        expected = {
+            source: naive_evaluation_rows(
+                census, data, include_genuine=genuine_set is not None,
+                genuine_set=genuine_set,
+            )
+            for source, data in BIT_EXACT_SOURCES.items()
+        }
+        cases[name] = census, genuine_set, expected
+    return cases
+
+
+class TestEvaluationReportBitExact:
+    """Both standard rows of a key read off one span read, and the rows
+    built in report order, give every field of every row, to the bit, and
+    the order of the rows, of the oracle that evaluates a spec per row and
+    sorts the rows: for every subset of kinds, so the shared read and each
+    single-kind kernel run."""
+
+    @pytest.mark.parametrize("census_name", sorted(BIT_EXACT_CENSUSES))
+    @pytest.mark.parametrize(
+        "kinds",
+        KIND_SUBSETS,
+        ids=["+".join(k.value for k in ks) for ks in KIND_SUBSETS],
+    )
+    def test_every_field_and_order(self, bit_exact_cases, census_name, kinds):
+        census, genuine_set, expected = bit_exact_cases[census_name]
+        if census_name == "graph-only":
+            assert census.direct is None and census.graph_based is not None
+        for source, data in BIT_EXACT_SOURCES.items():
+            report = build_evaluation_report(
+                census, data, kinds=kinds, genuine_set=genuine_set
+            )
+            want = [row for row in expected[source] if row.kind in kinds]
+            assert want
+            assert row_bits(report.rows) == row_bits(want), source
+
+    def test_rows_are_named_tuples_of_their_fields(self, small_census):
+        row = build_evaluation_report(small_census, WernerModel(0.9)).rows[0]
+        assert EvalRow._fields == (
+            "omega", "kind", "expectation", "stddev", "detected", "confidence",
+            "key_digest",
+        )
+        assert row == tuple(row)
+        assert row == EvalRow(*row)

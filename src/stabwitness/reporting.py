@@ -8,10 +8,11 @@ produce byte-identical output.
 Witnesses carry packed rows and their identity keys
 (``WitnessSpec.rows``, ``identity_key``); the reports key and digest
 witnesses from those, and build Pauli text only for the ``basis``
-columns of the witness rows.  A census's standard witnesses are read as
-their keys, each the witness's rows and identity key at once, so the
-reports build no spec for them; only the two-measurement column holds
-specs.
+columns of the witness rows.  A census's witnesses are read as their
+keys, so the reports build no spec for them: a standard key is the
+witness's rows and identity key at once, and a two-measurement
+witness's (X part, Z part) split is its parts and identity key at once.
+Only the genuine witnesses, built from the generator set, are specs.
 
 The witness listing comes from one row generator, ``_listing``, one row
 per key: ``witness_rows`` makes a dict of each row for JSON and library
@@ -229,7 +230,9 @@ def build_census_report(census: WitnessCensus) -> CensusReport:
 def _listing(census: WitnessCensus):
     """The listing's rows in order, one per witness, as (omega, kind, basis
     rows, X rows, Z rows, key digest, method); the X and Z rows are None
-    for a standard witness, whose basis is its key.
+    for a standard witness, whose basis is its key.  A two-measurement
+    witness is read as its split, its basis the X rows then the Z rows,
+    and its digest that of the split.
 
     Every standard key of a subsystem is in its direct list when the direct
     method ran, and so is each two-measurement witness's, which its split
@@ -238,23 +241,19 @@ def _listing(census: WitnessCensus):
     direct, graph_based, two_measurement = census._lists()
     source = direct if direct is not None else graph_based or {}
     both = "both" if direct is not None else "graph-based"
-    standard = WitnessKind.STANDARD.value
+    standard, twomeas = WitnessKind.STANDARD.value, WitnessKind.TWO_MEASUREMENT.value
     for omega in census.subsystems():
-        specs = (two_measurement or {}).get(omega, ())
+        splits = (two_measurement or {}).get(omega, ())
         # the graph list is tested only where it can tell a method apart: in
         # a graph-only census, every standard key is on it
-        tested = graph_based is not None and (direct is not None or specs)
+        tested = graph_based is not None and (direct is not None or splits)
         in_graph = set(graph_based.get(omega, ())) if tested else ()
         for key in source.get(omega, ()):
             method = both if direct is None or key in in_graph else "direct"
             yield omega, standard, key, None, None, _key_digest(key), method
-        for spec in specs:
-            x_rows, z_rows = spec.x_rows, spec.z_rows
-            method = both if z_rows + x_rows in in_graph else "direct"
-            yield (
-                omega, spec.kind.value, spec.rows, x_rows, z_rows,
-                _key_digest(spec.identity_key), method,
-            )
+        for x, z in splits:
+            method = both if z + x in in_graph else "direct"
+            yield omega, twomeas, x + z, x, z, _key_digest((x, z)), method
 
 
 def _row_texts(n_qubits: int) -> _Memo:
@@ -429,17 +428,23 @@ def build_evaluation_report(
 
     Each row is read off the kernel of its kind, ``_KERNELS``: it is the row
     that ``evaluate`` and ``detection_confidence`` give, with no value
-    object between.  The census's standard witnesses are read as their keys,
-    each its witness's rows and identity key, with no spec.  An alternative
-    witness is its standard witness's rows and key; with both kinds asked
-    for, each key's span is read once for both rows
-    (``_standard_and_alternative``).  The witnesses are evaluated in census
-    order, so a missing record raises the IncompleteDataError of the first
-    witness in that order that lacks one.  Each subsystem's rows are built
+    object between.  The census's witnesses are read as their keys, with no
+    spec: each standard key is its witness's rows and identity key, and
+    each two-measurement split goes to the kernel as its parts and key and
+    is digested as it is.  An alternative witness is its standard
+    witness's rows and key; with both kinds asked for, each key's span is
+    read once for both rows (``_standard_and_alternative``).  The
+    witnesses are evaluated in census order, so a missing record raises
+    the IncompleteDataError of the first witness in that order that lacks
+    one.  Each subsystem's rows are built
     in report order, its keys and its two-measurement witnesses each
     ordered once by digest, and the subsystems' blocks are joined by size
-    then label, so no row is sorted.  Raises ValueError when a measurement
-    dataset is on a different number of qubits than the census, or when
+    then label, so no row is sorted.  Only the genuine witnesses are specs:
+    the standard one from ``genuine_set`` and its split by
+    ``two_measurement_from_standard``.  Raises ValueError when a
+    measurement dataset is on a different number of qubits than the
+    census, when the standard or alternative kind is asked for of a census
+    with neither a direct nor a graph-based column, or when
     ``sigma_threshold`` is negative or not finite.
     """
     if not 0.0 <= sigma_threshold < math.inf:
@@ -450,15 +455,15 @@ def build_evaluation_report(
         raise ValueError(
             f"dataset is on {data.n_qubits} qubits, the code on {census.n_qubits}"
         )
-    direct, graph_based, _ = census._lists()
+    direct, graph_based, twomeas = census._lists()
     source = direct if direct is not None else graph_based
-    if source is None:
-        raise ValueError("census has no standard witnesses to evaluate")
     kinds = tuple(kinds)
     two_measurement = [k for k in (WitnessKind.TWO_MEASUREMENT,) if k in kinds]
     standard = [
         k for k in (WitnessKind.STANDARD, WitnessKind.ALTERNATIVE) if k in kinds
     ]
+    if standard and source is None:
+        raise ValueError("census has no standard witnesses to evaluate")
     n_qubits = census.n_qubits
 
     def row(omega, kind, digest, value) -> EvalRow:
@@ -474,12 +479,10 @@ def build_evaluation_report(
             digest,
         )
 
-    def spec_values(spec: WitnessSpec, kind: WitnessKind):
-        return _KERNELS[kind](data, spec.n_qubits, spec.rows, spec.identity_key)
-
     def spec_rows(spec: WitnessSpec, kinds: list[WitnessKind]) -> list[EvalRow]:
+        args = data, spec.n_qubits, spec.rows, spec.identity_key
         digest = _key_digest(spec.identity_key)
-        return [row(spec.omega, kind, digest, spec_values(spec, kind)) for kind in kinds]
+        return [row(spec.omega, kind, digest, _KERNELS[kind](*args)) for kind in kinds]
 
     def standard_columns(keys: Sequence):
         """The values of the keys, one column per kind in ``standard``."""
@@ -497,9 +500,10 @@ def build_evaluation_report(
             for kind, column in zip(standard, standard_columns(keys)):
                 block += (row(omega, kind, digests[i], column[i]) for i in order)
         if two_measurement:
-            specs = (census.two_measurement or {}).get(omega, ())
-            column = [spec_values(spec, two_measurement[0]) for spec in specs]
-            digests, order = _digest_order([spec.identity_key for spec in specs])
+            splits = (twomeas or {}).get(omega, ())
+            kernel = _KERNELS[two_measurement[0]]
+            column = [kernel(data, n_qubits, x + z, (x, z)) for x, z in splits]
+            digests, order = _digest_order(splits)
             block += (
                 row(omega, two_measurement[0], digests[i], column[i]) for i in order
             )

@@ -82,13 +82,16 @@ key rows all lie among them, one set test per witness.
 
 A census holds keys, not specs.  Each subsystem's standard witnesses are
 their sorted keys, each key the witness's rows and its identity key at
-once, and the graph-based keys are the subset the filter keeps.  The
-census reports count, list and evaluate the keys.  ``direct_census``,
-``enumerate_graph_based`` and the ``WitnessCensus`` columns hand them out
-as read-only mappings of subsystem to spec list (``_StandardWitnesses``),
-which build a subsystem's specs, with the checked constructor, on its
-first access and keep them; a graph-based list is made of the direct
-list's own spec objects.
+once, the graph-based keys are the subset the filter keeps, and the
+two-measurement witnesses are the sorted (X part, Z part) splits of the
+keys that split, each split the witness's parts and its identity key at
+once.  The census reports count, list and evaluate the keys.
+``direct_census``, ``enumerate_graph_based`` and the three
+``WitnessCensus`` columns hand them out as read-only mappings of
+subsystem to spec list, all of one class (``_CensusColumn``), which
+build a subsystem's specs, with the checked constructor, on its first
+access and keep them; a graph-based list is made of the direct list's
+own spec objects.
 """
 
 from __future__ import annotations
@@ -184,8 +187,9 @@ class WitnessSpec:
     two-measurement witnesses by the (X-span, Z-span) pair.  That
     ``identity_key`` is reduced once, at construction, unless the caller
     passes it in as ``key``.  Every census witness's rows are already its
-    key; the census views (``_StandardWitnesses``) pass them in as ``key``,
-    so each of their specs shares its rows tuple as its key.
+    key; the census views (``_CensusColumn``) pass them in as ``key``,
+    so each standard spec of theirs shares its rows tuple as its key, and
+    each two-measurement spec its parts.
     """
 
     kind: WitnessKind
@@ -415,44 +419,48 @@ def _check_subsystems(
     return checked
 
 
-class _StandardWitnesses(collections.abc.Mapping):
-    """A read-only mapping of subsystem to its standard local witnesses,
+class _CensusColumn(collections.abc.Mapping):
+    """A read-only mapping of subsystem to its local witnesses of one kind,
     held as keys.
 
-    ``witness_keys`` maps each subsystem to its witnesses' ``rows_rref``
-    keys in ascending order; each key is the witness's rows and its
-    identity key at once.  ``view[omega]`` builds omega's specs on its
-    first access, with the checked constructor, and keeps them.  A view
-    with a ``parent`` holds a subset of the parent's keys for each
+    ``witness_keys`` maps each subsystem to its witnesses' identity keys in
+    ascending order: for a standard witness, its ``rows_rref`` key, which
+    is its rows too; for a two-measurement witness, its (X part, Z part)
+    split, whose parts are its rows.  ``view[omega]`` builds omega's specs
+    on its first access, with the checked constructor, and keeps them.  A
+    view with a ``parent`` holds a subset of the parent's keys for each
     subsystem and hands out the parent's own spec objects for them.
     Membership, length and iteration read the keys and build no spec.
     """
 
     def __init__(
         self,
-        witness_keys: dict[tuple[int, ...], list[tuple[int, ...]]],
+        witness_keys: dict[tuple[int, ...], list[tuple]],
         n_qubits: int,
-        parent: Optional["_StandardWitnesses"] = None,
+        parent: Optional["_CensusColumn"] = None,
+        kind: WitnessKind = WitnessKind.STANDARD,
     ) -> None:
         self.witness_keys = witness_keys
         self.n_qubits = n_qubits
+        self.kind = kind
         self._parent = parent
         self._specs: dict[tuple[int, ...], list[WitnessSpec]] = {}
 
     def __getitem__(self, omega: tuple[int, ...]) -> list[WitnessSpec]:
         specs = self._specs.get(omega)
         if specs is None:
-            keys = self.witness_keys[omega]
-            if self._parent is None:
-                kind = WitnessKind.STANDARD
-                specs = [
-                    WitnessSpec(kind, omega, self.n_qubits, key, key=key)
-                    for key in keys
-                ]
-            else:
+            keys, kind, n_qubits = self.witness_keys[omega], self.kind, self.n_qubits
+            if self._parent is not None:
                 parent = self._parent
                 by_key = dict(zip(parent.witness_keys[omega], parent[omega]))
                 specs = [by_key[key] for key in keys]
+            elif kind is WitnessKind.TWO_MEASUREMENT:
+                specs = [
+                    WitnessSpec(kind, omega, n_qubits, x + z, x, z, key=(x, z))
+                    for x, z in keys
+                ]
+            else:
+                specs = [WitnessSpec(kind, omega, n_qubits, k, key=k) for k in keys]
             self._specs[omega] = specs
         return specs
 
@@ -582,7 +590,7 @@ def _direct_keys(
 
 def _direct_lists(
     group: StabilizerGroup, wanted: Sequence[tuple[int, ...]]
-) -> _StandardWitnesses:
+) -> _CensusColumn:
     """Standard local witnesses for each sorted subsystem in ``wanted``, by
     the direct method, keyed in ``wanted`` order, as sorted keys.
 
@@ -606,7 +614,7 @@ def _direct_lists(
             allowed |= {sub & ~(1 << q) for sub in allowed}
         for active, key in _direct_keys(span, rank, group.n_qubits, allowed):
             keys[active].append(key)
-    return _StandardWitnesses(
+    return _CensusColumn(
         {omega: sorted(keys[_qubit_mask(omega)]) for omega in wanted},
         group.n_qubits,
     )
@@ -636,7 +644,7 @@ def all_subsystems(n_qubits: int) -> list[tuple[int, ...]]:
     return out
 
 
-def direct_census(group: StabilizerGroup) -> _StandardWitnesses:
+def direct_census(group: StabilizerGroup) -> _CensusColumn:
     """Standard local witnesses for every subsystem, by the direct method:
     ``_direct_lists`` of every subsystem, one search per rank k = 2..N-1,
     pruned once a partial basis has more than k active qubits."""
@@ -694,7 +702,7 @@ def _pulled_rows(
     ]
 
 
-def enumerate_graph_based(s: GeneratorSet) -> _StandardWitnesses:
+def enumerate_graph_based(s: GeneratorSet) -> _CensusColumn:
     """Standard local witnesses reachable through locally equivalent graphs,
     for every subsystem, keyed in order of size, then labels.
 
@@ -806,7 +814,7 @@ def enumerate_graph_based(s: GeneratorSet) -> _StandardWitnesses:
                 if image not in keys:
                     keys[image] = tuple(rows_rref([_map_row(sym, r) for r in key]))
         out[omega] = sorted(keys.values())
-    return _StandardWitnesses(out, n_qubits)
+    return _CensusColumn(out, n_qubits)
 
 
 def _graph_reachable(
@@ -979,10 +987,8 @@ def enumerate_two_measurement(
     the path ``run_census`` takes.  Raises MalformedSubsetError as
     ``enumerate_direct`` does."""
     omega = _check_subsystem(omega, group.n_qubits)
-    keys = _direct_lists(group, [omega]).witness_keys[omega]
-    return _two_measurement_variants(
-        omega, keys, _pure_members(group), group.n_qubits
-    )
+    keys = _direct_lists(group, [omega]).witness_keys
+    return _two_measurement_variants(keys, group)[omega]
 
 
 def _pure_members(group: StabilizerGroup) -> frozenset[int]:
@@ -992,31 +998,27 @@ def _pure_members(group: StabilizerGroup) -> frozenset[int]:
 
 
 def _two_measurement_variants(
-    omega: tuple[int, ...],
-    keys: Iterable[tuple[int, ...]],
-    pure: AbstractSet[int],
-    n_qubits: int,
-) -> list[WitnessSpec]:
-    """Two-measurement variants of the group's direct witnesses for omega,
-    given by their ``keys``, sorted by their (X part, Z part) split.  The
-    two parts together are a witness's key, so distinct witnesses give
+    keys: Mapping[tuple[int, ...], Sequence[tuple[int, ...]]], group: StabilizerGroup
+) -> _CensusColumn:
+    """The two-measurement column of the group's direct witnesses, given by
+    their keys per subsystem: each subsystem's (X part, Z part) splits, in
+    ascending order.  A split is its variant's identity key, and its two
+    parts together are the witness's key, so distinct witnesses give
     distinct variants.
 
-    ``pure`` is ``_pure_members`` of the group.  Each row of a witness's
-    key is a product of members, so a member, and ``_xz_split`` returns
-    None exactly when a row has both an X and a Z part: the key splits
-    exactly when ``pure`` holds all its rows.  So one set test per witness
-    picks the ones to split; only those get a standard spec, and each
-    ``two_measurement_from_standard`` call returns a variant.
+    Each row of a witness's key is a product of members, so a member, and
+    ``_xz_split`` returns None exactly when a row has both an X and a Z
+    part: the key splits exactly when the group's X-only and Z-only
+    members (``_pure_members``) hold all its rows.  So one set test per
+    witness picks the ones to split, and each ``_xz_split`` call returns a
+    split.  No spec is built until the column is read.
     """
-    kind = WitnessKind.STANDARD
-    variants = [
-        two_measurement_from_standard(WitnessSpec(kind, omega, n_qubits, key, key=key))
-        for key in keys
-        if pure.issuperset(key)
-    ]
-    variants.sort(key=lambda w: w.identity_key)
-    return variants
+    pure, n_qubits = _pure_members(group), group.n_qubits
+    splits = {
+        omega: sorted(_xz_split(k, n_qubits) for k in omega_keys if pure.issuperset(k))
+        for omega, omega_keys in keys.items()
+    }
+    return _CensusColumn(splits, n_qubits, kind=WitnessKind.TWO_MEASUREMENT)
 
 
 # ---------------------------------------------------------------------------
@@ -1079,33 +1081,32 @@ def classify_subsystem(omega: Sequence[int]) -> SubsystemClass:
 class WitnessCensus:
     """Per-subsystem witness lists for the selected construction methods.
 
-    ``direct`` and ``graph_based`` are read-only mappings of subsystem to
-    spec list that hold keys and build each subsystem's specs on its first
-    access (``_StandardWitnesses``); ``two_measurement`` is a dict of spec
-    lists.  ``group_key`` is ``StabilizerGroup.key``, the
-    ``groups.basis_key`` of the state's generators: it names the state's
-    group whichever generators were given, and the reports use it to tell
-    the color code from other states.
+    ``direct``, ``graph_based`` and ``two_measurement`` are read-only
+    mappings of subsystem to spec list, all of one class
+    (``_CensusColumn``), that hold keys and build each subsystem's specs on
+    its first access: the standard columns hold ``rows_rref`` keys, the
+    two-measurement column (X part, Z part) splits.  ``group_key`` is
+    ``StabilizerGroup.key``, the ``groups.basis_key`` of the state's
+    generators: it names the state's group whichever generators were
+    given, and the reports use it to tell the color code from other
+    states.
     """
 
     n_qubits: int
     omegas: tuple[tuple[int, ...], ...]
-    direct: Optional[_StandardWitnesses]
-    graph_based: Optional[_StandardWitnesses]
-    two_measurement: Optional[dict[tuple[int, ...], list[WitnessSpec]]]
+    direct: Optional[_CensusColumn]
+    graph_based: Optional[_CensusColumn]
+    two_measurement: Optional[_CensusColumn]
     group_key: tuple[int, ...] = ()
 
     def subsystems(self) -> list[tuple[int, ...]]:
         return list(self.omegas)
 
     def _lists(self) -> tuple[Optional[Mapping[tuple[int, ...], list]], ...]:
-        """The direct, graph-based and two-measurement columns' per-subsystem
-        lists, None for a method not run: the witness keys of the standard
-        columns, the specs of the two-measurement column."""
-        def keys(view):
-            return None if view is None else view.witness_keys
-
-        return keys(self.direct), keys(self.graph_based), self.two_measurement
+        """The direct, graph-based and two-measurement columns' witness keys
+        per subsystem, None for a method not run."""
+        columns = self.direct, self.graph_based, self.two_measurement
+        return tuple(None if c is None else c.witness_keys for c in columns)
 
     def totals(self) -> dict[str, Optional[int]]:
         names = ("direct", "graph_based", "two_measurement")
@@ -1126,13 +1127,13 @@ def run_census(
     two-measurement census is derived from the direct one: the group's
     X-only and Z-only members are collected once, and only the direct
     witness keys whose rows are all among them are split
-    (``_two_measurement_variants``).  ``omegas``
-    restricts the subsystems (default: all of size 2..N-1) and raises
-    MalformedSubsetError for one that is not 2..N-1 distinct labels in
-    1..N.  The direct witnesses come from one pruned search of the whole
-    group per wanted subsystem size (``_direct_lists``): through
-    ``direct_census`` without ``omegas``, for the requested subsystems
-    with them.
+    (``_two_measurement_variants``), with no spec built; the column keeps
+    the sorted splits.  ``omegas`` restricts the subsystems (default: all
+    of size 2..N-1) and raises MalformedSubsetError for one that is not
+    2..N-1 distinct labels in 1..N.  The direct witnesses come from one
+    pruned search of the whole group per wanted subsystem size
+    (``_direct_lists``): through ``direct_census`` without ``omegas``, for
+    the requested subsystems with them.
 
     The graph method alone without ``omegas`` walks the
     local-complementation orbit (``enumerate_graph_based``).  Every other
@@ -1141,10 +1142,10 @@ def run_census(
     to those none of whose products of single-qubit letters outside the
     subsystem, other than I, is a member, tested against the members that
     are I on the subsystem, once per distinct letter pattern
-    (``_graph_reachable``).  The census keeps keys: its ``direct`` and
-    ``graph_based`` columns build their specs on first access, and with
-    "direct" asked for, the graph-based lists are made of the direct
-    lists' own spec objects, in the same order.  The direct lists are
+    (``_graph_reachable``).  The census keeps keys: each of its columns
+    builds its specs on first access, and with "direct" asked for, the
+    graph-based lists are made of the direct lists' own spec objects, in
+    the same order.  The direct lists are
     dropped unless "direct" is asked for.
 
     ``methods`` given as one string, or ``omegas`` given as one flat
@@ -1175,15 +1176,11 @@ def run_census(
         )
         keys = searched.witness_keys
         if "twomeas" in methods:
-            pure = _pure_members(group)
-            twomeas = {
-                omega: _two_measurement_variants(omega, keys[omega], pure, s.n_qubits)
-                for omega in wanted
-            }
+            twomeas = _two_measurement_variants(keys, group)
         if "direct" in methods:
             direct = searched
         if "graph" in methods:
-            graph_based = _StandardWitnesses(
+            graph_based = _CensusColumn(
                 {omega: _graph_reachable(keys[omega], omega, group) for omega in wanted},
                 s.n_qubits,
                 direct,

@@ -343,6 +343,21 @@ class TestEvaluationReport:
         assert err.value.missing == named.value.missing
         assert str(err.value) == str(named.value)
 
+    def test_two_measurement_rows_need_no_standard_column(self, color_code_module):
+        kinds = (WitnessKind.TWO_MEASUREMENT,)
+        alone = run_census(color_code_module, ("twomeas",), [(5, 6)])
+        with_direct = run_census(color_code_module, ("direct", "twomeas"), [(5, 6)])
+        report = build_evaluation_report(alone, WernerModel(0.9), kinds=kinds)
+        assert len(report.rows) == 4
+        assert report == build_evaluation_report(
+            with_direct, WernerModel(0.9), kinds=kinds
+        )
+
+    def test_standard_rows_need_a_standard_column(self, color_code_module):
+        census = run_census(color_code_module, ("twomeas",), [(5, 6)])
+        with pytest.raises(ValueError, match="no standard witnesses"):
+            build_evaluation_report(census, WernerModel(0.9))
+
 
 # ---------------------------------------------------------------------------
 # The per-row report builders, kept as oracles for the per-call memos

@@ -2159,18 +2159,17 @@ class TestXZSplitRule:
         assert len(calls) == 1
 
     def test_census_splits_only_keys_of_pure_members(self, color_code, monkeypatch):
-        # the census splits through the public two_measurement_from_standard,
-        # and only the keys whose rows are all X-only or Z-only members: each
-        # of its calls returns a variant, where splitting every direct
-        # witness took 3,927 calls for the 476 variants
+        # the census splits only the keys whose rows are all X-only or Z-only
+        # members: each of its ``_xz_split`` calls returns a split, where
+        # splitting every direct witness took 3,927 calls for the 476 variants
         results = []
-        split = two_measurement_from_standard
+        split = witnesses._xz_split
 
-        def counted(spec):
-            results.append(split(spec))
+        def counted(rows, n_qubits):
+            results.append(split(rows, n_qubits))
             return results[-1]
 
-        monkeypatch.setattr(witnesses, "two_measurement_from_standard", counted)
+        monkeypatch.setattr(witnesses, "_xz_split", counted)
         census = run_census(color_code, ("direct", "twomeas"))
         assert census.totals()["direct"] == 3927
         assert len(results) == 476
@@ -2274,6 +2273,29 @@ class TestTwoMeasurementColumn:
             assert variants == expected
             total += len(variants)
         assert total == 476
+
+    def test_column_reads_build_no_spec(self, color_code, monkeypatch):
+        census = run_census(color_code)
+        columns = (census.direct, census.graph_based, census.two_measurement)
+        assert len({type(column) for column in columns}) == 1
+        built = []
+        post_init = WitnessSpec.__post_init__
+
+        def counted(spec, key):
+            built.append(spec)
+            post_init(spec, key)
+
+        monkeypatch.setattr(WitnessSpec, "__post_init__", counted)
+        column = census.two_measurement
+        assert len(column) == 119 and (5, 6) in column and (5,) not in column
+        assert list(column) == census.subsystems()
+        assert sum(map(len, column.witness_keys.values())) == 476
+        assert column.witness_keys[(5, 6)] == sorted(column.witness_keys[(5, 6)])
+        assert not built
+        # a subsystem's specs are built on its first read, from its splits
+        specs = column[(5, 6)]
+        assert len(built) == 4 and column[(5, 6)] is specs
+        assert [w.identity_key for w in specs] == column.witness_keys[(5, 6)]
 
     def test_pure_members_are_the_x_only_and_z_only_members(self, color_group):
         pure = witnesses._pure_members(color_group)

@@ -81,7 +81,6 @@ from .witnesses import (
     classify_subsystem,
     enumerate_direct,
     enumerate_graph_based,
-    enumerate_two_measurement,
     pseudo_incidence,
     run_census,
 )

@@ -89,9 +89,8 @@ once.  The census reports count, list and evaluate the keys.
 ``direct_census``, ``enumerate_graph_based`` and the three
 ``WitnessCensus`` columns hand them out as read-only mappings of
 subsystem to spec list, all of one class (``_CensusColumn``), which
-build a subsystem's specs, with the checked constructor, on its first
-access and keep them; a graph-based list is made of the direct list's
-own spec objects.
+build a subsystem's specs from its keys, with the checked constructor,
+on each access and keep none of them.
 """
 
 from __future__ import annotations
@@ -140,7 +139,6 @@ __all__ = [
     "enumerate_direct",
     "direct_census",
     "enumerate_graph_based",
-    "enumerate_two_measurement",
     "two_measurement_from_standard",
     "classify_subsystem",
     "all_subsystems",
@@ -180,15 +178,16 @@ class WitnessSpec:
     concatenated.  ``basis``, ``x_basis`` and ``z_basis`` are the same
     rows as ``PauliOperator``s, built on each access and not stored.
     Specs compare equal when their kind, scope and rows, in the order
-    given, are equal.
+    given, are equal.  A standard or alternative spec may carry X/Z parts
+    too, given together: an X-type and a Z-type basis of its own subgroup.
 
     ``omega`` is None for genuine (whole-state) scope.  Standard and
     alternative witnesses are identified by the subgroup their basis spans;
     two-measurement witnesses by the (X-span, Z-span) pair.  That
     ``identity_key`` is reduced once, at construction, unless the caller
     passes it in as ``key``.  Every census witness's rows are already its
-    key; the census views (``_CensusColumn``) pass them in as ``key``,
-    so each standard spec of theirs shares its rows tuple as its key, and
+    key; the census columns (``_CensusColumn``) pass them in as ``key``,
+    so each standard spec they build shares its rows tuple as its key, and
     each two-measurement spec its parts.
     """
 
@@ -207,10 +206,14 @@ class WitnessSpec:
         if min(self.rows) < 0 or max(self.rows) >> 2 * self.n_qubits:
             raise ValueError(f"basis rows out of range for {self.n_qubits} qubits")
         two_measurement = self.kind is WitnessKind.TWO_MEASUREMENT
-        if two_measurement:
+        has_parts = self.x_rows is not None or self.z_rows is not None
+        if two_measurement or has_parts:
             if self.x_rows is None or self.z_rows is None:
-                raise ValueError("two-measurement witness needs X and Z parts")
-            if self.rows != self.x_rows + self.z_rows:
+                raise ValueError(
+                    f"{self.kind.value} witness needs X and Z parts"
+                    + ("" if two_measurement else ", or neither")
+                )
+            if two_measurement and self.rows != self.x_rows + self.z_rows:
                 raise ValueError(
                     "two-measurement basis must be its X part then its Z part"
                 )
@@ -233,6 +236,12 @@ class WitnessSpec:
                 key = (tuple(rows_rref(self.x_rows)), tuple(rows_rref(self.z_rows)))
             else:
                 key = tuple(rows_rref(self.rows))
+        if has_parts and not two_measurement:
+            if tuple(rows_rref(self.x_rows + self.z_rows)) != key:
+                raise ValueError(
+                    f"{self.kind.value} witness's X and Z parts do not span "
+                    "the subgroup of its basis"
+                )
         object.__setattr__(self, "identity_key", key)
 
     def _paulis(self, rows: Optional[tuple[int, ...]]):
@@ -426,43 +435,27 @@ class _CensusColumn(collections.abc.Mapping):
     ``witness_keys`` maps each subsystem to its witnesses' identity keys in
     ascending order: for a standard witness, its ``rows_rref`` key, which
     is its rows too; for a two-measurement witness, its (X part, Z part)
-    split, whose parts are its rows.  ``view[omega]`` builds omega's specs
-    on its first access, with the checked constructor, and keeps them.  A
-    view with a ``parent`` holds a subset of the parent's keys for each
-    subsystem and hands out the parent's own spec objects for them.
-    Membership, length and iteration read the keys and build no spec.
+    split, whose parts are its rows.  ``column[omega]`` builds omega's
+    specs from its keys on each access, with the checked constructor and
+    the key passed in, and keeps none of them.  Membership, length and
+    iteration read the keys and build no spec.
     """
 
     def __init__(
         self,
         witness_keys: dict[tuple[int, ...], list[tuple]],
         n_qubits: int,
-        parent: Optional["_CensusColumn"] = None,
         kind: WitnessKind = WitnessKind.STANDARD,
     ) -> None:
         self.witness_keys = witness_keys
         self.n_qubits = n_qubits
         self.kind = kind
-        self._parent = parent
-        self._specs: dict[tuple[int, ...], list[WitnessSpec]] = {}
 
     def __getitem__(self, omega: tuple[int, ...]) -> list[WitnessSpec]:
-        specs = self._specs.get(omega)
-        if specs is None:
-            keys, kind, n_qubits = self.witness_keys[omega], self.kind, self.n_qubits
-            if self._parent is not None:
-                parent = self._parent
-                by_key = dict(zip(parent.witness_keys[omega], parent[omega]))
-                specs = [by_key[key] for key in keys]
-            elif kind is WitnessKind.TWO_MEASUREMENT:
-                specs = [
-                    WitnessSpec(kind, omega, n_qubits, x + z, x, z, key=(x, z))
-                    for x, z in keys
-                ]
-            else:
-                specs = [WitnessSpec(kind, omega, n_qubits, k, key=k) for k in keys]
-            self._specs[omega] = specs
-        return specs
+        keys, kind, n_qubits = self.witness_keys[omega], self.kind, self.n_qubits
+        if kind is WitnessKind.TWO_MEASUREMENT:
+            return [_split_spec(omega, n_qubits, split) for split in keys]
+        return [WitnessSpec(kind, omega, n_qubits, k, key=k) for k in keys]
 
     def __contains__(self, omega) -> bool:
         return omega in self.witness_keys
@@ -954,6 +947,25 @@ def _xz_split(
     )
 
 
+def _split_spec(
+    omega: Optional[tuple[int, ...]],
+    n_qubits: int,
+    split: tuple[tuple[int, ...], tuple[int, ...]],
+) -> WitnessSpec:
+    """The two-measurement witness of an (X part, Z part) split, whose
+    parts are its rows and which is its identity key."""
+    x_rows, z_rows = split
+    return WitnessSpec(
+        WitnessKind.TWO_MEASUREMENT,
+        omega,
+        n_qubits,
+        x_rows + z_rows,
+        x_rows,
+        z_rows,
+        key=split,
+    )
+
+
 def two_measurement_from_standard(spec: WitnessSpec) -> Optional[WitnessSpec]:
     """Two-measurement variant of a standard witness, when the split exists.
 
@@ -964,31 +976,7 @@ def two_measurement_from_standard(spec: WitnessSpec) -> Optional[WitnessSpec]:
     """
     key = spec.identity_key if spec.x_rows is None else rows_rref(spec.rows)
     split = _xz_split(key, spec.n_qubits)
-    if split is None:
-        return None
-    x_rows, z_rows = split
-    return WitnessSpec(
-        WitnessKind.TWO_MEASUREMENT,
-        spec.omega,
-        spec.n_qubits,
-        x_rows + z_rows,
-        x_rows,
-        z_rows,
-        key=split,
-    )
-
-
-def enumerate_two_measurement(
-    group: StabilizerGroup, omega: Sequence[int]
-) -> list[WitnessSpec]:
-    """All two-measurement local witnesses for one subsystem, deduplicated
-    by the (X-span, Z-span) pair: the direct witness keys of
-    ``enumerate_direct``'s search through ``_two_measurement_variants``,
-    the path ``run_census`` takes.  Raises MalformedSubsetError as
-    ``enumerate_direct`` does."""
-    omega = _check_subsystem(omega, group.n_qubits)
-    keys = _direct_lists(group, [omega]).witness_keys
-    return _two_measurement_variants(keys, group)[omega]
+    return None if split is None else _split_spec(spec.omega, spec.n_qubits, split)
 
 
 def _pure_members(group: StabilizerGroup) -> frozenset[int]:
@@ -1083,13 +1071,13 @@ class WitnessCensus:
 
     ``direct``, ``graph_based`` and ``two_measurement`` are read-only
     mappings of subsystem to spec list, all of one class
-    (``_CensusColumn``), that hold keys and build each subsystem's specs on
-    its first access: the standard columns hold ``rows_rref`` keys, the
-    two-measurement column (X part, Z part) splits.  ``group_key`` is
-    ``StabilizerGroup.key``, the ``groups.basis_key`` of the state's
-    generators: it names the state's group whichever generators were
-    given, and the reports use it to tell the color code from other
-    states.
+    (``_CensusColumn``), that hold keys and build a subsystem's specs on
+    each access, keeping none: the standard columns hold ``rows_rref``
+    keys, the two-measurement column (X part, Z part) splits.
+    ``group_key`` is ``StabilizerGroup.key``, the ``groups.basis_key`` of
+    the state's generators: it names the state's group whichever
+    generators were given, and the reports use it to tell the color code
+    from other states.
     """
 
     n_qubits: int
@@ -1142,11 +1130,10 @@ def run_census(
     to those none of whose products of single-qubit letters outside the
     subsystem, other than I, is a member, tested against the members that
     are I on the subsystem, once per distinct letter pattern
-    (``_graph_reachable``).  The census keeps keys: each of its columns
-    builds its specs on first access, and with "direct" asked for, the
-    graph-based lists are made of the direct lists' own spec objects, in
-    the same order.  The direct lists are
-    dropped unless "direct" is asked for.
+    (``_graph_reachable``), in the direct lists' order.  The census keeps
+    keys: each of its columns builds a subsystem's specs on each access
+    and keeps none.  The direct lists are dropped unless "direct" is asked
+    for.
 
     ``methods`` given as one string, or ``omegas`` given as one flat
     subsystem such as (1, 2) rather than [(1, 2)], raise ValueError and
@@ -1183,7 +1170,6 @@ def run_census(
             graph_based = _CensusColumn(
                 {omega: _graph_reachable(keys[omega], omega, group) for omega in wanted},
                 s.n_qubits,
-                direct,
             )
 
     return WitnessCensus(

@@ -16,7 +16,6 @@ from stabwitness.witnesses import (
     direct_census,
     enumerate_direct,
     enumerate_graph_based,
-    enumerate_two_measurement,
     run_census,
 )
 
@@ -179,7 +178,7 @@ class TestCensusValidation:
         with pytest.raises(MalformedSubsetError):
             enumerate_direct(group, omega)
         with pytest.raises(MalformedSubsetError):
-            enumerate_two_measurement(group, omega)
+            run_census(code, ("twomeas",), [omega])
 
     @pytest.mark.parametrize(
         "omega,message",
@@ -198,7 +197,7 @@ class TestCensusValidation:
         for entry_point in (
             lambda: run_census(code, ("direct",), [omega]),
             lambda: enumerate_direct(group, omega),
-            lambda: enumerate_two_measurement(group, omega),
+            lambda: run_census(code, ("twomeas",), [omega]),
         ):
             with pytest.raises(MalformedSubsetError) as err:
                 entry_point()

@@ -31,10 +31,16 @@ from stabwitness.witnesses import (
     WitnessKind,
     WitnessSpec,
     enumerate_direct,
-    enumerate_two_measurement,
     run_census,
     two_measurement_from_standard,
 )
+
+
+def two_measurement_witnesses(group, omega):
+    """The two-measurement witnesses of one subsystem of a group's state,
+    read off a census of that subsystem."""
+    census = run_census(group.generator_set, ("twomeas",), [omega])
+    return census.two_measurement[omega]
 
 
 def werner_standard(n, p):
@@ -506,7 +512,7 @@ class TestStandard:
         # eval_standard sums the span of any spec's rows, and
         # eval_two_measurement any spec's X and Z parts, whatever its kind
         data = shot_noise_dataset(color_group_module, 5)
-        splits = enumerate_two_measurement(color_group_module, (1, 2, 3, 4))
+        splits = two_measurement_witnesses(color_group_module, (1, 2, 3, 4))
         for split in splits:
             standard = WitnessSpec(
                 WitnessKind.STANDARD, split.omega, 7, split.rows[::-1],
@@ -584,7 +590,7 @@ class TestAlternative:
 
 class TestTwoMeasurement:
     def test_ideal(self, color_group_module, ideal_dataset):
-        for spec in enumerate_two_measurement(color_group_module, (5, 6)):
+        for spec in two_measurement_witnesses(color_group_module, (5, 6)):
             value = eval_two_measurement(spec, ideal_dataset)
             assert value.expectation == -0.5
             assert value.variance == 0.0
@@ -601,7 +607,7 @@ class TestTwoMeasurement:
         assert value.expectation > 0.5
 
     def test_werner_closed_form(self, color_group_module):
-        spec = enumerate_two_measurement(color_group_module, (1, 2, 3, 4))[0]
+        spec = two_measurement_witnesses(color_group_module, (1, 2, 3, 4))[0]
         a, b = len(spec.x_basis), len(spec.z_basis)
         for p in (0.0, 0.4, 1.0):
             value = eval_two_measurement(spec, WernerModel(p))
@@ -612,7 +618,7 @@ class TestTwoMeasurement:
     def test_empty_x_part(self):
         gens = GeneratorSet.from_texts(["ZZI", "IZZ", "XXX"])
         group = span_group(gens)
-        spec = enumerate_two_measurement(group, (1, 2))[0]
+        spec = two_measurement_witnesses(group, (1, 2))[0]
         data = MeasurementDataset.uniform(group, 1.0, 10)
         assert eval_two_measurement(spec, data).expectation == -0.5
 
@@ -972,7 +978,7 @@ class TestPackedMatchesNaive:
     def test_two_measurement_missing_in_both_parts(self, color_group):
         spec = next(
             w
-            for w in enumerate_two_measurement(color_group, (2, 3, 4, 6))
+            for w in two_measurement_witnesses(color_group, (2, 3, 4, 6))
             if len(w.x_basis) >= 2 and len(w.z_basis) >= 2
         )
         dropped = {spec.x_basis[0].to_text(), spec.z_basis[1].to_text()}

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -33,3 +34,22 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block, "README.md: Library example", "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert "{'direct': 3927, 'graph_based': 3122, 'two_measurement': 476}" in printed
+
+
+def test_every_traced_name_exists():
+    # the benchmark's tracer rebinds these names; deleting or renaming one
+    # breaks the benchmark, so the suite checks them without running it
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced = tracing.SPANNED_FUNCTIONS + tracing.COUNTED_FUNCTIONS
+    assert traced
+    for module, attr, _ in traced:
+        assert hasattr(importlib.import_module(f"stabwitness.{module}"), attr), (
+            f"stabwitness.{module} has no {attr}"
+        )
+    assert tracing.SPANNED_METHODS
+    for module, cls_name, attr, _ in tracing.SPANNED_METHODS:
+        cls = getattr(importlib.import_module(f"stabwitness.{module}"), cls_name)
+        assert hasattr(cls, attr), f"stabwitness.{module}.{cls_name} has no {attr}"

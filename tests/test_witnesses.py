@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import gc
 import itertools
 import random
 import sys
@@ -55,7 +56,6 @@ from stabwitness.witnesses import (
     direct_census,
     enumerate_direct,
     enumerate_graph_based,
-    enumerate_two_measurement,
     pseudo_incidence,
     run_census,
     two_measurement_from_standard,
@@ -65,6 +65,18 @@ from conftest import random_graph, random_local_clifford, random_stabilizer_set
 from physics import cuts_with_first, largest_schmidt_sq, state_vector
 from test_binary import naive_rank, random_pauli
 from test_groups import random_nonsingular
+
+
+def assert_graph_sublist(census, omega):
+    """omega's graph-based keys are an in-order sublist of its direct keys,
+    and its graph-based specs equal the direct specs of those keys."""
+    graph_keys = census.graph_based.witness_keys[omega]
+    direct_keys = census.direct.witness_keys[omega]
+    rest = iter(direct_keys)
+    assert all(key in rest for key in graph_keys), omega
+    by_key = dict(zip(direct_keys, census.direct[omega]))
+    assert census.graph_based[omega] == [by_key[key] for key in graph_keys], omega
+
 
 FIG6_SUBSET = GeneratorSubset(
     (2, 3, 4),
@@ -1615,9 +1627,8 @@ class TestIdleKernelRule:
         for omega in free:
             keys = full_census.direct.witness_keys[omega]
             assert witnesses._graph_reachable(keys, omega, color_group) == keys
-            graph, direct = full_census.graph_based[omega], full_census.direct[omega]
-            assert len(graph) == len(direct)
-            assert all(g is d for g, d in zip(graph, direct))
+            assert full_census.graph_based.witness_keys[omega] == keys
+            assert_graph_sublist(full_census, omega)
 
     def test_no_rank_on_the_color_code(self, color_code, color_group, monkeypatch):
         # the filter reads the idle members off the group's rows and takes
@@ -1715,10 +1726,8 @@ class TestGraphFilter:
         } == naive_letter_kernel_graph_based(s)
 
     def test_graph_lists_are_sublists_of_the_direct_lists(self, full_census):
-        for omega, graph in full_census.graph_based.items():
-            direct = iter(full_census.direct[omega])
-            # the same spec objects, in the direct list's order
-            assert all(any(g is d for d in direct) for g in graph), omega
+        for omega in full_census.graph_based:
+            assert_graph_sublist(full_census, omega)
 
     @pytest.mark.parametrize(
         "methods", [("direct", "graph"), ("graph", "twomeas"), ("graph",)]
@@ -1734,9 +1743,8 @@ class TestGraphFilter:
             omega: full_census.graph_based[omega] for omega in census.subsystems()
         }
         if "direct" in methods:
-            for omega, graph in census.graph_based.items():
-                direct = iter(census.direct[omega])
-                assert all(any(g is d for d in direct) for g in graph), omega
+            for omega in census.graph_based:
+                assert_graph_sublist(census, omega)
         else:
             assert census.direct is None
 
@@ -2265,10 +2273,13 @@ class TestTwoMeasurementColumn:
             assert census.two_measurement[omega] == expected
             assert census.two_measurement[omega] == full.two_measurement[omega]
 
-    def test_enumerate_matches_oracle_on_every_color_code_subsystem(self, color_group):
+    def test_enumerate_matches_oracle_on_every_color_code_subsystem(
+        self, color_code, color_group
+    ):
         total = 0
         for omega in all_subsystems(7):
-            variants = enumerate_two_measurement(color_group, omega)
+            census = run_census(color_code, ("twomeas",), [omega])
+            variants = census.two_measurement[omega]
             expected = naive_two_measurement_variants(enumerate_direct(color_group, omega))
             assert variants == expected
             total += len(variants)
@@ -2292,10 +2303,32 @@ class TestTwoMeasurementColumn:
         assert sum(map(len, column.witness_keys.values())) == 476
         assert column.witness_keys[(5, 6)] == sorted(column.witness_keys[(5, 6)])
         assert not built
-        # a subsystem's specs are built on its first read, from its splits
+        # each read builds a subsystem's specs from its splits, and keeps none
         specs = column[(5, 6)]
-        assert len(built) == 4 and column[(5, 6)] is specs
+        assert len(built) == 4
+        again = column[(5, 6)]
+        assert len(built) == 8 and again == specs
         assert [w.identity_key for w in specs] == column.witness_keys[(5, 6)]
+
+    @pytest.mark.parametrize("state", ["color_code_7", "recipe8_0"])
+    def test_no_spec_outlives_its_reader(self, state):
+        # a column keeps none of the specs it builds: once the reader drops
+        # its lists, a heap scan finds no more specs than before the reads
+        s = build_color_code() if state == "color_code_7" else RECIPE8_CASES[0][1]
+        census = run_census(s)
+
+        def live_specs():
+            return sum(type(o) is WitnessSpec for o in gc.get_objects())
+
+        before = live_specs()
+        read = 0
+        for column in (census.direct, census.graph_based, census.two_measurement):
+            lists = [column[omega] for omega in column]
+            read += sum(map(len, lists))
+            assert live_specs() - before == sum(map(len, lists))
+            del lists
+        assert read == sum(census.totals().values())
+        assert live_specs() == before
 
     def test_pure_members_are_the_x_only_and_z_only_members(self, color_group):
         pure = witnesses._pure_members(color_group)
@@ -2367,9 +2400,10 @@ class TestXZForm:
 
 
 class TestTwoMeasurement:
-    def test_color_code_counts(self, color_group):
-        assert len(enumerate_two_measurement(color_group, (5, 6))) == 4
-        assert len(enumerate_two_measurement(color_group, (1, 2, 3, 4))) == 9
+    def test_color_code_counts(self, color_code):
+        for omega, count in [((5, 6), 4), ((1, 2, 3, 4), 9)]:
+            census = run_census(color_code, ("twomeas",), [omega])
+            assert len(census.two_measurement[omega]) == count
 
     def test_total(self, full_census):
         assert sum(len(v) for v in full_census.two_measurement.values()) == 476
@@ -2385,12 +2419,11 @@ class TestTwoMeasurement:
                     assert set(p.to_text()) <= {"I", "Z"}
 
     def test_census_matches_per_subsystem_enumeration(
-        self, full_census, color_group
+        self, full_census, color_code
     ):
         for omega in full_census.subsystems():
-            assert full_census.two_measurement[omega] == (
-                enumerate_two_measurement(color_group, omega)
-            )
+            census = run_census(color_code, ("twomeas",), [omega])
+            assert full_census.two_measurement[omega] == census.two_measurement[omega]
 
     def test_census_bases_are_rref_fixed_points(self, full_census):
         # the census split takes a witness's basis rows as its RREF basis
@@ -2472,14 +2505,14 @@ class TestPackedSpecs:
             s = random_stabilizer_set(random.Random(state), 8)
         n_qubits = s.n_qubits
         census = run_census(s)
-        direct_ids = set()
+        direct_specs = {}
         for bucket in (census.direct, census.graph_based):
             assert list(bucket) == census.subsystems()
             for omega, keys in bucket.witness_keys.items():
                 assert keys == sorted(keys)
                 specs = bucket[omega]
-                # built on the first access and kept
-                assert bucket[omega] is specs
+                # built on each access, equal each time
+                assert bucket[omega] == specs
                 naive = naive_standard_specs(omega, keys, n_qubits)
                 assert len(specs) == len(naive)
                 for (naive_omega, basis), spec in zip(naive, specs):
@@ -2490,10 +2523,10 @@ class TestPackedSpecs:
                     assert rebuilt == spec and hash(rebuilt) == hash(spec)
                     assert rebuilt.identity_key == spec.identity_key
                 if bucket is census.direct:
-                    direct_ids.update(map(id, specs))
+                    direct_specs.update(((omega, k), w) for k, w in zip(keys, specs))
                 else:
-                    # the graph view hands out the direct list's own specs
-                    assert all(id(w) in direct_ids for w in specs)
+                    # the graph column's specs equal the direct specs of its keys
+                    assert specs == [direct_specs[omega, k] for k in keys]
         assert sum(map(len, census.graph_based.values())) > 0
 
         for omega, specs in census.two_measurement.items():
@@ -2624,6 +2657,27 @@ class TestTwoMeasurementParts:
             WitnessSpec(kind, None, 2, (x1, y2), x_rows=(x1,), z_rows=(y2,))
         with pytest.raises(ValueError, match="^two-measurement Z part holds XI,"):
             WitnessSpec(kind, None, 2, (x1,), x_rows=(), z_rows=(x1,))
+
+    def test_standard_parts_must_split_its_subgroup(self):
+        # XX and ZZ on two qubits: XI and IZ are no members of their span,
+        # and eval_two_measurement would read those parts' projectors
+        xx, zz, xi, iz = 0b11, 0b11 << 2, 0b01, 0b10 << 2
+        for kind in (witnesses.WitnessKind.STANDARD, witnesses.WitnessKind.ALTERNATIVE):
+            with pytest.raises(
+                ValueError, match=f"^{kind.value} witness's X and Z parts do not span"
+            ):
+                WitnessSpec(kind, None, 2, (xx, zz), x_rows=(xi,), z_rows=(iz,))
+            with pytest.raises(
+                ValueError, match=f"^{kind.value} witness needs X and Z parts, or"
+            ):
+                WitnessSpec(kind, None, 2, (xx, zz), x_rows=(xx,))
+            with pytest.raises(ValueError, match="^two-measurement X part holds ZZ,"):
+                WitnessSpec(kind, None, 2, (xx, zz), x_rows=(zz,), z_rows=(xx,))
+            with pytest.raises(ValueError, match="^two-measurement Z part holds XX,"):
+                WitnessSpec(kind, None, 2, (xx, zz), x_rows=(), z_rows=(xx,))
+            # parts that split the subgroup, in any order of its rows
+            spec = WitnessSpec(kind, None, 2, (zz, xx ^ zz), x_rows=(xx,), z_rows=(zz,))
+            assert spec.identity_key == tuple(rows_rref((xx, zz)))
 
 
 # The paper's tables of the color code's subsystem classes; the library

@@ -19,12 +19,13 @@ table by kind, ``_KERNELS``: ``evaluate``, ``critical_probability`` and
 the evaluation report read it, and each ``eval_*`` function wraps its own
 kernel in a ``WitnessValue``.  A kernel takes packed rows, a witness's
 basis rows and its identity key, not a spec, so the report evaluates a
-census's keys without building specs.  The kernels and ``fidelity`` read
-packed rows' records through one lookup, ``_records``, and every span
-through one projector, ``_projector``, which spans a ``rows_rref`` key,
-sums the members in ascending packed-row order, so a value does not
-depend on the basis chosen for the subgroup, and scales the sum
-(``_scaled``).  A census witness's basis is its key, so the report reads
+census's keys without building specs; a spec of another kind is read by
+the key ``witnesses._key_as`` takes off its identity key, with no row
+reduced.  The kernels and ``fidelity`` read packed rows' records through
+one lookup, ``_records``, and every span through one projector,
+``_projector``, which spans a ``rows_rref`` key, sums the members in
+ascending packed-row order, so a value does not depend on the basis
+chosen for the subgroup, and scales the sum (``_scaled``).  A census witness's basis is its key, so the report reads
 its span once for both its standard and its alternative value
 (``_standard_and_alternative``), bit for bit the two kernels' values.
 Only members without a record are rendered as text, in the one
@@ -45,9 +46,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
-from .binary import PauliOperator, parse_pauli, pauli_from_row, pauli_row, rows_rref
+from .binary import PauliOperator, parse_pauli, pauli_from_row, pauli_row
 from .groups import StabilizerGroup, _span_rows
-from .witnesses import WitnessKind, WitnessSpec
+from .witnesses import WitnessKind, WitnessSpec, _key_as
 
 __all__ = [
     "MeasurementDataset",
@@ -330,7 +331,7 @@ class MeasurementDataset(_Source):
         writer.writerow(["pauli", "expectation", "shots"])
         for label in sorted(self.records):
             e, m = self.records[label]
-            writer.writerow([label, f"{e:.12g}", m])
+            writer.writerow([label, repr(float(e)), m])
         return out.getvalue()
 
 
@@ -495,19 +496,12 @@ def _kernel(
     kind: WitnessKind, w: WitnessSpec, data: DataSource
 ) -> tuple[float, float]:
     """The (expectation, variance) of a spec by the kernel of ``kind``: its
-    rows, and the key that kind reads.  That is the spec's identity key
-    unless one of the two kinds is the two-measurement kind and the other
-    is not; then the key is reduced from the spec's rows, or from its X
-    and Z parts, which a spec without them lacks."""
-    two_measurement = WitnessKind.TWO_MEASUREMENT
-    if (kind is two_measurement) == (w.kind is two_measurement):
-        key = w.identity_key
-    elif kind is two_measurement:
-        if w.x_rows is None or w.z_rows is None:
-            raise ValueError("witness carries no X/Z split")
-        key = (tuple(rows_rref(w.x_rows)), tuple(rows_rref(w.z_rows)))
-    else:
-        key = tuple(rows_rref(w.rows))
+    rows, and the key that kind reads off its identity key (``_key_as``),
+    with no row reduced.  A spec whose subgroup has no X/Z split has no
+    two-measurement key."""
+    key = _key_as(kind, w)
+    if key is None:
+        raise ValueError("witness carries no X/Z split")
     return _KERNELS[kind](data, w.n_qubits, w.rows, key)
 
 
@@ -541,7 +535,9 @@ def eval_two_measurement(
 
     Each span enters as 2^-a * sum over its 2^a members (identity included;
     an empty part is the identity alone); variances carry the same squared
-    coefficients.  Missing records are named for both parts at once.
+    coefficients.  Missing records are named for both parts at once.  A
+    standard or alternative spec is read by the X/Z split of its key, and
+    raises ValueError when its subgroup has none.
     """
     return _finish(*_kernel(WitnessKind.TWO_MEASUREMENT, w, data), sigma_threshold)
 

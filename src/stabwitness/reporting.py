@@ -52,6 +52,7 @@ from .witnesses import (
     WitnessKind,
     WitnessSpec,
     _COLOR_CODE,
+    _joined,
     classify_subsystem,
     two_measurement_from_standard,
 )
@@ -252,7 +253,7 @@ def _listing(census: WitnessCensus):
             method = both if direct is None or key in in_graph else "direct"
             yield omega, standard, key, None, None, _key_digest(key), method
         for x, z in splits:
-            method = both if z + x in in_graph else "direct"
+            method = both if _joined((x, z)) in in_graph else "direct"
             yield omega, twomeas, x + z, x, z, _key_digest((x, z)), method
 
 
@@ -441,11 +442,12 @@ def build_evaluation_report(
     ordered once by digest, and the subsystems' blocks are joined by size
     then label, so no row is sorted.  Only the genuine witnesses are specs:
     the standard one from ``genuine_set`` and its split by
-    ``two_measurement_from_standard``.  Raises ValueError when a
-    measurement dataset is on a different number of qubits than the
-    census, when the standard or alternative kind is asked for of a census
-    with neither a direct nor a graph-based column, or when
-    ``sigma_threshold`` is negative or not finite.
+    ``two_measurement_from_standard``.  Raises ValueError for a kind that
+    is neither a ``WitnessKind`` nor the value of one, when a measurement
+    dataset is on a different number of qubits than the census, when the
+    standard or alternative kind is asked for of a census with neither a
+    direct nor a graph-based column, or when ``sigma_threshold`` is
+    negative or not finite.
     """
     if not 0.0 <= sigma_threshold < math.inf:
         raise ValueError(
@@ -457,7 +459,7 @@ def build_evaluation_report(
         )
     direct, graph_based, twomeas = census._lists()
     source = direct if direct is not None else graph_based
-    kinds = tuple(kinds)
+    kinds = tuple(map(WitnessKind, kinds))
     two_measurement = [k for k in (WitnessKind.TWO_MEASUREMENT,) if k in kinds]
     standard = [
         k for k in (WitnessKind.STANDARD, WitnessKind.ALTERNATIVE) if k in kinds

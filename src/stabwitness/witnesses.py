@@ -78,7 +78,11 @@ with a Z part has its pivot in the Z block, and back-substitution has
 cleared the pivots of the X-only rows from it, so its X part is in their
 span only if it is 0.  Key rows are group members, so a census collects
 the X-only and Z-only members once and splits only the witnesses whose
-key rows all lie among them, one set test per witness.
+key rows all lie among them, one set test per witness.  The split is
+unique, so no spec stores a second copy of it: every read of one kind's
+key off a spec of another goes through ``_key_as``, which takes the split
+of a standard key, or joins a split's Z key and X key into the standard
+key, and reduces no row.
 
 A census holds keys, not specs.  Each subsystem's standard witnesses are
 their sorted keys, each key the witness's rows and its identity key at
@@ -178,8 +182,11 @@ class WitnessSpec:
     concatenated.  ``basis``, ``x_basis`` and ``z_basis`` are the same
     rows as ``PauliOperator``s, built on each access and not stored.
     Specs compare equal when their kind, scope and rows, in the order
-    given, are equal.  A standard or alternative spec may carry X/Z parts
-    too, given together: an X-type and a Z-type basis of its own subgroup.
+    given, are equal.  ``kind`` passes through ``WitnessKind``, so its
+    value string is accepted and an unknown kind raises ValueError.  Only
+    a two-measurement spec takes X/Z parts: the X/Z split of a standard
+    or alternative spec's subgroup, where it has one, is read off its key
+    (``_key_as``).
 
     ``omega`` is None for genuine (whole-state) scope.  Standard and
     alternative witnesses are identified by the subgroup their basis spans;
@@ -201,19 +208,16 @@ class WitnessSpec:
     key: InitVar[Optional[tuple]] = None
 
     def __post_init__(self, key: Optional[tuple]) -> None:
+        object.__setattr__(self, "kind", WitnessKind(self.kind))
         if not self.rows:
             raise ValueError("witness needs at least one basis stabilizer")
         if min(self.rows) < 0 or max(self.rows) >> 2 * self.n_qubits:
             raise ValueError(f"basis rows out of range for {self.n_qubits} qubits")
         two_measurement = self.kind is WitnessKind.TWO_MEASUREMENT
-        has_parts = self.x_rows is not None or self.z_rows is not None
-        if two_measurement or has_parts:
+        if two_measurement:
             if self.x_rows is None or self.z_rows is None:
-                raise ValueError(
-                    f"{self.kind.value} witness needs X and Z parts"
-                    + ("" if two_measurement else ", or neither")
-                )
-            if two_measurement and self.rows != self.x_rows + self.z_rows:
+                raise ValueError("two-measurement witness needs X and Z parts")
+            if self.rows != self.x_rows + self.z_rows:
                 raise ValueError(
                     "two-measurement basis must be its X part then its Z part"
                 )
@@ -229,6 +233,8 @@ class WitnessSpec:
                         f"two-measurement {part} part holds {text}, "
                         f"which is not {part}-type"
                     )
+        elif self.x_rows is not None or self.z_rows is not None:
+            raise ValueError(f"{self.kind.value} witness takes no X/Z parts")
         if self.omega is not None and len(self.omega) != len(self.rows):
             raise ValueError("need one basis stabilizer per qubit of omega")
         if key is None:
@@ -236,12 +242,6 @@ class WitnessSpec:
                 key = (tuple(rows_rref(self.x_rows)), tuple(rows_rref(self.z_rows)))
             else:
                 key = tuple(rows_rref(self.rows))
-        if has_parts and not two_measurement:
-            if tuple(rows_rref(self.x_rows + self.z_rows)) != key:
-                raise ValueError(
-                    f"{self.kind.value} witness's X and Z parts do not span "
-                    "the subgroup of its basis"
-                )
         object.__setattr__(self, "identity_key", key)
 
     def _paulis(self, rows: Optional[tuple[int, ...]]):
@@ -284,8 +284,7 @@ class WitnessSpec:
 
     @classmethod
     def alternative_from(cls, spec: "WitnessSpec") -> "WitnessSpec":
-        # a standard or alternative witness's key is the key of its rows
-        key = None if spec.x_rows is not None else spec.identity_key
+        key = _key_as(WitnessKind.ALTERNATIVE, spec)
         return cls(
             WitnessKind.ALTERNATIVE, spec.omega, spec.n_qubits, spec.rows, key=key
         )
@@ -966,16 +965,36 @@ def _split_spec(
     )
 
 
-def two_measurement_from_standard(spec: WitnessSpec) -> Optional[WitnessSpec]:
-    """Two-measurement variant of a standard witness, when the split exists.
+def _joined(split: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, ...]:
+    """The ``rows_rref`` key of the subgroup an (X part, Z part) split spans:
+    its Z key then its X key.  Every Z row's pivot is in the Z block, every
+    X row's in the X block, and no row has a bit in the other's block, so
+    the rows are reduced as they stand, in descending order."""
+    x_key, z_key = split
+    return z_key + x_key
 
-    A spec without X/Z parts holds the ``rows_rref`` key of its rows as
-    ``identity_key``, so the split reads that key as it is; only a spec
-    that already has X/Z parts is reduced again.  The variant's X and Z
-    parts are the split's rows, which together are also its identity key.
+
+def _key_as(kind: WitnessKind, spec: WitnessSpec) -> Optional[tuple]:
+    """The key the kernel of ``kind`` reads off ``spec.identity_key``, with
+    no row reduced: the key itself when both kinds have one key shape, the
+    split of a standard key (None when it does not split, ``_xz_split``),
+    or the standard key of a split (``_joined``)."""
+    two_measurement = WitnessKind.TWO_MEASUREMENT
+    if (kind is two_measurement) == (spec.kind is two_measurement):
+        return spec.identity_key
+    if kind is two_measurement:
+        return _xz_split(spec.identity_key, spec.n_qubits)
+    return _joined(spec.identity_key)
+
+
+def two_measurement_from_standard(spec: WitnessSpec) -> Optional[WitnessSpec]:
+    """Two-measurement variant of a witness, when its subgroup splits.
+
+    The split is read off the spec's identity key (``_key_as``), with no
+    row reduced.  The variant's X and Z parts are the split's rows, which
+    together are also its identity key.
     """
-    key = spec.identity_key if spec.x_rows is None else rows_rref(spec.rows)
-    split = _xz_split(key, spec.n_qubits)
+    split = _key_as(WitnessKind.TWO_MEASUREMENT, spec)
     return None if split is None else _split_spec(spec.omega, spec.n_qubits, split)
 
 

@@ -11,8 +11,8 @@ import pytest
 
 from conftest import random_stabilizer_set
 from test_witnesses import random_rref_bases
-from stabwitness import evaluation
-from stabwitness.binary import parse_pauli
+from stabwitness import binary, cliffords, evaluation, groups, witnesses
+from stabwitness.binary import parse_pauli, rows_rref
 from stabwitness.evaluation import (
     IncompleteDataError,
     MeasurementDataset,
@@ -84,6 +84,16 @@ class TestDataset:
         assert data.n_qubits == 7
         assert data.records["ZZZZIII"] == (0.83, 100)
         assert MeasurementDataset.from_csv(data.to_csv()).records == data.records
+
+    def test_csv_round_trip_keeps_every_digit(self, color_group_module):
+        # to_csv used to round each expectation to 12 significant digits,
+        # and to raise on a Fraction on Python 3.10 and 3.11
+        data = shot_noise_dataset(color_group_module, 5)
+        again = MeasurementDataset.from_csv(data.to_csv())
+        assert again == data
+        assert vars(again) == vars(data)  # the lookup by packed row included
+        third = MeasurementDataset(1, {"Z": (Fraction(1, 3), 10)})
+        assert third.to_csv() == "pauli,expectation,shots\nZ,0.3333333333333333,10\n"
 
     @pytest.mark.parametrize("build", ["csv", "pairs"])
     def test_parsed_dataset_is_the_constructors(self, build):
@@ -509,21 +519,70 @@ class TestStandard:
         assert again.variance == base.variance
 
     def test_each_kind_reads_any_spec(self, color_group_module):
-        # eval_standard sums the span of any spec's rows, and
-        # eval_two_measurement any spec's X and Z parts, whatever its kind
+        # eval_standard sums the span of any spec's key, and
+        # eval_two_measurement the X/Z split of any spec's key, whatever its
+        # kind
         data = shot_noise_dataset(color_group_module, 5)
         splits = two_measurement_witnesses(color_group_module, (1, 2, 3, 4))
         for split in splits:
             standard = WitnessSpec(
-                WitnessKind.STANDARD, split.omega, 7, split.rows[::-1],
-                split.x_rows, split.z_rows,
+                WitnessKind.STANDARD, split.omega, 7, split.rows[::-1]
             )
             assert eval_standard(split, data) == eval_standard(standard, data)
             assert eval_two_measurement(standard, data) == eval_two_measurement(
                 split, data
             )
+        pair = enumerate_direct(color_group_module, (5, 6))
         with pytest.raises(ValueError, match="carries no X/Z split"):
-            eval_two_measurement(enumerate_direct(color_group_module, (5, 6))[0], data)
+            eval_two_measurement(pair[2], data)
+        (split,) = [
+            w for w in two_measurement_witnesses(color_group_module, (5, 6))
+            if tuple(rows_rref(w.rows)) == pair[0].identity_key
+        ]
+        assert eval_two_measurement(pair[0], data) == eval_two_measurement(split, data)
+
+    def test_census_keys_read_as_every_kind(self, full_census, color_group):
+        # a direct witness evaluates as a two-measurement one exactly when its
+        # key splits, to its census split's value; no cross-kind read reduces
+        # a row
+        data = shot_noise_dataset(color_group, 5)
+        direct = [w for ws in full_census.direct.values() for w in ws]
+        graph = [w for ws in full_census.graph_based.values() for w in ws]
+        twomeas = [w for ws in full_census.two_measurement.values() for w in ws]
+        split_of = {(w.omega, tuple(rows_rref(w.rows))): w for w in twomeas}
+        assert (len(direct), len(split_of)) == (3927, 476)
+        calls = []
+        real = binary.rows_rref
+
+        def spy(rows):
+            calls.append(rows)
+            return real(rows)
+
+        assert not hasattr(evaluation, "rows_rref")
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (binary, cliffords, groups, witnesses):
+                patch.setattr(module, "rows_rref", spy)
+            evaluated = 0
+            for w in direct:
+                target = split_of.get((w.omega, w.identity_key))
+                if target is None:
+                    with pytest.raises(ValueError, match="carries no X/Z split"):
+                        eval_two_measurement(w, data)
+                    assert two_measurement_from_standard(w) is None
+                else:
+                    value = eval_two_measurement(w, data)
+                    assert value == eval_two_measurement(target, data)
+                    assert two_measurement_from_standard(w) == target
+                    evaluated += 1
+            for w in direct + graph + twomeas:
+                alternative = WitnessSpec.alternative_from(w)
+                assert alternative.identity_key == tuple(real(w.rows))
+                assert eval_standard(w, data) == eval_standard(alternative, data)
+                assert eval_alternative(w, data) == eval_alternative(alternative, data)
+            for w in twomeas:
+                assert two_measurement_from_standard(w) == w
+        assert evaluated == 476
+        assert calls == []
 
     def test_empty_basis_rejected(self):
         # an empty span would otherwise evaluate to a detection at -1/2

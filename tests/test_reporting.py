@@ -229,6 +229,24 @@ class TestEvaluationReport:
         assert [r.kind for r in genuine] == list(WitnessKind)
         assert [r for r in full.rows if r.omega is not None] == list(local.rows)
 
+    def test_unknown_kind_is_named(self, small_census):
+        # the CLI's spelling of a kind is no kind here; it used to select
+        # no row, silently
+        data = WernerModel(0.9)
+        for kinds in [("twomeas",), ("standard", "twomeas")]:
+            with pytest.raises(ValueError, match="'twomeas' is not a valid WitnessKind"):
+                build_evaluation_report(small_census, data, kinds=kinds)
+        by_value = build_evaluation_report(
+            small_census, data, kinds=("standard", "two-measurement")
+        )
+        by_kind = build_evaluation_report(
+            small_census, data, kinds=(WitnessKind.STANDARD, WitnessKind.TWO_MEASUREMENT)
+        )
+        assert by_value == by_kind
+        assert {r.kind for r in by_value.rows} == {
+            WitnessKind.STANDARD, WitnessKind.TWO_MEASUREMENT
+        }
+
     def test_ideal_all_detected(self, small_census, color_code_module):
         report = build_evaluation_report(
             small_census, WernerModel(1.0), genuine_set=color_code_module

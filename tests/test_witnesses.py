@@ -2659,25 +2659,42 @@ class TestTwoMeasurementParts:
             WitnessSpec(kind, None, 2, (x1,), x_rows=(), z_rows=(x1,))
 
     def test_standard_parts_must_split_its_subgroup(self):
-        # XX and ZZ on two qubits: XI and IZ are no members of their span,
-        # and eval_two_measurement would read those parts' projectors
+        # a standard or alternative spec takes no X/Z parts, valid or not:
+        # its X/Z split is read off its key
         xx, zz, xi, iz = 0b11, 0b11 << 2, 0b01, 0b10 << 2
         for kind in (witnesses.WitnessKind.STANDARD, witnesses.WitnessKind.ALTERNATIVE):
-            with pytest.raises(
-                ValueError, match=f"^{kind.value} witness's X and Z parts do not span"
-            ):
-                WitnessSpec(kind, None, 2, (xx, zz), x_rows=(xi,), z_rows=(iz,))
-            with pytest.raises(
-                ValueError, match=f"^{kind.value} witness needs X and Z parts, or"
-            ):
-                WitnessSpec(kind, None, 2, (xx, zz), x_rows=(xx,))
-            with pytest.raises(ValueError, match="^two-measurement X part holds ZZ,"):
-                WitnessSpec(kind, None, 2, (xx, zz), x_rows=(zz,), z_rows=(xx,))
-            with pytest.raises(ValueError, match="^two-measurement Z part holds XX,"):
-                WitnessSpec(kind, None, 2, (xx, zz), x_rows=(), z_rows=(xx,))
-            # parts that split the subgroup, in any order of its rows
-            spec = WitnessSpec(kind, None, 2, (zz, xx ^ zz), x_rows=(xx,), z_rows=(zz,))
+            for parts in [
+                {"x_rows": (xi,), "z_rows": (iz,)},  # no members of the span
+                {"x_rows": (xx,)},
+                {"z_rows": (zz,)},
+                {"x_rows": (zz,), "z_rows": (xx,)},  # parts of the wrong type
+                {"x_rows": (), "z_rows": (xx,)},
+                {"x_rows": (xx,), "z_rows": (zz,)},  # the subgroup's own split
+                {"x_rows": (), "z_rows": ()},
+            ]:
+                with pytest.raises(
+                    ValueError, match=f"^{kind.value} witness takes no X/Z parts$"
+                ):
+                    WitnessSpec(kind, None, 2, (zz, xx ^ zz), **parts)
+            spec = WitnessSpec(kind, None, 2, (zz, xx ^ zz))
             assert spec.identity_key == tuple(rows_rref((xx, zz)))
+            split = two_measurement_from_standard(spec)
+            assert (split.x_rows, split.z_rows) == ((xx,), (zz,))
+
+    def test_kind_is_a_witness_kind(self):
+        # a kind's value string is that kind; any other kind is refused
+        # before the spec is built
+        kind = witnesses.WitnessKind.TWO_MEASUREMENT
+        spec = WitnessSpec("two-measurement", None, 2, (1, 8), (1,), (8,))
+        assert spec.kind is kind
+        assert spec == WitnessSpec(kind, None, 2, (1, 8), (1,), (8,))
+        assert spec.identity_key == ((1,), (8,))
+        standard = WitnessSpec("standard", None, 2, (8, 1))
+        assert standard.kind is witnesses.WitnessKind.STANDARD
+        assert two_measurement_from_standard(standard) == spec
+        for bad in ("bogus", "twomeas", None, 2):
+            with pytest.raises(ValueError, match="is not a valid WitnessKind"):
+                WitnessSpec(bad, None, 2, (1, 8))
 
 
 # The paper's tables of the color code's subsystem classes; the library

@@ -30,7 +30,7 @@ from .reporting import (
     witness_rows,
     witness_rows_to_json,
 )
-from .witnesses import WitnessKind, WitnessSpec, run_census
+from .witnesses import WitnessKind, WitnessSpec, _METHODS, run_census
 
 # The alternative witness sums only its n basis members, but building its
 # spec reduces n rows of 2n bits: O(n^3) time and O(n^2) memory.  At this
@@ -93,6 +93,12 @@ def _parse_omegas(values) -> list[tuple[int, ...]] | None:
 def _add_code_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("code", nargs="?", help=f"code name ({', '.join(sorted(NAMED_CODES))})")
     sub.add_argument("--file", help="path to a code-definition JSON file")
+
+
+def _add_comma_list(sub: argparse.ArgumentParser, flag: str, names) -> None:
+    """A comma-list option whose default is every name, in order."""
+    every = ",".join(names)
+    sub.add_argument(flag, default=every, help=f"comma list from {every}")
 
 
 def cmd_build_code(parser, args) -> int:
@@ -271,11 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="run the witness census")
     _add_code_arguments(p)
-    p.add_argument(
-        "--methods",
-        default="direct,graph,twomeas",
-        help="comma list from direct,graph,twomeas",
-    )
+    _add_comma_list(p, "--methods", _METHODS)
     p.add_argument(
         "--omega",
         action="append",
@@ -295,11 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--werner", type=float, help="use the white-noise model at this p"
     )
-    p.add_argument(
-        "--kinds",
-        default="standard,alternative,twomeas",
-        help="comma list from standard,alternative,twomeas",
-    )
+    _add_comma_list(p, "--kinds", _KIND_FLAGS)
     p.add_argument("--omega", action="append", help="restrict subsystems")
     p.add_argument(
         "--best-per-omega",
@@ -330,11 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "critical-prob", help="white-noise critical probability calculator"
     )
-    p.add_argument(
-        "--kind",
-        choices=("standard", "alternative", "twomeas"),
-        required=True,
-    )
+    p.add_argument("--kind", choices=_KIND_FLAGS, required=True)
     p.add_argument("--n", type=int, help="witness size (standard/alternative)")
     p.add_argument("--x-size", type=int, help="X-type basis size (twomeas)")
     p.add_argument("--z-size", type=int, help="Z-type basis size (twomeas)")

@@ -247,10 +247,7 @@ class GeneratorSubset:
             raise ValueError(
                 f"{len(self.omega)} qubits vs {len(self.stabilizers)} stabilizers"
             )
-        if list(self.omega) != sorted(set(self.omega)):
-            raise ValueError("omega must be sorted and duplicate-free")
-        if self.omega and not (1 <= self.omega[0] and self.omega[-1] <= n_qubits):
-            raise ValueError(f"omega outside 1..{n_qubits}")
+        _check_scope(self.omega, n_qubits)
 
     @property
     def n_qubits(self) -> int:
@@ -263,6 +260,15 @@ class GeneratorSubset:
     @property
     def omega_mask(self) -> int:
         return _qubit_mask(self.omega)
+
+
+def _check_scope(omega: Sequence[int], n_qubits: int) -> None:
+    """Raise ValueError unless omega is sorted, duplicate-free labels in
+    1..n_qubits."""
+    if list(omega) != sorted(set(omega)):
+        raise ValueError("omega must be sorted and duplicate-free")
+    if omega and not (1 <= omega[0] and omega[-1] <= n_qubits):
+        raise ValueError(f"omega outside 1..{n_qubits}")
 
 
 def _qubit_mask(qubits: Iterable[int]) -> int:

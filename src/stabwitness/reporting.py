@@ -29,11 +29,13 @@ it returns."""
 
 from __future__ import annotations
 
+import collections
 import csv
 import hashlib
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -52,6 +54,7 @@ from .witnesses import (
     WitnessKind,
     WitnessSpec,
     _COLOR_CODE,
+    _COLUMNS,
     _joined,
     classify_subsystem,
     two_measurement_from_standard,
@@ -126,6 +129,20 @@ class CensusRow:
     two_measurement: Optional[int]
 
 
+# a row's counts in ``_COLUMNS`` order
+_counts = operator.attrgetter(*_COLUMNS)
+
+
+def _by_column(counts) -> dict:
+    """Counts in ``_COLUMNS`` order, keyed by column name."""
+    return dict(zip(_COLUMNS, counts))
+
+
+def _cell(count: Optional[int]):
+    """A count as a CSV cell: empty for a method not run."""
+    return "" if count is None else count
+
+
 @dataclass(frozen=True)
 class CensusReport:
     n_qubits: int
@@ -135,49 +152,20 @@ class CensusReport:
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["omega", "class", "direct", "graph_based", "two_measurement"])
-
-        def cell(v):
-            return "" if v is None else v
-
+        writer.writerow(["omega", "class", *_COLUMNS])
         for row in self.rows:
-            writer.writerow(
-                [
-                    _omega_text(row.omega),
-                    row.label,
-                    cell(row.direct),
-                    cell(row.graph_based),
-                    cell(row.two_measurement),
-                ]
-            )
-        writer.writerow(
-            [
-                "total",
-                "",
-                cell(self.totals["direct"]),
-                cell(self.totals["graph_based"]),
-                cell(self.totals["two_measurement"]),
-            ]
-        )
+            cells = map(_cell, _counts(row))
+            writer.writerow([_omega_text(row.omega), row.label, *cells])
+        writer.writerow(["total", "", *(_cell(self.totals[name]) for name in _COLUMNS)])
         return out.getvalue()
 
     def to_json(self) -> str:
+        rows = [
+            {"omega": list(row.omega), "class": row.label, **_by_column(_counts(row))}
+            for row in self.rows
+        ]
         return json.dumps(
-            {
-                "n_qubits": self.n_qubits,
-                "rows": [
-                    {
-                        "omega": list(row.omega),
-                        "class": row.label,
-                        "direct": row.direct,
-                        "graph_based": row.graph_based,
-                        "two_measurement": row.two_measurement,
-                    }
-                    for row in self.rows
-                ],
-                "totals": self.totals,
-            },
-            indent=2,
+            {"n_qubits": self.n_qubits, "rows": rows, "totals": self.totals}, indent=2
         )
 
     def class_table(self) -> list[dict]:
@@ -185,47 +173,29 @@ class CensusReport:
         distinct count triple in a class, with the number of subsystems that
         have it, so per-entry counts times subsystems sum to the totals.  On
         the color code every class has one triple, hence one entry."""
-        groups: dict[tuple, int] = {}
-        for row in self.rows:
-            slot = (
-                len(row.omega),
-                row.label,
-                row.direct,
-                row.graph_based,
-                row.two_measurement,
-            )
-            groups[slot] = groups.get(slot, 0) + 1
+        groups = collections.Counter(
+            (len(row.omega), row.label, *_counts(row)) for row in self.rows
+        )
         return [
-            {
-                "size": size,
-                "class": label,
-                "subsystems": subsystems,
-                "direct": direct,
-                "graph_based": graph_based,
-                "two_measurement": two_measurement,
-            }
-            for (size, label, direct, graph_based, two_measurement), subsystems
-            in sorted(groups.items())
+            {"size": size, "class": label, "subsystems": n, **_by_column(counts)}
+            for (size, label, *counts), n in sorted(groups.items())
         ]
 
 
 def build_census_report(census: WitnessCensus) -> CensusReport:
-    direct, graph_based, two_measurement = census._lists()
-    rows = []
-    for omega in census.subsystems():
-        def count(lists):
-            return None if lists is None else len(lists.get(omega, ()))
-
-        rows.append(
-            CensusRow(
-                omega,
-                _class_label(omega, census.group_key),
-                count(direct),
-                count(graph_based),
-                count(two_measurement),
-            )
+    """One row per subsystem of the census: its label, its class and its
+    witness count in each column, in ``_COLUMNS`` order, None for a method
+    not run; and the census's totals."""
+    columns = census._lists()
+    rows = tuple(
+        CensusRow(
+            omega,
+            _class_label(omega, census.group_key),
+            *(None if keys is None else len(keys.get(omega, ())) for keys in columns),
         )
-    return CensusReport(census.n_qubits, tuple(rows), census.totals())
+        for omega in census.subsystems()
+    )
+    return CensusReport(census.n_qubits, rows, census.totals())
 
 
 def _listing(census: WitnessCensus):
@@ -442,13 +412,20 @@ def build_evaluation_report(
     ordered once by digest, and the subsystems' blocks are joined by size
     then label, so no row is sorted.  Only the genuine witnesses are specs:
     the standard one from ``genuine_set`` and its split by
-    ``two_measurement_from_standard``.  Raises ValueError for a kind that
-    is neither a ``WitnessKind`` nor the value of one, when a measurement
+    ``two_measurement_from_standard``.  Raises ValueError for ``kinds``
+    given as one string, such as "standard" or ``WitnessKind.STANDARD``
+    rather than a collection of kinds, for a kind that is neither a
+    ``WitnessKind`` nor the value of one, when a measurement
     dataset is on a different number of qubits than the census, when the
     standard or alternative kind is asked for of a census with neither a
     direct nor a graph-based column, or when ``sigma_threshold`` is
     negative or not finite.
     """
+    if isinstance(kinds, str):
+        raise ValueError(
+            "kinds must be a collection of witness kinds, "
+            "such as ('standard',), not a string"
+        )
     if not 0.0 <= sigma_threshold < math.inf:
         raise ValueError(
             f"sigma threshold {sigma_threshold} is not a finite non-negative number"

@@ -126,6 +126,7 @@ from .groups import (
     GeneratorSet,
     GeneratorSubset,
     StabilizerGroup,
+    _check_scope,
     _qubit_mask,
     _span_rows,
     build_color_code,
@@ -186,16 +187,19 @@ class WitnessSpec:
     value string is accepted and an unknown kind raises ValueError.  Only
     a two-measurement spec takes X/Z parts: the X/Z split of a standard
     or alternative spec's subgroup, where it has one, is read off its key
-    (``_key_as``).
+    (``_key_as``).  ``rows``, ``x_rows`` and ``z_rows`` are kept as
+    tuples; an entry that is not an int, or is a bool, raises ValueError.
 
-    ``omega`` is None for genuine (whole-state) scope.  Standard and
-    alternative witnesses are identified by the subgroup their basis spans;
-    two-measurement witnesses by the (X-span, Z-span) pair.  That
-    ``identity_key`` is reduced once, at construction, unless the caller
-    passes it in as ``key``.  Every census witness's rows are already its
-    key; the census columns (``_CensusColumn``) pass them in as ``key``,
-    so each standard spec they build shares its rows tuple as its key, and
-    each two-measurement spec its parts.
+    ``omega`` is None for genuine (whole-state) scope; otherwise it is kept
+    as a tuple and must be a subsystem, sorted and duplicate-free labels in
+    1..N, or ValueError is raised with ``GeneratorSubset``'s message.
+    Standard and alternative witnesses are identified by the subgroup
+    their basis spans; two-measurement witnesses by the (X-span, Z-span)
+    pair.  That ``identity_key`` is reduced once, at construction, unless
+    the caller passes it in as ``key``.  Every census witness's rows are
+    already its key; the census columns (``_CensusColumn``) pass them in
+    as ``key``, so each standard spec they build shares its rows tuple as
+    its key, and each two-measurement spec its parts.
     """
 
     kind: WitnessKind
@@ -209,6 +213,19 @@ class WitnessSpec:
 
     def __post_init__(self, key: Optional[tuple]) -> None:
         object.__setattr__(self, "kind", WitnessKind(self.kind))
+        for name in ("rows", "x_rows", "z_rows"):
+            rows = getattr(self, name)
+            if rows is not None:
+                rows = tuple(rows)
+                strays = [
+                    r for r in rows if isinstance(r, bool) or not isinstance(r, int)
+                ]
+                if strays:
+                    raise ValueError(
+                        f"{name} holds entries that are not integers: "
+                        f"{', '.join(map(repr, strays))}"
+                    )
+                object.__setattr__(self, name, rows)
         if not self.rows:
             raise ValueError("witness needs at least one basis stabilizer")
         if min(self.rows) < 0 or max(self.rows) >> 2 * self.n_qubits:
@@ -235,8 +252,11 @@ class WitnessSpec:
                     )
         elif self.x_rows is not None or self.z_rows is not None:
             raise ValueError(f"{self.kind.value} witness takes no X/Z parts")
-        if self.omega is not None and len(self.omega) != len(self.rows):
-            raise ValueError("need one basis stabilizer per qubit of omega")
+        if self.omega is not None:
+            object.__setattr__(self, "omega", tuple(self.omega))
+            _check_scope(self.omega, self.n_qubits)
+            if len(self.omega) != len(self.rows):
+                raise ValueError("need one basis stabilizer per qubit of omega")
         if key is None:
             if two_measurement:
                 key = (tuple(rows_rref(self.x_rows)), tuple(rows_rref(self.z_rows)))
@@ -1084,6 +1104,14 @@ def classify_subsystem(omega: Sequence[int]) -> SubsystemClass:
 # ---------------------------------------------------------------------------
 
 
+# The census's columns in report order: the names of the ``WitnessCensus``
+# column fields, of the ``reporting.CensusRow`` count fields, of the census
+# report's count columns and of ``WitnessCensus.totals``.
+_COLUMNS = ("direct", "graph_based", "two_measurement")
+# The census methods ``run_census`` takes, in the order the CLI lists them.
+_METHODS = ("direct", "graph", "twomeas")
+
+
 @dataclass(frozen=True)
 class WitnessCensus:
     """Per-subsystem witness lists for the selected construction methods.
@@ -1110,30 +1138,30 @@ class WitnessCensus:
         return list(self.omegas)
 
     def _lists(self) -> tuple[Optional[Mapping[tuple[int, ...], list]], ...]:
-        """The direct, graph-based and two-measurement columns' witness keys
-        per subsystem, None for a method not run."""
-        columns = self.direct, self.graph_based, self.two_measurement
+        """Each column's witness keys per subsystem, in ``_COLUMNS`` order,
+        None for a method not run."""
+        columns = (getattr(self, name) for name in _COLUMNS)
         return tuple(None if c is None else c.witness_keys for c in columns)
 
     def totals(self) -> dict[str, Optional[int]]:
-        names = ("direct", "graph_based", "two_measurement")
         return {
             name: None if lists is None else sum(map(len, lists.values()))
-            for name, lists in zip(names, self._lists())
+            for name, lists in zip(_COLUMNS, self._lists())
         }
 
 
 def run_census(
     s: GeneratorSet,
-    methods: Iterable[str] = ("direct", "graph", "twomeas"),
+    methods: Iterable[str] = _METHODS,
     omegas: Optional[Sequence[Sequence[int]]] = None,
 ) -> WitnessCensus:
     """Enumerate witnesses with the selected methods.
 
-    ``methods`` may contain "direct", "graph", and "twomeas"; the
-    two-measurement census is derived from the direct one: the group's
-    X-only and Z-only members are collected once, and only the direct
-    witness keys whose rows are all among them are split
+    ``methods`` may contain the names in ``_METHODS``, "direct", "graph"
+    and "twomeas", and defaults to all three.  An unknown name raises
+    ValueError.  The two-measurement census is derived from the direct
+    one: the group's X-only and Z-only members are collected once, and
+    only the direct witness keys whose rows are all among them are split
     (``_two_measurement_variants``), with no spec built; the column keeps
     the sorted splits.  ``omegas`` restricts the subsystems (default: all
     of size 2..N-1) and raises MalformedSubsetError for one that is not
@@ -1164,7 +1192,7 @@ def run_census(
             "such as ('graph',), not a string"
         )
     methods = set(methods)
-    unknown = methods - {"direct", "graph", "twomeas"}
+    unknown = methods.difference(_METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
     group = span_group(s)

@@ -539,6 +539,32 @@ class TestOutputBytes:
         assert code == 0
         assert sha256(listing.read_text()) == digest
 
+    @pytest.mark.parametrize(
+        "flags,digest",
+        [
+            (
+                ("--format", "json"),
+                "aa0bb6a8ab56e6fa467edcd5f9db1f4b3cbf3767a7d7be7910dd47eb3120e643",
+            ),
+            (
+                ("--methods", "direct", "--format", "json"),
+                "74b3c0689f00f0699d9eb2559494bb780f21fc77dec3b9d87a4bb04cc289daf8",
+            ),
+            (
+                ("--methods", "graph,twomeas"),
+                "563cd26dd3188e7705fd67471cf9d079f5f44118509e598e4d6757520f29623c",
+            ),
+        ],
+        ids=["json", "direct-json", "graph-twomeas-csv"],
+    )
+    def test_enumerate_census_report(self, capsys, flags, digest):
+        # recorded before the report read its count columns off
+        # witnesses._COLUMNS; a method not run is null in JSON and an empty
+        # cell in CSV
+        code, out, _ = run_cli(capsys, "enumerate", "color_code_7", *flags)
+        assert code == 0
+        assert sha256(out) == digest
+
     def test_eval_werner(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "color_code_7", "--werner", "0.9")
         assert code == 0

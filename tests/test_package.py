@@ -66,3 +66,56 @@ def test_every_kind_is_in_every_table():
         assert kind in reporting._KIND_ORDER, f"no report order for {kind.value}"
         assert kind in cli._KIND_FLAGS.values(), f"no CLI kind for {kind.value}"
     assert len(cli._KIND_FLAGS) == len(evaluation._KERNELS) == len(WitnessKind)
+
+
+def test_every_census_vocabulary_has_one_owner():
+    # the census's columns and methods are named once, in witnesses, and the
+    # kinds' CLI spellings once, in cli._KIND_FLAGS: the census fields, the
+    # report's rows, totals and header, and the CLI's defaults and choices
+    # all read those tables, so a new column, method or kind fails here
+    # until each place has it
+    import argparse
+    import dataclasses
+    import inspect
+    import json
+
+    from stabwitness import cli, witnesses
+    from stabwitness.groups import build_color_code
+    from stabwitness.reporting import CensusRow, build_census_report
+
+    columns, methods = witnesses._COLUMNS, witnesses._METHODS
+    census = witnesses.run_census(build_color_code(), omegas=[(1, 2), (1, 2, 5)])
+    census_columns = tuple(
+        f.name
+        for f in dataclasses.fields(census)
+        if isinstance(getattr(census, f.name), witnesses._CensusColumn)
+    )
+    assert census_columns == columns
+    assert tuple(f.name for f in dataclasses.fields(CensusRow))[2:] == columns
+    assert tuple(census.totals()) == columns
+    report = build_census_report(census)
+    assert tuple(report.to_csv().splitlines()[0].split(","))[2:] == columns
+    assert tuple(json.loads(report.to_json())["rows"][0])[2:] == columns
+    assert tuple(report.class_table()[0])[3:] == columns
+    default = inspect.signature(witnesses.run_census).parameters["methods"].default
+    assert default == methods
+
+    parser = cli.build_parser()
+    (commands,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+
+    def option(command, flag):
+        (action,) = [
+            a for a in commands.choices[command]._actions if flag in a.option_strings
+        ]
+        return action
+
+    for command, flag, names in [
+        ("enumerate", "--methods", methods),
+        ("eval", "--kinds", tuple(cli._KIND_FLAGS)),
+    ]:
+        action = option(command, flag)
+        assert action.default == ",".join(names)
+        assert action.help == f"comma list from {','.join(names)}"
+    assert tuple(option("critical-prob", "--kind").choices) == tuple(cli._KIND_FLAGS)

@@ -247,6 +247,17 @@ class TestEvaluationReport:
             WitnessKind.STANDARD, WitnessKind.TWO_MEASUREMENT
         }
 
+    def test_kinds_given_as_one_string_are_named(self, small_census):
+        # a string is a collection of letters, which named its first letter
+        # as an invalid kind; a WitnessKind is a string too
+        for kinds in ("standard", WitnessKind.STANDARD):
+            with pytest.raises(ValueError) as err:
+                build_evaluation_report(small_census, WernerModel(0.9), kinds)
+            assert str(err.value) == (
+                "kinds must be a collection of witness kinds, "
+                "such as ('standard',), not a string"
+            )
+
     def test_ideal_all_detected(self, small_census, color_code_module):
         report = build_evaluation_report(
             small_census, WernerModel(1.0), genuine_set=color_code_module

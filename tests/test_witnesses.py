@@ -2697,6 +2697,62 @@ class TestTwoMeasurementParts:
                 WitnessSpec(bad, None, 2, (1, 8))
 
 
+class TestSpecArguments:
+    """A spec's rows and parts are tuples of ints and its scope is None or a
+    subsystem, checked at construction."""
+
+    def test_rows_parts_and_scope_are_tuples(self):
+        # a list was kept as given, so the spec compared unequal to the same
+        # spec with a tuple and could not be hashed, and list parts were
+        # refused as "not its X part then its Z part"
+        standard = WitnessSpec("standard", [1, 2], 3, [3, 24])
+        assert (standard.omega, standard.rows) == ((1, 2), (3, 24))
+        assert standard == WitnessSpec("standard", (1, 2), 3, (3, 24))
+        assert hash(standard) == hash(WitnessSpec("standard", (1, 2), 3, (3, 24)))
+        split = WitnessSpec("two-measurement", None, 2, (1, 8), [1], [8])
+        assert (split.rows, split.x_rows, split.z_rows) == ((1, 8), (1,), (8,))
+        assert split == WitnessSpec("two-measurement", None, 2, (1, 8), (1,), (8,))
+        hash(split)
+
+    @pytest.mark.parametrize(
+        "field,args,message",
+        [
+            ("rows", ("standard", None, 3, (True, 8)), "True"),
+            ("rows", ("standard", None, 3, (3, 24.0)), "24.0"),
+            ("rows", ("standard", None, 3, ("3", 24, None)), "'3', None"),
+            ("x_rows", ("two-measurement", None, 2, (1, 8), (True,), (8,)), "True"),
+            ("z_rows", ("two-measurement", None, 2, (1, 8), (1,), (8.0,)), "8.0"),
+        ],
+        ids=["bool", "float", "str-and-none", "bool-x-part", "float-z-part"],
+    )
+    def test_entries_that_are_not_ints_are_named(self, field, args, message):
+        with pytest.raises(ValueError) as err:
+            WitnessSpec(*args)
+        assert str(err.value) == f"{field} holds entries that are not integers: {message}"
+
+    @pytest.mark.parametrize(
+        "omega,message",
+        [
+            ((0, 9), "omega outside 1..3"),
+            ((1, 4), "omega outside 1..3"),
+            ((2, 1), "omega must be sorted and duplicate-free"),
+            ((1, 1), "omega must be sorted and duplicate-free"),
+        ],
+    )
+    def test_scope_is_a_subsystem(self, omega, message):
+        # such a scope was built and failed only later, in subset(), with
+        # GeneratorSubset's message; it fails at construction with that
+        # message now
+        rows = (0b011, 0b110 << 3)  # XXI, IZZ
+        for kind in (witnesses.WitnessKind.STANDARD, witnesses.WitnessKind.ALTERNATIVE):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                WitnessSpec(kind, omega, 3, rows)
+        if omega != (2, 1):  # standard_local sorts its scope
+            basis = [parse_pauli("XXI"), parse_pauli("IZZ")]
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                WitnessSpec.standard_local(omega, basis)
+
+
 # The paper's tables of the color code's subsystem classes; the library
 # derives both from the code's group.
 PAPER_STRING_LIKE = [

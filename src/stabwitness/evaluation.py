@@ -21,17 +21,19 @@ kernel in a ``WitnessValue``.  A kernel takes packed rows, a witness's
 basis rows and its identity key, not a spec, so the report evaluates a
 census's keys without building specs; a spec of another kind is read by
 the key ``witnesses._key_as`` takes off its identity key, with no row
-reduced.  The kernels and ``fidelity`` read packed rows' records through
-one lookup, ``_records``, and every span through one projector,
-``_projector``, which spans a ``rows_rref`` key, sums the members in
-ascending packed-row order, so a value does not depend on the basis
-chosen for the subgroup, and scales the sum (``_scaled``).  A census witness's basis is its key, so the report reads
-its span once for both its standard and its alternative value
+reduced.  The kernels, ``fidelity`` and the per-operator reads
+(``expectation_of``, ``variance_of``) read records in one place,
+``_records``, once per witness: a two-measurement witness reads its X
+span then its Z span in one call.  Every span is summed in ascending
+packed-row order (``_ascending_span`` of a ``rows_rref`` key), so a value
+does not depend on the basis chosen for the subgroup, and scaled in one
+place (``_scaled``).  A census witness's basis is its key, so the report
+reads its span once for both its standard and its alternative value
 (``_standard_and_alternative``), bit for bit the two kernels' values.
-Only members without a record are rendered as text, in the one
-``IncompleteDataError`` that names them all.  A dataset on another number
-of qubits than the witness is refused with a ValueError naming both
-counts.
+Only members without a record are rendered as text, by ``_records`` from
+the rows it has just read, in the one ``IncompleteDataError`` that names
+them all.  A dataset on another number of qubits than the witness is
+refused with a ValueError naming both counts.
 """
 
 from __future__ import annotations
@@ -84,14 +86,12 @@ class _Source:
     A source defines ``_lookup(n_qubits)``: a function from the packed row
     of an ``n_qubits``-qubit member to its (expectation, variance), or None
     when there is no record; a dataset on another number of qubits raises
-    ValueError instead.  It is the one place a record is read.
+    ValueError instead.  Every record is read through it by ``_records``;
+    ``missing`` only asks which members have none.
     """
 
     def _record(self, p: PauliOperator) -> tuple[float, float]:
-        record = self._lookup(p.n_qubits)(pauli_row(p))
-        if record is None:
-            raise IncompleteDataError([p.to_text()])
-        return record
+        return _records(self, p.n_qubits, [pauli_row(p)])[0]
 
     def missing(self, paulis: Sequence[PauliOperator]) -> list[str]:
         absent = (p for p in paulis if self._lookup(p.n_qubits)(pauli_row(p)) is None)
@@ -376,11 +376,14 @@ def _finish(expectation: float, variance: float, sigma_threshold: float) -> Witn
 
 def _records(data: DataSource, n_qubits: int, rows: Sequence[int]) -> list[tuple]:
     """The (expectation, variance) records of packed rows, in the order
-    given, or one IncompleteDataError naming every row without a record."""
+    given, or one IncompleteDataError naming every row without a record:
+    the one place a witness's records are read."""
     records = list(map(data._lookup(n_qubits), rows))
     if None in records:
-        absent = data.missing([pauli_from_row(r, n_qubits) for r in rows])
-        raise IncompleteDataError(absent)
+        absent = (r for r, record in zip(rows, records) if record is None)
+        raise IncompleteDataError(
+            sorted({pauli_from_row(r, n_qubits).to_text() for r in absent})
+        )
     return records
 
 
@@ -388,12 +391,6 @@ def _summed(records: Sequence[tuple]) -> tuple[float, float]:
     """(expectation sum, variance sum) of records, summed in their order."""
     expectations, variances = zip(*records)
     return sum(expectations), sum(variances)
-
-
-def _sums(data: DataSource, n_qubits: int, rows: Sequence[int]) -> tuple[float, float]:
-    """(expectation sum, variance sum) of packed rows, summed in the order
-    given, or one IncompleteDataError naming every row without a record."""
-    return _summed(_records(data, n_qubits, rows))
 
 
 def _ascending_span(key: Sequence[int]) -> list[int]:
@@ -453,20 +450,18 @@ def _standard(
 def _alternative(
     data: DataSource, n_qubits: int, rows: Sequence[int], key: tuple
 ) -> tuple[float, float]:
-    return _alternative_of(len(rows), _sums(data, n_qubits, rows))
+    return _alternative_of(len(rows), _summed(_records(data, n_qubits, rows)))
 
 
 def _two_measurement(
     data: DataSource, n_qubits: int, rows: Sequence[int], key: tuple
 ) -> tuple[float, float]:
-    x_key, z_key = key
-    try:
-        x_expectation, x_variance = _projector(data, n_qubits, x_key)
-        z_expectation, z_variance = _projector(data, n_qubits, z_key)
-    except IncompleteDataError:
-        # raises, naming the members of both parts
-        _sums(data, n_qubits, _span_rows(x_key) + _span_rows(z_key))
-        raise
+    # both parts' spans in one read, so a missing record names the
+    # members of both
+    x_span, z_span = map(_ascending_span, key)
+    records = _records(data, n_qubits, x_span + z_span)
+    x_expectation, x_variance = _scaled(records[: len(x_span)])
+    z_expectation, z_variance = _scaled(records[len(x_span) :])
     return 1.5 - x_expectation - z_expectation, x_variance + z_variance
 
 

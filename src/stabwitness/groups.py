@@ -228,7 +228,7 @@ def recombine(s: GeneratorSet, r: RecombinationMatrix) -> GeneratorSet:
 class GeneratorSubset:
     """Commuting stabilizers tied to a qubit subset, a witness candidate.
 
-    ``omega`` holds sorted 1-based qubit labels with one stabilizer per
+    ``omega`` holds sorted 1-based int qubit labels with one stabilizer per
     label.  Only structural consistency is enforced here; the algebraic
     requirements (independence, commutation, locality) are what
     ``check_direct`` decides.
@@ -263,12 +263,23 @@ class GeneratorSubset:
 
 
 def _check_scope(omega: Sequence[int], n_qubits: int) -> None:
-    """Raise ValueError unless omega is sorted, duplicate-free labels in
-    1..n_qubits."""
+    """Raise ValueError unless omega is sorted, duplicate-free int labels
+    in 1..n_qubits; a bool is not a label."""
+    strays = _not_ints(omega)
+    if strays:
+        raise ValueError(f"omega has labels that are not integers: {strays}")
     if list(omega) != sorted(set(omega)):
         raise ValueError("omega must be sorted and duplicate-free")
     if omega and not (1 <= omega[0] and omega[-1] <= n_qubits):
         raise ValueError(f"omega outside 1..{n_qubits}")
+
+
+def _not_ints(values: Iterable) -> str:
+    """The entries of ``values`` that are not ints, or are bools, as their
+    reprs joined by commas; empty when every entry is an int."""
+    return ", ".join(
+        repr(v) for v in values if isinstance(v, bool) or not isinstance(v, int)
+    )
 
 
 def _qubit_mask(qubits: Iterable[int]) -> int:

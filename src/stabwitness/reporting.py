@@ -21,11 +21,14 @@ one line, with no dict.  The evaluation report reads each standard key's
 span once for both its standard and its alternative row.  It evaluates
 the witnesses in census order, so a missing record names the first
 witness in that order that lacks one, and builds each subsystem's rows in
-report order, its keys ordered by digest once, so no row is sorted.  Its
-rows are named tuples, ``EvalRow``.  Every basis row is one of the group's
-2^N members, so each report call renders each distinct row and formats
-each subsystem label once, in dicts (``_Memo``) that the call drops when
-it returns."""
+report order, its keys ordered by digest once, so no row is sorted:
+within a subsystem, the standard, alternative and two-measurement rows in
+that order, each kind's by key digest.  ``best_per_omega`` keeps that
+order.  The report's rows are named tuples, ``EvalRow``, and its JSON
+rows are their fields, in order, with the subsystem as a list and the
+kind as its value.  Every basis row is one of the group's 2^N members, so
+each report call renders each distinct row and formats each subsystem
+label once, in dicts (``_Memo``) that the call drops when it returns."""
 
 from __future__ import annotations
 
@@ -290,9 +293,6 @@ def witness_rows_to_json(rows: Sequence[dict]) -> str:
 # Evaluation report
 # ---------------------------------------------------------------------------
 
-_KIND_ORDER = {kind: i for i, kind in enumerate(WitnessKind)}
-
-
 class EvalRow(NamedTuple):
     """One evaluated witness.  A named tuple, so it compares equal to the
     tuple of its fields."""
@@ -318,13 +318,16 @@ class EvaluationReport:
         )
 
     def best_per_omega(self) -> "EvaluationReport":
-        """Keep only the most negative row per (subsystem, kind)."""
+        """Keep only the most negative row per (subsystem, kind), the first
+        of equal ones, in report order: each stands where its (subsystem,
+        kind) first appears in ``rows``, which ``build_evaluation_report``
+        builds in report order."""
         best: dict[tuple, EvalRow] = {}
         for row in self.rows:
             slot = (row.omega, row.kind)
             if slot not in best or row.expectation < best[slot].expectation:
                 best[slot] = row
-        return EvaluationReport(self.n_qubits, tuple(_sorted_rows(best.values())))
+        return EvaluationReport(self.n_qubits, tuple(best.values()))
 
     def to_csv(self) -> str:
         # The subsystem label is the one field that can hold a comma; it is
@@ -347,13 +350,9 @@ class EvaluationReport:
                 "n_qubits": self.n_qubits,
                 "rows": [
                     {
+                        **row._asdict(),
                         "omega": None if row.omega is None else list(row.omega),
                         "kind": row.kind.value,
-                        "expectation": row.expectation,
-                        "stddev": row.stddev,
-                        "detected": row.detected,
-                        "confidence": row.confidence,
-                        "key_digest": row.key_digest,
                     }
                     for row in self.rows
                 ],
@@ -369,19 +368,10 @@ def _subsystem_order(omega: tuple[int, ...]) -> tuple:
     return len(omega), omega
 
 
-def _sorted_rows(rows) -> list[EvalRow]:
-    def sort_key(row: EvalRow):
-        omega = row.omega
-        scope = (1,) if omega is None else (0, len(omega), omega)
-        return scope + (_KIND_ORDER[row.kind], row.key_digest)
-
-    return sorted(rows, key=sort_key)
-
-
 def _digest_order(keys: Sequence) -> tuple[list[str], list[int]]:
     """The digests of keys, and the indices of the keys in ascending digest
-    order with ties kept in the order given, as ``_sorted_rows`` orders the
-    rows of one subsystem and kind."""
+    order with ties kept in the order given: the report order of the rows
+    of one subsystem and kind."""
     digests = list(map(_key_digest, keys))
     return digests, sorted(range(len(digests)), key=digests.__getitem__)
 

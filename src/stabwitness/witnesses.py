@@ -127,6 +127,7 @@ from .groups import (
     GeneratorSubset,
     StabilizerGroup,
     _check_scope,
+    _not_ints,
     _qubit_mask,
     _span_rows,
     build_color_code,
@@ -173,6 +174,14 @@ def _pauli_rows(paulis: Sequence[PauliOperator]) -> tuple[int, ...]:
     return tuple(pauli_row(p) for p in paulis)
 
 
+def _collection(name: str, value) -> tuple:
+    """``value`` as a tuple; raises ValueError naming the field ``name``
+    when it is not a collection, such as one int given for its rows."""
+    if not isinstance(value, collections.abc.Iterable):
+        raise ValueError(f"{name} must be a collection, not {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class WitnessSpec:
     """A witness: kind, scope, and the stabilizer basis defining it.
@@ -188,11 +197,13 @@ class WitnessSpec:
     a two-measurement spec takes X/Z parts: the X/Z split of a standard
     or alternative spec's subgroup, where it has one, is read off its key
     (``_key_as``).  ``rows``, ``x_rows`` and ``z_rows`` are kept as
-    tuples; an entry that is not an int, or is a bool, raises ValueError.
+    tuples; one that is not a collection, or an entry that is not an int,
+    or is a bool, raises ValueError.
 
     ``omega`` is None for genuine (whole-state) scope; otherwise it is kept
-    as a tuple and must be a subsystem, sorted and duplicate-free labels in
-    1..N, or ValueError is raised with ``GeneratorSubset``'s message.
+    as a tuple.  It must be a collection, or ValueError names it, and a
+    subsystem, sorted and duplicate-free int labels in 1..N, or ValueError
+    is raised with ``GeneratorSubset``'s message.
     Standard and alternative witnesses are identified by the subgroup
     their basis spans; two-measurement witnesses by the (X-span, Z-span)
     pair.  That ``identity_key`` is reduced once, at construction, unless
@@ -216,14 +227,11 @@ class WitnessSpec:
         for name in ("rows", "x_rows", "z_rows"):
             rows = getattr(self, name)
             if rows is not None:
-                rows = tuple(rows)
-                strays = [
-                    r for r in rows if isinstance(r, bool) or not isinstance(r, int)
-                ]
+                rows = _collection(name, rows)
+                strays = _not_ints(rows)
                 if strays:
                     raise ValueError(
-                        f"{name} holds entries that are not integers: "
-                        f"{', '.join(map(repr, strays))}"
+                        f"{name} holds entries that are not integers: {strays}"
                     )
                 object.__setattr__(self, name, rows)
         if not self.rows:
@@ -253,7 +261,7 @@ class WitnessSpec:
         elif self.x_rows is not None or self.z_rows is not None:
             raise ValueError(f"{self.kind.value} witness takes no X/Z parts")
         if self.omega is not None:
-            object.__setattr__(self, "omega", tuple(self.omega))
+            object.__setattr__(self, "omega", _collection("omega", self.omega))
             _check_scope(self.omega, self.n_qubits)
             if len(self.omega) != len(self.rows):
                 raise ValueError("need one basis stabilizer per qubit of omega")
@@ -402,11 +410,10 @@ def _check_subsystem(omega: Sequence[int], n_qubits: int) -> tuple[int, ...]:
     """The sorted labels of a subsystem; raises MalformedSubsetError, naming
     the fault, unless it has 2..N-1 distinct int labels in 1..N."""
     omega = tuple(omega)
-    strays = [q for q in omega if isinstance(q, bool) or not isinstance(q, int)]
+    strays = _not_ints(omega)
     if strays:
         raise MalformedSubsetError(
-            f"subsystem {omega} has labels that are not integers: "
-            f"{', '.join(map(repr, strays))}"
+            f"subsystem {omega} has labels that are not integers: {strays}"
         )
     omega = tuple(sorted(omega))
     repeated = sorted({q for q in omega if omega.count(q) > 1})

@@ -1086,6 +1086,52 @@ class TestPackedMatchesNaive:
                 evaluate(w, data)
             assert not isinstance(err.value, IncompleteDataError)
 
+    def test_operator_on_other_qubit_count_names_both_counts(self):
+        # expectation_of and variance_of read through the witnesses' one
+        # read, so a mismatch is named there too, not reported missing
+        data = MeasurementDataset.from_pairs(3, {"XXI": (0.9, 100)})
+        for read in (data.expectation_of, data.variance_of):
+            with pytest.raises(
+                ValueError, match="^dataset is on 3 qubits, the stabilizers on 4$"
+            ) as err:
+                read(parse_pauli("XXII"))
+            assert not isinstance(err.value, IncompleteDataError)
+            with pytest.raises(IncompleteDataError) as err:
+                read(parse_pauli("ZZI"))
+            assert err.value.missing == ("ZZI",)
+
+    def test_two_measurement_reads_its_records_once(
+        self, color_group, monkeypatch
+    ):
+        # both parts are read in one call, and a dataset missing members of
+        # both is named in one error, with no second read to name them
+        spec = next(
+            w
+            for w in two_measurement_witnesses(color_group, (2, 3, 4, 6))
+            if len(w.x_basis) >= 2 and len(w.z_basis) >= 2
+        )
+        calls = []
+
+        def spy(data, n_qubits, rows):
+            calls.append(len(rows))
+            return records(data, n_qubits, rows)
+
+        records = evaluation._records
+        monkeypatch.setattr(evaluation, "_records", spy)
+        full = shot_noise_dataset(color_group, 7)
+        value = eval_two_measurement(spec, full)
+        assert bits(value) == bits(naive_evaluate(spec, full))
+        assert calls == [2 ** len(spec.x_rows) + 2 ** len(spec.z_rows)]
+        dropped = {spec.x_basis[0].to_text(), spec.z_basis[1].to_text()}
+        data = MeasurementDataset(
+            7, {k: v for k, v in full.records.items() if k not in dropped}
+        )
+        calls.clear()
+        with pytest.raises(IncompleteDataError) as err:
+            eval_two_measurement(spec, data)
+        assert err.value.missing == tuple(sorted(dropped))
+        assert len(calls) == 1
+
 
 class TestAscendingSpan:
     """A ``rows_rref`` key spanned from its lowest row up is already in

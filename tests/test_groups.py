@@ -27,6 +27,7 @@ from stabwitness.groups import (
     span_group,
     span_paulis,
 )
+from stabwitness.witnesses import WitnessSpec
 
 from conftest import random_stabilizer_set
 
@@ -386,6 +387,23 @@ class TestGeneratorSubset:
             GeneratorSubset((2,), stabilizers)
         with pytest.raises(ValueError):
             GeneratorSubset((0, 3), stabilizers)
+
+    @pytest.mark.parametrize(
+        "omega,named",
+        [((1.0, 2), "1.0"), (("1", "2"), "'1', '2'"), ((True, 2), "True")],
+        ids=["float", "str", "bool"],
+    )
+    def test_labels_that_are_not_ints_are_named(self, omega, named):
+        # a float label was accepted and failed later in check_direct, str
+        # labels raised a bare TypeError from the sort, and True was taken
+        # for qubit 1
+        stabilizers = (parse_pauli("ZZI"), parse_pauli("XXI"))
+        with pytest.raises(ValueError) as err:
+            GeneratorSubset(omega, stabilizers)
+        assert str(err.value) == f"omega has labels that are not integers: {named}"
+        with pytest.raises(ValueError) as err:
+            WitnessSpec("standard", omega, 3, (0b110 << 3, 0b011))
+        assert str(err.value) == f"omega has labels that are not integers: {named}"
 
     def test_omega_mask(self):
         subset = GeneratorSubset(

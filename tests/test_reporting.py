@@ -20,7 +20,6 @@ from stabwitness.reporting import (
     EvalRow,
     EvaluationReport,
     _key_digest,
-    _sorted_rows,
     _witness_csv,
     build_census_report,
     build_evaluation_report,
@@ -479,7 +478,31 @@ def naive_evaluation_rows(
             genuine_two = two_measurement_from_standard(genuine_standard)
             if genuine_two is not None:
                 add(genuine_two)
-    return _sorted_rows(rows)
+    return naive_report_order(rows)
+
+
+def naive_report_order(rows):
+    """Rows sorted into report order: subsystems by size then label, the
+    genuine scope last, then by kind in ``WitnessKind`` order, then by key
+    digest."""
+    kinds = list(WitnessKind)
+
+    def sort_key(row):
+        scope = (1,) if row.omega is None else (0, len(row.omega), row.omega)
+        return scope + (kinds.index(row.kind), row.key_digest)
+
+    return sorted(rows, key=sort_key)
+
+
+def naive_best_per_omega(rows):
+    """The most negative row of each (subsystem, kind), the first of equal
+    ones, in report order by the oracle sort."""
+    best = {}
+    for row in rows:
+        slot = row.omega, row.kind
+        if slot not in best or row.expectation < best[slot].expectation:
+            best[slot] = row
+    return naive_report_order(best.values())
 
 
 def naive_eval_csv(report):
@@ -610,6 +633,21 @@ class TestEvalCsvMatchesWriter:
             best = report.best_per_omega()
             assert_same_csv(report.to_csv(), naive_eval_csv(report))
             assert_same_csv(best.to_csv(), naive_eval_csv(best))
+
+
+class TestBestPerOmega:
+    """``best_per_omega`` keeps the report's own order, so its rows are the
+    oracle's sort of the best rows."""
+
+    @pytest.mark.parametrize("run", sorted(COLOR_CODE_RUNS))
+    def test_color_code_reports(self, color_code_module, run):
+        methods, omegas = COLOR_CODE_RUNS[run]
+        census = run_census(color_code_module, methods, omegas)
+        genuine_set = color_code_module if omegas is None else None
+        for data in (WernerModel(0.9), shot_data(color_code_module)):
+            report = build_evaluation_report(census, data, genuine_set=genuine_set)
+            best = report.best_per_omega()
+            assert row_bits(best.rows) == row_bits(naive_best_per_omega(report.rows))
 
     def test_csv_of_any_rows_is_the_csv_writers(self):
         # signed zeros, extremes, non-finite values, absent confidences and

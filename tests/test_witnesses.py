@@ -2731,6 +2731,21 @@ class TestSpecArguments:
         assert str(err.value) == f"{field} holds entries that are not integers: {message}"
 
     @pytest.mark.parametrize(
+        "field,args",
+        [
+            ("rows", ("standard", None, 3, 5)),
+            ("omega", ("standard", 5, 3, (1,))),
+            ("x_rows", ("two-measurement", None, 2, (1, 8), 5, (8,))),
+            ("z_rows", ("two-measurement", None, 2, (1, 8), (1,), 5)),
+        ],
+    )
+    def test_fields_that_are_not_collections_are_named(self, field, args):
+        # a bare int raised "TypeError: 'int' object is not iterable"
+        with pytest.raises(ValueError) as err:
+            WitnessSpec(*args)
+        assert str(err.value) == f"{field} must be a collection, not 5"
+
+    @pytest.mark.parametrize(
         "omega,message",
         [
             ((0, 9), "omega outside 1..3"),

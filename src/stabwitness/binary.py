@@ -7,12 +7,16 @@ character; internally qubit ``k`` occupies bit ``k - 1``.  All phases are
 discarded: products are componentwise XOR and every operator is its own
 inverse.
 
-All GF(2) elimination goes through one forward-elimination helper:
-``rows_rank`` is the length of its basis and ``rows_rref`` adds
-back-substitution.  Matrix inversion and solving are reductions of
-augmented rows with ``rows_rref``: ``solve_mod2`` reduces [A_i | b_i], and
-``cliffords.find_graph_equivalence`` reduces [X_i | Z_i | e_i], bringing
-the X block to the identity and reading its inverse off the low bits.
+All GF(2) elimination goes through one forward-elimination step,
+``_reduce_into``, which reduces one row against a basis and adds it when it
+is independent.  ``_echelon`` is a loop over that step, ``rows_rank`` is the
+length of its basis and ``rows_rref`` adds back-substitution; a caller that
+needs a verdict before the last row, such as the direct search's leaf test,
+runs the step itself and stops at the verdict.  Matrix inversion and
+solving are reductions of augmented rows with ``rows_rref``:
+``solve_mod2`` reduces [A_i | b_i], and ``cliffords.find_graph_equivalence``
+reduces [X_i | Z_i | e_i], bringing the X block to the identity and
+reading its inverse off the low bits.
 """
 
 from __future__ import annotations
@@ -227,19 +231,30 @@ class BitMatrix:
         return BitMatrix(self.n_rows, other.n_cols, tuple(rows))
 
 
+def _reduce_into(basis: dict[int, int], row: int) -> bool:
+    """One step of forward elimination: reduce ``row`` against ``basis``, a
+    map of leading bit length to the basis row that owns it, and file what
+    is left under its own leading bit.  True when the row was independent
+    of the basis and so was added; False when it reduced to 0.
+
+    Clearing the leading bit with the row that owns it lowers the leading
+    bit, until the row is zero or claims a free pivot."""
+    while row:
+        lead = row.bit_length()
+        owner = basis.get(lead)
+        if owner is None:
+            basis[lead] = row
+            return True
+        row ^= owner
+    return False
+
+
 def _echelon(rows: Iterable[int]) -> list[int]:
     """Forward elimination: a basis of the row span in which every row has
     its own leading bit, its pivot.  Rows are in no particular order."""
     by_pivot: dict[int, int] = {}
     for row in rows:
-        # Clearing the leading bit with the row that owns it lowers the
-        # leading bit, until the row is zero or claims a free pivot.
-        while row:
-            lead = row.bit_length()
-            if lead not in by_pivot:
-                by_pivot[lead] = row
-                break
-            row ^= by_pivot[lead]
+        _reduce_into(by_pivot, row)
     return list(by_pivot.values())
 
 

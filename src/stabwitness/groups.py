@@ -8,6 +8,7 @@ stabilizers carry an implicit +1 phase.
 
 from __future__ import annotations
 
+import collections.abc
 import functools
 import json
 from dataclasses import dataclass, field
@@ -229,15 +230,19 @@ class GeneratorSubset:
     """Commuting stabilizers tied to a qubit subset, a witness candidate.
 
     ``omega`` holds sorted 1-based int qubit labels with one stabilizer per
-    label.  Only structural consistency is enforced here; the algebraic
-    requirements (independence, commutation, locality) are what
-    ``check_direct`` decides.
+    label.  ``omega`` and ``stabilizers`` are kept as tuples, so a subset
+    given lists equals and hashes like one given tuples; one that is not a
+    collection raises ValueError naming it.  Only structural consistency
+    is enforced here; the algebraic requirements (independence,
+    commutation, locality) are what ``check_direct`` decides.
     """
 
     omega: tuple[int, ...]
     stabilizers: tuple[PauliOperator, ...]
 
     def __post_init__(self) -> None:
+        for name in ("omega", "stabilizers"):
+            object.__setattr__(self, name, _collection(name, getattr(self, name)))
         if not self.stabilizers:
             raise ValueError("subset needs at least one stabilizer")
         n_qubits = self.stabilizers[0].n_qubits
@@ -260,6 +265,14 @@ class GeneratorSubset:
     @property
     def omega_mask(self) -> int:
         return _qubit_mask(self.omega)
+
+
+def _collection(name: str, value) -> tuple:
+    """``value`` as a tuple; raises ValueError naming the field ``name``
+    when it is not a collection, such as one int given for its rows."""
+    if not isinstance(value, collections.abc.Iterable):
+        raise ValueError(f"{name} must be a collection, not {value!r}")
+    return tuple(value)
 
 
 def _check_scope(omega: Sequence[int], n_qubits: int) -> None:

@@ -66,10 +66,13 @@ qubits; for one subsystem omega, once it meets a qubit outside omega,
 which condition (iii) forbids.  At a leaf with k active qubits,
 conditions (i) and (iii) and the commutation half of (ii) hold by
 construction.  Two ranks remain, and at rank 2 or 3 they hold by
-construction too (``_direct_keys``); from rank 4 up the leaf tests both
-with one rank of the restricted rows and the pair masks stacked on
-disjoint bits.  ``check_direct`` evaluates all four conditions with one
-predicate on packed 2N-bit rows.
+construction too (``_direct_keys``); from rank 4 up the leaf reduces its
+restricted rows, then its pair masks, into one basis, one row at a time
+(``binary._reduce_into``), and stops at its verdict: at the first
+restricted row that reduces to 0, or once k - 1 masks are independent.
+The search lists each pivot's candidate rows once per search and files
+each accepted key under its active region as it goes.  ``check_direct``
+evaluates all four conditions with one predicate on packed 2N-bit rows.
 
 The two-measurement form is read off a witness's key: the subgroup splits
 into an X-type and a Z-type part exactly when every row of its reduced
@@ -110,6 +113,7 @@ from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
 from .binary import (
     BitMatrix,
     PauliOperator,
+    _reduce_into,
     pauli_from_row,
     pauli_row,
     rows_rank,
@@ -127,6 +131,7 @@ from .groups import (
     GeneratorSubset,
     StabilizerGroup,
     _check_scope,
+    _collection,
     _not_ints,
     _qubit_mask,
     _span_rows,
@@ -172,14 +177,6 @@ def _pauli_rows(paulis: Sequence[PauliOperator]) -> tuple[int, ...]:
     if any(p.n_qubits != n_qubits for p in paulis):
         raise ValueError("basis stabilizers are on different qubit counts")
     return tuple(pauli_row(p) for p in paulis)
-
-
-def _collection(name: str, value) -> tuple:
-    """``value`` as a tuple; raises ValueError naming the field ``name``
-    when it is not a collection, such as one int given for its rows."""
-    if not isinstance(value, collections.abc.Iterable):
-        raise ValueError(f"{name} must be a collection, not {value!r}")
-    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -493,23 +490,28 @@ class _CensusColumn(collections.abc.Mapping):
         return len(self.witness_keys)
 
 
-def _subgroup_search(
+def _direct_keys(
     span: Sequence[int], rank: int, n_qubits: int, allowed: AbstractSet[int]
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Depth-first search over the rank-``rank`` subgroups of a group,
-    pruned by the active region; yields (active mask, rows) at each leaf.
+) -> dict[int, list[tuple[int, ...]]]:
+    """The RREF keys of the rank-``rank`` subgroups that seed a local
+    witness for their active region, by a depth-first search pruned by the
+    active region, filed by that region: a map of each mask in ``allowed``
+    with ``rank`` qubits, a wanted subsystem, to its keys in search order.
 
     ``span[c]`` is the packed 2N-bit row of the group element with exponent
-    vector c, for c < 2^N.  Each subgroup is reached through the reduced
+    vector c, for c < 2^N, over the group's ``rows_rref`` basis:
+    ``_span_rows(group.key)``.  Each subgroup is reached through the reduced
     row-echelon basis of its exponent subspace: a row's pivot is its lowest
     set bit and its free columns lie above the pivot, off the pivots
     already chosen.  Rows are chosen from the highest pivot down, so each
     row is final when it is chosen, and every subspace is reached at most
     once; a pivot too low to leave a column for each remaining row is
-    skipped.
+    skipped.  The candidate rows of a pivot depend only on the pivot and
+    the columns still free above it, so each (pivot, free columns) pair's
+    rows are listed once per call, on first use: at most (3^N - 1) / 2
+    rows, one per (pivot, set of used pivots above it).
 
-    When ``span`` is ``_span_rows`` of the group's ``rows_rref`` basis,
-    exponent bit i selects the basis row with the i-th highest Pauli pivot,
+    Exponent bit i selects the basis row with the i-th highest Pauli pivot,
     and an element's Pauli bits at those pivot columns are its exponent
     bits.  A lowest-set-bit exponent pivot is then a highest-set-bit Pauli
     pivot, and each pivot column is set in one row only, so the rows at a
@@ -523,53 +525,13 @@ def _subgroup_search(
     anticommutes with one of them; on a qubit inside ``active`` the bit is
     already set.  The active region only grows, so a partial basis is
     pruned, with every extension, once its active region is not in
-    ``allowed``.  The prune is exact when ``allowed`` is downward closed,
-    holding every submask of each of its masks: a region outside it has no
-    extension inside it.  A leaf may still have fewer active qubits than
-    the masks it is allowed under.
-    """
-    full = (1 << n_qubits) - 1
-    rows = [0] * rank
-    last = rank - 1
-
-    def extend(depth: int, top: int, used: int, letters: int, active: int):
-        # pivots below the previous one, leaving a column for each row after
-        for p in range(top - 1, last - depth - 1, -1):
-            pivot = 1 << p
-            free = full & ~used & -(pivot << 1)
-            sub = free
-            while True:
-                r = span[pivot | sub]
-                grown = active | (
-                    ((letters >> n_qubits) & r) ^ (letters & (r >> n_qubits))
-                )
-                if grown in allowed:
-                    rows[depth] = r
-                    if depth == last:
-                        yield grown, tuple(rows)
-                    else:
-                        yield from extend(
-                            depth + 1, p, used | pivot, letters | r, grown
-                        )
-                if not sub:
-                    break
-                sub = (sub - 1) & free
-
-    return extend(0, n_qubits, 0, 0, 0)
-
-
-def _direct_keys(
-    span: Sequence[int], rank: int, n_qubits: int, allowed: AbstractSet[int]
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (active mask, RREF key) for every rank-``rank`` subgroup whose
-    active region is in ``allowed`` and that seeds a local witness for
-    that region, pruned as ``_subgroup_search`` prunes.  ``span`` is
-    ``_span_rows(group.key)``, the group's rows by exponent vector over its
-    ``rows_rref`` basis, so each leaf's rows, reversed, are its key.
+    ``allowed``, which must be downward closed, holding every submask of
+    each of its masks: a region outside it has no extension inside it.
 
     Pair masks have even weight, so the pseudo-incidence rank is at most
     |active| - 1, and (iii) needs active inside omega: only omega = active
-    with |active| = k = rank can pass.  At such a leaf the rest of the
+    with |active| = k = rank can pass, so a leaf is kept only when its
+    active region is a wanted mask.  At such a leaf the rest of the
     predicate ``_failed_conditions`` holds by construction: (i) because
     independent exponent vectors give independent members of a commuting
     group, (iii) because every pair mask lies inside active, and the
@@ -591,20 +553,78 @@ def _direct_keys(
     as the masks cover active, one of them would be all 3 active qubits,
     an odd weight.
 
-    From k = 4 up the restricted rows, shifted above bit N, and the pair
-    masks are stacked in one list.  Their bits do not overlap, so the
-    ranks add, and the leaf passes exactly when the sum is 2k - 1.
+    From k = 4 up the leaf tests both ranks with ``_reduce_into``, one
+    basis per leaf.  The k restricted rows, shifted above bit N, can reach
+    rank k at most, and the pair masks, even-weight masks inside the k
+    active qubits, rank k - 1 at most, so each test stops at its verdict:
+    the restricted rows fail at the first that reduces to 0, and the pair
+    masks, below bit N and made one pair at a time, pass as soon as k - 1
+    of them are independent.  Given the first, the second is the cut-rank
+    test of genuine multipartite entanglement (Fattal et al.,
+    quant-ph/0406168) on the state the restricted rows stabilize.
+
+    The search is plain recursion, and the inner function is dropped
+    before the call returns, so the listed rows are freed on return by
+    reference counts alone, with no cycle left for the garbage collector.
     """
-    for active, rows in _subgroup_search(span, rank, n_qubits, allowed):
-        if active.bit_count() != rank:
-            continue
-        if rank > 3:
-            omega_rows = (active << n_qubits) | active
-            stacked = _pair_masks(rows, n_qubits)
-            stacked += [(r & omega_rows) << n_qubits for r in rows]
-            if rows_rank(stacked) != 2 * rank - 1:
+    full = (1 << n_qubits) - 1
+    found: dict[int, list[tuple[int, ...]]] = {
+        mask: [] for mask in allowed if mask.bit_count() == rank
+    }
+    listed: dict[int, list[int]] = {}
+    rows = [0] * rank
+    last = rank - 1
+
+    def extend(depth: int, top: int, used: int, letters: int, active: int) -> None:
+        high = letters >> n_qubits
+        # pivots below the previous one, leaving a column for each row after
+        for p in range(top - 1, last - depth - 1, -1):
+            pivot = 1 << p
+            free = full & ~used & -(pivot << 1)
+            # the free columns lie above the pivot, so this names the pair
+            candidates = listed.get(pivot | free)
+            if candidates is None:
+                candidates = listed[pivot | free] = []
+                sub = free
+                while True:
+                    candidates.append(span[pivot | sub])
+                    if not sub:
+                        break
+                    sub = (sub - 1) & free
+            if depth < last:
+                for r in candidates:
+                    grown = active | ((high & r) ^ (letters & (r >> n_qubits)))
+                    if grown in allowed:
+                        rows[depth] = r
+                        extend(depth + 1, p, used | pivot, letters | r, grown)
                 continue
-        yield active, rows[::-1]
+            for r in candidates:
+                grown = active | ((high & r) ^ (letters & (r >> n_qubits)))
+                if grown not in found:
+                    continue
+                rows[last] = r
+                if rank < 4:
+                    found[grown].append(tuple(rows[::-1]))
+                    continue
+                # rank k of the restricted rows, then k - 1 of the pair masks
+                basis: dict[int, int] = {}
+                omega_rows = (grown << n_qubits) | grown
+                for row in rows:
+                    if not _reduce_into(basis, (row & omega_rows) << n_qubits):
+                        break
+                else:
+                    needed = last
+                    for a, b in itertools.combinations(rows, 2):
+                        mask = ((a >> n_qubits) & b) ^ (a & (b >> n_qubits))
+                        if _reduce_into(basis, mask):
+                            needed -= 1
+                            if not needed:
+                                found[grown].append(tuple(rows[::-1]))
+                                break
+
+    extend(0, n_qubits, 0, 0, 0)
+    del extend
+    return found
 
 
 def _direct_lists(
@@ -620,19 +640,20 @@ def _direct_lists(
     for omega has active region omega, and the region only grows as basis
     rows are added, so a partial basis whose region is no submask of a
     wanted omega has no wanted extension.  A leaf with k active qubits
-    inside a wanted omega of size k is that omega, so each accepted
-    subgroup is filed under its active region.  For one omega the prune
-    drops every region that meets a qubit outside omega; for every
+    inside a wanted omega of size k is that omega, so the search files
+    each accepted key under its active region, and each size's search
+    hands back the lists of its wanted subsystems.  For one omega the
+    prune drops every region that meets a qubit outside omega; for every
     subsystem of size k, every region of more than k qubits.
     """
     span = _span_rows(group.key)
-    keys: dict[int, list[tuple[int, ...]]] = {_qubit_mask(o): [] for o in wanted}
+    masks = {_qubit_mask(o) for o in wanted}
+    keys: dict[int, list[tuple[int, ...]]] = {}
     for rank in sorted(set(map(len, wanted))):
-        allowed = {mask for mask in keys if mask.bit_count() == rank}
+        allowed = {mask for mask in masks if mask.bit_count() == rank}
         for q in range(group.n_qubits):
             allowed |= {sub & ~(1 << q) for sub in allowed}
-        for active, key in _direct_keys(span, rank, group.n_qubits, allowed):
-            keys[active].append(key)
+        keys.update(_direct_keys(span, rank, group.n_qubits, allowed))
     return _CensusColumn(
         {omega: sorted(keys[_qubit_mask(omega)]) for omega in wanted},
         group.n_qubits,

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from stabwitness.binary import (
     BitMatrix,
+    _reduce_into,
     PauliOperator,
     anticommutation_mask,
     commutes,
@@ -59,6 +60,48 @@ def naive_rank(rows, n_cols):
                 mat[r] = [(a + b) % 2 for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def naive_echelon(rows):
+    """Forward elimination written out as one loop, with no step helper:
+    each row clears its leading bit with the basis row that owns it until
+    it is 0 or owns a free leading bit."""
+    by_pivot = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length()
+            if lead not in by_pivot:
+                by_pivot[lead] = row
+                break
+            row ^= by_pivot[lead]
+    return list(by_pivot.values())
+
+
+def naive_rref(rows):
+    """``naive_echelon`` back-substituted, sorted descending."""
+    basis = naive_echelon(rows)
+    for i in range(len(basis)):
+        pivot = 1 << (basis[i].bit_length() - 1)
+        for j in range(len(basis)):
+            if i != j and basis[j] & pivot:
+                basis[j] ^= basis[i]
+    return sorted(basis, reverse=True)
+
+
+def random_rows(rng):
+    """Random rows of random width, some of them sums of earlier rows, so
+    that dependent rows and zero rows both occur."""
+    width = rng.randrange(1, 24)
+    rows = []
+    for _ in range(rng.randrange(0, width + 5)):
+        if rows and rng.random() < 0.3:
+            row = 0
+            for earlier in rng.sample(rows, rng.randrange(1, len(rows) + 1)):
+                row ^= earlier
+        else:
+            row = rng.getrandbits(width)
+        rows.append(row)
+    return rows
 
 
 def random_pauli(rng, n):
@@ -218,6 +261,35 @@ class TestRank:
         before = m.row_bits
         rank_mod2(m)
         assert m.row_bits == before
+
+
+class TestReduceInto:
+    """``_reduce_into`` is the one elimination step: ``_echelon`` loops over
+    it, and the direct search's leaf test runs it until its verdict."""
+
+    def test_independent_exactly_when_the_rank_grows(self):
+        rng = random.Random(3701)
+        added = dependent = 0
+        for _ in range(400):
+            rows = random_rows(rng)
+            basis = {}
+            for i, row in enumerate(rows):
+                grows = rows_rank(rows[: i + 1]) > rows_rank(rows[:i])
+                assert _reduce_into(basis, row) == grows, (rows, i)
+                added += grows
+                dependent += not grows
+            assert len(basis) == rows_rank(rows)
+            # each basis row is filed under its own leading bit
+            assert all(row.bit_length() == lead for lead, row in basis.items())
+        assert added and dependent
+
+    def test_rank_and_rref_match_one_loop_elimination(self):
+        rng = random.Random(3702)
+        for _ in range(400):
+            rows = random_rows(rng)
+            assert rows_rank(rows) == len(naive_echelon(rows))
+            assert rows_rref(rows) == naive_rref(rows)
+            assert rows_rref(iter(rows)) == naive_rref(rows)
 
 
 class TestSolve:

@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-from stabwitness import witnesses
 from stabwitness.binary import pauli_row, rows_rank, rows_rref
 from stabwitness.groups import GeneratorSet, build_color_code, span_group
 from stabwitness.witnesses import (
@@ -19,7 +18,7 @@ from stabwitness.witnesses import (
     run_census,
 )
 
-from test_witnesses import _rref_bases
+from test_witnesses import _rref_bases, naive_subgroup_search
 
 
 def gaussian_binomial(n, k):
@@ -55,7 +54,7 @@ class TestSubspaceEnumeration:
         span = [pauli_row(e) for e in group.elements]
         for rank in range(1, n_qubits + 1):
             leaves = list(
-                witnesses._subgroup_search(span, rank, n_qubits, {0})
+                naive_subgroup_search(span, rank, n_qubits, {0})
             )
             assert len(leaves) == gaussian_binomial(n_qubits, rank)
             assert {active for active, _ in leaves} == {0}

@@ -405,6 +405,36 @@ class TestGeneratorSubset:
             WitnessSpec("standard", omega, 3, (0b110 << 3, 0b011))
         assert str(err.value) == f"omega has labels that are not integers: {named}"
 
+    @pytest.mark.parametrize(
+        "args,named",
+        [
+            ((5, ("ZZI", "XXI")), "omega must be a collection, not 5"),
+            (((1, 2), 5), "stabilizers must be a collection, not 5"),
+        ],
+        ids=["omega", "stabilizers"],
+    )
+    def test_fields_that_are_not_collections_are_named(self, args, named):
+        # an int omega raised a bare TypeError from the size check
+        omega, stabilizers = args
+        if not isinstance(stabilizers, int):
+            stabilizers = tuple(map(parse_pauli, stabilizers))
+        with pytest.raises(ValueError) as err:
+            GeneratorSubset(omega, stabilizers)
+        assert str(err.value) == named
+
+    def test_lists_are_kept_as_tuples(self):
+        # a list omega was kept as a list: the subset compared unequal to
+        # the same one with a tuple, and hashing it raised TypeError
+        stabilizers = (parse_pauli("ZZI"), parse_pauli("XXI"))
+        from_tuples = GeneratorSubset((1, 2), stabilizers)
+        for omega, given in [([1, 2], stabilizers), ((1, 2), list(stabilizers))]:
+            from_lists = GeneratorSubset(omega, given)
+            assert from_lists == from_tuples
+            assert hash(from_lists) == hash(from_tuples)
+            assert from_lists.omega == (1, 2)
+            assert from_lists.stabilizers == stabilizers
+        assert len({from_tuples, GeneratorSubset([1, 2], list(stabilizers))}) == 1
+
     def test_omega_mask(self):
         subset = GeneratorSubset(
             (2, 3, 4),

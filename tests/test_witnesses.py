@@ -431,12 +431,76 @@ def submasks(mask, n_qubits):
     return {m for m in range(1 << n_qubits) if not m & ~mask}
 
 
+def naive_subgroup_search(span, rank, n_qubits, allowed):
+    """Depth-first search over the rank-``rank`` subgroups of a group,
+    pruned by the active region; yields (active mask, rows) at each leaf,
+    with no leaf test.
+
+    ``span[c]`` is the packed 2N-bit row of the group element with exponent
+    vector c.  Each subgroup is reached through the reduced row-echelon
+    basis of its exponent subspace: a row's pivot is its lowest set bit and
+    its free columns lie above the pivot, off the pivots already chosen.
+    Rows are chosen from the highest pivot down, each subspace is reached
+    once, and over ``_span_rows(group.key)`` the rows at a leaf, reversed,
+    are the subgroup's ``rows_rref`` key.  A partial basis is pruned, with
+    every extension, once its active region, the OR of its pair
+    anticommutation masks, is not in ``allowed``; a leaf may have fewer
+    active qubits than its rank.  The search ``_direct_keys`` runs, with the
+    leaf test and the filing left out, and generators in place of its
+    recursion and its listed candidate rows.
+    """
+    full = (1 << n_qubits) - 1
+    rows = [0] * rank
+    last = rank - 1
+
+    def extend(depth, top, used, letters, active):
+        for p in range(top - 1, last - depth - 1, -1):
+            pivot = 1 << p
+            free = full & ~used & -(pivot << 1)
+            sub = free
+            while True:
+                r = span[pivot | sub]
+                grown = active | (
+                    ((letters >> n_qubits) & r) ^ (letters & (r >> n_qubits))
+                )
+                if grown in allowed:
+                    rows[depth] = r
+                    if depth == last:
+                        yield grown, tuple(rows)
+                    else:
+                        yield from extend(
+                            depth + 1, p, used | pivot, letters | r, grown
+                        )
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+
+    return extend(0, n_qubits, 0, 0, 0)
+
+
+def direct_key_pairs(span, rank, n_qubits, allowed):
+    """The set of (active mask, key) pairs ``_direct_keys`` accepts."""
+    found = witnesses._direct_keys(span, rank, n_qubits, allowed)
+    return {(active, key) for active, keys in found.items() for key in keys}
+
+
+def naive_leaf_test(rows, active, n_qubits):
+    """The two remaining ranks of a leaf with ``len(rows)`` active qubits,
+    taken as one: the rows restricted to the active region, shifted above
+    bit N, and the pair masks, stacked in one list whose rank is 2k - 1
+    exactly when the first part has rank k and the second rank k - 1."""
+    omega_rows = (active << n_qubits) | active
+    stacked = witnesses._pair_masks(rows, n_qubits)
+    stacked += [(r & omega_rows) << n_qubits for r in rows]
+    return rows_rank(stacked) == 2 * len(rows) - 1
+
+
 def naive_direct_keys(element_rows, rank, n_qubits, allowed):
     """Yield (active mask, RREF key) like ``_direct_keys``, searching the
     span by exponent vectors over the generators, testing every leaf with
     rank active qubits with the full predicate and reducing its rows to a
     key with ``rows_rref``."""
-    for active, rows in witnesses._subgroup_search(
+    for active, rows in naive_subgroup_search(
         element_rows, rank, n_qubits, allowed
     ):
         if active.bit_count() != rank:
@@ -599,7 +663,7 @@ class TestPrunedSearch:
             for rank in range(2, n_qubits):
                 accepted = set()
                 allowed = masks_up_to(rank, n_qubits)
-                for active, rows in witnesses._subgroup_search(
+                for active, rows in naive_subgroup_search(
                     span, rank, n_qubits, allowed
                 ):
                     assert rows[::-1] == tuple(rows_rref(rows))
@@ -613,7 +677,7 @@ class TestPrunedSearch:
                     failures[failed] += 1
                     if not failed:
                         accepted.add((active, rows[::-1]))
-                found = set(witnesses._direct_keys(span, rank, n_qubits, allowed))
+                found = direct_key_pairs(span, rank, n_qubits, allowed)
                 assert found == accepted, (n_qubits, rank)
         # each of the two rank tests is the only one to reject some leaf
         assert failures[("ii",)] and failures[("iv",)]
@@ -626,7 +690,7 @@ class TestPrunedSearch:
         span = [pauli_row(e) for e in group.elements]
         unpruned = {
             rank: set(
-                witnesses._subgroup_search(
+                naive_subgroup_search(
                     span, rank, n_qubits, masks_up_to(rank, n_qubits)
                 )
             )
@@ -636,7 +700,7 @@ class TestPrunedSearch:
         for omega in all_subsystems(n_qubits):
             mask = _qubit_mask(omega)
             pruned = set(
-                witnesses._subgroup_search(
+                naive_subgroup_search(
                     span, len(omega), n_qubits, submasks(mask, n_qubits)
                 )
             )
@@ -655,14 +719,37 @@ LEAF_CASES = [
 ]
 
 
+def spy_reductions(monkeypatch):
+    """Spy on ``witnesses._reduce_into`` and ``witnesses.rows_rank``:
+    returns a dict of each basis a reduction went into, by id, and a list
+    with one entry per rank taken."""
+    bases, ranks = {}, []
+    reduce_into, rank = witnesses._reduce_into, witnesses.rows_rank
+
+    def reduced(basis, row):
+        # holding each basis keeps its id from being reused
+        bases[id(basis)] = basis
+        return reduce_into(basis, row)
+
+    def counted(rows):
+        ranks.append(None)
+        return rank(rows)
+
+    monkeypatch.setattr(witnesses, "_reduce_into", reduced)
+    monkeypatch.setattr(witnesses, "rows_rank", counted)
+    return bases, ranks
+
+
 class TestLeafTest:
     """``_direct_keys`` accepts the leaves of rank 2 and 3 untested and
-    tests those of rank 4 and up with one rank of the restricted rows and
-    the pair masks stacked on disjoint bits; the full predicate
-    ``_failed_conditions`` is the oracle at every leaf."""
+    tests those of rank 4 and up with two early-exit reductions into one
+    basis; the stacked rank ``naive_leaf_test`` and the full predicate
+    ``_failed_conditions`` are its oracles at every leaf."""
 
     @pytest.mark.parametrize(
-        "s", [s for _, s in LEAF_CASES], ids=[i for i, _ in LEAF_CASES]
+        "s",
+        [s for _, s in LEAF_CASES] + [ring_group(9).generator_set],
+        ids=[i for i, _ in LEAF_CASES] + ["ring9"],
     )
     def test_leaf_test_is_the_full_predicate(self, s):
         group = span_group(s)
@@ -672,7 +759,8 @@ class TestLeafTest:
         for rank in range(2, n_qubits):
             accepted = set()
             allowed = masks_up_to(rank, n_qubits)
-            for active, rows in witnesses._subgroup_search(
+            found = direct_key_pairs(span, rank, n_qubits, allowed)
+            for active, rows in naive_subgroup_search(
                 span, rank, n_qubits, allowed
             ):
                 if active.bit_count() != rank:
@@ -687,16 +775,15 @@ class TestLeafTest:
                     omega_rows = (active << n_qubits) | active
                     restricted = [r & omega_rows for r in rows]
                     masks = witnesses._pair_masks(rows, n_qubits)
-                    stacked = masks + [r << n_qubits for r in restricted]
                     separate = (rows_rank(restricted), rows_rank(masks))
-                    assert (rows_rank(stacked) == 2 * rank - 1) == (
-                        separate == (rank, rank - 1)
-                    )
+                    stacked = naive_leaf_test(rows, active, n_qubits)
+                    assert stacked == (separate == (rank, rank - 1))
+                    verdict = (active, rows[::-1]) in found
+                    assert verdict == stacked == (failed is None), (rank, rows)
                 if failed is None:
                     accepted.add((active, rows[::-1]))
                 else:
                     rejected[rank] += 1
-            found = set(witnesses._direct_keys(span, rank, n_qubits, allowed))
             assert found == accepted, rank
         # rank 4 is the first rank whose leaves the test must reject
         if n_qubits > 5:
@@ -705,19 +792,13 @@ class TestLeafTest:
     def test_color_code_census_ranks_only_leaves_of_rank_four_and_up(
         self, color_group, monkeypatch
     ):
-        # one stacked rank per leaf of rank 4..6 with that many active
-        # qubits and none at the leaves of rank 2 and 3
-        calls = []
-        rank = witnesses.rows_rank
-
-        def counted(rows):
-            calls.append(None)
-            return rank(rows)
-
-        monkeypatch.setattr(witnesses, "rows_rank", counted)
+        # one basis per leaf of rank 4..6 with that many active qubits and
+        # none at the leaves of rank 2 and 3; no leaf takes a whole rank
+        bases, ranks = spy_reductions(monkeypatch)
         census = direct_census(color_group)
         assert sum(len(v) for v in census.values()) == 3927
-        assert len(calls) == 987
+        assert len(bases) == 987
+        assert ranks == []
 
 
 def naive_per_subsystem_direct(group, omegas) -> dict:
@@ -734,7 +815,7 @@ def naive_per_subsystem_direct(group, omegas) -> dict:
         allowed = submasks(mask, n_qubits)
         keys = [
             tuple(rows_rref(rows))
-            for active, rows in witnesses._subgroup_search(
+            for active, rows in naive_subgroup_search(
                 span, len(omega), n_qubits, allowed
             )
             if active == mask
@@ -799,13 +880,13 @@ class TestDirectLists:
 
     def test_one_search_per_size(self, color_group, monkeypatch):
         searched = []
-        subgroup_search = witnesses._subgroup_search
+        direct_keys = witnesses._direct_keys
 
         def search(span, rank, n_qubits, allowed):
-            searched.append((rank, allowed))
-            return subgroup_search(span, rank, n_qubits, allowed)
+            searched.append((rank, set(allowed)))
+            return direct_keys(span, rank, n_qubits, allowed)
 
-        monkeypatch.setattr(witnesses, "_subgroup_search", search)
+        monkeypatch.setattr(witnesses, "_direct_keys", search)
         wanted = [(1, 2, 3), (5, 6), (2, 3), (1, 2, 4, 7), (1, 2, 4)]
         witnesses._direct_lists(color_group, wanted)
         assert [rank for rank, _ in searched] == [2, 3, 4]
@@ -813,6 +894,26 @@ class TestDirectLists:
             assert allowed == set().union(
                 *(submasks(_qubit_mask(o), 7) for o in wanted if len(o) == rank)
             )
+
+
+class TestSearchMemory:
+    """``_direct_keys`` drops its inner function before it returns, so the
+    candidate rows it lists are freed when the call returns, by reference
+    counts alone: a census leaves no cycle for the garbage collector."""
+
+    @pytest.mark.parametrize(
+        "omegas", [None, [(1, 2, 3), (4, 5)]], ids=["census", "omegas"]
+    )
+    def test_census_leaves_no_garbage_cycle(self, color_code, omegas):
+        gc.collect()
+        gc.disable()
+        try:
+            census = run_census(color_code, ("direct", "twomeas"), omegas)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert census.totals()["direct"] == (3927 if omegas is None else 116)
+        assert unreachable == 0
 
 
 def naive_gme(rows, omega) -> bool:
@@ -848,7 +949,7 @@ def full_rank_leaves(group, ranks):
     span = _span_rows(group.key)
     for rank in ranks:
         allowed = masks_up_to(rank, n_qubits)
-        for active, rows in witnesses._subgroup_search(span, rank, n_qubits, allowed):
+        for active, rows in naive_subgroup_search(span, rank, n_qubits, allowed):
             if active.bit_count() != rank:
                 continue
             omega_rows = (active << n_qubits) | active
@@ -1631,29 +1732,24 @@ class TestIdleKernelRule:
             assert_graph_sublist(full_census, omega)
 
     def test_no_rank_on_the_color_code(self, color_code, color_group, monkeypatch):
-        # the filter reads the idle members off the group's rows and takes
-        # no rank; the 987 ranks of the census are the direct search's
+        # the filter reads the idle members off the group's rows and reduces
+        # no row; the census's 987 leaf tests are the direct search's, one
+        # basis each
         census = direct_census(color_group)
-        calls = []
-        rank = witnesses.rows_rank
-
-        def counted(rows):
-            calls.append(None)
-            return rank(rows)
-
-        monkeypatch.setattr(witnesses, "rows_rank", counted)
+        bases, ranks = spy_reductions(monkeypatch)
         kept = {
             omega: witnesses._graph_reachable(keys, omega, color_group)
             for omega, keys in census.witness_keys.items()
         }
         assert sum(len(v) for v in kept.values()) == 3122
-        assert calls == []
+        assert bases == {} and ranks == []
         assert run_census(color_code).totals() == {
             "direct": 3927,
             "graph_based": 3122,
             "two_measurement": 476,
         }
-        assert len(calls) == 987
+        assert len(bases) == 987
+        assert ranks == []
 
     def test_disjoint_pairs(self):
         s = GeneratorSet.from_texts(DEGENERATE_STATES["disjoint_pairs"])
@@ -1785,7 +1881,7 @@ class TestGraphFilter:
         full = run_census(s, ("graph",))
         omegas = subsystem_sample(s.n_qubits, 22)
         walks, searched = [], []
-        subgroup_search = witnesses._subgroup_search
+        direct_keys = witnesses._direct_keys
 
         def walk(graph):
             walks.append(graph)
@@ -1793,10 +1889,10 @@ class TestGraphFilter:
 
         def search(span, rank, n_qubits, allowed):
             searched.append(rank)
-            return subgroup_search(span, rank, n_qubits, allowed)
+            return direct_keys(span, rank, n_qubits, allowed)
 
         monkeypatch.setattr(witnesses, "lc_orbit", walk)
-        monkeypatch.setattr(witnesses, "_subgroup_search", search)
+        monkeypatch.setattr(witnesses, "_direct_keys", search)
         census = run_census(s, ("graph",), omegas)
         assert list(census.graph_based) == omegas
         assert census.graph_based == {o: full.graph_based[o] for o in omegas}

@@ -7,22 +7,26 @@ character; internally qubit ``k`` occupies bit ``k - 1``.  All phases are
 discarded: products are componentwise XOR and every operator is its own
 inverse.
 
-All GF(2) elimination goes through one forward-elimination step,
-``_reduce_into``, which reduces one row against a basis and adds it when it
-is independent.  ``_echelon`` is a loop over that step, ``rows_rank`` is the
-length of its basis and ``rows_rref`` adds back-substitution; a caller that
-needs a verdict before the last row, such as the direct search's leaf test,
-runs the step itself and stops at the verdict.  Matrix inversion and
-solving are reductions of augmented rows with ``rows_rref``:
-``solve_mod2`` reduces [A_i | b_i], and ``cliffords.find_graph_equivalence``
-reduces [X_i | Z_i | e_i], bringing the X block to the identity and
-reading its inverse off the low bits.
+All GF(2) elimination goes through one of two steps.  The forward step,
+``_reduce_into``, reduces one row against an echelon basis and adds it when
+it is independent; ``_echelon`` is a loop over it, ``rows_rank`` is the
+length of its basis, and a caller that needs a verdict before the last row,
+such as the direct search's leaf test, runs the step itself and stops at
+the verdict.  The reduced step, ``_insert_reduced``, adds one row to a
+reduced row-echelon basis and keeps it reduced; ``rows_rref`` is a loop
+over it, and a caller that extends a known key by one row, such as the
+graph census going from a subsystem to its child, runs the step once.
+Matrix inversion and solving are reductions of augmented rows with
+``rows_rref``: ``solve_mod2`` reduces [A_i | b_i], and
+``cliffords.find_graph_equivalence`` reduces [X_i | Z_i | e_i], bringing
+the X block to the identity and reading its inverse off the low bits.
 """
 
 from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -263,17 +267,31 @@ def rows_rank(rows: Iterable[int]) -> int:
     return len(_echelon(rows))
 
 
+def _insert_reduced(key: tuple[int, ...], row: int) -> tuple[int, ...]:
+    """One step of reduced elimination: the reduced row-echelon basis
+    (sorted descending) of the span of ``key``, itself such a basis, and
+    ``row``.  ``key`` comes back unchanged when the row is in its span.
+
+    XOR with a basis row lowers a row exactly when the row holds that basis
+    row's leading bit, and every other pivot is 0 in a reduced basis row,
+    so one pass clears each pivot from the row in any order.  What is left
+    leads with a new pivot, which one more pass clears from the basis rows;
+    those keep their own leading bits, and the row takes its place by it."""
+    for r in key:
+        if row ^ r < row:
+            row ^= r
+    if not row:
+        return key
+    pivot = 1 << row.bit_length() - 1
+    rows = [r ^ row if r & pivot else r for r in key]
+    rows.append(row)
+    rows.sort(reverse=True)
+    return tuple(rows)
+
+
 def rows_rref(rows: Iterable[int]) -> list[int]:
     """Reduced row-echelon basis (as ints, sorted descending) of the row span."""
-    basis = _echelon(rows)
-    # Back-substitute so each pivot appears in exactly one row.
-    for i in range(len(basis)):
-        pivot = 1 << (basis[i].bit_length() - 1)
-        for j in range(len(basis)):
-            if i != j and basis[j] & pivot:
-                basis[j] ^= basis[i]
-    basis.sort(reverse=True)
-    return basis
+    return list(reduce(_insert_reduced, rows, ()))
 
 
 def rank_mod2(m: BitMatrix) -> int:

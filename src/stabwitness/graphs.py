@@ -2,16 +2,18 @@
 
 Vertices are labeled 1..N to match the qubit labels used everywhere else.
 The adjacency matrix is stored one bit-packed neighbor mask per vertex.
-Connectivity of a vertex subset is decided by one flood fill over those
-masks.  The incidence-matrix form the paper states, a graph on n vertices
-being connected iff the rank of its incidence matrix is n - 1, lives in
-the tests as the oracle of that flood fill.
+The orbit walk packs those rows into one N^2-bit int, so complementing at a
+vertex is one XOR with a mask read off its neighbourhood (``_toggle``), the
+step ``local_complement`` takes too.  Connectivity of a vertex subset is
+decided by one flood fill over the neighbor masks.  The incidence-matrix
+form the paper states, a graph on n vertices being connected iff the rank
+of its incidence matrix is n - 1, lives in the tests as the oracle of that
+flood fill.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -101,6 +103,8 @@ class Graph:
         return tuple(v for v in range(1, self.n_vertices + 1) if (row >> (v - 1)) & 1)
 
     def _check_vertex(self, vertex: int) -> None:
+        if isinstance(vertex, bool) or not isinstance(vertex, int):
+            raise ValueError(f"vertex must be an integer, got {vertex!r}")
         if not 1 <= vertex <= self.n_vertices:
             raise IndexError(
                 f"vertex {vertex} out of range 1..{self.n_vertices}"
@@ -146,24 +150,40 @@ def _connected_mask(adjacency: Sequence[int], mask: int) -> bool:
     return reached == mask
 
 
-def _complemented(adjacency: tuple[int, ...], vertex: int) -> tuple[int, ...]:
-    """Adjacency rows after toggling every edge between two neighbors of a
-    1-based vertex; the input is not validated."""
-    hood = adjacency[vertex - 1]
-    rows = list(adjacency)
+def _packed(adjacency: Sequence[int], n_vertices: int) -> int:
+    """The adjacency rows as one N^2-bit int: row mu in bits mu*N..mu*N + N - 1."""
+    packed = 0
+    for mu, row in enumerate(adjacency):
+        packed |= row << mu * n_vertices
+    return packed
+
+
+def _unpacked(packed: int, n_vertices: int) -> tuple[int, ...]:
+    """The adjacency rows of a packed adjacency int."""
+    row_mask = (1 << n_vertices) - 1
+    shifts = range(0, n_vertices * n_vertices, n_vertices)
+    return tuple(packed >> shift & row_mask for shift in shifts)
+
+
+def _toggle(hood: int, n_vertices: int) -> int:
+    """The mask whose XOR complements a packed adjacency at a vertex with
+    neighbour mask ``hood``: each neighbour's row gains every other
+    neighbour.  The vertex's own row and column do not change."""
+    toggle = 0
     rest = hood
     while rest:
         low = rest & -rest
-        mu = low.bit_length() - 1
-        rows[mu] ^= hood & ~low
+        toggle |= (hood ^ low) << (low.bit_length() - 1) * n_vertices
         rest ^= low
-    return tuple(rows)
+    return toggle
 
 
 def local_complement(g: Graph, vertex: int) -> Graph:
     """Toggle every edge between two neighbors of the given vertex."""
     g._check_vertex(vertex)
-    return Graph(g.n_vertices, _complemented(g.adjacency, vertex))
+    n = g.n_vertices
+    packed = _packed(g.adjacency, n) ^ _toggle(g.adjacency[vertex - 1], n)
+    return Graph(n, _unpacked(packed, n))
 
 
 @dataclass(frozen=True)
@@ -191,38 +211,52 @@ class LcOrbit:
 def lc_orbit(g: Graph, max_size: int = 10**6) -> LcOrbit:
     """Breadth-first fixpoint of local complementation over labeled graphs.
 
-    Complements are compared as adjacency tuples; a ``Graph`` is built only
-    for a newly discovered member, and without ``Graph.__post_init__``'s
-    O(N^2) check: complementing keeps a graph's rows symmetric, loop-free
-    and in range, so each member is filled in field by field, in the order
-    its ``__init__`` sets them.  ``max_size`` caps the member count, the
-    seed included, so it must be at least 1.
+    The walk holds each member as one packed N^2-bit adjacency int
+    (``_packed``).  Complementing at a vertex is one XOR with the toggle
+    mask of its neighbourhood (``_toggle``), kept per distinct
+    neighbourhood, and complements are compared as ints.  A ``Graph`` is
+    built only for a newly discovered member, and without
+    ``Graph.__post_init__``'s O(N^2) check: complementing keeps a graph's
+    rows symmetric, loop-free and in range, so each member is filled in
+    field by field, in the order its ``__init__`` sets them.  ``max_size``
+    caps the member count, the seed included, so it must be an int of at
+    least 1.
     """
+    if isinstance(max_size, bool) or not isinstance(max_size, int):
+        raise ValueError(f"max_size must be an integer, got {max_size!r}")
     if max_size < 1:
         raise ValueError(f"max_size must be at least 1, got {max_size}")
     new, put = object.__new__, object.__setattr__
     n_vertices = g.n_vertices
-    seen = {g.adjacency: ()}
+    row_mask = (1 << n_vertices) - 1
+    shifts = range(0, n_vertices * n_vertices, n_vertices)
+    toggles: dict[int, int] = {}
+    queue = [_packed(g.adjacency, n_vertices)]
+    seen = set(queue)
     order = [g]
-    queue = deque([g.adjacency])
-    while queue:
-        current = queue.popleft()
-        seq = seen[current]
-        for vertex in range(1, n_vertices + 1):
-            nxt = _complemented(current, vertex)
+    sequences: list[tuple[int, ...]] = [()]
+    # the loop visits the members appended to the queue while it runs
+    for current, seq in zip(queue, sequences):
+        for vertex, shift in enumerate(shifts, 1):
+            hood = current >> shift & row_mask
+            toggle = toggles.get(hood)
+            if toggle is None:
+                toggle = toggles[hood] = _toggle(hood, n_vertices)
+            nxt = current ^ toggle
             if nxt in seen:
                 continue
             if len(seen) >= max_size:
                 raise CapacityError(
                     f"local-complementation orbit exceeds {max_size} graphs"
                 )
-            seen[nxt] = seq + (vertex,)
+            seen.add(nxt)
+            queue.append(nxt)
+            sequences.append(seq + (vertex,))
             member = new(Graph)
             put(member, "n_vertices", n_vertices)
-            put(member, "adjacency", nxt)
+            put(member, "adjacency", _unpacked(nxt, n_vertices))
             order.append(member)
-            queue.append(nxt)
-    return LcOrbit(tuple(order), tuple(seen[h.adjacency] for h in order))
+    return LcOrbit(tuple(order), tuple(sequences))
 
 
 def reduced_generator_subset(g: Graph, omega: Sequence[int]) -> GeneratorSubset:

@@ -26,15 +26,18 @@ subsystem, one at a time: it projects members' Z frames onto the qubits
 outside omega and keeps one member per distinct masked frame.  Masking to
 the qubits outside omega factors through masking to those outside omega's
 parent, omega without its largest qubit, so omega projects only the one
-member per distinct frame that its parent kept, and only the subsystems of
-size 2 project the whole orbit.  Those per-subsystem lists are kept one
-size at a time, each until its children are built.  The key needs less
-than the masked frame: the span is I outside omega except on the qubits
-with a neighbour in omega, so it is fixed by the Z frame on those qubits
-alone, the neighbourhood frame, and distinct neighbourhood frames give
-distinct keys.  The walk tests connectivity once per neighbourhood frame
-and keys it only when omega is connected, so it reduces one key per
-witness (``enumerate_graph_based``).
+member per distinct frame that its parent kept, and only the one-qubit
+subsystems, parents with no witnesses, project the whole orbit.  Those
+per-subsystem lists are kept one size at a time, each until its children
+are built.  The key needs less than the masked frame: the span is I
+outside omega except on the qubits with a neighbour in omega, so it is
+fixed by the Z frame on those qubits alone, the neighbourhood frame, and
+distinct neighbourhood frames give distinct keys.  The walk decides
+connectivity once per neighbourhood frame.  Each kept member carries its
+subsystem's key and connectivity to the children, so a child's key is its
+parent's plus one row, and a child of a connected parent is connected
+exactly when its new qubit has a neighbour in the parent
+(``enumerate_graph_based``).
 
 The walk runs only for a graph-based census of every subsystem with no
 direct search.  Any other census, one that names its subsystems or runs
@@ -106,13 +109,14 @@ import collections.abc
 import enum
 import itertools
 from dataclasses import InitVar, dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from operator import itemgetter, or_
 from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .binary import (
     BitMatrix,
     PauliOperator,
+    _insert_reduced,
     _reduce_into,
     pauli_from_row,
     pauli_row,
@@ -729,19 +733,6 @@ def _orbit_pullback(
         yield member, sequence, z, x
 
 
-def _pulled_rows(
-    z: int, x: int, adjacency: Sequence[int], vertices: Iterable[int], n_qubits: int
-) -> list[int]:
-    """The graph generators of 0-based ``vertices``, X on u and Z on its
-    neighbors, carried back to the state by a member's Z and X frames, as
-    packed 2N-bit rows.  u is not its own neighbor, so the parts are disjoint."""
-    qubit = (1 << n_qubits) | 1
-    return [
-        (x & qubit << u) | (z & ((adjacency[u] << n_qubits) | adjacency[u]))
-        for u in vertices
-    ]
-
-
 def enumerate_graph_based(s: GeneratorSet) -> _CensusColumn:
     """Standard local witnesses reachable through locally equivalent graphs,
     for every subsystem, keyed in order of size, then labels.
@@ -761,18 +752,20 @@ def enumerate_graph_based(s: GeneratorSet) -> _CensusColumn:
     the connectivity of omega in the member (see the module docstring).
 
     The subsystems are built as a tree.  The parent of omega is omega
-    without its largest qubit.  The qubits outside omega are some of those
+    without its largest qubit, and the root is the empty subsystem, which
+    holds the whole orbit.  The qubits outside omega are some of those
     outside its parent, so masking a Z frame to omega's outside factors
     through masking it to the parent's, and projecting one member per
     distinct frame of the parent gives omega every distinct masked frame
     the whole orbit gives it.  Any member with the frame will do.  So each
     subsystem projects the members its parent kept, one per distinct
-    frame, and only those of size 2, whose parent is one qubit, project the
-    whole orbit.  Each subsystem keeps one member per distinct frame of its
-    own in a plain list, unless it holds qubit N and so has no children.
-    The lists of one size live until their children are built: a list is
-    dropped after its last child, the one that adds qubit N, and the rest
-    of the level once the next size is done.
+    frame, and only the one-qubit subsystems, which are parents and have
+    no witnesses, project the whole orbit.  Each subsystem keeps one
+    member per distinct frame of its own in a plain list, unless it holds
+    qubit N and so has no children.  The lists of one size live until
+    their children are built: a list is dropped after its last child, the
+    one that adds qubit N, and the rest of the level once the next size is
+    done.
 
     Each kept member is then keyed by its neighbourhood frame, not by its
     masked frame: z & spread(S), where S, the neighbourhood of omega less
@@ -794,65 +787,112 @@ def enumerate_graph_based(s: GeneratorSet) -> _CensusColumn:
       Equal neighbourhood frames therefore give equal keys, and distinct
       ones distinct keys.
     - Connectivity of omega is a function of K (``_graph_reachable``), so
-      it is tested once per neighbourhood frame too, and a connected one
-      has its generators read off the frames (``_pulled_rows``) and
-      reduced once.
+      it is decided once per neighbourhood frame too.
+
+    None of this needs omega to be connected, so each kept member carries
+    its subsystem's neighbourhood, key and connectivity to the children,
+    and a child omega + v, v its largest qubit, reads them off its parent's
+    at one neighbourhood frame each:
+
+    - Its neighbourhood is the parent's OR v's neighbours.
+    - Its key is the parent's key plus v's pulled generator, the X frame on
+      v and the Z frame on v's neighbours, added by one reduced insertion
+      (``binary._insert_reduced``).  The rows of a graph's generators are
+      independent, so the row is never in the parent's span.  A subsystem
+      holding qubit N keys only its connected frames.
+    - If the parent is connected, so is the child exactly when v has a
+      neighbour in the parent; otherwise one flood fill decides.  The empty
+      root is not connected, as for ``_connected_mask``, so a one-qubit
+      subsystem takes a flood fill.
 
     A local symmetry sigma maps the span K = L(S, c_S) onto L(S, sigma(c_S)):
     it keeps S and maps each letter c_mu on its own qubit.  So the sweep
-    maps the neighbourhood frame first and reduces a key's image only when
-    the image frame is new, and every frame it keeps gives a new key.  The
-    symmetries are closed under inverse, so the sweep maps by each of them,
-    not by its inverse.  The census makes one ``rows_rref`` per witness.
+    maps the neighbourhood frame first and reduces a key's image, its
+    mapped rows folded in by reduced insertions, only when the image frame
+    is new, and every frame it keeps gives a new key.  The symmetries are
+    closed under inverse, so the sweep maps by each of them, not by its
+    inverse.  They form a group, so a walk frame that is the image of an
+    earlier one has every image keyed already, and the sweep skips it.
     """
     n_qubits = s.n_qubits
     q_le, _, graph0 = find_graph_equivalence(s)
     orbit = lc_orbit(graph0)
     symmetries = _local_symmetries(q_le, graph0)
 
-    frames = [
-        (member.adjacency, z, x) for member, _, z, x in _orbit_pullback(q_le, orbit)
-    ]
     z_frame = itemgetter(1)
-    others = [sym for sym in symmetries if not sym.is_identity()]
+    mappers = [partial(_map_row, sym) for sym in symmetries if not sym.is_identity()]
     full = (1 << n_qubits) - 1
+    # the root of the subsystem tree is the empty subsystem, which holds
+    # every member as (adjacency, Z frame, X frame, neighbourhood, key,
+    # connected) for the subsystem; it is not connected, as for
+    # _connected_mask
+    level = {
+        (): [
+            (member.adjacency, z, x, 0, (), False)
+            for member, _, z, x in _orbit_pullback(q_le, orbit)
+        ]
+    }
     out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    # the one-qubit parents of the subsystems of size 2 keep the whole orbit
-    size, parents, level = 1, {}, {(q,): frames for q in range(1, n_qubits)}
-    for omega in all_subsystems(n_qubits):
+    size, parents = 0, {}
+    # the one-qubit subsystems are parents only; qubit N's has no children
+    singles = [(q,) for q in range(1, n_qubits)]
+    for omega in itertools.chain(singles, all_subsystems(n_qubits)):
         if len(omega) != size:
             size, parents, level = len(omega), level, {}
         mask = _qubit_mask(omega)
+        v = omega[-1] - 1
+        parent_mask = mask ^ (1 << v)
+        # v's Z and X bits in a packed row
+        v_bits = ((1 << n_qubits) | 1) << v
         outside = ((full ^ mask) << n_qubits) | (full ^ mask)
         # a subsystem holding qubit N has no children, and in this order it
         # is its parent's last child
         leaf = omega[-1] == n_qubits
         members = parents.pop(omega[:-1]) if leaf else parents[omega[:-1]]
         distinct = dict(zip(map(outside.__and__, map(z_frame, members)), members))
-        if not leaf:
-            level[omega] = list(distinct.values())
-        indices = [q - 1 for q in omega]
-        # keys by neighbourhood frame, and the frames where omega is not
-        # connected
-        keys, apart = {}, set()
-        for masked, (adjacency, z, x) in distinct.items():
-            hood = 0
-            for u in indices:
-                hood |= adjacency[u]
-            # masked is I on omega, so this masks it to S
+        # keys by neighbourhood frame, of the connected frames and the others
+        keys, apart = {}, {}
+        children = []
+        for masked, (adjacency, z, x, hood, key, connected) in distinct.items():
+            near = adjacency[v]
+            hood |= near
+            # masked is I on omega, so this masks it to the neighbourhood
             frame = masked & ((hood << n_qubits) | hood)
-            if frame in keys or frame in apart:
-                continue
-            if _connected_mask(adjacency, mask):
-                rows = _pulled_rows(z, x, adjacency, indices, n_qubits)
-                keys[frame] = tuple(rows_rref(rows))
+            if frame in keys:
+                key, connected = keys[frame], True
+            elif frame in apart:
+                key, connected = apart[frame], False
             else:
-                apart.add(frame)
+                if connected:
+                    connected = near & parent_mask != 0
+                else:
+                    connected = _connected_mask(adjacency, mask)
+                # add the pulled generator of v: its X frame on v, its Z
+                # frame on v's neighbours
+                if connected or not leaf:
+                    key = _insert_reduced(
+                        key, (x & v_bits) | (z & ((near << n_qubits) | near))
+                    )
+                # a leaf's frames that are apart keep their parent's key,
+                # which nothing reads
+                (keys if connected else apart)[frame] = key
+            if not leaf:
+                children.append((adjacency, z, x, hood, key, connected))
+        if not leaf:
+            level[omega] = children
+        if size == 1:
+            continue
+        # a frame that is the image of an earlier one has its images keyed:
+        # the symmetries form a group
+        imaged = set()
         for frame, key in list(keys.items()):
-            for sym in others:
-                image = _map_row(sym, frame)
+            if frame in imaged:
+                continue
+            for mapped in mappers:
+                image = mapped(frame)
+                imaged.add(image)
                 if image not in keys:
-                    keys[image] = tuple(rows_rref([_map_row(sym, r) for r in key]))
+                    keys[image] = reduce(_insert_reduced, map(mapped, key), ())
         out[omega] = sorted(keys.values())
     return _CensusColumn(out, n_qubits)
 

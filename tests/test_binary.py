@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from stabwitness.binary import (
     BitMatrix,
+    _insert_reduced,
     _reduce_into,
     PauliOperator,
     anticommutation_mask,
@@ -264,8 +265,10 @@ class TestRank:
 
 
 class TestReduceInto:
-    """``_reduce_into`` is the one elimination step: ``_echelon`` loops over
-    it, and the direct search's leaf test runs it until its verdict."""
+    """The two elimination steps: ``_echelon`` loops over ``_reduce_into``
+    and the direct search's leaf test runs it until its verdict;
+    ``rows_rref`` folds ``_insert_reduced`` and the graph census runs it
+    once per child key."""
 
     def test_independent_exactly_when_the_rank_grows(self):
         rng = random.Random(3701)
@@ -282,6 +285,27 @@ class TestReduceInto:
             # each basis row is filed under its own leading bit
             assert all(row.bit_length() == lead for lead, row in basis.items())
         assert added and dependent
+
+    def test_reduced_insertion_folds_to_the_rref(self):
+        # every prefix of the rows, folded one insertion at a time, is the
+        # rref of that prefix; a zero or dependent row returns the key as
+        # it was
+        rng = random.Random(3703)
+        kept = skipped = 0
+        for _ in range(400):
+            rows = random_rows(rng)
+            key = ()
+            for i, row in enumerate(rows):
+                grown = _insert_reduced(key, row)
+                assert list(grown) == naive_rref(rows[: i + 1]), (rows, i)
+                if len(grown) == len(key):
+                    assert grown is key
+                    skipped += 1
+                else:
+                    assert len(grown) == len(key) + 1
+                    kept += 1
+                key = grown
+        assert kept and skipped
 
     def test_rank_and_rref_match_one_loop_elimination(self):
         rng = random.Random(3702)

@@ -539,6 +539,24 @@ class TestOutputBytes:
         assert code == 0
         assert sha256(listing.read_text()) == digest
 
+    def test_enumerate_graph_only_listing(self, capsys, tmp_path):
+        # the graph method alone, for every subsystem, is the one census
+        # that walks the LC orbit; recorded before that walk ran on packed
+        # adjacency and keyed each witness by one row insertion
+        listing = tmp_path / "x.csv"
+        code, out, _ = run_cli(
+            capsys,
+            "enumerate", "color_code_7", "--methods", "graph",
+            "--witnesses-out", str(listing),
+        )
+        assert code == 0
+        assert sha256(out) == (
+            "7b6be9ff52ac8542277335b486aa675124f7b951320fc3e21c08474418d8e3cf"
+        )
+        assert sha256(listing.read_text()) == (
+            "fb8a51ed15aae85028b07a9d76ecd381bd01d314b78dceced4fe445c3c6fba56"
+        )
+
     @pytest.mark.parametrize(
         "flags,digest",
         [

@@ -208,9 +208,43 @@ class TestLocalComplement:
             v = rng.randint(1, 7)
             assert local_complement(local_complement(g, v), v) == g
 
+    def test_matches_edge_toggling(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            n = rng.randint(1, 9)
+            g = random_graph(rng, n)
+            v = rng.randint(1, n)
+            assert local_complement(g, v) == naive_local_complement(g, v)
+
+    @pytest.mark.parametrize("vertex", [True, False, 1.0, "1", None])
+    def test_vertex_that_is_not_an_int_is_refused(self, vertex):
+        # True would complement vertex 1; a float or str raised a bare
+        # TypeError from the range comparison
+        with pytest.raises(ValueError, match="vertex must be an integer"):
+            local_complement(STAR4, vertex)
+        with pytest.raises(ValueError, match="vertex must be an integer"):
+            STAR4.neighbors(vertex)
+
+    @pytest.mark.parametrize("vertex", [0, 5, -1])
+    def test_vertex_out_of_range_keeps_its_index_error(self, vertex):
+        with pytest.raises(IndexError, match=f"vertex {vertex} out of range 1..4"):
+            local_complement(STAR4, vertex)
+
+
+def naive_local_complement(g: Graph, vertex: int) -> Graph:
+    """Toggle each edge between two neighbors of ``vertex``, on the edge
+    list."""
+    edges = set(g.edges())
+    hood = g.neighbors(vertex)
+    for i, mu in enumerate(hood):
+        for nu in hood[i + 1 :]:
+            edges ^= {(mu, nu)}
+    return Graph.from_edges(g.n_vertices, edges)
+
 
 def naive_lc_orbit(g: Graph) -> LcOrbit:
-    """Breadth-first closure that builds a Graph for every complement."""
+    """Breadth-first closure that builds a Graph for every complement, each
+    by ``naive_local_complement``."""
     seen = {g.adjacency: ()}
     order = [g]
     queue = deque([g])
@@ -218,7 +252,7 @@ def naive_lc_orbit(g: Graph) -> LcOrbit:
         current = queue.popleft()
         seq = seen[current.adjacency]
         for vertex in range(1, g.n_vertices + 1):
-            nxt = local_complement(current, vertex)
+            nxt = naive_local_complement(current, vertex)
             if nxt.adjacency not in seen:
                 seen[nxt.adjacency] = seq + (vertex,)
                 order.append(nxt)
@@ -299,6 +333,12 @@ class TestOrbit:
         # the seed alone is an orbit of one member, which such a cap forbids
         with pytest.raises(ValueError, match=f"max_size must be at least 1, got {max_size}"):
             lc_orbit(Graph.edgeless(1), max_size=max_size)
+
+    @pytest.mark.parametrize("max_size", ["3", True, 2.5, None])
+    def test_cap_that_is_not_an_int_is_refused(self, max_size):
+        # "3" raised a bare TypeError, and True and 2.5 were taken as caps
+        with pytest.raises(ValueError, match="max_size must be an integer"):
+            lc_orbit(CODE_GRAPH, max_size=max_size)
 
     def test_code_graph_orbit_size_regression(self):
         # labeled-orbit size for the color-code graph; derived once from the

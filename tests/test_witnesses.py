@@ -1319,11 +1319,22 @@ class TestIncrementalPullback:
             assert len(seeds) > 1
 
 
+def pulled_rows(z: int, x: int, adjacency, vertices, n_qubits: int) -> list:
+    """The graph generators of 0-based ``vertices``, X on u and Z on its
+    neighbors, carried back to the state by a member's Z and X frames, as
+    packed 2N-bit rows.  u is not its own neighbor, so the parts are disjoint."""
+    qubit = (1 << n_qubits) | 1
+    return [
+        (x & qubit << u) | (z & ((adjacency[u] << n_qubits) | adjacency[u]))
+        for u in vertices
+    ]
+
+
 def frame_rows(member, z_frame: int, x_frame: int) -> list:
     """The pulled generator rows of every vertex of an orbit member, read
     off its frames."""
     n_qubits = member.n_vertices
-    return witnesses._pulled_rows(
+    return pulled_rows(
         z_frame, x_frame, member.adjacency, range(n_qubits), n_qubits
     )
 
@@ -1392,7 +1403,7 @@ def naive_orbit_projection_graph_based(s: GeneratorSet) -> dict:
         distinct = {outside & frame[1]: frame for frame in frames}
         for masked, (adjacency, z, x) in distinct.items():
             if _connected_mask(adjacency, mask):
-                rows = witnesses._pulled_rows(
+                rows = pulled_rows(
                     z, x, adjacency, [q - 1 for q in omega], n_qubits
                 )
                 keys[masked] = tuple(rows_rref(rows))
@@ -1496,17 +1507,23 @@ class TestFrameMemo:
         assert enumerate_graph_based(s) == naive_incremental_graph_based(s)
 
     def test_color_code_reduces_each_masked_frame_once(self, monkeypatch):
-        # one flood fill per (subsystem, neighbourhood frame) of some
-        # member, and one rows_rref per such frame of a connected member or
-        # of a symmetry image, which is one per witness.  Keying every
-        # connected touched subsystem and every image took 21,244
-        # rows_rref; the touched-subsystem walk with a frame memo took 4,237
-        # and 14,279 flood fills, and one of each per masked Z frame 4,333
-        # and 6,863.  Projecting all 532 members for each of the 119
-        # subsystems took 63,308 projections; the subsystem tree projects
-        # the whole orbit for the 21 pairs only, and its parent's kept
-        # members otherwise.
-        counts = {"rows_rref": 0, "_connected_mask": 0, "projected": 0}
+        # each kept member carries its subsystem's key and connectivity to
+        # the children: one row insertion per (subsystem, neighbourhood
+        # frame), for a leaf only a connected one, and a flood fill only
+        # below a parent that is not connected; the sweep folds each new
+        # image's rows into a key, 845 insertions for 327 images, and no
+        # key is reduced by rows_rref.  Keying every connected touched
+        # subsystem and every image took 21,244 rows_rref; the
+        # touched-subsystem walk with a frame memo took 4,237 and 14,279
+        # flood fills, one of each per masked Z frame 4,333 and 6,863, and
+        # one rows_rref per witness 3,122 and 5,386 flood fills.  Projecting
+        # all 532 members for each of the 119 subsystems took 63,308
+        # projections and the subsystem tree, with the pairs projecting the
+        # whole orbit, 20,241; the one-qubit subsystems now project it and
+        # are parents only.
+        counts = {
+            "rows_rref": 0, "_insert_reduced": 0, "_connected_mask": 0, "projected": 0
+        }
 
         def counted(name):
             call = getattr(witnesses, name)
@@ -1526,15 +1543,16 @@ class TestFrameMemo:
 
             return projected
 
-        for name in ("rows_rref", "_connected_mask"):
+        for name in ("rows_rref", "_insert_reduced", "_connected_mask"):
             monkeypatch.setattr(witnesses, name, counted(name))
         monkeypatch.setattr(witnesses, "itemgetter", counted_getter)
         census = enumerate_graph_based(build_color_code())
         assert sum(len(v) for v in census.values()) == 3122
         assert counts == {
-            "rows_rref": 3122,
-            "_connected_mask": 5386,
-            "projected": 20241,
+            "rows_rref": 0,
+            "_insert_reduced": 4865 + 845,
+            "_connected_mask": 1979,
+            "projected": 19224,
         }
 
 
@@ -1992,7 +2010,7 @@ def naive_masked_frame_graph_based(s: GeneratorSet) -> dict:
         keys = {}
         for masked, (adjacency, z, x) in distinct.items():
             if _connected_mask(adjacency, mask):
-                rows = witnesses._pulled_rows(z, x, adjacency, indices, n_qubits)
+                rows = pulled_rows(z, x, adjacency, indices, n_qubits)
                 keys[masked] = tuple(rows_rref(rows))
         for masked, key in list(keys.items()):
             for sym in others:
@@ -2023,6 +2041,62 @@ def masked_frame_members(members, mask: int, n_qubits: int) -> list:
     return list({outside & entry[2]: entry for entry in members}.values())
 
 
+def naive_frame_loop_graph_based(s: GeneratorSet) -> dict:
+    """The graph-based keys by the subsystem tree's frame loop without
+    carried keys: each subsystem masks the frames its parent kept, tests
+    connectivity by one flood fill per new neighbourhood frame, reduces a
+    connected one's pulled rows from scratch with ``rows_rref``, and sweeps
+    every key it found by every symmetry."""
+    n_qubits = s.n_qubits
+    q_le, _, graph0 = find_graph_equivalence(s)
+    orbit = lc_orbit(graph0)
+    symmetries = find_local_symmetries(s)
+    frames = [
+        (member.adjacency, z, x)
+        for member, _, z, x in witnesses._orbit_pullback(q_le, orbit)
+    ]
+    others = [sym for sym in symmetries if not sym.is_identity()]
+    full = (1 << n_qubits) - 1
+    out = {}
+    size, parents, level = 1, {}, {(q,): frames for q in range(1, n_qubits)}
+    for omega in all_subsystems(n_qubits):
+        if len(omega) != size:
+            size, parents, level = len(omega), level, {}
+        mask = _qubit_mask(omega)
+        outside = ((full ^ mask) << n_qubits) | (full ^ mask)
+        leaf = omega[-1] == n_qubits
+        members = parents.pop(omega[:-1]) if leaf else parents[omega[:-1]]
+        distinct = {outside & frame[1]: frame for frame in members}
+        if not leaf:
+            level[omega] = list(distinct.values())
+        indices = [q - 1 for q in omega]
+        keys, apart = {}, set()
+        for masked, (adjacency, z, x) in distinct.items():
+            hood = 0
+            for u in indices:
+                hood |= adjacency[u]
+            frame = masked & ((hood << n_qubits) | hood)
+            if frame in keys or frame in apart:
+                continue
+            if _connected_mask(adjacency, mask):
+                rows = pulled_rows(z, x, adjacency, indices, n_qubits)
+                keys[frame] = tuple(rows_rref(rows))
+            else:
+                apart.add(frame)
+        for frame, key in list(keys.items()):
+            for sym in others:
+                image = _map_row(sym, frame)
+                if image not in keys:
+                    keys[image] = tuple(rows_rref([_map_row(sym, r) for r in key]))
+        out[omega] = sorted(keys.values())
+    return out
+
+
+# recipe graph 1 on 8 qubits has a 3,004-member orbit and graph 2 eight
+# local symmetries
+FRAME_LOOP_CASES = PULLBACK_CASES + RECIPE8_CASES[1:3]
+
+
 class TestNeighbourhoodFrame:
     """``_graph_census`` keys a subsystem omega by the neighbourhood frame
     z & spread(S), S the qubits outside omega with a neighbour in omega:
@@ -2042,6 +2116,14 @@ class TestNeighbourhoodFrame:
             for spec, expected in zip(specs, naive[omega]):
                 assert spec == expected
                 assert spec.identity_key == expected.identity_key
+
+    @pytest.mark.parametrize(
+        "s", [s for _, s in FRAME_LOOP_CASES], ids=[i for i, _ in FRAME_LOOP_CASES]
+    )
+    def test_matches_frame_loop_without_carried_keys(self, s):
+        census = enumerate_graph_based(s)
+        assert census.witness_keys == naive_frame_loop_graph_based(s)
+        assert list(census) == all_subsystems(s.n_qubits)
 
     @pytest.mark.parametrize(
         "s", [s for _, s in FRAME_CASES], ids=[i for i, _ in FRAME_CASES]
@@ -2097,7 +2179,7 @@ class TestNeighbourhoodFrame:
                 if not _connected_mask(member.adjacency, mask):
                     continue
                 frame = z & neighbourhood(member.adjacency, mask, n_qubits)
-                rows = witnesses._pulled_rows(
+                rows = pulled_rows(
                     z, x, member.adjacency, [q - 1 for q in omega], n_qubits
                 )
                 key = tuple(rows_rref(rows))
@@ -2125,21 +2207,30 @@ class TestNeighbourhoodFrame:
                 assert seen.setdefault((mask, frame), connected) == connected
         assert len(seen) < len(members) * len(all_subsystems(n_qubits))
 
-    @pytest.mark.parametrize("case", ["ring8", "recipe8_0", "recipe8_1"])
-    def test_one_rows_rref_per_witness(self, case, monkeypatch):
+    @pytest.mark.parametrize("case", ["ring8", "recipe8_0", "recipe8_1", "recipe8_2"])
+    def test_each_key_grows_by_one_row_insertion(self, case, monkeypatch):
+        # a child's key is its parent's key plus one pulled row, and a
+        # symmetry image's key its mapped rows folded in: every insertion
+        # adds an independent row, none is a rows_rref from scratch, and the
+        # walk inserts fewer rows than rebuilding every key would
         s = dict(TREE_CASES)[case]
-        calls = []
-        rref = witnesses.rows_rref
+        grown = []
+        insert = witnesses._insert_reduced
 
-        def counted(rows):
-            calls.append(None)
-            return rref(rows)
+        def counted(key, row):
+            out = insert(key, row)
+            grown.append(len(out) - len(key))
+            return out
 
-        monkeypatch.setattr(witnesses, "rows_rref", counted)
+        def refused(rows):
+            raise AssertionError("the census reduced a key from scratch")
+
+        monkeypatch.setattr(witnesses, "_insert_reduced", counted)
+        monkeypatch.setattr(witnesses, "rows_rref", refused)
         census = enumerate_graph_based(s)
-        total = sum(len(specs) for specs in census.values())
-        assert total
-        assert len(calls) == total
+        rows = sum(len(key) for keys in census.witness_keys.values() for key in keys)
+        assert set(grown) == {1}
+        assert len(grown) < rows
 
 
 def naive_xz_form(paulis):

@@ -5,7 +5,9 @@ qubit): the Z-block and the X-block.  Qubit labels are 1-based everywhere in
 the public API, matching the text format where qubit 1 is the leftmost
 character; internally qubit ``k`` occupies bit ``k - 1``.  All phases are
 discarded: products are componentwise XOR and every operator is its own
-inverse.
+inverse.  Pauli text is parsed in one place, ``parse_row``, straight to the
+operator's packed row (``pauli_row``): ``parse_pauli`` builds the operator
+from it, and a dataset's record check keeps the row alone.
 
 All GF(2) elimination goes through one of two steps.  The forward step,
 ``_reduce_into``, reduces one row against an echelon basis and adds it when
@@ -41,6 +43,12 @@ __all__ = [
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (0, 1), "Y": (1, 1), "Z": (1, 0)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
+_LETTERS = "".join(_LETTER_TO_BITS)
+# each letter's Z digit and X digit, as ``str.translate`` tables
+_Z_DIGITS, _X_DIGITS = (
+    str.maketrans({letter: str(bits[i]) for letter, bits in _LETTER_TO_BITS.items()})
+    for i in (0, 1)
+)
 
 
 @dataclass(frozen=True)
@@ -101,20 +109,24 @@ class PauliOperator:
         return self.to_text()
 
 
-def parse_pauli(text: str) -> PauliOperator:
-    """Parse a Pauli string over {I,X,Y,Z}; qubit 1 is the leftmost letter."""
+def parse_row(text: str) -> int:
+    """The packed row (``pauli_row``) of a Pauli string over {I,X,Y,Z},
+    with no operator built: the one parse of Pauli text.
+
+    Qubit 1 is the leftmost letter and the lowest bit of each block, so the
+    reversed string's Z digits then its X digits are the row in binary."""
     if not text:
         raise ValueError("empty Pauli string")
-    z = x = 0
-    for pos, letter in enumerate(text):
-        if letter not in _LETTER_TO_BITS:
-            raise ValueError(
-                f"invalid Pauli letter {letter!r} in {reprlib.repr(text)}"
-            )
-        zb, xb = _LETTER_TO_BITS[letter]
-        z |= zb << pos
-        x |= xb << pos
-    return PauliOperator(len(text), z, x)
+    if text.strip(_LETTERS):
+        letter = next(c for c in text if c not in _LETTER_TO_BITS)
+        raise ValueError(f"invalid Pauli letter {letter!r} in {reprlib.repr(text)}")
+    backwards = text[::-1]
+    return int(backwards.translate(_Z_DIGITS) + backwards.translate(_X_DIGITS), 2)
+
+
+def parse_pauli(text: str) -> PauliOperator:
+    """Parse a Pauli string over {I,X,Y,Z}; qubit 1 is the leftmost letter."""
+    return pauli_from_row(parse_row(text), len(text))
 
 
 def _check_same_size(a: PauliOperator, b: PauliOperator) -> None:

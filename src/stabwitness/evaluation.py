@@ -8,37 +8,43 @@ variance (1 - <s>^2) / M; the identity contributes expectation 1 and
 variance 0.  Shot counts may differ per record, in which case each summand
 carries its own 1/M factor.
 
-Every record passes one check, ``_entry``, once: in the constructor, or in
-``from_csv`` as it reads each line; ``from_pairs`` parses each label once
-and runs the rest of that check, ``_checked``, on the parsed operator.
-Both classmethods convert values in one ``float()``/``int()`` step,
-``_converted``.  The check fills one lookup from a packed 2N-bit row
-(``binary.pauli_row``) to (expectation, variance).  Each witness kind has
-one kernel that returns its (expectation, variance) as floats, kept in one
-table by kind, ``_KERNELS``: ``evaluate``, ``critical_probability`` and
-the evaluation report read it, and each ``eval_*`` function wraps its own
-kernel in a ``WitnessValue``.  A kernel takes packed rows, a witness's
-basis rows and its identity key, not a spec, so the report evaluates a
-census's keys without building specs; a spec of another kind is read by
-the key ``witnesses._key_as`` takes off its identity key, with no row
-reduced.  The kernels, ``fidelity`` and the per-operator reads
-(``expectation_of``, ``variance_of``) read records in one place,
-``_records``, once per witness: a two-measurement witness reads its X
-span then its Z span in one call.  Every span is summed in ascending
-packed-row order (``_ascending_span`` of a ``rows_rref`` key), so a value
-does not depend on the basis chosen for the subgroup, and scaled in one
-place (``_scaled``).  A census witness's basis is its key, so the report
-reads its span once for both its standard and its alternative value
-(``_standard_and_alternative``), bit for bit the two kernels' values.
-Only members without a record are rendered as text, by ``_records`` from
-the rows it has just read, in the one ``IncompleteDataError`` that names
-them all.  A dataset on another number of qubits than the witness is
-refused with a ValueError naming both counts.
+Every record passes one check, ``_entry``, once: in the constructor, or
+in ``from_csv`` as it reads each line; ``from_pairs`` parses each label
+once and runs the rest of that check, ``_checked``, on the parsed
+row.  The check parses a label straight to its packed 2N-bit row
+(``binary.parse_row``, as ``binary.pauli_row`` packs an operator), with
+no operator built, and refuses an identity record whose expectation is
+not 1.  Both classmethods convert values in one ``float()``/``int()``
+step, ``_converted``.  The check fills one lookup from a packed row to
+(expectation, variance).  Each witness kind has one kernel that returns
+its (expectation, variance) as floats, kept in one table by kind,
+``_KERNELS``: ``evaluate``, ``critical_probability`` and the evaluation
+report read it, and each ``eval_*`` function wraps its own kernel in a
+``WitnessValue``.  A value is judged in one place, ``_assessed``: its
+standard deviation, whether it is detected and its confidence, for
+``evaluate``, ``detection_confidence`` and the report's rows alike.  A
+kernel takes packed rows, a witness's basis rows and its identity key,
+not a spec, so the report evaluates a census's keys without building
+specs; a spec of another kind is read by the key ``witnesses._key_as``
+takes off its identity key, with no row reduced.  The kernels,
+``fidelity`` and the per-operator reads (``expectation_of``,
+``variance_of``) read records in one place, ``_records``, once per
+witness: a two-measurement witness reads its X span then its Z span in
+one call.  Every span is summed in ascending packed-row order
+(``_ascending_span`` of a ``rows_rref`` key), so a value does not depend
+on the basis chosen for the subgroup, and scaled in one place
+(``_scaled``).  A census witness's basis is its key, so the report reads
+its span once for both its standard and its alternative value
+(``_standard_and_alternative``), split once into an expectation and a
+variance column, bit for bit the two kernels' values.  Only members
+without a record are rendered as text, by ``_records`` from the rows it
+has just read, in the one ``IncompleteDataError`` that names them all.  A
+dataset on another number of qubits than the witness is refused with a
+ValueError naming both counts.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import math
@@ -46,9 +52,9 @@ import numbers
 import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .binary import PauliOperator, parse_pauli, pauli_from_row, pauli_row
+from .binary import PauliOperator, parse_row, pauli_from_row, pauli_row
 from .groups import StabilizerGroup, _span_rows
 from .witnesses import WitnessKind, WitnessSpec, _key_as
 
@@ -106,14 +112,19 @@ class _Source:
 
 
 def _real(x) -> bool:
-    """A real number that is not a bool, as an expectation or p must be."""
+    """A real number that is not a bool, as an expectation or p must be; a
+    float or an int is told apart without the ABC check."""
+    kind = type(x)
+    if kind is float or kind is int:
+        return True
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def _pauli(label) -> PauliOperator:
+def _row(label) -> int:
+    """The packed row of a Pauli string ``label``."""
     if not isinstance(label, str):
         raise ValueError(f"label {reprlib.repr(label)} is not a Pauli string")
-    return parse_pauli(label)
+    return parse_row(label)
 
 
 def _pair(record, name: str) -> tuple:
@@ -162,25 +173,30 @@ def _count(shots, name: str):
 def _entry(n_qubits: int, label, name: str, record) -> tuple[int, tuple]:
     """The packed row of ``label`` and its record's (expectation, variance),
     checked in this order: a Pauli string, an (expectation, shots) pair, on
-    ``n_qubits`` qubits, a real non-bool expectation in [-1, 1], a positive
-    int shot count a float can hold.  Errors call the label ``name``."""
-    p = _pauli(label)
-    return _checked(n_qubits, p, name, *_pair(record, name))
+    ``n_qubits`` qubits, a real non-bool expectation in [-1, 1], and 1 for
+    the identity, a positive int shot count a float can hold.  Errors call
+    the label ``name``."""
+    row = _row(label)
+    return _checked(n_qubits, row, len(label), name, *_pair(record, name))
 
 
 def _checked(
-    n_qubits: int, p: PauliOperator, name: str, e, shots
+    n_qubits: int, row: int, size: int, name: str, e, shots
 ) -> tuple[int, tuple]:
-    """``_entry`` from its qubit-count check on, for the parsed label ``p``
-    and the record's two values."""
-    if p.n_qubits != n_qubits:
+    """``_entry`` from its qubit-count check on, for the packed row ``row``
+    of a label of ``size`` letters and the record's two values."""
+    if size != n_qubits:
         raise ValueError(f"label {name} is not on {n_qubits} qubits")
     if not -1.0 <= _number(e, name) <= 1.0:
         raise ValueError(f"expectation {e} of {name} outside [-1, 1]")
+    if not row and e != 1:
+        # the identity is served as expectation 1, so any other would be
+        # dropped unread
+        raise ValueError(f"expectation {e} of the identity {name} is not 1")
     if _count(shots, name) <= 0:
         raise ValueError(f"non-positive shot count for {name}")
     try:
-        return pauli_row(p), (e, (1.0 - e * e) / shots)
+        return row, (e, (1.0 - e * e) / shots)
     except OverflowError:
         raise ValueError(f"shot count for {name} is too large") from None
 
@@ -194,15 +210,25 @@ def _converted(e, shots) -> tuple:
     """A record's values through ``float()`` and ``int()``.  A value either
     refuses is left for ``_number`` or ``_count`` to name, as is a bool
     shot count or a number of shots that is not whole, which ``int()``
-    would truncate."""
-    with contextlib.suppress(TypeError, ValueError, OverflowError):
-        e = float(e)
-    with contextlib.suppress(TypeError, ValueError, OverflowError):
-        whole = int(shots)
-        if not isinstance(shots, numbers.Number) or (
-            whole == shots and not isinstance(shots, bool)
-        ):
-            shots = whole
+    would truncate.  A float expectation and an int shot count need no
+    call, and a string shot count, no number, no ABC check."""
+    if type(e) is not float:
+        try:
+            e = float(e)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if type(shots) is not int:
+        try:
+            whole = int(shots)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if (
+                type(shots) is str
+                or not isinstance(shots, numbers.Number)
+                or (whole == shots and not isinstance(shots, bool))
+            ):
+                shots = whole
     return e, shots
 
 
@@ -214,9 +240,10 @@ class MeasurementDataset(_Source):
     to (expectation, shots): the expectation a real number (not a bool) in
     [-1, 1], the shot count a positive int that a float can hold.  The
     identity is always served as expectation 1 with zero variance, whether
-    or not a record is present.  The records are read once, at
-    construction, into a lookup by packed row of (expectation, variance);
-    evaluators sum over it in ascending packed-row order.
+    or not a record is present; a record of it must hold expectation 1.
+    The records are read once, at construction, into a lookup by packed
+    row of (expectation, variance); evaluators sum over it in ascending
+    packed-row order.
     """
 
     n_qubits: int
@@ -269,15 +296,14 @@ class MeasurementDataset(_Source):
         for label, record in _items(pairs):
             name = reprlib.repr(label)
             e, shots = _converted(*_pair(record, name))
-            e, shots = _number(e, name), _count(shots, name)
-            p = _pauli(label)
-            parsed[p.to_text()] = p, (e, shots)
+            record = _number(e, name), _count(shots, name)
+            parsed[label] = _row(label), record
         _qubit_count(n_qubits)
         index = dict(
-            _checked(n_qubits, p, reprlib.repr(text), *record)
-            for text, (p, record) in parsed.items()
+            _checked(n_qubits, row, len(label), reprlib.repr(label), *record)
+            for label, (row, record) in parsed.items()
         )
-        records = {text: record for text, (_, record) in parsed.items()}
+        records = {label: record for label, (_, record) in parsed.items()}
         return cls._filled(n_qubits, records, index)
 
     @classmethod
@@ -305,11 +331,11 @@ class MeasurementDataset(_Source):
         index = {}
         n_qubits = None
         for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
             if len(row) != 3:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
                 raise ValueError(f"line {line_no}: expected 3 fields")
-            label, *values = (f.strip() for f in row)
+            label, *values = map(str.strip, row)
             n_qubits = n_qubits or len(label)  # the first line's label
             try:
                 if label in records:  # so it parsed, on n_qubits qubits
@@ -365,12 +391,37 @@ class WitnessValue:
         return math.sqrt(self.variance)
 
 
-def _detected(expectation: float, stddev: float, sigma_threshold: float) -> bool:
-    return expectation + sigma_threshold * stddev < 0.0
+_SQRT2 = math.sqrt(2.0)
 
 
-def _finish(expectation: float, variance: float, sigma_threshold: float) -> WitnessValue:
-    detected = _detected(expectation, math.sqrt(variance), sigma_threshold)
+def _assessed(
+    expectation: float, variance: float, sigma_threshold: float
+) -> tuple[float, float, bool, Optional[float]]:
+    """(expectation, stddev, detected, confidence) of a witness value: the
+    one place a value is judged, for ``_finish``, ``detection_confidence``
+    and the evaluation report's rows.  It is detected when it lies more
+    than ``sigma_threshold`` deviations below 0, and the confidence is the
+    one-sided Gaussian probability (in %) that the true value is below 0,
+    None for zero variance at zero expectation."""
+    stddev = math.sqrt(variance)
+    if variance:
+        confidence = 50.0 * (1.0 + math.erf(-expectation / stddev / _SQRT2))
+    elif expectation:
+        confidence = 100.0 if expectation < 0 else 0.0
+    else:
+        confidence = None
+    return (
+        expectation,
+        stddev,
+        expectation + sigma_threshold * stddev < 0.0,
+        confidence,
+    )
+
+
+def _finish(
+    expectation: float, variance: float, sigma_threshold: float
+) -> WitnessValue:
+    detected = _assessed(expectation, variance, sigma_threshold)[2]
     return WitnessValue(expectation, variance, detected)
 
 
@@ -385,12 +436,6 @@ def _records(data: DataSource, n_qubits: int, rows: Sequence[int]) -> list[tuple
             sorted({pauli_from_row(r, n_qubits).to_text() for r in absent})
         )
     return records
-
-
-def _summed(records: Sequence[tuple]) -> tuple[float, float]:
-    """(expectation sum, variance sum) of records, summed in their order."""
-    expectations, variances = zip(*records)
-    return sum(expectations), sum(variances)
 
 
 def _ascending_span(key: Sequence[int]) -> list[int]:
@@ -408,49 +453,60 @@ def _ascending_span(key: Sequence[int]) -> list[int]:
     return _span_rows(reversed(key))
 
 
-def _scaled(records: Sequence[tuple]) -> tuple[float, float]:
-    """(expectation, variance) of the projector 2^-a * sum over the 2^a
-    records of a span, summed in their order: the one place a member sum
-    is scaled."""
-    expectation, variance = _summed(records)
-    scale = 1.0 / len(records)
-    return scale * expectation, variance * scale * scale
-
-
-def _projector(
-    data: DataSource, n_qubits: int, key: Sequence[int]
+def _scaled(
+    expectations: Sequence[float], variances: Sequence[float]
 ) -> tuple[float, float]:
-    """(expectation, variance) of the projector over the span of ``key``, a
-    ``rows_rref`` key, summed in ascending order (``_ascending_span``)."""
-    return _scaled(_records(data, n_qubits, _ascending_span(key)))
+    """(expectation, variance) of the projector 2^-a * sum over the 2^a
+    records of a span, given as their two columns, ``zip(*records)``, and
+    summed in their order: the one place a member sum is scaled."""
+    scale = 1.0 / len(expectations)
+    return scale * sum(expectations), sum(variances) * scale * scale
+
+
+def _span_columns(
+    data: DataSource, n_qubits: int, key: Sequence[int]
+) -> Iterator[tuple]:
+    """The expectation and variance columns of the records of the span of
+    ``key``, a ``rows_rref`` key, in ascending order (``_ascending_span``)."""
+    return zip(*_records(data, n_qubits, _ascending_span(key)))
 
 
 # The kernels: one per witness kind, each (expectation, variance) as floats
 # of a witness's n_qubits, basis rows and identity key.  The standard and
-# alternative values are read off their sums by ``_standard_of`` and
-# ``_alternative_of``, which ``_standard_and_alternative`` shares.
+# alternative values are read off the two columns of their records by
+# ``_standard_of`` and ``_alternative_of``, which
+# ``_standard_and_alternative`` shares.
 
 
-def _standard_of(projector: tuple[float, float]) -> tuple[float, float]:
-    expectation, variance = projector
+def _standard_of(
+    expectations: Sequence[float], variances: Sequence[float]
+) -> tuple[float, float]:
+    """1/2 minus the projector over a span, from its records' columns."""
+    expectation, variance = _scaled(expectations, variances)
     return 0.5 - expectation, variance
 
 
-def _alternative_of(n_rows: int, sums: tuple[float, float]) -> tuple[float, float]:
-    expectation, variance = sums
-    return (n_rows - 1) / 2.0 - 0.5 * expectation, 0.5 * variance
+def _alternative_of(
+    expectations: Sequence[float], variances: Sequence[float]
+) -> tuple[float, float]:
+    """(n - 1)/2 minus half the sum over the n basis records, from their
+    columns, summed in basis order."""
+    return (
+        (len(expectations) - 1) / 2.0 - 0.5 * sum(expectations),
+        0.5 * sum(variances),
+    )
 
 
 def _standard(
     data: DataSource, n_qubits: int, rows: Sequence[int], key: tuple
 ) -> tuple[float, float]:
-    return _standard_of(_projector(data, n_qubits, key))
+    return _standard_of(*_span_columns(data, n_qubits, key))
 
 
 def _alternative(
     data: DataSource, n_qubits: int, rows: Sequence[int], key: tuple
 ) -> tuple[float, float]:
-    return _alternative_of(len(rows), _summed(_records(data, n_qubits, rows)))
+    return _alternative_of(*zip(*_records(data, n_qubits, rows)))
 
 
 def _two_measurement(
@@ -460,8 +516,8 @@ def _two_measurement(
     # members of both
     x_span, z_span = map(_ascending_span, key)
     records = _records(data, n_qubits, x_span + z_span)
-    x_expectation, x_variance = _scaled(records[: len(x_span)])
-    z_expectation, z_variance = _scaled(records[len(x_span) :])
+    x_expectation, x_variance = _scaled(*zip(*records[: len(x_span)]))
+    z_expectation, z_variance = _scaled(*zip(*records[len(x_span) :]))
     return 1.5 - x_expectation - z_expectation, x_variance + z_variance
 
 
@@ -470,14 +526,16 @@ def _standard_and_alternative(
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """The standard and alternative kernels of the witness whose basis rows
     are its ``rows_rref`` key, as a census witness's are, from one read of
-    the span's records.  Span entry 2^b is the b-th lowest key row
-    (``_ascending_span``), so entries 2^(a-1), ..., 2^0 are the key rows in
-    key order: each value adds the same floats in the same order as its
-    kernel, and a missing record raises the standard kernel's error."""
-    records = _records(data, n_qubits, _ascending_span(key))
-    a = len(key)
-    basis = [records[1 << b] for b in range(a - 1, -1, -1)]
-    return _standard_of(_scaled(records)), _alternative_of(a, _summed(basis))
+    the span's records, split once into its two columns.  Span entry 2^b is
+    the b-th lowest key row (``_ascending_span``), so entries 2^(a-1), ...,
+    2^0 are the key rows in key order: each value adds the same floats in
+    the same order as its kernel, and a missing record raises the standard
+    kernel's error."""
+    expectations, variances = _span_columns(data, n_qubits, key)
+    basis = range(len(key) - 1, -1, -1)
+    return _standard_of(expectations, variances), _alternative_of(
+        [expectations[1 << b] for b in basis], [variances[1 << b] for b in basis]
+    )
 
 
 _KERNELS = {
@@ -546,7 +604,7 @@ def evaluate(
 
 def fidelity(group: StabilizerGroup, data: DataSource) -> tuple[float, float]:
     """State fidelity 2^-N * sum over all 2^N stabilizers, with variance."""
-    return _projector(data, group.n_qubits, group.key)
+    return _scaled(*_span_columns(data, group.n_qubits, group.key))
 
 
 def critical_probability(w: WitnessSpec) -> float:
@@ -561,19 +619,9 @@ def critical_probability(w: WitnessSpec) -> float:
     return at_zero / (at_zero - at_one)
 
 
-def _confidence(expectation: float, variance: float) -> Optional[float]:
-    """``detection_confidence`` of floats, None where it is undefined."""
-    if variance == 0.0:
-        if expectation == 0.0:
-            return None
-        return 100.0 if expectation < 0 else 0.0
-    t = -expectation / math.sqrt(variance)
-    return 50.0 * (1.0 + math.erf(t / math.sqrt(2.0)))
-
-
 def detection_confidence(v: WitnessValue) -> float:
     """One-sided Gaussian probability (in %) that the true value is below 0."""
-    confidence = _confidence(v.expectation, v.variance)
+    confidence = _assessed(v.expectation, v.variance, 0.0)[3]
     if confidence is None:
         raise ValueError(
             "confidence undefined for zero variance at zero expectation"

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import collections
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -47,8 +48,7 @@ from .evaluation import (
     DataSource,
     MeasurementDataset,
     _KERNELS,
-    _confidence,
-    _detected,
+    _assessed,
     _standard_and_alternative,
 )
 from .witnesses import (
@@ -331,14 +331,13 @@ class EvaluationReport:
 
     def to_csv(self) -> str:
         # The subsystem label is the one field that can hold a comma; it is
-        # quoted by the csv module, once per subsystem.  Every other field is
-        # a kind name or a formatted number, which csv writes as it is.
-        omega_field = _Memo(_csv_omega)
-        kind_text = {kind: kind.value for kind in WitnessKind}
+        # quoted by the csv module.  Each (subsystem, kind) prefix is
+        # formatted once.  Every other field is a formatted number, which
+        # csv writes as it is.
+        prefix = _Memo(lambda slot: f"{_csv_omega(slot[0])},{slot[1].value},")
         lines = ["omega,kind,expectation,stddev,detected,confidence\n"]
         lines += (
-            f"{omega_field[omega]},{kind_text[kind]},"
-            f"{expectation:.12g},{stddev:.12g},{int(detected)},"
+            f"{prefix[omega, kind]}{expectation:.12g},{stddev:.12g},{int(detected)},"
             f"{'' if confidence is None else format(confidence, '.12g')}\n"
             for omega, kind, expectation, stddev, detected, confidence, _ in self.rows
         )
@@ -364,6 +363,10 @@ class EvaluationReport:
         )
 
 
+# an EvalRow from the tuple of its fields, with no call of its constructor
+_new_row = functools.partial(tuple.__new__, EvalRow)
+
+
 def _subsystem_order(omega: tuple[int, ...]) -> tuple:
     return len(omega), omega
 
@@ -387,9 +390,10 @@ def build_evaluation_report(
     ``genuine_set``, the generator set of the census's state, also its
     genuine witnesses of each requested kind.
 
-    Each row is read off the kernel of its kind, ``_KERNELS``: it is the row
-    that ``evaluate`` and ``detection_confidence`` give, with no value
-    object between.  The census's witnesses are read as their keys, with no
+    Each row is read off the kernel of its kind, ``_KERNELS``, and judged by
+    ``_assessed``, as ``evaluate`` and ``detection_confidence`` judge a
+    value, with no value object between: each row is built as one tuple.
+    The census's witnesses are read as their keys, with no
     spec: each standard key is its witness's rows and identity key, and
     each two-measurement split goes to the kernel as its parts and key and
     is digested as it is.  An alternative witness is its standard
@@ -435,23 +439,23 @@ def build_evaluation_report(
         raise ValueError("census has no standard witnesses to evaluate")
     n_qubits = census.n_qubits
 
-    def row(omega, kind, digest, value) -> EvalRow:
-        expectation, variance = value
-        stddev = math.sqrt(variance)
-        return EvalRow(
-            omega,
-            kind,
-            expectation,
-            stddev,
-            _detected(expectation, stddev, sigma_threshold),
-            _confidence(expectation, variance),
-            digest,
-        )
+    def rows(omega, kind, digests, order, column) -> list[EvalRow]:
+        """The rows of one (subsystem, kind) in digest ``order``, each the
+        tuple of its fields: its value in ``column`` judged by ``_assessed``,
+        then its key digest."""
+        return [
+            _new_row((omega, kind, *_assessed(*column[i], sigma_threshold), digests[i]))
+            for i in order
+        ]
 
     def spec_rows(spec: WitnessSpec, kinds: list[WitnessKind]) -> list[EvalRow]:
         args = data, spec.n_qubits, spec.rows, spec.identity_key
-        digest = _key_digest(spec.identity_key)
-        return [row(spec.omega, kind, digest, _KERNELS[kind](*args)) for kind in kinds]
+        digests = [_key_digest(spec.identity_key)]
+        return [
+            row
+            for kind in kinds
+            for row in rows(spec.omega, kind, digests, [0], [_KERNELS[kind](*args)])
+        ]
 
     def standard_columns(keys: Sequence):
         """The values of the keys, one column per kind in ``standard``."""
@@ -467,15 +471,13 @@ def build_evaluation_report(
             keys = source.get(omega, ())
             digests, order = _digest_order(keys)
             for kind, column in zip(standard, standard_columns(keys)):
-                block += (row(omega, kind, digests[i], column[i]) for i in order)
+                block += rows(omega, kind, digests, order, column)
         if two_measurement:
             splits = (twomeas or {}).get(omega, ())
             kernel = _KERNELS[two_measurement[0]]
             column = [kernel(data, n_qubits, x + z, (x, z)) for x, z in splits]
             digests, order = _digest_order(splits)
-            block += (
-                row(omega, two_measurement[0], digests[i], column[i]) for i in order
-            )
+            block += rows(omega, two_measurement[0], digests, order, column)
         blocks.append((omega, block))
     blocks.sort(key=lambda pair: _subsystem_order(pair[0]))
     out = [r for _, block in blocks for r in block]

@@ -1,4 +1,5 @@
 import random
+import reprlib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from stabwitness.binary import (
     commutes,
     multiply,
     parse_pauli,
+    parse_row,
     pauli_from_row,
     pauli_row,
     rank_mod2,
@@ -140,6 +142,48 @@ class TestPauliText:
         # letter (z, x) bit pairs: I=(0,0) X=(0,1) Y=(1,1) Z=(1,0)
         assert p.z_bits == 0b1100
         assert p.x_bits == 0b0110
+
+    def test_row_is_the_letter_loops(self):
+        # the per-letter loop parse_pauli ran before it read the row off
+        # str.translate and int(..., 2), which would also take the digits,
+        # signs, spaces and underscores that int() reads
+        rng = random.Random(5)
+        strange = "01+-_ \txyziQ\u0661\u00e9"
+        texts = ["", "I", "Y" * 300, " XZ", "XZ ", "X_Z", "0", "+1", "ZZ\n"]
+        for _ in range(400):
+            letters = [rng.choice("IXYZ") for _ in range(rng.randint(1, 40))]
+            if rng.random() < 0.4:
+                letters[rng.randrange(len(letters))] = rng.choice(strange)
+            texts.append("".join(letters))
+        bad = 0
+        for text in texts:
+            try:
+                want = naive_parse_pauli(text)
+            except ValueError as err:
+                bad += 1
+                for parse in (parse_row, parse_pauli):
+                    with pytest.raises(ValueError) as got:
+                        parse(text)
+                    assert str(got.value) == str(err)
+                continue
+            assert parse_pauli(text) == want
+            assert parse_row(text) == pauli_row(want)
+        assert 100 < bad < len(texts) - 100
+
+
+def naive_parse_pauli(text):
+    """parse_pauli as a loop over the letters, one table lookup each."""
+    table = {"I": (0, 0), "X": (0, 1), "Y": (1, 1), "Z": (1, 0)}
+    if not text:
+        raise ValueError("empty Pauli string")
+    z = x = 0
+    for pos, letter in enumerate(text):
+        if letter not in table:
+            raise ValueError(f"invalid Pauli letter {letter!r} in {reprlib.repr(text)}")
+        zb, xb = table[letter]
+        z |= zb << pos
+        x |= xb << pos
+    return PauliOperator(len(text), z, x)
 
 
 class TestMultiply:

@@ -241,6 +241,18 @@ class TestEval:
         assert out == ""
         assert err == "error: bad dataset: line 2: shot count for ZZZZIII is too large\n"
 
+    def test_identity_record_must_read_one(self, capsys, tmp_path):
+        # the record was kept and written back by to_csv, while every
+        # evaluation served <IIIIIII> = 1 in its place
+        path = tmp_path / "identity.csv"
+        path.write_text("pauli,expectation,shots\nIIIIIII,0.5,100\nZZZZIII,0.9,100\n")
+        code, out, err = run_cli(capsys, "eval", "color_code_7", "--data", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: bad dataset: line 2: expectation 0.5 of the identity IIIIIII is not 1\n"
+        )
+
     def test_needs_exactly_one_source(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["eval", "color_code_7", "--kinds", "standard"])
@@ -689,6 +701,44 @@ class TestOutputBytes:
         assert sha256(out) == (
             "1d5b0766dac10d551be5e61e0985411ff2bb31932d4176068738f80573aaac11"
         )
+
+    def test_eval_random8_data_per_subsystem(self, capsys, tmp_path):
+        # an 8-qubit state of the test recipe, measured on every member,
+        # evaluated on three subsystems of sizes 2 to 4; recorded before
+        # each record was checked on its packed row and each report row
+        # built as one tuple
+        code_path, data_path = random8_eval_files(tmp_path)
+        code, out, _ = run_cli(
+            capsys,
+            "eval", "--file", str(code_path), "--data", str(data_path),
+            "--omega", "6,7", "--omega", "1,4,6", "--omega", "3,5,6,8",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 803
+        assert sha256(out) == (
+            "2e5852735b07fc98895db76031af37a03f531eb9031acc1e3c3c8bfec523964e"
+        )
+
+
+def random8_eval_files(tmp_path):
+    """Graph 2 of the 8-qubit test recipe as a code file, and a dataset of
+    all its 255 non-identity members: each reads the true value 0.8^w of a
+    weight-w member, estimated from a seeded binomial draw on 20 to 80
+    shots and written in full, so some witnesses are detected and the
+    confidences spread."""
+    s = random_stabilizer_set(random.Random(2), 8)
+    code_path = tmp_path / "random8.json"
+    code_path.write_text(code_to_json(s, "random8"))
+    rng = random.Random("random8")
+    lines = ["pauli,expectation,shots"]
+    for label in sorted(e.to_text() for e in span_group(s).non_identity()):
+        truth = 0.8 ** sum(c != "I" for c in label)
+        shots = rng.randrange(20, 81)
+        hits = sum(rng.random() < (1.0 + truth) / 2.0 for _ in range(shots))
+        lines.append(f"{label},{2.0 * hits / shots - 1.0!r},{shots}")
+    data_path = tmp_path / "random8.csv"
+    data_path.write_text("\n".join(lines) + "\n")
+    return code_path, data_path
 
 
 class TestMissingRecords:

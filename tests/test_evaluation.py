@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import io
 import itertools
 import math
+import numbers
 import random
+import reprlib
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -10,9 +13,10 @@ from pathlib import Path
 import pytest
 
 from conftest import random_stabilizer_set
+from test_binary import naive_parse_pauli
 from test_witnesses import random_rref_bases
 from stabwitness import binary, cliffords, evaluation, groups, witnesses
-from stabwitness.binary import parse_pauli, rows_rref
+from stabwitness.binary import PauliOperator, parse_pauli, pauli_row, rows_rref
 from stabwitness.evaluation import (
     IncompleteDataError,
     MeasurementDataset,
@@ -97,7 +101,8 @@ class TestDataset:
 
     @pytest.mark.parametrize("build", ["csv", "pairs"])
     def test_parsed_dataset_is_the_constructors(self, build):
-        records = {"ZZZZIII": (0.83, 100), "IXXIXXI": (-0.25, 50), "IIIIIII": (0.5, 7)}
+        # an identity record is kept, and must hold expectation 1
+        records = {"ZZZZIII": (0.83, 100), "IXXIXXI": (-0.25, 50), "IIIIIII": (1.0, 7)}
         made = MeasurementDataset(7, records)
         if build == "csv":
             data = MeasurementDataset.from_csv(made.to_csv())
@@ -251,6 +256,41 @@ class TestDataset:
         assert data.expectation_of(identity) == 1.0
         assert data.variance_of(identity) == 0.0
 
+    @pytest.mark.parametrize("source", ["constructor", "pairs", "csv"])
+    def test_identity_record_of_one_is_kept(self, source):
+        data = dataset_from(source, "II", "1,10", (1, 10))
+        assert data.records["II"] == (1, 10)
+        assert MeasurementDataset.from_csv(data.to_csv()).records == data.records
+        identity = parse_pauli("II")
+        assert data.expectation_of(identity) == 1.0
+        assert data.variance_of(identity) == 0.0
+
+    @pytest.mark.parametrize(
+        "text,shots", [("010", 10), ("+10", 10), ("1_000", 1000), ("\u0661\u0660", 10)]
+    )
+    def test_csv_shot_count_is_what_int_reads(self, text, shots):
+        data = MeasurementDataset.from_csv(f"pauli,expectation,shots\nZZ,0.5,{text}\n")
+        assert data.records == {"ZZ": (0.5, shots)}
+        assert type(data.records["ZZ"][1]) is int
+
+    @pytest.mark.parametrize(
+        "text,expectation",
+        [("-0.0", -0.0), ("1E-3", 0.001), ("0.5_0", 0.5), (" 0.5 ", 0.5)],
+    )
+    def test_csv_expectation_is_what_float_reads(self, text, expectation):
+        data = MeasurementDataset.from_csv(f"pauli,expectation,shots\nZZ,{text},10\n")
+        e = data.records["ZZ"][0]
+        assert type(e) is float
+        assert e.hex() == expectation.hex()  # -0.0 keeps its sign
+
+    @pytest.mark.parametrize("shots", ["10", 10.0, "+10", "\u0661\u0660"])
+    @pytest.mark.parametrize("expectation", ["-0.0", " 0.5 ", "1E-3", 0.25])
+    def test_pairs_convert_as_float_and_int_do(self, expectation, shots):
+        data = MeasurementDataset.from_pairs(2, {"ZZ": (expectation, shots)})
+        e, m = data.records["ZZ"]
+        assert (type(e), type(m)) == (float, int)
+        assert (e.hex(), m) == (float(expectation).hex(), 10)
+
     def test_missing_listed(self):
         data = MeasurementDataset(2, {"XX": (0.5, 10)})
         missing = data.missing([parse_pauli("ZZ"), parse_pauli("XX"), parse_pauli("YY")])
@@ -317,10 +357,16 @@ SINGLE_FAULTS = {
     "shots": ("ZZ", "0.5,1e3", (0.5, "1e3"), "shot count '1e3' of {label} is not an integer"),
     "zero": ("ZZ", "0.5,0", (0.5, 0), "non-positive shot count for {label}"),
     "negative": ("ZZ", "0.5,-3", (0.5, -3), "non-positive shot count for {label}"),
+    # the identity is served as expectation 1, so a record of another value
+    # would be dropped unread
+    "identity": (
+        "II", "0.3,10", (0.3, 10), "expectation 0.3 of the identity {label} is not 1"
+    ),
 }
 
 # Two faults per record, each reported by the check that runs first:
-# label, qubit count, expectation type, range, shot type, positivity.
+# label, qubit count, expectation type, range, identity, shot type,
+# positivity.
 CONSTRUCTOR_DOUBLE_FAULTS = [
     ("ZQ", (1.5, 10), "invalid Pauli letter 'Q' in 'ZQ'"),
     ("ZQ", ("abc", 2.5), "invalid Pauli letter 'Q' in 'ZQ'"),
@@ -330,11 +376,14 @@ CONSTRUCTOR_DOUBLE_FAULTS = [
     ("ZZ", (None, 0), "expectation None of 'ZZ' is not a number"),
     ("ZZ", (1.5, 2.5), "expectation 1.5 of 'ZZ' outside [-1, 1]"),
     ("ZZ", (1.5, 0), "expectation 1.5 of 'ZZ' outside [-1, 1]"),
+    ("II", (1.5, 0), "expectation 1.5 of 'II' outside [-1, 1]"),
+    ("II", (0.3, 2.5), "expectation 0.3 of the identity 'II' is not 1"),
+    ("II", (0.3, 0), "expectation 0.3 of the identity 'II' is not 1"),
 ]
 
 # from_pairs reports a value that float() or int() refuses (or a bool or
 # fractional float shot count) first, then a bad label, and only then the
-# constructor's checks: qubit count, range, positivity.
+# constructor's checks: qubit count, range, identity, positivity.
 PAIRS_DOUBLE_FAULTS = [
     ("ZQ", (1.5, 10), "invalid Pauli letter 'Q' in 'ZQ'"),
     ("ZQ", ("abc", 2.5), "expectation 'abc' of 'ZQ' is not a number"),
@@ -345,6 +394,8 @@ PAIRS_DOUBLE_FAULTS = [
     ("ZZ", (1.5, 2.5), "shot count 2.5 of 'ZZ' is not an integer"),
     ("ZZ", (1.5, True), "shot count True of 'ZZ' is not an integer"),
     ("ZZ", (1.5, 0), "expectation 1.5 of 'ZZ' outside [-1, 1]"),
+    ("II", (0.3, 2.5), "shot count 2.5 of 'II' is not an integer"),
+    ("II", (0.3, 0), "expectation 0.3 of the identity 'II' is not 1"),
 ]
 
 CSV_DOUBLE_FAULTS = [
@@ -357,6 +408,8 @@ CSV_DOUBLE_FAULTS = [
     ("ZZI,abc,0", "line 3: expectation 'abc' of ZZI is not a number"),
     ("ZZI,1.5,1e3", "line 3: expectation 1.5 of ZZI outside [-1, 1]"),
     ("ZZI,nan,0", "line 3: expectation nan of ZZI outside [-1, 1]"),
+    ("III,1.5,0", "line 3: expectation 1.5 of III outside [-1, 1]"),
+    ("III,0.3,1e3", "line 3: expectation 0.3 of the identity III is not 1"),
 ]
 
 
@@ -471,6 +524,169 @@ class TestRecordFaults:
         with pytest.raises(ValueError) as err:
             build(n_qubits, {})
         assert str(err.value) == f"qubit count {n_qubits!r} is not a positive integer"
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the record check that parsing each label to its row replaced.
+# Each label is parsed to an operator by a loop over its letters and packed
+# afterwards, and each value is converted under contextlib.suppress and
+# typed by the numbers ABCs alone.
+# ---------------------------------------------------------------------------
+
+
+def naive_converted(e, shots):
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        e = float(e)
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        whole = int(shots)
+        if not isinstance(shots, numbers.Number) or (
+            whole == shots and not isinstance(shots, bool)
+        ):
+            shots = whole
+    return e, shots
+
+
+def naive_number(e, name):
+    if not isinstance(e, numbers.Real) or isinstance(e, bool):
+        raise ValueError(f"expectation {reprlib.repr(e)} of {name} is not a number")
+    return e
+
+
+def naive_count(shots, name):
+    if isinstance(shots, bool) or not isinstance(shots, int):
+        raise ValueError(f"shot count {reprlib.repr(shots)} of {name} is not an integer")
+    return shots
+
+
+def naive_pauli(label):
+    if not isinstance(label, str):
+        raise ValueError(f"label {reprlib.repr(label)} is not a Pauli string")
+    return naive_parse_pauli(label)
+
+
+def naive_entry(n_qubits, label, name, record):
+    p = naive_pauli(label)
+    try:
+        e, shots = () if isinstance(record, (str, bytes)) else record
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"record {record!r} of {name} is not an (expectation, shots) pair"
+        ) from None
+    if p.n_qubits != n_qubits:
+        raise ValueError(f"label {name} is not on {n_qubits} qubits")
+    if not -1.0 <= naive_number(e, name) <= 1.0:
+        raise ValueError(f"expectation {e} of {name} outside [-1, 1]")
+    if p.is_identity and e != 1:
+        raise ValueError(f"expectation {e} of the identity {name} is not 1")
+    if naive_count(shots, name) <= 0:
+        raise ValueError(f"non-positive shot count for {name}")
+    try:
+        return pauli_row(p), (e, (1.0 - e * e) / shots)
+    except OverflowError:
+        raise ValueError(f"shot count for {name} is too large") from None
+
+
+NAIVE_CHECK = (naive_converted, naive_number, naive_count, naive_entry)
+CHECK = (evaluation._converted, evaluation._number, evaluation._count, evaluation._entry)
+
+
+def record_check(check, source, n_qubits, label, values):
+    """One record through the check of ``source`` as its loader runs it:
+    repr of (row, record, (expectation, variance)), or the message.  The
+    CSV converts its text fields first, leaving what does not convert for
+    the check to name; ``from_pairs`` converts and types both values before
+    it reads the label; the constructor checks the record as given."""
+    converted, number, count, entry = check
+    try:
+        if source == "csv":
+            name = evaluation._shown(label)
+            record = converted(*values.split(","))
+        elif source == "pairs":
+            name = reprlib.repr(label)
+            e, shots = converted(*values)
+            record = number(e, name), count(shots, name)
+        else:
+            name, record = reprlib.repr(label), values
+        row, value = entry(n_qubits, label, name, record)
+    except ValueError as err:
+        return str(err)
+    return repr((row, record, value))
+
+
+def random_records(rng, n_qubits, count):
+    """(label, CSV values, Python values) of seeded records, most of them
+    valid: labels of every letter with now and then a bad letter, another
+    length or the identity, and values of each type the loaders convert."""
+    expectations = [
+        lambda: rng.uniform(-1.0, 1.0),
+        lambda: rng.choice([-1, 0, 1]),
+        lambda: Fraction(rng.randint(-9, 9), 9),
+        lambda: repr(rng.uniform(-1.0, 1.0)),
+        lambda: rng.choice(["-0.0", "1E-3", "0.5_0", "nan", "abc", "1.5", True, None]),
+    ]
+    shot_counts = [
+        lambda: rng.randint(1, 2000),
+        lambda: str(rng.randint(1, 2000)),
+        lambda: float(rng.randint(1, 2000)),
+        lambda: rng.choice(["010", "+10", "1_000", "\u0661\u0660", "0", "2.5", "1e3"]),
+        lambda: rng.choice([2.5, 0, -3, True, Decimal("12"), 10**400]),
+    ]
+    out = []
+    for _ in range(count):
+        letters = [rng.choice("IXYZ") for _ in range(n_qubits)]
+        roll = rng.random()
+        if roll < 0.05:
+            letters[rng.randrange(n_qubits)] = rng.choice("Q0_ ")
+        elif roll < 0.1:
+            letters.append("Z")
+        elif roll < 0.2:
+            letters = ["I"] * n_qubits
+        label = "".join(letters)
+        e, shots = rng.choice(expectations)(), rng.choice(shot_counts)()
+        if label.strip("I") == "" and rng.random() < 0.7:
+            e = rng.choice([1, 1.0, "1", Fraction(1)])
+        out.append((label, f"{e},{shots}", (e, shots)))
+    return out
+
+
+class TestRecordCheckMatchesNaive:
+    @pytest.mark.parametrize("n_qubits", [1, 3, 8])
+    def test_seeded_records(self, n_qubits):
+        records = random_records(random.Random(90 + n_qubits), n_qubits, 400)
+        accepted = 0
+        for source in ("constructor", "pairs", "csv"):
+            for label, csv_values, values in records:
+                given = csv_values if source == "csv" else values
+                got = record_check(CHECK, source, n_qubits, label, given)
+                assert got == record_check(NAIVE_CHECK, source, n_qubits, label, given)
+                accepted += not got.startswith(("label", "invalid", "expectation", "shot", "non"))
+        assert 300 < accepted < 900  # of 1,200 records checked
+
+    @pytest.mark.parametrize("source", ["constructor", "pairs", "csv"])
+    @pytest.mark.parametrize("fault", sorted(SINGLE_FAULTS))
+    def test_single_faults(self, source, fault):
+        label, csv_values, values, template = SINGLE_FAULTS[fault]
+        given = csv_values if source == "csv" else values
+        got = record_check(CHECK, source, 2, label, given)
+        assert got == record_check(NAIVE_CHECK, source, 2, label, given)
+        assert got == template.format(label=label if source == "csv" else repr(label))
+
+    @pytest.mark.parametrize(
+        "source,label,values,message",
+        [("constructor", *case) for case in CONSTRUCTOR_DOUBLE_FAULTS]
+        + [("pairs", *case) for case in PAIRS_DOUBLE_FAULTS]
+        + [
+            ("csv", row.split(",", 1)[0], row.split(",", 1)[1], message[len("line 3: ") :])
+            for row, message in CSV_DOUBLE_FAULTS
+            # a row of two fields and a duplicate label fail before the check
+            if row.count(",") == 2 and "duplicate" not in message
+        ],
+    )
+    def test_double_faults(self, source, label, values, message):
+        n_qubits = 3 if source == "csv" else 2
+        got = record_check(CHECK, source, n_qubits, label, values)
+        assert got == record_check(NAIVE_CHECK, source, n_qubits, label, values)
+        assert got == message
 
 
 class TestStandard:
@@ -1253,14 +1469,15 @@ class TestParsedOnce:
             assert outcome(built.variance_of, p) == outcome(made.variance_of, p)
 
     def test_from_pairs_parses_each_label_once(self, color_group, monkeypatch):
+        # each label is parsed once, straight to its packed row
         calls = []
-        parse = evaluation.parse_pauli
+        parse = evaluation.parse_row
 
         def spy(text):
             calls.append(text)
             return parse(text)
 
-        monkeypatch.setattr(evaluation, "parse_pauli", spy)
+        monkeypatch.setattr(evaluation, "parse_row", spy)
         pairs = {p.to_text(): (0.5, 100) for p in color_group.non_identity()}
         data = MeasurementDataset.from_pairs(7, pairs)
         assert sorted(calls) == sorted(data.records) == sorted(pairs)

@@ -10,35 +10,39 @@ carries its own 1/M factor.
 
 Every record passes one check, ``_entry``, once: in the constructor, or
 in ``from_csv`` as it reads each line; ``from_pairs`` parses each label
-once and runs the rest of that check, ``_checked``, on the parsed
-row.  The check parses a label straight to its packed 2N-bit row
+once and runs the rest of that check, ``_checked``, on the parsed row.
+The check parses a label straight to its packed 2N-bit row
 (``binary.parse_row``, as ``binary.pauli_row`` packs an operator), with
 no operator built, and refuses an identity record whose expectation is
 not 1.  Both classmethods convert values in one ``float()``/``int()``
-step, ``_converted``.  The check fills one lookup from a packed row to
-(expectation, variance).  Each witness kind has one kernel that returns
-its (expectation, variance) as floats, kept in one table by kind,
-``_KERNELS``: ``evaluate``, ``critical_probability`` and the evaluation
-report read it, and each ``eval_*`` function wraps its own kernel in a
-``WitnessValue``.  A value is judged in one place, ``_assessed``: its
-standard deviation, whether it is detected and its confidence, for
-``evaluate``, ``detection_confidence`` and the report's rows alike.  A
-kernel takes packed rows, a witness's basis rows and its identity key,
-not a spec, so the report evaluates a census's keys without building
-specs; a spec of another kind is read by the key ``witnesses._key_as``
-takes off its identity key, with no row reduced.  The kernels,
-``fidelity`` and the per-operator reads (``expectation_of``,
-``variance_of``) read records in one place, ``_records``, once per
-witness: a two-measurement witness reads its X span then its Z span in
-one call.  Every span is summed in ascending packed-row order
-(``_ascending_span`` of a ``rows_rref`` key), so a value does not depend
-on the basis chosen for the subgroup, and scaled in one place
-(``_scaled``).  A census witness's basis is its key, so the report reads
-its span once for both its standard and its alternative value
-(``_standard_and_alternative``), split once into an expectation and a
-variance column, bit for bit the two kernels' values.  Only members
-without a record are rendered as text, by ``_records`` from the rows it
-has just read, in the one ``IncompleteDataError`` that names them all.  A
+step, ``_converted``.  The check fills one dict of expectations and one
+of variances by packed row, and each source hands out one getter of each
+(``_getters``).  Each witness kind has one batch kernel, kept in one
+table by kind, ``_KERNELS``: it takes a list of witnesses as the items
+its kind reads (``rows_rref`` keys, basis rows, or (X key, Z key)
+splits) and returns their (expectation, variance) floats in item order.
+A span's two sums are ``sum(map(getter, span))``, with no record tuple
+per member and no None test: a member without a record makes ``sum``
+raise TypeError on that item, which the kernel then reads again through
+``_records``, the one place a missing member is named, so the
+IncompleteDataError names every member that item lacks, of both parts
+for a two-measurement witness.  Every sum keeps one order: a span's
+members ascending by packed row (``_ascending_span`` of a ``rows_rref``
+key), so a value does not depend on the basis chosen for the subgroup;
+an alternative witness's basis in its given order; a two-measurement
+witness's X part before its Z part.  ``_projectors`` scales every span
+of the standard kernel and the fidelity's.  A single witness is a batch
+of one (``_kernel``): ``evaluate``, the ``eval_*`` functions,
+``critical_probability`` and the report's genuine rows read it, and a
+spec of another kind is read by the key ``witnesses._key_as`` takes off
+its identity key, with no row reduced.  The evaluation report calls each
+kernel once per subsystem and kind on the census's keys, with no spec
+built.  ``_assessed`` judges a whole column of values in one call:
+standard deviation, whether detected, and confidence, for ``evaluate``,
+``detection_confidence`` and the report alike.  Every entry point that
+judges a value first refuses a sigma threshold that is not a finite
+non-negative real number (``_threshold``).  The per-operator reads
+(``expectation_of``, ``variance_of``) go through ``_records`` too.  A
 dataset on another number of qubits than the witness is refused with a
 ValueError naming both counts.
 """
@@ -52,7 +56,7 @@ import numbers
 import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .binary import PauliOperator, parse_row, pauli_from_row, pauli_row
 from .groups import StabilizerGroup, _span_rows
@@ -89,18 +93,21 @@ class IncompleteDataError(ValueError):
 class _Source:
     """Per-operator reads, shared by both data sources.
 
-    A source defines ``_lookup(n_qubits)``: a function from the packed row
-    of an ``n_qubits``-qubit member to its (expectation, variance), or None
-    when there is no record; a dataset on another number of qubits raises
-    ValueError instead.  Every record is read through it by ``_records``;
-    ``missing`` only asks which members have none.
+    A source defines ``_getters(n_qubits)``: two functions of the packed
+    row of an ``n_qubits``-qubit member, its expectation and its variance,
+    each None when there is no record; a dataset on another number of
+    qubits raises ValueError instead.  The kernels sum over them, and
+    ``_records`` reads through them; ``missing`` only asks which members
+    have no expectation.
     """
 
     def _record(self, p: PauliOperator) -> tuple[float, float]:
         return _records(self, p.n_qubits, [pauli_row(p)])[0]
 
     def missing(self, paulis: Sequence[PauliOperator]) -> list[str]:
-        absent = (p for p in paulis if self._lookup(p.n_qubits)(pauli_row(p)) is None)
+        absent = (
+            p for p in paulis if self._getters(p.n_qubits)[0](pauli_row(p)) is None
+        )
         return sorted({p.to_text() for p in absent})
 
     def expectation_of(self, p: PauliOperator) -> float:
@@ -270,17 +277,19 @@ class MeasurementDataset(_Source):
         return dataset
 
     def _indexed(self, index: dict) -> None:
-        """Keep ``index``, the checked lookup of the records, with the
-        identity served as expectation 1 at zero variance."""
+        """Keep ``index``, the checked lookup of the records, as one dict of
+        expectations and one of variances by packed row, with the identity
+        served as expectation 1 at zero variance."""
         index[0] = _IDENTITY
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_expectations", {r: e for r, (e, _) in index.items()})
+        object.__setattr__(self, "_variances", {r: v for r, (_, v) in index.items()})
 
-    def _lookup(self, n_qubits: int) -> Callable:
+    def _getters(self, n_qubits: int) -> tuple[Callable, Callable]:
         if n_qubits != self.n_qubits:
             raise ValueError(
                 f"dataset is on {self.n_qubits} qubits, the stabilizers on {n_qubits}"
             )
-        return self._index.get
+        return self._expectations.get, self._variances.get
 
     @classmethod
     def from_pairs(
@@ -373,9 +382,9 @@ class WernerModel(_Source):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"mixing probability {self.p} outside [0, 1]")
 
-    def _lookup(self, n_qubits: int) -> Callable:
-        record = (self.p, 0.0)
-        return lambda row: record if row else _IDENTITY
+    def _getters(self, n_qubits: int) -> tuple[Callable, Callable]:
+        p = self.p
+        return (lambda row: p if row else 1.0), (lambda row: 0.0)
 
 
 @dataclass(frozen=True)
@@ -394,48 +403,50 @@ class WitnessValue:
 _SQRT2 = math.sqrt(2.0)
 
 
-def _assessed(
-    expectation: float, variance: float, sigma_threshold: float
-) -> tuple[float, float, bool, Optional[float]]:
-    """(expectation, stddev, detected, confidence) of a witness value: the
-    one place a value is judged, for ``_finish``, ``detection_confidence``
-    and the evaluation report's rows.  It is detected when it lies more
-    than ``sigma_threshold`` deviations below 0, and the confidence is the
+def _threshold(sigma) -> None:
+    """Refuse a sigma threshold that is not a finite non-negative real
+    number, or that is a bool: the one check of every entry point that
+    judges a value."""
+    if not (_real(sigma) and 0.0 <= sigma < math.inf):
+        message = f"sigma threshold {sigma!r} is not a finite non-negative number"
+        raise ValueError(message)
+
+
+def _assessed(values: Sequence[tuple], sigma_threshold: float) -> list[tuple]:
+    """(expectation, stddev, detected, confidence) of each (expectation,
+    variance) in ``values``, in order: the one place a value is judged, for
+    ``_value``, ``detection_confidence`` and the evaluation report's
+    columns.  A value is detected when it lies more than
+    ``sigma_threshold`` deviations below 0, and its confidence is the
     one-sided Gaussian probability (in %) that the true value is below 0,
     None for zero variance at zero expectation."""
-    stddev = math.sqrt(variance)
-    if variance:
-        confidence = 50.0 * (1.0 + math.erf(-expectation / stddev / _SQRT2))
-    elif expectation:
-        confidence = 100.0 if expectation < 0 else 0.0
-    else:
-        confidence = None
-    return (
-        expectation,
-        stddev,
-        expectation + sigma_threshold * stddev < 0.0,
-        confidence,
-    )
-
-
-def _finish(
-    expectation: float, variance: float, sigma_threshold: float
-) -> WitnessValue:
-    detected = _assessed(expectation, variance, sigma_threshold)[2]
-    return WitnessValue(expectation, variance, detected)
+    sqrt, erf = math.sqrt, math.erf
+    judged = []
+    for expectation, variance in values:
+        stddev = sqrt(variance)
+        if variance:
+            confidence = 50.0 * (1.0 + erf(-expectation / stddev / _SQRT2))
+        elif expectation:
+            confidence = 100.0 if expectation < 0 else 0.0
+        else:
+            confidence = None
+        detected = expectation + sigma_threshold * stddev < 0.0
+        judged.append((expectation, stddev, detected, confidence))
+    return judged
 
 
 def _records(data: DataSource, n_qubits: int, rows: Sequence[int]) -> list[tuple]:
     """The (expectation, variance) records of packed rows, in the order
     given, or one IncompleteDataError naming every row without a record:
-    the one place a witness's records are read."""
-    records = list(map(data._lookup(n_qubits), rows))
-    if None in records:
-        absent = (r for r, record in zip(rows, records) if record is None)
-        raise IncompleteDataError(
-            sorted({pauli_from_row(r, n_qubits).to_text() for r in absent})
-        )
-    return records
+    the per-operator reads, and a kernel's re-read of an item whose sum
+    met a member without one."""
+    expectation, variance = data._getters(n_qubits)
+    absent = {
+        pauli_from_row(r, n_qubits).to_text() for r in rows if expectation(r) is None
+    }
+    if absent:
+        raise IncompleteDataError(sorted(absent))
+    return [(expectation(r), variance(r)) for r in rows]
 
 
 def _ascending_span(key: Sequence[int]) -> list[int]:
@@ -453,89 +464,73 @@ def _ascending_span(key: Sequence[int]) -> list[int]:
     return _span_rows(reversed(key))
 
 
-def _scaled(
-    expectations: Sequence[float], variances: Sequence[float]
-) -> tuple[float, float]:
+# The kernels: one per witness kind, each a batch of (expectation, variance)
+# floats, in item order, of n_qubits-qubit witnesses given as the items that
+# kind reads (``_kernel``).  Each sums its members' records straight off the
+# source's two getters, with no record tuple; a member without a record
+# makes ``sum`` meet None, and the item is read again through ``_records``,
+# which names every member it lacks.
+
+
+def _projectors(data: DataSource, n_qubits: int, keys: Sequence[tuple]) -> list:
     """(expectation, variance) of the projector 2^-a * sum over the 2^a
-    records of a span, given as their two columns, ``zip(*records)``, and
-    summed in their order: the one place a member sum is scaled."""
-    scale = 1.0 / len(expectations)
-    return scale * sum(expectations), sum(variances) * scale * scale
+    members of the span of each ``rows_rref`` key, summed in ascending
+    order (``_ascending_span``)."""
+    expectation, variance = data._getters(n_qubits)
+    values = []
+    for span in map(_ascending_span, keys):
+        try:
+            total = sum(map(expectation, span))
+        except TypeError:
+            _records(data, n_qubits, span)
+            raise
+        scale = 1.0 / len(span)
+        values.append((scale * total, sum(map(variance, span)) * scale * scale))
+    return values
 
 
-def _span_columns(
-    data: DataSource, n_qubits: int, key: Sequence[int]
-) -> Iterator[tuple]:
-    """The expectation and variance columns of the records of the span of
-    ``key``, a ``rows_rref`` key, in ascending order (``_ascending_span``)."""
-    return zip(*_records(data, n_qubits, _ascending_span(key)))
+def _standard(data: DataSource, n_qubits: int, keys: Sequence[tuple]) -> list:
+    """1/2 minus the projector over the span of each key."""
+    return [(0.5 - e, v) for e, v in _projectors(data, n_qubits, keys)]
 
 
-# The kernels: one per witness kind, each (expectation, variance) as floats
-# of a witness's n_qubits, basis rows and identity key.  The standard and
-# alternative values are read off the two columns of their records by
-# ``_standard_of`` and ``_alternative_of``, which
-# ``_standard_and_alternative`` shares.
+def _alternative(data: DataSource, n_qubits: int, bases: Sequence[tuple]) -> list:
+    """(n - 1)/2 minus half the sum over the n rows of each basis, summed
+    in basis order."""
+    expectation, variance = data._getters(n_qubits)
+    values = []
+    for rows in bases:
+        try:
+            total = sum(map(expectation, rows))
+        except TypeError:
+            _records(data, n_qubits, rows)
+            raise
+        half_variance = 0.5 * sum(map(variance, rows))
+        values.append(((len(rows) - 1) / 2.0 - 0.5 * total, half_variance))
+    return values
 
 
-def _standard_of(
-    expectations: Sequence[float], variances: Sequence[float]
-) -> tuple[float, float]:
-    """1/2 minus the projector over a span, from its records' columns."""
-    expectation, variance = _scaled(expectations, variances)
-    return 0.5 - expectation, variance
-
-
-def _alternative_of(
-    expectations: Sequence[float], variances: Sequence[float]
-) -> tuple[float, float]:
-    """(n - 1)/2 minus half the sum over the n basis records, from their
-    columns, summed in basis order."""
-    return (
-        (len(expectations) - 1) / 2.0 - 0.5 * sum(expectations),
-        0.5 * sum(variances),
-    )
-
-
-def _standard(
-    data: DataSource, n_qubits: int, rows: Sequence[int], key: tuple
-) -> tuple[float, float]:
-    return _standard_of(*_span_columns(data, n_qubits, key))
-
-
-def _alternative(
-    data: DataSource, n_qubits: int, rows: Sequence[int], key: tuple
-) -> tuple[float, float]:
-    return _alternative_of(*zip(*_records(data, n_qubits, rows)))
-
-
-def _two_measurement(
-    data: DataSource, n_qubits: int, rows: Sequence[int], key: tuple
-) -> tuple[float, float]:
-    # both parts' spans in one read, so a missing record names the
-    # members of both
-    x_span, z_span = map(_ascending_span, key)
-    records = _records(data, n_qubits, x_span + z_span)
-    x_expectation, x_variance = _scaled(*zip(*records[: len(x_span)]))
-    z_expectation, z_variance = _scaled(*zip(*records[len(x_span) :]))
-    return 1.5 - x_expectation - z_expectation, x_variance + z_variance
-
-
-def _standard_and_alternative(
-    data: DataSource, n_qubits: int, key: tuple
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The standard and alternative kernels of the witness whose basis rows
-    are its ``rows_rref`` key, as a census witness's are, from one read of
-    the span's records, split once into its two columns.  Span entry 2^b is
-    the b-th lowest key row (``_ascending_span``), so entries 2^(a-1), ...,
-    2^0 are the key rows in key order: each value adds the same floats in
-    the same order as its kernel, and a missing record raises the standard
-    kernel's error."""
-    expectations, variances = _span_columns(data, n_qubits, key)
-    basis = range(len(key) - 1, -1, -1)
-    return _standard_of(expectations, variances), _alternative_of(
-        [expectations[1 << b] for b in basis], [variances[1 << b] for b in basis]
-    )
+def _two_measurement(data: DataSource, n_qubits: int, splits: Sequence[tuple]) -> list:
+    """3/2 minus the projectors over the spans of each split's X part and Z
+    part, the X part first."""
+    expectation, variance = data._getters(n_qubits)
+    values = []
+    for x, z in splits:
+        x_span, z_span = _ascending_span(x), _ascending_span(z)
+        try:
+            x_total = sum(map(expectation, x_span))
+            z_total = sum(map(expectation, z_span))
+        except TypeError:
+            # both parts in one read, so the error names the members of both
+            _records(data, n_qubits, x_span + z_span)
+            raise
+        x_scale, z_scale = 1.0 / len(x_span), 1.0 / len(z_span)
+        values.append((
+            1.5 - x_scale * x_total - z_scale * z_total,
+            sum(map(variance, x_span)) * x_scale * x_scale
+            + sum(map(variance, z_span)) * z_scale * z_scale,
+        ))
+    return values
 
 
 _KERNELS = {
@@ -545,17 +540,25 @@ _KERNELS = {
 }
 
 
-def _kernel(
-    kind: WitnessKind, w: WitnessSpec, data: DataSource
-) -> tuple[float, float]:
-    """The (expectation, variance) of a spec by the kernel of ``kind``: its
-    rows, and the key that kind reads off its identity key (``_key_as``),
-    with no row reduced.  A spec whose subgroup has no X/Z split has no
+def _kernel(kind: WitnessKind, w: WitnessSpec, data: DataSource) -> tuple[float, float]:
+    """The (expectation, variance) of a spec by the kernel of ``kind``, as a
+    batch of one: its basis rows for the alternative kind, else the key
+    that kind reads off its identity key (``_key_as``), with no row
+    reduced.  A spec whose subgroup has no X/Z split has no
     two-measurement key."""
-    key = _key_as(kind, w)
-    if key is None:
+    item = w.rows if kind is WitnessKind.ALTERNATIVE else _key_as(kind, w)
+    if item is None:
         raise ValueError("witness carries no X/Z split")
-    return _KERNELS[kind](data, w.n_qubits, w.rows, key)
+    return _KERNELS[kind](data, w.n_qubits, [item])[0]
+
+
+def _value(kind: WitnessKind, w: WitnessSpec, data: DataSource, sigma) -> WitnessValue:
+    """A spec's value by the kernel of ``kind``, judged at threshold
+    ``sigma``, which is checked first."""
+    _threshold(sigma)
+    expectation, variance = _kernel(kind, w, data)
+    detected = _assessed([(expectation, variance)], sigma)[0][2]
+    return WitnessValue(expectation, variance, detected)
 
 
 def eval_standard(
@@ -566,7 +569,7 @@ def eval_standard(
     The sum runs over the full spanned subgroup including the identity.
     Variance adds (1 - <s>^2) / (M_s * 2^(2n)) per non-identity member.
     """
-    return _finish(*_kernel(WitnessKind.STANDARD, w, data), sigma_threshold)
+    return _value(WitnessKind.STANDARD, w, data, sigma_threshold)
 
 
 def eval_alternative(
@@ -578,7 +581,7 @@ def eval_alternative(
     basis order.  Only ``w.rows`` is read, so the standard witness of the
     same basis gives the same value.
     """
-    return _finish(*_kernel(WitnessKind.ALTERNATIVE, w, data), sigma_threshold)
+    return _value(WitnessKind.ALTERNATIVE, w, data, sigma_threshold)
 
 
 def eval_two_measurement(
@@ -592,19 +595,19 @@ def eval_two_measurement(
     standard or alternative spec is read by the X/Z split of its key, and
     raises ValueError when its subgroup has none.
     """
-    return _finish(*_kernel(WitnessKind.TWO_MEASUREMENT, w, data), sigma_threshold)
+    return _value(WitnessKind.TWO_MEASUREMENT, w, data, sigma_threshold)
 
 
 def evaluate(
     w: WitnessSpec, data: DataSource, sigma_threshold: float = 0.0
 ) -> WitnessValue:
     """Evaluate the witness with the kernel of its kind."""
-    return _finish(*_kernel(w.kind, w, data), sigma_threshold)
+    return _value(w.kind, w, data, sigma_threshold)
 
 
 def fidelity(group: StabilizerGroup, data: DataSource) -> tuple[float, float]:
     """State fidelity 2^-N * sum over all 2^N stabilizers, with variance."""
-    return _scaled(*_span_columns(data, group.n_qubits, group.key))
+    return _projectors(data, group.n_qubits, [group.key])[0]
 
 
 def critical_probability(w: WitnessSpec) -> float:
@@ -621,7 +624,7 @@ def critical_probability(w: WitnessSpec) -> float:
 
 def detection_confidence(v: WitnessValue) -> float:
     """One-sided Gaussian probability (in %) that the true value is below 0."""
-    confidence = _assessed(v.expectation, v.variance, 0.0)[3]
+    confidence = _assessed([(v.expectation, v.variance)], 0.0)[0][3]
     if confidence is None:
         raise ValueError(
             "confidence undefined for zero variance at zero expectation"

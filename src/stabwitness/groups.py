@@ -148,6 +148,15 @@ class StabilizerGroup:
     def non_identity(self) -> tuple[PauliOperator, ...]:
         return self.elements[1:]
 
+    @functools.cached_property
+    def _supports(self) -> tuple[tuple[int, int], ...]:
+        """(row, support) of each member other than I, in ``rows`` order:
+        the support is the qubits where it is not I, set in both blocks of
+        a packed row."""
+        n, full = self.n_qubits, (1 << self.n_qubits) - 1
+        qubits = [(m, (m | m >> n) & full) for m in self.rows if m]
+        return tuple((m, q << n | q) for m, q in qubits)
+
 
 def span_paulis(paulis: Sequence[PauliOperator]) -> list[PauliOperator]:
     """All 2^k phaseless products of k Paulis, indexed by exponent vector."""

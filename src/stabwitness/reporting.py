@@ -17,11 +17,11 @@ Only the genuine witnesses, built from the generator set, are specs.
 The witness listing comes from one row generator, ``_listing``, one row
 per key: ``witness_rows`` makes a dict of each row for JSON and library
 callers, and the CLI's CSV listing, ``_witness_csv``, formats each row as
-one line, with no dict.  The evaluation report reads each standard key's
-span once for both its standard and its alternative row.  It evaluates
-the witnesses in census order, so a missing record names the first
-witness in that order that lacks one, and builds each subsystem's rows in
-report order, its keys ordered by digest once, so no row is sorted:
+one line, with no dict.  The evaluation report evaluates each subsystem's
+witnesses of each kind in one call of that kind's batch kernel, in census
+order, so a missing record names the first witness in that order that
+lacks one, and builds each subsystem's rows in report order, its keys
+ordered by digest once, so no row is sorted:
 within a subsystem, the standard, alternative and two-measurement rows in
 that order, each kind's by key digest.  ``best_per_omega`` keeps that
 order.  The report's rows are named tuples, ``EvalRow``, and its JSON
@@ -38,7 +38,6 @@ import functools
 import hashlib
 import io
 import json
-import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -49,7 +48,8 @@ from .evaluation import (
     MeasurementDataset,
     _KERNELS,
     _assessed,
-    _standard_and_alternative,
+    _kernel,
+    _threshold,
 )
 from .witnesses import (
     SubsystemClass,
@@ -306,6 +306,11 @@ class EvalRow(NamedTuple):
     key_digest: str
 
 
+# a CSV line of an evaluation row with a confidence, and of one without
+_CSV_LINE = "%s%.12g,%.12g,%d,%.12g\n"
+_CSV_LINE_BLANK = "%s%.12g,%.12g,%d,\n"
+
+
 @dataclass(frozen=True)
 class EvaluationReport:
     n_qubits: int
@@ -333,14 +338,16 @@ class EvaluationReport:
         # The subsystem label is the one field that can hold a comma; it is
         # quoted by the csv module.  Each (subsystem, kind) prefix is
         # formatted once.  Every other field is a formatted number, which
-        # csv writes as it is.
+        # csv writes as it is: each row is one % operation, by the line
+        # format of its confidence, empty when there is none.
         prefix = _Memo(lambda slot: f"{_csv_omega(slot[0])},{slot[1].value},")
         lines = ["omega,kind,expectation,stddev,detected,confidence\n"]
-        lines += (
-            f"{prefix[omega, kind]}{expectation:.12g},{stddev:.12g},{int(detected)},"
-            f"{'' if confidence is None else format(confidence, '.12g')}\n"
+        lines += [
+            _CSV_LINE % (prefix[omega, kind], expectation, stddev, detected, confidence)
+            if confidence is not None
+            else _CSV_LINE_BLANK % (prefix[omega, kind], expectation, stddev, detected)
             for omega, kind, expectation, stddev, detected, confidence, _ in self.rows
-        )
+        ]
         return "".join(lines)
 
     def to_json(self) -> str:
@@ -390,18 +397,17 @@ def build_evaluation_report(
     ``genuine_set``, the generator set of the census's state, also its
     genuine witnesses of each requested kind.
 
-    Each row is read off the kernel of its kind, ``_KERNELS``, and judged by
-    ``_assessed``, as ``evaluate`` and ``detection_confidence`` judge a
-    value, with no value object between: each row is built as one tuple.
-    The census's witnesses are read as their keys, with no
-    spec: each standard key is its witness's rows and identity key, and
-    each two-measurement split goes to the kernel as its parts and key and
-    is digested as it is.  An alternative witness is its standard
-    witness's rows and key; with both kinds asked for, each key's span is
-    read once for both rows (``_standard_and_alternative``).  The
-    witnesses are evaluated in census order, so a missing record raises
-    the IncompleteDataError of the first witness in that order that lacks
-    one.  Each subsystem's rows are built
+    Each (subsystem, kind) is one call of the kind's batch kernel,
+    ``_KERNELS``, on all its witnesses, and one call of ``_assessed``, which
+    judges the whole column as ``evaluate`` and ``detection_confidence``
+    judge a value, with no value object between: each row is built as one
+    tuple.  The census's witnesses are read as their keys, with no spec:
+    each standard key is its witness's rows and identity key, so the
+    standard and the alternative kernel both take the keys, and each
+    two-measurement split goes to its kernel and is digested as it is.
+    The witnesses are evaluated in census order, so a missing record
+    raises the IncompleteDataError of the first witness in that order that
+    lacks one.  Each subsystem's rows are built
     in report order, its keys and its two-measurement witnesses each
     ordered once by digest, and the subsystems' blocks are joined by size
     then label, so no row is sorted.  Only the genuine witnesses are specs:
@@ -412,18 +418,15 @@ def build_evaluation_report(
     ``WitnessKind`` nor the value of one, when a measurement
     dataset is on a different number of qubits than the census, when the
     standard or alternative kind is asked for of a census with neither a
-    direct nor a graph-based column, or when ``sigma_threshold`` is
-    negative or not finite.
+    direct nor a graph-based column, or when ``sigma_threshold`` is not a
+    finite non-negative real number or is a bool.
     """
     if isinstance(kinds, str):
         raise ValueError(
             "kinds must be a collection of witness kinds, "
             "such as ('standard',), not a string"
         )
-    if not 0.0 <= sigma_threshold < math.inf:
-        raise ValueError(
-            f"sigma threshold {sigma_threshold} is not a finite non-negative number"
-        )
+    _threshold(sigma_threshold)
     if isinstance(data, MeasurementDataset) and data.n_qubits != census.n_qubits:
         raise ValueError(
             f"dataset is on {data.n_qubits} qubits, the code on {census.n_qubits}"
@@ -439,45 +442,35 @@ def build_evaluation_report(
         raise ValueError("census has no standard witnesses to evaluate")
     n_qubits = census.n_qubits
 
-    def rows(omega, kind, digests, order, column) -> list[EvalRow]:
+    def rows(omega, kind, values, digests, order) -> list[EvalRow]:
         """The rows of one (subsystem, kind) in digest ``order``, each the
-        tuple of its fields: its value in ``column`` judged by ``_assessed``,
-        then its key digest."""
-        return [
-            _new_row((omega, kind, *_assessed(*column[i], sigma_threshold), digests[i]))
-            for i in order
-        ]
+        tuple of its fields: its value in ``values``, one kernel call's,
+        judged by ``_assessed`` in one call, then its key digest."""
+        judged = _assessed(values, sigma_threshold)
+        return [_new_row((omega, kind, *judged[i], digests[i])) for i in order]
 
     def spec_rows(spec: WitnessSpec, kinds: list[WitnessKind]) -> list[EvalRow]:
-        args = data, spec.n_qubits, spec.rows, spec.identity_key
         digests = [_key_digest(spec.identity_key)]
         return [
-            row
+            rows(spec.omega, kind, [_kernel(kind, spec, data)], digests, [0])[0]
             for kind in kinds
-            for row in rows(spec.omega, kind, digests, [0], [_KERNELS[kind](*args)])
         ]
-
-    def standard_columns(keys: Sequence):
-        """The values of the keys, one column per kind in ``standard``."""
-        if len(standard) == 2:
-            return zip(*[_standard_and_alternative(data, n_qubits, k) for k in keys])
-        kernel = _KERNELS[standard[0]]
-        return [[kernel(data, n_qubits, k, k) for k in keys]]
 
     blocks = []
     for omega in census.subsystems():
         block: list[EvalRow] = []
         if standard:
+            # a census standard key is its witness's basis rows as well
             keys = source.get(omega, ())
             digests, order = _digest_order(keys)
-            for kind, column in zip(standard, standard_columns(keys)):
-                block += rows(omega, kind, digests, order, column)
+            for kind in standard:
+                values = _KERNELS[kind](data, n_qubits, keys)
+                block += rows(omega, kind, values, digests, order)
         if two_measurement:
             splits = (twomeas or {}).get(omega, ())
-            kernel = _KERNELS[two_measurement[0]]
-            column = [kernel(data, n_qubits, x + z, (x, z)) for x, z in splits]
+            values = _KERNELS[two_measurement[0]](data, n_qubits, splits)
             digests, order = _digest_order(splits)
-            block += rows(omega, two_measurement[0], digests, order, column)
+            block += rows(omega, two_measurement[0], values, digests, order)
         blocks.append((omega, block))
     blocks.sort(key=lambda pair: _subsystem_order(pair[0]))
     out = [r for _, block in blocks for r in block]

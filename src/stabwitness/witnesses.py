@@ -986,12 +986,9 @@ def _graph_reachable(
     full = (1 << n_qubits) - 1
     mask = _qubit_mask(omega)
     omega_rows = (mask << n_qubits) | mask
-    # each idle member other than I, with its qubits spread over both blocks
-    idle = []
-    for m in group.rows:
-        if m and not m & omega_rows:
-            qubits = (m | m >> n_qubits) & full
-            idle.append((m, (qubits << n_qubits) | qubits))
+    # each idle member other than I, with its qubits spread over both
+    # blocks, read off the group's members and supports
+    idle = [(m, spread) for m, spread in group._supports if not m & omega_rows]
     if not idle:
         return list(keys)
     outside_rows = ((full << n_qubits) | full) ^ omega_rows
@@ -1001,9 +998,12 @@ def _graph_reachable(
         letters = reduce(or_, key) & outside_rows
         passes = verdicts.get(letters)
         if passes is None:
-            passes = verdicts[letters] = not any(
-                letters & spread == m for m, spread in idle
-            )
+            passes = True
+            for m, spread in idle:
+                if letters & spread == m:
+                    passes = False
+                    break
+            verdicts[letters] = passes
         if passes:
             kept.append(key)
     return kept

@@ -719,6 +719,32 @@ class TestOutputBytes:
             "2e5852735b07fc98895db76031af37a03f531eb9031acc1e3c3c8bfec523964e"
         )
 
+    @pytest.mark.parametrize(
+        "flags,digest",
+        [
+            (
+                ("--data", str(SHOT_DATA), "--kinds", "alternative"),
+                "9c9fde679ce82b48cd86c698411c2a0a016b0d5290ddc51799fac831ad407cc7",
+            ),
+            (
+                ("--data", str(SHOT_DATA), "--kinds", "standard",
+                 "--sigma-threshold", "2"),
+                "059885bacba7c020079857838fcb21bdb668c8be9a14602f3d5fc890259ca7be",
+            ),
+            (
+                ("--werner", "0.9", "--kinds", "twomeas", "--format", "json"),
+                "e12b25a9ac2bfa0375bc264c5bda2a4c419df4adc7d3f3187ef8e8e0fb82ccd9",
+            ),
+        ],
+        ids=["alternative", "standard-sigma-2", "twomeas-json"],
+    )
+    def test_eval_single_kind(self, capsys, flags, digest):
+        # one kind per report and a nonzero threshold, recorded before each
+        # subsystem's witnesses were evaluated in one kernel call per kind
+        code, out, _ = run_cli(capsys, "eval", "color_code_7", *flags)
+        assert code == 0
+        assert sha256(out) == digest
+
 
 def random8_eval_files(tmp_path):
     """Graph 2 of the 8-qubit test recipe as a code file, and a dataset of

@@ -5,6 +5,7 @@ import itertools
 import math
 import numbers
 import random
+import re
 import reprlib
 from decimal import Decimal
 from fractions import Fraction
@@ -16,7 +17,13 @@ from conftest import random_stabilizer_set
 from test_binary import naive_parse_pauli
 from test_witnesses import random_rref_bases
 from stabwitness import binary, cliffords, evaluation, groups, witnesses
-from stabwitness.binary import PauliOperator, parse_pauli, pauli_row, rows_rref
+from stabwitness.binary import (
+    PauliOperator,
+    parse_pauli,
+    pauli_from_row,
+    pauli_row,
+    rows_rref,
+)
 from stabwitness.evaluation import (
     IncompleteDataError,
     MeasurementDataset,
@@ -988,6 +995,61 @@ class TestDetectionThreshold:
         )
 
 
+THRESHOLD_ENTRY_POINTS = [evaluate, eval_standard, eval_alternative, eval_two_measurement]
+
+
+class TestSigmaThresholdCheck:
+    """Every entry point that judges a single witness refuses a sigma
+    threshold that is not a finite non-negative real number, or that is a
+    bool, with the evaluation report's message, before it reads a record."""
+
+    @pytest.fixture(scope="class")
+    def case(self, full_census, color_group):
+        spec = full_census.direct[(1, 2)][0]
+        return spec, MeasurementDataset.uniform(color_group, 0.2, 100)
+
+    @pytest.mark.parametrize(
+        "value",
+        [-100.0, -1.0, -1e-300, -math.inf, math.inf, math.nan, True, False,
+         "1", None, 1j, Decimal("1")],
+        ids=repr,
+    )
+    @pytest.mark.parametrize(
+        "entry", THRESHOLD_ENTRY_POINTS, ids=lambda f: f.__name__
+    )
+    def test_refused(self, case, entry, value):
+        spec, data = case
+        message = f"sigma threshold {value!r} is not a finite non-negative number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            entry(spec, data, sigma_threshold=value)
+        # refused before any record is read, so before a missing one
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+            entry(spec, MeasurementDataset(7, {}), sigma_threshold=value)
+        assert not isinstance(err.value, IncompleteDataError)
+
+    def test_negative_threshold_no_longer_detects_a_positive_value(self, case):
+        # at -100 the first pair witness read +0.1 as detected
+        spec, data = case
+        value = evaluate(spec, data)
+        assert value.expectation == pytest.approx(0.1)
+        assert not value.detected
+        with pytest.raises(ValueError, match="^sigma threshold -100.0 is not"):
+            evaluate(spec, data, sigma_threshold=-100.0)
+
+    @pytest.mark.parametrize(
+        "value", [0, 0.0, -0.0, 2, 2.5, Fraction(1, 2)], ids=repr
+    )
+    @pytest.mark.parametrize(
+        "entry", THRESHOLD_ENTRY_POINTS, ids=lambda f: f.__name__
+    )
+    def test_accepted(self, case, entry, value):
+        spec, data = case
+        got = entry(spec, data, sigma_threshold=value)
+        want = entry(spec, data)
+        assert (got.expectation, got.variance) == (want.expectation, want.variance)
+        assert got.detected == (got.expectation + value * got.stddev < 0.0)
+
+
 class TestHierarchy:
     def test_werner_grid(self, color_group_module):
         # standard <= alternative and standard <= two-measurement, same seed
@@ -1319,39 +1381,58 @@ class TestPackedMatchesNaive:
     def test_two_measurement_reads_its_records_once(
         self, color_group, monkeypatch
     ):
-        # both parts are read in one call, and a dataset missing members of
-        # both is named in one error, with no second read to name them
+        # each member of both parts is read once by each of the source's
+        # two getters, and a dataset missing members of both is named in
+        # one error, from one re-read of both parts
         spec = next(
             w
             for w in two_measurement_witnesses(color_group, (2, 3, 4, 6))
             if len(w.x_basis) >= 2 and len(w.z_basis) >= 2
         )
+        reads = {"expectation": [], "variance": []}
         calls = []
 
-        def spy(data, n_qubits, rows):
+        def counted(name, get):
+            def read(row):
+                reads[name].append(row)
+                return get(row)
+
+            return read
+
+        def getters_spy(self, n_qubits):
+            expectation, variance = getters(self, n_qubits)
+            return counted("expectation", expectation), counted("variance", variance)
+
+        def records_spy(data, n_qubits, rows):
             calls.append(len(rows))
             return records(data, n_qubits, rows)
 
+        getters = MeasurementDataset._getters
         records = evaluation._records
-        monkeypatch.setattr(evaluation, "_records", spy)
+        monkeypatch.setattr(MeasurementDataset, "_getters", getters_spy)
+        monkeypatch.setattr(evaluation, "_records", records_spy)
         full = shot_noise_dataset(color_group, 7)
         value = eval_two_measurement(spec, full)
         assert bits(value) == bits(naive_evaluate(spec, full))
-        assert calls == [2 ** len(spec.x_rows) + 2 ** len(spec.z_rows)]
+        x_span, z_span = map(evaluation._ascending_span, spec.identity_key)
+        assert len(x_span) + len(z_span) == 2 ** len(spec.x_rows) + 2 ** len(
+            spec.z_rows
+        )
+        assert reads["expectation"] == reads["variance"] == x_span + z_span
+        assert calls == []
         dropped = {spec.x_basis[0].to_text(), spec.z_basis[1].to_text()}
         data = MeasurementDataset(
             7, {k: v for k, v in full.records.items() if k not in dropped}
         )
-        calls.clear()
         with pytest.raises(IncompleteDataError) as err:
             eval_two_measurement(spec, data)
         assert err.value.missing == tuple(sorted(dropped))
-        assert len(calls) == 1
+        assert calls == [len(x_span) + len(z_span)]
 
 
 class TestAscendingSpan:
     """A ``rows_rref`` key spanned from its lowest row up is already in
-    ascending packed-row order, so ``_projector`` sums a key's members in
+    ascending packed-row order, so ``_projectors`` sums a key's members in
     the order a sort would give, with no sort."""
 
     def test_census_and_group_keys(self, color_code):
@@ -1482,3 +1563,152 @@ class TestParsedOnce:
         data = MeasurementDataset.from_pairs(7, pairs)
         assert sorted(calls) == sorted(data.records) == sorted(pairs)
         assert len(calls) == 127
+
+
+# ---------------------------------------------------------------------------
+# Each batch kernel is the per-witness kernel it replaced, item by item
+# ---------------------------------------------------------------------------
+
+
+def naive_records(data, n_qubits, rows):
+    """The (expectation, variance) records of packed rows, read off the
+    source's own fields, or one IncompleteDataError naming every row
+    without a record: the one read of the per-witness kernels."""
+    if isinstance(data, MeasurementDataset) and data.n_qubits != n_qubits:
+        raise ValueError(
+            f"dataset is on {data.n_qubits} qubits, the stabilizers on {n_qubits}"
+        )
+    records = []
+    for row in rows:
+        if not row:
+            records.append((1.0, 0.0))
+        elif isinstance(data, WernerModel):
+            records.append((data.p, 0.0))
+        else:
+            record = data.records.get(pauli_from_row(row, n_qubits).to_text())
+            if record is not None:
+                e, shots = record
+                record = e, (1.0 - e * e) / shots
+            records.append(record)
+    absent = {
+        pauli_from_row(row, n_qubits).to_text()
+        for row, record in zip(rows, records)
+        if record is None
+    }
+    if absent:
+        raise IncompleteDataError(sorted(absent))
+    return records
+
+
+def naive_scaled(expectations, variances):
+    scale = 1.0 / len(expectations)
+    return scale * sum(expectations), sum(variances) * scale * scale
+
+
+def naive_standard(data, n_qubits, key):
+    span = sorted(_span_rows(key))
+    expectation, variance = naive_scaled(*zip(*naive_records(data, n_qubits, span)))
+    return 0.5 - expectation, variance
+
+
+def naive_alternative(data, n_qubits, rows):
+    expectations, variances = zip(*naive_records(data, n_qubits, rows))
+    return (len(expectations) - 1) / 2.0 - 0.5 * sum(expectations), 0.5 * sum(
+        variances
+    )
+
+
+def naive_two_measurement(data, n_qubits, split):
+    x_span, z_span = (sorted(_span_rows(part)) for part in split)
+    records = naive_records(data, n_qubits, x_span + z_span)
+    x_expectation, x_variance = naive_scaled(*zip(*records[: len(x_span)]))
+    z_expectation, z_variance = naive_scaled(*zip(*records[len(x_span) :]))
+    return 1.5 - x_expectation - z_expectation, x_variance + z_variance
+
+
+NAIVE_KERNELS = {
+    WitnessKind.STANDARD: naive_standard,
+    WitnessKind.ALTERNATIVE: naive_alternative,
+    WitnessKind.TWO_MEASUREMENT: naive_two_measurement,
+}
+
+
+def naive_batch(kind, data, n_qubits, items):
+    """The per-witness kernel of ``kind`` on each item in order, up to the
+    first that raises."""
+    return [NAIVE_KERNELS[kind](data, n_qubits, item) for item in items]
+
+
+def kernel_outcome(fn, *args):
+    """A batch of values as their bit patterns, or the error raised: its
+    type, its message and the names an IncompleteDataError carries."""
+    try:
+        values = fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "missing", None)
+    return [float_bits(value) for value in values]
+
+
+def batch_sources():
+    """The shot fixture, whole, with 3 % of its records dropped and with an
+    X-type and a Z-type member dropped, so that two-measurement witnesses
+    lack members of either part or of both; a shot-noise dataset with 3 %
+    dropped; and white noise at p = 0, 0.37 and 1."""
+    shots = MeasurementDataset.from_csv(SHOT_DATA.read_text())
+    rng = random.Random("dropped")
+    kept = {k: v for k, v in shots.records.items() if rng.random() >= 0.03}
+    pure = {k: v for k, v in shots.records.items() if k not in ("IXXIXXI", "IIZZIZZ")}
+    color = span_group(GeneratorSet.from_texts(
+        ["ZZZZIII", "IZZIZZI", "IIZZIZZ", "XXXXIII", "IXXIXXI", "IIXXIXX", "XXXXXXX"]
+    ))
+    return [
+        ("shots", shots),
+        ("shots-dropped", MeasurementDataset(7, kept)),
+        ("parts-dropped", MeasurementDataset(7, pure)),
+        ("noise-dropped", shot_noise_dataset(color, 4, keep=0.97)),
+    ] + [(f"werner-{p}", WernerModel(p)) for p in (0.0, 0.37, 1.0)]
+
+
+class TestBatchKernelsMatchNaive:
+    @pytest.mark.parametrize(
+        "name,data", batch_sources(), ids=[name for name, _ in batch_sources()]
+    )
+    def test_every_census_key(self, full_census, name, data):
+        # each subsystem's items of each kind as one batch, and each item
+        # as a batch of one: the same bits, or the same error
+        direct, _, twomeas = full_census._lists()
+        checked = failed = 0
+        for omega in full_census.subsystems():
+            keys, splits = direct.get(omega, ()), twomeas.get(omega, ())
+            for kind, items in (
+                (WitnessKind.STANDARD, keys),
+                (WitnessKind.ALTERNATIVE, keys),
+                (WitnessKind.TWO_MEASUREMENT, splits),
+            ):
+                kernel = evaluation._KERNELS[kind]
+                assert kernel_outcome(kernel, data, 7, items) == kernel_outcome(
+                    naive_batch, kind, data, 7, items
+                ), (omega, kind)
+                for item in items:
+                    got = kernel_outcome(kernel, data, 7, [item])
+                    assert got == kernel_outcome(naive_batch, kind, data, 7, [item])
+                    failed += not isinstance(got, list)
+                checked += len(items)
+        assert checked == 2 * 3927 + 476
+        if name.endswith("dropped"):
+            assert 0 < failed < checked
+        else:
+            assert failed == 0
+
+    def test_dataset_on_other_qubit_count(self, full_census):
+        data = MeasurementDataset.from_pairs(5, {"XXIII": (0.5, 100)})
+        direct, _, twomeas = full_census._lists()
+        keys, splits = direct[(1, 2)], twomeas[(1, 2)]
+        for kind, items in (
+            (WitnessKind.STANDARD, keys),
+            (WitnessKind.ALTERNATIVE, keys),
+            (WitnessKind.TWO_MEASUREMENT, splits),
+        ):
+            got = kernel_outcome(evaluation._KERNELS[kind], data, 7, items)
+            assert got == kernel_outcome(naive_batch, kind, data, 7, items)
+            assert got[1] == "dataset is on 5 qubits, the stabilizers on 7"

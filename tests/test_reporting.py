@@ -334,6 +334,18 @@ class TestEvaluationReport:
                 small_census, WernerModel(0.9), sigma_threshold=value
             )
 
+    @pytest.mark.parametrize("value", [True, False, "1", None, 1j], ids=repr)
+    def test_refuses_a_sigma_threshold_that_is_not_a_real_number(
+        self, small_census, value
+    ):
+        # True was read as 1 and "1" raised a bare TypeError
+        message = f"sigma threshold {value!r} is not a finite non-negative number"
+        with pytest.raises(ValueError) as err:
+            build_evaluation_report(
+                small_census, WernerModel(0.9), sigma_threshold=value
+            )
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("value", [0, 0.0, -0.0])
     def test_zero_sigma_threshold_is_the_default(self, small_census, value):
         default = build_evaluation_report(small_census, WernerModel(0.9))

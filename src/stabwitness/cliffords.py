@@ -33,7 +33,7 @@ from .binary import (
     solve_mod2,
 )
 from .groups import GeneratorSet, RecombinationMatrix, recombine
-from .graphs import Graph, graph_generators
+from .graphs import Graph, _check_label, graph_generators
 
 __all__ = [
     "SingleQubitClifford",
@@ -140,6 +140,7 @@ class LocalClifford:
         """Letter swaps X <-> Z on the given 1-based qubits."""
         maps = [_ID] * n_qubits
         for q in qubits:
+            _check_label(q)
             if not 1 <= q <= n_qubits:
                 raise IndexError(f"qubit {q} out of range 1..{n_qubits}")
             maps[q - 1] = _H

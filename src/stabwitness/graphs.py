@@ -43,6 +43,13 @@ class CapacityError(RuntimeError):
     """An enumeration exceeded its configured size cap."""
 
 
+def _check_label(vertex) -> None:
+    """Refuse a vertex label that is not an int, or is a bool, which would
+    pass for vertex 0 or 1."""
+    if isinstance(vertex, bool) or not isinstance(vertex, int):
+        raise ValueError(f"vertex must be an integer, got {vertex!r}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph as a symmetric, zero-diagonal adjacency matrix."""
@@ -72,6 +79,9 @@ class Graph:
         rows = [0] * n_vertices
         for edge in edges:
             mu, nu = edge
+            if type(mu) is not int or type(nu) is not int:
+                _check_label(mu)
+                _check_label(nu)
             if not (1 <= mu <= n_vertices and 1 <= nu <= n_vertices):
                 raise ValueError(f"edge {edge} outside 1..{n_vertices}")
             if mu == nu:
@@ -103,8 +113,7 @@ class Graph:
         return tuple(v for v in range(1, self.n_vertices + 1) if (row >> (v - 1)) & 1)
 
     def _check_vertex(self, vertex: int) -> None:
-        if isinstance(vertex, bool) or not isinstance(vertex, int):
-            raise ValueError(f"vertex must be an integer, got {vertex!r}")
+        _check_label(vertex)
         if not 1 <= vertex <= self.n_vertices:
             raise IndexError(
                 f"vertex {vertex} out of range 1..{self.n_vertices}"
@@ -123,7 +132,10 @@ def graph_generators(g: Graph) -> GeneratorSet:
 
 def is_connected_within(g: Graph, omega: Sequence[int]) -> bool:
     """True iff the reduced graph on omega (edges inside it) is connected."""
-    verts = sorted(set(omega))
+    labels = tuple(omega)
+    for v in labels:
+        _check_label(v)
+    verts = sorted(set(labels))
     if len(verts) < 2:
         raise ValueError("omega needs at least two vertices")
     for v in verts:
@@ -261,7 +273,10 @@ def lc_orbit(g: Graph, max_size: int = 10**6) -> LcOrbit:
 
 def reduced_generator_subset(g: Graph, omega: Sequence[int]) -> GeneratorSubset:
     """The graph-state generators of the vertices in omega, packaged with it."""
-    verts = tuple(sorted(set(omega)))
+    labels = tuple(omega)
+    for v in labels:
+        g._check_vertex(v)
+    verts = tuple(sorted(set(labels)))
     gens = graph_generators(g).generators
     return GeneratorSubset(verts, tuple(gens[v - 1] for v in verts))
 

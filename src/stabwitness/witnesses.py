@@ -1143,15 +1143,42 @@ _STRING_LIKE, _PLAQUETTE_LIKE = (
 )
 
 
+# The qubit labels of the seven-qubit layout.
+_COLOR_CODE_QUBITS = frozenset(range(1, 8))
+
+
+def _color_code_fault(labels: tuple) -> str:
+    """What keeps ``labels`` from being a subsystem of the seven-qubit
+    layout: labels that are not ints (bools included), a repeated label,
+    or one outside 1..7."""
+    strays = ", ".join(repr(q) for q in labels if type(q) is not int)
+    if strays:
+        return f"subsystem {labels} has labels that are not integers: {strays}"
+    repeated = sorted({q for q in labels if labels.count(q) > 1})
+    if repeated:
+        return f"subsystem {labels} repeats labels {', '.join(map(str, repeated))}"
+    return f"subsystem {labels} has labels outside 1..7"
+
+
 def classify_subsystem(omega: Sequence[int]) -> SubsystemClass:
     """Subsystem class on the seven-qubit color code layout.
 
     Three-qubit subsets split into string-like (supports of the code's
     weight-3 stabilizers) and the rest; four-qubit subsets into
     plaquette-like (supports of its weight-4 stabilizers) and the rest.
-    Other sizes are unclassified.
+    Other sizes are unclassified.  ``omega`` holds distinct int labels in
+    1..7, in any order; labels that are not ints (bools included), a
+    repeated label or one off the layout raise MalformedSubsetError.
     """
-    key = frozenset(omega)
+    try:
+        labels = tuple(omega)
+    except TypeError:
+        raise MalformedSubsetError(
+            f"subsystem {omega!r} is not a collection of qubit labels"
+        ) from None
+    key = frozenset(labels) if set(map(type, labels)) <= {int} else None
+    if key is None or len(key) != len(labels) or not key <= _COLOR_CODE_QUBITS:
+        raise MalformedSubsetError(_color_code_fault(labels))
     if len(key) == 3:
         return (
             SubsystemClass.STRING_LIKE

@@ -154,6 +154,17 @@ class TestApply:
         with pytest.raises(ValueError):
             apply(LocalClifford.identity(2), parse_pauli("XXX"))
 
+    @pytest.mark.parametrize("qubit", ["1", True, False, 1.0, None])
+    def test_hadamard_qubit_that_is_not_an_int_is_refused(self, qubit):
+        # "1" raised a bare TypeError, and True swapped qubit 1
+        with pytest.raises(ValueError, match="^vertex must be an integer, got "):
+            LocalClifford.hadamards(3, [2, qubit])
+
+    @pytest.mark.parametrize("qubit", [0, 4, -1])
+    def test_hadamard_qubit_out_of_range_keeps_its_index_error(self, qubit):
+        with pytest.raises(IndexError, match=f"qubit {qubit} out of range 1..3"):
+            LocalClifford.hadamards(3, [qubit])
+
     def test_map_row_matches_grouped_letter_maps(self):
         rng = random.Random(43)
         for _ in range(500):

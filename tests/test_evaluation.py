@@ -7,23 +7,19 @@ import numbers
 import random
 import re
 import reprlib
+import typing
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import oracles
 from conftest import random_stabilizer_set
 from test_binary import naive_parse_pauli
 from test_witnesses import random_rref_bases
 from stabwitness import binary, cliffords, evaluation, groups, witnesses
-from stabwitness.binary import (
-    PauliOperator,
-    parse_pauli,
-    pauli_from_row,
-    pauli_row,
-    rows_rref,
-)
+from stabwitness.binary import parse_pauli, pauli_row, rows_rref
 from stabwitness.evaluation import (
     IncompleteDataError,
     MeasurementDataset,
@@ -1095,113 +1091,54 @@ class TestHierarchy:
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the text-keyed evaluators that the packed-row path replaced.  Each
-# member is rendered as a label and read from the records one at a time.
+# Every witness value, and every kernel batch, against the oracle in
+# ``oracles.py``, which reads the records by Pauli text
 # ---------------------------------------------------------------------------
 
 
-def naive_missing(data, paulis):
+class Refused(typing.NamedTuple):
+    """A ValueError as the comparisons see it: ``kind`` is "missing" for
+    missing records, the library's IncompleteDataError or the oracle's
+    MissingRecords, else the error's type name."""
+
+    kind: str
+    message: str
+    missing: typing.Optional[tuple]
+
+
+def outcome(fn, *args):
+    """A call's result, or the ValueError it raised as a ``Refused``."""
+    try:
+        return fn(*args)
+    except (IncompleteDataError, oracles.MissingRecords) as exc:
+        return Refused("missing", str(exc), exc.missing)
+    except ValueError as exc:
+        return Refused(type(exc).__name__, str(exc), None)
+
+
+def oracle_source(data):
+    """The oracle's view of a library data source."""
     if isinstance(data, WernerModel):
-        return []
-    return sorted(
-        {
-            p.to_text()
-            for p in paulis
-            if not p.is_identity and p.to_text() not in data.records
-        }
-    )
+        return oracles.WhiteNoise(data.p)
+    return oracles.Records(data.n_qubits, data.records)
 
 
-def naive_expectation(data, p):
-    if p.is_identity:
-        return 1.0
-    if isinstance(data, WernerModel):
-        return data.p
-    return data.records[p.to_text()][0]
+def texts(paulis):
+    return tuple(p.to_text() for p in paulis)
 
 
-def naive_variance(data, p):
-    if p.is_identity or isinstance(data, WernerModel):
-        return 0.0
-    e, shots = data.records[p.to_text()]
-    return (1.0 - e * e) / shots
-
-
-def naive_require(data, paulis):
-    missing = naive_missing(data, paulis)
-    if missing:
-        raise IncompleteDataError(missing)
-
-
-def naive_record(data, p):
-    naive_require(data, [p])
-    return naive_expectation(data, p), naive_variance(data, p)
-
-
-def naive_finish(expectation, variance, sigma_threshold):
-    detected = expectation + sigma_threshold * math.sqrt(variance) < 0.0
-    return WitnessValue(expectation, variance, detected)
-
-
-def naive_sorted_span(paulis):
-    return sorted(span_paulis(list(paulis)), key=lambda p: (p.z_bits, p.x_bits))
-
-
-def naive_eval_standard(w, data, sigma_threshold=0.0):
-    members = naive_sorted_span(w.basis)
-    naive_require(data, members)
-    scale = 1.0 / (1 << len(w.basis))
-    total = sum(naive_expectation(data, s) for s in members)
-    variance = sum(naive_variance(data, s) for s in members) * scale * scale
-    return naive_finish(0.5 - scale * total, variance, sigma_threshold)
-
-
-def naive_eval_alternative(w, data, sigma_threshold=0.0):
-    basis = list(w.basis)
-    naive_require(data, basis)
-    n = len(basis)
-    total = sum(naive_expectation(data, s) for s in basis)
-    variance = 0.5 * sum(naive_variance(data, s) for s in basis)
-    return naive_finish((n - 1) / 2.0 - 0.5 * total, variance, sigma_threshold)
-
-
-def naive_eval_two_measurement(w, data, sigma_threshold=0.0):
-    identity = [parse_pauli("I" * w.n_qubits)]
-    x_members = naive_sorted_span(w.x_basis) if w.x_basis else identity
-    z_members = naive_sorted_span(w.z_basis) if w.z_basis else identity
-    naive_require(data, x_members + z_members)
-    x_scale = 1.0 / len(x_members)
-    z_scale = 1.0 / len(z_members)
-    expectation = (
-        1.5
-        - x_scale * sum(naive_expectation(data, s) for s in x_members)
-        - z_scale * sum(naive_expectation(data, s) for s in z_members)
-    )
-    variance = (
-        sum(naive_variance(data, s) for s in x_members) * x_scale * x_scale
-        + sum(naive_variance(data, s) for s in z_members) * z_scale * z_scale
-    )
-    return naive_finish(expectation, variance, sigma_threshold)
-
-
-NAIVE_EVALUATORS = {
-    WitnessKind.STANDARD: naive_eval_standard,
-    WitnessKind.ALTERNATIVE: naive_eval_alternative,
-    WitnessKind.TWO_MEASUREMENT: naive_eval_two_measurement,
-}
-
-
-def naive_evaluate(w, data, sigma_threshold=0.0):
-    return NAIVE_EVALUATORS[w.kind](w, data, sigma_threshold)
-
-
-def naive_fidelity(group, data):
-    members = sorted(group.elements, key=lambda p: (p.z_bits, p.x_bits))
-    naive_require(data, members)
-    scale = 1.0 / len(members)
-    value = scale * sum(naive_expectation(data, s) for s in members)
-    variance = scale * scale * sum(naive_variance(data, s) for s in members)
-    return value, variance
+def oracle_evaluate(w, data, sigma_threshold=0.0):
+    """The oracle's WitnessValue of a spec, read off its Pauli texts."""
+    source = oracle_source(data)
+    if w.kind is WitnessKind.STANDARD:
+        e, v = oracles.naive_eval_standard(texts(w.basis), source)
+    elif w.kind is WitnessKind.ALTERNATIVE:
+        e, v = oracles.naive_eval_alternative(texts(w.basis), source)
+    else:
+        e, v = oracles.naive_eval_two_measurement(
+            texts(w.x_basis), texts(w.z_basis), w.n_qubits, source
+        )
+    return WitnessValue(e, v, oracles.detected(e, v, sigma_threshold))
 
 
 def float_bits(values):
@@ -1225,38 +1162,132 @@ def shot_noise_dataset(group, seed, keep=1.0):
     return MeasurementDataset(group.n_qubits, records)
 
 
-def all_witnesses(census, generator_set):
-    """Every census witness of all three kinds, plus the genuine ones."""
-    specs = []
-    for omega in census.subsystems():
-        for spec in census.direct.get(omega, ()):
-            specs += [spec, WitnessSpec.alternative_from(spec)]
-        specs += census.two_measurement.get(omega, ())
+def genuine_witnesses(generator_set):
+    """The genuine standard and alternative witnesses, and the genuine
+    two-measurement witness when the state has one."""
     genuine = WitnessSpec.standard_genuine(generator_set)
-    specs += [genuine, WitnessSpec.alternative_from(genuine)]
+    specs = [genuine, WitnessSpec.alternative_from(genuine)]
     genuine_two = two_measurement_from_standard(genuine)
-    if genuine_two is not None:
-        specs.append(genuine_two)
-    return specs
+    return specs if genuine_two is None else specs + [genuine_two]
 
 
-def outcome(fn, *args):
-    """A call's result, or the names an IncompleteDataError carries."""
-    try:
-        return fn(*args)
-    except IncompleteDataError as exc:
-        return ("missing", exc.missing, str(exc))
+def census_batches(census):
+    """(kind, [(spec, item)]) per subsystem and kind: the census's
+    witnesses of that kind and the items its kernel reads, the direct keys,
+    which are the alternative witnesses' basis rows too, and the X/Z
+    splits."""
+    direct, _, twomeas = census._lists()
+    batches = []
+    for omega in census.subsystems():
+        standard = census.direct[omega]
+        for kind, specs, items in (
+            (WitnessKind.STANDARD, standard, direct[omega]),
+            (
+                WitnessKind.ALTERNATIVE,
+                [WitnessSpec.alternative_from(w) for w in standard],
+                direct[omega],
+            ),
+            (
+                WitnessKind.TWO_MEASUREMENT,
+                census.two_measurement[omega],
+                twomeas[omega],
+            ),
+        ):
+            batches.append((kind, list(zip(specs, items))))
+    return batches
+
+
+def canonical(result):
+    """A result as the comparisons see it: a Refused as it is, a
+    WitnessValue, an (expectation, variance) pair or a kernel's batch of
+    pairs as their exact bit patterns."""
+    if isinstance(result, Refused):
+        return result
+    if isinstance(result, WitnessValue):
+        return bits(result)
+    if isinstance(result, list):
+        return [float_bits(pair) for pair in result]
+    return float_bits(result)
+
+
+def assert_matches_oracle(batches, extra_specs, group, data, sigma_threshold):
+    """Each census witness by ``evaluate`` and by its kind's kernel, one
+    item at a time and each subsystem's items as one batch, the other
+    specs by ``evaluate``, the fidelity and every member's read, all
+    against the oracle: the same bits, or the same error.  Returns how
+    many census witnesses were refused."""
+    source = oracle_source(data)
+    n_qubits = group.n_qubits
+    refused = 0
+    for kind, witnesses in batches:
+        kernel = evaluation._KERNELS[kind]
+        wanted = []
+        for w, item in witnesses:
+            assert (w.rows if kind is WitnessKind.ALTERNATIVE else w.identity_key) == item
+            want = outcome(oracle_evaluate, w, data, sigma_threshold)
+            got = outcome(evaluate, w, data, sigma_threshold)
+            assert canonical(got) == canonical(want), item
+            if not isinstance(want, Refused):
+                want = [(want.expectation, want.variance)]
+            assert canonical(outcome(kernel, data, n_qubits, [item])) == canonical(want)
+            wanted.append(want)
+        refused += sum(isinstance(want, Refused) for want in wanted)
+        # a batch raises its first refused item's error, or lists every value
+        first = next((want for want in wanted if isinstance(want, Refused)), None)
+        batch = outcome(kernel, data, n_qubits, [item for _, item in witnesses])
+        assert canonical(batch) == canonical(first or [p for (p,) in wanted]), kind
+    for w in extra_specs:
+        assert canonical(outcome(evaluate, w, data, sigma_threshold)) == canonical(
+            outcome(oracle_evaluate, w, data, sigma_threshold)
+        )
+    generators = texts(group.generator_set.generators)
+    assert canonical(outcome(fidelity, group, data)) == canonical(
+        outcome(oracles.naive_fidelity, generators, source)
+    )
+    for p in group.elements:
+        assert canonical(
+            outcome(lambda: [(data.expectation_of(p), data.variance_of(p))])
+        ) == canonical(outcome(oracles.records, source, [p.to_text()]))
+    assert data.missing(group.elements) == oracles.missing(
+        source, texts(group.elements)
+    )
+    return refused
+
+
+SHOT_DATA = Path(__file__).parent / "data" / "color_code_7_shots.csv"
+COLOR_GROUP = span_group(GeneratorSet.from_texts(
+    ["ZZZZIII", "IZZIZZI", "IIZZIZZ", "XXXXIII", "IXXIXXI", "IIXXIXX", "XXXXXXX"]
+))
 
 
 def oracle_sources(group):
-    return [shot_noise_dataset(group, seed) for seed in (1, 2, 3)] + [
-        WernerModel(p) for p in (0.0, 0.37, 1.0)
+    """Shot-noise datasets of seeds 1 to 3 and white noise at p = 0, 0.37
+    and 1, by name."""
+    return [(f"noise-{seed}", shot_noise_dataset(group, seed)) for seed in (1, 2, 3)] + [
+        (f"werner-{p}", WernerModel(p)) for p in (0.0, 0.37, 1.0)
+    ]
+
+
+def color_sources():
+    """``oracle_sources`` of the color code; the shot fixture, whole, with
+    3 % of its records dropped and with an X-type and a Z-type member
+    dropped, so that two-measurement witnesses lack members of either part
+    or of both; and a shot-noise dataset with 3 % dropped."""
+    shots = MeasurementDataset.from_csv(SHOT_DATA.read_text())
+    rng = random.Random("dropped")
+    kept = {k: v for k, v in shots.records.items() if rng.random() >= 0.03}
+    pure = {k: v for k, v in shots.records.items() if k not in ("IXXIXXI", "IIZZIZZ")}
+    return oracle_sources(COLOR_GROUP) + [
+        ("shots", shots),
+        ("shots-dropped", MeasurementDataset(7, kept)),
+        ("parts-dropped", MeasurementDataset(7, pure)),
+        ("noise-dropped", shot_noise_dataset(COLOR_GROUP, 4, keep=0.97)),
     ]
 
 
 @pytest.fixture(scope="module")
-def color_witnesses(full_census, color_code):
-    return all_witnesses(full_census, color_code)
+def color_batches(full_census):
+    return census_batches(full_census)
 
 
 # seeds whose states have X/Z splits, so all three kinds are checked
@@ -1265,52 +1296,38 @@ def random_case(request):
     n, seed = request.param
     s = random_stabilizer_set(random.Random(seed), n)
     census = run_census(s, ("direct", "twomeas"))
-    return span_group(s), all_witnesses(census, s)
+    return s, census
 
 
-class TestPackedMatchesNaive:
-    def test_color_code_every_witness(self, color_group, color_witnesses):
-        kinds = {spec.kind for spec in color_witnesses}
+class TestKernelsMatchOracle:
+    @pytest.mark.parametrize(
+        "name,data", color_sources(), ids=[name for name, _ in color_sources()]
+    )
+    def test_color_code_every_witness(
+        self, color_batches, color_code, color_group, name, data
+    ):
+        kinds = {kind for kind, _ in color_batches}
         assert kinds == set(WitnessKind)
-        for data in oracle_sources(color_group):
-            for spec in color_witnesses:
-                assert bits(evaluate(spec, data)) == bits(naive_evaluate(spec, data))
-            assert float_bits(fidelity(color_group, data)) == float_bits(
-                naive_fidelity(color_group, data)
-            )
+        checked = sum(len(witnesses) for _, witnesses in color_batches)
+        assert checked == 2 * 3927 + 476
+        refused = assert_matches_oracle(
+            color_batches, genuine_witnesses(color_code), color_group, data, 0.0
+        )
+        if name.endswith("dropped"):
+            assert 0 < refused < checked
+        else:
+            assert refused == 0
 
     def test_random_states_every_witness(self, random_case):
-        group, specs = random_case
-        assert {spec.kind for spec in specs} == set(WitnessKind)
-        for data in oracle_sources(group):
-            for spec in specs:
-                got = evaluate(spec, data, 1.0)
-                assert bits(got) == bits(naive_evaluate(spec, data, 1.0))
-            assert float_bits(fidelity(group, data)) == float_bits(
-                naive_fidelity(group, data)
+        s, census = random_case
+        group = span_group(s)
+        batches = census_batches(census)
+        assert {kind for kind, witnesses in batches if witnesses} == set(WitnessKind)
+        for _, data in oracle_sources(group):
+            refused = assert_matches_oracle(
+                batches, genuine_witnesses(s), group, data, 1.0
             )
-
-    def test_dropped_records_name_the_same_members(
-        self, color_group, color_witnesses
-    ):
-        data = shot_noise_dataset(color_group, 4, keep=0.97)
-        outcomes = [
-            (outcome(evaluate, spec, data), outcome(naive_evaluate, spec, data))
-            for spec in color_witnesses
-        ]
-        assert all(got == want for got, want in outcomes)
-        failed = sum(isinstance(got, tuple) for got, _ in outcomes)
-        assert 0 < failed < len(outcomes)
-        assert outcome(fidelity, color_group, data) == outcome(
-            naive_fidelity, color_group, data
-        )
-        for p in color_group.elements:
-            assert outcome(
-                lambda: (data.expectation_of(p), data.variance_of(p))
-            ) == outcome(naive_record, data, p)
-        assert data.missing(color_group.elements) == naive_missing(
-            data, color_group.elements
-        )
+            assert refused == 0
 
     def test_two_measurement_missing_in_both_parts(self, color_group):
         spec = next(
@@ -1326,12 +1343,13 @@ class TestPackedMatchesNaive:
         with pytest.raises(IncompleteDataError) as err:
             eval_two_measurement(spec, data)
         assert set(err.value.missing) == dropped
-        assert outcome(evaluate, spec, data) == outcome(naive_evaluate, spec, data)
+        assert outcome(evaluate, spec, data) == outcome(oracle_evaluate, spec, data)
 
-    def test_dataset_on_other_qubit_count(self, color_witnesses, color_group):
+    def test_dataset_on_other_qubit_count(self, color_batches, color_group, full_census):
         # every 5-qubit Pauli has a record, so any packed 7-qubit row that
         # happened to equal a 5-qubit one would read a record it must not;
-        # the mismatch is named instead of listing members as missing
+        # the mismatch is named instead of listing members as missing, by
+        # each witness, each kernel batch and the fidelity
         labels = (
             "".join(letters)
             for letters in itertools.product("IXYZ", repeat=5)
@@ -1339,13 +1357,25 @@ class TestPackedMatchesNaive:
         data = MeasurementDataset.from_pairs(
             5, {label: (0.5, 100) for label in labels if label != "IIIII"}
         )
-        message = "^dataset is on 5 qubits, the stabilizers on 7$"
-        for spec in color_witnesses[:200]:
-            with pytest.raises(ValueError, match=message) as err:
-                evaluate(spec, data)
-            assert not isinstance(err.value, IncompleteDataError)
-        with pytest.raises(ValueError, match=message):
-            fidelity(color_group, data)
+        refused = Refused(
+            "ValueError", "dataset is on 5 qubits, the stabilizers on 7", None
+        )
+        specs = [w for _, witnesses in color_batches for w, _ in witnesses]
+        for spec in specs[:200]:
+            assert outcome(evaluate, spec, data) == refused
+            assert outcome(oracle_evaluate, spec, data) == refused
+        direct, _, twomeas = full_census._lists()
+        for kind, items in (
+            (WitnessKind.STANDARD, direct[(1, 2)]),
+            (WitnessKind.ALTERNATIVE, direct[(1, 2)]),
+            (WitnessKind.TWO_MEASUREMENT, twomeas[(1, 2)]),
+        ):
+            assert outcome(evaluation._KERNELS[kind], data, 7, items) == refused
+        assert outcome(fidelity, color_group, data) == refused
+        generators = texts(color_group.generator_set.generators)
+        assert outcome(
+            oracles.naive_fidelity, generators, oracle_source(data)
+        ) == refused
 
     def test_witness_on_other_qubit_count_names_both_counts(self):
         # a 4-qubit pair witness on a 3-qubit dataset used to report its
@@ -1413,7 +1443,7 @@ class TestPackedMatchesNaive:
         monkeypatch.setattr(evaluation, "_records", records_spy)
         full = shot_noise_dataset(color_group, 7)
         value = eval_two_measurement(spec, full)
-        assert bits(value) == bits(naive_evaluate(spec, full))
+        assert bits(value) == bits(oracle_evaluate(spec, full))
         x_span, z_span = map(evaluation._ascending_span, spec.identity_key)
         assert len(x_span) + len(z_span) == 2 ** len(spec.x_rows) + 2 ** len(
             spec.z_rows
@@ -1470,9 +1500,6 @@ class TestAscendingSpan:
 # from_csv checks each record once and builds the constructor's dataset
 # ---------------------------------------------------------------------------
 
-SHOT_DATA = Path(__file__).parent / "data" / "color_code_7_shots.csv"
-
-
 def naive_csv_records(text):
     """The records of a dataset CSV, read with the csv module alone."""
     rows = list(csv.reader(io.StringIO(text)))[1:]
@@ -1483,9 +1510,7 @@ def parse_cases():
     """(name, n_qubits, CSV text, group): the shot fixture, then seeded
     shot-noise datasets with records dropped, on the color code and on
     random states."""
-    color = span_group(GeneratorSet.from_texts(
-        ["ZZZZIII", "IZZIZZI", "IIZZIZZ", "XXXXIII", "IXXIXXI", "IIXXIXX", "XXXXXXX"]
-    ))
+    color = COLOR_GROUP
     yield "fixture", 7, SHOT_DATA.read_text(), color
     yield "color-seed5", 7, shot_noise_dataset(color, 5, keep=0.8).to_csv(), color
     for n, seed in ((4, 11), (5, 12), (6, 13)):
@@ -1563,152 +1588,3 @@ class TestParsedOnce:
         data = MeasurementDataset.from_pairs(7, pairs)
         assert sorted(calls) == sorted(data.records) == sorted(pairs)
         assert len(calls) == 127
-
-
-# ---------------------------------------------------------------------------
-# Each batch kernel is the per-witness kernel it replaced, item by item
-# ---------------------------------------------------------------------------
-
-
-def naive_records(data, n_qubits, rows):
-    """The (expectation, variance) records of packed rows, read off the
-    source's own fields, or one IncompleteDataError naming every row
-    without a record: the one read of the per-witness kernels."""
-    if isinstance(data, MeasurementDataset) and data.n_qubits != n_qubits:
-        raise ValueError(
-            f"dataset is on {data.n_qubits} qubits, the stabilizers on {n_qubits}"
-        )
-    records = []
-    for row in rows:
-        if not row:
-            records.append((1.0, 0.0))
-        elif isinstance(data, WernerModel):
-            records.append((data.p, 0.0))
-        else:
-            record = data.records.get(pauli_from_row(row, n_qubits).to_text())
-            if record is not None:
-                e, shots = record
-                record = e, (1.0 - e * e) / shots
-            records.append(record)
-    absent = {
-        pauli_from_row(row, n_qubits).to_text()
-        for row, record in zip(rows, records)
-        if record is None
-    }
-    if absent:
-        raise IncompleteDataError(sorted(absent))
-    return records
-
-
-def naive_scaled(expectations, variances):
-    scale = 1.0 / len(expectations)
-    return scale * sum(expectations), sum(variances) * scale * scale
-
-
-def naive_standard(data, n_qubits, key):
-    span = sorted(_span_rows(key))
-    expectation, variance = naive_scaled(*zip(*naive_records(data, n_qubits, span)))
-    return 0.5 - expectation, variance
-
-
-def naive_alternative(data, n_qubits, rows):
-    expectations, variances = zip(*naive_records(data, n_qubits, rows))
-    return (len(expectations) - 1) / 2.0 - 0.5 * sum(expectations), 0.5 * sum(
-        variances
-    )
-
-
-def naive_two_measurement(data, n_qubits, split):
-    x_span, z_span = (sorted(_span_rows(part)) for part in split)
-    records = naive_records(data, n_qubits, x_span + z_span)
-    x_expectation, x_variance = naive_scaled(*zip(*records[: len(x_span)]))
-    z_expectation, z_variance = naive_scaled(*zip(*records[len(x_span) :]))
-    return 1.5 - x_expectation - z_expectation, x_variance + z_variance
-
-
-NAIVE_KERNELS = {
-    WitnessKind.STANDARD: naive_standard,
-    WitnessKind.ALTERNATIVE: naive_alternative,
-    WitnessKind.TWO_MEASUREMENT: naive_two_measurement,
-}
-
-
-def naive_batch(kind, data, n_qubits, items):
-    """The per-witness kernel of ``kind`` on each item in order, up to the
-    first that raises."""
-    return [NAIVE_KERNELS[kind](data, n_qubits, item) for item in items]
-
-
-def kernel_outcome(fn, *args):
-    """A batch of values as their bit patterns, or the error raised: its
-    type, its message and the names an IncompleteDataError carries."""
-    try:
-        values = fn(*args)
-    except ValueError as exc:
-        return type(exc), str(exc), getattr(exc, "missing", None)
-    return [float_bits(value) for value in values]
-
-
-def batch_sources():
-    """The shot fixture, whole, with 3 % of its records dropped and with an
-    X-type and a Z-type member dropped, so that two-measurement witnesses
-    lack members of either part or of both; a shot-noise dataset with 3 %
-    dropped; and white noise at p = 0, 0.37 and 1."""
-    shots = MeasurementDataset.from_csv(SHOT_DATA.read_text())
-    rng = random.Random("dropped")
-    kept = {k: v for k, v in shots.records.items() if rng.random() >= 0.03}
-    pure = {k: v for k, v in shots.records.items() if k not in ("IXXIXXI", "IIZZIZZ")}
-    color = span_group(GeneratorSet.from_texts(
-        ["ZZZZIII", "IZZIZZI", "IIZZIZZ", "XXXXIII", "IXXIXXI", "IIXXIXX", "XXXXXXX"]
-    ))
-    return [
-        ("shots", shots),
-        ("shots-dropped", MeasurementDataset(7, kept)),
-        ("parts-dropped", MeasurementDataset(7, pure)),
-        ("noise-dropped", shot_noise_dataset(color, 4, keep=0.97)),
-    ] + [(f"werner-{p}", WernerModel(p)) for p in (0.0, 0.37, 1.0)]
-
-
-class TestBatchKernelsMatchNaive:
-    @pytest.mark.parametrize(
-        "name,data", batch_sources(), ids=[name for name, _ in batch_sources()]
-    )
-    def test_every_census_key(self, full_census, name, data):
-        # each subsystem's items of each kind as one batch, and each item
-        # as a batch of one: the same bits, or the same error
-        direct, _, twomeas = full_census._lists()
-        checked = failed = 0
-        for omega in full_census.subsystems():
-            keys, splits = direct.get(omega, ()), twomeas.get(omega, ())
-            for kind, items in (
-                (WitnessKind.STANDARD, keys),
-                (WitnessKind.ALTERNATIVE, keys),
-                (WitnessKind.TWO_MEASUREMENT, splits),
-            ):
-                kernel = evaluation._KERNELS[kind]
-                assert kernel_outcome(kernel, data, 7, items) == kernel_outcome(
-                    naive_batch, kind, data, 7, items
-                ), (omega, kind)
-                for item in items:
-                    got = kernel_outcome(kernel, data, 7, [item])
-                    assert got == kernel_outcome(naive_batch, kind, data, 7, [item])
-                    failed += not isinstance(got, list)
-                checked += len(items)
-        assert checked == 2 * 3927 + 476
-        if name.endswith("dropped"):
-            assert 0 < failed < checked
-        else:
-            assert failed == 0
-
-    def test_dataset_on_other_qubit_count(self, full_census):
-        data = MeasurementDataset.from_pairs(5, {"XXIII": (0.5, 100)})
-        direct, _, twomeas = full_census._lists()
-        keys, splits = direct[(1, 2)], twomeas[(1, 2)]
-        for kind, items in (
-            (WitnessKind.STANDARD, keys),
-            (WitnessKind.ALTERNATIVE, keys),
-            (WitnessKind.TWO_MEASUREMENT, splits),
-        ):
-            got = kernel_outcome(evaluation._KERNELS[kind], data, 7, items)
-            assert got == kernel_outcome(naive_batch, kind, data, 7, items)
-            assert got[1] == "dataset is on 5 qubits, the stabilizers on 7"

@@ -106,6 +106,15 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(1, 1)])
 
+    @pytest.mark.parametrize(
+        "edge", [(1, "2"), (1, 2.0), ("1", 2), (True, 2), (1, None)]
+    )
+    def test_edge_label_that_is_not_an_int_is_refused(self, edge):
+        # a str or float endpoint raised a bare TypeError, and True was
+        # taken as vertex 1
+        with pytest.raises(ValueError, match="^vertex must be an integer, got "):
+            Graph.from_edges(3, [(1, 3), edge])
+
     def test_edges_round_trip(self):
         assert STAR4.edges() == [(1, 2), (1, 3), (1, 4)]
         assert Graph.from_edges(4, STAR4.edges()) == STAR4
@@ -178,6 +187,13 @@ class TestConnectivity:
     def test_vertex_out_of_range_rejected(self):
         with pytest.raises(IndexError):
             is_connected_within(STAR4, (1, 5))
+
+    @pytest.mark.parametrize("omega", [[1, "a"], ["a", 1], [1, 2.0], [True, 2], [1, True]])
+    def test_vertex_that_is_not_an_int_is_refused(self, omega):
+        # the labels were sorted before they were checked, so a str raised
+        # a bare TypeError, and True hid behind 1 in the label set
+        with pytest.raises(ValueError, match="^vertex must be an integer, got "):
+            is_connected_within(STAR4, omega)
 
     def test_flood_fill_matches_incidence_rank(self):
         rng = random.Random(23)
@@ -398,6 +414,17 @@ class TestReducedSubset:
             "".join(p.letter_at(q) for q in omega) for p in subset.stabilizers
         ]
         assert restricted == expected
+
+    @pytest.mark.parametrize("omega", [[1, "a"], [1, 2.0], [True, 2], [1, True]])
+    def test_vertex_that_is_not_an_int_is_refused(self, omega):
+        with pytest.raises(ValueError, match="^vertex must be an integer, got "):
+            reduced_generator_subset(STAR4, omega)
+
+    @pytest.mark.parametrize("vertex", [0, 5, -1])
+    def test_vertex_out_of_range_keeps_its_index_error(self, vertex):
+        # vertex 0 read the last vertex's generator
+        with pytest.raises(IndexError, match=f"vertex {vertex} out of range 1..4"):
+            reduced_generator_subset(STAR4, (1, vertex))
 
     def test_reduced_incidence_rank(self):
         m = naive_reduced_incidence_matrix(K4, (2, 3, 4))

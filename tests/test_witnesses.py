@@ -21,11 +21,9 @@ from stabwitness.binary import (
 )
 from stabwitness.cliffords import (
     LocalClifford,
-    _map_row,
     apply,
     apply_to_generators,
     find_graph_equivalence,
-    find_local_symmetries,
 )
 from stabwitness.graphs import (
     _connected_mask,
@@ -61,6 +59,7 @@ from stabwitness.witnesses import (
     two_measurement_from_standard,
 )
 
+import oracles
 from conftest import random_graph, random_local_clifford, random_stabilizer_set
 from physics import cuts_with_first, largest_schmidt_sq, state_vector
 from test_binary import naive_rank, random_pauli
@@ -1215,41 +1214,6 @@ def naive_pulled_rows(s: GeneratorSet) -> list:
     return out
 
 
-def naive_graph_based(s: GeneratorSet) -> dict:
-    """The graph-based census without the incremental walk: every member
-    re-walked, every connected subsystem of every member keyed, and the
-    symmetry sweep through PauliOperator objects."""
-    n_qubits = s.n_qubits
-    symmetries = find_local_symmetries(s)
-    subsystems = all_subsystems(n_qubits)
-    found = {omega: set() for omega in subsystems}
-    for member, rows in naive_pulled_rows(s):
-        for omega in subsystems:
-            mask = sum(1 << (q - 1) for q in omega)
-            if _connected_mask(member.adjacency, mask):
-                found[omega].add(tuple(rows_rref([rows[q - 1] for q in omega])))
-    out = {}
-    for omega in subsystems:
-        keys = set(found[omega])
-        for sym in symmetries:
-            if sym.is_identity():
-                continue
-            inv_sym = sym.inverse()
-            for key in found[omega]:
-                image = [
-                    pauli_row(apply(inv_sym, pauli_from_row(r, n_qubits)))
-                    for r in key
-                ]
-                keys.add(tuple(rows_rref(image)))
-        out[omega] = [
-            WitnessSpec.standard_local(
-                omega, [pauli_from_row(r, n_qubits) for r in key]
-            )
-            for key in sorted(keys)
-        ]
-    return out
-
-
 def _pullback_cases() -> list:
     """color_code_7, the five-qubit code state, and one random graph state
     of N = 5, 6, 7 qubits under three letter-map scrambles each; the
@@ -1276,12 +1240,6 @@ PULLBACK_CASES = _pullback_cases()
 
 
 class TestIncrementalPullback:
-    @pytest.mark.parametrize(
-        "s", [s for _, s in PULLBACK_CASES], ids=[i for i, _ in PULLBACK_CASES]
-    )
-    def test_matches_naive_graph_based(self, s):
-        assert enumerate_graph_based(s) == naive_graph_based(s)
-
     @pytest.mark.parametrize(
         "s", [s for _, s in PULLBACK_CASES], ids=[i for i, _ in PULLBACK_CASES]
     )
@@ -1337,83 +1295,6 @@ def frame_rows(member, z_frame: int, x_frame: int) -> list:
     return pulled_rows(
         z_frame, x_frame, member.adjacency, range(n_qubits), n_qubits
     )
-
-
-def naive_incremental_graph_based(s: GeneratorSet) -> dict:
-    """The graph-based census by the incremental walk without the frame
-    memo: every connected touched subsystem of every member keyed by
-    ``rows_rref``, and every key's image under every symmetry reduced."""
-    n_qubits = s.n_qubits
-    q_le, _, graph0 = find_graph_equivalence(s)
-    symmetries = find_local_symmetries(s)
-    subsystems = all_subsystems(n_qubits)
-    masks = {sum(1 << (q - 1) for q in omega): omega for omega in subsystems}
-    found = {mask: set() for mask in masks}
-    for member, sequence, z_frame, x_frame in witnesses._orbit_pullback(
-        q_le, lc_orbit(graph0)
-    ):
-        rows = frame_rows(member, z_frame, x_frame)
-        touched = list(masks)
-        if sequence:
-            vertex = sequence[-1]
-            hood = member.adjacency[vertex - 1]
-            touched = [m for m in masks if m & hood and not (m >> (vertex - 1)) & 1]
-        for mask in touched:
-            if _connected_mask(member.adjacency, mask):
-                omega_rows = [rows[q - 1] for q in masks[mask]]
-                found[mask].add(tuple(rows_rref(omega_rows)))
-    inverses = [sym.inverse() for sym in symmetries if not sym.is_identity()]
-    out = {}
-    for mask, omega in masks.items():
-        keys = set(found[mask])
-        for inv_sym in inverses:
-            for key in found[mask]:
-                image = [_map_row(inv_sym, r) for r in key]
-                keys.add(tuple(rows_rref(image)))
-        out[omega] = [
-            WitnessSpec.standard_local(
-                omega, [pauli_from_row(r, n_qubits) for r in key]
-            )
-            for key in sorted(keys)
-        ]
-    return out
-
-
-def naive_orbit_projection_graph_based(s: GeneratorSet) -> dict:
-    """The graph-based census projecting every orbit member's Z frame for
-    every subsystem: one member per distinct masked frame, its
-    connectivity tested and a connected one keyed, then the symmetry
-    sweep by frame images.  Nothing is carried from one subsystem to the
-    next."""
-    n_qubits = s.n_qubits
-    q_le, _, graph0 = find_graph_equivalence(s)
-    orbit = lc_orbit(graph0)
-    symmetries = find_local_symmetries(s)
-    frames = [
-        (member.adjacency, z, x)
-        for member, _, z, x in witnesses._orbit_pullback(q_le, orbit)
-    ]
-    others = [sym for sym in symmetries if not sym.is_identity()]
-    full = (1 << n_qubits) - 1
-    out = {}
-    for omega in all_subsystems(n_qubits):
-        mask = _qubit_mask(omega)
-        outside = ((full ^ mask) << n_qubits) | (full ^ mask)
-        keys = {}
-        distinct = {outside & frame[1]: frame for frame in frames}
-        for masked, (adjacency, z, x) in distinct.items():
-            if _connected_mask(adjacency, mask):
-                rows = pulled_rows(
-                    z, x, adjacency, [q - 1 for q in omega], n_qubits
-                )
-                keys[masked] = tuple(rows_rref(rows))
-        for masked, key in list(keys.items()):
-            for sym in others:
-                image = _map_row(sym, masked)
-                if image not in keys:
-                    keys[image] = tuple(rows_rref([_map_row(sym, r) for r in key]))
-        out[omega] = standard_specs(omega, set(keys.values()), n_qubits)
-    return out
 
 
 # graphs 0-3 of the random-state recipe on 8 qubits
@@ -1500,12 +1381,6 @@ class TestFrameMemo:
                 assert seen.setdefault((mask, z_frame & outside), connected) == connected
         assert len(seen) < len(members) * len(all_subsystems(n_qubits))
 
-    @pytest.mark.parametrize(
-        "s", [s for _, s in MEMO_FREE_CASES], ids=[i for i, _ in MEMO_FREE_CASES]
-    )
-    def test_matches_memo_free_loop(self, s):
-        assert enumerate_graph_based(s) == naive_incremental_graph_based(s)
-
     def test_color_code_reduces_each_masked_frame_once(self, monkeypatch):
         # each kept member carries its subsystem's key and connectivity to
         # the children: one row insertion per (subsystem, neighbourhood
@@ -1556,38 +1431,6 @@ class TestFrameMemo:
         }
 
 
-def naive_letter_kernel_graph_based(s: GeneratorSet) -> dict:
-    """The graph-based keys by brute force over letter kernels, N <= 7.
-
-    For every subsystem omega and every c in {X, Y, Z}^O on the qubits O
-    outside it, the kernel K_c is the set of members whose letter on each
-    mu in O is I or c_mu.  A kernel of 2^|omega| members whose basis passes
-    ``check_direct`` is a graph-based witness (Van den Nest, Dehaene and De
-    Moor, 2004; Hein, Eisert and Briegel, 2004).  Letters are read off the
-    members' texts; keys are sorted per subsystem."""
-    n_qubits = s.n_qubits
-    assert n_qubits <= 7
-    members = [(p, p.to_text()) for p in span_group(s).elements]
-    out = {}
-    for omega in all_subsystems(n_qubits):
-        outside = [mu for mu in range(n_qubits) if mu + 1 not in omega]
-        keys = set()
-        for c in itertools.product("XYZ", repeat=len(outside)):
-            kernel = [
-                p
-                for p, text in members
-                if all(text[mu] in ("I", letter) for mu, letter in zip(outside, c))
-            ]
-            if len(kernel) != 2 ** len(omega):
-                continue
-            key = basis_key(kernel)
-            basis = tuple(pauli_from_row(r, n_qubits) for r in key)
-            if check_direct(GeneratorSubset(omega, basis)):
-                keys.add(key)
-        out[omega] = sorted(keys)
-    return out
-
-
 DEGENERATE_STATES = {
     "product": ["ZIII", "IZII", "IIZI", "IIIZ"],
     "ghz": ["XXX", "ZZI", "IZZ"],
@@ -1619,7 +1462,6 @@ def _filter_cases(max_qubits: int) -> list:
 
 
 FILTER_CASES = _filter_cases(9)
-SMALL_FILTER_CASES = _filter_cases(7)
 
 
 def letter_functionals(key, n_qubits) -> list:
@@ -1802,6 +1644,36 @@ TREE_CASES = (
 )
 
 
+# every state whose graph column is checked against the letter kernels,
+# once each: the pull-back, subsystem-tree and filter cases
+GRAPH_CASES = list(dict(PULLBACK_CASES + TREE_CASES + FILTER_CASES).items())
+
+
+class TestLetterKernels:
+    """The graph column by both paths, the orbit walk
+    (``enumerate_graph_based``) and the direct search's filter
+    (``run_census`` with the direct method), is the letter kernels of
+    ``oracles.graph_based_keys``: per subsystem omega, each K_c of
+    dimension |omega| that passes conditions (ii) and (iv)."""
+
+    @pytest.mark.parametrize(
+        "s", [s for _, s in GRAPH_CASES], ids=[i for i, _ in GRAPH_CASES]
+    )
+    def test_both_paths_are_the_letter_kernels(self, s):
+        kernels = oracles.graph_based_keys([g.to_text() for g in s.generators])
+        subsystems = all_subsystems(s.n_qubits)
+        assert list(kernels) == subsystems
+        for column in (
+            enumerate_graph_based(s),
+            run_census(s, ("direct", "graph")).graph_based,
+        ):
+            assert list(column) == subsystems
+            for omega, keys in column.witness_keys.items():
+                assert set(keys) == kernels[omega], omega
+                assert all(a < b for a, b in zip(keys, keys[1:])), omega
+                assert [w.identity_key for w in column[omega]] == keys, omega
+
+
 def subsystem_sample(n_qubits, seed):
     """Wanted subsystems for a graph-only census with ``omegas``, in a
     shuffled order: a chain of parents and children, one subsystem whose
@@ -1816,28 +1688,8 @@ def subsystem_sample(n_qubits, seed):
 
 class TestGraphFilter:
     """With the direct search running, ``run_census`` reads the graph-based
-    witnesses off it with a letter-kernel filter.  The orbit walk
-    ``enumerate_graph_based`` is its oracle, and so is the brute-force
-    letter-kernel scan for N <= 7."""
-
-    @pytest.mark.parametrize(
-        "s", [s for _, s in FILTER_CASES], ids=[i for i, _ in FILTER_CASES]
-    )
-    def test_matches_orbit_walk(self, s):
-        census = run_census(s, ("direct", "graph"))
-        assert census.graph_based == enumerate_graph_based(s)
-
-    @pytest.mark.parametrize(
-        "s",
-        [s for _, s in SMALL_FILTER_CASES],
-        ids=[i for i, _ in SMALL_FILTER_CASES],
-    )
-    def test_matches_letter_kernel_scan(self, s):
-        census = run_census(s, ("direct", "graph"))
-        assert {
-            omega: [w.identity_key for w in specs]
-            for omega, specs in census.graph_based.items()
-        } == naive_letter_kernel_graph_based(s)
+    witnesses off it with a letter-kernel filter, checked against the
+    letter kernels in ``TestLetterKernels``."""
 
     def test_graph_lists_are_sublists_of_the_direct_lists(self, full_census):
         for omega in full_census.graph_based:
@@ -1922,17 +1774,7 @@ class TestGraphFilter:
 
 class TestSubsystemTree:
     """``enumerate_graph_based`` projects each subsystem's frames from the
-    members its parent, the subsystem without its largest qubit, kept.
-    Projecting the whole orbit for every subsystem is its oracle."""
-
-    @pytest.mark.parametrize(
-        "s", [s for _, s in TREE_CASES], ids=[i for i, _ in TREE_CASES]
-    )
-    def test_matches_whole_orbit_projection(self, s):
-        census = enumerate_graph_based(s)
-        naive = naive_orbit_projection_graph_based(s)
-        assert list(census) == list(naive) == all_subsystems(s.n_qubits)
-        assert census == naive
+    members its parent, the subsystem without its largest qubit, kept."""
 
     @pytest.mark.parametrize(
         "s", [s for _, s in FRAME_CASES], ids=[i for i, _ in FRAME_CASES]
@@ -1979,48 +1821,6 @@ class TestSubsystemTree:
         assert calls == [color_code]
 
 
-def naive_masked_frame_graph_based(s: GeneratorSet) -> dict:
-    """The graph-based census keyed by masked Z frame: the subsystem tree of
-    ``_graph_census``, with one flood fill and one key per distinct Z frame
-    masked to the qubits outside omega, the symmetry sweep by masked frame
-    images, and a set to merge the frames that give one key."""
-    n_qubits = s.n_qubits
-    q_le, _, graph0 = find_graph_equivalence(s)
-    orbit = lc_orbit(graph0)
-    symmetries = find_local_symmetries(s)
-    frames = [
-        (member.adjacency, z, x)
-        for member, _, z, x in witnesses._orbit_pullback(q_le, orbit)
-    ]
-    others = [sym for sym in symmetries if not sym.is_identity()]
-    full = (1 << n_qubits) - 1
-    out = {}
-    size, parents, level = 0, {}, {}
-    for omega in all_subsystems(n_qubits):
-        if len(omega) != size:
-            size, parents, level = len(omega), level, {}
-        mask = _qubit_mask(omega)
-        outside = ((full ^ mask) << n_qubits) | (full ^ mask)
-        leaf = omega[-1] == n_qubits
-        members = (parents.pop if leaf else parents.get)(omega[:-1], frames)
-        distinct = {outside & frame[1]: frame for frame in members}
-        if not leaf:
-            level[omega] = list(distinct.values())
-        indices = [q - 1 for q in omega]
-        keys = {}
-        for masked, (adjacency, z, x) in distinct.items():
-            if _connected_mask(adjacency, mask):
-                rows = pulled_rows(z, x, adjacency, indices, n_qubits)
-                keys[masked] = tuple(rows_rref(rows))
-        for masked, key in list(keys.items()):
-            for sym in others:
-                image = _map_row(sym, masked)
-                if image not in keys:
-                    keys[image] = tuple(rows_rref([_map_row(sym, r) for r in key]))
-        out[omega] = standard_specs(omega, set(keys.values()), n_qubits)
-    return out
-
-
 def neighbourhood(adjacency, mask: int, n_qubits: int) -> int:
     """The packed-row mask of S, the qubits outside the subsystem ``mask``
     with a neighbour in it: its Z and X bits on each such qubit."""
@@ -2041,89 +1841,13 @@ def masked_frame_members(members, mask: int, n_qubits: int) -> list:
     return list({outside & entry[2]: entry for entry in members}.values())
 
 
-def naive_frame_loop_graph_based(s: GeneratorSet) -> dict:
-    """The graph-based keys by the subsystem tree's frame loop without
-    carried keys: each subsystem masks the frames its parent kept, tests
-    connectivity by one flood fill per new neighbourhood frame, reduces a
-    connected one's pulled rows from scratch with ``rows_rref``, and sweeps
-    every key it found by every symmetry."""
-    n_qubits = s.n_qubits
-    q_le, _, graph0 = find_graph_equivalence(s)
-    orbit = lc_orbit(graph0)
-    symmetries = find_local_symmetries(s)
-    frames = [
-        (member.adjacency, z, x)
-        for member, _, z, x in witnesses._orbit_pullback(q_le, orbit)
-    ]
-    others = [sym for sym in symmetries if not sym.is_identity()]
-    full = (1 << n_qubits) - 1
-    out = {}
-    size, parents, level = 1, {}, {(q,): frames for q in range(1, n_qubits)}
-    for omega in all_subsystems(n_qubits):
-        if len(omega) != size:
-            size, parents, level = len(omega), level, {}
-        mask = _qubit_mask(omega)
-        outside = ((full ^ mask) << n_qubits) | (full ^ mask)
-        leaf = omega[-1] == n_qubits
-        members = parents.pop(omega[:-1]) if leaf else parents[omega[:-1]]
-        distinct = {outside & frame[1]: frame for frame in members}
-        if not leaf:
-            level[omega] = list(distinct.values())
-        indices = [q - 1 for q in omega]
-        keys, apart = {}, set()
-        for masked, (adjacency, z, x) in distinct.items():
-            hood = 0
-            for u in indices:
-                hood |= adjacency[u]
-            frame = masked & ((hood << n_qubits) | hood)
-            if frame in keys or frame in apart:
-                continue
-            if _connected_mask(adjacency, mask):
-                rows = pulled_rows(z, x, adjacency, indices, n_qubits)
-                keys[frame] = tuple(rows_rref(rows))
-            else:
-                apart.add(frame)
-        for frame, key in list(keys.items()):
-            for sym in others:
-                image = _map_row(sym, frame)
-                if image not in keys:
-                    keys[image] = tuple(rows_rref([_map_row(sym, r) for r in key]))
-        out[omega] = sorted(keys.values())
-    return out
-
-
-# recipe graph 1 on 8 qubits has a 3,004-member orbit and graph 2 eight
-# local symmetries
-FRAME_LOOP_CASES = PULLBACK_CASES + RECIPE8_CASES[1:3]
-
-
 class TestNeighbourhoodFrame:
-    """``_graph_census`` keys a subsystem omega by the neighbourhood frame
-    z & spread(S), S the qubits outside omega with a neighbour in omega:
-    the span K of omega's generators is L(S, c_S), the members that are I
-    outside omega and S and carry I or the frame's Z letter c_mu on each mu
-    in S.  The parent's one key per masked Z frame is its oracle."""
-
-    @pytest.mark.parametrize(
-        "s", [s for _, s in TREE_CASES], ids=[i for i, _ in TREE_CASES]
-    )
-    def test_matches_masked_frame_keying(self, s):
-        census = enumerate_graph_based(s)
-        naive = naive_masked_frame_graph_based(s)
-        assert list(census) == list(naive) == all_subsystems(s.n_qubits)
-        for omega, specs in census.items():
-            assert len(specs) == len(naive[omega])
-            for spec, expected in zip(specs, naive[omega]):
-                assert spec == expected
-                assert spec.identity_key == expected.identity_key
-
-    @pytest.mark.parametrize(
-        "s", [s for _, s in FRAME_LOOP_CASES], ids=[i for i, _ in FRAME_LOOP_CASES]
-    )
-    def test_matches_frame_loop_without_carried_keys(self, s):
-        census = enumerate_graph_based(s)
-        assert census.witness_keys == naive_frame_loop_graph_based(s)
-        assert list(census) == all_subsystems(s.n_qubits)
+    """``enumerate_graph_based`` keys a subsystem omega by the neighbourhood
+    frame z & spread(S), S the qubits outside omega with a neighbour in
+    omega: the span K of omega's generators is L(S, c_S), the members that
+    are I outside omega and S and carry I or the frame's Z letter c_mu on
+    each mu in S.  Its keys are checked against the letter kernels in
+    ``TestLetterKernels``."""
 
     @pytest.mark.parametrize(
         "s", [s for _, s in FRAME_CASES], ids=[i for i, _ in FRAME_CASES]
@@ -2995,6 +2719,30 @@ class TestClassify:
     def test_other_sizes(self):
         assert classify_subsystem((1, 2)) is SubsystemClass.UNCLASSIFIED
         assert classify_subsystem((1, 2, 3, 4, 5)) is SubsystemClass.UNCLASSIFIED
+
+    @pytest.mark.parametrize(
+        "omega,message",
+        [
+            ((8, 9, 10), r"^subsystem \(8, 9, 10\) has labels outside 1..7$"),
+            ((0, 1, 2, 3), r"^subsystem \(0, 1, 2, 3\) has labels outside 1..7$"),
+            ((1, 2, 3, 3), r"^subsystem \(1, 2, 3, 3\) repeats labels 3$"),
+            ((3, 1, 2, 1), r"^subsystem \(3, 1, 2, 1\) repeats labels 1$"),
+            (("a", "b", "c"), "are not integers: 'a', 'b', 'c'$"),
+            ((True, 2, 3), "are not integers: True$"),
+            ((1.0, 2, 3), "are not integers: 1.0$"),
+            (5, r"^subsystem 5 is not a collection of qubit labels$"),
+        ],
+        ids=[
+            "off-layout", "zero", "repeat", "unsorted-repeat", "strings", "bool",
+            "float", "not-a-collection",
+        ],
+    )
+    def test_labels_off_the_layout_are_refused(self, omega, message):
+        # each was classified: (8, 9, 10) and ("a", "b", "c") as
+        # non-string-like, (1, 2, 3, 3) as its set (1, 2, 3); 5 raised a
+        # bare TypeError
+        with pytest.raises(MalformedSubsetError, match=message):
+            classify_subsystem(omega)
 
 
 class TestSubsystems:

@@ -1649,6 +1649,26 @@ TREE_CASES = (
 GRAPH_CASES = list(dict(PULLBACK_CASES + TREE_CASES + FILTER_CASES).items())
 
 
+@pytest.fixture(
+    scope="class", params=[s for _, s in GRAPH_CASES], ids=[i for i, _ in GRAPH_CASES]
+)
+def letter_kernels(request):
+    """A state and its letter kernels per subsystem, computed once for
+    both graph paths: pytest runs each state's tests together."""
+    s = request.param
+    kernels = oracles.graph_based_keys([g.to_text() for g in s.generators])
+    assert list(kernels) == all_subsystems(s.n_qubits)
+    return s, kernels
+
+
+def assert_letter_kernels(column, kernels):
+    assert list(column) == list(kernels)
+    for omega, keys in column.witness_keys.items():
+        assert set(keys) == kernels[omega], omega
+        assert all(a < b for a, b in zip(keys, keys[1:])), omega
+        assert [w.identity_key for w in column[omega]] == keys, omega
+
+
 class TestLetterKernels:
     """The graph column by both paths, the orbit walk
     (``enumerate_graph_based``) and the direct search's filter
@@ -1656,22 +1676,14 @@ class TestLetterKernels:
     ``oracles.graph_based_keys``: per subsystem omega, each K_c of
     dimension |omega| that passes conditions (ii) and (iv)."""
 
-    @pytest.mark.parametrize(
-        "s", [s for _, s in GRAPH_CASES], ids=[i for i, _ in GRAPH_CASES]
-    )
-    def test_both_paths_are_the_letter_kernels(self, s):
-        kernels = oracles.graph_based_keys([g.to_text() for g in s.generators])
-        subsystems = all_subsystems(s.n_qubits)
-        assert list(kernels) == subsystems
-        for column in (
-            enumerate_graph_based(s),
-            run_census(s, ("direct", "graph")).graph_based,
-        ):
-            assert list(column) == subsystems
-            for omega, keys in column.witness_keys.items():
-                assert set(keys) == kernels[omega], omega
-                assert all(a < b for a, b in zip(keys, keys[1:])), omega
-                assert [w.identity_key for w in column[omega]] == keys, omega
+    def test_orbit_walk_is_the_letter_kernels(self, letter_kernels):
+        s, kernels = letter_kernels
+        assert_letter_kernels(enumerate_graph_based(s), kernels)
+
+    def test_direct_filter_is_the_letter_kernels(self, letter_kernels):
+        s, kernels = letter_kernels
+        census = run_census(s, ("direct", "graph"))
+        assert_letter_kernels(census.graph_based, kernels)
 
 
 def subsystem_sample(n_qubits, seed):
